@@ -276,6 +276,28 @@ func benchServeOpts(b *testing.B, name string, clients int, opts serve.Options) 
 	b.ReportMetric(float64(s.P99Latency.Microseconds()), "p99-µs")
 }
 
+// benchTrain steps an engine-backed trainer b.N times after one untimed
+// plan-compiling step and reports, from its phase ring, the grad
+// phase's share of step wall (the part replicas parallelize) and the
+// trainee-step rate (steps × loss lanes per second).
+func benchTrain(b *testing.B, tr *dist.Trainer) {
+	if _, err := tr.Train(1); err != nil { // compile plans outside the timer
+		b.Fatal(err)
+	}
+	tr.ResetTiming()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.StepLanes(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if sum, steps := tr.PhaseSum(); sum.Wall > 0 {
+		b.ReportMetric(float64(sum.Grad)/float64(sum.Wall), "grad-frac")
+		b.ReportMetric(float64(steps*tr.Lanes())/sum.Wall.Seconds(), "trainee-steps/s")
+	}
+}
+
 // benchTrainReplicas measures data-parallel training throughput: one
 // global step (4 chunks of the tiny-preset batch, gradients +
 // ascending-chunk all-reduce + replicated apply) per iteration at the
@@ -293,20 +315,7 @@ func benchTrainReplicas(b *testing.B, replicas int) {
 		b.Fatal(err)
 	}
 	defer tr.Close()
-	if _, err := tr.Train(1); err != nil { // compile plans outside the timer
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	t := tr.Timing()
-	if t.Wall > 0 {
-		b.ReportMetric(float64(t.GradMax)/float64(t.Wall), "grad-frac")
-	}
+	benchTrain(b, tr)
 }
 
 func BenchmarkTrainReplicas1(b *testing.B) { benchTrainReplicas(b, 1) }
@@ -327,20 +336,7 @@ func benchTrainFused(b *testing.B, width int) {
 		b.Fatal(err)
 	}
 	defer arr.Close()
-	if _, err := arr.Step(); err != nil { // compile plans outside the timer
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := arr.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	t := arr.Timing()
-	if t.Wall > 0 {
-		b.ReportMetric(float64(t.Steps*width)/t.Wall.Seconds(), "trainee-steps/s")
-	}
+	benchTrain(b, arr.Trainer)
 }
 
 func BenchmarkTrainFused1(b *testing.B) { benchTrainFused(b, 1) }

@@ -176,26 +176,19 @@ func main() {
 		// achievable scaling, and live-check the bit-identical-across-
 		// replica-counts contract. With -fuse K, additionally train a
 		// width-K horizontally fused array per workload. Emits CSV with
-		// -out and persists the throughput sweep as BENCH_train.json.
+		// -out; -trace adds the per-step phase breakdown of the same
+		// runs behind the aggregate numbers.
 		validateTrainFlags(*replicas, *chunks, *fuseWidth)
 		var names []string
 		if *model != "" {
 			names = strings.Split(*model, ",")
 		}
-		res, bench, err := experiments.TrainScaling(opts, *replicas, *chunks, *intraop, *fuseWidth, names)
+		res, phases, err := experiments.TrainPhases(opts, *replicas, *chunks, *intraop, *fuseWidth, names)
 		if err != nil {
 			fatal(err)
 		}
 		emit(res)
-		writeTrainBench(bench, *outDir)
 		if *trainTrace {
-			// Per-step phase breakdown behind the aggregate numbers
-			// above: a fresh run per workload with the trainer's phase
-			// ring dumped before teardown.
-			phases, err := experiments.TrainPhases(opts, *replicas, *chunks, *intraop, *fuseWidth, names)
-			if err != nil {
-				fatal(err)
-			}
 			emit(phases)
 		}
 	case "serve":
@@ -374,12 +367,7 @@ func main() {
 		}
 		must(experiments.ProfileParallel(opts, core.ModeTraining, 4, 4, nil, ""))(emit)
 		validateTrainFlags(*replicas, *chunks, *fuseWidth)
-		trainRes, trainBench, err := experiments.TrainScaling(opts, *replicas, *chunks, 1, *fuseWidth, nil)
-		if err != nil {
-			fatal(err)
-		}
-		emit(trainRes)
-		writeTrainBench(trainBench, *outDir)
+		must(experiments.TrainScaling(opts, *replicas, *chunks, 1, *fuseWidth, nil))(emit)
 		// Short serving overload sweep: keep `all` runs tractable while
 		// still exercising the admission path and refreshing the bench
 		// trajectory file.
@@ -454,26 +442,6 @@ func validateTrainFlags(replicas, chunks, fuseWidth int) {
 	}
 }
 
-// writeTrainBench persists the training-throughput sweep as the
-// BENCH_train.json trajectory file (inside -out when set).
-func writeTrainBench(tb *experiments.TrainBench, outDir string) {
-	payload, err := experiments.WriteTrainBenchJSON(tb)
-	if err != nil {
-		fatal(err)
-	}
-	path := "BENCH_train.json"
-	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			fatal(err)
-		}
-		path = filepath.Join(outDir, path)
-	}
-	if err := os.WriteFile(path, payload, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("(bench written to %s)\n\n", path)
-}
-
 // writeBench persists a load-test report as the BENCH_serve.json
 // trajectory file (inside -out when set).
 func writeBench(rep *loadgen.Report, benchPath, outDir string) {
@@ -515,7 +483,7 @@ commands:
              achievable inter-op speedup, real vs modeled intra-op speedup; CSV with -out)
   train      training scaling            (-replicas N -chunks K -fuse K -model a,b -steps N -intraop N;
              data-parallel achieved vs achievable scaling plus horizontally fused arrays,
-             bit-identical across replica counts and fused trainees -> BENCH_train.json;
+             bit-identical across replica counts and fused trainees;
              -trace dumps per-step sample/grad/reduce/apply phase telemetry)
   serve      HTTP/JSON inference serving (-model a,b -addr -sessions -maxbatch -maxdelay -interop -intraop
              -queue N -deadline D: bounded admission lanes + per-model deadline budget;

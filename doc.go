@@ -3,7 +3,8 @@
 //
 // The repository contains a complete dataflow deep-learning framework
 // (tensors, symbolic autodiff, an operation library, and a traced
-// execution runtime), the eight Fathom workloads built on top of it, and
+// execution runtime), ten workloads built on top of it — the eight Fathom
+// workloads plus the neuraltalk and attention extensions — and
 // the characterization toolkit that regenerates every table and figure
 // of the paper's evaluation. See DESIGN.md for the system inventory and
 // EXPERIMENTS.md for paper-vs-measured results.
@@ -230,23 +231,27 @@
 // deadline), shed rate, and per-lane latency quantiles as
 // BENCH_serve.json — the serving perf trajectory across PRs.
 //
-// # Distributed training
+// # Data-parallel training
 //
-// internal/dist adds the third scaling axis: data-parallel training of
-// N model replicas, each with its own graph and session, driven by
-// `fathom train -replicas N`. A global training step is decomposed
-// into a canonical grid of micro-batches ("chunks", dataset.Partition)
-// whose size is fixed per run — independent of the replica count —
-// and replicas own contiguous ascending chunk ranges. Per chunk, a
-// replica reseeds its session RNG and draws its batch from a generator
-// keyed by dataset.ChunkSeed(seed, step, chunk) (core.TrainSampler),
-// then fetches the loss and raw parameter gradients through the
-// gradient/update surface nn.BuildTraining records (nn.TrainPlan) —
-// forward and backward only, no variable is touched. The all-reduce
-// then combines the per-chunk gradients of each parameter in fixed
-// ascending-replica, ascending-chunk float32 order — exactly ascending
-// order over the chunk grid — scales by 1/chunks, and every replica
-// applies the identical combined update through TrainPlan's
+// internal/dist is the suite's training engine and holds its one step
+// loop. A replica executes a program (dist.Program): a training graph
+// plus the fetch/feed surface of one step — a loss node of K ≥ 1
+// elements, raw gradient nodes, named input placeholders, a
+// fed-gradient apply node and a seed-keyed batch sampler. dist.New
+// builds N replicas of a registry workload from the surface
+// nn.BuildTraining records (nn.TrainPlan), each with its own graph and
+// session, driven by `fathom train -replicas N`. A global training
+// step is decomposed into a canonical grid of micro-batches ("chunks",
+// dataset.Partition) whose size is fixed per run — independent of the
+// replica count — and replicas own contiguous ascending chunk ranges.
+// Per chunk, a replica reseeds its session RNG and draws its batch
+// from a generator keyed by dataset.ChunkSeed over (seed, step, chunk)
+// (core.TrainSampler), then fetches the loss and raw parameter
+// gradients — forward and backward only, no variable is touched. The
+// all-reduce then combines the per-chunk gradients of each parameter in
+// fixed ascending-replica, ascending-chunk float32 order — exactly
+// ascending order over the chunk grid — scales by 1/chunks, and every
+// replica applies the identical combined update through the program's
 // fed-gradient placeholders, keeping all replica variables bitwise
 // identical forever.
 //
@@ -257,30 +262,40 @@
 // never the math. Replicas execute concurrently as clients of the
 // shared worker pool under the usual rules (leases,
 // caller-participates-first, degrade-to-serial on exhaustion), so
-// execution goroutines stay bounded by the pool size; dist checkpoints
-// (a step header plus the variable checkpoint) restore at any replica
-// count dividing the chunk grid with bit-identical continuation.
-// `fathom train` reports achieved wall speedup against the Amdahl
-// bound of the run's own phase structure (profiling.TrainScaling) and
-// live-checks the bit-identity invariant.
+// execution goroutines stay bounded by the pool size; checkpoints (a
+// step header carrying the chunk grid and seed, validated on load,
+// plus the variable checkpoint — optimizer slots included) restore at
+// any replica count dividing the chunk grid with bit-identical
+// continuation. Every step records its sample/grad/reduce/apply walls
+// in a telemetry.PhaseRing, which also keeps their running sum;
+// `fathom train` reads that sum to report achieved wall speedup
+// against the Amdahl bound of the run's own phase structure
+// (profiling.TrainScaling), live-checks the bit-identity invariant, and
+// with -trace prints the same runs' per-step phase log.
 //
 // # Horizontally fused training
 //
-// internal/fuse adds the HFTA-style fourth scaling axis: instead of
-// running K training instances side by side (K graphs, K sessions, K
-// GEMMs per layer), fuse.New builds one array-batched graph in which
-// every parameter, gradient, and optimizer update is stacked along a
-// leading fusion axis of size K, so a single batched matrix multiply
+// internal/fuse adds the HFTA-style fourth scaling axis, and it is a
+// graph transform, not a second trainer: instead of running K training
+// instances side by side (K graphs, K sessions, K GEMMs per layer),
+// fuse.New builds one array-batched graph in which every parameter,
+// gradient, and optimizer update is stacked along a leading fusion
+// axis of size K, so a single batched matrix multiply
 // (ops.BatchMatMul) — and a single arena, plan, and session — serves
-// all K trainees at once. The transform is graph-level and works on
-// any core.Trainer workload: shared structure (placeholders,
-// constants, non-parameter state, the RNG source lane) is computed
-// once and broadcast, per-trainee structure is lifted onto the fusion
-// axis, and the impure lane's schedule order is preserved so one
-// shared dropout mask keeps RNG draw-count parity with a standalone
-// run. Trainees may diverge only through per-trainee learning-rate
-// scales (Options.LRScales), which is the hyperparameter-search use
-// case: K learning rates explored for the price of roughly one run.
+// all K trainees at once, then hands that graph to the dist engine as
+// the program of one replica whose loss has K lanes. The transform
+// works on any trainable workload without out-of-graph per-step
+// state: shared structure (placeholders, constants, non-parameter
+// state, the RNG source lane) is computed once and broadcast,
+// per-trainee structure is lifted onto the fusion axis, and the impure
+// lane's schedule order is preserved so one shared dropout mask keeps
+// RNG draw-count parity with a standalone run. Trainees may diverge
+// only through per-trainee learning-rate scales (Options.LRScales),
+// which is the hyperparameter-search use case: K learning rates
+// explored for the price of roughly one run. fuse.Array is the engine
+// plus the per-trainee views (Losses(k), TraineeParams(k)); its
+// checkpoints are the engine's, so a fused image refuses a different
+// seed, chunk grid or width.
 //
 // The fused determinism contract extends the harness once more: each
 // trainee's loss trajectory and final variables are bit-identical to
@@ -289,10 +304,14 @@
 // construction — fused kernels iterate the fusion axis invoking the
 // standalone kernel on contiguous per-trainee views, and the chunk
 // protocol (reseed, ChunkSeed sampling, ascending-chunk float32
-// gradient accumulation, fed-gradient apply) is shared with
-// internal/dist verbatim. `fathom train -fuse K` trains the fused
-// array next to the data-parallel baseline and persists both
-// throughput trajectories as BENCH_train.json.
+// gradient accumulation, fed-gradient apply) is internal/dist's own
+// step loop, not a copy of it. Because the loop special-cases neither
+// axis, N replicas × K lanes also holds (pinned by an in-package test,
+// not yet exposed on the CLI). `fathom train -fuse K`
+// trains the fused array next to the data-parallel baseline; the
+// tracked throughput numbers for both (dist.scaling_efficiency,
+// fuse.vs_standalone) come from bench/'s train-dist and train-fuse
+// workloads.
 //
 // # Adaptive pool leases
 //

@@ -14,7 +14,7 @@ import (
 
 func main() {
 	opts := experiments.Options{Preset: core.PresetSmall, Steps: 2, Warmup: 1, Seed: 1}
-	fmt.Println("profiling all eight workloads (small preset)...")
+	fmt.Println("profiling the paper's eight workloads (small preset; the registry holds ten)...")
 	suite, err := experiments.ProfileSuite(opts, core.ModeTraining)
 	if err != nil {
 		panic(err)

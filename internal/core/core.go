@@ -1,7 +1,8 @@
 // Package core defines the Fathom suite itself: the standard model
 // interface every workload implements (the paper's answer to the
 // "model zoos have no standard interface" problem), the registry of
-// the eight workloads, and the instrumented runner that produces
+// the ten workloads (the paper's eight plus the neuraltalk and
+// attention extensions), and the instrumented runner that produces
 // operation-level profiles.
 package core
 

@@ -1,23 +1,30 @@
-// Package dist is the suite's data-parallel training subsystem: N
-// model replicas of one workload, each with its own graph and session,
-// trained in lockstep over shards of a synthetic dataset with a
-// deterministic gradient all-reduce.
+// Package dist is the suite's training engine: N replicas of one
+// training program, each with its own graph and session, stepped in
+// lockstep over shards of a synthetic dataset with a deterministic
+// gradient all-reduce. It holds the suite's one training step loop:
+// data-parallel training (New) drives replicas of a registry workload,
+// and horizontally fused training (internal/fuse) drives the same loop
+// over replicas whose graph is the K-stacked transform of one.
 //
 // # Architecture
 //
-// A global training step consumes a fixed global batch, decomposed
-// into a canonical grid of micro-batches ("chunks", see
-// dataset.Partition). Each replica owns a contiguous ascending range
-// of the chunk grid. A step has three phases:
+// A replica executes a Program: a graph plus the fetch/feed surface of
+// one training step — a loss node of K ≥ 1 elements (K "lanes": one
+// for a plain workload, one per trainee for a fused graph), raw
+// gradient nodes, named input placeholders, a fed-gradient apply node,
+// and a seed-keyed batch sampler. A global training step consumes a
+// fixed global batch, decomposed into a canonical grid of micro-batches
+// ("chunks", see dataset.Partition). Each replica owns a contiguous
+// ascending range of the chunk grid. A step has three phases:
 //
 //  1. Gradients: every replica runs, for each owned chunk, one
-//     forward+backward of its workload's training graph — fetching the
-//     loss and the raw parameter gradients through nn.TrainPlan,
-//     without touching any variable. The chunk's data comes from
-//     core.TrainSampler keyed by dataset.ChunkSeed(seed, step, chunk),
-//     and the session RNG is reseeded with the same chunk seed, so a
-//     chunk's batch AND its stochastic ops (dropout masks, VAE
-//     sampling) are pure functions of the chunk coordinates.
+//     forward+backward of its program — fetching the loss vector and
+//     the raw parameter gradients, without touching any variable. The
+//     chunk's data comes from the program's sampler keyed by
+//     dataset.ChunkSeed over (seed, step, chunk), and the session RNG
+//     is reseeded with the same chunk seed, so a chunk's batch AND its
+//     stochastic ops (dropout masks, VAE sampling) are pure functions
+//     of the chunk coordinates.
 //  2. All-reduce: for every parameter, the per-chunk gradients combine
 //     in fixed ascending-replica, ascending-chunk float32 order —
 //     replica ranges are contiguous and ascending, so this is exactly
@@ -28,9 +35,9 @@
 //     on different shared-pool workers; every element's combine order
 //     is fixed regardless of the split or placement.
 //  3. Apply: every replica feeds the same combined tensors into its
-//     TrainPlan's fed-gradient placeholders and fetches the same
-//     apply node, taking one identical optimizer step. Replica
-//     variable state therefore stays bitwise identical forever.
+//     program's fed-gradient placeholders and fetches the same apply
+//     node, taking one identical optimizer step. Replica variable
+//     state therefore stays bitwise identical forever.
 //
 // # Determinism contract
 //
@@ -40,8 +47,11 @@
 // any intra-op/inter-op session widths: the replica count changes only
 // which session executes a chunk, never the chunk's math, data, RNG
 // stream, or the combine order. The cross-workload harness
-// (internal/models/determinism_test.go) pins this for all nine
-// workloads across replicas {1,2,4} × intra-op {1,4}.
+// (internal/models/determinism_test.go) pins this for all ten
+// workloads across replicas {1,2,4} × intra-op {1,4}. The loop
+// special-cases neither the replica count nor the lane count, so the
+// contract composes: N replicas of a K-lane fused program train each
+// lane bit-identically to its standalone run.
 //
 // # Scheduling
 //
@@ -81,9 +91,9 @@ const phaseRingSize = 256
 // ErrClosed is returned by Step after Close.
 var ErrClosed = errors.New("dist: trainer closed")
 
-// Trainable is what a workload must implement to train data-parallel:
+// Trainable is what a workload must implement to train on the engine:
 // the standard model interface, a seed-keyed batch sampler, and the
-// gradient/update fetch surface nn.BuildTraining records. All nine
+// gradient/update fetch surface nn.BuildTraining records. All ten
 // suite workloads qualify.
 type Trainable interface {
 	core.Model
@@ -136,70 +146,141 @@ type Options struct {
 	Pool *sched.Pool
 }
 
-// replica is one model copy and its execution state.
-type replica struct {
-	model   Trainable
-	sess    *runtime.Session
-	fetches []*graph.Node // loss + raw grads, in TrainPlan order
-	inputs  map[string]*graph.Node
+// Program is what one replica executes: a training graph and the
+// fetch/feed surface of one step on it. New builds one per replica
+// from a registry workload's TrainPlan; internal/fuse builds them from
+// the K-stacked transform of one. The step loop reads nothing else, so
+// it cannot tell the two apart.
+type Program struct {
+	// Model is the workload instance behind Graph (what Replica
+	// returns); nil when Graph is a transform no workload instance owns.
+	Model core.Model
+	Graph *graph.Graph
+	// Batch is the examples per chunk the graph was built for.
+	Batch int
+	// Loss holds one element per lane. Grads are the raw gradients and
+	// GradIn the fed-gradient placeholders Apply reads, index-aligned
+	// and shape-equal.
+	Loss   *graph.Node
+	Grads  []*graph.Node
+	Apply  *graph.Node
+	GradIn []*graph.Node
+	// Inputs maps sampled input names to placeholders. A sampled name
+	// absent from it is skipped — a transform may have pruned inputs
+	// outside its training closure — and a placeholder the fetches do
+	// read but nothing fed still fails the Run.
+	Inputs map[string]*graph.Node
+	// Sample draws the chunk batch keyed by seed (core.TrainSampler's
+	// contract); s is the replica's session over Graph.
+	Sample func(s *runtime.Session, seed int64) (map[string]*tensor.Tensor, error)
+	// OnStep, when set, runs after each applied step (StepListener).
+	OnStep func(step int)
+}
 
-	applyNode  *graph.Node
+// replica is one program copy and its execution state.
+type replica struct {
+	prog    *Program
+	sess    *runtime.Session
+	fetches []*graph.Node // loss + raw grads, in program order
+
 	applyFeeds runtime.Feeds
 
 	lo, hi int // owned chunk range [lo, hi)
 
-	feeds      runtime.Feeds // per-chunk training feeds, reused
-	chunkLoss  []float64
+	feeds      runtime.Feeds      // per-chunk training feeds, reused
+	chunkLoss  []float64          // [owned chunk × lane]
 	chunkGrads [][]*tensor.Tensor // [owned chunk][param]
 
 	gradWall   time.Duration // grad phase wall of the current step
-	sampleWall time.Duration // TrainSample share of gradWall
+	sampleWall time.Duration // Sample share of gradWall
 	err        error
 }
 
-// Timing accumulates the trainer's phase walls, the raw material of
-// the achieved-vs-achievable scaling report (profiling.TrainScaling):
-// the gradient phase parallelizes across replicas, while the reduce
-// and apply phases bound the speedup Amdahl-style.
-type Timing struct {
-	Steps int
-	// GradSum is the summed gradient-phase wall across replicas and
-	// steps (the serial work); GradMax sums each step's slowest
-	// replica (the parallel phase's wall).
-	GradSum, GradMax time.Duration
-	// Reduce and Apply are the all-reduce and update phase walls.
-	Reduce, Apply time.Duration
-	// Wall is the total step wall.
-	Wall time.Duration
-}
-
-// Trainer drives data-parallel training of one workload. It is
-// confined to a single goroutine: Step, checkpointing and Close must
-// not be called concurrently (internally Step fans replicas out on the
-// shared pool).
+// Trainer drives lockstep training of one program over its replicas.
+// It is confined to a single goroutine: Step, checkpointing and Close
+// must not be called concurrently (internally Step fans replicas out on
+// the shared pool).
 type Trainer struct {
 	name     string
+	label    string // "<kind>/<name>": lease name, metrics label, error prefix
 	opts     Options
 	part     dataset.Partition
-	pool     *sched.Pool
 	lease    *sched.Lease
 	replicas []*replica
-	params   int
+	lanes    int
 
 	comb        []*tensor.Tensor // combined gradients, one per parameter
 	reduceItems []reduceItem     // the all-reduce work list: element ranges
 	step        int
-	losses      []float64
-	timing      Timing
+	losses      [][]float64 // [lane][step]
 	phases      *telemetry.PhaseRing
 	closed      bool
 }
 
-// New builds a trainer: Replicas instances of the workload, each Setup
-// with an identical config (bit-identical initial variables) at the
-// chunk micro-batch size, each with its own session on the shared
-// pool.
+// Instantiate builds one Setup instance of a registry workload and
+// checks it carries the training surface the engine needs.
+func Instantiate(name string, cfg core.Config) (Trainable, error) {
+	m, err := core.New(name)
+	if err != nil {
+		return nil, err
+	}
+	tr, ok := m.(Trainable)
+	if !ok {
+		return nil, fmt.Errorf("workload %s is not trainable (wants core.TrainSampler + TrainPlan)", name)
+	}
+	if err := m.Setup(cfg); err != nil {
+		return nil, fmt.Errorf("setup %s: %w", name, err)
+	}
+	if tr.TrainPlan() == nil {
+		return nil, fmt.Errorf("workload %s has no TrainPlan after Setup", name)
+	}
+	return tr, nil
+}
+
+// New builds a data-parallel trainer: Replicas instances of the
+// workload, each Setup with an identical config (bit-identical initial
+// variables) at the chunk micro-batch size, each with its own session
+// on the shared pool.
 func New(name string, opts Options) (*Trainer, error) {
+	scale := opts.LRScale
+	if scale == 0 {
+		scale = 1
+	}
+	return NewEngine("dist", name, opts, func(cfg core.Config) (*Program, error) {
+		m, err := Instantiate(name, cfg)
+		if err != nil {
+			return nil, err
+		}
+		plan := m.TrainPlan()
+		// Build the fed-gradient apply path eagerly so every replica
+		// graph has it (checkpoints then agree across replica counts).
+		apply, gradIn, err := plan.DistApplyScaled(scale)
+		if err != nil {
+			return nil, fmt.Errorf("apply path: %w", err)
+		}
+		sig := m.Signature(core.ModeTraining)
+		prog := &Program{
+			Model: m, Graph: m.Graph(), Batch: sig.BatchCapacity(),
+			Loss: plan.Loss(), Grads: plan.Grads(), Apply: apply, GradIn: gradIn,
+			Inputs: map[string]*graph.Node{},
+			Sample: m.TrainSample,
+		}
+		for _, in := range sig.Inputs {
+			prog.Inputs[in.Name] = in.Node
+		}
+		if l, ok := m.(StepListener); ok {
+			prog.OnStep = l.OnTrainStep
+		}
+		return prog, nil
+	})
+}
+
+// NewEngine builds a trainer over opts.Replicas programs from build,
+// called once per replica with the chunk-sized workload config; every
+// call must return a bit-identical program. kind names the subsystem
+// ("dist", "fuse"): the trainer's shared-pool lease, its metrics label
+// and its errors all read "<kind>/<name>".
+func NewEngine(kind, name string, opts Options, build func(core.Config) (*Program, error)) (*Trainer, error) {
 	if opts.Replicas < 1 {
 		opts.Replicas = 1
 	}
@@ -213,16 +294,19 @@ func New(name string, opts Options) (*Trainer, error) {
 		opts.Pool = sched.Default()
 	}
 	if opts.Chunks%opts.Replicas != 0 {
-		return nil, fmt.Errorf("dist: replicas %d does not divide chunks %d", opts.Replicas, opts.Chunks)
+		return nil, fmt.Errorf("%s: replicas %d does not divide chunks %d", kind, opts.Replicas, opts.Chunks)
 	}
-	chunkBatch := 0 // 0 = the workload's preset batch
+	cfg := core.Config{Preset: opts.Preset, Seed: opts.Seed} // Batch 0 = the workload's preset batch
 	if opts.GlobalBatch > 0 {
 		if opts.GlobalBatch%opts.Chunks != 0 {
-			return nil, fmt.Errorf("dist: chunks %d does not divide global batch %d", opts.Chunks, opts.GlobalBatch)
+			return nil, fmt.Errorf("%s: chunks %d does not divide global batch %d", kind, opts.Chunks, opts.GlobalBatch)
 		}
-		chunkBatch = opts.GlobalBatch / opts.Chunks
+		cfg.Batch = opts.GlobalBatch / opts.Chunks
 	}
-	t := &Trainer{name: name, opts: opts, pool: opts.Pool, phases: telemetry.NewPhaseRing(phaseRingSize)}
+	t := &Trainer{
+		name: name, label: kind + "/" + name, opts: opts,
+		phases: telemetry.NewPhaseRing(phaseRingSize),
+	}
 	// Until construction succeeds, any error return must release the
 	// sessions (and their shared-pool leases) built so far.
 	built := false
@@ -231,71 +315,42 @@ func New(name string, opts Options) (*Trainer, error) {
 			t.Close()
 		}
 	}()
+	sessOpts := []runtime.Option{
+		runtime.WithSeed(opts.Seed),
+		runtime.WithWorkerPool(opts.Pool),
+		runtime.WithLeaseName(t.label),
+	}
+	if opts.IntraOpWorkers > 1 {
+		sessOpts = append(sessOpts, runtime.WithIntraOpWorkers(opts.IntraOpWorkers))
+	}
+	if opts.InterOpWorkers > 1 {
+		sessOpts = append(sessOpts, runtime.WithInterOpWorkers(opts.InterOpWorkers))
+	}
 	for r := 0; r < opts.Replicas; r++ {
-		m, err := core.New(name)
+		prog, err := build(cfg)
 		if err != nil {
-			return nil, err
-		}
-		tr, ok := m.(Trainable)
-		if !ok {
-			return nil, fmt.Errorf("dist: workload %s is not data-parallel trainable (wants core.TrainSampler + TrainPlan)", name)
-		}
-		if err := m.Setup(core.Config{Preset: opts.Preset, Seed: opts.Seed, Batch: chunkBatch}); err != nil {
-			return nil, fmt.Errorf("dist: setup %s replica %d: %w", name, r, err)
-		}
-		plan := tr.TrainPlan()
-		if plan == nil {
-			return nil, fmt.Errorf("dist: workload %s has no TrainPlan after Setup", name)
-		}
-		// Build the fed-gradient apply path eagerly so every replica
-		// graph has it (checkpoints then agree across replica counts).
-		scale := opts.LRScale
-		if scale == 0 {
-			scale = 1
-		}
-		applyNode, gradIn, err := plan.DistApplyScaled(scale)
-		if err != nil {
-			return nil, fmt.Errorf("dist: %s apply path: %w", name, err)
-		}
-		sessOpts := []runtime.Option{
-			runtime.WithSeed(opts.Seed),
-			runtime.WithWorkerPool(opts.Pool),
-			runtime.WithLeaseName("dist/" + name),
-		}
-		if opts.IntraOpWorkers > 1 {
-			sessOpts = append(sessOpts, runtime.WithIntraOpWorkers(opts.IntraOpWorkers))
-		}
-		if opts.InterOpWorkers > 1 {
-			sessOpts = append(sessOpts, runtime.WithInterOpWorkers(opts.InterOpWorkers))
-		}
-		rep := &replica{
-			model:      tr,
-			sess:       runtime.NewSession(m.Graph(), sessOpts...),
-			fetches:    append([]*graph.Node{plan.Loss()}, plan.Grads()...),
-			inputs:     map[string]*graph.Node{},
-			applyNode:  applyNode,
-			applyFeeds: make(runtime.Feeds, len(gradIn)),
-			feeds:      runtime.Feeds{},
-		}
-		for _, in := range m.Signature(core.ModeTraining).Inputs {
-			rep.inputs[in.Name] = in.Node
+			return nil, fmt.Errorf("%s replica %d: %w", t.label, r, err)
 		}
 		if r == 0 {
-			t.params = len(plan.Params())
-			if chunkBatch == 0 {
-				chunkBatch = m.Signature(core.ModeTraining).BatchCapacity()
-			}
-			t.comb = make([]*tensor.Tensor, t.params)
-			for p, pn := range plan.Params() {
-				t.comb[p] = tensor.New(pn.Shape()...)
+			t.lanes = tensor.SizeOf(prog.Loss.Shape())
+			t.losses = make([][]float64, t.lanes)
+			for _, in := range prog.GradIn {
+				t.comb = append(t.comb, tensor.New(in.Shape()...))
 			}
 		}
-		for p, in := range gradIn {
+		rep := &replica{
+			prog:       prog,
+			sess:       runtime.NewSession(prog.Graph, sessOpts...),
+			fetches:    append([]*graph.Node{prog.Loss}, prog.Grads...),
+			applyFeeds: make(runtime.Feeds, len(prog.GradIn)),
+			feeds:      runtime.Feeds{},
+		}
+		for p, in := range prog.GradIn {
 			rep.applyFeeds[in] = t.comb[p]
 		}
 		t.replicas = append(t.replicas, rep)
 	}
-	part, err := dataset.NewPartition(chunkBatch*opts.Chunks, opts.Chunks, opts.Replicas)
+	part, err := dataset.NewPartition(t.replicas[0].prog.Batch*opts.Chunks, opts.Chunks, opts.Replicas)
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +358,7 @@ func New(name string, opts Options) (*Trainer, error) {
 	per := part.ChunksPerReplica()
 	for r, rep := range t.replicas {
 		rep.lo, rep.hi = part.Range(r)
-		rep.chunkLoss = make([]float64, per)
+		rep.chunkLoss = make([]float64, per*t.lanes)
 		rep.chunkGrads = make([][]*tensor.Tensor, per)
 	}
 	// The all-reduce work list: every parameter split into element
@@ -323,7 +378,7 @@ func New(name string, opts Options) (*Trainer, error) {
 			t.reduceItems = append(t.reduceItems, reduceItem{param: p, lo: lo, hi: hi})
 		}
 	}
-	t.lease = t.pool.LeaseNamed("dist/"+name, opts.Replicas-1)
+	t.lease = opts.Pool.LeaseNamed(t.label, opts.Replicas-1)
 	built = true
 	return t, nil
 }
@@ -337,29 +392,46 @@ func (t *Trainer) Partition() dataset.Partition { return t.part }
 // Steps returns the number of applied global steps.
 func (t *Trainer) Steps() int { return t.step }
 
-// Losses returns the per-step global losses so far.
-func (t *Trainer) Losses() []float64 { return t.losses }
+// StepsRun reports how many steps this trainer itself has executed —
+// the count behind fathom_train_steps_total. Unlike Steps it is never
+// moved by LoadCheckpoint, and it is safe to read from a metrics
+// scrape while Step runs.
+func (t *Trainer) StepsRun() int { return t.phases.Total() }
 
-// Timing returns the accumulated phase walls.
-func (t *Trainer) Timing() Timing { return t.timing }
+// Lanes returns the loss vector's length K: 1 for a plain workload,
+// the fusion width for a fused program.
+func (t *Trainer) Lanes() int { return t.lanes }
 
-// ResetTiming zeroes the accumulated phase walls — e.g. after warmup
-// steps, so steady-state scaling numbers exclude one-time plan
-// compilation (losses and the step counter are untouched).
-func (t *Trainer) ResetTiming() { t.timing = Timing{} }
+// Losses returns lane 0's per-step global losses so far — the whole
+// trajectory of a plain (one-lane) workload.
+func (t *Trainer) Losses() []float64 { return t.losses[0] }
+
+// LaneLosses returns lane k's per-step global losses so far.
+func (t *Trainer) LaneLosses(k int) []float64 { return t.losses[k] }
+
+// PhaseSum returns the phase walls summed over every step since the
+// last ResetTiming, and the number of steps summed — the raw material
+// of the achieved-vs-achievable scaling report (profiling.TrainScaling).
+func (t *Trainer) PhaseSum() (telemetry.PhaseSample, int) { return t.phases.Sum() }
+
+// ResetTiming zeroes the phase sum — e.g. after warmup steps, so
+// steady-state scaling numbers exclude one-time plan compilation
+// (losses, the step counter and the phase log are untouched).
+func (t *Trainer) ResetTiming() { t.phases.ResetSum() }
 
 // PhaseLog returns the retained per-step phase breakdowns (sample,
 // grad, reduce, apply, wall), oldest first — the raw material of
-// `fathom train -trace`. Unlike Timing's totals, each entry is one
+// `fathom train -trace`. Unlike PhaseSum's totals, each entry is one
 // step, so stragglers and warmup spikes are visible individually.
 func (t *Trainer) PhaseLog() []telemetry.PhaseSample { return t.phases.Samples() }
 
 // RegisterMetrics exposes the trainer's step throughput and phase ring
-// on reg, labeled trainer="dist/<name>". The reads are scrape-time and
-// mutex-cheap (once per scrape, not per step). Trainers are ephemeral
-// next to the process registry, so Close unregisters the series.
+// on reg, labeled trainer="<kind>/<name>". The reads are scrape-time
+// and mutex-cheap (once per scrape, not per step). Trainers are
+// ephemeral next to the process registry, so callers pair it with
+// UnregisterMetrics.
 func (t *Trainer) RegisterMetrics(reg *telemetry.Registry) {
-	labels := telemetry.Labels{"trainer": "dist/" + t.name}
+	labels := telemetry.Labels{"trainer": t.label}
 	phases := t.phases
 	reg.CounterFunc("fathom_train_steps_total", "Global training steps executed.", labels,
 		func() uint64 { return uint64(phases.Total()) })
@@ -375,14 +447,15 @@ func (t *Trainer) RegisterMetrics(reg *telemetry.Registry) {
 
 // UnregisterMetrics removes the series RegisterMetrics added.
 func (t *Trainer) UnregisterMetrics(reg *telemetry.Registry) {
-	labels := telemetry.Labels{"trainer": "dist/" + t.name}
+	labels := telemetry.Labels{"trainer": t.label}
 	reg.Unregister("fathom_train_steps_total", labels)
 	reg.Unregister("fathom_train_step_seconds", labels)
 }
 
 // Replica exposes replica r's model (tests compare variable bits
-// across trainers; examples inspect the trained graph).
-func (t *Trainer) Replica(r int) core.Model { return t.replicas[r].model }
+// across trainers; examples inspect the trained graph). Nil for
+// programs no workload instance owns.
+func (t *Trainer) Replica(r int) core.Model { return t.replicas[r].prog.Model }
 
 // Close closes every replica session and releases the trainer's lease
 // on the shared pool. Idempotent; Step afterwards fails with
@@ -393,9 +466,7 @@ func (t *Trainer) Close() {
 	}
 	t.closed = true
 	for _, r := range t.replicas {
-		if r.sess != nil {
-			r.sess.Close()
-		}
+		r.sess.Close()
 	}
 	if t.lease != nil {
 		t.lease.Close()
@@ -453,8 +524,9 @@ func (t *Trainer) runReplicas(fn func(*replica)) {
 }
 
 // gradPhase computes replica r's owned chunks: per chunk, reseed the
-// session to the chunk seed, sample the chunk's batch, and fetch loss
-// + raw gradients. No variable is touched.
+// session to the chunk seed, sample the chunk's batch, and fetch the
+// loss vector + raw gradients. No variable is touched. The fetched
+// gradients are retained until reduce combines them.
 func (t *Trainer) gradPhase(r *replica) {
 	t0 := time.Now()
 	r.err = nil
@@ -464,27 +536,26 @@ func (t *Trainer) gradPhase(r *replica) {
 		seed := dataset.ChunkSeed(t.opts.Seed, t.step, c)
 		r.sess.Reseed(seed)
 		ts := time.Now()
-		sample, err := r.model.TrainSample(r.sess, seed)
+		sample, err := r.prog.Sample(r.sess, seed)
 		r.sampleWall += time.Since(ts)
 		if err != nil {
-			r.err = fmt.Errorf("dist: %s chunk %d sample: %w", t.name, c, err)
+			r.err = fmt.Errorf("%s chunk %d sample: %w", t.label, c, err)
 			return
 		}
 		clear(r.feeds)
 		for name, v := range sample {
-			node, ok := r.inputs[name]
-			if !ok {
-				r.err = fmt.Errorf("dist: %s sampled unknown training input %q", t.name, name)
-				return
+			if node, ok := r.prog.Inputs[name]; ok {
+				r.feeds[node] = v
 			}
-			r.feeds[node] = v
 		}
 		out, err := r.sess.Run(r.fetches, r.feeds)
 		if err != nil {
-			r.err = fmt.Errorf("dist: %s chunk %d: %w", t.name, c, err)
+			r.err = fmt.Errorf("%s chunk %d: %w", t.label, c, err)
 			return
 		}
-		r.chunkLoss[ci] = float64(out[0].Data()[0])
+		for k, l := range out[0].Data() {
+			r.chunkLoss[ci*t.lanes+k] = float64(l)
+		}
 		r.chunkGrads[ci] = out[1:]
 	}
 	r.gradWall = time.Since(t0)
@@ -565,110 +636,113 @@ func (t *Trainer) reduce() {
 }
 
 // applyPhase applies the combined gradients on replica r: one fetch of
-// the fed-gradient apply node, then the workload's step hook. Every
+// the fed-gradient apply node, then the program's step hook. Every
 // replica executes the identical update, keeping variable state in
 // lockstep.
 func (t *Trainer) applyPhase(r *replica) {
 	r.err = nil
-	if _, err := r.sess.Run([]*graph.Node{r.applyNode}, r.applyFeeds); err != nil {
-		r.err = fmt.Errorf("dist: %s apply: %w", t.name, err)
+	if _, err := r.sess.Run([]*graph.Node{r.prog.Apply}, r.applyFeeds); err != nil {
+		r.err = fmt.Errorf("%s apply: %w", t.label, err)
 		return
 	}
-	if l, ok := r.model.(StepListener); ok {
-		l.OnTrainStep(t.step)
+	if r.prog.OnStep != nil {
+		r.prog.OnStep(t.step)
 	}
 }
 
-// Step executes one global training step — gradients over the chunk
-// grid, deterministic all-reduce, one identical update per replica —
-// and returns the global loss: the mean of the per-chunk losses,
-// combined in ascending chunk order.
+// Step executes one global training step and returns lane 0's global
+// loss — the loss of a plain workload.
 func (t *Trainer) Step() (float64, error) {
+	losses, err := t.StepLanes()
+	if err != nil {
+		return 0, err
+	}
+	return losses[0], nil
+}
+
+// StepLanes executes one global training step — gradients over the
+// chunk grid, deterministic all-reduce, one identical update per
+// replica — and returns the per-lane global losses: for each lane, the
+// mean of its per-chunk losses, combined in ascending chunk order.
+func (t *Trainer) StepLanes() ([]float64, error) {
 	if t.closed {
-		return 0, ErrClosed
+		return nil, ErrClosed
 	}
 	t0 := time.Now()
 	t.runReplicas(t.gradPhase)
-	var gradMax, sampleMax time.Duration
+	// Phase telemetry is keyed by the slowest replica's sample and grad
+	// walls (the parallel phases' critical path). Grad includes Sample —
+	// the per-chunk loop interleaves them — so Grad−Sample is the
+	// graph-execution share. Forward and backward are one fused Run
+	// (loss and gradients fetch together), hence one Grad phase.
+	ph := telemetry.PhaseSample{Step: t.step}
 	for _, r := range t.replicas {
 		if r.err != nil {
-			return 0, r.err
+			return nil, r.err
 		}
-		t.timing.GradSum += r.gradWall
-		if r.gradWall > gradMax {
-			gradMax = r.gradWall
-		}
-		if r.sampleWall > sampleMax {
-			sampleMax = r.sampleWall
-		}
+		ph.GradSum += r.gradWall
+		ph.Grad = max(ph.Grad, r.gradWall)
+		ph.Sample = max(ph.Sample, r.sampleWall)
 	}
-	t.timing.GradMax += gradMax
 
 	tr := time.Now()
 	t.reduce()
-	reduceWall := time.Since(tr)
-	t.timing.Reduce += reduceWall
+	ph.Reduce = time.Since(tr)
+	// The fetched gradients are the step's largest transients. Drop
+	// them here rather than when the next step overwrites them: held
+	// across the apply phase and the next step's first chunks they
+	// survive extra GC cycles and raise the heap peak (train-fuse peak
+	// RSS about +15% against +5% on the repo benchmark).
+	for _, r := range t.replicas {
+		clear(r.chunkGrads)
+	}
 
 	ta := time.Now()
 	t.runReplicas(t.applyPhase)
-	applyWall := time.Since(ta)
-	t.timing.Apply += applyWall
+	ph.Apply = time.Since(ta)
 	for _, r := range t.replicas {
 		if r.err != nil {
-			return 0, r.err
+			return nil, r.err
 		}
 	}
 
-	// Global loss: ascending-chunk mean — float64 accumulation in a
-	// fixed order, so the loss trajectory is replica-count invariant
-	// bit for bit.
-	var loss float64
-	for c := 0; c < t.part.Chunks; c++ {
-		r := t.replicas[t.part.Owner(c)]
-		loss += r.chunkLoss[c-r.lo]
+	// Global loss per lane: ascending-chunk mean — float64 accumulation
+	// in a fixed order, so the loss trajectory is replica-count
+	// invariant bit for bit.
+	means := make([]float64, t.lanes)
+	for k := range means {
+		var sum float64
+		for c := 0; c < t.part.Chunks; c++ {
+			r := t.replicas[t.part.Owner(c)]
+			sum += r.chunkLoss[(c-r.lo)*t.lanes+k]
+		}
+		means[k] = sum / float64(t.part.Chunks)
+		t.losses[k] = append(t.losses[k], means[k])
 	}
-	loss /= float64(t.part.Chunks)
-
-	// Phase telemetry: the step's wall-time decomposition, keyed by
-	// the slowest replica's sample and grad walls (the parallel
-	// phases' critical path). Grad includes Sample — the per-chunk
-	// loop interleaves them — so Grad−Sample is the graph-execution
-	// share. Forward and backward are one fused Run here (loss and
-	// gradients fetch together), hence one Grad phase.
-	t.phases.Record(telemetry.PhaseSample{
-		Step:   t.step,
-		Sample: sampleMax,
-		Grad:   gradMax,
-		Reduce: reduceWall,
-		Apply:  applyWall,
-		Wall:   time.Since(t0),
-	})
-
 	t.step++
-	t.losses = append(t.losses, loss)
-	t.timing.Steps++
-	t.timing.Wall += time.Since(t0)
-	return loss, nil
+	ph.Wall = time.Since(t0)
+	t.phases.Record(ph)
+	return means, nil
 }
 
-// Train runs n global steps, returning the per-step losses.
+// Train runs n global steps, returning lane 0's per-step losses.
 func (t *Trainer) Train(n int) ([]float64, error) {
-	start := len(t.losses)
+	start := len(t.losses[0])
 	for i := 0; i < n; i++ {
-		if _, err := t.Step(); err != nil {
+		if _, err := t.StepLanes(); err != nil {
 			return nil, err
 		}
 	}
-	return t.losses[start:], nil
+	return t.losses[0][start:], nil
 }
 
-// Checkpointing: a dist checkpoint is a small header — magic, version,
-// the global step counter, and the training-stream coordinates (chunk
-// count, chunk batch, seed) — followed by a standard runtime
-// checkpoint of replica 0's graph (all replicas are bitwise identical,
-// any one serves). The step counter makes a resumed run continue the
-// same per-(step, chunk) data and RNG streams; the stream coordinates
-// are validated on load, because a resumed run under a different chunk
+// Checkpointing: a checkpoint is a small header — magic, version, the
+// global step counter, and the training-stream coordinates (chunk
+// count, chunk batch, seed) — followed by a standard runtime checkpoint
+// of replica 0's graph (all replicas are bitwise identical, any one
+// serves). The step counter makes a resumed run continue the same
+// per-(step, chunk) data and RNG streams; the stream coordinates are
+// validated on load, because a resumed run under a different chunk
 // grid or seed would draw different data and silently diverge from the
 // donor — the contract deliberately leaves only the replica count
 // free. Loading restores the same bytes into EVERY replica's graph, so
@@ -676,15 +750,25 @@ func (t *Trainer) Train(n int) ([]float64, error) {
 // dividing the chunk grid, which is what makes checkpoints the interop
 // point between replica counts: save under 2 replicas, resume under 1
 // or 4, and the continuations are bit-identical to each other.
-// (Optimizer slot state is operation state, not a graph variable, and
-// is not checkpointed — restore resets it identically on every
-// replica, so cross-replica-count equality is unaffected; for slotless
-// optimizers such as plain SGD a resumed run also matches the
-// uninterrupted one bit for bit.)
-const (
-	checkpointMagic   = "FDST"
-	checkpointVersion = 1
-)
+// Optimizer slot state (momentum velocity, RMS statistics, Adam
+// moments and step counter) lives in "<var>/slot/<name>" graph
+// variables, so the image captures it and a resumed run continues the
+// uninterrupted trajectory bit for bit under every optimizer. A fused
+// program's graph holds the K-stacked variables, so an image only
+// loads into a graph of the same width: the variable shapes differ
+// otherwise and the runtime loader refuses them.
+type checkpointHeader struct {
+	Magic      [4]byte
+	Version    uint32
+	Step       uint64
+	Chunks     uint32
+	ChunkBatch uint32
+	Seed       int64
+}
+
+var checkpointMagic = [4]byte{'F', 'D', 'S', 'T'}
+
+const checkpointVersion = 1
 
 // SaveCheckpoint writes the trainer's state: step header plus replica
 // 0's variables.
@@ -692,65 +776,36 @@ func (t *Trainer) SaveCheckpoint(w io.Writer) error {
 	if t.closed {
 		return ErrClosed
 	}
-	if _, err := w.Write([]byte(checkpointMagic)); err != nil {
+	hdr := checkpointHeader{
+		Magic: checkpointMagic, Version: checkpointVersion, Step: uint64(t.step),
+		Chunks: uint32(t.part.Chunks), ChunkBatch: uint32(t.part.ChunkBatch()), Seed: t.opts.Seed,
+	}
+	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(checkpointVersion)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(t.step)); err != nil {
-		return err
-	}
-	for _, v := range []uint32{uint32(t.part.Chunks), uint32(t.part.ChunkBatch())} {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(w, binary.LittleEndian, t.opts.Seed); err != nil {
-		return err
-	}
-	return runtime.SaveCheckpoint(w, t.replicas[0].model.Graph())
+	return runtime.SaveCheckpoint(w, t.replicas[0].prog.Graph)
 }
 
 // LoadCheckpoint restores every replica's variables and the global
-// step counter from a dist checkpoint.
+// step counter from a checkpoint SaveCheckpoint wrote.
 func (t *Trainer) LoadCheckpoint(r io.Reader) error {
 	if t.closed {
 		return ErrClosed
 	}
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return fmt.Errorf("dist: reading checkpoint magic: %w", err)
+	var hdr checkpointHeader
+	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
+		return fmt.Errorf("%s: reading checkpoint header: %w", t.label, err)
 	}
-	if string(magic) != checkpointMagic {
-		return fmt.Errorf("dist: not a dist checkpoint (magic %q)", magic)
+	if hdr.Magic != checkpointMagic {
+		return fmt.Errorf("%s: not a trainer checkpoint (magic %q)", t.label, hdr.Magic[:])
 	}
-	var version uint32
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return err
+	if hdr.Version != checkpointVersion {
+		return fmt.Errorf("%s: unsupported checkpoint version %d", t.label, hdr.Version)
 	}
-	if version != checkpointVersion {
-		return fmt.Errorf("dist: unsupported checkpoint version %d", version)
-	}
-	var step uint64
-	if err := binary.Read(r, binary.LittleEndian, &step); err != nil {
-		return err
-	}
-	var chunks, chunkBatch uint32
-	var seed int64
-	if err := binary.Read(r, binary.LittleEndian, &chunks); err != nil {
-		return err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &chunkBatch); err != nil {
-		return err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &seed); err != nil {
-		return err
-	}
-	if int(chunks) != t.part.Chunks || int(chunkBatch) != t.part.ChunkBatch() || seed != t.opts.Seed {
+	if int(hdr.Chunks) != t.part.Chunks || int(hdr.ChunkBatch) != t.part.ChunkBatch() || hdr.Seed != t.opts.Seed {
 		return fmt.Errorf(
-			"dist: checkpoint trained with chunks %d × batch %d, seed %d; this trainer uses chunks %d × batch %d, seed %d — only the replica count may change across a resume",
-			chunks, chunkBatch, seed, t.part.Chunks, t.part.ChunkBatch(), t.opts.Seed)
+			"%s: checkpoint trained with chunks %d × batch %d, seed %d; this trainer uses chunks %d × batch %d, seed %d — only the replica count may change across a resume",
+			t.label, hdr.Chunks, hdr.ChunkBatch, hdr.Seed, t.part.Chunks, t.part.ChunkBatch(), t.opts.Seed)
 	}
 	// The runtime checkpoint is consumed once; replay the bytes into
 	// every replica graph.
@@ -759,10 +814,10 @@ func (t *Trainer) LoadCheckpoint(r io.Reader) error {
 		return err
 	}
 	for i, rep := range t.replicas {
-		if err := runtime.LoadCheckpoint(bytes.NewReader(body), rep.model.Graph(), false); err != nil {
-			return fmt.Errorf("dist: restoring replica %d: %w", i, err)
+		if err := runtime.LoadCheckpoint(bytes.NewReader(body), rep.prog.Graph, false); err != nil {
+			return fmt.Errorf("%s: restoring replica %d: %w", t.label, i, err)
 		}
 	}
-	t.step = int(step)
+	t.step = int(hdr.Step)
 	return nil
 }

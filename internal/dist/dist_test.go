@@ -85,7 +85,7 @@ func run(t *testing.T, name string, replicas, intraop, steps int) snapshot {
 // one representative stochastic workload (autoenc: VAE sampling in the
 // forward pass): fixed global batch, chunk grid and seed ⇒
 // bit-identical losses and final variables across replica counts and
-// across replica × intra-op widths. The full nine-workload sweep lives
+// across replica × intra-op widths. The full ten-workload sweep lives
 // in the cross-workload determinism harness
 // (internal/models/determinism_test.go).
 func TestReplicaCountInvariance(t *testing.T) {

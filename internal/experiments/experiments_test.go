@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -235,10 +236,9 @@ func TestAblation(t *testing.T) {
 // carries the scaling and fusion columns, the achievable bound stays
 // within [1, replicas], both workloads' loss trajectories are
 // bit-identical across replica counts AND across fused trainees (no
-// WARNING row), the fused throughput columns are live, and the
-// BENCH_train.json payload mirrors the rows.
+// WARNING row), and the fused throughput columns are live.
 func TestTrainScaling(t *testing.T) {
-	r, bench, err := TrainScaling(tinyOpts(), 2, 4, 1, 2, []string{"autoenc", "memnet"})
+	r, err := TrainScaling(tinyOpts(), 2, 4, 1, 2, []string{"autoenc", "memnet"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,13 +271,32 @@ func TestTrainScaling(t *testing.T) {
 			t.Errorf("%s: fused trainee rate %v must be positive", f[0], rate)
 		}
 	}
-	if bench == nil || len(bench.Workloads) != 2 || bench.FusedWidth != 2 {
-		t.Fatalf("bench payload = %+v", bench)
+}
+
+// TestTrainPhases pins `fathom train -trace`: the phase report comes
+// from the same runs as the scaling table (one table per strategy, one
+// row per warmup + timed step), not from a second training pass.
+func TestTrainPhases(t *testing.T) {
+	o := tinyOpts()
+	scaling, phases, err := TrainPhases(o, 2, 4, 1, 2, []string{"autoenc"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, row := range bench.Workloads {
-		if !row.BitIdentical || !row.FusedIdentical || row.FusedTraineeStepsPerS <= 0 {
-			t.Errorf("bench row %+v: identity or fused throughput broken", row)
+	if scaling.ID != "train" || phases.ID != "train-phases" {
+		t.Fatalf("IDs = %q, %q", scaling.ID, phases.ID)
+	}
+	for _, want := range []string{"autoenc (dist, 2 replicas):", "autoenc (fused, width 2):"} {
+		if !strings.Contains(phases.Text, want) {
+			t.Fatalf("phase report missing %q:\n%s", want, phases.Text)
 		}
+	}
+	// Two tables, each one row per warmup + timed step and a mean row.
+	stepRows := regexp.MustCompile(`(?m)^ +\d+ `).FindAllString(phases.Text, -1)
+	if got, want := len(stepRows), 2*(o.Warmup+o.Steps); got != want {
+		t.Fatalf("phase report has %d step rows, want %d:\n%s", got, want, phases.Text)
+	}
+	if got := strings.Count(phases.Text, "  mean "); got != 2 {
+		t.Fatalf("phase report has %d tables, want 2:\n%s", got, phases.Text)
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -12,127 +11,68 @@ import (
 	"repro/internal/telemetry"
 )
 
-// trainRun is one data-parallel training measurement.
+// trainRun is one training measurement on the engine.
 type trainRun struct {
-	losses []float64
-	timing dist.Timing
+	losses [][]float64             // [trainee][step], warmup included
+	sum    telemetry.PhaseSample   // phase walls summed over the timed steps
+	steps  int                     // timed steps behind sum
+	log    []telemetry.PhaseSample // per-step phases, warmup included
 	batch  int
-	chunks int
 }
 
-// runTrain trains one workload for o.Warmup untimed plus steps timed
-// global steps at the given replica count on the process-wide pool —
-// warmup compiles every replica's forward/backward and apply plans, so
-// the reported timings are steady-state, as in every other experiment.
-func runTrain(name string, o Options, replicas, chunks, intraop, steps int) (trainRun, error) {
-	tr, err := dist.New(name, dist.Options{
-		Replicas:       replicas,
-		Chunks:         chunks,
-		Preset:         o.Preset,
-		Seed:           o.Seed,
-		IntraOpWorkers: intraop,
-	})
-	if err != nil {
-		return trainRun{}, err
+// runTrain trains one workload for o.Warmup untimed plus o.Steps timed
+// global steps on the process-wide pool — warmup compiles every
+// replica's forward/backward and apply plans, so the reported timings
+// are steady-state, as in every other experiment. width 0 trains
+// data-parallel at the given replica count; width K > 0 trains a
+// horizontally fused array of K trainees (pure replication: every
+// trainee at learning-rate scale 1, so each must reproduce the
+// 1-replica run bit for bit) over the same chunk grid. Either way it
+// is the same engine underneath, so one measurement path serves both.
+func runTrain(name string, o Options, replicas, width, chunks, intraop int) (trainRun, error) {
+	var tr *dist.Trainer
+	if width > 0 {
+		arr, err := fuse.New(name, fuse.Options{
+			Width: width, Chunks: chunks,
+			Preset: o.Preset, Seed: o.Seed, IntraOpWorkers: intraop,
+		})
+		if err != nil {
+			return trainRun{}, err
+		}
+		tr = arr.Trainer
+	} else {
+		var err error
+		tr, err = dist.New(name, dist.Options{
+			Replicas: replicas, Chunks: chunks,
+			Preset: o.Preset, Seed: o.Seed, IntraOpWorkers: intraop,
+		})
+		if err != nil {
+			return trainRun{}, err
+		}
 	}
 	defer tr.Close()
 	if _, err := tr.Train(o.Warmup); err != nil {
 		return trainRun{}, err
 	}
 	tr.ResetTiming()
-	if _, err := tr.Train(steps); err != nil {
+	if _, err := tr.Train(o.Steps); err != nil {
 		return trainRun{}, err
 	}
-	return trainRun{
-		losses: append([]float64(nil), tr.Losses()...),
-		timing: tr.Timing(),
-		batch:  tr.Partition().GlobalBatch,
-		chunks: tr.Partition().Chunks,
-	}, nil
-}
-
-// fusedRun is one horizontally fused training measurement: width
-// trainees stacked into a single array-batched graph (internal/fuse).
-type fusedRun struct {
-	losses [][]float64 // [trainee][step]
-	timing fuse.Timing
-	width  int
-}
-
-// runFused trains width fused instances of the workload (pure
-// replication: every trainee at learning-rate scale 1, so each must
-// reproduce the 1-replica dist run bit for bit) over the same chunk
-// grid, warmup untimed plus steps timed.
-func runFused(name string, o Options, width, chunks, intraop, steps int) (fusedRun, error) {
-	arr, err := fuse.New(name, fuse.Options{
-		Width:          width,
-		Chunks:         chunks,
-		Preset:         o.Preset,
-		Seed:           o.Seed,
-		IntraOpWorkers: intraop,
-	})
-	if err != nil {
-		return fusedRun{}, err
+	run := trainRun{log: tr.PhaseLog(), batch: tr.Partition().GlobalBatch}
+	run.sum, run.steps = tr.PhaseSum()
+	for k := 0; k < tr.Lanes(); k++ {
+		run.losses = append(run.losses, tr.LaneLosses(k))
 	}
-	defer arr.Close()
-	if err := arr.Train(o.Warmup); err != nil {
-		return fusedRun{}, err
-	}
-	arr.ResetTiming()
-	if err := arr.Train(steps); err != nil {
-		return fusedRun{}, err
-	}
-	out := fusedRun{timing: arr.Timing(), width: width}
-	for k := 0; k < width; k++ {
-		out.losses = append(out.losses, append([]float64(nil), arr.Losses(k)...))
-	}
-	return out, nil
+	return run, nil
 }
 
-// TrainBenchRow is one workload's training-throughput measurement in
-// BENCH_train.json.
-type TrainBenchRow struct {
-	Workload    string  `json:"workload"`
-	GlobalBatch int     `json:"global_batch"`
-	FinalLoss   float64 `json:"final_loss"`
-	// SerialStepsPerS is the 1-replica global-step rate;
-	// ParallelStepsPerS the N-replica rate over the same global batch;
-	// AchievedSpeedup their ratio.
-	SerialStepsPerS   float64 `json:"serial_steps_per_s"`
-	ParallelStepsPerS float64 `json:"parallel_steps_per_s"`
-	AchievedSpeedup   float64 `json:"achieved_speedup"`
-	// FusedTraineeStepsPerS is the fused array's trainee-step rate
-	// (width × steps ÷ wall): the throughput of training width model
-	// instances at once. FusedSpeedup is that rate over
-	// SerialStepsPerS — the speedup against training the instances one
-	// after another, the HFTA baseline. Zero when fusion was off.
-	FusedTraineeStepsPerS float64 `json:"fused_trainee_steps_per_s"`
-	FusedSpeedup          float64 `json:"fused_speedup"`
-	// BitIdentical: loss trajectories identical across replica counts.
-	// FusedIdentical: every fused trainee's trajectory identical to the
-	// 1-replica run (vacuously true when fusion was off).
-	BitIdentical   bool `json:"bit_identical"`
-	FusedIdentical bool `json:"fused_identical"`
-}
-
-// TrainBench is what `fathom train` persists as BENCH_train.json: the
-// training-throughput trajectory later PRs diff against, covering both
-// the data-parallel axis (replicas) and the horizontal-fusion axis
-// (fused width).
-type TrainBench struct {
-	Kind       string          `json:"kind"`
-	Preset     string          `json:"preset"`
-	Steps      int             `json:"steps"`
-	Chunks     int             `json:"chunks"`
-	IntraOp    int             `json:"intraop"`
-	Replicas   int             `json:"replicas"`
-	FusedWidth int             `json:"fused_width"`
-	Workloads  []TrainBenchRow `json:"workloads"`
-}
-
-// WriteTrainBenchJSON renders the BENCH_train.json payload.
-func WriteTrainBenchJSON(tb *TrainBench) ([]byte, error) {
-	return json.MarshalIndent(tb, "", "  ")
+// stepsPerS is the run's timed trainee-step rate: every step advances
+// one trainee per loss lane.
+func (r trainRun) stepsPerS() float64 {
+	if r.sum.Wall <= 0 {
+		return 0
+	}
+	return float64(r.steps*len(r.losses)) / r.sum.Wall.Seconds()
 }
 
 // sameLosses reports whether two loss trajectories are bit-identical.
@@ -159,8 +99,20 @@ func sameLosses(a, b []float64) bool {
 // live-check the two subsystems' headline invariant — replica counts
 // only repartition the chunk grid, and fused trainees reproduce
 // standalone runs, so every loss trajectory must be bit-identical.
-// Alongside the Result it returns the BENCH_train.json payload.
-func TrainScaling(o Options, replicas, chunks, intraop, fused int, names []string) (Result, *TrainBench, error) {
+func TrainScaling(o Options, replicas, chunks, intraop, fused int, names []string) (Result, error) {
+	scaling, _, err := TrainPhases(o, replicas, chunks, intraop, fused, names)
+	return scaling, err
+}
+
+// TrainPhases is TrainScaling plus the training-loop phase-telemetry
+// report (`fathom train -trace`) of the very runs the scaling table
+// measured: per workload, the per-step sample/grad/reduce/apply wall
+// times from the N-replica trainer's phase ring — the step-level
+// breakdown behind the table's phase sums, which is where stragglers,
+// warmup cliffs, and allocator stalls show up. With fused > 0 the fused
+// array's phase log follows the data-parallel one, so the two
+// execution strategies' step anatomies sit side by side.
+func TrainPhases(o Options, replicas, chunks, intraop, fused int, names []string) (scaling, phases Result, err error) {
 	o = o.withDefaults()
 	if replicas < 1 {
 		replicas = 1
@@ -177,11 +129,7 @@ func TrainScaling(o Options, replicas, chunks, intraop, fused int, names []strin
 	if len(names) == 0 {
 		names = core.Names()
 	}
-	bench := &TrainBench{
-		Kind: "train", Preset: o.Preset.String(), Steps: o.Steps,
-		Chunks: chunks, IntraOp: intraop, Replicas: replicas, FusedWidth: fused,
-	}
-	var text, csv strings.Builder
+	var text, csv, trace strings.Builder
 	fmt.Fprintf(&text, "training scaling: %d steps, %d chunks/step, replicas 1 vs %d, intra-op %d",
 		o.Steps, chunks, replicas, intraop)
 	if fused > 0 {
@@ -191,48 +139,46 @@ func TrainScaling(o Options, replicas, chunks, intraop, fused int, names []strin
 	fmt.Fprintf(&text, "%-10s %6s %10s %11s %11s %9s %10s %11s %8s %6s\n",
 		"workload", "batch", "loss", "step/s@1", "step/s@N", "achieved", "achievable", "trainee/s@K", "fused-x", "ident")
 	csv.WriteString("workload,replicas,chunks,global_batch,steps,final_loss,serial_steps_per_s,parallel_steps_per_s,achieved,achievable,bit_identical,fused_width,fused_trainee_steps_per_s,fused_speedup,fused_identical\n")
+	fmt.Fprintf(&trace, "training phase telemetry: %d warmup + %d timed steps, %d chunks/step, %d replicas, intra-op %d\n",
+		o.Warmup, o.Steps, chunks, replicas, intraop)
+	trace.WriteString("phases: sample (input synthesis, included in grad), grad (forward+backward run), reduce (gradient averaging), apply (optimizer)\n")
 	for _, name := range names {
 		name = strings.TrimSpace(name)
-		base, err := runTrain(name, o, 1, chunks, intraop, o.Steps)
+		base, err := runTrain(name, o, 1, 0, chunks, intraop)
 		if err != nil {
-			return Result{}, nil, fmt.Errorf("train %s replicas=1: %w", name, err)
+			return Result{}, Result{}, fmt.Errorf("train %s replicas=1: %w", name, err)
 		}
-		par, err := runTrain(name, o, replicas, chunks, intraop, o.Steps)
+		par, err := runTrain(name, o, replicas, 0, chunks, intraop)
 		if err != nil {
-			return Result{}, nil, fmt.Errorf("train %s replicas=%d: %w", name, replicas, err)
+			return Result{}, Result{}, fmt.Errorf("train %s replicas=%d: %w", name, replicas, err)
 		}
-		ident := sameLosses(base.losses, par.losses)
-		ts := profiling.TrainScaling(replicas,
-			base.timing.Wall, par.timing.Wall,
-			par.timing.GradSum, par.timing.GradMax, par.timing.Reduce, par.timing.Apply)
-		perSec := func(steps int, wall float64) float64 {
-			if wall <= 0 {
-				return 0
-			}
-			return float64(steps) / wall
-		}
-		serialRate := perSec(base.timing.Steps, base.timing.Wall.Seconds())
-		parRate := perSec(par.timing.Steps, par.timing.Wall.Seconds())
+		fmt.Fprintf(&trace, "\n%s (dist, %d replicas):\n", name, replicas)
+		telemetry.WritePhaseTable(&trace, par.log)
+		ident := sameLosses(base.losses[0], par.losses[0])
+		ts := profiling.TrainScaling(replicas, base.sum, par.sum)
+		serialRate, parRate := base.stepsPerS(), par.stepsPerS()
 		final := 0.0
-		if len(par.losses) > 0 {
-			final = par.losses[len(par.losses)-1]
+		if l := par.losses[0]; len(l) > 0 {
+			final = l[len(l)-1]
 		}
 
 		fusedRate, fusedX := 0.0, 0.0
 		fusedIdent := true
 		if fused > 0 {
-			fr, err := runFused(name, o, fused, chunks, intraop, o.Steps)
+			fr, err := runTrain(name, o, 1, fused, chunks, intraop)
 			if err != nil {
-				return Result{}, nil, fmt.Errorf("train %s fused=%d: %w", name, fused, err)
+				return Result{}, Result{}, fmt.Errorf("train %s fused=%d: %w", name, fused, err)
 			}
-			fusedRate = perSec(fr.timing.Steps*fr.width, fr.timing.Wall.Seconds())
+			fmt.Fprintf(&trace, "\n%s (fused, width %d):\n", name, fused)
+			telemetry.WritePhaseTable(&trace, fr.log)
+			fusedRate = fr.stepsPerS()
 			if serialRate > 0 {
 				fusedX = fusedRate / serialRate
 			}
 			// Pure replication: every fused trainee must reproduce the
 			// 1-replica trajectory bit for bit.
-			for k := 0; fusedIdent && k < fr.width; k++ {
-				fusedIdent = sameLosses(base.losses, fr.losses[k])
+			for k := 0; fusedIdent && k < len(fr.losses); k++ {
+				fusedIdent = sameLosses(base.losses[0], fr.losses[k])
 			}
 		}
 
@@ -251,13 +197,6 @@ func TrainScaling(o Options, replicas, chunks, intraop, fused int, names []strin
 		if !fusedIdent {
 			fmt.Fprintf(&text, "  WARNING: %s fused trainee trajectory differs from the standalone run\n", name)
 		}
-		bench.Workloads = append(bench.Workloads, TrainBenchRow{
-			Workload: name, GlobalBatch: base.batch, FinalLoss: final,
-			SerialStepsPerS: serialRate, ParallelStepsPerS: parRate,
-			AchievedSpeedup:       ts.Achieved,
-			FusedTraineeStepsPerS: fusedRate, FusedSpeedup: fusedX,
-			BitIdentical: ident, FusedIdentical: fusedIdent,
-		})
 	}
 	text.WriteString("\nachieved: wall speedup over the 1-replica run of the same global batch\n")
 	text.WriteString("achievable: Amdahl bound from the run's phase walls (parallel gradients, serial reduce+apply)\n")
@@ -270,78 +209,11 @@ func TrainScaling(o Options, replicas, chunks, intraop, fused int, names []strin
 	if fused > 0 {
 		title = fmt.Sprintf("Training scaling: %d replicas data-parallel, width-%d fused", replicas, fused)
 	}
-	return Result{
-		ID:    "train",
-		Title: title,
-		Text:  text.String(), CSV: csv.String(),
-	}, bench, nil
-}
-
-// TrainPhases is the training-loop phase-telemetry report
-// (`fathom train -trace`): per workload it trains the same warmup +
-// timed schedule as TrainScaling, then dumps the per-step
-// sample/grad/reduce/apply wall times from the trainer's phase ring —
-// the step-level breakdown behind the aggregate Timing sums, which is
-// where stragglers, warmup cliffs, and allocator stalls show up.
-// With fused > 0 the fused array's phase log follows the data-parallel
-// one, so the two execution strategies' step anatomies sit side by
-// side.
-func TrainPhases(o Options, replicas, chunks, intraop, fused int, names []string) (Result, error) {
-	o = o.withDefaults()
-	if replicas < 1 {
-		replicas = 1
-	}
-	if chunks < 1 {
-		chunks = 4
-	}
-	if intraop < 1 {
-		intraop = 1
-	}
-	if len(names) == 0 {
-		names = core.Names()
-	}
-	var text strings.Builder
-	fmt.Fprintf(&text, "training phase telemetry: %d warmup + %d timed steps, %d chunks/step, %d replicas, intra-op %d\n",
-		o.Warmup, o.Steps, chunks, replicas, intraop)
-	text.WriteString("phases: sample (input synthesis, included in grad), grad (forward+backward run), reduce (gradient averaging), apply (optimizer)\n")
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		tr, err := dist.New(name, dist.Options{
-			Replicas: replicas, Chunks: chunks,
-			Preset: o.Preset, Seed: o.Seed, IntraOpWorkers: intraop,
-		})
-		if err != nil {
-			return Result{}, fmt.Errorf("train -trace %s: %w", name, err)
-		}
-		if _, err := tr.Train(o.Warmup + o.Steps); err != nil {
-			tr.Close()
-			return Result{}, fmt.Errorf("train -trace %s: %w", name, err)
-		}
-		phases := tr.PhaseLog()
-		tr.Close()
-		fmt.Fprintf(&text, "\n%s (dist, %d replicas):\n", name, replicas)
-		telemetry.WritePhaseTable(&text, phases)
-		if fused > 0 {
-			arr, err := fuse.New(name, fuse.Options{
-				Width: fused, Chunks: chunks,
-				Preset: o.Preset, Seed: o.Seed, IntraOpWorkers: intraop,
-			})
-			if err != nil {
-				return Result{}, fmt.Errorf("train -trace %s fused=%d: %w", name, fused, err)
-			}
-			if err := arr.Train(o.Warmup + o.Steps); err != nil {
-				arr.Close()
-				return Result{}, fmt.Errorf("train -trace %s fused=%d: %w", name, fused, err)
-			}
-			fphases := arr.PhaseLog()
-			arr.Close()
-			fmt.Fprintf(&text, "\n%s (fused, width %d):\n", name, fused)
-			telemetry.WritePhaseTable(&text, fphases)
-		}
-	}
-	return Result{
+	scaling = Result{ID: "train", Title: title, Text: text.String(), CSV: csv.String()}
+	phases = Result{
 		ID:    "train-phases",
 		Title: fmt.Sprintf("Training-loop phase telemetry at %d replicas", replicas),
-		Text:  text.String(),
-	}, nil
+		Text:  trace.String(),
+	}
+	return scaling, phases, nil
 }

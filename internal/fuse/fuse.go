@@ -27,10 +27,11 @@
 // per-trainee on contiguous slices (ops.ArrayWrap, ops.BatchMatMul's
 // per-slice loop, the ApplyArray* update rules) or is genuinely shared
 // (one dropout mask, one RNG draw — exactly what K seed-identical
-// standalone runs each compute). The grad phase reuses dist's chunk
-// protocol verbatim: per chunk, reseed to dataset.ChunkSeed, sample,
-// fetch loss + raw gradients; combine chunks in ascending order ×
-// 1/Chunks; apply through the fed-gradient path. The determinism
+// standalone runs each compute). The step itself is not reimplemented
+// here: an Array is internal/dist's engine driving a replica whose
+// program is the fused graph, so the chunk protocol — per-chunk reseed
+// and sample, ascending-chunk combine × 1/Chunks, fed-gradient apply —
+// is literally the one a standalone run executes. The determinism
 // harness (internal/models/determinism_test.go) pins trainee-vs-
 // standalone bit-identity across K ∈ {1,2,4} × intra-op {1,4}.
 //
@@ -45,43 +46,19 @@
 package fuse
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
+	"repro/internal/dist"
 	"repro/internal/graph"
-	"repro/internal/models/nn"
 	"repro/internal/runtime"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
-// phaseRingSize bounds the per-step phase telemetry ring, matching
-// internal/dist.
-const phaseRingSize = 256
-
 // ErrClosed is returned by Step after Close.
-var ErrClosed = errors.New("fuse: array closed")
-
-// Trainable is what a workload must implement to fuse: the standard
-// model interface, a seed-keyed batch sampler, and the training plan
-// nn.BuildTraining records — the same surface internal/dist requires.
-type Trainable interface {
-	core.Model
-	core.TrainSampler
-	TrainPlan() *nn.TrainPlan
-}
-
-// stepListener mirrors dist.StepListener: workloads that advance
-// out-of-graph state per step (deepq's target-network sync) cannot
-// fuse — their per-instance state has no slice in the fused graph.
-type stepListener interface {
-	OnTrainStep(step int)
-}
+var ErrClosed = dist.ErrClosed
 
 // Options configures an Array.
 type Options struct {
@@ -114,58 +91,31 @@ type Options struct {
 	Pool *sched.Pool
 }
 
-// Timing accumulates the array's phase walls.
-type Timing struct {
-	Steps int
-	// Grad is the summed per-chunk forward+backward wall, Reduce the
-	// gradient combine wall, Apply the fused update wall.
-	Grad, Reduce, Apply time.Duration
-	// Wall is the total step wall.
-	Wall time.Duration
-}
-
-// Array drives fused training of K instances of one workload. It is
-// confined to a single goroutine: Step and Close must not be called
-// concurrently.
+// Array drives fused training of K instances of one workload: the dist
+// engine over the fused program, plus the per-trainee views of it.
+// Everything not redeclared here — Steps, Partition, PhaseLog,
+// PhaseSum, ResetTiming, SaveCheckpoint, LoadCheckpoint, Close — is the
+// engine's own; Step, Train and Losses are redeclared in their
+// per-trainee shapes. Like the engine it is confined to a single
+// goroutine.
 type Array struct {
-	name string
-	opts Options
-	part dataset.Partition
+	*dist.Trainer
 
-	template Trainable
-	tmplSess *runtime.Session // sampling handle over the template graph
-	plan     *fusedPlan
-	sess     *runtime.Session
-
-	fetches    []*graph.Node // fused loss + stacked grads
-	feeds      runtime.Feeds
-	applyFeeds runtime.Feeds
-	comb       []*tensor.Tensor // combined stacked gradients
-	paramShape [][]int          // per-trainee parameter shapes
+	params     []*graph.Node // stacked trainable variables, template order
+	paramShape [][]int       // per-trainee parameter shapes
 	paramNames []string
-
-	chunkAcc []float64 // per-trainee loss accumulator, reused per step
-	step     int
-	losses   [][]float64 // [trainee][step]
-	timing   Timing
-	phases   *telemetry.PhaseRing
-	closed   bool
 }
 
 // New builds a fused array: one instance of the workload, Setup at the
 // chunk micro-batch size, horizontally fused Width times.
-func New(name string, opts Options) (*Array, error) {
+func New(name string, opts Options) (*Array, error) { return newArray(name, opts, 1) }
+
+// newArray is New over `replicas` data-parallel copies of the fused
+// program. The engine composes the two axes for free, but only the
+// single-replica form is public until a caller needs the other.
+func newArray(name string, opts Options, replicas int) (*Array, error) {
 	if opts.Width < 1 {
 		opts.Width = 1
-	}
-	if opts.Chunks < 1 {
-		opts.Chunks = 4
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	if opts.Pool == nil {
-		opts.Pool = sched.Default()
 	}
 	scales := opts.LRScales
 	if scales == nil {
@@ -177,105 +127,79 @@ func New(name string, opts Options) (*Array, error) {
 	if len(scales) != opts.Width {
 		return nil, fmt.Errorf("fuse: %d learning-rate scales for width %d", len(scales), opts.Width)
 	}
-	chunkBatch := 0
-	if opts.GlobalBatch > 0 {
-		if opts.GlobalBatch%opts.Chunks != 0 {
-			return nil, fmt.Errorf("fuse: chunks %d does not divide global batch %d", opts.Chunks, opts.GlobalBatch)
+	a := &Array{}
+	var err error
+	a.Trainer, err = dist.NewEngine("fuse", name, dist.Options{
+		Replicas:       replicas,
+		Chunks:         opts.Chunks,
+		GlobalBatch:    opts.GlobalBatch,
+		Preset:         opts.Preset,
+		Seed:           opts.Seed,
+		IntraOpWorkers: opts.IntraOpWorkers,
+		InterOpWorkers: opts.InterOpWorkers,
+		Pool:           opts.Pool,
+	}, func(cfg core.Config) (*dist.Program, error) {
+		m, err := dist.Instantiate(name, cfg)
+		if err != nil {
+			return nil, err
 		}
-		chunkBatch = opts.GlobalBatch / opts.Chunks
-	}
-	m, err := core.New(name)
+		// Workloads that advance out-of-graph state per step (deepq's
+		// target-network sync) cannot fuse: their per-instance state
+		// has no slice in the fused graph.
+		if _, perStep := m.(dist.StepListener); perStep {
+			return nil, fmt.Errorf("workload %s advances out-of-graph state per step and cannot fuse", name)
+		}
+		fp, err := transform(m, opts.Width, scales)
+		if err != nil {
+			return nil, err
+		}
+		if a.params == nil {
+			// Replicas stay bitwise identical, so the first one's stacks
+			// serve the per-trainee views.
+			a.params = fp.params
+			for _, p := range m.TrainPlan().Params() {
+				a.paramShape = append(a.paramShape, p.Shape())
+				a.paramNames = append(a.paramNames, p.Name())
+			}
+		}
+		return &dist.Program{
+			Graph: fp.g, Batch: m.Signature(core.ModeTraining).BatchCapacity(),
+			Loss: fp.loss, Grads: fp.grads, Apply: fp.apply, GradIn: fp.gradIn,
+			Inputs: fp.inputs,
+			// The template samples from the seed alone. It gets no
+			// session: a sampler that needed a forward pass would read
+			// the template's variables, which fused training never
+			// updates, so it must fail loudly rather than sample stale
+			// state.
+			Sample: func(_ *runtime.Session, seed int64) (map[string]*tensor.Tensor, error) {
+				return m.TrainSample(nil, seed)
+			},
+		}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	tr, ok := m.(Trainable)
-	if !ok {
-		return nil, fmt.Errorf("fuse: workload %s is not trainable (wants core.TrainSampler + TrainPlan)", name)
-	}
-	if _, perStep := m.(stepListener); perStep {
-		return nil, fmt.Errorf("fuse: workload %s advances out-of-graph state per step and cannot fuse", name)
-	}
-	if err := m.Setup(core.Config{Preset: opts.Preset, Seed: opts.Seed, Batch: chunkBatch}); err != nil {
-		return nil, fmt.Errorf("fuse: setup %s: %w", name, err)
-	}
-	plan := tr.TrainPlan()
-	if plan == nil {
-		return nil, fmt.Errorf("fuse: workload %s has no TrainPlan after Setup", name)
-	}
-	fp, err := transform(tr, opts.Width, scales)
-	if err != nil {
-		return nil, err
-	}
-	if chunkBatch == 0 {
-		chunkBatch = m.Signature(core.ModeTraining).BatchCapacity()
-	}
-	part, err := dataset.NewPartition(chunkBatch*opts.Chunks, opts.Chunks, 1)
-	if err != nil {
-		return nil, err
-	}
-
-	a := &Array{
-		name:       name,
-		opts:       opts,
-		part:       part,
-		template:   tr,
-		plan:       fp,
-		fetches:    append([]*graph.Node{fp.loss}, fp.grads...),
-		feeds:      runtime.Feeds{},
-		applyFeeds: make(runtime.Feeds, len(fp.gradIn)),
-		chunkAcc:   make([]float64, opts.Width),
-		losses:     make([][]float64, opts.Width),
-		phases:     telemetry.NewPhaseRing(phaseRingSize),
-	}
-	for i, p := range plan.Params() {
-		a.paramShape = append(a.paramShape, p.Shape())
-		a.paramNames = append(a.paramNames, p.Name())
-		a.comb = append(a.comb, tensor.New(fp.params[i].Shape()...))
-		a.applyFeeds[fp.gradIn[i]] = a.comb[i]
-	}
-	lease := "fuse/" + name
-	sessOpts := []runtime.Option{
-		runtime.WithSeed(opts.Seed),
-		runtime.WithWorkerPool(opts.Pool),
-		runtime.WithLeaseName(lease),
-	}
-	if opts.IntraOpWorkers > 1 {
-		sessOpts = append(sessOpts, runtime.WithIntraOpWorkers(opts.IntraOpWorkers))
-	}
-	if opts.InterOpWorkers > 1 {
-		sessOpts = append(sessOpts, runtime.WithInterOpWorkers(opts.InterOpWorkers))
-	}
-	a.sess = runtime.NewSession(fp.g, sessOpts...)
-	// The template session exists only as the TrainSample handle (the
-	// sampler derives batches from the seed alone); serial, no helpers.
-	a.tmplSess = runtime.NewSession(m.Graph(),
-		runtime.WithSeed(opts.Seed),
-		runtime.WithWorkerPool(opts.Pool),
-		runtime.WithLeaseName(lease),
-	)
 	return a, nil
 }
 
-// Name returns the fused workload's name.
-func (a *Array) Name() string { return a.name }
-
 // Width returns the fusion width K.
-func (a *Array) Width() int { return a.opts.Width }
+func (a *Array) Width() int { return a.Lanes() }
 
-// Steps returns the number of applied global steps.
-func (a *Array) Steps() int { return a.step }
+// Step executes one fused global step — the engine's chunk protocol on
+// the fused graph — and returns the per-trainee global losses. Chunk
+// c's fetch computes every trainee's loss and raw gradients in one
+// run; one fetch of the fused apply path then steps every trainee at
+// its own learning rate.
+func (a *Array) Step() ([]float64, error) { return a.StepLanes() }
 
-// Partition returns the chunk grid.
-func (a *Array) Partition() dataset.Partition { return a.part }
-
-// Timing returns the accumulated phase walls.
-func (a *Array) Timing() Timing { return a.timing }
-
-// ResetTiming zeroes the accumulated phase walls (e.g. after warmup).
-func (a *Array) ResetTiming() { a.timing = Timing{} }
+// Train runs n fused global steps.
+func (a *Array) Train(n int) error {
+	_, err := a.Trainer.Train(n)
+	return err
+}
 
 // Losses returns trainee k's per-step loss trajectory.
-func (a *Array) Losses(k int) []float64 { return a.losses[k] }
+func (a *Array) Losses(k int) []float64 { return a.LaneLosses(k) }
 
 // ParamNames returns the trainable parameter names, template order.
 func (a *Array) ParamNames() []string { return a.paramNames }
@@ -283,202 +207,27 @@ func (a *Array) ParamNames() []string { return a.paramNames }
 // TraineeParams returns trainee k's parameter tensors as views into
 // the fused stacks, template order.
 func (a *Array) TraineeParams(k int) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(a.plan.params))
-	for i, p := range a.plan.params {
+	out := make([]*tensor.Tensor, len(a.params))
+	for i, p := range a.params {
 		s := tensor.SizeOf(a.paramShape[i])
 		out[i] = tensor.FromSlice(p.Value().Data()[k*s:(k+1)*s], a.paramShape[i]...)
 	}
 	return out
 }
 
-// SaveCheckpoint serializes the fused graph's variables — the stacked
-// parameters AND the optimizer slot accumulators (<var>/slot/<name>
-// velocity / RMS / moment / step variables the ApplyArray* update
-// rules hold their state in) — so a fused run can be suspended and
-// resumed mid-trajectory. Pair with RestoreCheckpoint(r, Steps()).
-func (a *Array) SaveCheckpoint(w io.Writer) error {
-	if a.closed {
-		return ErrClosed
-	}
-	return runtime.SaveCheckpoint(w, a.plan.g)
-}
-
-// RestoreCheckpoint restores a SaveCheckpoint image into the fused
-// graph and fast-forwards the step counter to step (the Steps() value
-// at save time), so the per-(step, chunk) data seeds — and with them
-// every subsequent minibatch — continue exactly where the saved run
-// left off. Because the optimizer slots are graph variables, the
-// restored array's next update applies the exact momentum/RMS/moment
-// state of the original run: the continuation is bit-identical to
-// never having stopped.
-func (a *Array) RestoreCheckpoint(r io.Reader, step int) error {
-	if a.closed {
-		return ErrClosed
-	}
-	if step < 0 {
-		return fmt.Errorf("fuse: negative resume step %d", step)
-	}
-	if err := runtime.LoadCheckpoint(r, a.plan.g, false); err != nil {
-		return err
-	}
-	a.step = step
-	return nil
-}
-
-// Close closes the fused and template sessions, releasing their leases
-// on the shared pool. Idempotent; Step afterwards fails with ErrClosed.
-func (a *Array) Close() {
-	if a.closed {
-		return
-	}
-	a.closed = true
-	if a.sess != nil {
-		a.sess.Close()
-	}
-	if a.tmplSess != nil {
-		a.tmplSess.Close()
-	}
-}
-
-// Step executes one fused global step — the dist chunk protocol on the
-// fused graph — and returns the per-trainee global losses. Chunk c's
-// fetch computes every trainee's loss and raw gradients in one run;
-// gradients combine in ascending chunk order × 1/Chunks (per trainee
-// slice, the exact float32 sequence a standalone run combines); one
-// fetch of the fused apply path then steps every trainee at its own
-// learning rate.
-func (a *Array) Step() ([]float64, error) {
-	if a.closed {
-		return nil, ErrClosed
-	}
-	t0 := time.Now()
-	a.sess.SetTraining(true)
-	for i := range a.chunkAcc {
-		a.chunkAcc[i] = 0
-	}
-	var sampleStep, gradStep, reduceStep time.Duration
-	for c := 0; c < a.part.Chunks; c++ {
-		tg := time.Now()
-		seed := dataset.ChunkSeed(a.opts.Seed, a.step, c)
-		a.sess.Reseed(seed)
-		sample, err := a.template.TrainSample(a.tmplSess, seed)
-		sampleStep += time.Since(tg)
-		if err != nil {
-			return nil, fmt.Errorf("fuse: %s chunk %d sample: %w", a.name, c, err)
-		}
-		clear(a.feeds)
-		for name, v := range sample {
-			// Inputs outside the training closure have no fused image
-			// and are not read by the fetches.
-			if node, ok := a.plan.inputs[name]; ok {
-				a.feeds[node] = v
-			}
-		}
-		out, err := a.sess.Run(a.fetches, a.feeds)
-		if err != nil {
-			return nil, fmt.Errorf("fuse: %s chunk %d: %w", a.name, c, err)
-		}
-		gradStep += time.Since(tg)
-		a.timing.Grad += time.Since(tg)
-
-		tr := time.Now()
-		lossV := out[0].Data()
-		for k := range a.chunkAcc {
-			a.chunkAcc[k] += float64(lossV[k])
-		}
-		for p := range a.comb {
-			dst, g := a.comb[p].Data(), out[1+p].Data()
-			if c == 0 {
-				copy(dst, g)
-				continue
-			}
-			for i := range dst {
-				dst[i] += g[i]
-			}
-		}
-		reduceStep += time.Since(tr)
-		a.timing.Reduce += time.Since(tr)
-	}
-	tr := time.Now()
-	inv := 1 / float32(a.part.Chunks)
-	for p := range a.comb {
-		dst := a.comb[p].Data()
-		for i := range dst {
-			dst[i] *= inv
-		}
-	}
-	reduceStep += time.Since(tr)
-	a.timing.Reduce += time.Since(tr)
-
-	ta := time.Now()
-	if _, err := a.sess.Run([]*graph.Node{a.plan.apply}, a.applyFeeds); err != nil {
-		return nil, fmt.Errorf("fuse: %s apply: %w", a.name, err)
-	}
-	applyStep := time.Since(ta)
-	a.timing.Apply += applyStep
-
-	means := make([]float64, len(a.chunkAcc))
-	for k, acc := range a.chunkAcc {
-		means[k] = acc / float64(a.part.Chunks)
-		a.losses[k] = append(a.losses[k], means[k])
-	}
-	// Phase telemetry: one entry per fused step. Grad includes Sample
-	// (the chunk loop interleaves them); the fused graph computes loss
-	// and gradients in one Run, so forward/backward stay one phase.
-	a.phases.Record(telemetry.PhaseSample{
-		Step:   a.step,
-		Sample: sampleStep,
-		Grad:   gradStep,
-		Reduce: reduceStep,
-		Apply:  applyStep,
-		Wall:   time.Since(t0),
-	})
-
-	a.step++
-	a.timing.Steps++
-	a.timing.Wall += time.Since(t0)
-	return means, nil
-}
-
-// PhaseLog returns the retained per-step phase breakdowns, oldest
-// first — the fused half of `fathom train -trace`.
-func (a *Array) PhaseLog() []telemetry.PhaseSample { return a.phases.Samples() }
-
-// RegisterMetrics exposes the array's trainee-step throughput on reg,
-// labeled trainer="fuse/<name>". One fused step advances Width
-// trainees, so the counter moves Width per Step — the HFTA-style
-// throughput next to dist's per-model rate.
+// RegisterMetrics exposes the engine's series on reg, labeled
+// trainer="fuse/<name>", plus the array's trainee-step throughput: one
+// fused step advances Width trainees, so that counter moves Width per
+// Step — the HFTA-style throughput next to dist's per-model rate.
 func (a *Array) RegisterMetrics(reg *telemetry.Registry) {
-	labels := telemetry.Labels{"trainer": "fuse/" + a.name}
-	phases, width := a.phases, a.opts.Width
-	reg.CounterFunc("fathom_train_steps_total", "Global training steps executed.", labels,
-		func() uint64 { return uint64(phases.Total()) })
-	reg.CounterFunc("fathom_trainee_steps_total", "Trainee-steps executed (steps x fusion width).", labels,
-		func() uint64 { return uint64(phases.Total() * width) })
-	reg.GaugeFunc("fathom_train_step_seconds", "Wall time of the most recent fused step.", labels,
-		func() float64 {
-			s := phases.Samples()
-			if len(s) == 0 {
-				return 0
-			}
-			return s[len(s)-1].Wall.Seconds()
-		})
+	a.Trainer.RegisterMetrics(reg)
+	reg.CounterFunc("fathom_trainee_steps_total", "Trainee-steps executed (steps x fusion width).",
+		telemetry.Labels{"trainer": "fuse/" + a.Name()},
+		func() uint64 { return uint64(a.StepsRun() * a.Width()) })
 }
 
 // UnregisterMetrics removes the series RegisterMetrics added.
 func (a *Array) UnregisterMetrics(reg *telemetry.Registry) {
-	labels := telemetry.Labels{"trainer": "fuse/" + a.name}
-	reg.Unregister("fathom_train_steps_total", labels)
-	reg.Unregister("fathom_trainee_steps_total", labels)
-	reg.Unregister("fathom_train_step_seconds", labels)
-}
-
-// Train runs n fused global steps.
-func (a *Array) Train(n int) error {
-	for i := 0; i < n; i++ {
-		if _, err := a.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
+	a.Trainer.UnregisterMetrics(reg)
+	reg.Unregister("fathom_trainee_steps_total", telemetry.Labels{"trainer": "fuse/" + a.Name()})
 }

@@ -23,7 +23,8 @@ import (
 // resumed step counter keys both the per-(step, chunk) data seeds and
 // Adam's bias correction. The two workloads cover both slot shapes —
 // attention trains with Momentum (stacked velocity), autoenc with Adam
-// (stacked moments plus the shape-{1} step counter).
+// (stacked moments plus the shape-{1} step counter). The step counter
+// travels in the engine's checkpoint header, not through the caller.
 func TestFusedArrayCheckpointResume(t *testing.T) {
 	pool := sched.New(8)
 	defer pool.Close()
@@ -62,12 +63,11 @@ func TestFusedArrayCheckpointResume(t *testing.T) {
 			if err := src.SaveCheckpoint(&ckpt); err != nil {
 				t.Fatal(err)
 			}
-			at := src.Steps()
 			src.Close()
 
 			// Fresh array, restored mid-trajectory, trained to the end.
 			resumed := newArray()
-			if err := resumed.RestoreCheckpoint(bytes.NewReader(ckpt.Bytes()), at); err != nil {
+			if err := resumed.LoadCheckpoint(bytes.NewReader(ckpt.Bytes())); err != nil {
 				t.Fatal(err)
 			}
 			if got := resumed.Steps(); got != pre {
@@ -98,5 +98,66 @@ func TestFusedArrayCheckpointResume(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFusedCheckpointRejectsMismatch: a fused image resumes only the
+// stream it was saved from. A different seed or chunk grid would draw
+// different per-chunk data and silently diverge; a different width has
+// differently shaped stacks; and a header cut short at any byte must
+// surface as an error, never a panic or a half-restored step counter.
+func TestFusedCheckpointRejectsMismatch(t *testing.T) {
+	pool := sched.New(2)
+	defer pool.Close()
+	base := fuse.Options{Width: 2, Chunks: 4, Preset: core.PresetTiny, Seed: 11, Pool: pool}
+	newArray := func(o fuse.Options) *fuse.Array {
+		arr, err := fuse.New("autoenc", o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(arr.Close)
+		return arr
+	}
+	src := newArray(base)
+	if err := src.Train(1); err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := src.SaveCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	image := ckpt.Bytes()
+
+	for label, mutate := range map[string]func(*fuse.Options){
+		"seed":   func(o *fuse.Options) { o.Seed = 12 },
+		"chunks": func(o *fuse.Options) { o.Chunks = 2 },
+		"width":  func(o *fuse.Options) { o.Width = 4 },
+	} {
+		o := base
+		mutate(&o)
+		if err := newArray(o).LoadCheckpoint(bytes.NewReader(image)); err == nil {
+			t.Errorf("LoadCheckpoint accepted an image saved under a different %s", label)
+		}
+	}
+
+	const headerLen = 4 + 4 + 8 + 4 + 4 + 8 // magic, version, step, chunks, chunk batch, seed
+	dst := newArray(base)
+	for n := 0; n < headerLen; n++ {
+		if err := dst.LoadCheckpoint(bytes.NewReader(image[:n])); err == nil {
+			t.Errorf("LoadCheckpoint accepted a header truncated to %d bytes", n)
+		}
+		if got := dst.Steps(); got != 0 {
+			t.Fatalf("truncated header (%d bytes) moved the step counter to %d", n, got)
+		}
+	}
+	// The header alone (no variable image behind it) is also short.
+	if err := dst.LoadCheckpoint(bytes.NewReader(image[:headerLen])); err == nil {
+		t.Error("LoadCheckpoint accepted a header with no variable image")
+	}
+	if err := dst.LoadCheckpoint(bytes.NewReader(image)); err != nil {
+		t.Fatalf("the untruncated image must still load: %v", err)
+	}
+	if got := dst.Steps(); got != 1 {
+		t.Fatalf("resumed step counter %d, want 1", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/models/nn"
 	"repro/internal/ops"
@@ -53,7 +54,7 @@ type mapped struct {
 // stacked operands, or replaced by the fused dropout pair, so every
 // trainee's arithmetic and the session's RNG draw order are exactly
 // those of a standalone run.
-func transform(m Trainable, k int, scales []float32) (*fusedPlan, error) {
+func transform(m dist.Trainable, k int, scales []float32) (*fusedPlan, error) {
 	plan := m.TrainPlan()
 	params := plan.Params()
 	paramIdx := make(map[*graph.Node]int, len(params))

@@ -5,7 +5,7 @@
 // serial execution and a 4-wide inter-op schedule — the scheduler
 // contract. Any future scheduler change that perturbs RNG order,
 // variable update order, or arena buffer lifetimes fails this test
-// for at least one of the nine workloads.
+// for at least one of the ten workloads.
 package models_test
 
 import (
@@ -133,7 +133,7 @@ func compareFingerprints(t *testing.T, label string, a, b fingerprint) {
 }
 
 // TestCrossWorkloadDeterminism is the suite-wide determinism harness:
-// for all nine workloads, serial replay under WithSeed is bit-exact,
+// for all ten workloads, serial replay under WithSeed is bit-exact,
 // and every intra-op × inter-op width combination — real parallel
 // kernel chunks crossed with the parallel plan scheduler, all drawing
 // helpers from the shared worker pool — is bit-identical to serial.

@@ -1,5 +1,5 @@
 // Package nn provides the layer-construction helpers shared by the
-// eight Fathom workloads: initializers, dense/convolutional layers,
+// ten suite workloads: initializers, dense/convolutional layers,
 // batch normalization built from primitive operations (as TensorFlow
 // 0.8-era models did), LSTM cells, embeddings, and the primitive
 // softmax composite whose Max/Sub/Exp/Sum/Div operations populate the

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/runtime"
+	"repro/internal/telemetry"
 )
 
 // Profile is the aggregate of one traced run of a workload.
@@ -438,36 +439,30 @@ func IntraOp(workers int, serialSim, modeledSim, serialWall, parallelWall time.D
 // wall-clock speedup. Achievable is the Amdahl bound the run's own
 // phase structure admits: the gradient phase parallelizes across
 // replicas (its serial work is GradSum, its parallel wall the
-// slowest replica, GradMax), while the all-reduce and the replicated
+// slowest replica, Grad), while the all-reduce and the replicated
 // apply phase are step-serial — so no schedule can beat
-// (GradSum + Reduce + Apply) / (GradMax + Reduce + Apply). The gap
+// (GradSum + Reduce + Apply) / (Grad + Reduce + Apply). The gap
 // between the two is scheduling overhead plus host-core scarcity, the
 // same decomposition the inter-op profile reports.
 type TrainScalingStats struct {
 	Replicas int
-	// SerialWall and ParallelWall are total step wall at 1 replica
-	// and at Replicas.
-	SerialWall, ParallelWall time.Duration
-	// GradSum/GradMax/Reduce/Apply are the parallel run's phase walls
-	// (see dist.Timing).
-	GradSum, GradMax, Reduce, Apply time.Duration
-	// Achieved is SerialWall/ParallelWall; Achievable the phase-
-	// structure bound above.
+	// Serial and Parallel are the phase walls summed over the timed
+	// steps at 1 replica and at Replicas (a trainer's PhaseSum).
+	Serial, Parallel telemetry.PhaseSample
+	// Achieved is Serial.Wall/Parallel.Wall; Achievable the phase-
+	// structure bound above, from Parallel.
 	Achieved, Achievable float64
 }
 
-// TrainScaling assembles the comparison from the two runs' timings.
-func TrainScaling(replicas int, serialWall, parallelWall, gradSum, gradMax, reduce, apply time.Duration) TrainScalingStats {
-	st := TrainScalingStats{
-		Replicas:   replicas,
-		SerialWall: serialWall, ParallelWall: parallelWall,
-		GradSum: gradSum, GradMax: gradMax, Reduce: reduce, Apply: apply,
+// TrainScaling assembles the comparison from the two runs' phase sums.
+func TrainScaling(replicas int, serial, parallel telemetry.PhaseSample) TrainScalingStats {
+	st := TrainScalingStats{Replicas: replicas, Serial: serial, Parallel: parallel}
+	if parallel.Wall > 0 {
+		st.Achieved = float64(serial.Wall) / float64(parallel.Wall)
 	}
-	if parallelWall > 0 {
-		st.Achieved = float64(serialWall) / float64(parallelWall)
-	}
-	if denom := gradMax + reduce + apply; denom > 0 {
-		st.Achievable = float64(gradSum+reduce+apply) / float64(denom)
+	fixed := parallel.Reduce + parallel.Apply
+	if denom := parallel.Grad + fixed; denom > 0 {
+		st.Achievable = float64(parallel.GradSum+fixed) / float64(denom)
 	}
 	return st
 }

@@ -13,23 +13,43 @@ import (
 // single Run, so forward and backward are not separable phases here —
 // Reduce the cross-replica gradient all-reduce, and Apply the
 // parameter update. Wall is the whole step including coordination.
+// Sample and Grad are the slowest replica's walls (the parallel
+// phases' critical path); GradSum is the grad wall summed over
+// replicas — the serial work, which is what an Amdahl bound divides by
+// the critical path (profiling.TrainScaling).
 type PhaseSample struct {
-	Step   int
-	Sample time.Duration
-	Grad   time.Duration
-	Reduce time.Duration
-	Apply  time.Duration
-	Wall   time.Duration
+	Step    int
+	Sample  time.Duration
+	Grad    time.Duration
+	GradSum time.Duration
+	Reduce  time.Duration
+	Apply   time.Duration
+	Wall    time.Duration
+}
+
+// add accumulates o's durations into s (Step is not a duration and is
+// left alone).
+func (s *PhaseSample) add(o PhaseSample) {
+	s.Sample += o.Sample
+	s.Grad += o.Grad
+	s.GradSum += o.GradSum
+	s.Reduce += o.Reduce
+	s.Apply += o.Apply
+	s.Wall += o.Wall
 }
 
 // PhaseRing keeps the most recent training steps' phase breakdowns in
 // a fixed-size ring. Recording happens once per training step (not per
-// op), so a mutex is cheap; readers get a copy in step order.
+// op), so a mutex is cheap; readers get a copy in step order. Beside
+// the retained samples the ring keeps a running sum since the last
+// ResetSum, so a run's phase totals survive the ring wrapping.
 type PhaseRing struct {
-	mu    sync.Mutex
-	buf   []PhaseSample
-	head  int
-	total int
+	mu       sync.Mutex
+	buf      []PhaseSample
+	head     int
+	total    int
+	sum      PhaseSample
+	sumSteps int
 }
 
 // NewPhaseRing returns a ring retaining the last n steps (minimum 1).
@@ -51,6 +71,25 @@ func (r *PhaseRing) Record(s PhaseSample) {
 		r.head = (r.head + 1) % cap(r.buf)
 	}
 	r.total++
+	r.sum.add(s)
+	r.sumSteps++
+}
+
+// Sum returns the phase durations summed over every step recorded
+// since the last ResetSum (or ever), and how many steps that was.
+func (r *PhaseRing) Sum() (sum PhaseSample, steps int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.sum, r.sumSteps
+}
+
+// ResetSum zeroes the running sum — e.g. after warmup steps, so totals
+// exclude one-time plan compilation. Retained samples and Total are
+// untouched.
+func (r *PhaseRing) ResetSum() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.sum, r.sumSteps = PhaseSample{}, 0
 }
 
 // Total reports how many steps have ever been recorded.
@@ -83,11 +122,7 @@ func WritePhaseTable(w io.Writer, samples []PhaseSample) {
 	for _, s := range samples {
 		fmt.Fprintf(w, "  %6d %12s %12s %12s %12s %12s\n",
 			s.Step, fmtDur(s.Sample), fmtDur(s.Grad), fmtDur(s.Reduce), fmtDur(s.Apply), fmtDur(s.Wall))
-		sum.Sample += s.Sample
-		sum.Grad += s.Grad
-		sum.Reduce += s.Reduce
-		sum.Apply += s.Apply
-		sum.Wall += s.Wall
+		sum.add(s)
 	}
 	n := time.Duration(len(samples))
 	fmt.Fprintf(w, "  %6s %12s %12s %12s %12s %12s\n",

@@ -212,11 +212,17 @@ func TestWriteChromeTraces(t *testing.T) {
 }
 
 // TestPhaseRing checks the fixed-size ring keeps the newest samples in
-// order and Total counts everything ever recorded.
+// order, Total counts everything ever recorded, and the running sum
+// covers every recorded step — evicted ones included — until ResetSum,
+// which zeroes the sum and nothing else.
 func TestPhaseRing(t *testing.T) {
 	r := NewPhaseRing(4)
+	var want PhaseSample
 	for i := 1; i <= 6; i++ {
-		r.Record(PhaseSample{Step: i, Wall: time.Duration(i) * time.Millisecond})
+		d := time.Duration(i) * time.Millisecond
+		s := PhaseSample{Step: i, Sample: d, Grad: 2 * d, GradSum: 3 * d, Reduce: 4 * d, Apply: 5 * d, Wall: 6 * d}
+		r.Record(s)
+		want.add(s)
 	}
 	if r.Total() != 6 {
 		t.Errorf("total = %d, want 6", r.Total())
@@ -229,6 +235,20 @@ func TestPhaseRing(t *testing.T) {
 		if s.Step != i+3 {
 			t.Errorf("sample %d is step %d, want %d (oldest-first, newest kept)", i, s.Step, i+3)
 		}
+	}
+	if sum, steps := r.Sum(); sum != want || steps != 6 || sum.GradSum != 63*time.Millisecond {
+		t.Errorf("sum after wrap = %+v over %d steps, want %+v over 6", sum, steps, want)
+	}
+	r.ResetSum()
+	if sum, steps := r.Sum(); sum != (PhaseSample{}) || steps != 0 {
+		t.Errorf("sum after reset = %+v over %d steps, want zero", sum, steps)
+	}
+	if r.Total() != 6 || len(r.Samples()) != 4 {
+		t.Errorf("reset touched the ring: total %d, %d samples retained; want 6, 4", r.Total(), len(r.Samples()))
+	}
+	r.Record(PhaseSample{Step: 7, Wall: time.Second})
+	if sum, steps := r.Sum(); sum.Wall != time.Second || steps != 1 {
+		t.Errorf("sum after reset + one step = %+v over %d steps", sum, steps)
 	}
 	var b strings.Builder
 	WritePhaseTable(&b, got)
