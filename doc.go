@@ -93,12 +93,42 @@
 // speedup per workload — `fathom profile -interop N` — even on a
 // single-core host.
 //
-// The two hottest kernels are blocked for cache behavior:
-// tensor.MatMul dispatches large products to a tiled GEMM that packs A
-// and B panels into contiguous scratch ahead of a 4-row register-
-// blocked microkernel, and tensor.Conv2D lowers large unit-stride
-// convolutions to im2col + packed matmul (1×1 convolutions go straight
-// to GEMM; small or strided shapes keep the direct loop).
+// # Kernels: one GEMM, one convolution lowering, one SIMD tile
+//
+// tensor.MatMul dispatches every product of at least four rows and
+// 4096 multiply-adds to a tiled GEMM that packs A and B panels into
+// contiguous scratch ahead of one micro kernel; thinner or tinier
+// products keep the streaming kernels, which need no packing. All three
+// convolution passes run on that GEMM through one lowering over the
+// patch matrix col (one row per output position, its receptive field
+// in (ky, kx, c) order, gathered in row blocks of at most 1 MB of
+// scratch): forward out = col·W, back-filter dW = colᵀ·dY accumulated
+// over the row blocks, back-input dX = col2im(dY·Wᵀ), with col2im a
+// gather over image rows so parallel chunks never share a destination.
+// A 1×1 unit-stride unpadded convolution skips the gather: its patch
+// matrix is the input. Per output element the products meet in the
+// order the direct loop nests visit them, and a padded tap contributes
+// a zero where a loop nest skips, so on finite data the lowered passes
+// reproduce those loops bit for bit — the loops live on in
+// conv_test.go as the oracles, with a fuzz target (FuzzConvLowering)
+// driving arbitrary geometry at both.
+//
+// The micro kernel works on strips of four C rows. On amd64 with AVX2
+// (checked once with CPUID and XGETBV) the strip's 16- and 8-column
+// tiles run in Go assembly; whatever columns remain, and every strip on
+// other hosts or under -tags purego, run a 4×2 register tile in Go; a
+// last strip of fewer than four rows runs as a full strip against zero
+// rows of packed A on a stack tile. The assembly is bit-identical to
+// the Go tile by construction, not by tolerance: its lanes run across
+// output columns, so a lane is one output element and nothing is ever
+// summed across lanes, and each k step is a VMULPS followed by a VADDPS
+// — no FMA — which is the Go tile's one rounded multiply and one
+// rounded add (the Go products — micro-tile, streaming kernels and
+// FusedAttention's dots alike — are written float32(a*b), which forbids
+// the compiler to fuse them on any target). Every kernel therefore
+// computes each element as the same ascending-k chain, and the choice
+// of kernel, like the choice of width, is invisible in the result
+// bits; the determinism harness runs on both builds in CI.
 //
 // # Kernel tier 2
 //
@@ -115,8 +145,9 @@
 // and chunk boundaries are pure functions of shape, and every output
 // element accumulates the same products in the same ascending-slab
 // order at every width, so the decomposition is invisible in the
-// result bits (BENCH_kernels.json tracks the scaling win over the
-// retained row-only baseline).
+// result bits (BENCH_kernels.json tracks the tiled kernel against the
+// retained row-only baseline, with scaling columns only at widths the
+// recording host has processors for).
 //
 // A graph-level epilogue-fusion pass (graph.FuseEpilogues; pass 4 of
 // graph.Optimize, and applied to every workload's training graph via
@@ -155,7 +186,9 @@
 // the (G,S,S) score and probability matrices are never materialized,
 // which removes the naive chain's dominant memory traffic
 // (BENCH_kernels.json tracks the fused-over-naive ratio and the arena
-// bytes eliminated). The kernel replays the exact float sequence of
+// bytes eliminated; since the GEMM gained its SIMD tile the naive
+// chain, which runs on it, is the faster of the two at some shapes —
+// the streaming kernel's dot loops are still scalar). The kernel replays the exact float sequence of
 // the unfused chain — same dot order, one scale rounding, the
 // softmax's max/exp/sum/normalize in the same ascending order — so
 // fused and unfused are bit-identical at every intra-op width,

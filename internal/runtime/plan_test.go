@@ -104,6 +104,12 @@ func TestPlanAssignsAndReusesArenaSlots(t *testing.T) {
 	if p.Buffers() > 3 {
 		t.Fatalf("liveness analysis should reuse buffers: %d slots, %d buffers", p.Slots(), p.Buffers())
 	}
+	// The sharing the planner decided at compile time shows in the arena
+	// statistics the serving surfaces report.
+	st := s.Arena().Stats()
+	if want := float64(p.Slots()-p.Buffers()) / float64(p.Slots()); st.ReuseRatio() != want || st.TotalBuffers != p.Buffers() {
+		t.Fatalf("arena stats %+v (reuse ratio %g), want ratio %g over %d buffers", st, st.ReuseRatio(), want, p.Buffers())
+	}
 }
 
 // TestPlanOutputNeverAliasesInput: with ping-ponging shared buffers, an

@@ -860,6 +860,17 @@ func (s *Session) compile(fetches []*graph.Node) *Plan {
 			}
 			if data == nil {
 				data = s.arena.Get(size)
+			} else {
+				// Hand the reused buffer to the arena and take it
+				// straight back: compile-time reuse is then counted like
+				// any other recycled Get, so a plan's
+				// ArenaStats.ReuseRatio is (slots−buffers)/slots. The
+				// assignment above must stand, so the round trip has to
+				// return the very buffer it was given.
+				s.arena.Put(data)
+				if back := s.arena.Get(size); &back[:1][0] != &data[0] {
+					panic("runtime: arena round trip returned another buffer")
+				}
 			}
 			t := tensor.FromSlice(data[:size], order[i].Shape()...)
 			bufs[i] = t

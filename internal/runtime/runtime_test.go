@@ -157,8 +157,10 @@ func TestGPUFasterThanCPUOnBigMatMul(t *testing.T) {
 
 func TestWorkersReduceSimulatedTime(t *testing.T) {
 	g := graph.New()
-	a := g.Const("a", tensor.Ones(256, 256))
-	b := g.Const("b", tensor.Ones(256, 256))
+	// Large enough that the product's modeled chunks outweigh scheduling
+	// noise from packages testing in parallel.
+	a := g.Const("a", tensor.Ones(768, 768))
+	b := g.Const("b", tensor.Ones(768, 768))
 	mm := ops.MatMul(a, b)
 
 	measure := func(workers int) time.Duration {

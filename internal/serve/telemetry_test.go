@@ -181,6 +181,10 @@ func TestServerTelemetryEndpoints(t *testing.T) {
 	if _, ok := stats["memnet"]["arena_bytes"]; !ok {
 		t.Errorf("/stats missing arena_bytes: %v", stats["memnet"])
 	}
+	// The engine runs compiled plans, whose buffer sharing must show.
+	if r, _ := stats["memnet"]["arena_reuse_ratio"].(float64); r <= 0 || r >= 1 {
+		t.Errorf("/stats arena_reuse_ratio = %v, want the plans' (slots−buffers)/slots in (0,1)", stats["memnet"]["arena_reuse_ratio"])
+	}
 	if _, ok := stats["memnet"]["queue_wait_p99_ns"]; !ok {
 		t.Errorf("/stats missing queue_wait_p99_ns: %v", stats["memnet"])
 	}

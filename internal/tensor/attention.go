@@ -23,7 +23,9 @@ import (
 //
 //   - the QKᵀ dot runs ascending over Dh with a single accumulator —
 //     exactly the per-element accumulation order the matmul kernels
-//     guarantee (see the determinism note in matmul.go);
+//     guarantee (see the determinism note in matmul.go), each product
+//     written float32(a*b) as there, so that a target with an FMA
+//     cannot fuse here what the matmul kernels keep apart;
 //   - the scale multiply rounds the finished dot once, like the
 //     elementwise Mul that follows the reference BatchMatMul;
 //   - the softmax replays softmaxInto verbatim: running max with
@@ -106,10 +108,10 @@ func attnRow(row, qrow, kg, vg, orow []float32, s, dh int, scale float32) {
 		var d0, d1, d2, d3 float32
 		for d := 0; d < dh; d++ {
 			qv := qrow[d]
-			d0 += qv * k0[d]
-			d1 += qv * k1[d]
-			d2 += qv * k2[d]
-			d3 += qv * k3[d]
+			d0 += float32(qv * k0[d])
+			d1 += float32(qv * k1[d])
+			d2 += float32(qv * k2[d])
+			d3 += float32(qv * k3[d])
 		}
 		row[j] = d0 * scale
 		row[j+1] = d1 * scale
@@ -120,7 +122,7 @@ func attnRow(row, qrow, kg, vg, orow []float32, s, dh int, scale float32) {
 		krow := kg[j*dh:][:dh]
 		var dot float32
 		for d := 0; d < dh; d++ {
-			dot += qrow[d] * krow[d]
+			dot += float32(qrow[d] * krow[d])
 		}
 		row[j] = dot * scale
 	}
@@ -148,10 +150,10 @@ func attnRow(row, qrow, kg, vg, orow []float32, s, dh int, scale float32) {
 		v3 := vg[(j+3)*dh:][:dh]
 		for d := 0; d < dh; d++ {
 			o := orow[d]
-			o += p0 * v0[d]
-			o += p1 * v1[d]
-			o += p2 * v2[d]
-			o += p3 * v3[d]
+			o += float32(p0 * v0[d])
+			o += float32(p1 * v1[d])
+			o += float32(p2 * v2[d])
+			o += float32(p3 * v3[d])
 			orow[d] = o
 		}
 	}
@@ -159,7 +161,7 @@ func attnRow(row, qrow, kg, vg, orow []float32, s, dh int, scale float32) {
 		pj := row[j] * inv
 		vrow := vg[j*dh:][:dh]
 		for d := 0; d < dh; d++ {
-			orow[d] += pj * vrow[d]
+			orow[d] += float32(pj * vrow[d])
 		}
 	}
 }
@@ -181,34 +183,34 @@ func attnRowPair(scratch, qrows, kg, vg, orows []float32, s, dh int, scale float
 		d := 0
 		for ; d+2 <= dh; d += 2 {
 			qv, qw := qa[d], qb[d]
-			a0 += qv * k0[d]
-			a1 += qv * k1[d]
-			a2 += qv * k2[d]
-			a3 += qv * k3[d]
-			b0 += qw * k0[d]
-			b1 += qw * k1[d]
-			b2 += qw * k2[d]
-			b3 += qw * k3[d]
+			a0 += float32(qv * k0[d])
+			a1 += float32(qv * k1[d])
+			a2 += float32(qv * k2[d])
+			a3 += float32(qv * k3[d])
+			b0 += float32(qw * k0[d])
+			b1 += float32(qw * k1[d])
+			b2 += float32(qw * k2[d])
+			b3 += float32(qw * k3[d])
 			qv, qw = qa[d+1], qb[d+1]
-			a0 += qv * k0[d+1]
-			a1 += qv * k1[d+1]
-			a2 += qv * k2[d+1]
-			a3 += qv * k3[d+1]
-			b0 += qw * k0[d+1]
-			b1 += qw * k1[d+1]
-			b2 += qw * k2[d+1]
-			b3 += qw * k3[d+1]
+			a0 += float32(qv * k0[d+1])
+			a1 += float32(qv * k1[d+1])
+			a2 += float32(qv * k2[d+1])
+			a3 += float32(qv * k3[d+1])
+			b0 += float32(qw * k0[d+1])
+			b1 += float32(qw * k1[d+1])
+			b2 += float32(qw * k2[d+1])
+			b3 += float32(qw * k3[d+1])
 		}
 		for ; d < dh; d++ {
 			qv, qw := qa[d], qb[d]
-			a0 += qv * k0[d]
-			a1 += qv * k1[d]
-			a2 += qv * k2[d]
-			a3 += qv * k3[d]
-			b0 += qw * k0[d]
-			b1 += qw * k1[d]
-			b2 += qw * k2[d]
-			b3 += qw * k3[d]
+			a0 += float32(qv * k0[d])
+			a1 += float32(qv * k1[d])
+			a2 += float32(qv * k2[d])
+			a3 += float32(qv * k3[d])
+			b0 += float32(qw * k0[d])
+			b1 += float32(qw * k1[d])
+			b2 += float32(qw * k2[d])
+			b3 += float32(qw * k3[d])
 		}
 		rowA[j], rowA[j+1], rowA[j+2], rowA[j+3] = a0*scale, a1*scale, a2*scale, a3*scale
 		rowB[j], rowB[j+1], rowB[j+2], rowB[j+3] = b0*scale, b1*scale, b2*scale, b3*scale
@@ -217,8 +219,8 @@ func attnRowPair(scratch, qrows, kg, vg, orows []float32, s, dh int, scale float
 		krow := kg[j*dh:][:dh]
 		var da, db float32
 		for d := 0; d < dh; d++ {
-			da += qa[d] * krow[d]
-			db += qb[d] * krow[d]
+			da += float32(qa[d] * krow[d])
+			db += float32(qb[d] * krow[d])
 		}
 		rowA[j] = da * scale
 		rowB[j] = db * scale
@@ -247,16 +249,16 @@ func attnRowPair(scratch, qrows, kg, vg, orows []float32, s, dh int, scale float
 		v3 := vg[(j+3)*dh:][:dh]
 		for d := 0; d < dh; d++ {
 			o := oa[d]
-			o += pa0 * v0[d]
-			o += pa1 * v1[d]
-			o += pa2 * v2[d]
-			o += pa3 * v3[d]
+			o += float32(pa0 * v0[d])
+			o += float32(pa1 * v1[d])
+			o += float32(pa2 * v2[d])
+			o += float32(pa3 * v3[d])
 			oa[d] = o
 			o = ob[d]
-			o += pb0 * v0[d]
-			o += pb1 * v1[d]
-			o += pb2 * v2[d]
-			o += pb3 * v3[d]
+			o += float32(pb0 * v0[d])
+			o += float32(pb1 * v1[d])
+			o += float32(pb2 * v2[d])
+			o += float32(pb3 * v3[d])
 			ob[d] = o
 		}
 	}
@@ -265,8 +267,8 @@ func attnRowPair(scratch, qrows, kg, vg, orows []float32, s, dh int, scale float
 		pb := rowB[j] * invB
 		vrow := vg[j*dh:][:dh]
 		for d := 0; d < dh; d++ {
-			oa[d] += pa * vrow[d]
-			ob[d] += pb * vrow[d]
+			oa[d] += float32(pa * vrow[d])
+			ob[d] += float32(pb * vrow[d])
 		}
 	}
 }

@@ -34,7 +34,7 @@ func (c ConvSpec) check() ConvSpec {
 
 // Conv2D computes a 2-D convolution: input (N,H,W,Cin) with filter
 // (KH,KW,Cin,Cout) producing (N,OH,OW,Cout). See Conv2DInto for the
-// kernel dispatch strategy.
+// lowering.
 func Conv2D(p *Pool, in, filter *Tensor, spec ConvSpec) (*Tensor, error) {
 	spec = spec.check()
 	if err := conv2DCheck(in, filter); err != nil {
@@ -51,15 +51,22 @@ func Conv2D(p *Pool, in, filter *Tensor, spec ConvSpec) (*Tensor, error) {
 // inferred output shape. out may hold arbitrary data; it is fully
 // overwritten and must not alias in or filter.
 //
-// The kernel is chosen by a size heuristic:
-//   - 1×1 unit-stride unpadded convolutions are a pure matrix product
-//     and dispatch straight to the tiled MatMul kernel;
-//   - large unit-stride convolutions lower to im2col: input patches are
-//     gathered into a row-major patch matrix (in row blocks bounded by
-//     the scratch budget) and multiplied against the filter viewed as a
-//     (KH·KW·Cin, Cout) matrix with the packed matmul kernel;
-//   - small or strided convolutions keep the direct loop, whose gather
-//     cost would dominate the im2col matrix assembly.
+// All three convolution passes lower to one matrix product over the
+// patch matrix col — one row per output position, holding its receptive
+// field in (ky, kx, c) order — and run on the matmul kernels:
+//
+//	forward      out = col · W          (W viewed as KH·KW·Cin × Cout)
+//	back-filter  dW  = colᵀ · dY
+//	back-input   dX  = col2im(dY · Wᵀ)
+//
+// col is gathered in row blocks bounded by the im2col scratch budget; a
+// 1×1 unit-stride unpadded convolution skips the gather because its
+// patch matrix is the input itself. Per output element the products
+// meet in the order a direct loop nest visits them — (ky, kx, c)
+// ascending forward, output positions ascending for dW, Cout ascending
+// then (position, ky, kx) ascending for dX — and a padded tap adds a
+// zero where the loop nest would skip, so on finite data the results
+// are those loops' bit for bit (conv_test.go keeps them as oracles).
 func Conv2DInto(p *Pool, out, in, filter *Tensor, spec ConvSpec) error {
 	spec = spec.check()
 	if err := conv2DCheck(in, filter); err != nil {
@@ -85,139 +92,147 @@ func conv2DCheck(in, filter *Tensor) error {
 	return nil
 }
 
-// im2colMinWork is the per-output-cell multiply count (KH·KW·Cin·Cout)
-// above which patch gathering is amortized and the im2col path wins.
-const im2colMinWork = 2048
-
-func conv2DInto(p *Pool, out, in, filter *Tensor, spec ConvSpec) {
-	kh, kw, cin, cout := filter.shape[0], filter.shape[1], filter.shape[2], filter.shape[3]
-	unit := spec.StrideH == 1 && spec.StrideW == 1
-	switch {
-	case kh == 1 && kw == 1 && unit && spec.PadH == 0 && spec.PadW == 0:
-		// A 1×1 convolution is exactly (N·H·W, Cin)·(Cin, Cout).
-		rows := in.shape[0] * in.shape[1] * in.shape[2]
-		matmulInto(p, out.data, in.data, filter.data, rows, cout, cin, cin, cout, false, false)
-	case unit && kh*kw*cin*cout >= im2colMinWork:
-		conv2DIm2col(p, out, in, filter, spec)
-	default:
-		conv2DDirect(p, out, in, filter, spec)
+// convGradCheck validates gradOut against the (n,h,w) image of a
+// backward pass: it must be the rank-4 output gradient of a (kh,kw)
+// convolution over that image. Shapes are compared as scalars; slices
+// are built only to word an error, so a passing call allocates nothing.
+func convGradCheck(name string, n, h, w int, gradOut *Tensor, kh, kw int, spec ConvSpec) error {
+	oh, ow := ConvOutSize(h, kh, spec.StrideH, spec.PadH), ConvOutSize(w, kw, spec.StrideW, spec.PadW)
+	if g := gradOut.shape; len(g) != 4 || g[0] != n || g[1] != oh || g[2] != ow {
+		return fmt.Errorf("tensor: %s gradOut %v, want [%d %d %d Cout] for a %dx%d filter over a %dx%dx%d image", name, g, n, oh, ow, kh, kw, n, h, w)
 	}
-}
-
-// conv2DDirect is the straightforward gather-multiply-accumulate loop,
-// parallelized over N·OH output rows.
-func conv2DDirect(p *Pool, out, in, filter *Tensor, spec ConvSpec) {
-	n, h, w, cin := in.shape[0], in.shape[1], in.shape[2], in.shape[3]
-	kh, kw, cout := filter.shape[0], filter.shape[1], filter.shape[3]
-	oh, ow := out.shape[1], out.shape[2]
-	id, fd, od := in.data, filter.data, out.data
-	rows := n * oh
-	grain := 1 + 32768/(ow*cout*kh*kw*cin+1)
-	p.For(rows, grain, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			b := r / oh
-			oy := r % oh
-			for ox := 0; ox < ow; ox++ {
-				obase := ((b*oh+oy)*ow + ox) * cout
-				acc := od[obase : obase+cout]
-				for co := range acc {
-					acc[co] = 0
-				}
-				iy0 := oy*spec.StrideH - spec.PadH
-				ix0 := ox*spec.StrideW - spec.PadW
-				for ky := 0; ky < kh; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < kw; kx++ {
-						ix := ix0 + kx
-						if ix < 0 || ix >= w {
-							continue
-						}
-						ibase := ((b*h+iy)*w + ix) * cin
-						fbase := (ky*kw + kx) * cin * cout
-						for c := 0; c < cin; c++ {
-							v := id[ibase+c]
-							frow := fd[fbase+c*cout : fbase+(c+1)*cout]
-							for co := 0; co < cout; co++ {
-								acc[co] += v * frow[co]
-							}
-						}
-					}
-				}
-			}
-		}
-	})
+	return nil
 }
 
 // im2colScratchCap bounds the patch-matrix scratch to about 1 MB of
 // float32s; larger outputs are processed in row blocks.
 const im2colScratchCap = 1 << 18
 
-// conv2DIm2col lowers the convolution to matrix multiplication: each
-// output position's receptive field becomes one row of a patch matrix,
-// multiplied against the filter reshaped to (KH·KW·Cin, Cout). The
-// NHWC output layout makes the product land directly in out.
-func conv2DIm2col(p *Pool, out, in, filter *Tensor, spec ConvSpec) {
-	kh, kw, cin, cout := filter.shape[0], filter.shape[1], filter.shape[2], filter.shape[3]
-	oh, ow := out.shape[1], out.shape[2]
-	rows := out.shape[0] * oh * ow
-	kk := kh * kw * cin
-	blockRows := im2colScratchCap / kk
-	if blockRows < 1 {
-		blockRows = 1
+// patches is the patch-matrix view of one convolution: rows output
+// positions by kk = KH·KW·Cin taps, walked block rows at a time.
+type patches struct {
+	kh, kw, oh, ow  int
+	spec            ConvSpec
+	rows, kk, block int
+	pointwise       bool // 1×1, unit stride, unpadded: col is the image
+}
+
+func newPatches(n, cin, kh, kw, oh, ow int, spec ConvSpec) patches {
+	g := patches{kh: kh, kw: kw, oh: oh, ow: ow, spec: spec, rows: n * oh * ow, kk: kh * kw * cin}
+	g.pointwise = kh == 1 && kw == 1 && spec == ConvSpec{StrideH: 1, StrideW: 1}
+	g.block = g.rows
+	if !g.pointwise {
+		g.block = max(1, min(g.rows, im2colScratchCap/max(g.kk, 1)))
 	}
-	if blockRows > rows {
-		blockRows = rows
+	return g
+}
+
+// buf returns storage for patch rows [r0,r1): the rows of image itself
+// when pointwise, else the pool's im2col scratch.
+func (g patches) buf(p *Pool, image *Tensor, r0, r1 int) []float32 {
+	if g.pointwise {
+		return image.data[r0*g.kk : r1*g.kk]
 	}
-	col := p.scratchBuf(scratchIm2col, blockRows*kk)
-	for r0 := 0; r0 < rows; r0 += blockRows {
-		r1 := min(rows, r0+blockRows)
-		im2colRows(p, col, in, r0, r1, kh, kw, oh, ow, spec)
-		matmulInto(p, out.data[r0*cout:r1*cout], col, filter.data,
-			r1-r0, cout, kk, kk, cout, false, false)
+	return p.scratchBuf(scratchIm2col, (r1-r0)*g.kk)
+}
+
+func conv2DInto(p *Pool, out, in, filter *Tensor, spec ConvSpec) {
+	cin, cout := filter.shape[2], filter.shape[3]
+	g := newPatches(in.shape[0], cin, filter.shape[0], filter.shape[1], out.shape[1], out.shape[2], spec)
+	for r0 := 0; r0 < g.rows; r0 += g.block {
+		r1 := min(g.rows, r0+g.block)
+		col := g.buf(p, in, r0, r1)
+		g.im2col(p, col, in, r0, r1)
+		matmulInto(p, out.data[r0*cout:r1*cout], col, filter.data, r1-r0, cout, g.kk, g.kk, cout, false, false, false)
 	}
 }
 
-// im2colRows fills col (row-major (r1-r0)×(KH·KW·Cin)) with the
-// receptive fields of global output rows [r0, r1). Out-of-image taps
-// are written as zeros, so every row is fully overwritten.
-func im2colRows(p *Pool, col []float32, in *Tensor, r0, r1, kh, kw, oh, ow int, spec ConvSpec) {
+// im2col fills col (row-major (r1-r0)×kk) with the receptive fields of
+// output positions [r0, r1). Out-of-image taps are written as zeros, so
+// every row is fully overwritten.
+func (g patches) im2col(p *Pool, col []float32, in *Tensor, r0, r1 int) {
+	if g.pointwise {
+		return
+	}
 	h, w, cin := in.shape[1], in.shape[2], in.shape[3]
-	kk := kh * kw * cin
+	kh, kw, kk := g.kh, g.kw, g.kk
 	id := in.data
 	p.For(r1-r0, 16, func(lo, hi int) {
 		for rr := lo; rr < hi; rr++ {
 			r := r0 + rr
-			ox := r % ow
-			oy := (r / ow) % oh
-			b := r / (ow * oh)
+			ox := r % g.ow
+			oy := (r / g.ow) % g.oh
+			b := r / (g.ow * g.oh)
 			row := col[rr*kk : (rr+1)*kk]
-			iy0 := oy*spec.StrideH - spec.PadH
-			ix0 := ox*spec.StrideW - spec.PadW
+			iy0 := oy*g.spec.StrideH - g.spec.PadH
+			ix0 := ox*g.spec.StrideW - g.spec.PadW
 			pos := 0
 			for ky := 0; ky < kh; ky++ {
 				iy := iy0 + ky
 				if iy < 0 || iy >= h {
-					for z := 0; z < kw*cin; z++ {
-						row[pos+z] = 0
-					}
+					clear(row[pos : pos+kw*cin])
 					pos += kw * cin
 					continue
 				}
-				ibase := (b*h + iy) * w
-				for kx := 0; kx < kw; kx++ {
-					ix := ix0 + kx
-					if ix < 0 || ix >= w {
-						for z := 0; z < cin; z++ {
-							row[pos+z] = 0
-						}
-					} else {
-						src := (ibase + ix) * cin
-						copy(row[pos:pos+cin], id[src:src+cin])
+				// Taps [lo,hi) of this filter row are in the image, and
+				// adjacent pixels are adjacent in NHWC: one copy.
+				lo := min(kw, max(0, -ix0))
+				hi := max(lo, min(kw, w-ix0))
+				seg := row[pos : pos+kw*cin]
+				clear(seg[:lo*cin])
+				if lo < hi {
+					copy(seg[lo*cin:hi*cin], id[((b*h+iy)*w+ix0+lo)*cin:])
+				}
+				clear(seg[hi*cin:])
+				pos += kw * cin
+			}
+		}
+	})
+}
+
+// col2im adds patch-gradient rows [r0,r1) (col, row-major (r1-r0)×kk)
+// into the image gradient out: the transpose of im2col. It runs as a
+// gather over image rows — each chunk owns whole rows of out, so chunks
+// never share a destination — and visits the patches touching a pixel
+// in ascending (position, ky, kx) order, the order a scatter over
+// positions would add them in.
+func (g patches) col2im(p *Pool, out *Tensor, col []float32, r0, r1 int) {
+	if g.pointwise {
+		return
+	}
+	h, w, cin := out.shape[1], out.shape[2], out.shape[3]
+	sh, sw, kk := g.spec.StrideH, g.spec.StrideW, g.kk
+	od := out.data
+	// Image rows of the batch entries the block touches.
+	y0, y1 := r0/(g.oh*g.ow)*h, ((r1-1)/(g.oh*g.ow)+1)*h
+	grain := 1 + 16384/(g.ow*g.kw*cin*(1+g.kh/sh)+1)
+	p.For(y1-y0, grain, func(lo, hi int) {
+		for y := y0 + lo; y < y0+hi; y++ {
+			b, top := y/h, y%h+g.spec.PadH
+			if top < 0 {
+				continue // negative padding crops this row away
+			}
+			// Output rows oy with a tap on image row iy = top − pad:
+			// oy·sh + ky = top, 0 ≤ ky < kh.
+			oyLo := max(0, (top-g.kh+sh)/sh)
+			oyHi := min(g.oh-1, top/sh)
+			for oy := oyLo; oy <= oyHi; oy++ {
+				ky := top - oy*sh
+				rbase := (b*g.oh + oy) * g.ow
+				for ox := max(0, r0-rbase); ox < min(g.ow, r1-rbase); ox++ {
+					// The in-image taps [lo,hi) of filter row ky are one
+					// run in the patch and in the image row alike.
+					ix0 := ox*sw - g.spec.PadW
+					lo := min(g.kw, max(0, -ix0))
+					hi := max(lo, min(g.kw, w-ix0))
+					if lo == hi {
+						continue
 					}
-					pos += cin
+					src := col[(rbase+ox-r0)*kk+(ky*g.kw+lo)*cin:]
+					dst := od[(y*w+ix0+lo)*cin : (y*w+ix0+hi)*cin]
+					for t := range dst {
+						dst[t] += src[t]
+					}
 				}
 			}
 		}
@@ -226,8 +241,10 @@ func im2colRows(p *Pool, col []float32, in *Tensor, r0, r1, kh, kw, oh, ow int, 
 
 // Conv2DBackFilter computes the gradient of Conv2D with respect to the
 // filter: input (N,H,W,Cin), gradOut (N,OH,OW,Cout) → (KH,KW,Cin,Cout).
-// Parallelized over filter rows (each chunk owns disjoint output cells).
 func Conv2DBackFilter(p *Pool, in, gradOut *Tensor, kh, kw int, spec ConvSpec) (*Tensor, error) {
+	if in.Rank() != 4 || gradOut.Rank() != 4 {
+		return nil, fmt.Errorf("tensor: Conv2DBackFilter requires NHWC tensors, got %v and %v", in.shape, gradOut.shape)
+	}
 	out := New(kh, kw, in.shape[3], gradOut.shape[3])
 	if err := Conv2DBackFilterInto(p, out, in, gradOut, kh, kw, spec); err != nil {
 		return nil, err
@@ -235,60 +252,42 @@ func Conv2DBackFilter(p *Pool, in, gradOut *Tensor, kh, kw int, spec ConvSpec) (
 	return out, nil
 }
 
-// Conv2DBackFilterInto accumulates the filter gradient into out after
-// zeroing it; out must have shape (kh, kw, Cin, Cout) and must not
-// alias in or gradOut.
+// Conv2DBackFilterInto writes the filter gradient colᵀ·dY into out,
+// which must have shape (kh, kw, Cin, Cout), is fully overwritten and
+// must not alias in or gradOut.
 func Conv2DBackFilterInto(p *Pool, out, in, gradOut *Tensor, kh, kw int, spec ConvSpec) error {
 	spec = spec.check()
-	n, h, w, cin := in.shape[0], in.shape[1], in.shape[2], in.shape[3]
-	gn, oh, ow, cout := gradOut.shape[0], gradOut.shape[1], gradOut.shape[2], gradOut.shape[3]
-	if n != gn {
-		return fmt.Errorf("tensor: Conv2DBackFilter batch mismatch %v vs %v", in.shape, gradOut.shape)
+	if in.Rank() != 4 {
+		return fmt.Errorf("tensor: Conv2DBackFilter requires an NHWC input, got %v", in.shape)
 	}
+	if err := convGradCheck("Conv2DBackFilter", in.shape[0], in.shape[1], in.shape[2], gradOut, kh, kw, spec); err != nil {
+		return err
+	}
+	cin, cout := in.shape[3], gradOut.shape[3]
 	if !SameShape(out.shape, []int{kh, kw, cin, cout}) {
 		return fmt.Errorf("tensor: Conv2DBackFilterInto destination %v, want %v", out.shape, []int{kh, kw, cin, cout})
 	}
-	out.Zero()
-	id, gd, od := in.data, gradOut.data, out.data
-	grain := 1 // kh is small; each row is heavy
-	p.For(kh, grain, func(lo, hi int) {
-		for ky := lo; ky < hi; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				fbase := (ky*kw + kx) * cin * cout
-				for b := 0; b < n; b++ {
-					for oy := 0; oy < oh; oy++ {
-						iy := oy*spec.StrideH - spec.PadH + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for ox := 0; ox < ow; ox++ {
-							ix := ox*spec.StrideW - spec.PadW + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							ibase := ((b*h+iy)*w + ix) * cin
-							gbase := ((b*oh+oy)*ow + ox) * cout
-							grow := gd[gbase : gbase+cout]
-							for c := 0; c < cin; c++ {
-								v := id[ibase+c]
-								frow := od[fbase+c*cout : fbase+(c+1)*cout]
-								for co := 0; co < cout; co++ {
-									frow[co] += v * grow[co]
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	})
+	g := newPatches(in.shape[0], cin, kh, kw, gradOut.shape[1], gradOut.shape[2], spec)
+	if g.rows == 0 {
+		out.Zero()
+	}
+	// The reduction runs over output positions, so the row blocks are
+	// slabs of it: every block after the first accumulates.
+	for r0 := 0; r0 < g.rows; r0 += g.block {
+		r1 := min(g.rows, r0+g.block)
+		col := g.buf(p, in, r0, r1)
+		g.im2col(p, col, in, r0, r1)
+		matmulInto(p, out.data, col, gradOut.data[r0*cout:r1*cout], g.kk, cout, r1-r0, g.kk, cout, true, false, r0 > 0)
+	}
 	return nil
 }
 
 // Conv2DBackInput computes the gradient of Conv2D with respect to the
 // input: filter (KH,KW,Cin,Cout), gradOut (N,OH,OW,Cout) → (N,H,W,Cin).
-// Parallelized over batch entries (disjoint output regions).
 func Conv2DBackInput(p *Pool, filter, gradOut *Tensor, h, w int, spec ConvSpec) (*Tensor, error) {
+	if filter.Rank() != 4 || gradOut.Rank() != 4 {
+		return nil, fmt.Errorf("tensor: Conv2DBackInput requires rank-4 tensors, got %v and %v", filter.shape, gradOut.shape)
+	}
 	out := New(gradOut.shape[0], h, w, filter.shape[2])
 	if err := Conv2DBackInputInto(p, out, filter, gradOut, h, w, spec); err != nil {
 		return nil, err
@@ -296,55 +295,32 @@ func Conv2DBackInput(p *Pool, filter, gradOut *Tensor, h, w int, spec ConvSpec) 
 	return out, nil
 }
 
-// Conv2DBackInputInto accumulates the input gradient into out after
-// zeroing it; out must have shape (N, h, w, Cin) and must not alias
-// filter or gradOut.
+// Conv2DBackInputInto writes the input gradient col2im(dY·Wᵀ) into out,
+// which must have shape (N, h, w, Cin), is fully overwritten and must
+// not alias filter or gradOut.
 func Conv2DBackInputInto(p *Pool, out, filter, gradOut *Tensor, h, w int, spec ConvSpec) error {
 	spec = spec.check()
-	kh, kw, cin, cout := filter.shape[0], filter.shape[1], filter.shape[2], filter.shape[3]
-	n, oh, ow, gcout := gradOut.shape[0], gradOut.shape[1], gradOut.shape[2], gradOut.shape[3]
-	if cout != gcout {
+	if filter.Rank() != 4 || gradOut.Rank() != 4 || filter.shape[3] != gradOut.shape[3] {
 		return fmt.Errorf("tensor: Conv2DBackInput channel mismatch filter %v gradOut %v", filter.shape, gradOut.shape)
+	}
+	kh, kw, cin, cout := filter.shape[0], filter.shape[1], filter.shape[2], filter.shape[3]
+	n := gradOut.shape[0]
+	if err := convGradCheck("Conv2DBackInput", n, h, w, gradOut, kh, kw, spec); err != nil {
+		return err
 	}
 	if !SameShape(out.shape, []int{n, h, w, cin}) {
 		return fmt.Errorf("tensor: Conv2DBackInputInto destination %v, want %v", out.shape, []int{n, h, w, cin})
 	}
-	out.Zero()
-	fd, gd, od := filter.data, gradOut.data, out.data
-	p.For(n, 1, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			for oy := 0; oy < oh; oy++ {
-				iy0 := oy*spec.StrideH - spec.PadH
-				for ox := 0; ox < ow; ox++ {
-					ix0 := ox*spec.StrideW - spec.PadW
-					gbase := ((b*oh+oy)*ow + ox) * cout
-					grow := gd[gbase : gbase+cout]
-					for ky := 0; ky < kh; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < kw; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							ibase := ((b*h+iy)*w + ix) * cin
-							fbase := (ky*kw + kx) * cin * cout
-							for c := 0; c < cin; c++ {
-								frow := fd[fbase+c*cout : fbase+(c+1)*cout]
-								var s float32
-								for co := 0; co < cout; co++ {
-									s += frow[co] * grow[co]
-								}
-								od[ibase+c] += s
-							}
-						}
-					}
-				}
-			}
-		}
-	})
+	g := newPatches(n, cin, kh, kw, gradOut.shape[1], gradOut.shape[2], spec)
+	if !g.pointwise {
+		out.Zero()
+	}
+	for r0 := 0; r0 < g.rows; r0 += g.block {
+		r1 := min(g.rows, r0+g.block)
+		dcol := g.buf(p, out, r0, r1)
+		matmulInto(p, dcol, gradOut.data[r0*cout:r1*cout], filter.data, r1-r0, g.kk, cout, cout, cout, false, true, false)
+		g.col2im(p, out, dcol, r0, r1)
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 func init() { AliasChecks = true }
 
 // TestMatMulPropertyRandomShapes is the tier-2 GEMM property test:
-// random shapes on both sides of the blocked threshold, all four
+// random shapes on both sides of the blocked dispatch rule, all four
 // transpose combinations, checked against the naive reference and
 // required bit-identical across pool widths 1, 2 and 8 (modeled and
 // real-parallel). Per-output-element accumulation order is a pure
@@ -28,11 +29,15 @@ func TestMatMulPropertyRandomShapes(t *testing.T) {
 	dim := func(limit int) int { return 1 + rng.Intn(limit) }
 	for trial := 0; trial < 24; trial++ {
 		var m, k, n int
-		if trial%3 == 2 {
-			// Every third trial crosses blockedMinWork (2^20).
-			m, k, n = 96+dim(96), 96+dim(96), 96+dim(96)
-		} else {
+		switch trial % 3 {
+		case 0:
+			// Too few rows for a micro-kernel strip: streaming kernels.
+			m, k, n = dim(blockedMinRows-1), dim(48), dim(200)
+		case 1:
 			m, k, n = dim(48), dim(48), dim(48)
+		default:
+			// Several tiles, several lanes.
+			m, k, n = 96+dim(96), 96+dim(96), 96+dim(96)
 		}
 		ta, tb := rng.Intn(2) == 1, rng.Intn(2) == 1
 		ashape := []int{m, k}
@@ -75,6 +80,102 @@ func TestMatMulPropertyRandomShapes(t *testing.T) {
 	}
 }
 
+// matmulBlockedGo is the blocked GEMM on the Go micro-tile alone,
+// serial: the oracle for the assembly tile. It computes into a copy of C
+// padded to whole four-row strips (packPanelA pads A to match), so
+// microStrip4 is the only kernel it runs.
+func matmulBlockedGo(dst, a, b []float32, m, n, k, lda, ldb int, ta, tb bool) {
+	pad := make([]float32, (m+3)/4*4*n)
+	packA, packB := make([]float32, blockM*blockK), make([]float32, blockK*blockN)
+	for jc := 0; jc < n; jc += blockN {
+		nc := min(blockN, n-jc)
+		for pc := 0; pc < k; pc += blockK {
+			kc := min(blockK, k-pc)
+			packPanelB(packB, b, pc, kc, jc, nc, ldb, tb)
+			for ic := 0; ic < m; ic += blockM {
+				mc := min(blockM, m-ic)
+				packPanelA(packA, a, ic, mc, pc, kc, lda, ta)
+				for i := 0; i < mc; i += 4 {
+					microStrip4(pad, packA, packB, (ic+i)*n+jc, i, 0, nc, kc, n, pc == 0)
+				}
+			}
+		}
+	}
+	copy(dst, pad[:m*n])
+}
+
+// sameBits reports the first element where got and want differ in their
+// bits, NaNs of any payload counting as equal (which operand's payload
+// survives an x86 add depends on operand order, not on the value).
+func sameBits(got, want []float32) (int, bool) {
+	for i, v := range got {
+		w := want[i]
+		if math.Float32bits(v) != math.Float32bits(w) && !(v != v && w != w) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// TestSIMDTileMatchesGoTile is the micro-kernel property test: the
+// dispatching kernel (assembly tiles where the build has them, Go
+// fringes around them) against the Go tile alone and against the naive
+// definition, bit for bit, over random shapes with partial strips,
+// partial 16- and 8-column tiles and several reduction slabs, all four
+// transpose cases, operand rows holding NaN, ±Inf and −0, and intra-op
+// widths 1, 2 and 4. On a build without the assembly it checks the Go
+// tile against the definition.
+func TestSIMDTileMatchesGoTile(t *testing.T) {
+	ex := sched.New(3)
+	defer ex.Close()
+	pools := map[int]*Pool{1: NewPool(1), 2: NewParallelPool(2, ex), 4: NewParallelPool(4, ex)}
+	rng := rand.New(rand.NewSource(23))
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.Copysign(0, -1))}
+	for trial := 0; trial < 48; trial++ {
+		m, k, n := 1+rng.Intn(90), 1+rng.Intn(90), 1+rng.Intn(150)
+		switch trial % 4 {
+		case 1:
+			k = blockK + 1 + rng.Intn(300)
+		case 2:
+			m, n = 4*(1+rng.Intn(20)), 16*(1+rng.Intn(9))
+		case 3:
+			m = blockM + rng.Intn(100)
+		}
+		ta, tb := trial&4 != 0, trial&8 != 0
+		ashape, bshape := []int{m, k}, []int{k, n}
+		if ta {
+			ashape = []int{k, m}
+		}
+		if tb {
+			bshape = []int{n, k}
+		}
+		a, b := RandNormal(rng, 0, 1, ashape...), RandNormal(rng, 0, 1, bshape...)
+		poisoned := trial%3 == 2
+		if poisoned {
+			for _, x := range [][]float32{a.data, b.data} {
+				for c := 0; c < 6; c++ {
+					x[rng.Intn(len(x))] = specials[rng.Intn(len(specials))]
+				}
+			}
+		}
+		want := New(m, n)
+		matmulBlockedGo(want.data, a.data, b.data, m, n, k, a.shape[1], b.shape[1], ta, tb)
+		if !poisoned {
+			if i, ok := sameBits(want.data, naiveMatMul(a, b, ta, tb).data); !ok {
+				t.Fatalf("(%d,%d,%d) ta=%v tb=%v: Go tile differs from the naive definition at element %d", m, k, n, ta, tb, i)
+			}
+		}
+		for w, p := range pools {
+			got := Full(99, m, n)
+			matmulBlocked(p, got.data, a.data, b.data, m, n, k, a.shape[1], b.shape[1], ta, tb, false)
+			if i, ok := sameBits(got.data, want.data); !ok {
+				t.Fatalf("(%d,%d,%d) ta=%v tb=%v width %d: element %d is %g (%#x), the Go tile gives %g (%#x)", m, k, n, ta, tb, w, i,
+					got.data[i], math.Float32bits(got.data[i]), want.data[i], math.Float32bits(want.data[i]))
+			}
+		}
+	}
+}
+
 // TestMatMulWideStreamingSplitsColumns drives the small-m wide-n
 // streaming shape that used to serialize (one row = one ForLane unit):
 // the column-chunked path must match the naive reference and stay
@@ -84,7 +185,7 @@ func TestMatMulWideStreamingSplitsColumns(t *testing.T) {
 	defer ex.Close()
 	rng := rand.New(rand.NewSource(13))
 	for _, shape := range []struct{ m, k, n int }{
-		{1, 64, 4096}, {2, 32, 2048}, {4, 100, 1000},
+		{1, 64, 4096}, {2, 32, 2048}, {3, 100, 1000},
 	} {
 		a := RandNormal(rng, 0, 1, shape.m, shape.k)
 		b := RandNormal(rng, 0, 1, shape.k, shape.n)

@@ -13,15 +13,44 @@ import (
 	"repro/internal/sched"
 )
 
+// benchBest returns the fastest of iters timed runs of f, in seconds,
+// after one warm-up run.
+func benchBest(iters int, f func()) float64 {
+	f()
+	best := math.MaxFloat64
+	for i := 0; i < iters; i++ {
+		t0 := time.Now()
+		f()
+		best = min(best, time.Since(t0).Seconds())
+	}
+	return best
+}
+
 // TestKernelBenchArtifact writes the BENCH_kernels.json trajectory
-// artifact: the tier-2 2-D tiled GEMM against the pre-tier-2 row-only
-// kernel it replaced, at pool widths 1 and 8, over the shapes the
-// refactor targets — a big square product, a tall/skinny product, and
-// a short-and-wide streaming product. The row-only kernels below are
-// verbatim copies of the replaced code, kept here as the measurement
-// baseline; the test also pins bit-equality between old and new before
-// timing anything, since the tiling refactor must not change a single
-// accumulation order.
+// artifact, every section gated on bit-equality before anything is
+// timed:
+//
+//   - GEMM: the 2-D tiled kernel against the row-only kernel it replaced
+//     (verbatim copies below), over a big square, a tall/skinny and a
+//     short-and-wide streaming product;
+//   - dispatch: the streaming kernels against the blocked kernel on
+//     small products either side of blockedMinWork and blockedMinRows,
+//     three transpose cases each — the sweep the two constants are read
+//     off (under -tags purego), so a host or compiler that moves the
+//     crossover shows here;
+//   - micro-tile: the dispatching micro kernel (AVX2 tiles where the
+//     build has them) against the Go tile alone, on one packed block;
+//   - convolution: the three lowered passes against the direct loop
+//     nests they replaced (conv_test.go), strided and tiny shapes
+//     included;
+//   - attention: the fused streaming-softmax kernel against the
+//     materialized chain.
+//
+// Everything is measured at width 1. A second, wide width — the largest
+// of 8, 4, 2 the host has processors for — adds rows and scaling
+// columns; on a one-processor host there is none, because a "scaling"
+// number measured without the processors to scale onto reads 1.00× by
+// construction.
 //
 // Gated behind KERNEL_BENCH=<path> (the CI bench job sets it); skipped
 // otherwise so the regular test sweep stays fast.
@@ -31,9 +60,24 @@ func TestKernelBenchArtifact(t *testing.T) {
 		t.Skip("set KERNEL_BENCH=<path> to write the kernel bench artifact")
 	}
 
-	ex := sched.New(7)
-	defer ex.Close()
-	pools := map[int]*Pool{1: NewPool(1), 8: NewParallelPool(8, ex)}
+	widths := []int{1}
+	pools := map[int]*Pool{1: NewPool(1)}
+	for _, w := range []int{8, 4, 2} {
+		if w <= goruntime.NumCPU() {
+			ex := sched.New(w - 1)
+			defer ex.Close()
+			widths, pools[w] = append(widths, w), NewParallelPool(w, ex)
+			break
+		}
+	}
+	wide := widths[len(widths)-1] // 1 when the host has no second processor
+	p1 := pools[1]
+
+	// The SIMD tile is in use iff simdStrip takes a full 4×16 tile.
+	simd := "none"
+	if simdStrip(make([]float32, 64), 16, make([]float32, 4), 1, make([]float32, 16), 16, true) > 0 {
+		simd = "avx2 4x16+4x8, mul+add"
+	}
 
 	type row struct {
 		Kernel  string  `json:"kernel"`
@@ -41,53 +85,76 @@ func TestKernelBenchArtifact(t *testing.T) {
 		MsPerOp float64 `json:"ms_per_op"`
 		GFLOPS  float64 `json:"gflops"`
 	}
-	type shapeResult struct {
-		Shape             string  `json:"shape"`
-		M                 int     `json:"m"`
-		K                 int     `json:"k"`
-		N                 int     `json:"n"`
-		Rows              []row   `json:"rows"`
-		NewScalingW8      float64 `json:"new_scaling_w8"`       // new w1 time / new w8 time
-		BaselineScalingW8 float64 `json:"baseline_scaling_w8"`  // old w1 time / old w8 time
-		NewOverBaselineW8 float64 `json:"new_over_baseline_w8"` // old w8 time / new w8 time
+	// measure times each kernel at every width and returns the rows plus
+	// the best times keyed by kernel name, per width.
+	type kernel struct {
+		label string
+		run   func(p *Pool)
+	}
+	measure := func(iters int, flops float64, kernels ...kernel) ([]row, map[string]map[int]float64) {
+		var rows []row
+		times := map[string]map[int]float64{}
+		for _, k := range kernels {
+			times[k.label] = map[int]float64{}
+			for _, w := range widths {
+				best := benchBest(iters, func() { k.run(pools[w]) })
+				rows = append(rows, row{k.label, w, best * 1e3, flops / best / 1e9})
+				times[k.label][w] = best
+			}
+		}
+		return rows, times
+	}
+	// scaling is the wide-width columns of a new-vs-baseline pair,
+	// omitted (nil) when the host has no wide width.
+	type scaling struct {
+		Workers         int     `json:"workers"`
+		NewScaling      float64 `json:"new_scaling"`       // new w1 time / new wide time
+		BaselineScaling float64 `json:"baseline_scaling"`  // old w1 time / old wide time
+		NewOverBaseline float64 `json:"new_over_baseline"` // old wide time / new wide time
+	}
+	scalingOf := func(neu, old map[int]float64) *scaling {
+		if wide == 1 {
+			return nil
+		}
+		return &scaling{wide, neu[1] / neu[wide], old[1] / old[wide], old[wide] / neu[wide]}
 	}
 
-	shapes := []struct {
+	type shapeResult struct {
+		Shape             string   `json:"shape"`
+		M                 int      `json:"m"`
+		K                 int      `json:"k"`
+		N                 int      `json:"n"`
+		Rows              []row    `json:"rows"`
+		NewOverBaselineW1 float64  `json:"new_over_baseline_w1"` // old w1 time / new w1 time
+		Wide              *scaling `json:"wide,omitempty"`
+	}
+	rng := rand.New(rand.NewSource(31))
+	var results []shapeResult
+	for _, s := range []struct {
 		name    string
 		m, k, n int
 		iters   int
 	}{
-		{"square_1024", 1024, 1024, 1024, 2},
-		{"tall_4096x256x64", 4096, 256, 64, 4},
+		{"square_1024", 1024, 1024, 1024, 3},
+		{"tall_4096x256x64", 4096, 256, 64, 5},
 		{"wide_2x64x4096", 2, 64, 4096, 10},
-	}
-
-	rng := rand.New(rand.NewSource(31))
-	var results []shapeResult
-	for _, s := range shapes {
+	} {
 		a := RandNormal(rng, 0, 1, s.m, s.k)
 		b := RandNormal(rng, 0, 1, s.k, s.n)
-		dst := New(s.m, s.n)
-		ref := New(s.m, s.n)
-		blocked := int64(s.m)*int64(s.k)*int64(s.n) >= blockedMinWork
-
+		dst, ref := New(s.m, s.n), New(s.m, s.n)
 		newKernel := func(p *Pool) {
-			matmulInto(p, dst.data, a.data, b.data, s.m, s.n, s.k, s.k, s.n, false, false)
+			matmulInto(p, dst.data, a.data, b.data, s.m, s.n, s.k, s.k, s.n, false, false, false)
 		}
-		var oldKernel func(p *Pool)
-		if blocked {
+		oldKernel := func(p *Pool) {
+			matmulStreamRowOnly(p, ref.data, a.data, b.data, s.m, s.n, s.k, s.k, s.n)
+		}
+		if s.m >= blockedMinRows && int64(s.m)*int64(s.k)*int64(s.n) >= blockedMinWork {
 			oldKernel = func(p *Pool) {
 				matmulBlockedRowOnly(p, ref.data, a.data, b.data, s.m, s.n, s.k, s.k, s.n, false, false)
 			}
-		} else {
-			oldKernel = func(p *Pool) {
-				matmulStreamRowOnly(p, ref.data, a.data, b.data, s.m, s.n, s.k, s.k, s.n)
-			}
 		}
-
-		// Bit-equality gate before timing: the tiled kernel keeps every
-		// output element's accumulation order, so old and new must agree
-		// exactly at both widths.
+		// The tiled kernel keeps every output element's accumulation
+		// order, so old and new must agree exactly at every width.
 		for w, p := range pools {
 			newKernel(p)
 			oldKernel(p)
@@ -95,60 +162,173 @@ func TestKernelBenchArtifact(t *testing.T) {
 				t.Fatalf("%s width %d: tiled kernel differs from row-only baseline (max |Δ| %g)", s.name, w, d)
 			}
 		}
+		rows, times := measure(s.iters, 2*float64(s.m)*float64(s.k)*float64(s.n),
+			kernel{"tiled2d", newKernel}, kernel{"row_only", oldKernel})
+		res := shapeResult{Shape: s.name, M: s.m, K: s.k, N: s.n, Rows: rows,
+			NewOverBaselineW1: times["row_only"][1] / times["tiled2d"][1],
+			Wide:              scalingOf(times["tiled2d"], times["row_only"])}
+		results = append(results, res)
+		t.Logf("%s: tiled %.2fms vs row-only %.2fms at width 1", s.name, times["tiled2d"][1]*1e3, times["row_only"][1]*1e3)
+	}
 
-		res := shapeResult{Shape: s.name, M: s.m, K: s.k, N: s.n}
-		times := map[string]float64{}
-		for _, cfg := range []struct {
-			label  string
-			kernel func(p *Pool)
-		}{{"tiled2d", newKernel}, {"row_only", oldKernel}} {
-			for _, w := range []int{1, 8} {
-				p := pools[w]
-				cfg.kernel(p) // warmup
-				best := math.MaxFloat64
-				for i := 0; i < s.iters; i++ {
-					t0 := time.Now()
-					cfg.kernel(p)
-					if d := time.Since(t0).Seconds(); d < best {
-						best = d
-					}
+	// Dispatch section: both kernel families forced onto the same small
+	// product, width 1; "picks" is what matmulInto chooses for the shape.
+	// The rule follows the Go micro-tile's crossover, so it is under
+	// -tags purego that picks should name the faster column; with the
+	// assembly tile the blocked kernel is ahead below the rule as well.
+	type dispatchRow struct {
+		M                 int     `json:"m"`
+		K                 int     `json:"k"`
+		N                 int     `json:"n"`
+		Trans             string  `json:"trans"` // nn, nt (B stored n×k), tn (A stored k×m)
+		StreamUs          float64 `json:"stream_us"`
+		BlockedUs         float64 `json:"blocked_us"`
+		BlockedOverStream float64 `json:"blocked_over_stream"` // stream time / blocked time
+		Picks             string  `json:"picks"`
+	}
+	var dispatchRows []dispatchRow
+	for _, s := range [][3]int{ // m, k, n
+		{1, 512, 512}, {2, 512, 512}, {2, 64, 4096}, // below blockedMinRows
+		{4, 16, 16}, {8, 16, 16}, {32, 8, 8}, // below blockedMinWork
+		{4, 32, 32}, {64, 8, 8}, {8, 32, 32}, // at it and just above
+		{16, 64, 64}, {128, 27, 8}, {18, 576, 96}, {64, 64, 64}, {98, 216, 24}, // tiny- and small-preset layers
+	} {
+		m, k, n := s[0], s[1], s[2]
+		a, b := RandNormal(rng, 0, 1, m*k).data, RandNormal(rng, 0, 1, k*n).data
+		got, want := make([]float32, m*n), make([]float32, m*n)
+		reps := 1 + (1<<18)/(m*k*n)
+		for _, tr := range []struct {
+			name           string
+			transA, transB bool
+		}{{"nn", false, false}, {"nt", false, true}, {"tn", true, false}} {
+			lda, ldb := k, n
+			if tr.transA {
+				lda = m
+			}
+			if tr.transB {
+				ldb = k
+			}
+			stream := func() {
+				for r := 0; r < reps; r++ {
+					matmulStream(want, a, b, 0, m, 0, n, n, k, lda, ldb, tr.transA, tr.transB, false)
 				}
-				flops := 2 * float64(s.m) * float64(s.k) * float64(s.n)
-				res.Rows = append(res.Rows, row{
-					Kernel:  cfg.label,
-					Workers: w,
-					MsPerOp: best * 1e3,
-					GFLOPS:  flops / best / 1e9,
-				})
-				times[fmt.Sprintf("%s/%d", cfg.label, w)] = best
+			}
+			blocked := func() {
+				for r := 0; r < reps; r++ {
+					matmulBlocked(p1, got, a, b, m, n, k, lda, ldb, tr.transA, tr.transB, false)
+				}
+			}
+			stream()
+			blocked()
+			if i, ok := sameBits(got, want); !ok {
+				t.Fatalf("dispatch %dx%dx%d %s: element %d differs between the streaming and the blocked kernel", m, k, n, tr.name, i)
+			}
+			ts, tb := benchBest(20, stream)/float64(reps), benchBest(20, blocked)/float64(reps)
+			picks := "stream"
+			if m >= blockedMinRows && int64(m)*int64(k)*int64(n) >= blockedMinWork {
+				picks = "blocked"
+			}
+			dispatchRows = append(dispatchRows, dispatchRow{m, k, n, tr.name, ts * 1e6, tb * 1e6, ts / tb, picks})
+		}
+	}
+
+	// Micro-tile section: one full packed block (blockM×blockK · blockK×
+	// blockN), the dispatching kernel against the Go tile run strip by
+	// strip. On a build without the assembly the two rows are the same
+	// code and the ratio reads 1.
+	var microResult struct {
+		Block          string  `json:"block"`
+		DispatchGFLOPS float64 `json:"dispatch_gflops"`
+		GoTileGFLOPS   float64 `json:"go_tile_gflops"`
+		DispatchOverGo float64 `json:"dispatch_over_go"`
+	}
+	microResult.Block = fmt.Sprintf("%dx%dx%d", blockM, blockK, blockN)
+	{
+		pa := RandNormal(rng, 0, 1, blockM, blockK).data
+		pb := RandNormal(rng, 0, 1, blockK, blockN).data
+		got, want := make([]float32, blockM*blockN), make([]float32, blockM*blockN)
+		dispatch := func() { matmulMicro(got, pa, pb, 0, blockM, 0, blockN, blockK, blockN, true) }
+		goTile := func() {
+			for i := 0; i < blockM; i += 4 {
+				microStrip4(want, pa, pb, i*blockN, i, 0, blockN, blockK, blockN, true)
 			}
 		}
-		res.NewScalingW8 = times["tiled2d/1"] / times["tiled2d/8"]
-		res.BaselineScalingW8 = times["row_only/1"] / times["row_only/8"]
-		res.NewOverBaselineW8 = times["row_only/8"] / times["tiled2d/8"]
-		results = append(results, res)
-		t.Logf("%s: tiled w8 %.1fms (scaling %.2fx) vs row-only w8 %.1fms (scaling %.2fx)",
-			s.name, times["tiled2d/8"]*1e3, res.NewScalingW8, times["row_only/8"]*1e3, res.BaselineScalingW8)
+		dispatch()
+		goTile()
+		if i, ok := sameBits(got, want); !ok {
+			t.Fatalf("micro-tile: element %d differs between the dispatching kernel and the Go tile", i)
+		}
+		flops := 2 * float64(blockM) * float64(blockK) * float64(blockN)
+		td, tg := benchBest(200, dispatch), benchBest(50, goTile)
+		microResult.DispatchGFLOPS, microResult.GoTileGFLOPS, microResult.DispatchOverGo = flops/td/1e9, flops/tg/1e9, tg/td
+		t.Logf("micro-tile (%s): dispatch %.1f GFLOP/s vs Go tile %.1f GFLOP/s", simd, microResult.DispatchGFLOPS, microResult.GoTileGFLOPS)
+	}
+
+	// Convolution section: each lowered pass against its direct loop
+	// nest, width 1 (the loop nests are serial).
+	type convPass struct {
+		Pass         string  `json:"pass"`
+		LoweredMs    float64 `json:"lowered_ms"`
+		LoopMs       float64 `json:"loop_ms"`
+		LoweredOverL float64 `json:"lowered_over_loop"` // loop time / lowered time
+	}
+	type convResult struct {
+		Shape  string     `json:"shape"`
+		Stride int        `json:"stride"`
+		Passes []convPass `json:"passes"`
+	}
+	var convResults []convResult
+	for _, c := range convBenchCases {
+		oh := ConvOutSize(c.h, c.kh, c.spec.StrideH, c.spec.PadH)
+		ow := ConvOutSize(c.w, c.kw, c.spec.StrideW, c.spec.PadW)
+		in := RandNormal(rng, 0, 1, c.n, c.h, c.w, c.cin)
+		f := RandNormal(rng, 0, 1, c.kh, c.kw, c.cin, c.cout)
+		dy := RandNormal(rng, 0, 1, c.n, oh, ow, c.cout)
+		checkConvLowering(t, p1, c.convCase, 1)
+		res := convResult{Shape: c.name, Stride: c.spec.StrideH}
+		for _, ps := range []struct {
+			name          string
+			out           *Tensor
+			lowered, loop func(out *Tensor)
+		}{
+			{"forward", New(c.n, oh, ow, c.cout),
+				func(out *Tensor) { _ = Conv2DInto(p1, out, in, f, c.spec) },
+				func(out *Tensor) { conv2DDirect(out, in, f, c.spec) }},
+			{"back_filter", New(c.kh, c.kw, c.cin, c.cout),
+				func(out *Tensor) { _ = Conv2DBackFilterInto(p1, out, in, dy, c.kh, c.kw, c.spec) },
+				func(out *Tensor) { conv2DBackFilterDirect(out, in, dy, c.kh, c.kw, c.spec) }},
+			{"back_input", New(c.n, c.h, c.w, c.cin),
+				func(out *Tensor) { _ = Conv2DBackInputInto(p1, out, f, dy, c.h, c.w, c.spec) },
+				func(out *Tensor) { conv2DBackInputDirect(out, f, dy, c.spec) }},
+		} {
+			tl := benchBest(10, func() { ps.lowered(ps.out) })
+			to := benchBest(3, func() { ps.loop(ps.out) })
+			res.Passes = append(res.Passes, convPass{ps.name, tl * 1e3, to * 1e3, to / tl})
+		}
+		convResults = append(convResults, res)
+		t.Logf("conv %s: forward %.1fx, back-filter %.1fx, back-input %.1fx over the loop nests",
+			c.name, res.Passes[0].LoweredOverL, res.Passes[1].LoweredOverL, res.Passes[2].LoweredOverL)
 	}
 
 	// Attention section: the fused streaming-softmax kernel against
 	// the unfused materialized chain (Transpose → BatchMatMul → Mul →
-	// Softmax → BatchMatMul), bit-equality gated like the GEMM entry.
-	// Alongside throughput it records the working-set story the fusion
-	// exists for: the naive chain materializes Kᵀ plus three (G,S,S)
-	// tensors and a per-slice matmul result, while the fused kernel
-	// holds two score rows per lane.
+	// Softmax → BatchMatMul). Alongside throughput it records the
+	// working-set story the fusion exists for: the naive chain
+	// materializes Kᵀ plus three (G,S,S) tensors and a per-slice matmul
+	// result, while the fused kernel holds two score rows per lane.
 	type attnShapeResult struct {
-		Shape             string  `json:"shape"`
-		G                 int     `json:"g"`
-		S                 int     `json:"s"`
-		Dh                int     `json:"dh"`
-		Rows              []row   `json:"rows"`
-		FusedOverNaiveW8  float64 `json:"fused_over_naive_w8"` // naive w8 time / fused w8 time
-		NaivePeakBytes    int64   `json:"naive_peak_bytes"`    // materialized intermediates
-		FusedScratchBytes int64   `json:"fused_scratch_bytes"` // per-lane score rows, all lanes
+		Shape             string   `json:"shape"`
+		G                 int      `json:"g"`
+		S                 int      `json:"s"`
+		Dh                int      `json:"dh"`
+		Rows              []row    `json:"rows"`
+		FusedOverNaiveW1  float64  `json:"fused_over_naive_w1"` // naive w1 time / fused w1 time
+		Wide              *scaling `json:"wide,omitempty"`
+		NaivePeakBytes    int64    `json:"naive_peak_bytes"`    // materialized intermediates
+		FusedScratchBytes int64    `json:"fused_scratch_bytes"` // per-lane score rows, all lanes
 	}
-	attnShapes := []struct {
+	var attnResults []attnShapeResult
+	for _, s := range []struct {
 		name     string
 		g, s, dh int
 		iters    int
@@ -156,17 +336,13 @@ func TestKernelBenchArtifact(t *testing.T) {
 		{"longseq_4x1024x16", 4, 1024, 16, 3},
 		{"tinyhead_16x256x8", 16, 256, 8, 5},
 		{"base_8x256x64", 8, 256, 64, 3},
-	}
-	var attnResults []attnShapeResult
-	for _, s := range attnShapes {
+	} {
 		arng := rand.New(rand.NewSource(47))
 		q := RandNormal(arng, 0, 1, s.g, s.s, s.dh)
 		k := RandNormal(arng, 0, 1, s.g, s.s, s.dh)
 		v := RandNormal(arng, 0, 1, s.g, s.s, s.dh)
 		scale := float32(1 / math.Sqrt(float64(s.dh)))
 		out := New(s.g, s.s, s.dh)
-
-		// Bit-equality gate at both widths before timing anything.
 		for w, p := range pools {
 			if err := AttentionInto(p, out, q, k, v, scale); err != nil {
 				t.Fatal(err)
@@ -176,56 +352,32 @@ func TestKernelBenchArtifact(t *testing.T) {
 				t.Fatalf("%s width %d: fused attention differs from naive chain (max |Δ| %g)", s.name, w, d)
 			}
 		}
-
-		res := attnShapeResult{Shape: s.name, G: s.g, S: s.s, Dh: s.dh}
-		times := map[string]float64{}
-		for _, cfg := range []struct {
-			label  string
-			kernel func(p *Pool)
-		}{
-			{"fused_stream", func(p *Pool) { _ = AttentionInto(p, out, q, k, v, scale) }},
-			{"naive_chain", func(p *Pool) { naiveAttentionRef(t, p, q, k, v, scale) }},
-		} {
-			for _, w := range []int{1, 8} {
-				p := pools[w]
-				cfg.kernel(p) // warmup
-				best := math.MaxFloat64
-				for i := 0; i < s.iters; i++ {
-					t0 := time.Now()
-					cfg.kernel(p)
-					if d := time.Since(t0).Seconds(); d < best {
-						best = d
-					}
-				}
-				// QKᵀ and P·V mul-adds; the softmax between them is
-				// O(S) per row and excluded, as is conventional.
-				flops := 4 * float64(s.g) * float64(s.s) * float64(s.s) * float64(s.dh)
-				res.Rows = append(res.Rows, row{
-					Kernel:  cfg.label,
-					Workers: w,
-					MsPerOp: best * 1e3,
-					GFLOPS:  flops / best / 1e9,
-				})
-				times[fmt.Sprintf("%s/%d", cfg.label, w)] = best
-			}
-		}
-		res.FusedOverNaiveW8 = times["naive_chain/8"] / times["fused_stream/8"]
+		// QKᵀ and P·V mul-adds; the softmax between them is O(S) per
+		// row and excluded, as is conventional.
+		rows, times := measure(s.iters, 4*float64(s.g)*float64(s.s)*float64(s.s)*float64(s.dh),
+			kernel{"fused_stream", func(p *Pool) { _ = AttentionInto(p, out, q, k, v, scale) }},
+			kernel{"naive_chain", func(p *Pool) { naiveAttentionRef(t, p, q, k, v, scale) }})
 		gss := int64(s.g) * int64(s.s) * int64(s.s)
-		res.NaivePeakBytes = 4 * (3*gss + int64(s.g)*int64(s.s)*int64(s.dh) + int64(s.s)*int64(s.s))
-		res.FusedScratchBytes = 4 * 2 * int64(s.s) * 8
-		attnResults = append(attnResults, res)
-		t.Logf("%s: fused w8 %.1fms vs naive w8 %.1fms (%.2fx), naive peak %d bytes vs fused scratch %d",
-			s.name, times["fused_stream/8"]*1e3, times["naive_chain/8"]*1e3,
-			res.FusedOverNaiveW8, res.NaivePeakBytes, res.FusedScratchBytes)
+		attnResults = append(attnResults, attnShapeResult{Shape: s.name, G: s.g, S: s.s, Dh: s.dh, Rows: rows,
+			FusedOverNaiveW1:  times["naive_chain"][1] / times["fused_stream"][1],
+			Wide:              scalingOf(times["fused_stream"], times["naive_chain"]),
+			NaivePeakBytes:    4 * (3*gss + int64(s.g)*int64(s.s)*int64(s.dh) + int64(s.s)*int64(s.s)),
+			FusedScratchBytes: 4 * 2 * int64(s.s) * int64(wide)})
+		t.Logf("%s: fused %.1fms vs naive %.1fms at width 1", s.name, times["fused_stream"][1]*1e3, times["naive_chain"][1]*1e3)
 	}
 
 	artifact := struct {
 		Kind      string            `json:"kind"`
 		HostCPUs  int               `json:"host_cpus"`
+		GoVersion string            `json:"go_version"`
+		SIMD      string            `json:"simd"`
 		Widths    []int             `json:"widths"`
 		Shapes    []shapeResult     `json:"shapes"`
+		Dispatch  []dispatchRow     `json:"dispatch"`
+		MicroTile any               `json:"micro_tile"`
+		Conv      []convResult      `json:"conv"`
 		Attention []attnShapeResult `json:"attention"`
-	}{"kernels", goruntime.NumCPU(), []int{1, 8}, results, attnResults}
+	}{"kernels", goruntime.NumCPU(), goruntime.Version(), simd, widths, results, dispatchRows, microResult, convResults, attnResults}
 	data, err := json.MarshalIndent(artifact, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -265,6 +417,7 @@ func matmulBlockedRowOnly(p *Pool, dst, a, b []float32, m, n, k, lda, ldb int, t
 func matmulStreamRowOnly(p *Pool, dst, a, b []float32, m, n, k, lda, ldb int) {
 	rowGrain := 1 + 65536/(n*k+1)
 	p.For(m, rowGrain, func(lo, hi int) {
+		clear(dst[lo*n : hi*n])
 		matmulRows(dst, a, b, lo, hi, 0, n, n, k, lda, ldb)
 	})
 }

@@ -11,7 +11,7 @@ func MatMul(p *Pool, a, b *Tensor, transA, transB bool) (*Tensor, error) {
 		return nil, err
 	}
 	out := New(m, n)
-	matmulInto(p, out.data, a.data, b.data, m, n, matmulK(a, transA), a.shape[1], b.shape[1], transA, transB)
+	matmulInto(p, out.data, a.data, b.data, m, n, matmulK(a, transA), a.shape[1], b.shape[1], transA, transB, false)
 	return out, nil
 }
 
@@ -27,7 +27,7 @@ func MatMulInto(p *Pool, out, a, b *Tensor, transA, transB bool) error {
 		return fmt.Errorf("tensor: MatMulInto destination %v, want [%d %d]", out.shape, m, n)
 	}
 	checkNoAlias("MatMulInto", out, a, b)
-	matmulInto(p, out.data, a.data, b.data, m, n, k, a.shape[1], b.shape[1], transA, transB)
+	matmulInto(p, out.data, a.data, b.data, m, n, k, a.shape[1], b.shape[1], transA, transB, false)
 	return nil
 }
 
@@ -67,8 +67,15 @@ const (
 
 	// blockedMinWork is the m·n·k multiply-add count above which the
 	// packed, tiled kernel beats the streaming kernels (packing has a
-	// fixed per-panel cost that small products never amortize).
-	blockedMinWork = 1 << 20
+	// fixed per-panel cost that tiny products never amortize), and
+	// blockedMinRows the row count it needs as well: the micro kernel
+	// works in strips of four rows, so below four it computes rows
+	// nobody asked for while the streaming kernels do not. Both are
+	// read off the Go micro-tile's crossover (run the dispatch section
+	// of TestKernelBenchArtifact under -tags purego); the assembly tile
+	// crosses lower still, and one rule serves both builds.
+	blockedMinWork = 1 << 12
+	blockedMinRows = 4
 
 	// maxSlabPanels caps how many B column panels pack together per
 	// reduction slab of the blocked kernel, bounding packed-B scratch
@@ -85,13 +92,16 @@ const (
 	streamSplitRows = 8
 )
 
-// matmulInto writes op(A)·op(B) into dst (len m*n). lda and ldb are the
-// row strides of the *stored* A and B. Large products dispatch to the
-// tiled, packed kernel; small ones keep the streaming kernels whose
-// setup cost is near zero.
-func matmulInto(p *Pool, dst, a, b []float32, m, n, k, lda, ldb int, transA, transB bool) {
-	if int64(m)*int64(n)*int64(k) >= blockedMinWork {
-		matmulBlocked(p, dst, a, b, m, n, k, lda, ldb, transA, transB)
+// matmulInto writes op(A)·op(B) into dst (len m*n), or with acc adds it
+// to what dst holds: each element's ascending-k chain then starts from
+// its stored value instead of zero, so a product split over the
+// reduction dimension into successive acc calls gives the bits of the
+// unsplit one. lda and ldb are the row strides of the *stored* A and B.
+// Large products dispatch to the tiled, packed kernel; small ones keep
+// the streaming kernels whose setup cost is near zero.
+func matmulInto(p *Pool, dst, a, b []float32, m, n, k, lda, ldb int, transA, transB, acc bool) {
+	if m >= blockedMinRows && int64(m)*int64(n)*int64(k) >= blockedMinWork {
+		matmulBlocked(p, dst, a, b, m, n, k, lda, ldb, transA, transB, acc)
 		return
 	}
 	// Streaming kernels, chunked through the pool. The split axis is a
@@ -105,19 +115,26 @@ func matmulInto(p *Pool, dst, a, b []float32, m, n, k, lda, ldb int, transA, tra
 	if m < streamSplitRows {
 		colGrain := 1 + 65536/(m*k+1)
 		p.For(n, colGrain, func(jlo, jhi int) {
-			matmulStream(dst, a, b, 0, m, jlo, jhi, n, k, lda, ldb, transA, transB)
+			matmulStream(dst, a, b, 0, m, jlo, jhi, n, k, lda, ldb, transA, transB, acc)
 		})
 		return
 	}
 	rowGrain := 1 + 65536/(n*k+1)
 	p.For(m, rowGrain, func(lo, hi int) {
-		matmulStream(dst, a, b, lo, hi, 0, n, n, k, lda, ldb, transA, transB)
+		matmulStream(dst, a, b, lo, hi, 0, n, n, k, lda, ldb, transA, transB, acc)
 	})
 }
 
 // matmulStream computes the [lo,hi)×[jlo,jhi) block of C = op(A)·op(B)
 // with the streaming kernels (no packing): one transpose case each.
-func matmulStream(dst, a, b []float32, lo, hi, jlo, jhi, n, k, lda, ldb int, transA, transB bool) {
+// Unless acc, the block is zeroed first; every case then accumulates
+// onto what the block holds.
+func matmulStream(dst, a, b []float32, lo, hi, jlo, jhi, n, k, lda, ldb int, transA, transB, acc bool) {
+	if !acc {
+		for i := lo; i < hi; i++ {
+			clear(dst[i*n+jlo : i*n+jhi])
+		}
+	}
 	switch {
 	case !transA && !transB:
 		matmulRows(dst, a, b, lo, hi, jlo, jhi, n, k, lda, ldb)
@@ -128,9 +145,9 @@ func matmulStream(dst, a, b []float32, lo, hi, jlo, jhi, n, k, lda, ldb int, tra
 			ri := dst[i*n : (i+1)*n]
 			for j := jlo; j < jhi; j++ {
 				bj := b[j*ldb : j*ldb+k]
-				var s float32
+				s := ri[j]
 				for l := 0; l < k; l++ {
-					s += ai[l] * bj[l]
+					s += float32(ai[l] * bj[l])
 				}
 				ri[j] = s
 			}
@@ -140,14 +157,11 @@ func matmulStream(dst, a, b []float32, lo, hi, jlo, jhi, n, k, lda, ldb int, tra
 		w := jhi - jlo
 		for i := lo; i < hi; i++ {
 			ri := dst[i*n+jlo : i*n+jhi]
-			for x := range ri {
-				ri[x] = 0
-			}
 			for l := 0; l < k; l++ {
 				av := a[l*lda+i]
 				bl := b[l*ldb+jlo : l*ldb+jlo+w]
 				for j, bv := range bl {
-					ri[j] += av * bv
+					ri[j] += float32(av * bv)
 				}
 			}
 		}
@@ -155,9 +169,9 @@ func matmulStream(dst, a, b []float32, lo, hi, jlo, jhi, n, k, lda, ldb int, tra
 		for i := lo; i < hi; i++ {
 			ri := dst[i*n : (i+1)*n]
 			for j := jlo; j < jhi; j++ {
-				var s float32
+				s := ri[j]
 				for l := 0; l < k; l++ {
-					s += a[l*lda+i] * b[j*ldb+l]
+					s += float32(a[l*lda+i] * b[j*ldb+l])
 				}
 				ri[j] = s
 			}
@@ -187,7 +201,7 @@ func matmulStream(dst, a, b []float32, lo, hi, jlo, jhi, n, k, lda, ldb int, tra
 // perturb results; bits match the row-only kernel exactly, because
 // every output element still accumulates the same products in the same
 // order.
-func matmulBlocked(p *Pool, dst, a, b []float32, m, n, k, lda, ldb int, transA, transB bool) {
+func matmulBlocked(p *Pool, dst, a, b []float32, m, n, k, lda, ldb int, transA, transB, acc bool) {
 	mBlocks := (m + blockM - 1) / blockM
 	nPanels := (n + blockN - 1) / blockN
 	// Panels per group: enough that mBlocks×groupPanels tiles reach the
@@ -200,7 +214,11 @@ func matmulBlocked(p *Pool, dst, a, b []float32, m, n, k, lda, ldb int, transA, 
 	if groupPanels > nPanels {
 		groupPanels = nPanels
 	}
-	packB := p.scratchBuf(scratchPackB, groupPanels*blockK*blockN)
+	// Scratch is sized by the slab depth the product really has, so the
+	// small products the kernel also serves leave a small footprint.
+	kcMax := min(blockK, k)
+	panel := kcMax * blockN
+	packB := p.scratchBuf(scratchPackB, groupPanels*panel)
 	for jg := 0; jg < nPanels; jg += groupPanels {
 		gPanels := min(groupPanels, nPanels-jg)
 		for pc := 0; pc < k; pc += blockK {
@@ -211,11 +229,11 @@ func matmulBlocked(p *Pool, dst, a, b []float32, m, n, k, lda, ldb int, transA, 
 			for jp := 0; jp < gPanels; jp++ {
 				jc := (jg + jp) * blockN
 				nc := min(blockN, n-jc)
-				packPanelB(packB[jp*blockK*blockN:], b, pc, kc, jc, nc, ldb, transB)
+				packPanelB(packB[jp*panel:], b, pc, kc, jc, nc, ldb, transB)
 			}
 			tiles := mBlocks * gPanels
 			p.ForLane(tiles, 1, func(lane, lo, hi int) {
-				packA := p.laneScratch(lane, scratchPackA, blockM*blockK)
+				packA := p.laneScratch(lane, scratchPackA, blockM*kcMax)
 				lastIB := -1
 				for t := lo; t < hi; t++ {
 					ib, jp := t/gPanels, t%gPanels
@@ -227,15 +245,18 @@ func matmulBlocked(p *Pool, dst, a, b []float32, m, n, k, lda, ldb int, transA, 
 						packPanelA(packA, a, ic, mc, pc, kc, lda, transA)
 						lastIB = ib
 					}
-					matmulMicro(dst, packA, packB[jp*blockK*blockN:], ic, mc, jc, nc, kc, n, pc == 0)
+					matmulMicro(dst, packA, packB[jp*panel:], ic, mc, jc, nc, kc, n, pc == 0 && !acc)
 				}
 			})
 		}
 	}
 }
 
-// packPanelA copies op(A)[ic:ic+mc, pc:pc+kc] into pa, row-major mc×kc.
+// packPanelA copies op(A)[ic:ic+mc, pc:pc+kc] into pa, row-major mc×kc,
+// and zero-fills rows up to the next multiple of four so the micro
+// kernel's last strip is a full one.
 func packPanelA(pa, a []float32, ic, mc, pc, kc, lda int, transA bool) {
+	clear(pa[mc*kc : (mc+3)/4*4*kc])
 	if !transA {
 		for r := 0; r < mc; r++ {
 			base := (ic+r)*lda + pc
@@ -270,104 +291,107 @@ func packPanelB(pb, b []float32, pc, kc, jc, nc, ldb int, transB bool) {
 	}
 }
 
-// matmulMicro accumulates C[ic:ic+mc, jc:jc+nc] += packA·packB with
-// 4×2 register tiling — the extension of matmulRows' 4-row blocking:
-// eight scalar accumulators live in registers across the whole K loop,
-// so the inner loop performs six loads and no stores per eight
-// multiply-adds (4×4 tiling spills accumulators on amd64's sixteen
-// vector registers and measures slower). When first is true the C
-// microtile starts from zero instead of its current contents.
+// matmulMicro accumulates C[ic:ic+mc, jc:jc+nc] += packA·packB. Rows go
+// in strips of four: simdStrip runs the strip's full 16- and 8-column
+// tiles on the AVX2 kernel where the build and the CPU have one (it
+// reports zero columns otherwise) and microStrip4 finishes the strip in
+// Go. The up-to-three rows left over run as one more strip on a stack
+// tile, against the zero rows packPanelA pads the panel with, and only
+// the real rows are copied back. When first is true the C block starts
+// from zero instead of its current contents.
+//
+// Every product in this file — here and in the streaming kernels — is
+// written float32(a*b): the explicit conversion forbids the compiler
+// from fusing the multiply into the add where the target has an FMA
+// (arm64 today, amd64 at whatever GOAMD64 level starts to), so each
+// output element is the same ascending-k chain of one rounded multiply
+// and one rounded add in the assembly tile, the Go tile and the
+// streaming kernels, on every build. attention.go writes its dots the
+// same way, because FusedAttention promises the bits of this chain.
 func matmulMicro(dst, pa, pb []float32, ic, mc, jc, nc, kc, ldc int, first bool) {
 	i := 0
 	for ; i+4 <= mc; i += 4 {
-		a0 := pa[i*kc : i*kc+kc]
-		a1 := pa[(i+1)*kc : (i+1)*kc+kc]
-		a2 := pa[(i+2)*kc : (i+2)*kc+kc]
-		a3 := pa[(i+3)*kc : (i+3)*kc+kc]
-		o0 := (ic + i) * ldc
-		r0 := dst[o0+jc : o0+jc+nc]
-		r1 := dst[o0+ldc+jc : o0+ldc+jc+nc]
-		r2 := dst[o0+2*ldc+jc : o0+2*ldc+jc+nc]
-		r3 := dst[o0+3*ldc+jc : o0+3*ldc+jc+nc]
-		j := 0
-		for ; j+2 <= nc; j += 2 {
-			var c00, c01, c10, c11, c20, c21, c30, c31 float32
-			if !first {
-				c00, c01 = r0[j], r0[j+1]
-				c10, c11 = r1[j], r1[j+1]
-				c20, c21 = r2[j], r2[j+1]
-				c30, c31 = r3[j], r3[j+1]
-			}
-			bo := j
-			for l := 0; l < kc; l++ {
-				b0, b1 := pb[bo], pb[bo+1]
-				c00 += a0[l] * b0
-				c01 += a0[l] * b1
-				c10 += a1[l] * b0
-				c11 += a1[l] * b1
-				c20 += a2[l] * b0
-				c21 += a2[l] * b1
-				c30 += a3[l] * b0
-				c31 += a3[l] * b1
-				bo += nc
-			}
-			r0[j], r0[j+1] = c00, c01
-			r1[j], r1[j+1] = c10, c11
-			r2[j], r2[j+1] = c20, c21
-			r3[j], r3[j+1] = c30, c31
-		}
-		if j < nc {
-			var s0, s1, s2, s3 float32
-			if !first {
-				s0, s1, s2, s3 = r0[j], r1[j], r2[j], r3[j]
-			}
-			bo := j
-			for l := 0; l < kc; l++ {
-				bv := pb[bo]
-				s0 += a0[l] * bv
-				s1 += a1[l] * bv
-				s2 += a2[l] * bv
-				s3 += a3[l] * bv
-				bo += nc
-			}
-			r0[j], r1[j], r2[j], r3[j] = s0, s1, s2, s3
+		o := (ic+i)*ldc + jc
+		j := simdStrip(dst[o:o+3*ldc+nc], ldc, pa[i*kc:(i+4)*kc], kc, pb[:kc*nc], nc, first)
+		microStrip4(dst, pa, pb, o, i, j, nc, kc, ldc, first)
+	}
+	if i == mc {
+		return
+	}
+	var tile [4 * blockN]float32
+	o := (ic+i)*ldc + jc
+	if !first {
+		for r := 0; r < mc-i; r++ {
+			copy(tile[r*nc:(r+1)*nc], dst[o+r*ldc:])
 		}
 	}
-	for ; i < mc; i++ {
-		ai := pa[i*kc : i*kc+kc]
-		o := (ic + i) * ldc
-		ri := dst[o+jc : o+jc+nc]
-		j := 0
-		for ; j+2 <= nc; j += 2 {
-			var c0, c1 float32
-			if !first {
-				c0, c1 = ri[j], ri[j+1]
-			}
-			bo := j
-			for l := 0; l < kc; l++ {
-				av := ai[l]
-				c0 += av * pb[bo]
-				c1 += av * pb[bo+1]
-				bo += nc
-			}
-			ri[j], ri[j+1] = c0, c1
-		}
-		if j < nc {
-			var s float32
-			if !first {
-				s = ri[j]
-			}
-			bo := j
-			for l := 0; l < kc; l++ {
-				s += ai[l] * pb[bo]
-				bo += nc
-			}
-			ri[j] = s
-		}
+	j := simdStrip(tile[:4*nc], nc, pa[i*kc:(i+4)*kc], kc, pb[:kc*nc], nc, first)
+	microStrip4(tile[:], pa, pb, 0, i, j, nc, kc, nc, first)
+	for r := 0; r < mc-i; r++ {
+		copy(dst[o+r*ldc:o+r*ldc+nc], tile[r*nc:])
 	}
 }
 
-// matmulRows computes the [lo,hi)×[jlo,jhi) block of C = A·B with
+// microStrip4 is the Go micro-tile: columns [j,nc) of the four C rows
+// starting at dst[o], with 4×2 register tiling — eight scalar
+// accumulators live in registers across the whole K loop, so the inner
+// loop performs six loads and no stores per eight multiply-adds (4×4
+// tiling spills accumulators on amd64's sixteen vector registers and
+// measures slower).
+func microStrip4(dst, pa, pb []float32, o, i, j, nc, kc, ldc int, first bool) {
+	a0 := pa[i*kc : i*kc+kc]
+	a1 := pa[(i+1)*kc : (i+1)*kc+kc]
+	a2 := pa[(i+2)*kc : (i+2)*kc+kc]
+	a3 := pa[(i+3)*kc : (i+3)*kc+kc]
+	r0 := dst[o : o+nc]
+	r1 := dst[o+ldc : o+ldc+nc]
+	r2 := dst[o+2*ldc : o+2*ldc+nc]
+	r3 := dst[o+3*ldc : o+3*ldc+nc]
+	for ; j+2 <= nc; j += 2 {
+		var c00, c01, c10, c11, c20, c21, c30, c31 float32
+		if !first {
+			c00, c01 = r0[j], r0[j+1]
+			c10, c11 = r1[j], r1[j+1]
+			c20, c21 = r2[j], r2[j+1]
+			c30, c31 = r3[j], r3[j+1]
+		}
+		bo := j
+		for l := 0; l < kc; l++ {
+			b0, b1 := pb[bo], pb[bo+1]
+			c00 += float32(a0[l] * b0)
+			c01 += float32(a0[l] * b1)
+			c10 += float32(a1[l] * b0)
+			c11 += float32(a1[l] * b1)
+			c20 += float32(a2[l] * b0)
+			c21 += float32(a2[l] * b1)
+			c30 += float32(a3[l] * b0)
+			c31 += float32(a3[l] * b1)
+			bo += nc
+		}
+		r0[j], r0[j+1] = c00, c01
+		r1[j], r1[j+1] = c10, c11
+		r2[j], r2[j+1] = c20, c21
+		r3[j], r3[j+1] = c30, c31
+	}
+	if j < nc {
+		var s0, s1, s2, s3 float32
+		if !first {
+			s0, s1, s2, s3 = r0[j], r1[j], r2[j], r3[j]
+		}
+		bo := j
+		for l := 0; l < kc; l++ {
+			bv := pb[bo]
+			s0 += float32(a0[l] * bv)
+			s1 += float32(a1[l] * bv)
+			s2 += float32(a2[l] * bv)
+			s3 += float32(a3[l] * bv)
+			bo += nc
+		}
+		r0[j], r1[j], r2[j], r3[j] = s0, s1, s2, s3
+	}
+}
+
+// matmulRows adds A·B to the [lo,hi)×[jlo,jhi) block of C with
 // 4-row register blocking: each pass over a B row feeds four
 // accumulator rows, quartering memory traffic on B.
 func matmulRows(dst, a, b []float32, lo, hi, jlo, jhi, n, k, lda, ldb int) {
@@ -378,9 +402,6 @@ func matmulRows(dst, a, b []float32, lo, hi, jlo, jhi, n, k, lda, ldb int) {
 		r1 := dst[(i+1)*n+jlo : (i+1)*n+jhi]
 		r2 := dst[(i+2)*n+jlo : (i+2)*n+jhi]
 		r3 := dst[(i+3)*n+jlo : (i+3)*n+jhi]
-		for x := 0; x < w; x++ {
-			r0[x], r1[x], r2[x], r3[x] = 0, 0, 0, 0
-		}
 		a0 := a[i*lda : i*lda+k]
 		a1 := a[(i+1)*lda : (i+1)*lda+k]
 		a2 := a[(i+2)*lda : (i+2)*lda+k]
@@ -389,24 +410,21 @@ func matmulRows(dst, a, b []float32, lo, hi, jlo, jhi, n, k, lda, ldb int) {
 			bl := b[l*ldb+jlo : l*ldb+jlo+w]
 			av0, av1, av2, av3 := a0[l], a1[l], a2[l], a3[l]
 			for j, bv := range bl {
-				r0[j] += av0 * bv
-				r1[j] += av1 * bv
-				r2[j] += av2 * bv
-				r3[j] += av3 * bv
+				r0[j] += float32(av0 * bv)
+				r1[j] += float32(av1 * bv)
+				r2[j] += float32(av2 * bv)
+				r3[j] += float32(av3 * bv)
 			}
 		}
 	}
 	for ; i < hi; i++ {
 		ri := dst[i*n+jlo : i*n+jhi]
-		for x := range ri {
-			ri[x] = 0
-		}
 		ai := a[i*lda : i*lda+k]
 		for l := 0; l < k; l++ {
 			av := ai[l]
 			bl := b[l*ldb+jlo : l*ldb+jlo+w]
 			for j, bv := range bl {
-				ri[j] += av * bv
+				ri[j] += float32(av * bv)
 			}
 		}
 	}

@@ -130,36 +130,67 @@ func benchMatMulWidths(b *testing.B, m, k, n int) {
 	}
 }
 
-// BenchmarkConv2D measures the convolution kernel at a VGG-like layer
-// shape (unit stride, SAME padding) where the im2col path engages, and
-// an AlexNet-conv1-like strided shape kept on the direct path.
-func BenchmarkConv2D(b *testing.B) {
+// convBenchCases are the convolution benchmark geometries: a VGG-like
+// layer, AlexNet's strided conv1 at the small preset, and the two ends
+// of the tiny preset (the smallest products the lowering serves, where
+// a direct loop nest used to be kept).
+var convBenchCases = []struct {
+	name string
+	convCase
+}{
+	{"vgg_56x56x64", convCase{1, 56, 56, 64, 3, 3, 64, ConvSpec{1, 1, 1, 1}}},
+	{"alexnet_conv1", convCase{1, 64, 64, 3, 11, 11, 24, ConvSpec{4, 4, 2, 2}}},
+	{"tiny_conv1", convCase{1, 64, 64, 3, 11, 11, 8, ConvSpec{4, 4, 2, 2}}},
+	{"tiny_3x3x16", convCase{1, 7, 7, 16, 3, 3, 24, ConvSpec{1, 1, 1, 1}}},
+}
+
+// benchConv runs one convolution pass over the unit-stride or the
+// strided cases; throughput (SetBytes = 2·MACs) is comparable across
+// passes and with the GEMM benchmarks.
+func benchConv(b *testing.B, strided bool, pass func(p *Pool, in, f, dy *Tensor, c convCase) error) {
 	rng := rand.New(rand.NewSource(1))
-	cases := []struct {
-		name            string
-		n, h, w, cin    int
-		kh, kw, cout    int
-		stride, padding int
-	}{
-		{"vgg_56x56x64", 1, 56, 56, 64, 3, 3, 64, 1, 1},
-		{"alexnet_conv1", 1, 64, 64, 3, 11, 11, 24, 4, 2},
-	}
-	for _, c := range cases {
+	for _, c := range convBenchCases {
+		if (c.spec.StrideH > 1) != strided {
+			continue
+		}
 		b.Run(c.name, func(b *testing.B) {
 			p := NewPool(1)
+			oh := ConvOutSize(c.h, c.kh, c.spec.StrideH, c.spec.PadH)
+			ow := ConvOutSize(c.w, c.kw, c.spec.StrideW, c.spec.PadW)
 			in := RandNormal(rng, 0, 1, c.n, c.h, c.w, c.cin)
 			f := RandNormal(rng, 0, 1, c.kh, c.kw, c.cin, c.cout)
-			spec := ConvSpec{StrideH: c.stride, StrideW: c.stride, PadH: c.padding, PadW: c.padding}
-			oh := ConvOutSize(c.h, c.kh, c.stride, c.padding)
-			ow := ConvOutSize(c.w, c.kw, c.stride, c.padding)
-			b.SetBytes(2 * int64(c.n) * int64(oh) * int64(ow) * int64(c.cout) * int64(c.kh*c.kw*c.cin))
+			dy := RandNormal(rng, 0, 1, c.n, oh, ow, c.cout)
+			b.SetBytes(2 * int64(c.n*oh*ow) * int64(c.cout) * int64(c.kh*c.kw*c.cin))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Conv2D(p, in, f, spec); err != nil {
+				if err := pass(p, in, f, dy, c.convCase); err != nil {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+func convForward(p *Pool, in, f, dy *Tensor, c convCase) error {
+	return Conv2DInto(p, dy, in, f, c.spec)
+}
+
+func BenchmarkConv2D(b *testing.B)        { benchConv(b, false, convForward) }
+func BenchmarkConv2DStrided(b *testing.B) { benchConv(b, true, convForward) }
+
+func BenchmarkConv2DBackFilter(b *testing.B) {
+	for _, strided := range []bool{false, true} {
+		benchConv(b, strided, func(p *Pool, in, f, dy *Tensor, c convCase) error {
+			return Conv2DBackFilterInto(p, f, in, dy, c.kh, c.kw, c.spec)
+		})
+	}
+}
+
+func BenchmarkConv2DBackInput(b *testing.B) {
+	for _, strided := range []bool{false, true} {
+		benchConv(b, strided, func(p *Pool, in, f, dy *Tensor, c convCase) error {
+			return Conv2DBackInputInto(p, in, f, dy, c.h, c.w, c.spec)
 		})
 	}
 }

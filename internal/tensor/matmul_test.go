@@ -9,6 +9,9 @@ import (
 )
 
 // naiveMatMul is an obviously-correct reference implementation.
+// naiveMatMul is the definition every kernel must reproduce bit for bit
+// on finite data: per element, one rounded multiply and one rounded add
+// per k, k ascending from zero.
 func naiveMatMul(a, b *Tensor, transA, transB bool) *Tensor {
 	get := func(t *Tensor, i, j int, tr bool) float32 {
 		if tr {
@@ -29,7 +32,7 @@ func naiveMatMul(a, b *Tensor, transA, transB bool) *Tensor {
 		for j := 0; j < n; j++ {
 			var s float32
 			for l := 0; l < k; l++ {
-				s += get(a, i, l, transA) * get(b, l, j, transB)
+				s += float32(get(a, i, l, transA) * get(b, l, j, transB))
 			}
 			out.Set(s, i, j)
 		}
@@ -126,7 +129,7 @@ func TestMatMulBlockedMatchesStreaming(t *testing.T) {
 			a := RandNormal(rng, 0, 1, ashape...)
 			b := RandNormal(rng, 0, 1, bshape...)
 			got := New(m, n)
-			matmulBlocked(p, got.data, a.data, b.data, m, n, k, a.shape[1], b.shape[1], ta, tb)
+			matmulBlocked(p, got.data, a.data, b.data, m, n, k, a.shape[1], b.shape[1], ta, tb, false)
 			want := New(m, n)
 			matmulStreamingForTest(p, want.data, a.data, b.data, m, n, k, a.shape[1], b.shape[1], ta, tb)
 			if !AllClose(got, want, 1e-3, 1e-3) {
@@ -170,6 +173,47 @@ func matmulStreamingForTest(p *Pool, dst, a, b []float32, m, n, k, lda, ldb int,
 					s += a[l*lda+i] * b[j*ldb+l]
 				}
 				dst[i*n+j] = s
+			}
+		}
+	}
+}
+
+// TestMatMulAccumulateSplitsReduction: a product computed as two acc
+// slabs of its reduction dimension has the bits of the unsplit product,
+// in every transpose case and on both sides of the dispatch rule (the
+// contract Conv2DBackFilterInto's row blocks rest on).
+func TestMatMulAccumulateSplitsReduction(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	p := NewPool(2)
+	for _, sh := range []struct{ m, k, n int }{{3, 50, 40}, {7, 9, 11}, {37, 301, 29}} {
+		for c := 0; c < 4; c++ {
+			ta, tb := c&1 != 0, c&2 != 0
+			m, k, n, k1 := sh.m, sh.k, sh.n, sh.k/3
+			ashape, bshape := []int{m, k}, []int{k, n}
+			if ta {
+				ashape = []int{k, m}
+			}
+			if tb {
+				bshape = []int{n, k}
+			}
+			a, b := RandNormal(rng, 0, 1, ashape...), RandNormal(rng, 0, 1, bshape...)
+			lda, ldb := a.shape[1], b.shape[1]
+			want, got := Full(99, m, n), Full(-7, m, n)
+			matmulInto(p, want.data, a.data, b.data, m, n, k, lda, ldb, ta, tb, false)
+			// The second slab starts k1 along the reduction dimension of
+			// each stored operand.
+			aoff, boff := k1, k1*ldb
+			if ta {
+				aoff = k1 * lda
+			}
+			if tb {
+				boff = k1
+			}
+			a2, b2 := a.data[aoff:], b.data[boff:]
+			matmulInto(p, got.data, a.data, b.data, m, n, k1, lda, ldb, ta, tb, false)
+			matmulInto(p, got.data, a2, b2, m, n, k-k1, lda, ldb, ta, tb, true)
+			if i, ok := sameBits(got.data, want.data); !ok {
+				t.Fatalf("(%d,%d,%d) ta=%v tb=%v: split product differs at element %d", m, k, n, ta, tb, i)
 			}
 		}
 	}
@@ -231,9 +275,9 @@ func TestMatMulTransposeIdentityQuick(t *testing.T) {
 	}
 }
 
-// TestMatMulParallelBitIdentical drives both kernel paths (streaming
-// and blocked/packed — the latter via a product over the
-// blockedMinWork threshold) at several real-parallel widths and
+// TestMatMulParallelBitIdentical drives both kernel paths (streaming —
+// products too thin or too small for the blocked dispatch rule — and
+// blocked/packed) at several real-parallel widths and
 // demands bitwise equality with the serial pool: chunk boundaries are
 // width-independent and per-row accumulation order never changes, so
 // the parallel strategy must be invisible in the result bits.
@@ -242,9 +286,10 @@ func TestMatMulParallelBitIdentical(t *testing.T) {
 	defer ex.Close()
 	rng := rand.New(rand.NewSource(3))
 	cases := []struct{ m, k, n int }{
-		{33, 40, 29},   // streaming kernel
-		{128, 96, 128}, // streaming kernel, larger
-		{160, 144, 80}, // blocked kernel (m·n·k ≥ 2^20)
+		{3, 40, 290},   // streaming kernel, column split
+		{9, 20, 17},    // streaming kernel, below blockedMinWork
+		{33, 40, 29},   // blocked kernel, one partial tile
+		{160, 144, 80}, // blocked kernel, several row blocks
 		{256, 128, 64}, // blocked kernel, uneven tiles
 	}
 	for _, tc := range cases {
@@ -282,8 +327,9 @@ func TestMatMulParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestConv2DParallelBitIdentical covers the conv kernels (direct and
-// im2col dispatch) under the real parallel strategy.
+// TestConv2DParallelBitIdentical covers the forward convolution under
+// the real parallel strategy (TestConvLoweringMatchesDirectLoops covers
+// all three passes at widths 1 and 4).
 func TestConv2DParallelBitIdentical(t *testing.T) {
 	ex := sched.New(4)
 	defer ex.Close()
@@ -302,7 +348,7 @@ func TestConv2DParallelBitIdentical(t *testing.T) {
 	if d := MaxAbsDiff(got, want); d != 0 {
 		t.Fatalf("parallel conv differs (max |Δ| %g)", d)
 	}
-	// Strided direct path.
+	// Strided.
 	spec2 := ConvSpec{StrideH: 2, StrideW: 2}
 	want2, _ := Conv2D(NewPool(1), in, filt, spec2)
 	got2, _ := Conv2D(NewParallelPool(4, ex), in, filt, spec2)
