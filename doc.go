@@ -82,9 +82,9 @@
 // are index-pure (each chunk writes only its own output range), and
 // cross-chunk float32 reductions (Pool.ForSum/ForMax, used by the
 // full-reduction path of tensor.Reduce) combine per-chunk partials in
-// ascending chunk order at every width including 1. Pool width is
-// immutable after the first region (SetWorkers panics), so modeled
-// makespans can never be skewed mid-plan.
+// ascending chunk order at every width including 1. Pool width is a
+// constructor argument (a session builds its pools once its options
+// have run), so modeled makespans can never be skewed mid-plan.
 //
 // Simulated timing follows the package's philosophy for inter-op as
 // for intra-op parallelism: n modeled worker lanes are list-scheduled
@@ -322,7 +322,15 @@
 // state, the RNG source lane) is computed once and broadcast,
 // per-trainee structure is lifted onto the fusion axis, and the impure
 // lane's schedule order is preserved so one shared dropout mask keeps
-// RNG draw-count parity with a standalone run. Trainees may diverge
+// RNG draw-count parity with a standalone run. The stateful ops have no
+// fused twins: internal/ops holds one optimizer apply-op over one table
+// of five update rules, whose target is a row of lanes with a learning
+// rate each — an ordinary variable is the one-lane case, a fused update
+// is the K-lane call — and one dropout op whose mask spans the
+// per-trainee shape however many lanes sit in front of it; the recipe
+// (optimizer → rule and constants, clip → apply → group) is written
+// once, in internal/models/nn, for TrainOp, the fed-gradient path and
+// the fused stack alike. Trainees may diverge
 // only through per-trainee learning-rate scales (Options.LRScales),
 // which is the hyperparameter-search use case: K learning rates
 // explored for the price of roughly one run. fuse.Array is the engine

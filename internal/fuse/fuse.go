@@ -11,7 +11,7 @@
 // fusion axis and runs ONE graph: shared inputs and everything
 // computed purely from them execute once for all trainees, stacked
 // untransposed matrix products collapse into single BatchMatMul nodes,
-// and the optimizer apply-ops take a per-trainee learning-rate vector.
+// and each optimizer apply-op steps K lanes, one learning rate each.
 // One session, one scheduler pass, one impure lane — the fused step
 // does strictly less work than K standalone steps and feeds the pool
 // larger kernels.
@@ -25,7 +25,8 @@
 // single-replica dist trainer at learning-rate scale kk) — not merely
 // close: every fused node either executes the standalone kernel
 // per-trainee on contiguous slices (ops.ArrayWrap, ops.BatchMatMul's
-// per-slice loop, the ApplyArray* update rules) or is genuinely shared
+// per-slice loop, the optimizer update — the standalone rule called
+// over K lanes, one learning rate each) or is genuinely shared
 // (one dropout mask, one RNG draw — exactly what K seed-identical
 // standalone runs each compute). The step itself is not reimplemented
 // here: an Array is internal/dist's engine driving a replica whose

@@ -15,8 +15,8 @@ import (
 // TestFusedArrayCheckpointResume pins the fused checkpoint contract:
 // save a fused array mid-run, restore it into a fresh array, and the
 // continuation is bit-identical to never having stopped — per-step
-// losses and final parameters. This only holds because the ApplyArray*
-// optimizer accumulators (velocity, RMS statistic, Adam moments and
+// losses and final parameters. This only holds because a stacked
+// update's accumulators (velocity, RMS statistic, Adam moments and
 // the shared step counter) are "<var>/slot/<name>" graph variables the
 // checkpoint captures, not hidden op state: a restored momentum or
 // Adam trajectory must continue from the saved accumulators, and the

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/graph"
-	"repro/internal/models/nn"
 	"repro/internal/ops"
 	"repro/internal/tensor"
 )
@@ -51,9 +50,9 @@ type mapped struct {
 // serving all K trainees — the fusion win. Any op touching a stacked
 // operand is lifted per-slice (ops.ArrayWrap), routed onto the batched
 // GEMM (ops.BatchMatMul) when it is an untransposed product of two
-// stacked operands, or replaced by the fused dropout pair, so every
-// trainee's arithmetic and the session's RNG draw order are exactly
-// those of a standalone run.
+// stacked operands, or — dropout — rebuilt as its own stacked case, so
+// every trainee's arithmetic and the session's RNG draw order are
+// exactly those of a standalone run.
 func transform(m dist.Trainable, k int, scales []float32) (*fusedPlan, error) {
 	plan := m.TrainPlan()
 	params := plan.Params()
@@ -64,7 +63,7 @@ func transform(m dist.Trainable, k int, scales []float32) (*fusedPlan, error) {
 
 	fg := graph.New()
 	mp := map[*graph.Node]mapped{}
-	dropMap := map[graph.Op]*graph.Node{} // template dropout op → fused ArrayDropout node
+	dropMap := map[graph.Op]*graph.Node{} // template dropout op → its stacked node
 	fusedParams := make([]*graph.Node, len(params))
 
 	// ensureStacked lifts a shared node onto the fusion axis for the
@@ -127,13 +126,13 @@ func transform(m dist.Trainable, k int, scales []float32) (*fusedPlan, error) {
 				if !seen {
 					return nil, false, fmt.Errorf("fuse: %s: dropout gradient precedes its forward op", m.Name())
 				}
-				g, err := ops.ArrayDropoutGrad(fd, ensureStacked(ins[0]))
+				g, err := ops.DropoutGradOf(fd, ensureStacked(ins[0]))
 				return g, true, err
 			}
 			if rate, ok := ops.DropoutInfo(op); ok {
-				d := ops.ArrayDropout(k, ensureStacked(ins[0]), rate)
+				d, err := ops.StackedDropout(ensureStacked(ins[0]), rate)
 				dropMap[op] = d
-				return d, true, nil
+				return d, true, err
 			}
 			if _, impure := op.(graph.Impure); impure {
 				// Source-only RNG ops (RandomStandardNormal,
@@ -193,39 +192,14 @@ func transform(m dist.Trainable, k int, scales []float32) (*fusedPlan, error) {
 		}
 	}
 
-	// Fed-gradient apply path: the template recipe rebuilt over the
+	// Fed-gradient apply path: the template's own recipe over the
 	// parameter stacks, with trainee kk stepping at lr × scales[kk] —
 	// each rate the single float32 product a standalone run at that
 	// scale uses, so the update rules match bit for bit.
-	opt, lr, clip := plan.Recipe()
-	lrs := make([]float32, k)
-	for i, s := range scales {
-		lrs[i] = lr * s
+	var err error
+	out.apply, out.gradIn, err = plan.FusedApply(fg, fusedParams, scales)
+	if err != nil {
+		return nil, fmt.Errorf("fuse: %s: %w", m.Name(), err)
 	}
-	updates := make([]*graph.Node, len(fusedParams))
-	out.gradIn = make([]*graph.Node, len(fusedParams))
-	for i, p := range fusedParams {
-		in := fg.Placeholder("fuse/grad/"+params[i].Name(), p.Shape()...)
-		out.gradIn[i] = in
-		fed := in
-		if clip > 0 {
-			fed = ops.Maximum(ops.Minimum(fed, ops.ScalarConst(fg, clip)), ops.ScalarConst(fg, -clip))
-		}
-		switch opt {
-		case nn.SGD:
-			updates[i] = ops.ApplyArraySGD(p, fed, lrs)
-		case nn.Momentum:
-			updates[i] = ops.ApplyArrayMomentum(p, fed, lrs, 0.9)
-		case nn.RMSProp:
-			updates[i] = ops.ApplyArrayRMSProp(p, fed, lrs, 0.95, 0.01)
-		case nn.Adam:
-			updates[i] = ops.ApplyArrayAdam(p, fed, lrs, 0.9, 0.999, 1e-8)
-		case nn.Adagrad:
-			updates[i] = ops.ApplyArrayAdagrad(p, fed, lrs, 1e-8)
-		default:
-			return nil, fmt.Errorf("fuse: %s: unknown optimizer %d", m.Name(), opt)
-		}
-	}
-	out.apply = ops.Group(fg, updates...)
 	return out, nil
 }

@@ -15,7 +15,7 @@ import (
 // drives: a dist replica fetches Loss plus Grads to compute one
 // micro-batch's unclipped gradients without touching any variable,
 // and applies an externally combined gradient through the fed-gradient
-// path DistApply builds on first use.
+// path DistApplyScaled builds on first use.
 type TrainPlan struct {
 	g       *graph.Graph
 	loss    *graph.Node
@@ -35,7 +35,7 @@ type TrainPlan struct {
 	distPaths map[float32]distPath
 }
 
-// distPath is one scale's fed-gradient apply surface.
+// distPath is one fed-gradient apply surface.
 type distPath struct {
 	apply  *graph.Node
 	gradIn []*graph.Node
@@ -58,55 +58,60 @@ func (tp *TrainPlan) Grads() []*graph.Node { return tp.grads }
 // every parameter.
 func (tp *TrainPlan) TrainOp() *graph.Node { return tp.trainOp }
 
-// DistApply returns the fed-gradient update path, building it on first
-// use: gradIn[i] is a placeholder shaped like Params()[i], and
+// DistApplyScaled returns the fed-gradient update path, building it on
+// first use: gradIn[i] is a placeholder shaped like Params()[i], and
 // fetching apply performs the recipe's optimizer step — gradient
 // clipping included — reading the fed tensors instead of the live
 // gradients. Every dist replica feeds the same combined tensors and
 // fetches the same node, so all replicas take one identical step. The
 // path is lazy so plain (non-distributed) training never pays for its
-// apply-ops or their optimizer slots.
-func (tp *TrainPlan) DistApply() (apply *graph.Node, gradIn []*graph.Node, err error) {
-	return tp.DistApplyScaled(1)
-}
-
-// DistApplyScaled is DistApply with the recipe's base learning rate
-// multiplied by scale (as a single float32 product, the same
+// apply-ops or their optimizer slots. The recipe's base learning rate
+// is multiplied by scale (as a single float32 product, the same
 // arithmetic a horizontally fused array applies per trainee — see
-// internal/fuse), so a standalone run can reproduce one fused
-// trainee's update rule bit for bit. Paths are cached per scale; each
-// holds its own placeholders and optimizer slots.
+// FusedApply), so a standalone run can reproduce one fused trainee's
+// update rule bit for bit. Paths are cached per scale; each holds its
+// own placeholders and optimizer slots.
 func (tp *TrainPlan) DistApplyScaled(scale float32) (apply *graph.Node, gradIn []*graph.Node, err error) {
 	if path, ok := tp.distPaths[scale]; ok {
 		return path.apply, path.gradIn, nil
 	}
-	g := tp.g
-	lr := tp.lr * scale
 	prefix := "dist/grad/"
 	if scale != 1 {
 		prefix = fmt.Sprintf("dist/grad@%g/", scale)
 	}
-	ins := make([]*graph.Node, len(tp.params))
-	updates := make([]*graph.Node, len(tp.params))
-	for i, p := range tp.params {
-		in := g.Placeholder(prefix+p.Name(), p.Shape()...)
-		ins[i] = in
-		fed := in
-		if tp.clip > 0 {
-			fed = ops.Maximum(ops.Minimum(fed, ops.ScalarConst(g, tp.clip)), ops.ScalarConst(g, -tp.clip))
-		}
-		u, err := applyOne(tp.opt, p, fed, lr)
-		if err != nil {
-			return nil, nil, err
-		}
-		updates[i] = u
+	path, err := tp.fedPath(tp.g, prefix, tp.params, []float32{scale}, false)
+	if err != nil {
+		return nil, nil, err
 	}
 	if tp.distPaths == nil {
 		tp.distPaths = map[float32]distPath{}
 	}
-	path := distPath{apply: ops.Group(g, updates...), gradIn: ins}
 	tp.distPaths[scale] = path
 	return path.apply, path.gradIn, nil
+}
+
+// FusedApply builds the fed-gradient update path of a horizontally
+// fused array (internal/fuse) in its graph g: stacked[i] is the (K,…)
+// stack of Params()[i], and trainee k steps at the recipe's learning
+// rate × scales[k].
+func (tp *TrainPlan) FusedApply(g *graph.Graph, stacked []*graph.Node, scales []float32) (apply *graph.Node, gradIn []*graph.Node, err error) {
+	path, err := tp.fedPath(g, "fuse/grad/", stacked, scales, true)
+	return path.apply, path.gradIn, err
+}
+
+// fedPath adds one gradient placeholder per parameter, named prefix +
+// the parameter's name, and the recipe's update path reading them.
+func (tp *TrainPlan) fedPath(g *graph.Graph, prefix string, params []*graph.Node, scales []float32, stacked bool) (distPath, error) {
+	lrs := make([]float32, len(scales))
+	for k, s := range scales {
+		lrs[k] = tp.lr * s
+	}
+	ins := make([]*graph.Node, len(params))
+	for i, p := range params {
+		ins[i] = g.Placeholder(prefix+p.Name(), p.Shape()...)
+	}
+	apply, err := updatePath(g, tp.opt, tp.clip, params, ins, lrs, stacked)
+	return distPath{apply: apply, gradIn: ins}, err
 }
 
 // Fuse runs the tier-2 epilogue-fusion pass (graph.FuseEpilogues) over
@@ -126,30 +131,47 @@ func (tp *TrainPlan) Fuse(extra ...*graph.Node) int {
 	return graph.FuseEpilogues(tp.g, keep...)
 }
 
-// Recipe exposes the optimizer recipe BuildTraining recorded: the
-// optimizer, its base learning rate, and the elementwise clip bound (0
-// when unclipped). The horizontal-fusion transform (internal/fuse)
-// reads it to rebuild the identical update rule over the fused
-// parameter stack.
-func (tp *TrainPlan) Recipe() (opt Optimizer, lr, clip float32) {
-	return tp.opt, tp.lr, tp.clip
+// recipes maps each Optimizer to its update rule in internal/ops and
+// the constants every workload runs it with.
+var recipes = [...]struct {
+	rule  string
+	hyper []float32
+}{
+	SGD:      {"GradientDescent", nil},
+	Momentum: {"Momentum", []float32{0.9}},
+	RMSProp:  {"RMSProp", []float32{0.95, 0.01}},
+	Adam:     {"Adam", []float32{0.9, 0.999, epsilon}},
+	Adagrad:  {"Adagrad", []float32{epsilon}},
 }
 
-// applyOne adds one optimizer apply-op for param p reading grad.
-func applyOne(opt Optimizer, p, grad *graph.Node, lr float32) (*graph.Node, error) {
-	switch opt {
-	case SGD:
-		return ops.ApplySGD(p, grad, lr), nil
-	case Momentum:
-		return ops.ApplyMomentum(p, grad, lr, 0.9), nil
-	case RMSProp:
-		return ops.ApplyRMSProp(p, grad, lr, 0.95, 0.01), nil
-	case Adam:
-		return ops.ApplyAdam(p, grad, lr, 0.9, 0.999, 1e-8), nil
-	case Adagrad:
-		return ops.ApplyAdagrad(p, grad, lr, 1e-8), nil
+const epsilon = 1e-8
+
+// updatePath adds opt's update of every parameter by its gradient —
+// clipped elementwise to [-clip, clip] first when clip > 0 — and
+// groups the apply-ops behind one fetchable node. params are ordinary
+// variables stepping at lrs[0], or stacked (len(lrs),…) variables
+// whose lane k steps at lrs[k].
+func updatePath(g *graph.Graph, opt Optimizer, clip float32, params, grads []*graph.Node, lrs []float32, stacked bool) (*graph.Node, error) {
+	if opt < 0 || int(opt) >= len(recipes) {
+		return nil, fmt.Errorf("nn: unknown optimizer %d", opt)
 	}
-	return nil, fmt.Errorf("nn: unknown optimizer %d", opt)
+	r := recipes[opt]
+	updates := make([]*graph.Node, len(params))
+	for i, p := range params {
+		fed := grads[i]
+		if fed == nil {
+			return nil, fmt.Errorf("nn: parameter %s has no gradient path to the loss", p.Name())
+		}
+		if clip > 0 {
+			fed = ops.Maximum(ops.Minimum(fed, ops.ScalarConst(g, clip)), ops.ScalarConst(g, -clip))
+		}
+		u, err := ops.ApplyUpdate(r.rule, p, fed, lrs, stacked, r.hyper...)
+		if err != nil {
+			return nil, err
+		}
+		updates[i] = u
+	}
+	return ops.Group(g, updates...), nil
 }
 
 // BuildTraining builds gradient nodes for loss w.r.t. params and the
@@ -163,7 +185,7 @@ func BuildTraining(g *graph.Graph, loss *graph.Node, params []*graph.Node, opt O
 // clipping to [-clip, clip] when clip > 0 — the stabilization the
 // recurrent workloads rely on (Sutskever et al. clip gradients; DQN
 // clips TD errors). The recorded Grads stay raw; clipping applies in
-// both update paths (TrainOp and DistApply), so combined dist
+// both update paths (TrainOp and DistApplyScaled), so combined dist
 // gradients are clipped exactly once, after combination — the
 // N-independent order.
 func BuildTrainingClipped(g *graph.Graph, loss *graph.Node, params []*graph.Node, opt Optimizer, lr, clip float32) (*TrainPlan, error) {
@@ -171,26 +193,15 @@ func BuildTrainingClipped(g *graph.Graph, loss *graph.Node, params []*graph.Node
 	if err != nil {
 		return nil, err
 	}
-	updates := make([]*graph.Node, 0, len(params))
-	for i, p := range params {
-		if grads[i] == nil {
-			return nil, fmt.Errorf("nn: parameter %s has no gradient path to the loss", p.Name())
-		}
-		fed := grads[i]
-		if clip > 0 {
-			fed = ops.Maximum(ops.Minimum(fed, ops.ScalarConst(g, clip)), ops.ScalarConst(g, -clip))
-		}
-		u, err := applyOne(opt, p, fed, lr)
-		if err != nil {
-			return nil, err
-		}
-		updates = append(updates, u)
+	trainOp, err := updatePath(g, opt, clip, params, grads, []float32{lr}, false)
+	if err != nil {
+		return nil, err
 	}
 	return &TrainPlan{
 		g: g, loss: loss,
 		params:  append([]*graph.Node(nil), params...),
 		grads:   grads,
-		trainOp: ops.Group(g, updates...),
+		trainOp: trainOp,
 		opt:     opt, lr: lr, clip: clip,
 	}, nil
 }

@@ -2,7 +2,6 @@ package ops
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/graph"
 	"repro/internal/tensor"
@@ -19,12 +18,14 @@ import (
 // batched-GEMM fast path (BatchMatMul) keeps it because its kernel is
 // itself a per-slice MatMul loop.
 //
-// The remaining ops here cover what lifting alone cannot: broadcasting
-// a shared (unstacked) tensor across trainees, dropout with one shared
-// mask so the RNG stream stays in draw-count lockstep with a
-// standalone run, and optimizer apply-ops taking a per-trainee
-// learning-rate vector so hyperparameter variants diverge only through
-// their scalar step sizes.
+// What lifting alone cannot cover: broadcasting a shared (unstacked)
+// tensor across trainees (ArrayBroadcast, below), and the two stateful
+// kinds of op, which are not lifted but are their own stacked case —
+// dropout samples one mask of the per-trainee shape, so the RNG stream
+// stays in draw-count lockstep with a standalone run (random.go), and
+// an optimizer update of a stack is the rule's K-lane call, one
+// learning rate per trainee, so hyperparameter variants diverge only
+// through their scalar step sizes (optimizer.go).
 
 // MatMulKind reports whether op is the dense 2-D MatMul primitive,
 // and its transpose flags. The fusion transform uses it to route
@@ -185,7 +186,8 @@ func (o *arrayOp) Cost(in [][]int, out []int) (int64, int64) {
 // ArrayWrap lifts a pure primitive op across a fusion axis of size k.
 // stacked[i] marks inputs carrying the leading axis; the rest are
 // shared across trainees. Impure or state-mutating ops are rejected —
-// they need the dedicated fused forms (ArrayDropout, ApplyArray*).
+// dropout and the optimizer updates take a stack directly
+// (StackedDropout, ApplyUpdate).
 func ArrayWrap(k int, inner graph.Op, stacked []bool, inputs ...*graph.Node) (*graph.Node, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("ops: ArrayWrap fusion width %d", k)
@@ -257,411 +259,4 @@ func (o *arrayBroadcastOp) Cost(in [][]int, out []int) (int64, int64) {
 // fusion axis.
 func ArrayBroadcast(k int, x *graph.Node) *graph.Node {
 	return x.Graph().MustApply(&arrayBroadcastOp{k: k}, x)
-}
-
-// ---- fused dropout ----
-
-// arrayDropoutOp is fused dropout with one shared mask: it samples a
-// single per-trainee-shaped mask — the same number of RNG draws a
-// standalone run makes, keeping every downstream draw in the shared
-// stream aligned — and applies it to all K trainee slices. Trainees
-// share the seed by construction (fusion admits only seed-identical
-// instances), so the shared mask is exactly the mask each standalone
-// run would sample.
-type arrayDropoutOp struct {
-	k    int
-	rate float32
-	mask *tensor.Tensor // last sampled per-trainee mask (training only)
-}
-
-func (*arrayDropoutOp) Name() string         { return "ArrayDropout" }
-func (*arrayDropoutOp) Class() graph.OpClass { return graph.ClassRandom }
-func (o *arrayDropoutOp) InferShape(in [][]int) ([]int, error) {
-	if err := wantInputs("ArrayDropout", in, 1); err != nil {
-		return nil, err
-	}
-	if len(in[0]) == 0 || in[0][0] != o.k {
-		return nil, fmt.Errorf("ArrayDropout input %v, want leading axis %d", in[0], o.k)
-	}
-	return copyShape(in[0]), nil
-}
-func (o *arrayDropoutOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	x := in[0]
-	if !ctx.Training || o.rate <= 0 {
-		return x, nil
-	}
-	keep := 1 - o.rate
-	mask := tensor.New(x.Shape()[1:]...)
-	md := mask.Data()
-	inv := 1 / keep
-	for i := range md {
-		if ctx.RNG.Float32() < keep {
-			md[i] = inv
-		}
-	}
-	o.mask = mask
-	return arrayMaskApply(ctx, x, mask, o.k)
-}
-
-// Impure implements graph.Impure: stateful and stochastic — and may
-// return its input as a view in inference mode, so no IntoOp.
-func (*arrayDropoutOp) Impure() {}
-
-// arrayMaskApply multiplies every trainee slice of x by the shared
-// per-trainee mask, each through the same elementwise kernel a
-// standalone run uses.
-func arrayMaskApply(ctx *graph.ExecContext, x, mask *tensor.Tensor, k int) (*tensor.Tensor, error) {
-	out := tensor.New(x.Shape()...)
-	s := len(mask.Data())
-	shape := mask.Shape()
-	for kk := 0; kk < k; kk++ {
-		xi := tensor.FromSlice(x.Data()[kk*s:(kk+1)*s], shape...)
-		r, err := tensor.BinaryOp(ctx.Pool, xi, mask, func(a, m float32) float32 { return a * m })
-		if err != nil {
-			return nil, err
-		}
-		copy(out.Data()[kk*s:(kk+1)*s], r.Data())
-	}
-	return out, nil
-}
-
-type arrayDropoutGradOp struct{ src *arrayDropoutOp }
-
-func (*arrayDropoutGradOp) Name() string         { return "ArrayDropoutGrad" }
-func (*arrayDropoutGradOp) Class() graph.OpClass { return graph.ClassRandom }
-func (o *arrayDropoutGradOp) InferShape(in [][]int) ([]int, error) {
-	if err := wantInputs("ArrayDropoutGrad", in, 1); err != nil {
-		return nil, err
-	}
-	return copyShape(in[0]), nil
-}
-func (o *arrayDropoutGradOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	if !ctx.Training || o.src.rate <= 0 || o.src.mask == nil {
-		return in[0], nil
-	}
-	return arrayMaskApply(ctx, in[0], o.src.mask, o.src.k)
-}
-
-// Impure implements graph.Impure.
-func (*arrayDropoutGradOp) Impure() {}
-
-// ArrayDropout applies fused inverted dropout with a single shared
-// mask to a stacked (K,...) tensor.
-func ArrayDropout(k int, x *graph.Node, rate float32) *graph.Node {
-	return x.Graph().MustApply(&arrayDropoutOp{k: k, rate: rate}, x)
-}
-
-// ArrayDropoutGrad pairs the fused dropout gradient with its forward
-// node, replaying the same shared mask. drop must be a node built by
-// ArrayDropout.
-func ArrayDropoutGrad(drop, grad *graph.Node) (*graph.Node, error) {
-	src, ok := drop.Op().(*arrayDropoutOp)
-	if !ok {
-		return nil, fmt.Errorf("ops: ArrayDropoutGrad source %s is not an ArrayDropout", drop.OpName())
-	}
-	return grad.Graph().Apply(&arrayDropoutGradOp{src: src}, grad)
-}
-
-// ---- fused optimizer apply-ops ----
-//
-// Each fused apply-op mirrors its scalar counterpart in
-// optimizer.go exactly — same per-element arithmetic, same parallel-For
-// grain — but runs it once per trainee slice with that trainee's
-// learning rate. The slot tensors (velocity, RMS accumulators, Adam
-// moments) live on the stacked (K,...) shape, so trainee kk's slot
-// slice evolves bit-identically to its standalone run's slot tensor.
-
-// arrayLRs validates and copies a per-trainee learning-rate vector.
-func arrayLRs(lrs []float32) []float32 { return append([]float32(nil), lrs...) }
-
-// checkArrayApply validates a fused apply-op's gradient input against
-// its stacked target and the learning-rate vector length.
-func checkArrayApply(name string, in [][]int, target *graph.Node, k int) error {
-	if err := wantInputs(name, in, 1); err != nil {
-		return err
-	}
-	if !tensor.SameShape(in[0], target.Shape()) {
-		return fmt.Errorf("%s grad %v vs var %v", name, in[0], target.Shape())
-	}
-	if len(target.Shape()) == 0 || target.Shape()[0] != k {
-		return fmt.Errorf("%s var %v, want leading fusion axis %d", name, target.Shape(), k)
-	}
-	return nil
-}
-
-type applyArraySGDOp struct {
-	target *graph.Node
-	lrs    []float32
-}
-
-func (*applyArraySGDOp) Name() string         { return "ArrayApplyGradientDescent" }
-func (*applyArraySGDOp) Class() graph.OpClass { return graph.ClassOptimization }
-func (o *applyArraySGDOp) InferShape(in [][]int) ([]int, error) {
-	if err := checkArrayApply("ArrayApplyGradientDescent", in, o.target, len(o.lrs)); err != nil {
-		return nil, err
-	}
-	return []int{}, nil
-}
-func (o *applyArraySGDOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	v := o.target.Value().Data()
-	g := in[0].Data()
-	s := len(v) / len(o.lrs)
-	for kk, lr := range o.lrs {
-		vk, gk := v[kk*s:(kk+1)*s], g[kk*s:(kk+1)*s]
-		lr := lr
-		ctx.Pool.For(s, 16384, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				vk[i] -= lr * gk[i]
-			}
-		})
-	}
-	return tensor.Scalar(0), nil
-}
-func (o *applyArraySGDOp) Cost(in [][]int, out []int) (int64, int64) {
-	n := int64(tensor.SizeOf(in[0]))
-	return n, 3 * n * elemBytes
-}
-
-// Mutates implements graph.Mutator.
-func (o *applyArraySGDOp) Mutates() []*graph.Node { return []*graph.Node{o.target} }
-
-// Impure implements graph.Impure.
-func (*applyArraySGDOp) Impure() {}
-
-// ApplyArraySGD adds a fused gradient-descent update of stacked
-// variable v by grad, trainee kk stepping with lrs[kk].
-func ApplyArraySGD(v, grad *graph.Node, lrs []float32) *graph.Node {
-	return v.Graph().MustApply(&applyArraySGDOp{target: v, lrs: arrayLRs(lrs)}, grad)
-}
-
-type applyArrayMomentumOp struct {
-	target   *graph.Node
-	lrs      []float32
-	mom      float32
-	velocity *graph.Node
-}
-
-func (*applyArrayMomentumOp) Name() string         { return "ArrayApplyMomentum" }
-func (*applyArrayMomentumOp) Class() graph.OpClass { return graph.ClassOptimization }
-func (o *applyArrayMomentumOp) InferShape(in [][]int) ([]int, error) {
-	if err := checkArrayApply("ArrayApplyMomentum", in, o.target, len(o.lrs)); err != nil {
-		return nil, err
-	}
-	return []int{}, nil
-}
-func (o *applyArrayMomentumOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	v := o.target.Value().Data()
-	vel := o.velocity.Value().Data()
-	g := in[0].Data()
-	mom := o.mom
-	s := len(v) / len(o.lrs)
-	for kk, lr := range o.lrs {
-		vk, velk, gk := v[kk*s:(kk+1)*s], vel[kk*s:(kk+1)*s], g[kk*s:(kk+1)*s]
-		lr := lr
-		ctx.Pool.For(s, 16384, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				velk[i] = mom*velk[i] + gk[i]
-				vk[i] -= lr * velk[i]
-			}
-		})
-	}
-	return tensor.Scalar(0), nil
-}
-func (o *applyArrayMomentumOp) Cost(in [][]int, out []int) (int64, int64) {
-	n := int64(tensor.SizeOf(in[0]))
-	return 3 * n, 5 * n * elemBytes
-}
-
-// Mutates implements graph.Mutator.
-func (o *applyArrayMomentumOp) Mutates() []*graph.Node {
-	return []*graph.Node{o.target, o.velocity}
-}
-
-// Impure implements graph.Impure.
-func (*applyArrayMomentumOp) Impure() {}
-
-// ApplyArrayMomentum adds a fused momentum-SGD update of stacked
-// variable v by grad. The stacked velocity accumulator is a
-// "<v>/slot/velocity" graph variable — checkpointed state, like the
-// scalar apply-ops' slots — so a restored fused array resumes the
-// exact optimizer trajectory.
-func ApplyArrayMomentum(v, grad *graph.Node, lrs []float32, momentum float32) *graph.Node {
-	op := &applyArrayMomentumOp{target: v, lrs: arrayLRs(lrs), mom: momentum, velocity: slotVar(v, "velocity")}
-	return v.Graph().MustApply(op, grad)
-}
-
-type applyArrayRMSPropOp struct {
-	target     *graph.Node
-	lrs        []float32
-	decay, eps float32
-	ms         *graph.Node
-}
-
-func (*applyArrayRMSPropOp) Name() string         { return "ArrayApplyRMSProp" }
-func (*applyArrayRMSPropOp) Class() graph.OpClass { return graph.ClassOptimization }
-func (o *applyArrayRMSPropOp) InferShape(in [][]int) ([]int, error) {
-	if err := checkArrayApply("ArrayApplyRMSProp", in, o.target, len(o.lrs)); err != nil {
-		return nil, err
-	}
-	return []int{}, nil
-}
-func (o *applyArrayRMSPropOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	v := o.target.Value().Data()
-	ms := o.ms.Value().Data()
-	g := in[0].Data()
-	decay, eps := o.decay, o.eps
-	s := len(v) / len(o.lrs)
-	for kk, lr := range o.lrs {
-		vk, msk, gk := v[kk*s:(kk+1)*s], ms[kk*s:(kk+1)*s], g[kk*s:(kk+1)*s]
-		lr := lr
-		ctx.Pool.For(s, 8192, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				msk[i] = decay*msk[i] + (1-decay)*gk[i]*gk[i]
-				vk[i] -= lr * gk[i] / float32(math.Sqrt(float64(msk[i]))+float64(eps))
-			}
-		})
-	}
-	return tensor.Scalar(0), nil
-}
-func (o *applyArrayRMSPropOp) Cost(in [][]int, out []int) (int64, int64) {
-	n := int64(tensor.SizeOf(in[0]))
-	return 6 * n, 5 * n * elemBytes
-}
-
-// Mutates implements graph.Mutator.
-func (o *applyArrayRMSPropOp) Mutates() []*graph.Node { return []*graph.Node{o.target, o.ms} }
-
-// Impure implements graph.Impure.
-func (*applyArrayRMSPropOp) Impure() {}
-
-// ApplyArrayRMSProp adds a fused RMSProp update of stacked variable v
-// by grad. The stacked RMS statistic is a "<v>/slot/ms" graph
-// variable, so it rides along in checkpoints.
-func ApplyArrayRMSProp(v, grad *graph.Node, lrs []float32, decay, eps float32) *graph.Node {
-	op := &applyArrayRMSPropOp{target: v, lrs: arrayLRs(lrs), decay: decay, eps: eps, ms: slotVar(v, "ms")}
-	return v.Graph().MustApply(op, grad)
-}
-
-type applyArrayAdamOp struct {
-	target      *graph.Node
-	lrs         []float32
-	b1, b2, eps float32
-	m, v, step  *graph.Node
-}
-
-func (*applyArrayAdamOp) Name() string         { return "ArrayApplyAdam" }
-func (*applyArrayAdamOp) Class() graph.OpClass { return graph.ClassOptimization }
-func (o *applyArrayAdamOp) InferShape(in [][]int) ([]int, error) {
-	if err := checkArrayApply("ArrayApplyAdam", in, o.target, len(o.lrs)); err != nil {
-		return nil, err
-	}
-	return []int{}, nil
-}
-func (o *applyArrayAdamOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	// The shared step counter lives in a shape-{1} variable (all
-	// trainees step together), so checkpoints restore the bias
-	// correction along with the moments — same scheme as ApplyAdam.
-	st := o.step.Value().Data()
-	st[0]++
-	step := float64(st[0])
-	w := o.target.Value().Data()
-	m, v := o.m.Value().Data(), o.v.Value().Data()
-	g := in[0].Data()
-	b1, b2 := float64(o.b1), float64(o.b2)
-	c1 := 1 - math.Pow(b1, step)
-	c2 := 1 - math.Pow(b2, step)
-	eps := float64(o.eps)
-	s := len(w) / len(o.lrs)
-	for kk, lrk := range o.lrs {
-		wk, mk, vk, gk := w[kk*s:(kk+1)*s], m[kk*s:(kk+1)*s], v[kk*s:(kk+1)*s], g[kk*s:(kk+1)*s]
-		lr := float64(lrk) * math.Sqrt(c2) / c1
-		ctx.Pool.For(s, 8192, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				gi := float64(gk[i])
-				mi := b1*float64(mk[i]) + (1-b1)*gi
-				vi := b2*float64(vk[i]) + (1-b2)*gi*gi
-				mk[i], vk[i] = float32(mi), float32(vi)
-				wk[i] -= float32(lr * mi / (math.Sqrt(vi) + eps))
-			}
-		})
-	}
-	return tensor.Scalar(0), nil
-}
-func (o *applyArrayAdamOp) Cost(in [][]int, out []int) (int64, int64) {
-	n := int64(tensor.SizeOf(in[0]))
-	return 10 * n, 7 * n * elemBytes
-}
-
-// Mutates implements graph.Mutator.
-func (o *applyArrayAdamOp) Mutates() []*graph.Node {
-	return []*graph.Node{o.target, o.m, o.v, o.step}
-}
-
-// Impure implements graph.Impure.
-func (*applyArrayAdamOp) Impure() {}
-
-// ApplyArrayAdam adds a fused Adam update of stacked variable v by
-// grad. The bias-correction step counter is shared — all trainees step
-// together — so each trainee's effective rate matches its standalone
-// schedule. Moments and the step counter are "<v>/slot/{m,v,step}"
-// graph variables, so a restored fused array resumes the exact
-// trajectory, bias correction included.
-func ApplyArrayAdam(v, grad *graph.Node, lrs []float32, beta1, beta2, eps float32) *graph.Node {
-	op := &applyArrayAdamOp{
-		target: v, lrs: arrayLRs(lrs), b1: beta1, b2: beta2, eps: eps,
-		m: slotVar(v, "m"), v: slotVar(v, "v"), step: slotVar(v, "step", 1),
-	}
-	return v.Graph().MustApply(op, grad)
-}
-
-type applyArrayAdagradOp struct {
-	target *graph.Node
-	lrs    []float32
-	eps    float32
-	accum  *graph.Node
-}
-
-func (*applyArrayAdagradOp) Name() string         { return "ArrayApplyAdagrad" }
-func (*applyArrayAdagradOp) Class() graph.OpClass { return graph.ClassOptimization }
-func (o *applyArrayAdagradOp) InferShape(in [][]int) ([]int, error) {
-	if err := checkArrayApply("ArrayApplyAdagrad", in, o.target, len(o.lrs)); err != nil {
-		return nil, err
-	}
-	return []int{}, nil
-}
-func (o *applyArrayAdagradOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	v := o.target.Value().Data()
-	acc := o.accum.Value().Data()
-	g := in[0].Data()
-	eps := o.eps
-	s := len(v) / len(o.lrs)
-	for kk, lr := range o.lrs {
-		vk, acck, gk := v[kk*s:(kk+1)*s], acc[kk*s:(kk+1)*s], g[kk*s:(kk+1)*s]
-		lr := lr
-		ctx.Pool.For(s, 8192, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				acck[i] += gk[i] * gk[i]
-				vk[i] -= lr * gk[i] / (float32(math.Sqrt(float64(acck[i]))) + eps)
-			}
-		})
-	}
-	return tensor.Scalar(0), nil
-}
-func (o *applyArrayAdagradOp) Cost(in [][]int, out []int) (int64, int64) {
-	n := int64(tensor.SizeOf(in[0]))
-	return 5 * n, 5 * n * elemBytes
-}
-
-// Mutates implements graph.Mutator.
-func (o *applyArrayAdagradOp) Mutates() []*graph.Node { return []*graph.Node{o.target, o.accum} }
-
-// Impure implements graph.Impure.
-func (*applyArrayAdagradOp) Impure() {}
-
-// ApplyArrayAdagrad adds a fused AdaGrad update of stacked variable v
-// by grad. The stacked gradient-square accumulator is a
-// "<v>/slot/accum" graph variable, so it rides along in checkpoints.
-func ApplyArrayAdagrad(v, grad *graph.Node, lrs []float32, eps float32) *graph.Node {
-	op := &applyArrayAdagradOp{target: v, lrs: arrayLRs(lrs), eps: eps, accum: slotVar(v, "accum")}
-	return v.Graph().MustApply(op, grad)
 }

@@ -67,16 +67,38 @@ func RandomUniform(g *graph.Graph, shape ...int) *graph.Node {
 // This mirrors cuDNN-style fused dropout. The executor runs operations
 // sequentially and the gradient is topologically after the forward op,
 // so the handoff is safe. In inference mode dropout is the identity.
+//
+// lead is the number of leading axes the mask does not span: 0 for an
+// ordinary tensor, 1 for a horizontally fused (K,…) stack (see
+// internal/fuse), which the op then reports as ArrayDropout. The mask
+// is sampled over x.Shape()[lead:] — for a stack, draw for draw the
+// mask one standalone run samples, so every later draw in the shared
+// RNG stream stays aligned — and applied to every lane. Lanes share
+// the seed by construction (fusion admits only seed-identical
+// instances), so the shared mask is exactly the mask each standalone
+// run would sample.
 type dropoutOp struct {
 	rate float32
+	lead int
 	mask *tensor.Tensor // last sampled mask (training only)
 }
 
-func (*dropoutOp) Name() string         { return "Dropout" }
+// dropoutName prefixes the op-type name of the stacked form.
+func dropoutName(lead int, name string) string {
+	if lead > 0 {
+		return "Array" + name
+	}
+	return name
+}
+
+func (o *dropoutOp) Name() string       { return dropoutName(o.lead, "Dropout") }
 func (*dropoutOp) Class() graph.OpClass { return graph.ClassRandom }
 func (o *dropoutOp) InferShape(in [][]int) ([]int, error) {
-	if err := wantInputs("Dropout", in, 1); err != nil {
+	if err := wantInputs(o.Name(), in, 1); err != nil {
 		return nil, err
+	}
+	if len(in[0]) < o.lead {
+		return nil, fmt.Errorf("%s input %v has no leading fusion axis", o.Name(), in[0])
 	}
 	return copyShape(in[0]), nil
 }
@@ -86,7 +108,7 @@ func (o *dropoutOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tenso
 		return x, nil
 	}
 	keep := 1 - o.rate
-	mask := tensor.New(x.Shape()...)
+	mask := tensor.New(x.Shape()[o.lead:]...)
 	md := mask.Data()
 	inv := 1 / keep
 	for i := range md {
@@ -95,7 +117,23 @@ func (o *dropoutOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tenso
 		}
 	}
 	o.mask = mask
-	return tensor.BinaryOp(ctx.Pool, x, mask, func(a, m float32) float32 { return a * m })
+	return o.applyMask(ctx, x)
+}
+
+// applyMask multiplies x by the saved mask. A stack is viewed as
+// (lanes, S) against the mask as (S), which is BinaryOp's trailing-
+// broadcast path; products are elementwise, so every lane holds the
+// bits a standalone run computes.
+func (o *dropoutOp) applyMask(ctx *graph.ExecContext, x *tensor.Tensor) (*tensor.Tensor, error) {
+	out := tensor.New(x.Shape()...)
+	dst, mask := out, o.mask
+	if o.lead > 0 {
+		s := mask.Size()
+		lanes := x.Size() / s
+		dst, x, mask = tensor.FromSlice(out.Data(), lanes, s), tensor.FromSlice(x.Data(), lanes, s), tensor.FromSlice(mask.Data(), s)
+	}
+	err := tensor.BinaryOpInto(ctx.Pool, dst, x, mask, func(a, m float32) float32 { return a * m })
+	return out, err
 }
 func (o *dropoutOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
 	return []*graph.Node{g.MustApply(&dropoutGradOp{src: o}, grad)}, nil
@@ -103,10 +141,10 @@ func (o *dropoutOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*gr
 
 type dropoutGradOp struct{ src *dropoutOp }
 
-func (*dropoutGradOp) Name() string         { return "DropoutGrad" }
+func (o *dropoutGradOp) Name() string       { return dropoutName(o.src.lead, "DropoutGrad") }
 func (*dropoutGradOp) Class() graph.OpClass { return graph.ClassRandom }
 func (o *dropoutGradOp) InferShape(in [][]int) ([]int, error) {
-	if err := wantInputs("DropoutGrad", in, 1); err != nil {
+	if err := wantInputs(o.Name(), in, 1); err != nil {
 		return nil, err
 	}
 	return copyShape(in[0]), nil
@@ -115,10 +153,11 @@ func (o *dropoutGradOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*t
 	if !ctx.Training || o.src.rate <= 0 || o.src.mask == nil {
 		return in[0], nil
 	}
-	return tensor.BinaryOp(ctx.Pool, in[0], o.src.mask, func(g, m float32) float32 { return g * m })
+	return o.src.applyMask(ctx, in[0])
 }
 
-// Impure implements graph.Impure: dropout is stateful and stochastic.
+// Impure implements graph.Impure: dropout is stateful and stochastic —
+// and may return its input as a view in inference mode, so no IntoOp.
 func (*dropoutOp) Impure() {}
 
 // Impure implements graph.Impure.
@@ -128,4 +167,20 @@ func (*dropoutGradOp) Impure() {}
 // training and is the identity during inference.
 func Dropout(x *graph.Node, rate float32) *graph.Node {
 	return x.Graph().MustApply(&dropoutOp{rate: rate}, x)
+}
+
+// StackedDropout is Dropout over a horizontally fused (K,…) stack: one
+// mask of the per-lane shape, shared by all K lanes.
+func StackedDropout(x *graph.Node, rate float32) (*graph.Node, error) {
+	return x.Graph().Apply(&dropoutOp{rate: rate, lead: 1}, x)
+}
+
+// DropoutGradOf adds the gradient op paired with the dropout node
+// drop, replaying its saved mask over grad.
+func DropoutGradOf(drop, grad *graph.Node) (*graph.Node, error) {
+	src, ok := drop.Op().(*dropoutOp)
+	if !ok {
+		return nil, fmt.Errorf("ops: DropoutGradOf source %s is not a dropout", drop.OpName())
+	}
+	return grad.Graph().Apply(&dropoutGradOp{src: src}, grad)
 }

@@ -12,6 +12,19 @@ import (
 	"repro/internal/tensor"
 )
 
+// decodeTrace unwraps the Chrome-trace envelope every exporter shares
+// (telemetry's encoder): {"traceEvents": [...]}.
+func decodeTrace(t *testing.T, b []byte) []map[string]interface{} {
+	t.Helper()
+	var doc struct {
+		TraceEvents []map[string]interface{} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	return doc.TraceEvents
+}
+
 func TestWriteChromeTrace(t *testing.T) {
 	g, x, y, _ := buildAffine(t)
 	s := NewSession(g, WithTrace())
@@ -21,10 +34,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	if err := WriteChromeTrace(&buf, s.Trace()); err != nil {
 		t.Fatal(err)
 	}
-	var events []map[string]interface{}
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
+	events := decodeTrace(t, buf.Bytes())
 	var complete, meta int
 	for _, e := range events {
 		switch e["ph"] {
@@ -54,10 +64,7 @@ func TestWriteChromeTraceWall(t *testing.T) {
 	if err := WriteChromeTraceWall(&buf, s.Trace()); err != nil {
 		t.Fatal(err)
 	}
-	var events []map[string]interface{}
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("wall trace is not valid JSON: %v", err)
-	}
+	events := decodeTrace(t, buf.Bytes())
 	workers := map[float64]bool{}
 	var complete int
 	for _, e := range events {
@@ -91,8 +98,8 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 	if err := WriteChromeTrace(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if strings.TrimSpace(buf.String()) != "[]" {
-		t.Fatalf("empty trace should serialize to []: %q", buf.String())
+	if events := decodeTrace(t, buf.Bytes()); events == nil || len(events) != 0 {
+		t.Fatalf("empty trace should serialize to an empty traceEvents array: %q", buf.String())
 	}
 }
 

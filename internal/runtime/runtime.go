@@ -336,6 +336,7 @@ type Session struct {
 	// kernel pools execute chunks on shared-pool helpers
 	// (tensor.NewParallelPool) instead of modeling the speedup.
 	intraOp   int
+	workers   int                  // modeled width of serial kernel pools (WithWorkers)
 	execPool  *sched.Pool          // shared worker pool (default sched.Default)
 	lease     *sched.Lease         // the session's adaptive claim on it
 	leaseName string               // tenant name the claim registers under
@@ -350,7 +351,7 @@ type Option func(*Session)
 func WithDevice(d Device) Option { return func(s *Session) { s.dev = d } }
 
 // WithWorkers sets the modeled intra-op worker count (default 1).
-func WithWorkers(n int) Option { return func(s *Session) { s.ctx.Pool.SetWorkers(n) } }
+func WithWorkers(n int) Option { return func(s *Session) { s.workers = n } }
 
 // WithSeed seeds the session RNG (default 1).
 func WithSeed(seed int64) Option {
@@ -428,12 +429,9 @@ func WithLeaseName(name string) Option {
 // NewSession creates a session over g.
 func NewSession(g *graph.Graph, opts ...Option) *Session {
 	s := &Session{
-		g:   g,
-		dev: CPUDevice{},
-		ctx: &graph.ExecContext{
-			Pool: tensor.NewPool(1),
-			RNG:  rand.New(rand.NewSource(1)),
-		},
+		g:         g,
+		dev:       CPUDevice{},
+		ctx:       &graph.ExecContext{RNG: rand.New(rand.NewSource(1))},
 		arena:     tensor.NewArena(),
 		planCache: map[string]*Plan{},
 		interOp:   1,
@@ -460,9 +458,7 @@ func NewSession(g *graph.Graph, opts ...Option) *Session {
 		}
 		s.lease = s.execPool.LeaseNamed(name, s.interOp*intra-1)
 	}
-	if s.intraOp > 1 {
-		s.ctx.Pool = tensor.NewParallelPool(s.intraOp, s.lease)
-	}
+	s.ctx.Pool = s.newKernelPool()
 	return s
 }
 
@@ -601,9 +597,12 @@ func (s *Session) compile(fetches []*graph.Node) *Plan {
 	}
 
 	// slotEnd[sl]: the schedule position after which slot sl's buffer
-	// is dead. A slot reachable from a fetch is pinned for the whole
-	// run (position n) and its fetch is cloned on the way out.
-	slotEnd := make(map[int]int)
+	// is dead; 0 where step sl owns no slot (a slot is read after
+	// position 0). A slot reachable from a fetch is pinned for the whole
+	// run (position n) and its fetch is cloned on the way out. Indexed
+	// by step, so buffers are released — and enter the LIFO free list —
+	// in schedule order, the same in every compile.
+	slotEnd := make([]int, n)
 	for i := range order {
 		for _, sl := range aliases[i] {
 			if lastUse[i] > slotEnd[sl] {
@@ -824,7 +823,7 @@ func (s *Session) compile(fetches []*graph.Node) *Plan {
 
 	releaseAt := make([][]int, n)
 	for sl, e := range slotEnd {
-		if e < n {
+		if e > 0 && e < n {
 			releaseAt[e] = append(releaseAt[e], sl)
 		}
 	}
@@ -833,7 +832,7 @@ func (s *Session) compile(fetches []*graph.Node) *Plan {
 		slot int       // slot that released it
 	}
 	freelist := map[int][]freeBuf{} // size class → freed buffers (LIFO)
-	bufs := make(map[int]*tensor.Tensor, len(slotEnd))
+	bufs := make([]*tensor.Tensor, n)
 	seen := make(map[*float32]bool)
 	for i := range order {
 		if steps[i].into != nil {

@@ -511,5 +511,5 @@ func (s *Session) newKernelPool() *tensor.Pool {
 	if s.intraOp > 1 {
 		return tensor.NewParallelPool(s.intraOp, s.lease)
 	}
-	return tensor.NewPool(s.ctx.Pool.Workers())
+	return tensor.NewPool(s.workers)
 }

@@ -1,68 +1,30 @@
 package runtime
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
+
+	"repro/internal/graph"
+	"repro/internal/telemetry"
 )
 
 // Chrome-trace export: the paper's Related Work describes EEG,
 // Google's internal tool that "can reconstruct the dynamic execution
 // timeline of TensorFlow operations" but was never released. This is
-// the equivalent for this runtime: events serialize to the Chrome
-// trace-event format (chrome://tracing, Perfetto) with one lane per
-// operation class, so a session's simulated timeline can be inspected
-// visually.
+// the equivalent for this runtime: events map onto the lanes of a
+// Chrome trace-event document (chrome://tracing, Perfetto; encoded by
+// telemetry.WriteChromeLanes) so a session's timeline can be
+// inspected visually — by operation class on the simulated clock, or
+// by inter-op worker on the wall clock.
 
-// chromeEvent is one "complete" (ph=X) trace-event record.
-type chromeEvent struct {
-	Name string            `json:"name"`
-	Cat  string            `json:"cat"`
-	Ph   string            `json:"ph"`
-	TS   float64           `json:"ts"`  // microseconds
-	Dur  float64           `json:"dur"` // microseconds
-	PID  int               `json:"pid"`
-	TID  int               `json:"tid"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-type chromeMeta struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	PID  int               `json:"pid"`
-	TID  int               `json:"tid"`
-	Args map[string]string `json:"args"`
-}
-
-// WriteChromeTrace serializes events as a Chrome trace-event JSON
-// array. Each operation class gets its own thread lane; timestamps
-// are the session's simulated timeline.
+// WriteChromeTrace serializes events as a Chrome-trace document. Each
+// operation class gets its own thread lane; timestamps are the
+// session's simulated timeline.
 func WriteChromeTrace(w io.Writer, events []Event) error {
-	out := make([]interface{}, 0, len(events)+8)
-	seen := map[int]bool{}
-	for _, e := range events {
-		tid := int(e.Class)
-		if !seen[tid] {
-			seen[tid] = true
-			out = append(out, chromeMeta{
-				Name: "thread_name", Ph: "M", PID: 1, TID: tid,
-				Args: map[string]string{"name": e.Class.Letter() + ": " + e.Class.String()},
-			})
-		}
-		out = append(out, chromeEvent{
-			Name: e.Op,
-			Cat:  e.Class.String(),
-			Ph:   "X",
-			TS:   float64(e.Start.Nanoseconds()) / 1e3,
-			Dur:  float64(e.Dur.Nanoseconds()) / 1e3,
-			PID:  1,
-			TID:  tid,
-			Args: map[string]string{"node": e.Node.String()},
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	return writeLanes(w, events,
+		func(tid int) string { c := graph.OpClass(tid); return c.Letter() + ": " + c.String() },
+		func(e Event) (int, time.Duration, time.Duration) { return int(e.Class), e.Start, e.Dur })
 }
 
 // WriteChromeTraceWall serializes events on the measured wall-clock
@@ -74,6 +36,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 // skipped.
 func WriteChromeTraceWall(w io.Writer, events []Event) error {
 	var t0 time.Time
+	var timed []Event
 	for _, e := range events {
 		if e.WallStart.IsZero() {
 			continue
@@ -81,32 +44,20 @@ func WriteChromeTraceWall(w io.Writer, events []Event) error {
 		if t0.IsZero() || e.WallStart.Before(t0) {
 			t0 = e.WallStart
 		}
+		timed = append(timed, e)
 	}
-	out := make([]interface{}, 0, len(events)+8)
-	seen := map[int]bool{}
-	for _, e := range events {
-		if e.WallStart.IsZero() {
-			continue
-		}
-		tid := e.Worker
-		if !seen[tid] {
-			seen[tid] = true
-			out = append(out, chromeMeta{
-				Name: "thread_name", Ph: "M", PID: 1, TID: tid,
-				Args: map[string]string{"name": fmt.Sprintf("worker %d", tid)},
-			})
-		}
-		out = append(out, chromeEvent{
-			Name: e.Op,
-			Cat:  e.Class.String(),
-			Ph:   "X",
-			TS:   float64(e.WallStart.Sub(t0).Nanoseconds()) / 1e3,
-			Dur:  float64(e.Wall.Nanoseconds()) / 1e3,
-			PID:  1,
-			TID:  tid,
-			Args: map[string]string{"node": e.Node.String()},
+	return writeLanes(w, timed,
+		func(tid int) string { return fmt.Sprintf("worker %d", tid) },
+		func(e Event) (int, time.Duration, time.Duration) { return e.Worker, e.WallStart.Sub(t0), e.Wall })
+}
+
+// writeLanes puts every event on the lane, start and duration place
+// assigns it.
+func writeLanes(w io.Writer, events []Event, laneName func(tid int) string, place func(Event) (tid int, start, dur time.Duration)) error {
+	return telemetry.WriteChromeLanes(w, laneName, len(events),
+		func(i int) (int, string, string, time.Duration, time.Duration, map[string]string) {
+			e := events[i]
+			tid, start, dur := place(e)
+			return tid, e.Op, e.Class.String(), start, dur, map[string]string{"node": e.Node.String()}
 		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
 }

@@ -211,16 +211,20 @@ func TraceDecided(ctx context.Context) bool {
 	return ok
 }
 
-// Chrome trace-event JSON, mirroring the runtime's export format so
-// request span trees open in the same viewers (chrome://tracing,
-// Perfetto) as op timelines.
+// Chrome trace-event JSON (chrome://tracing, Perfetto): the one
+// encoder behind request span trees (WriteChromeTraces) and the
+// runtime's op timelines (WriteChromeLanes).
+
+// chromeEvent is one "complete" (ph=X) trace-event record.
 type chromeEvent struct {
-	Name string  `json:"name"`
-	Ph   string  `json:"ph"`
-	TS   float64 `json:"ts"`
-	Dur  float64 `json:"dur"`
-	PID  int     `json:"pid"`
-	TID  int     `json:"tid"`
+	Name string            `json:"name"`
+	Cat  string            `json:"cat,omitempty"`
+	Ph   string            `json:"ph"`
+	TS   float64           `json:"ts"`  // microseconds
+	Dur  float64           `json:"dur"` // microseconds
+	PID  int               `json:"pid"`
+	TID  int               `json:"tid"`
+	Args map[string]string `json:"args,omitempty"`
 }
 
 type chromeMeta struct {
@@ -231,55 +235,82 @@ type chromeMeta struct {
 	Args map[string]string `json:"args"`
 }
 
+// chromeDoc collects the records of one trace document. Lanes are
+// (process, thread) pairs, named by laneName the first time an event
+// lands on them.
+type chromeDoc struct {
+	laneName func(tid int) string
+	events   []any
+	lanes    map[[2]int]bool
+}
+
+func newChromeDoc(laneName func(tid int) string) *chromeDoc {
+	return &chromeDoc{laneName: laneName, events: []any{}, lanes: map[[2]int]bool{}}
+}
+
+func (d *chromeDoc) meta(kind string, pid, tid int, name string) {
+	d.events = append(d.events, chromeMeta{Name: kind, Ph: "M", PID: pid, TID: tid, Args: map[string]string{"name": name}})
+}
+
+func (d *chromeDoc) event(pid, tid int, name, cat string, start, dur time.Duration, args map[string]string) {
+	if lane := [2]int{pid, tid}; !d.lanes[lane] {
+		d.lanes[lane] = true
+		d.meta("thread_name", pid, tid, d.laneName(tid))
+	}
+	d.events = append(d.events, chromeEvent{
+		Name: name, Cat: cat, Ph: "X",
+		TS:  float64(start) / float64(time.Microsecond),
+		Dur: float64(dur) / float64(time.Microsecond),
+		PID: pid, TID: tid, Args: args,
+	})
+}
+
+func (d *chromeDoc) write(w io.Writer) error {
+	return json.NewEncoder(w).Encode(map[string]any{"traceEvents": d.events})
+}
+
+// WriteChromeLanes writes one single-process Chrome-trace document of
+// n complete events. event(i) places event i: the lane (thread id) it
+// sits on, its name and category, its start and duration on whatever
+// clock the caller maps onto the timeline, and optional args.
+// laneName labels a lane the first time an event uses it.
+func WriteChromeLanes(w io.Writer, laneName func(tid int) string, n int,
+	event func(i int) (tid int, name, cat string, start, dur time.Duration, args map[string]string)) error {
+	d := newChromeDoc(laneName)
+	for i := 0; i < n; i++ {
+		tid, name, cat, start, dur, args := event(i)
+		d.event(1, tid, name, cat, start, dur, args)
+	}
+	return d.write(w)
+}
+
 // WriteChromeTraces renders finished traces as one Chrome-trace JSON
 // document: one process per trace, request-level spans on lane 0 and
 // per-op spans on one lane per inter-op worker. Timestamps are
 // microseconds relative to the earliest span across all traces.
 func WriteChromeTraces(w io.Writer, traces []*Trace) error {
 	var t0 time.Time
-	type flat struct {
-		pid   int
-		spans []Span
-	}
-	var all []flat
+	spans := make([][]Span, len(traces))
 	for i, t := range traces {
-		spans := t.Spans()
-		for _, s := range spans {
+		spans[i] = t.Spans()
+		for _, s := range spans[i] {
 			if t0.IsZero() || s.Start.Before(t0) {
 				t0 = s.Start
 			}
 		}
-		all = append(all, flat{pid: i + 1, spans: spans})
 	}
-	var events []any
+	d := newChromeDoc(func(tid int) string {
+		if tid == 0 {
+			return "request"
+		}
+		return fmt.Sprintf("worker %d", tid-1)
+	})
 	for i, t := range traces {
-		events = append(events, chromeMeta{
-			Name: "process_name", Ph: "M", PID: all[i].pid, TID: 0,
-			Args: map[string]string{"name": fmt.Sprintf("%s trace=%d", t.Name, t.ID)},
-		})
-		lanes := map[int]bool{}
-		for _, s := range all[i].spans {
-			if !lanes[s.Lane] {
-				lanes[s.Lane] = true
-				name := "request"
-				if s.Lane > 0 {
-					name = fmt.Sprintf("worker %d", s.Lane-1)
-				}
-				events = append(events, chromeMeta{
-					Name: "thread_name", Ph: "M", PID: all[i].pid, TID: s.Lane,
-					Args: map[string]string{"name": name},
-				})
-			}
-			events = append(events, chromeEvent{
-				Name: s.Name,
-				Ph:   "X",
-				TS:   float64(s.Start.Sub(t0)) / float64(time.Microsecond),
-				Dur:  float64(s.Dur) / float64(time.Microsecond),
-				PID:  all[i].pid,
-				TID:  s.Lane,
-			})
+		pid := i + 1
+		d.meta("process_name", pid, 0, fmt.Sprintf("%s trace=%d", t.Name, t.ID))
+		for _, s := range spans[i] {
+			d.event(pid, s.Lane, s.Name, "", s.Start.Sub(t0), s.Dur, nil)
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": events})
+	return d.write(w)
 }

@@ -49,12 +49,11 @@ type Executor interface {
 //
 // A Pool is confined to one goroutine from the caller's perspective:
 // only the internal parallel strategy fans chunks out, and every
-// region joins before For returns. Width is immutable after the first
-// region executes (SetWorkers panics), so a plan's modeled makespans
-// can never be skewed by a mid-plan width change.
+// region joins before For returns. Width is fixed at construction, so
+// a plan's modeled makespans can never be skewed by a mid-plan width
+// change.
 type Pool struct {
 	workers int
-	frozen  bool // width immutable once any region has executed
 	exec    Executor
 
 	// Accumulators for the operation currently executing, maintained
@@ -151,20 +150,6 @@ func (p *Pool) Workers() int { return p.workers }
 // concurrently (vs. modeling the speedup).
 func (p *Pool) Parallel() bool { return p.exec != nil && p.workers > 1 }
 
-// SetWorkers changes the pool width. The width is immutable once any
-// region has executed: a mid-plan change would silently skew modeled
-// makespans (and per-lane scratch sizing), so SetWorkers panics after
-// the first For.
-func (p *Pool) SetWorkers(n int) {
-	if p.frozen {
-		panic("tensor: Pool width is immutable after the first For region")
-	}
-	if n < 1 {
-		n = 1
-	}
-	p.workers = n
-}
-
 // ResetOp clears the per-operation accumulators. The executor calls it
 // before running each operation.
 func (p *Pool) ResetOp() {
@@ -237,18 +222,12 @@ func (p *Pool) For(n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	p.frozen = true
 	chunks := regionChunks(n, grain)
 	if chunks == 1 || p.workers == 1 {
 		fn(0, n)
 		return
 	}
-	p.regions++
-	if p.exec == nil {
-		p.runModeled(n, chunks, func(chunk, lo, hi int) { fn(lo, hi) })
-		return
-	}
-	p.runChunks(n, chunks, func(lane, chunk, lo, hi int) { fn(lo, hi) })
+	p.run(n, chunks, func(lane, chunk, lo, hi int) { fn(lo, hi) })
 }
 
 // ForLane is For for kernels that need per-executor scratch: fn
@@ -262,18 +241,12 @@ func (p *Pool) ForLane(n, grain int, fn func(lane, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	p.frozen = true
 	chunks := regionChunks(n, grain)
 	if chunks == 1 || p.workers == 1 {
 		fn(0, 0, n)
 		return
 	}
-	p.regions++
-	if p.exec == nil {
-		p.runModeled(n, chunks, func(chunk, lo, hi int) { fn(0, lo, hi) })
-		return
-	}
-	p.runChunks(n, chunks, func(lane, chunk, lo, hi int) { fn(lane, lo, hi) })
+	p.run(n, chunks, func(lane, chunk, lo, hi int) { fn(lane, lo, hi) })
 }
 
 // ForSum reduces [0,n) to a float32 sum: fn returns each chunk's
@@ -332,14 +305,13 @@ func (p *Pool) ForSumVec(n, grain, w int, out []float32, fn func(lo, hi int, acc
 	if n <= 0 || w <= 0 {
 		return
 	}
-	p.frozen = true
 	chunks := regionChunks(n, grain)
 	if chunks == 1 {
 		fn(0, n, out)
 		return
 	}
 	parts := p.vecPartials(chunks, w, 0)
-	p.runVecChunks(n, chunks, parts, fn)
+	p.run(n, chunks, func(lane, chunk, lo, hi int) { fn(lo, hi, parts[chunk]) })
 	copy(out, parts[0])
 	for c := 1; c < chunks; c++ {
 		part := parts[c]
@@ -365,14 +337,13 @@ func (p *Pool) ForMaxVec(n, grain, w int, out []float32, fn func(lo, hi int, acc
 	if n <= 0 || w <= 0 {
 		return
 	}
-	p.frozen = true
 	chunks := regionChunks(n, grain)
 	if chunks == 1 {
 		fn(0, n, out)
 		return
 	}
 	parts := p.vecPartials(chunks, w, negInf)
-	p.runVecChunks(n, chunks, parts, fn)
+	p.run(n, chunks, func(lane, chunk, lo, hi int) { fn(lo, hi, parts[chunk]) })
 	copy(out, parts[0])
 	for c := 1; c < chunks; c++ {
 		part := parts[c]
@@ -403,26 +374,6 @@ func (p *Pool) vecPartials(chunks, w int, init float32) [][]float32 {
 	return parts
 }
 
-// runVecChunks drives the chunks of a vector-valued reduction region,
-// handing chunk c its private accumulator parts[c] under whichever
-// execution strategy the pool uses (the chunk set is identical under
-// all three).
-func (p *Pool) runVecChunks(n, chunks int, parts [][]float32, fn func(lo, hi int, acc []float32)) {
-	switch {
-	case p.exec != nil && p.workers > 1:
-		p.regions++
-		p.runChunks(n, chunks, func(lane, chunk, lo, hi int) { fn(lo, hi, parts[chunk]) })
-	case p.workers > 1:
-		p.regions++
-		p.runModeled(n, chunks, func(chunk, lo, hi int) { fn(lo, hi, parts[chunk]) })
-	default:
-		for c := 0; c < chunks; c++ {
-			lo, hi := chunkBounds(n, chunks, c)
-			fn(lo, hi, parts[c])
-		}
-	}
-}
-
 // forPartials runs the deterministic chunks of a reduction region and
 // returns the per-chunk partials (valid until the next reduction on
 // this pool) along with the chunk count.
@@ -430,7 +381,6 @@ func (p *Pool) forPartials(n, grain int, fn func(lo, hi int) float32) ([]float32
 	if n <= 0 {
 		return nil, 0
 	}
-	p.frozen = true
 	chunks := regionChunks(n, grain)
 	if cap(p.partials) < chunks {
 		p.partials = make([]float32, chunks)
@@ -440,24 +390,29 @@ func (p *Pool) forPartials(n, grain int, fn func(lo, hi int) float32) ([]float32
 		parts[0] = fn(0, n)
 		return parts, 1
 	}
-	switch {
-	case p.exec != nil && p.workers > 1:
-		p.regions++
-		p.runChunks(n, chunks, func(lane, chunk, lo, hi int) {
-			parts[chunk] = fn(lo, hi)
-		})
-	case p.workers > 1:
-		// Serial strategy with modeled lanes: measure and model.
-		p.regions++
-		p.runModeled(n, chunks, func(chunk, lo, hi int) { parts[chunk] = fn(lo, hi) })
-	default:
-		// Width 1: same chunks, same combination order, no modeling.
-		for i := 0; i < chunks; i++ {
-			lo, hi := chunkBounds(n, chunks, i)
-			parts[i] = fn(lo, hi)
-		}
-	}
+	p.run(n, chunks, func(lane, chunk, lo, hi int) { parts[chunk] = fn(lo, hi) })
 	return parts, chunks
+}
+
+// run drives the chunks of a split region under the pool's strategy:
+// on the caller plus helpers (parallel), in order and measured
+// (modeled lanes), or — width 1 — in order and unmodeled. The chunk
+// set is identical under all three. fn receives the executing lane (0
+// unless parallel), the chunk index and its bounds.
+func (p *Pool) run(n, chunks int, fn func(lane, chunk, lo, hi int)) {
+	switch {
+	case p.workers == 1:
+		for c := 0; c < chunks; c++ {
+			lo, hi := chunkBounds(n, chunks, c)
+			fn(0, c, lo, hi)
+		}
+	case p.exec == nil:
+		p.regions++
+		p.runModeled(n, chunks, fn)
+	default:
+		p.regions++
+		p.runChunks(n, chunks, fn)
+	}
 }
 
 // runModeled is the serial+simulated strategy's chunk driver: every
@@ -467,13 +422,13 @@ func (p *Pool) forPartials(n, grain int, fn func(lo, hi int) float32) ([]float32
 // serial time and modeled makespan feed OpTime. One driver serves
 // For, ForLane and the reductions so the three variants can never
 // model different makespans.
-func (p *Pool) runModeled(n, chunks int, fn func(chunk, lo, hi int)) {
+func (p *Pool) runModeled(n, chunks int, fn func(lane, chunk, lo, hi int)) {
 	clocks := p.laneClocks()
 	var sum time.Duration
 	for i := 0; i < chunks; i++ {
 		lo, hi := chunkBounds(n, chunks, i)
 		t0 := time.Now()
-		fn(i, lo, hi)
+		fn(0, i, lo, hi)
 		d := time.Since(t0)
 		sum += d
 		l := 0

@@ -114,18 +114,15 @@ func TestPoolOpTimeNeverNegative(t *testing.T) {
 	}
 }
 
-func TestPoolSetWorkers(t *testing.T) {
-	p := NewPool(0)
-	if p.Workers() != 1 {
-		t.Fatal("worker floor is 1")
+// TestPoolWidthClamp: width is a constructor argument, floored at 1.
+func TestPoolWidthClamp(t *testing.T) {
+	for _, n := range []int{0, -3} {
+		if w := NewPool(n).Workers(); w != 1 {
+			t.Fatalf("NewPool(%d).Workers() = %d, want 1", n, w)
+		}
 	}
-	p.SetWorkers(6)
-	if p.Workers() != 6 {
-		t.Fatal("SetWorkers")
-	}
-	p.SetWorkers(-3)
-	if p.Workers() != 1 {
-		t.Fatal("SetWorkers floor")
+	if w := NewPool(6).Workers(); w != 6 {
+		t.Fatalf("NewPool(6).Workers() = %d", w)
 	}
 }
 
@@ -329,20 +326,6 @@ func TestForMaxMatchesSerial(t *testing.T) {
 	if got := maxOf(NewPool(1)); got != 9.5 {
 		t.Fatalf("serial ForMax = %v, want 9.5", got)
 	}
-}
-
-// TestSetWorkersImmutableAfterFor pins the width-mutability fix: a
-// mid-plan SetWorkers would silently skew modeled makespans, so it
-// panics once any region has executed.
-func TestSetWorkersImmutableAfterFor(t *testing.T) {
-	p := NewPool(2)
-	p.For(100, 1, func(lo, hi int) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetWorkers after a For region must panic")
-		}
-	}()
-	p.SetWorkers(4)
 }
 
 // TestForLaneScratchIsolation: concurrent lanes own disjoint scratch.
