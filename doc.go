@@ -95,10 +95,23 @@
 //
 // # Kernels: one GEMM, one convolution lowering, one SIMD tile
 //
-// tensor.MatMul dispatches every product of at least four rows and
-// 4096 multiply-adds to a tiled GEMM that packs A and B panels into
-// contiguous scratch ahead of one micro kernel; thinner or tinier
-// products keep the streaming kernels, which need no packing. All three
+// tensor.MatMul dispatches every product of at least 4096
+// multiply-adds and enough rows to a tiled GEMM that packs A and B
+// panels into contiguous scratch ahead of one micro kernel; thinner or
+// tinier products keep the streaming kernels, which need no packing.
+// "Enough rows" follows the tile the build has (blockedMinRows, declared
+// beside simdStrip, and the only per-build value in the dispatch): the
+// micro kernel works in strips of four rows, so with fewer it computes
+// rows nobody asked for, which the AVX2 tile still does faster than a
+// scalar stream from one row up (a batch-2 fully connected layer, 576 →
+// 512: 3.4×), and the Go tile does not (0.6×). Under transposed B the
+// floor is four on both builds: packing Bᵀ is a strided transpose of
+// the whole operand, and with fewer than four rows to share it the
+// streaming dot kernel, which reads B's rows in place, stays ahead
+// (0.3× at that size). That dot kernel computes four output columns per
+// pass over a row of A — four independent chains in flight instead of
+// one dependent add after another, 2.4× — and each column is still its
+// own ascending-k chain, so none of this moves a bit. All three
 // convolution passes run on that GEMM through one lowering over the
 // patch matrix col (one row per output position, its receptive field
 // in (ky, kx, c) order, gathered in row blocks of at most 1 MB of
@@ -129,6 +142,20 @@
 // computes each element as the same ascending-k chain, and the choice
 // of kernel, like the choice of width, is invisible in the result
 // bits; the determinism harness runs on both builds in CI.
+//
+// Local response normalization (AlexNet's LRN) is a tensor kernel too
+// (tensor.LRNInto, tensor.LRNGradInto; the ops are IntoOp wrappers, so
+// their outputs come from the plan arena). Per pixel the squares are
+// taken once and every channel's window sum is its own ascending
+// float32 chain; scale^−β for β = 0.75 — what every model passes — is
+// 1/(√s·√√s) in float32, three correctly rounded steps within a few
+// ulps of the float64 power that any other β still takes; and the
+// gradient is a gather over the forward output it is handed,
+// dx[c] = g[c]·s[c]^−β − (2αβ/n)·x[c]·Σ_{c'∈win(c)} g[c']·y[c']/s[c'],
+// so it needs no second power and no scatter. Pixels are independent
+// and chunks own whole pixels, so width cannot reach the bits. The
+// per-element math.Pow loops these replaced (a third of an alexnet
+// training step) live on in lrn_test.go as the tolerance oracle.
 //
 // # Kernel tier 2
 //

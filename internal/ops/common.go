@@ -12,13 +12,10 @@ package ops
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/graph"
 	"repro/internal/tensor"
 )
-
-func powf(x, y float64) float64 { return math.Pow(x, y) }
 
 // sameShape returns in[0] copied, validating arity.
 func copyShape(s []int) []int { return append([]int(nil), s...) }

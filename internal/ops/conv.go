@@ -235,6 +235,7 @@ func AvgPool(x *graph.Node, k, s, pad int) *graph.Node {
 //
 // AlexNet's cross-channel normalization:
 // y[c] = x[c] / (k + α/n · Σ_{c'∈window} x[c']²)^β.
+// The kernels are tensor.LRNInto and tensor.LRNGradInto.
 type lrnOp struct {
 	depth       int // window size n
 	bias        float32
@@ -250,49 +251,31 @@ func (o lrnOp) InferShape(in [][]int) ([]int, error) {
 	if len(in[0]) != 4 {
 		return nil, fmt.Errorf("LRN wants NHWC, got %v", in[0])
 	}
+	if o.depth < 1 {
+		return nil, fmt.Errorf("LRN window depth %d, want at least 1", o.depth)
+	}
 	return copyShape(in[0]), nil
 }
 
-func (o lrnOp) scaleAt(xd []float32, base, c, nc int) float32 {
-	lo := c - o.depth/2
-	hi := c + o.depth/2
-	if lo < 0 {
-		lo = 0
+func (o lrnOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
+	out := tensor.New(in[0].Shape()...)
+	if err := o.ForwardInto(ctx, in, out); err != nil {
+		return nil, err
 	}
-	if hi >= nc {
-		hi = nc - 1
-	}
-	var s float32
-	for cc := lo; cc <= hi; cc++ {
-		v := xd[base+cc]
-		s += v * v
-	}
-	return o.bias + o.alpha/float32(o.depth)*s
+	return out, nil
 }
 
-func (o lrnOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	x := in[0]
-	nc := x.Shape()[3]
-	cells := x.Size() / nc
-	out := tensor.New(x.Shape()...)
-	xd, od := x.Data(), out.Data()
-	beta := float64(o.beta)
-	ctx.Pool.For(cells, 64, func(lo, hi int) {
-		for cell := lo; cell < hi; cell++ {
-			base := cell * nc
-			for c := 0; c < nc; c++ {
-				scale := o.scaleAt(xd, base, c, nc)
-				od[base+c] = xd[base+c] * float32(powf(float64(scale), -beta))
-			}
-		}
-	})
-	return out, nil
+// ForwardInto implements graph.IntoOp.
+func (o lrnOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	return tensor.LRNInto(ctx.Pool, out, in[0], o.depth, o.bias, o.alpha, o.beta)
 }
 
 func (o lrnOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
 	return []*graph.Node{g.MustApply(lrnGradOp{o}, n.Inputs()[0], n, grad)}, nil
 }
 
+// lrnGradOp takes the forward input, the forward output and the output
+// gradient.
 type lrnGradOp struct{ o lrnOp }
 
 func (lrnGradOp) Name() string         { return "LRNGrad" }
@@ -301,47 +284,24 @@ func (lg lrnGradOp) InferShape(in [][]int) ([]int, error) {
 	if err := wantInputs("LRNGrad", in, 3); err != nil {
 		return nil, err
 	}
+	if len(in[0]) != 4 || !tensor.SameShape(in[0], in[1]) || !tensor.SameShape(in[0], in[2]) {
+		return nil, fmt.Errorf("LRNGrad wants NHWC input, output and gradient of one shape, got %v %v %v", in[0], in[1], in[2])
+	}
 	return copyShape(in[0]), nil
 }
 
-// Forward computes dL/dx for y = x·scale^{-β}:
-// dy[c']/dx[c] = δ_{cc'}·scale(c')^{-β}
-//
-//	− β·scale(c')^{-β-1}·(2α/n)·x[c]·x[c']·[c in window(c')].
 func (lg lrnGradOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	o := lg.o
-	x, _, grad := in[0], in[1], in[2]
-	nc := x.Shape()[3]
-	cells := x.Size() / nc
-	out := tensor.New(x.Shape()...)
-	xd, gd, od := x.Data(), grad.Data(), out.Data()
-	ctx.Pool.For(cells, 32, func(lo, hi int) {
-		for cell := lo; cell < hi; cell++ {
-			base := cell * nc
-			for cp := 0; cp < nc; cp++ { // c' — output channel
-				scale := float64(o.scaleAt(xd, base, cp, nc))
-				sb := powf(scale, -float64(o.beta))
-				sb1 := sb / scale
-				gv := gd[base+cp]
-				// Diagonal term.
-				od[base+cp] += gv * float32(sb)
-				// Cross terms within c'’s window.
-				lo2 := cp - o.depth/2
-				hi2 := cp + o.depth/2
-				if lo2 < 0 {
-					lo2 = 0
-				}
-				if hi2 >= nc {
-					hi2 = nc - 1
-				}
-				coef := -float64(o.beta) * sb1 * float64(2*o.alpha/float32(o.depth)) * float64(xd[base+cp])
-				for c := lo2; c <= hi2; c++ {
-					od[base+c] += gv * float32(coef*float64(xd[base+c]))
-				}
-			}
-		}
-	})
+	out := tensor.New(in[0].Shape()...)
+	if err := lg.ForwardInto(ctx, in, out); err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// ForwardInto implements graph.IntoOp.
+func (lg lrnGradOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	o := lg.o
+	return tensor.LRNGradInto(ctx.Pool, out, in[0], in[1], in[2], o.depth, o.bias, o.alpha, o.beta)
 }
 
 // LRN applies AlexNet-style local response normalization across

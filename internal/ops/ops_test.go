@@ -303,6 +303,68 @@ func TestLRNKnownValue(t *testing.T) {
 	}
 }
 
+// TestLRNRejectedAtGraphBuild: a non-positive window depth (α/depth
+// would be ±Inf and every output NaN) and an LRNGrad whose input,
+// output and gradient disagree in shape fail InferShape, not Run.
+func TestLRNRejectedAtGraphBuild(t *testing.T) {
+	g := graph.New()
+	x := g.Const("x", tensor.Ones(1, 2, 2, 4))
+	for _, depth := range []int{0, -3} {
+		if _, err := g.Apply(lrnOp{depth: depth, bias: 2, alpha: 1e-4, beta: 0.75}, x); err == nil {
+			t.Errorf("LRN accepted depth %d", depth)
+		}
+	}
+	grad := lrnGradOp{lrnOp{depth: 5, bias: 2, alpha: 1e-4, beta: 0.75}}
+	other := g.Const("o", tensor.Ones(1, 2, 2, 5))
+	flat := g.Const("f", tensor.Ones(4, 4))
+	for name, in := range map[string][]*graph.Node{
+		"output shape":   {x, other, x},
+		"gradient shape": {x, x, other},
+		"rank":           {flat, flat, flat},
+	} {
+		if _, err := g.Apply(grad, in...); err == nil {
+			t.Errorf("LRNGrad accepted a mismatched %s", name)
+		}
+	}
+	if _, err := g.Apply(grad, x, x, x); err != nil {
+		t.Errorf("LRNGrad rejected matching shapes: %v", err)
+	}
+}
+
+// TestLRNForwardIntoMatchesForward: both LRN ops write exactly
+// Forward's bits over a destination holding stale data.
+func TestLRNForwardIntoMatchesForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ctx := &graph.ExecContext{Pool: tensor.NewPool(1)}
+	x := tensor.RandNormal(rng, 0, 2, 2, 5, 5, 24)
+	dy := tensor.RandNormal(rng, 0, 1, 2, 5, 5, 24)
+	for _, beta := range []float32{0.75, 0.6} {
+		fwd := lrnOp{depth: 5, bias: 2, alpha: 1e-2, beta: beta}
+		y, err := fwd.Forward(ctx, []*tensor.Tensor{x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			op graph.IntoOp
+			in []*tensor.Tensor
+		}{{fwd, []*tensor.Tensor{x}}, {lrnGradOp{fwd}, []*tensor.Tensor{x, y, dy}}} {
+			want, err := c.op.Forward(ctx, c.in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := tensor.Full(float32(math.NaN()), x.Shape()...)
+			if err := c.op.ForwardInto(ctx, c.in, got); err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range want.Data() {
+				if math.Float32bits(got.Data()[i]) != math.Float32bits(w) {
+					t.Fatalf("%s beta %g: ForwardInto element %d is %g, Forward gives %g", c.op.Name(), beta, i, got.Data()[i], w)
+				}
+			}
+		}
+	}
+}
+
 func TestOpNamesAndClasses(t *testing.T) {
 	g := graph.New()
 	a := g.Const("a", tensor.Ones(2, 2))

@@ -31,8 +31,9 @@ func TestMatMulPropertyRandomShapes(t *testing.T) {
 		var m, k, n int
 		switch trial % 3 {
 		case 0:
-			// Too few rows for a micro-kernel strip: streaming kernels.
-			m, k, n = dim(blockedMinRows-1), dim(48), dim(200)
+			// Too few rows for a micro-kernel strip: the streaming
+			// kernels, or one padded strip where the build has a tile.
+			m, k, n = dim(microRows-1), dim(48), dim(200)
 		case 1:
 			m, k, n = dim(48), dim(48), dim(48)
 		default:
@@ -171,6 +172,63 @@ func TestSIMDTileMatchesGoTile(t *testing.T) {
 			if i, ok := sameBits(got.data, want.data); !ok {
 				t.Fatalf("(%d,%d,%d) ta=%v tb=%v width %d: element %d is %g (%#x), the Go tile gives %g (%#x)", m, k, n, ta, tb, w, i,
 					got.data[i], math.Float32bits(got.data[i]), want.data[i], math.Float32bits(want.data[i]))
+			}
+		}
+	}
+}
+
+// TestSmallRowGEMMMatchesNaive covers the products of one to three rows,
+// where the two builds dispatch differently (a padded strip of the
+// blocked kernel where simdStrip has a tile, the streaming kernels
+// otherwise, the four-column dot kernel under transposed B on both):
+// whichever kernel matmulInto picks must give the naive definition's
+// bits, for all four transpose cases, every n mod 4 tail, either side of
+// blockedMinWork, at widths 1 and 4 — and so must the same product split
+// in two over the reduction with acc, the second half continuing each
+// element's chain from what the first stored.
+func TestSmallRowGEMMMatchesNaive(t *testing.T) {
+	ex := sched.New(3)
+	defer ex.Close()
+	pools := map[int]*Pool{1: NewPool(1), 4: NewParallelPool(4, ex)}
+	rng := rand.New(rand.NewSource(29))
+	for m := 1; m <= 3; m++ {
+		for _, k := range []int{7, 64, 300} {
+			for _, n := range []int{1, 16, 17, 18, 19, 64, 131, 1030} {
+				for tr := 0; tr < 4; tr++ {
+					ta, tb := tr&1 != 0, tr&2 != 0
+					ashape, bshape := []int{m, k}, []int{k, n}
+					if ta {
+						ashape = []int{k, m}
+					}
+					if tb {
+						bshape = []int{n, k}
+					}
+					a, b := RandNormal(rng, 0, 1, ashape...), RandNormal(rng, 0, 1, bshape...)
+					lda, ldb := a.shape[1], b.shape[1]
+					want := naiveMatMul(a, b, ta, tb).data
+					// Offsets of reduction index k1 in the stored operands.
+					k1 := 1 + k/3
+					aoff, boff := k1, k1*ldb
+					if ta {
+						aoff = k1 * lda
+					}
+					if tb {
+						boff = k1
+					}
+					for w, p := range pools {
+						got := Full(99, m, n).data
+						matmulInto(p, got, a.data, b.data, m, n, k, lda, ldb, ta, tb, false)
+						if i, ok := sameBits(got, want); !ok {
+							t.Fatalf("(%d,%d,%d) ta=%v tb=%v width %d: element %d is %g, the definition gives %g", m, k, n, ta, tb, w, i, got[i], want[i])
+						}
+						got = Full(99, m, n).data
+						matmulInto(p, got, a.data, b.data, m, n, k1, lda, ldb, ta, tb, false)
+						matmulInto(p, got, a.data[aoff:], b.data[boff:], m, n, k-k1, lda, ldb, ta, tb, true)
+						if i, ok := sameBits(got, want); !ok {
+							t.Fatalf("(%d,%d,%d) ta=%v tb=%v width %d, split at %d with acc: element %d is %g, the definition gives %g", m, k, n, ta, tb, w, k1, i, got[i], want[i])
+						}
+					}
+				}
 			}
 		}
 	}

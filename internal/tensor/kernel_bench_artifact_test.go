@@ -34,10 +34,10 @@ func benchBest(iters int, f func()) float64 {
 //     (verbatim copies below), over a big square, a tall/skinny and a
 //     short-and-wide streaming product;
 //   - dispatch: the streaming kernels against the blocked kernel on
-//     small products either side of blockedMinWork and blockedMinRows,
-//     three transpose cases each — the sweep the two constants are read
-//     off (under -tags purego), so a host or compiler that moves the
-//     crossover shows here;
+//     small products either side of blockedMinWork and of a four-row
+//     strip, all four transpose cases each — the sweep picksBlocked and
+//     each build's blockedMinRows are read off, so a host or compiler
+//     that moves the crossover shows here;
 //   - micro-tile: the dispatching micro kernel (AVX2 tiles where the
 //     build has them) against the Go tile alone, on one packed block;
 //   - convolution: the three lowered passes against the direct loop
@@ -148,7 +148,7 @@ func TestKernelBenchArtifact(t *testing.T) {
 		oldKernel := func(p *Pool) {
 			matmulStreamRowOnly(p, ref.data, a.data, b.data, s.m, s.n, s.k, s.k, s.n)
 		}
-		if s.m >= blockedMinRows && int64(s.m)*int64(s.k)*int64(s.n) >= blockedMinWork {
+		if picksBlocked(s.m, s.n, s.k, false) {
 			oldKernel = func(p *Pool) {
 				matmulBlockedRowOnly(p, ref.data, a.data, b.data, s.m, s.n, s.k, s.k, s.n, false, false)
 			}
@@ -172,15 +172,13 @@ func TestKernelBenchArtifact(t *testing.T) {
 	}
 
 	// Dispatch section: both kernel families forced onto the same small
-	// product, width 1; "picks" is what matmulInto chooses for the shape.
-	// The rule follows the Go micro-tile's crossover, so it is under
-	// -tags purego that picks should name the faster column; with the
-	// assembly tile the blocked kernel is ahead below the rule as well.
+	// product, width 1; "picks" is what matmulInto chooses for the shape
+	// on this build, and should name the faster column.
 	type dispatchRow struct {
 		M                 int     `json:"m"`
 		K                 int     `json:"k"`
 		N                 int     `json:"n"`
-		Trans             string  `json:"trans"` // nn, nt (B stored n×k), tn (A stored k×m)
+		Trans             string  `json:"trans"` // nn, nt (B stored n×k), tn (A stored k×m), tt
 		StreamUs          float64 `json:"stream_us"`
 		BlockedUs         float64 `json:"blocked_us"`
 		BlockedOverStream float64 `json:"blocked_over_stream"` // stream time / blocked time
@@ -188,7 +186,9 @@ func TestKernelBenchArtifact(t *testing.T) {
 	}
 	var dispatchRows []dispatchRow
 	for _, s := range [][3]int{ // m, k, n
-		{1, 512, 512}, {2, 512, 512}, {2, 64, 4096}, // below blockedMinRows
+		{1, 16, 16}, {2, 16, 16}, {3, 16, 16}, {1, 64, 64}, {2, 64, 64}, {3, 64, 64}, // less than a strip: tiny,
+		{1, 576, 512}, {2, 576, 512}, {3, 576, 512}, // fully connected at batch 1 to 3,
+		{1, 512, 512}, {2, 512, 512}, {2, 64, 4096}, // square and wide
 		{4, 16, 16}, {8, 16, 16}, {32, 8, 8}, // below blockedMinWork
 		{4, 32, 32}, {64, 8, 8}, {8, 32, 32}, // at it and just above
 		{16, 64, 64}, {128, 27, 8}, {18, 576, 96}, {64, 64, 64}, {98, 216, 24}, // tiny- and small-preset layers
@@ -200,7 +200,7 @@ func TestKernelBenchArtifact(t *testing.T) {
 		for _, tr := range []struct {
 			name           string
 			transA, transB bool
-		}{{"nn", false, false}, {"nt", false, true}, {"tn", true, false}} {
+		}{{"nn", false, false}, {"nt", false, true}, {"tn", true, false}, {"tt", true, true}} {
 			lda, ldb := k, n
 			if tr.transA {
 				lda = m
@@ -225,7 +225,7 @@ func TestKernelBenchArtifact(t *testing.T) {
 			}
 			ts, tb := benchBest(20, stream)/float64(reps), benchBest(20, blocked)/float64(reps)
 			picks := "stream"
-			if m >= blockedMinRows && int64(m)*int64(k)*int64(n) >= blockedMinWork {
+			if picksBlocked(m, n, k, tr.transB) {
 				picks = "blocked"
 			}
 			dispatchRows = append(dispatchRows, dispatchRow{m, k, n, tr.name, ts * 1e6, tb * 1e6, ts / tb, picks})

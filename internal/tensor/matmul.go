@@ -66,16 +66,17 @@ const (
 	blockN = 128
 
 	// blockedMinWork is the m·n·k multiply-add count above which the
-	// packed, tiled kernel beats the streaming kernels (packing has a
-	// fixed per-panel cost that tiny products never amortize), and
-	// blockedMinRows the row count it needs as well: the micro kernel
-	// works in strips of four rows, so below four it computes rows
-	// nobody asked for while the streaming kernels do not. Both are
-	// read off the Go micro-tile's crossover (run the dispatch section
-	// of TestKernelBenchArtifact under -tags purego); the assembly tile
-	// crosses lower still, and one rule serves both builds.
+	// packed, tiled kernel beats the streaming kernels: packing has a
+	// fixed per-panel cost that tiny products never amortize. It is read
+	// off the dispatch section of TestKernelBenchArtifact.
 	blockedMinWork = 1 << 12
-	blockedMinRows = 4
+
+	// microRows is the height of a micro-kernel strip. Below it the
+	// blocked kernel computes rows nobody asked for, which only a SIMD
+	// tile makes cheaper than streaming: blockedMinRows, the one
+	// per-build value of the dispatch rule, is declared beside simdStrip
+	// (1 where it has an AVX2 tile, microRows otherwise).
+	microRows = 4
 
 	// maxSlabPanels caps how many B column panels pack together per
 	// reduction slab of the blocked kernel, bounding packed-B scratch
@@ -92,6 +93,21 @@ const (
 	streamSplitRows = 8
 )
 
+// picksBlocked is the dispatch rule: a product goes to the tiled, packed
+// kernel when it has the work to amortize packing and the rows to fill
+// enough of a strip. The row floor follows the tile the build has,
+// except under transposed B: packing it is a strided transpose, and with
+// fewer than microRows rows to share the panel the streaming dot
+// kernels, which read B's rows in place, stay ahead on either build
+// (m = 2, 512×512: blocked runs at 0.29× of streaming).
+func picksBlocked(m, n, k int, transB bool) bool {
+	rows := blockedMinRows
+	if transB {
+		rows = microRows
+	}
+	return m >= rows && int64(m)*int64(n)*int64(k) >= blockedMinWork
+}
+
 // matmulInto writes op(A)·op(B) into dst (len m*n), or with acc adds it
 // to what dst holds: each element's ascending-k chain then starts from
 // its stored value instead of zero, so a product split over the
@@ -100,7 +116,7 @@ const (
 // Large products dispatch to the tiled, packed kernel; small ones keep
 // the streaming kernels whose setup cost is near zero.
 func matmulInto(p *Pool, dst, a, b []float32, m, n, k, lda, ldb int, transA, transB, acc bool) {
-	if m >= blockedMinRows && int64(m)*int64(n)*int64(k) >= blockedMinWork {
+	if picksBlocked(m, n, k, transB) {
 		matmulBlocked(p, dst, a, b, m, n, k, lda, ldb, transA, transB, acc)
 		return
 	}
@@ -136,23 +152,11 @@ func matmulStream(dst, a, b []float32, lo, hi, jlo, jhi, n, k, lda, ldb int, tra
 		}
 	}
 	switch {
-	case !transA && !transB:
+	case transB:
+		matmulDots(dst, a, b, lo, hi, jlo, jhi, n, k, lda, ldb, transA)
+	case !transA:
 		matmulRows(dst, a, b, lo, hi, jlo, jhi, n, k, lda, ldb)
-	case !transA && transB:
-		// B stored as (n, k): C[i,j] = Σ a[i,l]·b[j,l] — dot of rows.
-		for i := lo; i < hi; i++ {
-			ai := a[i*lda : i*lda+k]
-			ri := dst[i*n : (i+1)*n]
-			for j := jlo; j < jhi; j++ {
-				bj := b[j*ldb : j*ldb+k]
-				s := ri[j]
-				for l := 0; l < k; l++ {
-					s += float32(ai[l] * bj[l])
-				}
-				ri[j] = s
-			}
-		}
-	case transA && !transB:
+	default:
 		// A stored as (k, m): C[i,j] = Σ a[l,i]·b[l,j].
 		w := jhi - jlo
 		for i := lo; i < hi; i++ {
@@ -165,17 +169,63 @@ func matmulStream(dst, a, b []float32, lo, hi, jlo, jhi, n, k, lda, ldb int, tra
 				}
 			}
 		}
-	default: // transA && transB
+	}
+}
+
+// matmulDots adds op(A)·Bᵀ to the [lo,hi)×[jlo,jhi) block of C for B
+// stored as (n, k): C[i,j] = Σ_l op(A)[i,l]·b[j,l], a dot of two rows.
+// When A is stored (k, m) its column i is first gathered into a row, a
+// slab of the reduction at a time; each slab continues the chains from
+// what the last one stored, so slabbing does not move a bit.
+func matmulDots(dst, a, b []float32, lo, hi, jlo, jhi, n, k, lda, ldb int, transA bool) {
+	if !transA {
 		for i := lo; i < hi; i++ {
-			ri := dst[i*n : (i+1)*n]
-			for j := jlo; j < jhi; j++ {
-				s := ri[j]
-				for l := 0; l < k; l++ {
-					s += float32(a[l*lda+i] * b[j*ldb+l])
-				}
-				ri[j] = s
-			}
+			dotRow(dst[i*n:(i+1)*n], a[i*lda:i*lda+k], b, jlo, jhi, ldb)
 		}
+		return
+	}
+	var col [blockK]float32
+	for i := lo; i < hi; i++ {
+		for l0 := 0; l0 < k; l0 += len(col) {
+			ai := col[:min(len(col), k-l0)]
+			for l := range ai {
+				ai[l] = a[(l0+l)*lda+i]
+			}
+			dotRow(dst[i*n:(i+1)*n], ai, b[l0:], jlo, jhi, ldb)
+		}
+	}
+}
+
+// dotRow adds ai·b[j,:len(ai)] to ri[j] for j in [jlo,jhi), four output
+// columns per pass over ai. Each column is still its own ascending
+// chain — the bits are those of one column at a time — but four
+// independent chains in flight hide the add latency a single dependent
+// chain pays on every step. It is kept a small leaf: the compiler holds
+// the four sums and row bases in registers only while nothing else is
+// live.
+func dotRow(ri, ai, b []float32, jlo, jhi, ldb int) {
+	k := len(ai)
+	j := jlo
+	for ; j+4 <= jhi; j += 4 {
+		b0 := b[j*ldb : j*ldb+k]
+		b1 := b[(j+1)*ldb : (j+1)*ldb+k]
+		b2 := b[(j+2)*ldb : (j+2)*ldb+k]
+		b3 := b[(j+3)*ldb : (j+3)*ldb+k]
+		s0, s1, s2, s3 := ri[j], ri[j+1], ri[j+2], ri[j+3]
+		for l, av := range ai {
+			s0 += float32(av * b0[l])
+			s1 += float32(av * b1[l])
+			s2 += float32(av * b2[l])
+			s3 += float32(av * b3[l])
+		}
+		ri[j], ri[j+1], ri[j+2], ri[j+3] = s0, s1, s2, s3
+	}
+	for ; j < jhi; j++ {
+		s := ri[j]
+		for l, bv := range b[j*ldb : j*ldb+k] {
+			s += float32(ai[l] * bv)
+		}
+		ri[j] = s
 	}
 }
 

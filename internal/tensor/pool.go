@@ -85,6 +85,7 @@ const (
 	scratchPackB         // matmul: packed B panel (caller-side)
 	scratchIm2col        // conv: im2col patch matrix (caller-side)
 	scratchAttn          // attention: one score row of length S (per lane)
+	scratchLRN           // LRN: one pixel's squares, scales and powers (per lane)
 	scratchSlots
 )
 
