@@ -140,7 +140,7 @@ func main() {
 			st = 4
 		}
 		res, err := core.SetupAndRun(*model, core.Config{Preset: preset, Seed: *seed, Heads: *heads}, core.RunOptions{
-			Mode: md, Steps: st, Warmup: *warmup, Workers: *workers, IntraOp: *intraop, InterOp: *interop, Device: *device, Seed: *seed,
+			Mode: md, Steps: st, Warmup: *warmup, ModeledWorkers: *workers, IntraOp: *intraop, InterOp: *interop, Device: *device, Seed: *seed,
 		})
 		if err != nil {
 			fatal(err)

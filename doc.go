@@ -12,23 +12,35 @@
 // # Execution architecture
 //
 // The runtime compiles each fetch set into an execution plan
-// (runtime.Plan): the schedule is topologically sorted once, liveness
-// analysis assigns every operation output a slot in a size-bucketed
-// buffer arena (tensor.Arena), and operations implementing
-// graph.IntoOp write their results into those preassigned slots, so
-// steady-state steps run with near-zero heap allocation. Tensors
-// returned from Session.Run are copied out of arena memory, so results
-// stay valid across steps.
+// (runtime.Plan) in four passes over one step-indexed IR
+// (internal/runtime/compile.go): schedule (topological order, and
+// which operations write into a preassigned destination), liveness
+// (when each destination's buffer dies, which fetches must be cloned),
+// constrain (the scheduling edges below) and assign (a slot in a
+// size-bucketed buffer arena, tensor.Arena, for every destination,
+// shared between disjoint lifetimes). One rule feeds all four: a root
+// is a step that owns storage — an operation implementing graph.IntoOp
+// owns its arena slot, a variable owns its tensor — and any other
+// operation may return a view of an input, so its value is taken to
+// reference every root its inputs reference. Steady-state steps
+// therefore run with near-zero heap allocation, and tensors returned
+// from Session.Run are copied out of arena memory, so results stay
+// valid across steps.
+//
+// The session runs every operation itself, on the host's kernels; a
+// runtime.Device only prices it for the simulated timeline — the CPU
+// device at the kernel pool's makespan for the measured wall time, the
+// modeled GPU at a roofline cost whatever the host measured.
 //
 // Plan execution has two interchangeable drivers. The default runs
 // the sequential schedule on the session goroutine. With
 // runtime.WithInterOpWorkers(n) (CLI: -interop) a dependency-counting
 // parallel scheduler drains the plan's ready queue with the session
-// goroutine plus up to n-1 helpers instead: compilation additionally
-// records per-step successor lists and in-degrees over data edges,
-// variable hazard edges, a serial lane chaining Impure (stateful/RNG)
-// operations in schedule order, and arena anti-dependency edges that
-// gate buffer reuse on the completion of every reader of the buffer's
+// goroutine plus up to n-1 helpers instead, over the edges the
+// constrain pass records — data edges, variable hazard edges, a serial
+// lane chaining Impure (stateful/RNG) operations in schedule order —
+// and the arena anti-dependency edges of the assign pass, which gate
+// buffer reuse on the completion of every reader of the buffer's
 // previous value. The ready queue is a max-heap keyed by longest
 // processing time to a sink, so the drain starts critical-path work
 // first.
@@ -52,7 +64,7 @@
 //
 // tensor.Pool runs the chunked loops of every kernel behind one
 // interface with two strategies. The serial+simulated strategy
-// (runtime.WithWorkers; CLI: -workers) executes chunks serially,
+// (runtime.WithModeledWorkers; CLI: -workers) executes chunks serially,
 // measures them, and models the makespan of list-scheduling them over
 // n lanes — the paper's Fig. 6 axis, usable on any host. The real
 // strategy (runtime.WithIntraOpWorkers; CLI: -intraop) executes the

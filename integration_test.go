@@ -170,7 +170,7 @@ func TestWorkerScalingFlattensProfile(t *testing.T) {
 		var top []float64
 		for i := 0; i < 5; i++ {
 			res, err := core.SetupAndRun("deepq", core.Config{Preset: core.PresetSmall, Seed: 6},
-				core.RunOptions{Mode: core.ModeTraining, Steps: 3, Warmup: 2, Workers: workers})
+				core.RunOptions{Mode: core.ModeTraining, Steps: 3, Warmup: 2, ModeledWorkers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -275,14 +275,14 @@ func New(name string) (Model, error) {
 
 // RunOptions configures an instrumented run.
 type RunOptions struct {
-	Mode    Mode
-	Steps   int // measured steps
-	Warmup  int // untraced warmup steps
-	Workers int // modeled intra-op workers (default 1)
-	IntraOp int // real intra-op workers on the shared pool (default 1; overrides Workers)
-	InterOp int // inter-op scheduler width (default 1 = serial)
-	Device  string
-	Seed    int64
+	Mode           Mode
+	Steps          int // measured steps
+	Warmup         int // untraced warmup steps
+	ModeledWorkers int // modeled intra-op workers (default 1)
+	IntraOp        int // real intra-op workers on the shared pool (default 1; overrides ModeledWorkers)
+	InterOp        int // inter-op scheduler width (default 1 = serial)
+	Device         string
+	Seed           int64
 }
 
 // RunResult is the outcome of an instrumented run.
@@ -317,8 +317,8 @@ func Run(m Model, opt RunOptions) (*RunResult, error) {
 	if opt.Steps <= 0 {
 		opt.Steps = 1
 	}
-	if opt.Workers <= 0 {
-		opt.Workers = 1
+	if opt.ModeledWorkers <= 0 {
+		opt.ModeledWorkers = 1
 	}
 	dev, err := NewDevice(opt.Device)
 	if err != nil {
@@ -333,7 +333,7 @@ func Run(m Model, opt RunOptions) (*RunResult, error) {
 	}
 	sessOpts := []runtime.Option{
 		runtime.WithDevice(dev),
-		runtime.WithWorkers(opt.Workers),
+		runtime.WithModeledWorkers(opt.ModeledWorkers),
 		runtime.WithInterOpWorkers(opt.InterOp),
 		runtime.WithSeed(seed),
 		runtime.WithTrace(),

@@ -364,7 +364,7 @@ func Fig6(o Options, model string) (Result, error) {
 	byWorkers := make([]*core.RunResult, len(workers))
 	for i, w := range workers {
 		res, err := core.SetupAndRun(model, core.Config{Preset: o.Preset, Seed: o.Seed},
-			core.RunOptions{Mode: core.ModeTraining, Steps: o.Steps, Warmup: o.Warmup, Workers: w, Seed: o.Seed})
+			core.RunOptions{Mode: core.ModeTraining, Steps: o.Steps, Warmup: o.Warmup, ModeledWorkers: w, Seed: o.Seed})
 		if err != nil {
 			return Result{}, fmt.Errorf("fig6 %s workers=%d: %w", model, w, err)
 		}
@@ -504,7 +504,7 @@ func ProfileParallel(o Options, mode core.Mode, interop, intraop int, names []st
 		if err != nil {
 			return Result{}, fmt.Errorf("profile %s interop=%d: %w", name, interop, err)
 		}
-		modeled, err := run(core.RunOptions{Workers: intraop})
+		modeled, err := run(core.RunOptions{ModeledWorkers: intraop})
 		if err != nil {
 			return Result{}, fmt.Errorf("profile %s workers=%d: %w", name, intraop, err)
 		}

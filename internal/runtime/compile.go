@@ -1,0 +1,468 @@
+package runtime
+
+// Plan compilation: four passes over one step-indexed IR.
+//
+//	schedule   topological order, the into/alloc decision, roots
+//	liveness   when each arena slot dies, which fetches must be cloned
+//	constrain  data, variable-hazard and Impure-lane scheduling edges
+//	assign     arena buffers for the slots, reuse gated by the edges
+//
+// Every pass is a function of its arguments alone (assign also draws
+// from the arena it is handed), so each has a table test on hand-built
+// graphs in compile_test.go, and checkPlan there states what a finished
+// plan must satisfy.
+//
+// The root rule, stated once: a root is a step that owns storage — an
+// into-op step owns its arena slot, a variable step owns its tensor. An
+// op with a ForwardInto fast path always writes fresh arena memory, so
+// its value references exactly its own slot. Any other op may return a
+// view of an input (Reshape, Identity, inference-mode Dropout do), so
+// its value is taken to reference everything its inputs reference.
+// Constants and feeds own nothing the plan manages. Slot lifetimes,
+// copy-on-fetch, variable hazards, buffer-reuse gating and the guard's
+// read sets are all read off that one analysis.
+
+import (
+	"time"
+
+	"repro/internal/graph"
+	"repro/internal/tensor"
+)
+
+// rootSet is a set of root steps, sorted by schedule position.
+type rootSet []int32
+
+// union returns a ∪ b, sharing storage with an argument when the other
+// is empty.
+func union(a, b rootSet) rootSet {
+	if len(b) == 0 {
+		return a
+	}
+	if len(a) == 0 {
+		return b
+	}
+	out := make(rootSet, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i, j = i+1, j+1
+		}
+	}
+	return append(append(out, a[i:]...), b[j:]...)
+}
+
+// schedule is the IR the passes share; every slice is indexed by
+// schedule position.
+type schedule struct {
+	steps    []planStep
+	nOps     int
+	fetchPos []int
+	// reads[i] is the union of the roots of op step i's inputs; roots[i]
+	// is what step i's own value may reference: itself for a root, and
+	// reads[i] for an op that may return a view.
+	reads, roots []rootSet
+	// writes[i] are the hazard ids op step i rewrites in place
+	// (graph.Mutator). A node's hazard id is its schedule position;
+	// mutated nodes outside the schedule (optimizer slot variables
+	// nothing fetched reads) are numbered from len(steps) up to hazards.
+	writes  [][]int32
+	hazards int
+}
+
+func (sc *schedule) isSlot(r int32) bool { return sc.steps[r].into != nil }
+func (sc *schedule) isVar(r int32) bool  { return sc.steps[r].kind == graph.KindVariable }
+
+// newSchedule is the first pass: topological order, one planStep per
+// node, the into/alloc decision, and the root analysis.
+func newSchedule(fetches []*graph.Node) *schedule {
+	order := graph.Topo(fetches)
+	n := len(order)
+	pos := make(map[*graph.Node]int, n)
+	for i, nd := range order {
+		pos[nd] = i
+	}
+	sc := &schedule{
+		steps: make([]planStep, n), fetchPos: make([]int, len(fetches)),
+		reads: make([]rootSet, n), roots: make([]rootSet, n),
+		writes: make([][]int32, n), hazards: n,
+	}
+	for j, f := range fetches {
+		sc.fetchPos[j] = pos[f]
+	}
+	for i, nd := range order {
+		st := planStep{node: nd, kind: nd.Kind()}
+		switch st.kind {
+		case graph.KindVariable:
+			sc.roots[i] = rootSet{int32(i)}
+		case graph.KindOp:
+			sc.nOps++
+			ins := nd.Inputs()
+			st.ins = make([]int, len(ins))
+			st.in = make([]*tensor.Tensor, len(ins))
+			for j, in := range ins {
+				st.ins[j] = pos[in]
+				sc.reads[i] = union(sc.reads[i], sc.roots[pos[in]])
+			}
+			if io, ok := nd.Op().(graph.IntoOp); ok && tensor.SizeOf(nd.Shape()) > 0 {
+				st.into = io
+				sc.roots[i] = rootSet{int32(i)}
+			} else {
+				sc.roots[i] = sc.reads[i]
+			}
+			if mut, ok := nd.Op().(graph.Mutator); ok {
+				for _, v := range mut.Mutates() {
+					id, ok := pos[v]
+					if !ok {
+						id = sc.hazards
+						pos[v] = id
+						sc.hazards++
+					}
+					sc.writes[i] = append(sc.writes[i], int32(id))
+				}
+			}
+		}
+		sc.steps[i] = st
+	}
+	return sc
+}
+
+// liveness is the second pass. slotEnd[r] is the schedule position
+// after which slot r's buffer is dead — the last use of any value that
+// may reference it — and 0 where step r owns no slot (a slot is read
+// after position 0). A slot reachable from a fetch is pinned for the
+// whole run (position len(steps)) and that fetch is cloned on the way
+// out (fetchCopy). Indexed by step, so buffers are released — and enter
+// the LIFO free list — in schedule order, the same in every compile.
+func liveness(sc *schedule) (slotEnd []int, fetchCopy []bool) {
+	n := len(sc.steps)
+	lastUse := make([]int, n)
+	for i := range sc.steps {
+		lastUse[i] = i
+		for _, p := range sc.steps[i].ins {
+			lastUse[p] = i
+		}
+	}
+	slotEnd = make([]int, n)
+	for i, set := range sc.roots {
+		for _, r := range set {
+			if sc.isSlot(r) && lastUse[i] > slotEnd[r] {
+				slotEnd[r] = lastUse[i]
+			}
+		}
+	}
+	fetchCopy = make([]bool, len(sc.fetchPos))
+	for j, i := range sc.fetchPos {
+		for _, r := range sc.roots[i] {
+			if sc.isSlot(r) {
+				slotEnd[r] = n
+				fetchCopy[j] = true
+			}
+		}
+	}
+	return slotEnd, fetchCopy
+}
+
+// edgeSet is the inter-op scheduling structure over op steps: what the
+// parallel scheduler drains and the makespan simulation replays.
+// Non-op steps carry no work, resolve before the parallel phase and
+// take no edges. All edges point forward in schedule order, so the
+// structure is acyclic by construction.
+type edgeSet struct {
+	succs [][]int32 // scheduling successors of each step
+	preds [][]int32 // scheduling predecessors (mirror of succs)
+	// predsCP excludes arena anti-dependency edges: the semantic
+	// constraints (data, variable hazard, serial Impure lane) that any
+	// buffer assignment must respect. Critical paths are computed over
+	// these, so the reported achievable speedup is width-independent;
+	// the makespan simulation uses the full preds, which do include
+	// the anti-dependency resource constraints of this plan.
+	predsCP [][]int32
+	indeg   []int32 // scheduling in-degree of each step
+	edges   int     // scheduling edges (incl. hazard/serial/anti)
+
+	// Compile-time only. Edges into one target are added in a burst
+	// (constrain's walk reaches it, later assign reuses a buffer for
+	// it), so "from→to is recorded" is a stamp per source holding the
+	// burst's target, re-seeded from preds[to] when the target changes.
+	stamp  []int32
+	target int
+}
+
+func newEdgeSet(n int) *edgeSet {
+	return &edgeSet{
+		succs: make([][]int32, n), preds: make([][]int32, n), predsCP: make([][]int32, n),
+		indeg: make([]int32, n), stamp: make([]int32, n), target: -1,
+	}
+}
+
+// add records the edge from→to once; from < 0 means "no such step".
+func (e *edgeSet) add(from, to int, anti bool) {
+	if from < 0 || from == to {
+		return
+	}
+	if e.target != to {
+		e.target = to
+		for _, p := range e.preds[to] {
+			e.stamp[p] = int32(to) + 1
+		}
+	}
+	if e.stamp[from] == int32(to)+1 {
+		return
+	}
+	e.stamp[from] = int32(to) + 1
+	e.succs[from] = append(e.succs[from], int32(to))
+	e.preds[to] = append(e.preds[to], int32(from))
+	if !anti {
+		e.predsCP[to] = append(e.predsCP[to], int32(from))
+	}
+	e.indeg[to]++
+	e.edges++
+}
+
+// constrain is the third pass: the edges that make any worker count
+// reproduce sequential execution bit-exactly, in one schedule walk.
+// Data edges order an op after its op inputs. Hazard edges serialize
+// every access to a mutated node (graph.Mutator — optimizer apply-ops)
+// in schedule order: reads since the last write precede the next
+// write, and writes precede subsequent reads, so kernels that read a
+// variable — directly or through a view — never race its in-place
+// update. The Impure chain pins stateful/RNG ops (random sampling,
+// dropout's mask handoff, optimizer slot state) to a serial lane keyed
+// by graph order, which is what keeps WithSeed replay identical across
+// inter-op worker counts.
+func constrain(sc *schedule) *edgeSet {
+	e := newEdgeSet(len(sc.steps))
+	lastWrite := make([]int, sc.hazards)
+	for v := range lastWrite {
+		lastWrite[v] = -1
+	}
+	readsSince := make([][]int, sc.hazards)
+	prevImpure := -1
+	for i := range sc.steps {
+		st := &sc.steps[i]
+		if st.kind != graph.KindOp {
+			continue
+		}
+		for _, p := range st.ins {
+			if sc.steps[p].kind == graph.KindOp {
+				e.add(p, i, false)
+			}
+		}
+		for _, v := range sc.reads[i] {
+			if sc.isVar(v) {
+				e.add(lastWrite[v], i, false)
+				readsSince[v] = append(readsSince[v], i)
+			}
+		}
+		for _, v := range sc.writes[i] {
+			for _, r := range readsSince[v] {
+				e.add(r, i, false)
+			}
+			e.add(lastWrite[v], i, false)
+			lastWrite[v] = i
+			readsSince[v] = readsSince[v][:0]
+		}
+		if _, ok := st.node.Op().(graph.Impure); ok {
+			e.add(prevImpure, i, false)
+			prevImpure = i
+		}
+	}
+	return e
+}
+
+// ancestorCap bounds the plans assign builds ancestor bitsets for
+// (n² bits); larger plans fall back to maximal reuse.
+const ancestorCap = 8192
+
+// ancestry holds, for each op step, the set of steps that reach it
+// through scheduling edges.
+type ancestry struct {
+	bits  []uint64
+	words int
+}
+
+func newAncestry(e *edgeSet) ancestry {
+	n := len(e.preds)
+	a := ancestry{words: (n + 63) / 64}
+	a.bits = make([]uint64, n*a.words)
+	for i, preds := range e.preds {
+		row := a.bits[i*a.words : (i+1)*a.words]
+		for _, p32 := range preds {
+			p := int(p32)
+			row[p/64] |= 1 << uint(p%64)
+			for w, pw := range a.bits[p*a.words : (p+1)*a.words] {
+				row[w] |= pw
+			}
+		}
+	}
+	return a
+}
+
+func (a ancestry) has(anc, of int) bool {
+	return a.bits[of*a.words+anc/64]&(1<<uint(anc%64)) != 0
+}
+
+// assign is the fourth pass: greedy buffer assignment. It walks the
+// schedule and frees each slot's buffer as soon as the scan passes its
+// last use, so later slots with disjoint lifetimes reuse it. A step's
+// destination is drawn while all of its inputs' buffers are still
+// checked out, so out never aliases an input. It sets each into-step's
+// out and every op step's guard read set, and reports how many slots
+// it assigned over how many distinct buffers.
+//
+// Completion-count gating: when step i reuses the buffer slot sl
+// released, sequential execution is safe because i runs after sl's
+// last reader by position; under parallel execution that ordering
+// must be explicit. Two strategies, by session width:
+//
+//   - interOp == 1 (and plans too large for ancestor bitsets):
+//     maximal reuse, with anti-dependency edges from sl and every
+//     reader of sl to the acquiring step. Transitively (each acquirer
+//     waits for the previous holder's readers and is itself ordered
+//     before the next acquirer) a buffer's whole access history stays
+//     sequential.
+//   - interOp > 1: parallelism-aware reuse — a freed buffer is taken
+//     only when the releasing slot and all of its readers are already
+//     ancestors of the acquiring step through constrain's edges, so
+//     reuse never serializes independent branches; otherwise the step
+//     draws a fresh buffer (more memory, no lost concurrency).
+func assign(sc *schedule, slotEnd []int, e *edgeSet, interOp int, arena *tensor.Arena) (slots, buffers int) {
+	n := len(sc.steps)
+	// readers[sl]: every op step whose inputs may reference slot sl's
+	// value (via views included) — the completion set that gates
+	// recycling sl's buffer under parallel execution.
+	readers := make([][]int32, n)
+	for i, set := range sc.reads {
+		for _, sl := range set {
+			if sc.isSlot(sl) {
+				readers[sl] = append(readers[sl], int32(i))
+			}
+		}
+	}
+	var anc ancestry
+	useAnc := interOp > 1 && n <= ancestorCap
+	if useAnc {
+		anc = newAncestry(e)
+	}
+	// orderedBefore reports whether every access to slot sl is already
+	// ordered before step i by existing scheduling edges.
+	orderedBefore := func(sl, i int) bool {
+		if !anc.has(sl, i) {
+			return false
+		}
+		for _, r := range readers[sl] {
+			if int(r) != i && !anc.has(int(r), i) {
+				return false
+			}
+		}
+		return true
+	}
+
+	releaseAt := make([][]int, n)
+	for sl, end := range slotEnd {
+		if end > 0 && end < n {
+			releaseAt[end] = append(releaseAt[end], sl)
+		}
+	}
+	type buffer struct {
+		data []float32 // full size-class capacity
+		id   int32     // first-assignment index
+		slot int       // slot that last held it
+	}
+	held := make([]buffer, n)      // held[sl]: the buffer behind slot sl
+	freelist := map[int][]buffer{} // size class → freed buffers (LIFO)
+	for i := range sc.steps {
+		if st := &sc.steps[i]; st.into != nil {
+			size := tensor.SizeOf(st.node.Shape())
+			bkt := tensor.BucketFor(size)
+			free := freelist[bkt]
+			pick := len(free) - 1
+			for useAnc && pick >= 0 && !orderedBefore(free[pick].slot, i) {
+				pick--
+			}
+			var buf buffer
+			if pick < 0 {
+				buf = buffer{data: arena.Get(size), id: int32(buffers)}
+				buffers++
+			} else {
+				buf = free[pick]
+				freelist[bkt] = append(free[:pick], free[pick+1:]...)
+				if !useAnc {
+					e.add(buf.slot, i, true)
+					for _, r := range readers[buf.slot] {
+						e.add(int(r), i, true)
+					}
+				}
+				// Hand the reused buffer to the arena and take it
+				// straight back: compile-time reuse is then counted like
+				// any other recycled Get, so a plan's
+				// ArenaStats.ReuseRatio is (slots−buffers)/slots. The
+				// assignment above must stand, so the round trip has to
+				// return the very buffer it was given.
+				arena.Put(buf.data)
+				if back := arena.Get(size); &back[:1][0] != &buf.data[:1][0] {
+					panic("runtime: arena round trip returned another buffer")
+				}
+			}
+			buf.slot = i
+			held[i] = buf
+			st.out = tensor.FromSlice(buf.data[:size], st.node.Shape()...)
+			slots++
+		}
+		for _, sl := range releaseAt[i] {
+			b := held[sl]
+			b.data = b.data[:cap(b.data)]
+			freelist[cap(b.data)] = append(freelist[cap(b.data)], b)
+		}
+	}
+	// Freed buffers not re-acquired go back to the session arena for
+	// other plans (runs of different plans never overlap).
+	for _, free := range freelist {
+		for _, b := range free {
+			arena.Put(b.data)
+		}
+	}
+
+	// Guard read sets: the distinct arena buffers each op step's
+	// inputs may reference (consulted only when a tensor.BufferGuard
+	// is installed, i.e. in test builds).
+	seen := make([]int, buffers) // seen[id] == i+1: already in step i's set
+	for i, set := range sc.reads {
+		for _, sl := range set {
+			if b := held[sl]; sc.isSlot(sl) && seen[b.id] != i+1 {
+				seen[b.id] = i + 1
+				sc.steps[i].readBufs = append(sc.steps[i].readBufs, sc.steps[sl].out.Data())
+			}
+		}
+	}
+	return slots, buffers
+}
+
+// compile builds the execution plan of a fetch set from the four
+// passes, then ranks the ready queue by unit-weight height.
+func (s *Session) compile(fetches []*graph.Node) *Plan {
+	sc := newSchedule(fetches)
+	slotEnd, fetchCopy := liveness(sc)
+	edges := constrain(sc)
+	slots, buffers := assign(sc, slotEnd, edges, s.interOp, s.arena)
+	edges.stamp = nil
+	n := len(sc.steps)
+	plan := &Plan{
+		steps: sc.steps, values: make([]*tensor.Tensor, n),
+		fetchPos: sc.fetchPos, fetchCopy: fetchCopy,
+		slots: slots, buffers: buffers, nOps: sc.nOps, edgeSet: *edges,
+		prio: make([]int64, n), indegRun: make([]int32, n),
+		finish: make([]time.Duration, n), cp: make([]time.Duration, n),
+		timing: make([]opTiming, n),
+	}
+	plan.rank(nil)
+	return plan
+}

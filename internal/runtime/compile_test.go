@@ -1,0 +1,473 @@
+package runtime
+
+import (
+	"fmt"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/ops"
+	"repro/internal/tensor"
+)
+
+// at returns nd's schedule position.
+func (sc *schedule) at(t *testing.T, nd *graph.Node) int {
+	t.Helper()
+	for i := range sc.steps {
+		if sc.steps[i].node == nd {
+			return i
+		}
+	}
+	t.Fatalf("%v is not scheduled", nd)
+	return -1
+}
+
+// positions maps nodes to a sorted root set.
+func (sc *schedule) positions(t *testing.T, nodes ...*graph.Node) rootSet {
+	t.Helper()
+	var set rootSet
+	for _, nd := range nodes {
+		set = union(set, rootSet{int32(sc.at(t, nd))})
+	}
+	return set
+}
+
+func TestUnion(t *testing.T) {
+	for _, c := range []struct{ a, b, want rootSet }{
+		{nil, nil, nil},
+		{rootSet{3}, nil, rootSet{3}},
+		{nil, rootSet{1, 4}, rootSet{1, 4}},
+		{rootSet{1, 4}, rootSet{1, 4}, rootSet{1, 4}},
+		{rootSet{1, 5, 9}, rootSet{2, 5, 7, 11}, rootSet{1, 2, 5, 7, 9, 11}},
+	} {
+		if got := union(c.a, c.b); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("union(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// viewGraph is the shape the root rule exists for: an arena-backed
+// product and a variable, each seen again through a chain of views.
+func viewGraph() (g *graph.Graph, x, w, mm, view, wview, side *graph.Node) {
+	g = graph.New()
+	x = g.Placeholder("x", 4, 4)
+	w = g.Variable("w", tensor.Full(0.2, 4, 4))
+	mm = ops.MatMul(x, w)
+	view = ops.Identity(ops.Reshape(mm, 2, 8))
+	wview = ops.Reshape(w, 4, 4)
+	side = ops.MatMul(x, wview)
+	return
+}
+
+// TestSchedulePass: who owns storage and who may carry a view of it.
+func TestSchedulePass(t *testing.T) {
+	_, x, w, mm, view, wview, side := viewGraph()
+	sc := newSchedule([]*graph.Node{view, side})
+	if sc.nOps != 5 || sc.hazards != len(sc.steps) {
+		t.Fatalf("nOps %d hazards %d over %d steps", sc.nOps, sc.hazards, len(sc.steps))
+	}
+	for _, c := range []struct {
+		name  string
+		node  *graph.Node
+		into  bool
+		roots []*graph.Node
+		reads []*graph.Node
+	}{
+		{"feed owns nothing", x, false, nil, nil},
+		{"variable owns its tensor", w, false, []*graph.Node{w}, nil},
+		{"into-op owns its slot", mm, true, []*graph.Node{mm}, []*graph.Node{w}},
+		{"view chain carries the slot", view, false, []*graph.Node{mm}, []*graph.Node{mm}},
+		{"view of a variable carries it", wview, false, []*graph.Node{w}, []*graph.Node{w}},
+		{"into-op over a view reads the variable", side, true, []*graph.Node{side}, []*graph.Node{w}},
+	} {
+		i := sc.at(t, c.node)
+		if got := sc.steps[i].into != nil; got != c.into {
+			t.Errorf("%s: into = %t, want %t", c.name, got, c.into)
+		}
+		if want := sc.positions(t, c.roots...); !reflect.DeepEqual(sc.roots[i], want) {
+			t.Errorf("%s: roots %v, want %v", c.name, sc.roots[i], want)
+		}
+		if want := sc.positions(t, c.reads...); !reflect.DeepEqual(sc.reads[i], want) {
+			t.Errorf("%s: reads %v, want %v", c.name, sc.reads[i], want)
+		}
+	}
+	if want := []int{sc.at(t, view), sc.at(t, side)}; !reflect.DeepEqual(sc.fetchPos, want) {
+		t.Errorf("fetchPos %v, want %v", sc.fetchPos, want)
+	}
+
+	// A mutated node nothing scheduled reads gets a hazard id past the
+	// steps; the same node mutated twice gets the same id.
+	g := graph.New()
+	v := g.Variable("v", tensor.New(2))
+	u1 := ops.ApplySGD(v, g.Const("g1", tensor.Ones(2)), 1)
+	u2 := ops.ApplySGD(v, g.Const("g2", tensor.Ones(2)), 1)
+	sc = newSchedule([]*graph.Node{u1, u2})
+	n := int32(len(sc.steps))
+	w1, w2 := sc.writes[sc.at(t, u1)], sc.writes[sc.at(t, u2)]
+	if sc.hazards != int(n)+1 || !reflect.DeepEqual(w1, []int32{n}) || !reflect.DeepEqual(w2, []int32{n}) {
+		t.Errorf("off-schedule variable: hazards %d writes %v %v, want %d [%d] [%d]", sc.hazards, w1, w2, n+1, n, n)
+	}
+}
+
+// TestLivenessPass: a slot lives until the last use of anything that
+// may reference it, and for the whole run once a fetch can reach it.
+func TestLivenessPass(t *testing.T) {
+	g := graph.New()
+	x := g.Placeholder("x", 4, 4)
+	a := ops.Relu(x)
+	av := ops.Reshape(a, 2, 8) // a's slot, seen through a view
+	b := ops.Square(a)
+	r := ops.Relu(av) // last reader of a's slot
+	d := ops.Add(ops.Reshape(b, 2, 8), r)
+	dv := ops.Identity(d) // fetched view of d's slot
+	sc := newSchedule([]*graph.Node{dv, x})
+	slotEnd, fetchCopy := liveness(sc)
+	n := len(sc.steps)
+	for _, c := range []struct {
+		name string
+		node *graph.Node
+		want int
+	}{
+		{"feed", x, 0},
+		{"view owns no slot", av, 0},
+		{"slot read through a view", a, sc.at(t, r)},
+		{"slot read through a view by the sink", b, sc.at(t, d)},
+		{"slot read directly", r, sc.at(t, d)},
+		{"slot a fetch reaches through a view", d, n},
+	} {
+		if got := slotEnd[sc.at(t, c.node)]; got != c.want {
+			t.Errorf("%s: slotEnd = %d, want %d (of %d)", c.name, got, c.want, n)
+		}
+	}
+	if want := []bool{true, false}; !reflect.DeepEqual(fetchCopy, want) {
+		t.Errorf("fetchCopy %v, want %v: a view of a slot is cloned, a feed is not", fetchCopy, want)
+	}
+}
+
+// edgeList renders an edge set as sorted "from>to" node-name pairs.
+func edgeList(sc *schedule, e *edgeSet, cp bool) []string {
+	name := func(i int32) string { return fmt.Sprintf("%s#%d", sc.steps[i].node.OpName(), sc.steps[i].node.ID()) }
+	var out []string
+	preds := e.preds
+	if cp {
+		preds = e.predsCP
+	}
+	for to, ps := range preds {
+		for _, from := range ps {
+			out = append(out, name(from)+">"+name(int32(to)))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestConstrainPass: exactly the data, hazard and serial-lane edges, each
+// once.
+func TestConstrainPass(t *testing.T) {
+	pair := func(from, to *graph.Node) string {
+		return fmt.Sprintf("%s#%d>%s#%d", from.OpName(), from.ID(), to.OpName(), to.ID())
+	}
+	t.Run("variable read through a view, then mutated", func(t *testing.T) {
+		g, _, w, mm, view, wview, side := viewGraph()
+		up := ops.ApplySGD(w, g.Const("grad", tensor.Ones(4, 4)), 0.1)
+		again := ops.ApplySGD(w, g.Const("grad2", tensor.Ones(4, 4)), 0.1)
+		after := ops.MatMul(ops.Relu(side), wview) // scheduled after both updates
+		sc := newSchedule([]*graph.Node{view, side, up, again, after})
+		e := constrain(sc)
+		want := []string{
+			pair(mm, view.Inputs()[0]), pair(view.Inputs()[0], view), pair(wview, side), // data
+			pair(side, after.Inputs()[0]), pair(after.Inputs()[0], after), pair(wview, after), // data
+			pair(mm, up), pair(wview, up), pair(side, up), // read before write (wview carries w)
+			pair(up, again),    // write before write; also the Impure lane, recorded once
+			pair(again, after), // write before read
+		}
+		sort.Strings(want)
+		if got := edgeList(sc, e, false); !reflect.DeepEqual(got, want) {
+			t.Errorf("edges\n got %v\nwant %v", got, want)
+		}
+		if e.edges != len(want) {
+			t.Errorf("edge count %d, want %d", e.edges, len(want))
+		}
+	})
+	t.Run("two Impure ops around an independent branch", func(t *testing.T) {
+		g := graph.New()
+		x := g.Placeholder("x", 4, 4)
+		r1 := ops.RandomUniform(g, 4, 4)
+		b1 := ops.Relu(x)
+		b2 := ops.Square(b1)
+		r2 := ops.RandomUniform(g, 4, 4)
+		s1 := ops.Add(r1, b2)
+		y := ops.Add(s1, r2)
+		sc := newSchedule([]*graph.Node{y})
+		e := constrain(sc)
+		want := []string{pair(r1, r2), pair(b1, b2), pair(r1, s1), pair(b2, s1), pair(s1, y), pair(r2, y)}
+		sort.Strings(want)
+		if got := edgeList(sc, e, false); !reflect.DeepEqual(got, want) {
+			t.Errorf("edges\n got %v\nwant %v: the branch takes no serial-lane edge", got, want)
+		}
+		if !reflect.DeepEqual(edgeList(sc, e, true), want) {
+			t.Error("constrain records no anti-dependency edge: predsCP must equal preds")
+		}
+	})
+}
+
+// bufferIDs numbers the distinct buffers behind the steps' destinations
+// by first assignment; -1 where a step has none.
+func bufferIDs(steps []planStep) []int {
+	ids := make([]int, len(steps))
+	seen := map[*float32]int{}
+	for i := range steps {
+		ids[i] = -1
+		if out := steps[i].out; out != nil {
+			k := &out.Data()[0]
+			if _, ok := seen[k]; !ok {
+				seen[k] = len(seen)
+			}
+			ids[i] = seen[k]
+		}
+	}
+	return ids
+}
+
+// TestAssignPass: a diamond whose arms share buffers at inter-op 1,
+// where reuse is maximal and anti-dependency edges serialize them, and
+// keep apart at inter-op 4, where a buffer is reused only by a step that
+// already follows every access to it.
+func TestAssignPass(t *testing.T) {
+	build := func() (*schedule, []*graph.Node) {
+		g := graph.New()
+		x := g.Placeholder("x", 8, 8)
+		a := ops.Relu(x)
+		l1 := ops.Square(a)
+		l2 := ops.Relu(l1)
+		r1 := ops.Relu(a)
+		r2 := ops.Square(r1)
+		y := ops.Add(l2, r2)
+		return newSchedule([]*graph.Node{y}), []*graph.Node{a, l1, l2, r1, r2, y}
+	}
+	for _, c := range []struct {
+		interOp        int
+		bufs           []int // of a, l1, l2, r1, r2, y
+		slots, buffers int
+		anti           int // anti-dependency edges added
+	}{
+		// r1 takes l1's buffer (new edges from l1 and its reader l2), r2
+		// takes a's (from a and its reader l1; r1→r2 is a data edge
+		// already), y takes r1's (from r1; r2→y likewise).
+		{1, []int{0, 1, 2, 1, 0, 1}, 6, 3, 5},
+		// Only y follows every access to a freed buffer (r1's).
+		{4, []int{0, 1, 2, 3, 4, 3}, 6, 5, 0},
+	} {
+		sc, nodes := build()
+		slotEnd, _ := liveness(sc)
+		e := constrain(sc)
+		before := e.edges
+		arena := tensor.NewArena()
+		slots, buffers := assign(sc, slotEnd, e, c.interOp, arena)
+		ids := bufferIDs(sc.steps)
+		var got []int
+		for _, nd := range nodes {
+			got = append(got, ids[sc.at(t, nd)])
+		}
+		if !reflect.DeepEqual(got, c.bufs) || slots != c.slots || buffers != c.buffers {
+			t.Errorf("inter-op %d: buffers %v (%d slots, %d buffers), want %v (%d, %d)",
+				c.interOp, got, slots, buffers, c.bufs, c.slots, c.buffers)
+		}
+		if anti := e.edges - before; anti != c.anti {
+			t.Errorf("inter-op %d: %d anti-dependency edges, want %d", c.interOp, anti, c.anti)
+		}
+		if st := arena.Stats(); st.TotalBuffers != buffers {
+			t.Errorf("inter-op %d: arena made %d buffers, plan counts %d", c.interOp, st.TotalBuffers, buffers)
+		}
+		y := sc.at(t, nodes[5])
+		if len(sc.steps[y].readBufs) != 2 {
+			t.Errorf("inter-op %d: sink reads %d buffers, want 2", c.interOp, len(sc.steps[y].readBufs))
+		}
+	}
+}
+
+// checkPlan states what every compiled plan must satisfy, from an
+// analysis of its own (sets as maps, reachability by closure) so it
+// does not inherit a mistake of the passes:
+//
+//   - every scheduling edge points forward;
+//   - no step's destination shares a buffer with anything its inputs
+//     may reference;
+//   - a slot a fetch may reference is cloned on fetch and its buffer is
+//     never handed on;
+//   - of two slots sharing a buffer, the later writer comes after the
+//     earlier slot's owner and all its readers, by position and through
+//     scheduling edges (anti-dependency edges at inter-op 1, ancestry
+//     above).
+func checkPlan(p *Plan) error {
+	n := len(p.steps)
+	// reach[i][j]: step j reaches step i through scheduling edges.
+	words := (n + 63) / 64
+	reach := make([][]uint64, n)
+	for i := range reach {
+		reach[i] = make([]uint64, words)
+	}
+	for i := 0; i < n; i++ {
+		for _, sc := range p.succs[i] {
+			if int(sc) <= i {
+				return fmt.Errorf("edge %d→%d does not point forward", i, sc)
+			}
+		}
+		for _, pr := range p.preds[i] {
+			reach[i][pr/64] |= 1 << uint(pr%64)
+			for w := range reach[i] {
+				reach[i][w] |= reach[pr][w]
+			}
+		}
+	}
+	reaches := func(from, to int) bool { return reach[to][from/64]&(1<<uint(from%64)) != 0 }
+
+	// slots[i]: the slot-owning steps step i's value may reference.
+	slots := make([]map[int]bool, n)
+	readers := make([][]int, n)
+	for i := range p.steps {
+		st := &p.steps[i]
+		slots[i] = map[int]bool{}
+		if st.kind != graph.KindOp {
+			continue
+		}
+		reads := map[int]bool{}
+		for _, in := range st.ins {
+			for sl := range slots[in] {
+				reads[sl] = true
+			}
+		}
+		for sl := range reads {
+			readers[sl] = append(readers[sl], i)
+			if st.out != nil && &st.out.Data()[0] == &p.steps[sl].out.Data()[0] {
+				return fmt.Errorf("step %d (%v) writes the buffer of slot %d, which its inputs may reference", i, st.node, sl)
+			}
+		}
+		if st.out != nil {
+			slots[i][i] = true
+		} else {
+			slots[i] = reads
+		}
+	}
+	pinned := map[int]bool{}
+	for j, f := range p.fetchPos {
+		if (len(slots[f]) > 0) != p.fetchCopy[j] {
+			return fmt.Errorf("fetch %d may reference slots %v but fetchCopy is %t", j, slots[f], p.fetchCopy[j])
+		}
+		for sl := range slots[f] {
+			pinned[sl] = true
+		}
+	}
+	holders := map[*float32][]int{} // buffer → slots in schedule order
+	for i := range p.steps {
+		if out := p.steps[i].out; out != nil {
+			k := &out.Data()[0]
+			holders[k] = append(holders[k], i)
+		}
+	}
+	for _, hs := range holders {
+		for bi, b := range hs {
+			for _, a := range hs[:bi] {
+				if pinned[a] {
+					return fmt.Errorf("slot %d is reachable from a fetch but slot %d reuses its buffer", a, b)
+				}
+				for _, acc := range append([]int{a}, readers[a]...) {
+					if acc >= b || !reaches(acc, b) {
+						return fmt.Errorf("slot %d reuses slot %d's buffer but is not ordered after step %d, which accesses it", b, a, acc)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// CheckCachedPlans runs checkPlan over every plan the session has
+// compiled — the hook the workload sweep in package runtime_test uses.
+func CheckCachedPlans(s *Session) error {
+	for _, p := range s.planCache {
+		if err := checkPlan(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestCheckPlanCatchesBrokenPlans: the verifier is only worth running
+// if it fails on the mistakes it names.
+func TestCheckPlanCatchesBrokenPlans(t *testing.T) {
+	compile := func(interOp int) *Plan {
+		g, _, y := buildWide(3, 3)
+		return NewSession(g, WithInterOpWorkers(interOp)).Plan([]*graph.Node{y})
+	}
+	if err := checkPlan(compile(1)); err != nil {
+		t.Fatalf("sound plan rejected: %v", err)
+	}
+	// Drop the anti-dependency edges of an inter-op-1 plan: its maximal
+	// reuse is then unordered.
+	p := compile(1)
+	p.preds = p.predsCP
+	if err := checkPlan(p); err == nil {
+		t.Error("a plan without its anti-dependency edges passed")
+	}
+	// Make a step write into its own input's buffer.
+	p = compile(4)
+	for i := range p.steps {
+		if st := &p.steps[i]; st.out != nil && len(st.ins) > 0 && p.steps[st.ins[0]].out != nil {
+			st.out = p.steps[st.ins[0]].out
+			break
+		}
+	}
+	if err := checkPlan(p); err == nil {
+		t.Error("a plan whose step overwrites its input passed")
+	}
+	p = compile(4)
+	p.fetchCopy[0] = false
+	if err := checkPlan(p); err == nil {
+		t.Error("a plan returning arena memory from Run passed")
+	}
+}
+
+// FuzzPlanCompile: for any random training graph and width, compile
+// does not panic, the plan satisfies checkPlan, and a parallel run's
+// fetches and variables equal the sequential session's bit for bit.
+func FuzzPlanCompile(f *testing.F) {
+	f.Add(int64(1), uint8(10), uint8(4))
+	f.Add(int64(7), uint8(40), uint8(2))
+	f.Add(int64(23), uint8(0), uint8(1))
+	f.Add(int64(-5), uint8(63), uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, size, interOp uint8) {
+		n, width := int(size%64), 1+int(interOp%8)
+		gSer, xSer, fSer := randomDAG(seed, n)
+		gPar, xPar, fPar := randomDAG(seed, n)
+		ser := NewSession(gSer, WithSeed(seed))
+		par := NewSession(gPar, WithSeed(seed), WithInterOpWorkers(width))
+		defer par.Close()
+		ser.SetTraining(true)
+		par.SetTraining(true)
+		// The loss alone first: a second, smaller plan on the same arena.
+		for _, fetches := range [][]*graph.Node{fSer[:1], fSer} {
+			if err := checkPlan(ser.Plan(fetches)); err != nil {
+				t.Fatalf("inter-op 1: %v", err)
+			}
+		}
+		for _, fetches := range [][]*graph.Node{fPar[:1], fPar} {
+			if err := checkPlan(par.Plan(fetches)); err != nil {
+				t.Fatalf("inter-op %d: %v", width, err)
+			}
+		}
+		for run := 0; run < 2; run++ {
+			a, err := ser.Run(fSer, Feeds{xSer: tensor.Full(0.3, 4, 6)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := par.Run(fPar, Feeds{xPar: tensor.Full(0.3, 4, 6)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameTensors(t, fmt.Sprintf("run %d fetches", run), a, b)
+		}
+		assertSameVariables(t, gSer, gPar)
+	})
+}

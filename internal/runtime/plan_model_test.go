@@ -1,13 +1,48 @@
 package runtime_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	_ "repro/internal/models/all"
 	"repro/internal/models/nn"
 	"repro/internal/runtime"
 )
+
+// TestWorkloadPlansSound: every plan the ten workloads compile — the
+// fetch sets one training and one inference step actually run, at
+// inter-op 1 and 4 — satisfies checkPlan.
+func TestWorkloadPlansSound(t *testing.T) {
+	preset := core.PresetSmall
+	if testing.Short() {
+		preset = core.PresetTiny
+	}
+	for _, name := range core.Names() {
+		for _, mode := range []core.Mode{core.ModeTraining, core.ModeInference} {
+			for _, interOp := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%s/interop%d", name, mode, interOp), func(t *testing.T) {
+					m, err := core.New(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := m.Setup(core.Config{Preset: preset, Seed: 3}); err != nil {
+						t.Fatal(err)
+					}
+					s := runtime.NewSession(m.Graph(), runtime.WithInterOpWorkers(interOp))
+					defer s.Close()
+					if err := core.Step(m, s, mode); err != nil {
+						t.Fatal(err)
+					}
+					if err := runtime.CheckCachedPlans(s); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
+	}
+}
 
 // TestPlanCompileDeterministic: compiling one fetch set is a pure
 // function of the graph and the session's widths. alexnet's training

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/ops"
@@ -210,33 +209,5 @@ func TestGPUDevicePlansIntoPath(t *testing.T) {
 	b := gpu.MustRun([]*graph.Node{y}, feed)[0]
 	if tensor.MaxAbsDiff(a, b) != 0 {
 		t.Fatal("GPU into-path diverges from CPU")
-	}
-}
-
-// legacyDevice exercises the fallback: a device that does not
-// implement IntoRunner must still execute correctly, with the plan
-// assigning no arena slots.
-type legacyDevice struct{}
-
-func (legacyDevice) Name() string { return "legacy" }
-
-func (legacyDevice) Run(ctx *graph.ExecContext, n *graph.Node, in []*tensor.Tensor) (*tensor.Tensor, time.Duration, error) {
-	out, err := n.Op().Forward(ctx, in)
-	return out, 0, err
-}
-
-func TestLegacyDeviceFallsBackToForward(t *testing.T) {
-	g, x, _, y := buildChain()
-	_ = g
-	feed := Feeds{x: tensor.Ones(4, 8)}
-	s := NewSession(g, WithDevice(legacyDevice{}))
-	if got := s.Plan([]*graph.Node{y}).Slots(); got != 0 {
-		t.Fatalf("legacy device must not get arena slots, got %d", got)
-	}
-	ref := NewSession(g)
-	a := s.MustRun([]*graph.Node{y}, feed)[0]
-	b := ref.MustRun([]*graph.Node{y}, feed)[0]
-	if tensor.MaxAbsDiff(a, b) != 0 {
-		t.Fatal("legacy fallback diverges from planned execution")
 	}
 }

@@ -1,31 +1,29 @@
 // Package runtime executes dataflow graphs: the analogue of the
 // TensorFlow runtime the paper instruments. It provides sessions,
-// per-operation tracing on a simulated timeline, and two devices —
-// a CPU whose op timings come from measured kernels under the virtual
-// thread pool, and a modeled GPU using a roofline cost model (the
-// substitution for the paper's GTX 960; see DESIGN.md §4.2).
+// per-operation tracing on a simulated timeline, and two devices that
+// price the operations a session runs — a CPU whose op timings come
+// from measured kernels under the virtual thread pool, and a modeled
+// GPU using a roofline cost model (the substitution for the paper's
+// GTX 960; see DESIGN.md §4.2).
 //
 // # Compiled execution plans
 //
 // The first Run of a fetch set compiles it into a Plan: the transitive
 // dependencies in topological order, plus a static buffer assignment.
-// Compilation performs liveness analysis over the schedule — tracking
-// which operation last reads each intermediate, and which values may
-// alias which buffers through view-producing operations — and assigns
-// every operation that implements graph.IntoOp a destination slot in a
-// size-bucketed buffer arena (tensor.Arena). Two intermediates with
-// disjoint lifetimes share one buffer, and because plans are cached on
-// the session, steady-state steps execute with near-zero heap
-// allocation: operations write into their preassigned slots through
-// the ForwardInto fast path (see IntoRunner).
+// Compilation is four passes over one step-indexed IR — schedule,
+// liveness, constrain, assign; compile.go states the rule they share —
+// that give every operation implementing graph.IntoOp a destination
+// slot in a size-bucketed buffer arena (tensor.Arena). Two
+// intermediates with disjoint lifetimes share one buffer, and because
+// plans are cached on the session, steady-state steps execute with
+// near-zero heap allocation: operations write into their preassigned
+// slots through the ForwardInto fast path, and only those that cannot
+// (views such as Reshape, stateful random ops) keep the allocating
+// Forward path.
 //
 // Tensors returned from Run never alias arena memory: any fetch whose
 // value may reach an arena slot is deep-copied on the way out
 // (copy-on-fetch), so callers can hold results across subsequent Runs.
-// Operations that cannot run into a preassigned buffer (views such as
-// Reshape, stateful random ops) keep the allocating Forward path, and
-// the liveness analysis conservatively treats their outputs as aliases
-// of every input.
 //
 // # Parallelism and the shared worker pool
 //
@@ -46,7 +44,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -58,7 +55,8 @@ import (
 var ErrClosed = errors.New("runtime: session closed")
 
 // Event records one operation execution on the session's simulated
-// timeline. Durations are device-modeled (see Device).
+// timeline. Dur is the price the session's Device put on the
+// operation; Wall is what the host measured.
 type Event struct {
 	Node  *graph.Node
 	Op    string        // operation type name
@@ -69,8 +67,8 @@ type Event struct {
 	// Worker is the inter-op lane that executed the operation (always
 	// 0 under serial execution; see WithInterOpWorkers).
 	Worker int
-	// Wall is the measured host wall time of the operation, next to
-	// the device-modeled Dur.
+	// Wall is the measured host wall time of the operation's kernel,
+	// next to the device-priced Dur.
 	Wall time.Duration
 	// WallStart is the absolute host time the operation started —
 	// with Wall and Worker it reconstructs the measured execution
@@ -88,53 +86,32 @@ type Event struct {
 	CP time.Duration
 }
 
-// Device turns an operation invocation into an output tensor and a
-// modeled duration.
+// Device is a cost model: the session runs every operation itself, on
+// the host's kernels, and asks the device what the operation costs on
+// the timeline it simulates.
 type Device interface {
 	Name() string
-	Run(ctx *graph.ExecContext, n *graph.Node, in []*tensor.Tensor) (*tensor.Tensor, time.Duration, error)
+	// OpTime prices one execution of n that took wall on the host and
+	// ran its kernels through pool.
+	OpTime(n *graph.Node, pool *tensor.Pool, wall time.Duration) time.Duration
 }
 
-// IntoRunner is implemented by devices that support the
-// allocation-free fast path: executing a graph.IntoOp into a
-// plan-assigned destination buffer. Both built-in devices implement
-// it; plans fall back to the allocating Device.Run path when the
-// session's device does not.
-type IntoRunner interface {
-	RunInto(ctx *graph.ExecContext, n *graph.Node, in []*tensor.Tensor, out *tensor.Tensor) (time.Duration, error)
-}
-
-// CPUDevice executes kernels through the virtual thread pool and
-// reports the pool's simulated parallel time (measured chunk makespan;
-// see tensor.Pool).
+// CPUDevice prices an operation at the kernel pool's simulated
+// parallel time (measured chunk makespan; see tensor.Pool).
 type CPUDevice struct{}
 
 // Name implements Device.
 func (CPUDevice) Name() string { return "cpu" }
 
-// Run implements Device.
-func (CPUDevice) Run(ctx *graph.ExecContext, n *graph.Node, in []*tensor.Tensor) (*tensor.Tensor, time.Duration, error) {
-	ctx.Pool.ResetOp()
-	t0 := time.Now()
-	out, err := n.Op().Forward(ctx, in)
-	wall := time.Since(t0)
-	return out, ctx.Pool.OpTime(wall), err
+// OpTime implements Device.
+func (CPUDevice) OpTime(_ *graph.Node, pool *tensor.Pool, wall time.Duration) time.Duration {
+	return pool.OpTime(wall)
 }
 
-// RunInto implements IntoRunner.
-func (CPUDevice) RunInto(ctx *graph.ExecContext, n *graph.Node, in []*tensor.Tensor, out *tensor.Tensor) (time.Duration, error) {
-	ctx.Pool.ResetOp()
-	t0 := time.Now()
-	err := n.Op().(graph.IntoOp).ForwardInto(ctx, in, out)
-	wall := time.Since(t0)
-	return ctx.Pool.OpTime(wall), err
-}
-
-// GPUDevice executes kernels on the CPU for numerical correctness but
-// reports a modeled duration launch + max(flops/PeakFlops,
-// bytes/PeakBytes): a roofline model calibrated to a GTX-960-class
-// part. Operations expose flop/byte counts through graph.Coster; other
-// ops get a byte-dominated default.
+// GPUDevice prices an operation at launch + max(flops/PeakFlops,
+// bytes/PeakBytes) whatever the host measured: a roofline model
+// calibrated to a GTX-960-class part. Operations expose flop/byte
+// counts through graph.Coster; other ops get a byte-dominated default.
 type GPUDevice struct {
 	// PeakFlops is the peak arithmetic throughput in FLOP/s.
 	PeakFlops float64
@@ -192,21 +169,9 @@ func (d *GPUDevice) modelTime(n *graph.Node) time.Duration {
 	return d.Launch + time.Duration(t*float64(time.Second))
 }
 
-// Run implements Device.
-func (d *GPUDevice) Run(ctx *graph.ExecContext, n *graph.Node, in []*tensor.Tensor) (*tensor.Tensor, time.Duration, error) {
-	out, err := n.Op().Forward(ctx, in)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, d.modelTime(n), nil
-}
-
-// RunInto implements IntoRunner.
-func (d *GPUDevice) RunInto(ctx *graph.ExecContext, n *graph.Node, in []*tensor.Tensor, out *tensor.Tensor) (time.Duration, error) {
-	if err := n.Op().(graph.IntoOp).ForwardInto(ctx, in, out); err != nil {
-		return 0, err
-	}
-	return d.modelTime(n), nil
+// OpTime implements Device.
+func (d *GPUDevice) OpTime(n *graph.Node, _ *tensor.Pool, _ time.Duration) time.Duration {
+	return d.modelTime(n)
 }
 
 // Feeds maps placeholder nodes to their input tensors for one Run.
@@ -227,16 +192,10 @@ type planStep struct {
 }
 
 // Plan is a compiled execution schedule for one fetch set: the
-// topological order of the transitive dependencies plus the static
-// arena-buffer assignment produced by liveness analysis. Plans are
+// topological order of the transitive dependencies, the static
+// arena-buffer assignment, and the scheduling edges the parallel
+// scheduler drains (see compile.go for how each is decided). Plans are
 // cached per session and reused by every Run with the same fetches.
-//
-// Beyond the sequential schedule, compilation records the inter-op
-// dependency structure (per-step successor lists and in-degrees) the
-// parallel scheduler drains: data edges, variable-access hazard edges,
-// the serial lane chaining Impure operations in schedule order, and
-// arena anti-dependency edges gating buffer reuse on the completion of
-// every reader of the buffer's previous value (see sched.go).
 type Plan struct {
 	steps     []planStep
 	values    []*tensor.Tensor // per-step results, reused across Runs
@@ -245,20 +204,8 @@ type Plan struct {
 	slots     int              // arena slots assigned
 	buffers   int              // distinct arena buffers backing them
 
-	// Inter-op scheduling structure over op steps (non-op steps carry
-	// no work and are resolved before the parallel phase).
-	succs [][]int32 // scheduling successors of each step
-	preds [][]int32 // scheduling predecessors (mirror of succs)
-	// predsCP excludes arena anti-dependency edges: the semantic
-	// constraints (data, variable hazard, serial Impure lane) that any
-	// buffer assignment must respect. Critical paths are computed over
-	// these, so the reported achievable speedup is width-independent;
-	// the makespan simulation uses the full preds, which do include
-	// the anti-dependency resource constraints of this plan.
-	predsCP [][]int32
-	indeg   []int32 // scheduling in-degree of each step
-	nOps    int     // number of op steps
-	edges   int     // scheduling edges (incl. hazard/serial/anti)
+	nOps    int // number of op steps
+	edgeSet     // inter-op scheduling structure over them
 
 	// prio orders the parallel scheduler's ready queue by longest
 	// processing time to a sink: a step's priority is the weight of the
@@ -275,9 +222,15 @@ type Plan struct {
 	indegRun []int32
 	finish   []time.Duration // simulated finish time per step
 	cp       []time.Duration // critical-path finish per step
-	durs     []time.Duration // measured device time per step (parallel)
-	walls    []time.Duration // measured wall time per step (parallel)
-	wallT0   []time.Time     // measured wall start per step (parallel)
+	timing   []opTiming      // what execStep measured per step (parallel)
+}
+
+// opTiming is what execStep measured of one operation: when its kernel
+// started on the host, how long it took, and the device's price for it.
+type opTiming struct {
+	start time.Time
+	wall  time.Duration
+	dur   time.Duration
 }
 
 // Slots reports how many operation outputs were assigned arena slots.
@@ -336,7 +289,7 @@ type Session struct {
 	// kernel pools execute chunks on shared-pool helpers
 	// (tensor.NewParallelPool) instead of modeling the speedup.
 	intraOp   int
-	workers   int                  // modeled width of serial kernel pools (WithWorkers)
+	workers   int                  // modeled width of serial kernel pools (WithModeledWorkers)
 	execPool  *sched.Pool          // shared worker pool (default sched.Default)
 	lease     *sched.Lease         // the session's adaptive claim on it
 	leaseName string               // tenant name the claim registers under
@@ -347,11 +300,14 @@ type Session struct {
 // Option configures a Session.
 type Option func(*Session)
 
-// WithDevice selects the execution device (default CPUDevice).
+// WithDevice selects the device that prices operations (default
+// CPUDevice).
 func WithDevice(d Device) Option { return func(s *Session) { s.dev = d } }
 
-// WithWorkers sets the modeled intra-op worker count (default 1).
-func WithWorkers(n int) Option { return func(s *Session) { s.workers = n } }
+// WithModeledWorkers sets the modeled intra-op worker count (default
+// 1): kernels still run their chunks serially and the pool reports the
+// makespan n lanes would have had. WithIntraOpWorkers is the real one.
+func WithModeledWorkers(n int) Option { return func(s *Session) { s.workers = n } }
 
 // WithSeed seeds the session RNG (default 1).
 func WithSeed(seed int64) Option {
@@ -395,8 +351,8 @@ func WithInterOpWorkers(n int) Option {
 // Chunk boundaries and float32 reduction order are fixed by trip count
 // and grain — never by width — so results stay bit-identical to a
 // serial session (and to any other intra-op × inter-op width). Takes
-// precedence over WithWorkers, which keeps the paper's serial modeled
-// pools.
+// precedence over WithModeledWorkers, which keeps the paper's serial
+// modeled pools.
 func WithIntraOpWorkers(n int) Option {
 	return func(s *Session) {
 		if n < 1 {
@@ -435,6 +391,7 @@ func NewSession(g *graph.Graph, opts ...Option) *Session {
 		arena:     tensor.NewArena(),
 		planCache: map[string]*Plan{},
 		interOp:   1,
+		intraOp:   1,
 	}
 	for _, o := range opts {
 		o(s)
@@ -448,15 +405,11 @@ func NewSession(g *graph.Graph, opts ...Option) *Session {
 		if s.execPool == nil {
 			s.execPool = sched.Default()
 		}
-		intra := s.intraOp
-		if intra < 1 {
-			intra = 1
-		}
 		name := s.leaseName
 		if name == "" {
 			name = "session"
 		}
-		s.lease = s.execPool.LeaseNamed(name, s.interOp*intra-1)
+		s.lease = s.execPool.LeaseNamed(name, s.interOp*s.intraOp-1)
 	}
 	s.ctx.Pool = s.newKernelPool()
 	return s
@@ -479,12 +432,7 @@ func (s *Session) Close() {
 }
 
 // IntraOpWorkers returns the configured real intra-op width.
-func (s *Session) IntraOpWorkers() int {
-	if s.intraOp < 1 {
-		return 1
-	}
-	return s.intraOp
-}
+func (s *Session) IntraOpWorkers() int { return s.intraOp }
 
 // Context exposes the session's execution context.
 func (s *Session) Context() *graph.ExecContext { return s.ctx }
@@ -534,410 +482,6 @@ func (s *Session) Plan(fetches []*graph.Node) *Plan {
 		plan = s.compile(fetches)
 		s.planCache[key] = plan
 	}
-	return plan
-}
-
-// compile builds the execution plan: topological order, alias-aware
-// liveness analysis, and greedy arena-slot assignment.
-func (s *Session) compile(fetches []*graph.Node) *Plan {
-	order := graph.Topo(fetches)
-	n := len(order)
-	pos := make(map[*graph.Node]int, n)
-	for i, nd := range order {
-		pos[nd] = i
-	}
-
-	// lastUse[i]: the latest schedule position that reads node i's
-	// value (its own position if nothing does).
-	lastUse := make([]int, n)
-	for i := range order {
-		lastUse[i] = i
-	}
-	for i, nd := range order {
-		for _, in := range nd.Inputs() {
-			lastUse[pos[in]] = i
-		}
-	}
-
-	_, devOK := s.dev.(IntoRunner)
-
-	// aliases[i]: the arena slots node i's value may reference. An op
-	// with a ForwardInto fast path owns exactly its own slot (its
-	// output is always freshly written arena memory). Any other op is
-	// conservatively assumed to return a view of its inputs (Reshape,
-	// Identity, inference-mode Dropout do), so it propagates the union
-	// of their alias sets.
-	steps := make([]planStep, n)
-	aliases := make([][]int, n)
-	for i, nd := range order {
-		st := planStep{node: nd, kind: nd.Kind()}
-		if nd.Kind() == graph.KindOp {
-			ins := nd.Inputs()
-			st.ins = make([]int, len(ins))
-			st.in = make([]*tensor.Tensor, len(ins))
-			for j, in := range ins {
-				st.ins[j] = pos[in]
-			}
-			if io, ok := nd.Op().(graph.IntoOp); ok && devOK && tensor.SizeOf(nd.Shape()) > 0 {
-				st.into = io
-				aliases[i] = []int{i}
-			} else {
-				var set []int
-				for _, j := range st.ins {
-					for _, sl := range aliases[j] {
-						if !slices.Contains(set, sl) {
-							set = append(set, sl)
-						}
-					}
-				}
-				aliases[i] = set
-			}
-		}
-		steps[i] = st
-	}
-
-	// slotEnd[sl]: the schedule position after which slot sl's buffer
-	// is dead; 0 where step sl owns no slot (a slot is read after
-	// position 0). A slot reachable from a fetch is pinned for the whole
-	// run (position n) and its fetch is cloned on the way out. Indexed
-	// by step, so buffers are released — and enter the LIFO free list —
-	// in schedule order, the same in every compile.
-	slotEnd := make([]int, n)
-	for i := range order {
-		for _, sl := range aliases[i] {
-			if lastUse[i] > slotEnd[sl] {
-				slotEnd[sl] = lastUse[i]
-			}
-		}
-	}
-	fetchPos := make([]int, len(fetches))
-	fetchCopy := make([]bool, len(fetches))
-	for j, f := range fetches {
-		i := pos[f]
-		fetchPos[j] = i
-		fetchCopy[j] = len(aliases[i]) > 0
-		for _, sl := range aliases[i] {
-			slotEnd[sl] = n
-		}
-	}
-
-	// ---- inter-op scheduling structure ----
-	//
-	// Edges between op steps constrain the parallel scheduler so that
-	// any worker count reproduces sequential execution bit-exactly.
-	// All edges point forward in schedule order, so the structure is
-	// acyclic by construction. Non-op steps (feeds, constants,
-	// variables) carry no work; they resolve before the parallel phase
-	// and need no edges.
-	plan := &Plan{steps: steps, values: make([]*tensor.Tensor, n), fetchPos: fetchPos, fetchCopy: fetchCopy}
-	succs := make([][]int32, n)
-	preds := make([][]int32, n)
-	predsCP := make([][]int32, n)
-	indeg := make([]int32, n)
-	seenEdge := map[int64]bool{}
-	addEdgeKind := func(from, to int, anti bool) {
-		if from < 0 || from == to {
-			return
-		}
-		if steps[from].kind != graph.KindOp || steps[to].kind != graph.KindOp {
-			return
-		}
-		k := int64(from)<<32 | int64(to)
-		if seenEdge[k] {
-			return
-		}
-		seenEdge[k] = true
-		succs[from] = append(succs[from], int32(to))
-		preds[to] = append(preds[to], int32(from))
-		if !anti {
-			predsCP[to] = append(predsCP[to], int32(from))
-		}
-		indeg[to]++
-		plan.edges++
-	}
-	addEdge := func(from, to int) { addEdgeKind(from, to, false) }
-
-	// varAliases[i]: the variable nodes whose storage node i's value
-	// may reference. A Variable node references itself; an op without
-	// the IntoOp fast path may return a view of its inputs (Reshape,
-	// Identity, inference-mode Dropout), so it propagates the union of
-	// their sets — mirroring the arena alias analysis — while into-ops
-	// write fresh arena memory and reference no variable.
-	varAliases := make([][]*graph.Node, n)
-	for i := range order {
-		switch steps[i].kind {
-		case graph.KindVariable:
-			varAliases[i] = []*graph.Node{order[i]}
-		case graph.KindOp:
-			if steps[i].into == nil {
-				var set []*graph.Node
-				for _, p := range steps[i].ins {
-					for _, v := range varAliases[p] {
-						if !slices.Contains(set, v) {
-							set = append(set, v)
-						}
-					}
-				}
-				varAliases[i] = set
-			}
-		}
-	}
-
-	// Data edges, variable-access hazard edges, and the serial Impure
-	// lane, in one schedule walk. Hazard edges serialize every access
-	// to a mutated node (graph.Mutator — optimizer apply-ops) in
-	// schedule order: reads since the last write precede the next
-	// write, and writes precede subsequent reads, so kernels that read
-	// a variable — directly or through a view — never race its
-	// in-place update. The Impure chain pins stateful/RNG ops (random
-	// sampling, dropout's mask handoff, optimizer slot state) to a
-	// serial lane keyed by graph order, which is what keeps WithSeed
-	// replay identical across inter-op worker counts.
-	type varAccess struct {
-		lastWrite  int
-		readsSince []int
-	}
-	access := map[*graph.Node]*varAccess{}
-	touch := func(nd *graph.Node) *varAccess {
-		a := access[nd]
-		if a == nil {
-			a = &varAccess{lastWrite: -1}
-			access[nd] = a
-		}
-		return a
-	}
-	prevImpure := -1
-	for i, nd := range order {
-		if steps[i].kind != graph.KindOp {
-			continue
-		}
-		plan.nOps++
-		for _, p := range steps[i].ins {
-			addEdge(p, i)
-		}
-		var reads []*graph.Node
-		for _, p := range steps[i].ins {
-			for _, v := range varAliases[p] {
-				if !slices.Contains(reads, v) {
-					reads = append(reads, v)
-				}
-			}
-		}
-		for _, v := range reads {
-			a := touch(v)
-			addEdge(a.lastWrite, i)
-			a.readsSince = append(a.readsSince, i)
-		}
-		if mut, ok := nd.Op().(graph.Mutator); ok {
-			for _, v := range mut.Mutates() {
-				a := touch(v)
-				for _, r := range a.readsSince {
-					addEdge(r, i)
-				}
-				addEdge(a.lastWrite, i)
-				a.lastWrite = i
-				a.readsSince = a.readsSince[:0]
-			}
-		}
-		if _, ok := nd.Op().(graph.Impure); ok {
-			addEdge(prevImpure, i)
-			prevImpure = i
-		}
-	}
-
-	// readersOfSlot[sl]: every op step whose inputs may reference slot
-	// sl's value (via views included) — the completion set that gates
-	// recycling sl's buffer under parallel execution.
-	readersOfSlot := map[int][]int{}
-	for i := range order {
-		if steps[i].kind != graph.KindOp {
-			continue
-		}
-		for _, p := range steps[i].ins {
-			for _, sl := range aliases[p] {
-				readersOfSlot[sl] = append(readersOfSlot[sl], i)
-			}
-		}
-	}
-
-	// Greedy buffer assignment: walk the schedule, free each slot's
-	// buffer as soon as the scan passes its last use, so later slots
-	// with disjoint lifetimes reuse it. A node's destination is drawn
-	// while all of its inputs' buffers are still checked out, so out
-	// never aliases an input.
-	//
-	// Completion-count gating: when step i reuses the buffer slot sl
-	// released, sequential execution is safe because i runs after sl's
-	// last reader by position; under parallel execution that ordering
-	// must be explicit. Two strategies, by session width:
-	//
-	//   - interOp == 1 (and plans too large for ancestor bitsets):
-	//     maximal reuse, with anti-dependency edges from sl and every
-	//     reader of sl to the acquiring step. Transitively (each
-	//     acquirer waits for the previous holder's readers and is
-	//     itself ordered before the next acquirer) a buffer's whole
-	//     access history stays sequential.
-	//   - interOp > 1: parallelism-aware reuse — a freed buffer is
-	//     taken only when the releasing slot and all of its readers
-	//     are already ancestors of the acquiring step through the
-	//     scheduling edges built above, so reuse never serializes
-	//     independent branches; otherwise the step draws a fresh
-	//     buffer (more memory, no lost concurrency).
-	const ancestorCap = 8192
-	useAnc := s.interOp > 1 && n <= ancestorCap
-	var anc []uint64
-	words := (n + 63) / 64
-	if useAnc {
-		anc = make([]uint64, n*words)
-		for i := range order {
-			if steps[i].kind != graph.KindOp {
-				continue
-			}
-			row := anc[i*words : (i+1)*words]
-			for _, p32 := range preds[i] {
-				p := int(p32)
-				row[p/64] |= 1 << uint(p%64)
-				prow := anc[p*words : (p+1)*words]
-				for w := range row {
-					row[w] |= prow[w]
-				}
-			}
-		}
-	}
-	isAnc := func(a, of int) bool {
-		return anc[of*words+a/64]&(1<<uint(a%64)) != 0
-	}
-	// orderedBefore reports whether every access to slot sl is already
-	// ordered before step i by existing scheduling edges.
-	orderedBefore := func(sl, i int) bool {
-		if !isAnc(sl, i) {
-			return false
-		}
-		for _, r := range readersOfSlot[sl] {
-			if r != i && !isAnc(r, i) {
-				return false
-			}
-		}
-		return true
-	}
-
-	releaseAt := make([][]int, n)
-	for sl, e := range slotEnd {
-		if e > 0 && e < n {
-			releaseAt[e] = append(releaseAt[e], sl)
-		}
-	}
-	type freeBuf struct {
-		data []float32 // full size-class capacity
-		slot int       // slot that released it
-	}
-	freelist := map[int][]freeBuf{} // size class → freed buffers (LIFO)
-	bufs := make([]*tensor.Tensor, n)
-	seen := make(map[*float32]bool)
-	for i := range order {
-		if steps[i].into != nil {
-			size := tensor.SizeOf(order[i].Shape())
-			bkt := tensor.BucketFor(size)
-			var data []float32
-			free := freelist[bkt]
-			if useAnc {
-				for idx := len(free) - 1; idx >= 0; idx-- {
-					if orderedBefore(free[idx].slot, i) {
-						data = free[idx].data
-						freelist[bkt] = append(free[:idx], free[idx+1:]...)
-						break
-					}
-				}
-			} else if len(free) > 0 {
-				fb := free[len(free)-1]
-				freelist[bkt] = free[:len(free)-1]
-				data = fb.data
-				addEdgeKind(fb.slot, i, true)
-				for _, r := range readersOfSlot[fb.slot] {
-					addEdgeKind(r, i, true)
-				}
-			}
-			if data == nil {
-				data = s.arena.Get(size)
-			} else {
-				// Hand the reused buffer to the arena and take it
-				// straight back: compile-time reuse is then counted like
-				// any other recycled Get, so a plan's
-				// ArenaStats.ReuseRatio is (slots−buffers)/slots. The
-				// assignment above must stand, so the round trip has to
-				// return the very buffer it was given.
-				s.arena.Put(data)
-				if back := s.arena.Get(size); &back[:1][0] != &data[0] {
-					panic("runtime: arena round trip returned another buffer")
-				}
-			}
-			t := tensor.FromSlice(data[:size], order[i].Shape()...)
-			bufs[i] = t
-			steps[i].out = t
-			plan.slots++
-			if d := t.Data(); !seen[&d[0]] {
-				seen[&d[0]] = true
-				plan.buffers++
-			}
-		}
-		for _, sl := range releaseAt[i] {
-			d := bufs[sl].Data()
-			freelist[cap(d)] = append(freelist[cap(d)], freeBuf{data: d[:cap(d)], slot: sl})
-		}
-	}
-	// Freed buffers not re-acquired go back to the session arena for
-	// other plans (runs of different plans never overlap).
-	for _, free := range freelist {
-		for _, fb := range free {
-			s.arena.Put(fb.data)
-		}
-	}
-
-	// Guard read sets: the distinct arena buffers each op step's
-	// inputs may reference (consulted only when a tensor.BufferGuard
-	// is installed, i.e. in test builds).
-	for i := range order {
-		if steps[i].kind != graph.KindOp {
-			continue
-		}
-		var bufsSeen []*float32
-		for _, p := range steps[i].ins {
-			for _, sl := range aliases[p] {
-				d := bufs[sl].Data()
-				if !slices.Contains(bufsSeen, &d[0]) {
-					bufsSeen = append(bufsSeen, &d[0])
-					steps[i].readBufs = append(steps[i].readBufs, d)
-				}
-			}
-		}
-	}
-
-	plan.succs = succs
-	plan.preds = preds
-	plan.predsCP = predsCP
-	plan.indeg = indeg
-	// Initial LPT priority: unit-weight height to the schedule's sinks.
-	// Edges point forward in schedule order, so one reverse walk
-	// suffices; measured durations refine it after the first run.
-	plan.prio = make([]int64, n)
-	for i := n - 1; i >= 0; i-- {
-		if steps[i].kind != graph.KindOp {
-			continue
-		}
-		var h int64
-		for _, sc := range succs[i] {
-			if p := plan.prio[sc]; p > h {
-				h = p
-			}
-		}
-		plan.prio[i] = h + 1
-	}
-	plan.indegRun = make([]int32, n)
-	plan.finish = make([]time.Duration, n)
-	plan.cp = make([]time.Duration, n)
-	plan.durs = make([]time.Duration, n)
-	plan.walls = make([]time.Duration, n)
-	plan.wallT0 = make([]time.Time, n)
 	return plan
 }
 
@@ -1028,30 +572,22 @@ func (s *Session) runSequential(plan *Plan, feeds Feeds) error {
 	}
 	values := plan.values
 	guard := s.arena.Guard()
-	var cp []time.Duration
+	cp := plan.cp
 	if s.traceOn {
-		cp = plan.cp
-		for i := range cp {
-			cp[i] = 0
-		}
+		clear(cp)
 	}
 	for i := range plan.steps {
 		st := &plan.steps[i]
 		if st.kind != graph.KindOp {
 			continue
 		}
-		nd := st.node
 		in := st.in
 		for j, p := range st.ins {
 			in[j] = values[p]
 		}
-		var t0 time.Time
-		if s.traceOn {
-			t0 = time.Now()
-		}
-		out, dur, err := s.execStep(s.ctx, st, in, guard)
+		out, tm, err := s.execStep(s.ctx, st, in, guard)
 		if err != nil {
-			return fmt.Errorf("runtime: %v: %w", nd, err)
+			return fmt.Errorf("runtime: %v: %w", st.node, err)
 		}
 		if s.traceOn {
 			// Critical path over the semantic constraints (data,
@@ -1063,22 +599,20 @@ func (s *Session) runSequential(plan *Plan, feeds Feeds) error {
 					c = cp[p]
 				}
 			}
-			cp[i] = c + dur
-			s.trace = append(s.trace, Event{
-				Node: nd, Op: nd.OpName(), Class: nd.Op().Class(),
-				Start: s.clock, Dur: dur, Step: s.step,
-				Worker: 0, Wall: time.Since(t0), WallStart: t0, CP: cp[i],
-			})
+			cp[i] = c + tm.dur
+			s.emit(st, s.clock, 0, tm, cp[i])
 		}
-		s.clock += dur
+		s.clock += tm.dur
 		values[i] = out
 	}
 	return nil
 }
 
-// execStep runs one op step on a device through the given execution
-// context, bracketing arena-buffer access with the test-build guard.
-func (s *Session) execStep(ctx *graph.ExecContext, st *planStep, in []*tensor.Tensor, guard *tensor.BufferGuard) (*tensor.Tensor, time.Duration, error) {
+// execStep runs one op step through the given execution context — the
+// package's one call site of Forward and ForwardInto — bracketing
+// arena-buffer access with the test-build guard, and has the session's
+// device price the wall time it measured.
+func (s *Session) execStep(ctx *graph.ExecContext, st *planStep, in []*tensor.Tensor, guard *tensor.BufferGuard) (*tensor.Tensor, opTiming, error) {
 	if guard != nil {
 		for _, b := range st.readBufs {
 			guard.BeginRead(b)
@@ -1095,11 +629,51 @@ func (s *Session) execStep(ctx *graph.ExecContext, st *planStep, in []*tensor.Te
 			}
 		}()
 	}
+	ctx.Pool.ResetOp()
+	out := st.out
+	var err error
+	tm := opTiming{start: time.Now()}
 	if st.into != nil {
-		dur, err := s.dev.(IntoRunner).RunInto(ctx, st.node, in, st.out)
-		return st.out, dur, err
+		err = st.into.ForwardInto(ctx, in, out)
+	} else {
+		out, err = st.node.Op().Forward(ctx, in)
 	}
-	return s.dev.Run(ctx, st.node, in)
+	tm.wall = time.Since(tm.start)
+	tm.dur = s.dev.OpTime(st.node, ctx.Pool, tm.wall)
+	return out, tm, err
+}
+
+// emit appends one op step's trace event: where the simulation placed
+// it (start, lane, critical-path finish) and what execStep measured.
+func (s *Session) emit(st *planStep, start time.Duration, lane int, tm opTiming, cp time.Duration) {
+	s.trace = append(s.trace, Event{
+		Node: st.node, Op: st.node.OpName(), Class: st.node.Op().Class(),
+		Start: start, Dur: tm.dur, Step: s.step,
+		Worker: lane, Wall: tm.wall, WallStart: tm.start, CP: cp,
+	})
+}
+
+// rank sets the ready queue's LPT keys: a step's own weight — its
+// measured device time, or one op when nothing has been measured — plus
+// the heaviest chain of scheduling successors hanging off it. Edges
+// point forward in schedule order, so one reverse walk suffices.
+func (p *Plan) rank(measured []opTiming) {
+	for i := len(p.steps) - 1; i >= 0; i-- {
+		if p.steps[i].kind != graph.KindOp {
+			continue
+		}
+		h := int64(1)
+		if measured != nil {
+			h = int64(measured[i].dur)
+		}
+		var tail int64
+		for _, sc := range p.succs[i] {
+			if t := p.prio[sc]; t > tail {
+				tail = t
+			}
+		}
+		p.prio[i] = h + tail
+	}
 }
 
 // MustRun is Run for tests and examples; it panics on error.

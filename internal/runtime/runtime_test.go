@@ -164,7 +164,7 @@ func TestWorkersReduceSimulatedTime(t *testing.T) {
 	mm := ops.MatMul(a, b)
 
 	measure := func(workers int) time.Duration {
-		s := NewSession(g, WithWorkers(workers), WithTrace())
+		s := NewSession(g, WithModeledWorkers(workers), WithTrace())
 		// Average over a few runs for stability.
 		var total time.Duration
 		const reps = 3

@@ -4,20 +4,10 @@ package runtime
 //
 // A compiled Plan carries, besides its sequential schedule, the
 // dependency-counting structure of a ready-queue scheduler: per-step
-// successor lists and in-degrees over four edge classes —
-//
-//   - data edges (an op waits for its inputs);
-//   - variable hazard edges (every access to a node a graph.Mutator
-//     rewrites is serialized in schedule order, so gradient kernels
-//     never race an in-place optimizer update and replay reads the
-//     same values sequential execution would);
-//   - the serial Impure lane (stateful/RNG ops — random sampling,
-//     dropout's mask handoff, optimizer slot state — are chained in
-//     schedule order, which keeps WithSeed replay bit-identical for
-//     any worker count);
-//   - arena anti-dependency edges (a buffer's next writer waits for
-//     the previous holder and all of its readers to retire —
-//     completion-count gating of the liveness pass's slot reuse).
+// successor lists and in-degrees over the data, variable-hazard and
+// serial-Impure-lane edges of compile.go's constrain pass and the arena
+// anti-dependency edges of its assign pass (a buffer's next writer
+// waits for the previous holder and all of its readers to retire).
 //
 // runParallel drains the ready queue with the session goroutine plus
 // up to interOp-1 helpers leased from the shared worker pool
@@ -220,13 +210,7 @@ func (s *Session) runParallel(plan *Plan, feeds Feeds) error {
 
 	indeg := plan.indegRun
 	copy(indeg, plan.indeg)
-	durs := plan.durs
-	walls := plan.walls
-	for i := range durs {
-		durs[i] = 0
-		walls[i] = 0
-		plan.wallT0[i] = time.Time{}
-	}
+	clear(plan.timing)
 
 	pr := &parRun{
 		plan:    plan,
@@ -249,7 +233,10 @@ func (s *Session) runParallel(plan *Plan, feeds Feeds) error {
 	// steps become ready, so helpers released during serial stretches
 	// come back as parallelism reappears.
 	s.topUpHelpers(pr)
-	s.callerDrain(pr)
+	// The session goroutine occupies no pool worker, so it may block on
+	// the ready queue: it drains until the queue halts on completion or
+	// error.
+	s.drain(pr, s.ctx, pr.ready.pop)
 	pr.wg.Wait()
 
 	if pr.panicVal != nil {
@@ -259,7 +246,10 @@ func (s *Session) runParallel(plan *Plan, feeds Feeds) error {
 		return pr.firstErr
 	}
 	s.simulateSchedule(plan, workers)
-	s.refreshPriorities(plan)
+	// Refresh the ready queue's LPT keys from the run's measured
+	// durations, so the next Run's drain orders ready steps by real
+	// remaining work rather than chain length.
+	plan.rank(plan.timing)
 	return nil
 }
 
@@ -281,7 +271,10 @@ func (s *Session) topUpHelpers(pr *parRun) {
 		pr.wg.Add(1)
 		ok := s.lease.TryRun(func() {
 			defer pr.wg.Done()
-			s.helperDrain(pr, ctx)
+			// A leased helper pops without blocking and returns as soon
+			// as the queue is empty or halted, handing the pool worker
+			// back instead of parking on it.
+			s.drain(pr, ctx, pr.ready.tryPop)
 			pr.ctxMu.Lock()
 			pr.freeCtx = append(pr.freeCtx, ctx)
 			pr.ctxMu.Unlock()
@@ -296,31 +289,12 @@ func (s *Session) topUpHelpers(pr *parRun) {
 	}
 }
 
-// callerDrain is the session goroutine's participation: it may block
-// on the ready queue (it occupies no pool worker), so it runs until
-// the queue halts on completion or error.
-func (s *Session) callerDrain(pr *parRun) {
+// drain executes ready steps on ctx until pop yields none or the run
+// stops.
+func (s *Session) drain(pr *parRun, ctx *graph.ExecContext, pop func() (int32, bool)) {
 	for {
-		i, ok := pr.ready.pop()
-		if !ok {
-			return
-		}
-		if !s.execReady(pr, i, s.ctx) {
-			return
-		}
-	}
-}
-
-// helperDrain is a leased helper's participation: it drains with
-// non-blocking pops and returns as soon as the queue is empty or
-// halted, handing the pool worker back instead of parking on it.
-func (s *Session) helperDrain(pr *parRun, ctx *graph.ExecContext) {
-	for {
-		i, ok := pr.ready.tryPop()
-		if !ok {
-			return
-		}
-		if !s.execReady(pr, i, ctx) {
+		i, ok := pop()
+		if !ok || !s.execReady(pr, i, ctx) {
 			return
 		}
 	}
@@ -337,8 +311,7 @@ func (s *Session) execReady(pr *parRun, i int32, ctx *graph.ExecContext) bool {
 		in[j] = values[p]
 	}
 	var out *tensor.Tensor
-	var dur, wall time.Duration
-	var t0 time.Time
+	var tm opTiming
 	var err error
 	func() {
 		// An op panic must not kill a pool worker's process; it is
@@ -354,9 +327,7 @@ func (s *Session) execReady(pr *parRun, i int32, ctx *graph.ExecContext) bool {
 				err = fmt.Errorf("panic: %v", p)
 			}
 		}()
-		t0 = time.Now()
-		out, dur, err = s.execStep(ctx, st, in, pr.guard)
-		wall = time.Since(t0)
+		out, tm, err = s.execStep(ctx, st, in, pr.guard)
 	}()
 	if err != nil {
 		pr.mu.Lock()
@@ -368,9 +339,7 @@ func (s *Session) execReady(pr *parRun, i int32, ctx *graph.ExecContext) bool {
 		return false
 	}
 	values[i] = out
-	plan.durs[i] = dur
-	plan.walls[i] = wall
-	plan.wallT0[i] = t0
+	plan.timing[i] = tm
 
 	released := false
 	for _, sc := range plan.succs[i] {
@@ -387,26 +356,6 @@ func (s *Session) execReady(pr *parRun, i int32, ctx *graph.ExecContext) bool {
 		s.topUpHelpers(pr)
 	}
 	return true
-}
-
-// refreshPriorities recomputes the ready queue's LPT keys from the
-// run's measured durations: a step's priority becomes its duration
-// plus the heaviest successor chain, so the next Run's drain orders
-// ready steps by real remaining work rather than chain length.
-func (s *Session) refreshPriorities(plan *Plan) {
-	prio := plan.prio
-	for i := len(plan.steps) - 1; i >= 0; i-- {
-		if plan.steps[i].kind != graph.KindOp {
-			continue
-		}
-		var h int64
-		for _, sc := range plan.succs[i] {
-			if p := prio[sc]; p > h {
-				h = p
-			}
-		}
-		prio[i] = h + int64(plan.durs[i])
-	}
 }
 
 // simulateSchedule computes the run's simulated parallel timeline
@@ -426,10 +375,8 @@ func (s *Session) refreshPriorities(plan *Plan) {
 func (s *Session) simulateSchedule(plan *Plan, workers int) {
 	finish := plan.finish
 	cp := plan.cp
-	for i := range finish {
-		finish[i] = 0
-		cp[i] = 0
-	}
+	clear(finish)
+	clear(cp)
 	lanes := make([]time.Duration, workers)
 	base := s.clock
 	var makespan time.Duration
@@ -438,7 +385,7 @@ func (s *Session) simulateSchedule(plan *Plan, workers int) {
 		if st.kind != graph.KindOp {
 			continue
 		}
-		dur := plan.durs[i]
+		dur := plan.timing[i].dur
 		var rdy, cpIn time.Duration
 		for _, p := range plan.preds[i] {
 			if f := finish[p]; f > rdy {
@@ -471,11 +418,7 @@ func (s *Session) simulateSchedule(plan *Plan, workers int) {
 			makespan = fin
 		}
 		if s.traceOn {
-			s.trace = append(s.trace, Event{
-				Node: st.node, Op: st.node.OpName(), Class: st.node.Op().Class(),
-				Start: base + start, Dur: dur, Step: s.step,
-				Worker: lane, Wall: plan.walls[i], WallStart: plan.wallT0[i], CP: cp[i],
-			})
+			s.emit(st, base+start, lane, plan.timing[i], cp[i])
 		}
 	}
 	s.clock = base + makespan
@@ -484,8 +427,8 @@ func (s *Session) simulateSchedule(plan *Plan, workers int) {
 // helperContexts returns n execution contexts for drain helpers (the
 // session goroutine itself uses s.ctx), creating them on first use
 // and syncing the run-scoped fields. Each helper owns a distinct
-// tensor.Pool — built once at the session's configured width, which
-// is immutable thereafter (tensor.Pool freezes it) — so kernel
+// tensor.Pool — built at the session's configured width, which like
+// every pool's is a constructor argument and never changes — so kernel
 // scratch buffers and timing accumulators stay goroutine-confined;
 // the RNG pointer is shared deliberately — the plan's serial Impure
 // lane guarantees at most one RNG consumer runs at a time, in
@@ -506,7 +449,7 @@ func (s *Session) helperContexts(n int) []*graph.ExecContext {
 // newKernelPool builds a kernel pool matching the session's intra-op
 // configuration: a real parallel pool over the session's lease when
 // WithIntraOpWorkers is set, otherwise a serial pool modeling the
-// session's WithWorkers width.
+// session's WithModeledWorkers width.
 func (s *Session) newKernelPool() *tensor.Pool {
 	if s.intraOp > 1 {
 		return tensor.NewParallelPool(s.intraOp, s.lease)

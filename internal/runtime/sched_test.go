@@ -453,6 +453,11 @@ func TestSchedulerPropertyRandomDAGs(t *testing.T) {
 			if v := guard.Violations(); len(v) != 0 {
 				t.Fatalf("arena guard violations: %v", v)
 			}
+			for _, s := range []*Session{ser, par} {
+				if err := CheckCachedPlans(s); err != nil {
+					t.Fatalf("inter-op %d: %v", s.InterOpWorkers(), err)
+				}
+			}
 		})
 	}
 }
@@ -462,8 +467,8 @@ func TestSchedulerPropertyRandomDAGs(t *testing.T) {
 func TestParallelComposesWithGPUDevice(t *testing.T) {
 	g1, x1, y1 := buildWide(4, 2)
 	g2, x2, y2 := buildWide(4, 2)
-	ser := NewSession(g1, WithDevice(NewGTX960()), WithWorkers(2))
-	par := NewSession(g2, WithDevice(NewGTX960()), WithWorkers(2), WithInterOpWorkers(3))
+	ser := NewSession(g1, WithDevice(NewGTX960()), WithModeledWorkers(2))
+	par := NewSession(g2, WithDevice(NewGTX960()), WithModeledWorkers(2), WithInterOpWorkers(3))
 	a := ser.MustRun([]*graph.Node{y1}, Feeds{x1: tensor.Ones(16, 16)})
 	b := par.MustRun([]*graph.Node{y2}, Feeds{x2: tensor.Ones(16, 16)})
 	assertSameTensors(t, "gpu wide", a, b)
