@@ -427,6 +427,13 @@ func (noOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor
 	return tensor.Scalar(0), nil
 }
 
+// ForwardInto implements graph.IntoOp: the group's result references
+// none of its inputs, so fetching it does not keep their buffers live.
+func (noOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	out.Data()[0] = 0
+	return nil
+}
+
 // Impure implements graph.Impure: the group exists for its side
 // effects (its inputs' execution), so it must never be merged away.
 func (noOp) Impure() {}

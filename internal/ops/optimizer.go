@@ -169,6 +169,16 @@ func (o *applyOp) InferShape(in [][]int) ([]int, error) {
 	return []int{}, nil
 }
 func (o *applyOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
+	out := tensor.Scalar(0)
+	return out, o.ForwardInto(ctx, in, out)
+}
+
+// ForwardInto implements graph.IntoOp. The update's scalar result is
+// never a view of its gradient input, and saying so is what lets a plan
+// free the gradient's buffer at the update: an op without ForwardInto is
+// taken to reference everything its inputs do, which pinned every
+// weight gradient for as long as the fetched train op was live.
+func (o *applyOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	var step float64
 	if o.step != nil {
 		st := o.step.Value().Data()
@@ -185,7 +195,8 @@ func (o *applyOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.
 		}
 		ctx.Pool.For(n, o.rule.grain, o.rule.bind(o.hyper, lr, step, w[lo:hi], g[lo:hi], lane))
 	}
-	return tensor.Scalar(0), nil
+	out.Data()[0] = 0
+	return nil
 }
 func (o *applyOp) Cost(in [][]int, out []int) (int64, int64) {
 	n := int64(tensor.SizeOf(in[0]))

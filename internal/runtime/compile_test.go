@@ -145,6 +145,47 @@ func TestLivenessPass(t *testing.T) {
 	}
 }
 
+// TestLivenessFreesGradientAtItsUpdate: an optimizer update and the
+// group that joins the updates return fresh scalars, so a fetched train
+// op references no gradient and each gradient's buffer dies at its
+// update — not at the end of the plan, as when those ops were taken to
+// carry a view of their input.
+func TestLivenessFreesGradientAtItsUpdate(t *testing.T) {
+	g := graph.New()
+	x := g.Placeholder("x", 4, 4)
+	w1 := g.Variable("w1", tensor.Full(0.1, 4, 4))
+	w2 := g.Variable("w2", tensor.Full(0.2, 4, 4))
+	loss := ops.Sum(ops.MatMul(ops.MatMul(x, w1), w2))
+	grads, err := graph.Gradients(loss, []*graph.Node{w1, w2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u1 := ops.ApplySGD(w1, grads[0], 0.1)
+	u2 := ops.ApplySGD(w2, grads[1], 0.1)
+	train := ops.Group(g, u1, u2)
+	sc := newSchedule([]*graph.Node{loss, train})
+	slotEnd, fetchCopy := liveness(sc)
+	n := len(sc.steps)
+	for _, c := range []struct {
+		name string
+		node *graph.Node
+		want int
+	}{
+		{"gradient of w1", grads[0], sc.at(t, u1)},
+		{"gradient of w2", grads[1], sc.at(t, u2)},
+		{"update of w1", u1, sc.at(t, train)},
+		{"fetched loss", loss, n},
+		{"fetched train op", train, n},
+	} {
+		if got := slotEnd[sc.at(t, c.node)]; got != c.want {
+			t.Errorf("%s: slotEnd = %d, want %d (of %d)", c.name, got, c.want, n)
+		}
+	}
+	if !fetchCopy[0] || !fetchCopy[1] {
+		t.Errorf("fetchCopy %v: both fetches sit in arena slots", fetchCopy)
+	}
+}
+
 // edgeList renders an edge set as sorted "from>to" node-name pairs.
 func edgeList(sc *schedule, e *edgeSet, cp bool) []string {
 	name := func(i int32) string { return fmt.Sprintf("%s#%d", sc.steps[i].node.OpName(), sc.steps[i].node.ID()) }
