@@ -572,10 +572,7 @@ func (s *Session) runSequential(plan *Plan, feeds Feeds) error {
 	}
 	values := plan.values
 	guard := s.arena.Guard()
-	cp := plan.cp
-	if s.traceOn {
-		clear(cp)
-	}
+	cp := plan.cp // each entry is written before a later step reads it
 	for i := range plan.steps {
 		st := &plan.steps[i]
 		if st.kind != graph.KindOp {

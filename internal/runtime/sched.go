@@ -210,7 +210,6 @@ func (s *Session) runParallel(plan *Plan, feeds Feeds) error {
 
 	indeg := plan.indegRun
 	copy(indeg, plan.indeg)
-	clear(plan.timing)
 
 	pr := &parRun{
 		plan:    plan,
@@ -373,10 +372,10 @@ func (s *Session) execReady(pr *parRun, i int32, ctx *graph.ExecContext) bool {
 // model. Trace events are emitted in schedule order; the session
 // clock advances by the makespan.
 func (s *Session) simulateSchedule(plan *Plan, workers int) {
+	// finish and cp need no reset: predecessors are op steps earlier in
+	// the schedule, so every entry read below was written by this walk.
 	finish := plan.finish
 	cp := plan.cp
-	clear(finish)
-	clear(cp)
 	lanes := make([]time.Duration, workers)
 	base := s.clock
 	var makespan time.Duration
