@@ -258,15 +258,29 @@
 // profile steps go through the core.Step adapter. On top of that
 // contract, internal/serve provides the concurrent serving subsystem:
 // serve.Engine owns a pool of single-goroutine runtime.Sessions over
-// one shared graph, coalesces concurrent single-example requests into
-// dynamic micro-batches (MaxBatch/MaxDelay) executed as one compiled-
-// plan run each, supports context cancellation, and keeps an atomic
-// stats block (throughput, p50/p99 latency, batch fill). serve.Server
-// and `fathom serve` expose any registered workload over HTTP/JSON
-// (POST /v1/models/<name>:infer, GET /v1/models, /healthz, /stats).
-// /stats additionally carries the shared worker pool's busy/spawned
-// gauges and each engine's lease claim, the signals a load-shedding
-// layer keys off.
+// one shared graph and runs every request through one lifecycle, one
+// function per step (the package comment is the reference):
+//
+//	validate → admit → enqueue → dispatcher window → pack → run → unpack → outcome
+//
+// The caller's goroutine validates the inputs against the signature,
+// passes the admission gate and publishes the request to its priority
+// lane without blocking. One dispatcher goroutine — a single loop over
+// a single receive — dequeues interactive-first and collects a
+// micro-batch: the first request it keeps opens a MaxDelay window, the
+// batch leaves when it is full or the window closes, and while every
+// worker is busy it keeps filling to MaxBatch. A worker packs the
+// batch into its session's input buffers (zero-padding unfilled
+// slots), executes one compiled-plan run, and unpacks per-request
+// outputs; the caller counts the outcome as it returns. Context
+// cancellation is honoured at every step. serve.Server and `fathom
+// serve` expose any registered workload over HTTP/JSON (POST
+// /v1/models/<name>:infer, GET /v1/models, /healthz, /stats). What the
+// engine exports — outcome counters, batch and queue gauges, latency
+// histograms, arena sums, lease grant — is declared once, in one table
+// that /metrics, /stats and ResetStats all walk; /stats additionally
+// carries the shared worker pool's busy/spawned gauges and each
+// engine's lease claim, the signals a load-shedding layer keys off.
 //
 // # Serving robustness
 //
@@ -275,24 +289,33 @@
 // bounded admission queue (Options.QueueLen); a full lane fails fast
 // with serve.ErrOverloaded instead of blocking. A request's deadline
 // budget is the earlier of its context deadline and the engine's
-// Options.DefaultDeadline; the engine tracks an EWMA of batch
-// execution latency and sheds a request — at admission or at dispatch
-// — when its remaining budget cannot cover the estimated queue wait
-// plus one execution. The estimate counts queued-batches-ahead (only
-// interactive traffic for interactive requests: the dispatcher always
-// drains that lane first, so batch traffic queues, sheds, and expires
-// first) and doubles when the shared worker pool is saturated, which
-// is how co-tenant engines on one pool shed cooperatively. Requests
-// whose deadline has already died fail with serve.ErrExpired and never
-// occupy a batch slot — cancelled and expired requests are filtered
-// at dispatch and again before packing, so they cannot skew batch-fill
-// stats. A rationed probe admission (one per 100ms past the budget
-// gate) keeps the estimate self-healing when it spikes above every
-// deadline. The HTTP layer maps the taxonomy to a machine-readable
-// error contract ({"error", "code"}: invalid_input 400, overloaded 503
-// + Retry-After, deadline_exceeded 504, closed 503), and /stats
-// reports the admission counters (rejected/shed/expired), queue-depth
-// and queue-wait gauges, and per-lane p50/p99/p999.
+// Options.DefaultDeadline. One check decides whether a request is
+// still worth a batch slot — context live, deadline ahead, remaining
+// budget covering the estimated wait — and it runs at admission, when
+// the dispatcher dequeues the request, and again before a worker packs
+// it, so cancelled, expired and unserviceable requests never occupy a
+// slot or skew batch-fill stats. The engine tracks an EWMA of batch
+// execution latency; at admission the estimate is
+// queued-batches-ahead × that EWMA (only interactive traffic for
+// interactive requests: the dispatcher always drains that lane first,
+// so batch traffic queues, sheds, and expires first), doubled when the
+// shared worker pool is saturated, which is how co-tenant engines on
+// one pool shed cooperatively; once queued it is one batch execution.
+// A rationed probe admission (one per 100ms past the budget gate)
+// keeps the estimate self-healing when it spikes above every deadline.
+//
+// Accounting invariant: whoever ends a request decides its outcome,
+// but it is counted once, where the call returns — so every validated
+// call moves exactly one of six counters and they sum to the calls:
+// requests (outputs returned), errors (execution fault), cancelled
+// (context.Canceled, or serve.ErrClosed at shutdown), rejected
+// (ErrOverloaded, lane full), shed (ErrOverloaded, budget below the
+// estimate) and expired (serve.ErrExpired or context.DeadlineExceeded).
+// The HTTP layer maps the taxonomy to a machine-readable error contract
+// ({"error", "code"}: invalid_input 400, overloaded 503 + Retry-After,
+// deadline_exceeded 504, closed 503, internal 500), and /stats reports
+// the counters, queue-depth and queue-wait gauges, and per-lane
+// p50/p99/p999.
 //
 // internal/loadgen is the open-loop traffic harness that proves the
 // contract: seeded Poisson or uniform arrivals at a target QPS,

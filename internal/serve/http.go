@@ -136,6 +136,11 @@ func fromJSONTensor(jt jsonTensor) (*tensor.Tensor, error) {
 		if d <= 0 {
 			return nil, fmt.Errorf("bad dimension %d in shape %v", d, jt.Shape)
 		}
+		// size*d > len(data), asked without forming a product that can
+		// wrap: [2^32, 2^32] must not pass as a 0-element tensor.
+		if size > len(jt.Data)/d {
+			return nil, fmt.Errorf("shape %v wants more than the %d values given", jt.Shape, len(jt.Data))
+		}
 		size *= d
 	}
 	if len(jt.Data) != size {

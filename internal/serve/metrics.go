@@ -1,120 +1,146 @@
 package serve
 
 import (
+	"strings"
+	"sync/atomic"
+	"time"
+
 	"repro/internal/telemetry"
 )
 
-// RegisterMetrics exposes the engine's counter block, its latency and
-// queue-wait histograms, its sessions' arena utilization, and the
-// shared worker pool's gauges on reg as Prometheus families. Every
-// series is a scrape-time reader over the atomics the engine already
-// maintains, so registration adds nothing to the request hot path.
-// Series carry a model label; pool gauges are unlabeled (the pool is
-// shared), and re-registration by co-tenant engines is idempotent.
+// series is one thing the engine exports: its /metrics name and help,
+// where the value lives, and the Stats field that carries it. The
+// exported table below is the only place a series is declared —
+// RegisterMetrics and UnregisterMetrics walk it for /metrics,
+// Engine.Stats for /stats and ResetStats for what to zero — so the
+// surfaces cannot drift and a new counter is one row. Exactly one of
+// ctr, read and hist is set. A scalar's Prometheus type and unit are
+// the ones its name already promises: _total is a counter, _seconds a
+// gauge whose value is a time.Duration, anything else a plain gauge.
+type series struct {
+	name, help string
+	ctr        func(*Engine) *atomic.Uint64 // a counter the engine owns: ResetStats zeroes it
+	read       func(*Engine) int64          // a value derived when asked for
+	stat       func(*Stats, int64)          // the Stats field a ctr or read row fills
+	hist       func(*Engine) *telemetry.LogHistogram
+	lane       string // hist only: the series' lane label
+}
+
+func outcomeCtr(o outcome) func(*Engine) *atomic.Uint64 {
+	return func(e *Engine) *atomic.Uint64 { return &e.stats.outcomes[o] }
+}
+
+func laneLatency(p Priority) series {
+	return series{name: "fathom_serve_latency_seconds", help: "End-to-end request latency by lane.", lane: p.String(),
+		hist: func(e *Engine) *telemetry.LogHistogram { return &e.stats.latHist[p] }}
+}
+
+var exported = []series{
+	{name: "fathom_serve_requests_total", help: "Requests answered successfully.",
+		ctr: outcomeCtr(served), stat: func(s *Stats, v int64) { s.Requests = uint64(v) }},
+	{name: "fathom_serve_errors_total", help: "Requests failed by execution faults.",
+		ctr: outcomeCtr(failed), stat: func(s *Stats, v int64) { s.Errors = uint64(v) }},
+	{name: "fathom_serve_cancelled_total", help: "Requests abandoned by their callers.",
+		ctr: outcomeCtr(cancelled), stat: func(s *Stats, v int64) { s.Cancelled = uint64(v) }},
+	{name: "fathom_serve_rejected_total", help: "Requests refused at the door (admission queue full).",
+		ctr: outcomeCtr(rejected), stat: func(s *Stats, v int64) { s.Rejected = uint64(v) }},
+	{name: "fathom_serve_shed_total", help: "Requests shed (deadline budget below the wait estimate).",
+		ctr: outcomeCtr(shed), stat: func(s *Stats, v int64) { s.Shed = uint64(v) }},
+	{name: "fathom_serve_expired_total", help: "Requests whose deadline passed before execution.",
+		ctr: outcomeCtr(expired), stat: func(s *Stats, v int64) { s.Expired = uint64(v) }},
+	{name: "fathom_serve_batches_total", help: "Micro-batches executed.",
+		ctr:  func(e *Engine) *atomic.Uint64 { return &e.stats.batches },
+		stat: func(s *Stats, v int64) { s.Batches = uint64(v) }},
+	{name: "fathom_serve_queue_depth", help: "Queued requests across both admission lanes.",
+		read: func(e *Engine) int64 {
+			return e.stats.qdepth[PriorityInteractive].Load() + e.stats.qdepth[PriorityBatch].Load()
+		},
+		stat: func(s *Stats, v int64) { s.QueueDepth = int(v) }},
+	{name: "fathom_serve_batch_latency_ewma_seconds", help: "Smoothed batch execution latency (the shedding estimate).",
+		read: func(e *Engine) int64 { return int64(e.stats.batchEWMA()) },
+		stat: func(s *Stats, v int64) { s.BatchLatencyEWMA = time.Duration(v) }},
+	laneLatency(PriorityInteractive),
+	laneLatency(PriorityBatch),
+	{name: "fathom_serve_queue_wait_seconds", help: "Queue wait of dispatched requests.",
+		hist: func(e *Engine) *telemetry.LogHistogram { return &e.stats.waitHist }},
+
+	// Arena utilization, summed over the worker sessions.
+	{name: "fathom_arena_live_buffers", help: "Plan-arena buffers currently checked out.",
+		read: func(e *Engine) int64 { return int64(e.arena().LiveBuffers) },
+		stat: func(s *Stats, v int64) { s.ArenaLiveBuffers = int(v) }},
+	{name: "fathom_arena_bytes", help: "Plan-arena heap footprint in bytes.",
+		read: func(e *Engine) int64 { return e.arena().TotalBytes },
+		stat: func(s *Stats, v int64) { s.ArenaBytes = v }},
+	{name: "fathom_arena_reuses_total", help: "Arena buffer requests served by recycling.",
+		read: func(e *Engine) int64 { return int64(e.arena().Reuses) },
+		stat: func(s *Stats, v int64) { s.ArenaReuses = int(v) }},
+	{name: "fathom_arena_allocs_total", help: "Arena buffers allocated from the heap.",
+		read: func(e *Engine) int64 { return int64(e.arena().TotalBuffers) },
+		stat: func(s *Stats, v int64) { s.ArenaTotalBuffers = int(v) }},
+
+	{name: "fathom_lease_granted", help: "Helpers the adaptive lease negotiation grants this engine.",
+		read: func(e *Engine) int64 { return int64(e.leaseGranted()) },
+		stat: func(s *Stats, v int64) { s.LeaseGranted = int(v) }},
+}
+
+// value reads a scalar row now.
+func (sr *series) value(e *Engine) int64 {
+	if sr.ctr != nil {
+		return int64(sr.ctr(e).Load())
+	}
+	return sr.read(e)
+}
+
+// labels is the series' label set: the model, and the lane if it has one.
+func (sr *series) labels(e *Engine) telemetry.Labels {
+	l := telemetry.Labels{"model": e.model.Name()}
+	if sr.lane != "" {
+		l["lane"] = sr.lane
+	}
+	return l
+}
+
+// RegisterMetrics exposes the engine's exported series — counters,
+// latency and queue-wait histograms, its sessions' arena utilization —
+// and the shared worker pool's gauges on reg as Prometheus families.
+// Every series is a scrape-time reader over the atomics the engine
+// already maintains, so registration adds nothing to the request hot
+// path. Series carry a model label; pool gauges are unlabeled (the
+// pool is shared), and re-registration by co-tenant engines is
+// idempotent.
 //
 // Engines with bounded lifetimes should call UnregisterMetrics from
 // their teardown so the registry never scrapes a closed engine.
 func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
-	model := telemetry.Labels{"model": e.model.Name()}
-	lane := func(p Priority) telemetry.Labels {
-		return telemetry.Labels{"model": e.model.Name(), "lane": p.String()}
+	for i := range exported {
+		sr := &exported[i]
+		switch {
+		case sr.hist != nil:
+			reg.Histogram(sr.name, sr.help, sr.labels(e), sr.hist(e))
+		case strings.HasSuffix(sr.name, "_total"):
+			reg.CounterFunc(sr.name, sr.help, sr.labels(e), func() uint64 { return uint64(sr.value(e)) })
+		case strings.HasSuffix(sr.name, "_seconds"):
+			reg.GaugeFunc(sr.name, sr.help, sr.labels(e), func() float64 { return time.Duration(sr.value(e)).Seconds() })
+		default:
+			reg.GaugeFunc(sr.name, sr.help, sr.labels(e), func() float64 { return float64(sr.value(e)) })
+		}
 	}
-
-	reg.CounterFunc("fathom_serve_requests_total", "Requests answered successfully.", model,
-		func() uint64 { return e.stats.requests.Load() })
-	reg.CounterFunc("fathom_serve_errors_total", "Requests failed by execution faults.", model,
-		func() uint64 { return e.stats.errors.Load() })
-	reg.CounterFunc("fathom_serve_cancelled_total", "Requests abandoned by their callers.", model,
-		func() uint64 { return e.stats.cancels.Load() })
-	reg.CounterFunc("fathom_serve_rejected_total", "Requests refused at the door (admission queue full).", model,
-		func() uint64 { return e.stats.rejected.Load() })
-	reg.CounterFunc("fathom_serve_shed_total", "Requests shed (deadline budget below the wait estimate).", model,
-		func() uint64 { return e.stats.shed.Load() })
-	reg.CounterFunc("fathom_serve_expired_total", "Requests whose deadline passed before execution.", model,
-		func() uint64 { return e.stats.expired.Load() })
-	reg.CounterFunc("fathom_serve_batches_total", "Micro-batches executed.", model,
-		func() uint64 { return e.stats.batches.Load() })
-	reg.GaugeFunc("fathom_serve_queue_depth", "Queued requests across both admission lanes.", model,
-		func() float64 {
-			return float64(e.stats.qdepth[PriorityInteractive].Load() + e.stats.qdepth[PriorityBatch].Load())
-		})
-	reg.GaugeFunc("fathom_serve_batch_latency_ewma_seconds", "Smoothed batch execution latency (the shedding estimate).", model,
-		func() float64 { return e.stats.batchEWMA().Seconds() })
-	for p := Priority(0); p < numLanes; p++ {
-		reg.Histogram("fathom_serve_latency_seconds", "End-to-end request latency by lane.", lane(p),
-			&e.stats.latHist[p])
-	}
-	reg.Histogram("fathom_serve_queue_wait_seconds", "Queue wait of dispatched requests.", model,
-		&e.stats.waitHist)
-
-	// Arena utilization, summed over the worker sessions.
-	reg.GaugeFunc("fathom_arena_live_buffers", "Plan-arena buffers currently checked out.", model,
-		func() float64 { return float64(arenaSum(e).LiveBuffers) })
-	reg.GaugeFunc("fathom_arena_bytes", "Plan-arena heap footprint in bytes.", model,
-		func() float64 { return float64(arenaSum(e).TotalBytes) })
-	reg.CounterFunc("fathom_arena_reuses_total", "Arena buffer requests served by recycling.", model,
-		func() uint64 { return uint64(arenaSum(e).Reuses) })
-	reg.CounterFunc("fathom_arena_allocs_total", "Arena buffers allocated from the heap.", model,
-		func() uint64 { return uint64(arenaSum(e).TotalBuffers) })
-
-	// Shared worker-pool gauges. Unlabeled: the pool is process-wide,
-	// and the registry's replace-on-duplicate semantics make co-tenant
-	// engines' registrations collapse into one series.
+	// Unlabeled: the pool is process-wide, and the registry's
+	// replace-on-duplicate semantics make co-tenant engines'
+	// registrations collapse into one series.
 	reg.GaugeFunc("fathom_pool_size", "Shared worker pool size.", nil,
 		func() float64 { return float64(e.pool.Size()) })
 	reg.GaugeFunc("fathom_pool_busy", "Shared worker pool slots executing now.", nil,
 		func() float64 { return float64(e.pool.Busy()) })
 	reg.GaugeFunc("fathom_pool_spawned", "Shared worker pool goroutines in existence.", nil,
 		func() float64 { return float64(e.pool.Spawned()) })
-	reg.GaugeFunc("fathom_lease_granted", "Helpers the adaptive lease negotiation grants this engine.", model,
-		func() float64 {
-			granted := 0
-			for _, ls := range e.pool.LeaseStats() {
-				if ls.Name == e.leaseName {
-					granted += ls.Granted
-				}
-			}
-			return float64(granted)
-		})
-}
-
-// arenaSum aggregates the worker sessions' arena stats.
-func arenaSum(e *Engine) (out struct {
-	LiveBuffers  int
-	TotalBuffers int
-	TotalBytes   int64
-	Reuses       int
-}) {
-	for _, sess := range e.sessions {
-		as := sess.Arena().Stats()
-		out.LiveBuffers += as.LiveBuffers
-		out.TotalBuffers += as.TotalBuffers
-		out.TotalBytes += as.TotalBytes
-		out.Reuses += as.Reuses
-	}
-	return out
 }
 
 // UnregisterMetrics removes every series RegisterMetrics added for
 // this engine (the shared pool gauges stay: another tenant may still
 // be exporting them).
 func (e *Engine) UnregisterMetrics(reg *telemetry.Registry) {
-	model := telemetry.Labels{"model": e.model.Name()}
-	for _, name := range []string{
-		"fathom_serve_requests_total", "fathom_serve_errors_total",
-		"fathom_serve_cancelled_total", "fathom_serve_rejected_total",
-		"fathom_serve_shed_total", "fathom_serve_expired_total",
-		"fathom_serve_batches_total", "fathom_serve_queue_depth",
-		"fathom_serve_batch_latency_ewma_seconds",
-		"fathom_serve_queue_wait_seconds",
-		"fathom_arena_live_buffers", "fathom_arena_bytes",
-		"fathom_arena_reuses_total", "fathom_arena_allocs_total",
-		"fathom_lease_granted",
-	} {
-		reg.Unregister(name, model)
-	}
-	for p := Priority(0); p < numLanes; p++ {
-		reg.Unregister("fathom_serve_latency_seconds",
-			telemetry.Labels{"model": e.model.Name(), "lane": p.String()})
+	for i := range exported {
+		reg.Unregister(exported[i].name, exported[i].labels(e))
 	}
 }

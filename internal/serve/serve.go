@@ -13,16 +13,9 @@
 // Engine therefore runs inference only; training on the same model
 // must remain exclusive with serving.
 //
-// Requests carry one example each. A dispatcher goroutine coalesces
-// concurrent requests into micro-batches: up to MaxBatch examples,
-// waiting at most MaxDelay after the first arrival for more (when all
-// workers are busy, a flushed batch keeps filling until one frees, so
-// saturation converts queue time into batch fill) — packs them along
-// each input's batch axis (IOSpec.BatchDim), executes one compiled-
-// plan run of the inference signature's fetch set (the execution the
-// workload's Inferencer performs), and splits the batched
-// outputs back into per-request responses. Unfilled batch slots are
-// zero-padded. Workloads that couple examples across the batch
+// Requests carry one example each and are executed in micro-batches
+// along each input's batch axis (IOSpec.BatchDim); unfilled batch slots
+// are zero-padded. Workloads that couple examples across the batch
 // (core.BatchCoupled — residual's primitive batch normalization) are
 // refused unless built at batch capacity 1, so batch composition and
 // padding never perturb a request's rows. Stochastic inference graphs
@@ -31,33 +24,45 @@
 // results are distributionally equivalent to sequential inference but
 // — as inherent to sampling — not bitwise reproducible across calls.
 //
-// # Admission control and overload behavior
+// # The life of a request
 //
-// Nothing about a production queue is allowed to be unbounded. Each
-// engine runs two priority lanes — PriorityInteractive and
-// PriorityBatch — each a bounded admission queue of QueueLen requests.
-// When a lane's queue is full, Infer rejects immediately with
-// ErrOverloaded instead of blocking: under overload the engine sheds
-// early and cheaply at the door rather than letting every request's
-// latency collapse. The dispatcher always drains the interactive lane
-// first, so batch traffic absorbs queueing delay (and is shed first)
-// while interactive latency stays bounded by roughly one batch
-// execution.
+// Every Infer call takes the same path, one function per step:
 //
-// # Deadline budgets and load shedding
+//	validate  inputs match the signature, or InputError
+//	admit     the deadline budget covers the estimated wait, or the
+//	          request is expired / shed (or let through as the probe)
+//	enqueue   a non-blocking send into its lane's bounded queue, or
+//	          the request is rejected
+//	dispatch  the dispatcher's window: dequeue, vet, collect
+//	pack      the worker's last vet, then copy into the batch buffers
+//	run       one compiled-plan run of the signature's fetch set
+//	unpack    split the batched outputs into per-request responses
+//	conclude  the caller counts the outcome and returns
+//
+// Nothing about the queue is unbounded. Each engine runs two priority
+// lanes — PriorityInteractive and PriorityBatch — each a bounded queue
+// of QueueLen requests; a full lane rejects immediately with
+// ErrOverloaded instead of blocking, so under overload the engine
+// sheds early and cheaply at the door rather than letting every
+// request's latency collapse. The dispatcher is one loop over one
+// receive: it always drains the interactive lane first (batch traffic
+// absorbs queueing delay and is shed first, interactive latency stays
+// bounded by roughly one batch execution), the first request it keeps
+// opens a MaxDelay window, and the batch leaves when it is full or the
+// window closes — except that while every worker is busy it keeps
+// filling up to MaxBatch, so saturation converts queue time into batch
+// fill.
 //
 // A request's deadline is the earlier of its context deadline and
-// Options.DefaultDeadline from admission time. The engine tracks an
-// EWMA of batch execution latency; a request is shed with
-// ErrOverloaded — at admission or when the dispatcher dequeues it —
-// if its remaining budget cannot cover the estimated queue wait plus
-// one execution (queued-batches-ahead × EWMA batch latency, inflated
-// when the shared worker pool is saturated). A request whose deadline
-// has already passed fails with ErrExpired and never occupies a batch
-// slot. Because the pool busy/spawned gauges feed the estimate,
-// multiple engines sharing one pool apply admission cooperatively:
-// when the pool saturates, every engine's estimates grow and batch-
-// lane traffic is rejected earlier.
+// Options.DefaultDeadline from admission time. One check (worth)
+// decides whether a request still deserves a batch slot — its context
+// is live, its deadline is ahead, and its remaining budget covers the
+// estimated wait — and runs three times: at admission against
+// queued-batches-ahead × the EWMA batch latency (doubled when the
+// shared worker pool is saturated, so engines sharing one pool shed
+// cooperatively), and at dequeue and again at pack against one batch
+// execution. A request that fails it never occupies a batch slot or
+// skews the fill stats.
 //
 // The estimate only updates when batches execute, so a poisoned-high
 // EWMA (one slow compile, a GC stall) with all-deadlined traffic could
@@ -66,16 +71,31 @@
 // budget gate every probeInterval: the probe executes (or honestly
 // expires), refreshing the estimate toward reality.
 //
-// The Engine records an atomic stats block: request/batch/shed
-// counters, queue depth and queue-wait gauges, mean and max batch
-// fill, throughput, and per-lane log-bucketed latency histograms for
-// p50/p99/p999.
+// # Accounting
+//
+// Whoever ends a request — the admission gate, the dispatcher, a
+// worker, the shutdown drain, or the caller's own context — decides
+// its outcome, but it is counted in exactly one place, where every
+// call returns (conclude). So each validated call moves exactly one
+// counter and their sum is the number of calls:
+//
+//	requests   outputs returned
+//	errors     execution fault (a failed or panicking run)
+//	cancelled  context.Canceled, or ErrClosed from shutdown
+//	rejected   ErrOverloaded: the lane's queue was full
+//	shed       ErrOverloaded: the budget cannot cover the estimate
+//	expired    ErrExpired or context.DeadlineExceeded
+//
+// Those counters, the batch and queue gauges, the latency histograms
+// and the sessions' arena sums are declared once, in the exported
+// table (metrics.go); /metrics, /stats and ResetStats all walk it.
 package serve
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -202,6 +222,42 @@ type Options struct {
 	Trace *telemetry.TraceCollector
 }
 
+// outcome is how one Infer call ended. The zero value is failed, so an
+// error nobody classified counts as an execution fault.
+type outcome uint8
+
+const (
+	failed    outcome = iota // execution fault
+	served                   // outputs returned
+	cancelled                // the caller gave up, or the engine shut down
+	rejected                 // the lane's queue was full
+	shed                     // the budget cannot cover the estimated wait
+	expired                  // the deadline passed before execution
+	numOutcomes
+)
+
+// String names the outcome for the span that marks a refused request.
+func (o outcome) String() string {
+	return [numOutcomes]string{"failed", "served", "cancelled", "rejected", "shed", "expired"}[o]
+}
+
+// response ends a request: outputs or an error, and the outcome the
+// caller will count it as.
+type response struct {
+	outputs map[string]*tensor.Tensor
+	err     error
+	outcome outcome
+}
+
+// contextEnded is the response to a request whose context is over: a
+// deadline counts as expired, anything else as the caller giving up.
+func contextEnded(err error) response {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return response{err: err, outcome: expired}
+	}
+	return response{err: err, outcome: cancelled}
+}
+
 // request is one queued inference call.
 type request struct {
 	inputs   map[string]*tensor.Tensor
@@ -213,48 +269,21 @@ type request struct {
 	probe    bool // admitted past the budget gate to refresh the EWMA
 
 	// trace is non-nil for the sampled 1-in-N: the request's span
-	// tree, with rootSpan the whole-request span and queueSpan the
-	// open queue-wait span the executing worker closes at batch start.
+	// tree, with rootSpan the whole-request span, admSpan the admission
+	// span and queueSpan the open queue-wait span the executing worker
+	// closes at batch start.
 	trace     *telemetry.Trace
 	rootSpan  telemetry.SpanID
+	admSpan   telemetry.SpanID
 	queueSpan telemetry.SpanID
-}
-
-// endAdmission terminates a trace whose request failed admission:
-// closes the admission span, marks the disposition as a zero-width
-// span, and finishes the trace.
-func (r *request) endAdmission(adm telemetry.SpanID, disposition string) {
-	if r.trace == nil {
-		return
-	}
-	r.trace.EndSpan(adm)
-	r.trace.AddSpan(disposition, r.rootSpan, 0, time.Now(), 0)
-	r.finishTrace()
-}
-
-// finishTrace closes the request's remaining open spans and hands the
-// trace to the collector; safe (and a no-op) for untraced requests and
-// on duplicate calls from racing exit paths.
-func (r *request) finishTrace() {
-	if r.trace == nil {
-		return
-	}
-	r.trace.EndSpan(r.queueSpan)
-	r.trace.EndSpan(r.rootSpan)
-	r.trace.Finish()
-}
-
-type response struct {
-	outputs map[string]*tensor.Tensor
-	err     error
 }
 
 // finish answers the request once; a duplicate answer (panic-recovery
 // sweeping a batch that was partially delivered) is dropped rather
 // than blocking on the full buffer.
-func (r *request) finish(out map[string]*tensor.Tensor, err error) {
+func (r *request) finish(resp response) {
 	select {
-	case r.resp <- response{outputs: out, err: err}:
+	case r.resp <- resp:
 	default:
 	}
 }
@@ -267,7 +296,6 @@ type Engine struct {
 	model    core.Model
 	sig      core.Signature
 	fetches  []*graph.Node // sig.Outputs in fetch order, bound once
-	capacity int
 	maxBatch int
 	maxDelay time.Duration
 	deadline time.Duration // DefaultDeadline
@@ -301,53 +329,53 @@ type Engine struct {
 	stats stats
 }
 
-// New builds and starts an engine for a Setup model. The model must
-// implement core.Inferencer, and its inference-signature batched
-// inputs must agree on their batch extent. Combine with
-// core.Config.Batch to build the graph at the micro-batching window
-// you want to serve.
-func New(m core.Model, opts Options) (*Engine, error) {
+// servable checks that m can be micro-batched and returns its inference
+// signature and batch capacity: the model is Setup, implements
+// core.Inferencer, does not couple examples across a batch wider than
+// 1, and every batched input and output agrees on the batch extent.
+func servable(m core.Model) (sig core.Signature, capacity int, err error) {
 	if m.Graph() == nil {
-		return nil, fmt.Errorf("serve: model %s has no graph (call Setup first)", m.Name())
+		return sig, 0, fmt.Errorf("serve: model %s has no graph (call Setup first)", m.Name())
 	}
 	if _, ok := m.(core.Inferencer); !ok {
-		return nil, fmt.Errorf("serve: workload %s does not implement core.Inferencer", m.Name())
+		return sig, 0, fmt.Errorf("serve: workload %s does not implement core.Inferencer", m.Name())
 	}
-	sig := m.Signature(core.ModeInference)
+	sig = m.Signature(core.ModeInference)
 	if len(sig.Inputs) == 0 || len(sig.Outputs) == 0 {
-		return nil, fmt.Errorf("serve: workload %s has an empty inference signature", m.Name())
+		return sig, 0, fmt.Errorf("serve: workload %s has an empty inference signature", m.Name())
 	}
-	capacity := sig.BatchCapacity()
+	capacity = sig.BatchCapacity()
 	if bc, ok := m.(core.BatchCoupled); ok && bc.BatchCoupled() && capacity > 1 {
-		return nil, fmt.Errorf(
+		return sig, 0, fmt.Errorf(
 			"serve: %s couples examples across the batch (its per-example outputs depend on batch composition); serve it unbatched by building with core.Config{Batch: 1} / -maxbatch 1",
 			m.Name())
 	}
-	for _, in := range sig.Inputs {
-		if in.BatchDim == core.BatchNone {
-			return nil, fmt.Errorf("serve: input %q has no batch axis; cannot micro-batch %s", in.Name, m.Name())
+	// Every input must have a batch axis; an output without one is a
+	// whole-batch scalar and is never unbatched.
+	check := func(kind string, specs []core.IOSpec, scalarOK bool) error {
+		for _, s := range specs {
+			switch {
+			case s.BatchDim == core.BatchNone && scalarOK:
+			case s.BatchDim == core.BatchNone:
+				return fmt.Errorf("serve: %s %q has no batch axis; cannot micro-batch %s", kind, s.Name, m.Name())
+			case s.BatchDim < 0 || s.BatchDim >= len(s.Shape()):
+				return fmt.Errorf("serve: %s %q batch axis %d out of range for shape %v", kind, s.Name, s.BatchDim, s.Shape())
+			case s.Shape()[s.BatchDim] != capacity:
+				return fmt.Errorf("serve: %s %q batch extent %d != capacity %d", kind, s.Name, s.Shape()[s.BatchDim], capacity)
+			}
 		}
-		if in.BatchDim < 0 || in.BatchDim >= len(in.Shape()) {
-			return nil, fmt.Errorf("serve: input %q batch axis %d out of range for shape %v", in.Name, in.BatchDim, in.Shape())
-		}
-		if got := in.Shape()[in.BatchDim]; got != capacity {
-			return nil, fmt.Errorf("serve: input %q batch extent %d != capacity %d", in.Name, got, capacity)
-		}
+		return nil
 	}
-	for _, out := range sig.Outputs {
-		if out.BatchDim == core.BatchNone {
-			continue // whole-batch scalars are never unbatched
-		}
-		if out.BatchDim < 0 || out.BatchDim >= len(out.Shape()) {
-			return nil, fmt.Errorf("serve: output %q batch axis %d out of range for shape %v", out.Name, out.BatchDim, out.Shape())
-		}
-		if got := out.Shape()[out.BatchDim]; got != capacity {
-			return nil, fmt.Errorf("serve: output %q batch extent %d != capacity %d", out.Name, got, capacity)
-		}
+	if err = check("input", sig.Inputs, false); err == nil {
+		err = check("output", sig.Outputs, true)
 	}
-	if opts.Sessions <= 0 {
-		opts.Sessions = 1
-	}
+	return sig, capacity, err
+}
+
+// withDefaults resolves the zero Options fields New documents defaults
+// for, and clamps MaxBatch to the graph's batch capacity.
+func (opts Options) withDefaults(capacity int) Options {
+	opts.Sessions = max(opts.Sessions, 1)
 	if opts.MaxBatch <= 0 || opts.MaxBatch > capacity {
 		opts.MaxBatch = capacity
 	}
@@ -360,16 +388,38 @@ func New(m core.Model, opts Options) (*Engine, error) {
 	if opts.QueueLen <= 0 {
 		opts.QueueLen = 4 * opts.MaxBatch
 	}
+	if opts.WorkerPool == nil {
+		opts.WorkerPool = sched.Default()
+	}
+	opts.InterOpWorkers = max(opts.InterOpWorkers, 1)
+	opts.IntraOpWorkers = max(opts.IntraOpWorkers, 1)
+	return opts
+}
+
+// New builds and starts an engine for a Setup model. The model must
+// implement core.Inferencer, and its inference-signature batched
+// inputs must agree on their batch extent. Combine with
+// core.Config.Batch to build the graph at the micro-batching window
+// you want to serve.
+func New(m core.Model, opts Options) (*Engine, error) {
+	sig, capacity, err := servable(m)
+	if err != nil {
+		return nil, err
+	}
+	opts = opts.withDefaults(capacity)
 	e := &Engine{
-		model:    m,
-		sig:      sig,
-		capacity: capacity,
-		maxBatch: opts.MaxBatch,
-		maxDelay: opts.MaxDelay,
-		deadline: opts.DefaultDeadline,
-		batches:  make(chan []*request),
-		done:     make(chan struct{}),
-		stopped:  make(chan struct{}),
+		model:     m,
+		sig:       sig,
+		maxBatch:  opts.MaxBatch,
+		maxDelay:  opts.MaxDelay,
+		deadline:  opts.DefaultDeadline,
+		batches:   make(chan []*request),
+		done:      make(chan struct{}),
+		stopped:   make(chan struct{}),
+		pool:      opts.WorkerPool,
+		claim:     opts.Sessions * (opts.InterOpWorkers*opts.IntraOpWorkers - 1),
+		leaseName: "engine/" + m.Name(),
+		trace:     opts.Trace,
 	}
 	for lane := range e.lanes {
 		e.lanes[lane] = make(chan *request, opts.QueueLen)
@@ -377,38 +427,18 @@ func New(m core.Model, opts Options) (*Engine, error) {
 	for _, out := range sig.Outputs {
 		e.fetches = append(e.fetches, out.Node)
 	}
-	e.pool = opts.WorkerPool
-	if e.pool == nil {
-		e.pool = sched.Default()
-	}
-	interOp, intraOp := opts.InterOpWorkers, opts.IntraOpWorkers
-	if interOp < 1 {
-		interOp = 1
-	}
-	if intraOp < 1 {
-		intraOp = 1
-	}
-	e.claim = opts.Sessions * (interOp*intraOp - 1)
-	e.leaseName = "engine/" + m.Name()
-	e.trace = opts.Trace
 	e.stats.reset()
 	var workers sync.WaitGroup
 	for i := 0; i < opts.Sessions; i++ {
 		sessOpts := []runtime.Option{
 			runtime.WithSeed(opts.Seed + int64(i)),
 			runtime.WithLeaseName(e.leaseName),
+			runtime.WithInterOpWorkers(opts.InterOpWorkers),
+			runtime.WithIntraOpWorkers(opts.IntraOpWorkers),
+			runtime.WithWorkerPool(opts.WorkerPool),
 		}
 		if opts.Device != nil {
 			sessOpts = append(sessOpts, runtime.WithDevice(opts.Device))
-		}
-		if opts.InterOpWorkers > 1 {
-			sessOpts = append(sessOpts, runtime.WithInterOpWorkers(opts.InterOpWorkers))
-		}
-		if opts.IntraOpWorkers > 1 {
-			sessOpts = append(sessOpts, runtime.WithIntraOpWorkers(opts.IntraOpWorkers))
-		}
-		if opts.WorkerPool != nil {
-			sessOpts = append(sessOpts, runtime.WithWorkerPool(opts.WorkerPool))
 		}
 		sess := runtime.NewSession(m.Graph(), sessOpts...)
 		e.sessions = append(e.sessions, sess)
@@ -448,14 +478,9 @@ func (e *Engine) DefaultDeadline() time.Duration { return e.deadline }
 // requestDeadline resolves a request's deadline: the earlier of the
 // context's deadline and now + DefaultDeadline. Zero means none.
 func (e *Engine) requestDeadline(ctx context.Context, now time.Time) time.Time {
-	dl, ok := ctx.Deadline()
-	if e.deadline > 0 {
-		if own := now.Add(e.deadline); !ok || own.Before(dl) {
-			return own
-		}
-	}
-	if !ok {
-		return time.Time{}
+	dl, ok := ctx.Deadline() // the zero Time when !ok
+	if own := now.Add(e.deadline); e.deadline > 0 && (!ok || own.Before(dl)) {
+		return own
 	}
 	return dl
 }
@@ -469,19 +494,47 @@ func (e *Engine) requestDeadline(ctx context.Context, now time.Time) time.Time {
 // serial — the estimate doubles, which is how co-tenant engines shed
 // cooperatively. A cold engine (no batch measured yet) predicts zero.
 func (e *Engine) estimatedWait(lane Priority) time.Duration {
-	ew := e.stats.batchEWMA()
-	if ew <= 0 {
-		return 0
-	}
 	depth := int(e.stats.qdepth[PriorityInteractive].Load())
 	if lane == PriorityBatch {
 		depth += int(e.stats.qdepth[PriorityBatch].Load())
 	}
-	est := time.Duration(depth/e.maxBatch+1) * ew
+	est := time.Duration(depth/e.maxBatch+1) * e.stats.batchEWMA()
 	if e.pool.Size() > 0 && e.pool.Busy() >= e.pool.Size() {
 		est *= 2
 	}
 	return est
+}
+
+// worth is the one check of whether r still deserves a batch slot at
+// now, given est — the wait it faces before its batch completes: its
+// context must be live, its deadline ahead, and (unless it is the
+// probe, whose job is to reach execution and refresh the estimate) its
+// remaining budget must cover est. When it does not, the response that
+// ends r is returned. An est of zero — a cold engine — never sheds.
+func (e *Engine) worth(r *request, now time.Time, est time.Duration) (response, bool) {
+	switch err := r.ctx.Err(); {
+	case errors.Is(err, context.DeadlineExceeded):
+		return response{err: ErrExpired, outcome: expired}, false
+	case err != nil:
+		return contextEnded(err), false
+	case r.deadline.IsZero():
+	case !now.Before(r.deadline):
+		return response{err: ErrExpired, outcome: expired}, false
+	case !r.probe && now.Add(est).After(r.deadline):
+		return response{err: ErrOverloaded, outcome: shed}, false
+	}
+	return response{}, true
+}
+
+// vet is worth for a request already queued (the dispatcher at dequeue,
+// the worker before it packs): the wait it faces is one batch
+// execution, and a request not worth its slot is answered here.
+func (e *Engine) vet(r *request, now time.Time) bool {
+	end, ok := e.worth(r, now, e.stats.batchEWMA())
+	if !ok {
+		r.finish(end)
+	}
+	return ok
 }
 
 // Infer submits one single-example request on the interactive lane and
@@ -508,26 +561,53 @@ func (e *Engine) Infer(ctx context.Context, inputs map[string]*tensor.Tensor) (m
 // requests are dispatched only when the interactive lane is empty and
 // are shed first under overload.
 func (e *Engine) InferPriority(ctx context.Context, inputs map[string]*tensor.Tensor, lane Priority) (map[string]*tensor.Tensor, error) {
+	if err := e.validate(inputs, lane); err != nil {
+		return nil, err
+	}
+	r := e.newRequest(ctx, inputs, lane)
+	// Admission fails fast, cheapest check first — the caller never
+	// blocks to learn the engine is overloaded.
+	resp, refused := e.admit(r)
+	if !refused {
+		resp, refused = e.enqueue(r)
+	}
+	if !refused {
+		resp = e.await(r)
+	}
+	return e.conclude(r, resp, refused)
+}
+
+// validate reports a malformed call as an InputError.
+func (e *Engine) validate(inputs map[string]*tensor.Tensor, lane Priority) error {
 	if lane >= numLanes {
-		return nil, inputErrorf("serve: unknown priority %d", lane)
+		return inputErrorf("serve: unknown priority %d", lane)
 	}
 	for _, in := range e.sig.Inputs {
 		t, ok := inputs[in.Name]
 		if !ok || t == nil {
-			return nil, inputErrorf("serve: missing input %q (want %v)", in.Name, e.sig.InputNames())
+			return inputErrorf("serve: missing input %q (want %v)", in.Name, e.sig.InputNames())
 		}
 		want := in.ExampleShape()
 		if !tensor.SameShape(t.Shape(), want) {
-			return nil, inputErrorf("serve: input %q has shape %v, want example shape %v", in.Name, t.Shape(), want)
+			return inputErrorf("serve: input %q has shape %v, want example shape %v", in.Name, t.Shape(), want)
 		}
 	}
 	if len(inputs) > len(e.sig.Inputs) {
 		for name := range inputs {
 			if _, ok := e.sig.Input(name); !ok {
-				return nil, inputErrorf("serve: unknown input %q (want %v)", name, e.sig.InputNames())
+				return inputErrorf("serve: unknown input %q (want %v)", name, e.sig.InputNames())
 			}
 		}
 	}
+	return nil
+}
+
+// newRequest stamps the call with its arrival time and deadline and
+// decides trace sampling, once per request: either an outer layer (HTTP
+// admission) already minted a trace into the context, or — for direct
+// engine callers — the collector draws a fresh 1-in-N sample.
+// Unsampled requests pay only nil checks.
+func (e *Engine) newRequest(ctx context.Context, inputs map[string]*tensor.Tensor, lane Priority) *request {
 	now := time.Now()
 	r := &request{
 		inputs:   inputs,
@@ -537,105 +617,97 @@ func (e *Engine) InferPriority(ctx context.Context, inputs map[string]*tensor.Te
 		deadline: e.requestDeadline(ctx, now),
 		lane:     lane,
 	}
-	// Trace sampling is decided here, once per request: either an
-	// outer layer (HTTP admission) already minted a trace into the
-	// context, or — for direct engine callers — the collector draws a
-	// fresh 1-in-N sample. Unsampled requests pay only nil checks.
 	if tr := telemetry.TraceFrom(ctx); tr != nil {
 		r.trace = tr
 	} else if e.trace != nil && !telemetry.TraceDecided(ctx) && e.trace.Sample() {
 		r.trace = e.trace.New(e.model.Name())
 	}
-	var admSpan telemetry.SpanID
 	if r.trace != nil {
 		r.rootSpan = r.trace.StartSpanAt("request", 0, now)
-		admSpan = r.trace.StartSpanAt("admission", r.rootSpan, now)
+		r.admSpan = r.trace.StartSpanAt("admission", r.rootSpan, now)
 	}
-	// Admission control, cheapest checks first: an already-dead
-	// deadline, then the budget-vs-estimate shed, then the bounded
-	// queue. All three fail fast — the caller never blocks to learn
-	// the engine is overloaded.
-	if !r.deadline.IsZero() {
-		if !now.Before(r.deadline) {
-			e.stats.expired.Add(1)
-			r.endAdmission(admSpan, "expired")
-			return nil, ErrExpired
-		}
-		if est := e.estimatedWait(lane); est > 0 && now.Add(est).After(r.deadline) {
-			if !e.tryProbe(now) {
-				e.stats.shed.Add(1)
-				r.endAdmission(admSpan, "shed")
-				return nil, ErrOverloaded
-			}
-			r.probe = true
-		}
+	return r
+}
+
+// admit is the budget gate at the door: worth against the whole
+// estimated wait. A request that would be shed takes the probe slot
+// instead when one is due.
+func (e *Engine) admit(r *request) (end response, refused bool) {
+	end, ok := e.worth(r, r.enq, e.estimatedWait(r.lane))
+	if !ok && end.outcome == shed && e.tryProbe(r.enq) {
+		r.probe, ok = true, true
 	}
+	return end, !ok
+}
+
+// enqueue publishes r to its lane without blocking: a full lane
+// rejects early rather than queue unboundedly.
+func (e *Engine) enqueue(r *request) (end response, refused bool) {
 	if r.trace != nil {
 		// The queue span must exist before the request is published to
 		// the lane channel: the batch worker closes it the moment it
 		// picks the request up, and the send below is the only
 		// happens-before edge between this goroutine and that worker.
-		// On a failed send the disposition span records the outcome and
-		// the never-waited queue span closes at ~zero duration.
-		r.trace.EndSpan(admSpan)
+		// On a failed send the never-waited queue span closes at ~zero
+		// duration.
+		r.trace.EndSpan(r.admSpan)
 		r.queueSpan = r.trace.StartSpan("queue", r.rootSpan)
 	}
 	select {
-	case e.lanes[lane] <- r:
-		e.stats.qdepth[lane].Add(1)
+	case e.lanes[r.lane] <- r:
+		e.stats.qdepth[r.lane].Add(1)
+		return end, false
 	case <-e.done:
-		r.endAdmission(admSpan, "closed")
-		return nil, ErrClosed
-	case <-ctx.Done():
-		r.endAdmission(admSpan, "cancelled")
-		return nil, ctx.Err()
+		return response{err: ErrClosed, outcome: cancelled}, true
+	case <-r.ctx.Done():
+		return contextEnded(r.ctx.Err()), true
 	default:
-		// Lane queue full: reject early rather than queue unboundedly.
-		e.stats.rejected.Add(1)
-		r.endAdmission(admSpan, "rejected")
-		return nil, ErrOverloaded
+		return response{err: ErrOverloaded, outcome: rejected}, true
 	}
-	if r.trace != nil {
-		defer r.finishTrace()
-	}
-	var resp response
+}
+
+// await blocks for whoever ends r first: the engine's answer, the
+// caller's context, or shutdown.
+func (e *Engine) await(r *request) response {
 	select {
-	case resp = <-r.resp:
-	case <-ctx.Done():
+	case resp := <-r.resp:
+		return resp
+	case <-r.ctx.Done():
 		// The batch may still execute; the buffered resp channel lets
-		// the worker complete without us.
-		e.stats.cancels.Add(1)
-		return nil, ctx.Err()
+		// the worker complete without us, and its answer is never
+		// counted.
+		return contextEnded(r.ctx.Err())
 	case <-e.stopped:
 		// Dispatcher and workers have exited, so nothing will answer —
-		// unless a response raced in just before shutdown. (The submit
-		// select may legitimately enqueue concurrently with Close: the
-		// buffered reqs send and the closed done channel are both
-		// ready, and select picks either.)
-		select {
-		case resp = <-r.resp:
-		default:
-			e.stats.cancels.Add(1)
-			return nil, ErrClosed
-		}
+		// unless a response raced in just before shutdown, which finish
+		// then leaves in place. (enqueue may legitimately publish
+		// concurrently with Close: the buffered lane send and the closed
+		// done channel are both ready, and select picks either.)
+		r.finish(response{err: ErrClosed, outcome: cancelled})
+		return <-r.resp
 	}
-	if resp.err != nil {
-		switch {
-		case errors.Is(resp.err, ErrOverloaded) || errors.Is(resp.err, ErrExpired):
-			// Shed/expired dispositions were counted where they were
-			// decided (dispatcher or worker) — not engine faults.
-		case errors.Is(resp.err, context.Canceled) || errors.Is(resp.err, context.DeadlineExceeded) || errors.Is(resp.err, ErrClosed):
-			// Caller-side aborts (the dispatcher or a worker observed
-			// the request's context already cancelled) are not engine
-			// faults either.
-			e.stats.cancels.Add(1)
-		default:
-			e.stats.errors.Add(1)
-		}
-		return nil, resp.err
+}
+
+// conclude is where every validated call returns, and the only place
+// an outcome is counted — so one call moves exactly one counter no
+// matter how many parties (its context, the dispatcher, a worker)
+// decided its fate. A refused request's trace gets a zero-width span
+// naming why.
+func (e *Engine) conclude(r *request, resp response, refused bool) (map[string]*tensor.Tensor, error) {
+	e.stats.outcomes[resp.outcome].Add(1)
+	if resp.outcome == served {
+		e.stats.latHist[r.lane].Observe(time.Since(r.enq))
 	}
-	e.stats.record(lane, time.Since(r.enq))
-	return resp.outputs, nil
+	if r.trace != nil {
+		if refused {
+			r.trace.EndSpan(r.admSpan)
+			r.trace.AddSpan(resp.outcome.String(), r.rootSpan, 0, time.Now(), 0)
+		}
+		r.trace.EndSpan(r.queueSpan)
+		r.trace.EndSpan(r.rootSpan)
+		r.trace.Finish()
+	}
+	return resp.outputs, resp.err
 }
 
 // Close stops accepting requests, fails queued ones with ErrClosed,
@@ -644,65 +716,6 @@ func (e *Engine) Close() {
 	e.closeOnce.Do(func() { close(e.done) })
 	<-e.stopped
 }
-
-// Stats returns a snapshot of the engine's counters, plus the shared
-// worker pool's busy/spawned gauges and the engine's lease claim on it
-// — the load signals the admission estimate and any shedding layer in
-// front of /stats key off: when PoolBusy sits at PoolSize, every
-// engine on the pool is executing degraded (serial) and added load
-// only queues.
-func (e *Engine) Stats() Stats {
-	s := e.stats.snapshot()
-	s.PoolSize = e.pool.Size()
-	s.PoolBusy = e.pool.Busy()
-	s.PoolSpawned = e.pool.Spawned()
-	s.LeaseClaim = e.claim
-	// Arena utilization summed over the worker sessions' plan arenas
-	// (Arena.Stats is the one concurrency-safe arena read).
-	var gets int
-	for _, sess := range e.sessions {
-		as := sess.Arena().Stats()
-		s.ArenaLiveBuffers += as.LiveBuffers
-		s.ArenaTotalBuffers += as.TotalBuffers
-		s.ArenaBytes += as.TotalBytes
-		s.ArenaReuses += as.Reuses
-		gets += as.Reuses + as.TotalBuffers
-	}
-	if gets > 0 {
-		s.ArenaReuseRatio = float64(s.ArenaReuses) / float64(gets)
-	}
-	// Per-tenant adaptive grants: every lease on the shared pool,
-	// aggregated by tenant name — the engine's own sessions appear as
-	// "engine/<model>" next to any co-resident dist trainer
-	// ("dist/<model>") or fused array ("fuse/<model>"). LeaseGranted is
-	// this engine's slice: what the occupancy negotiation currently
-	// grants it, as opposed to the static claim it asked for.
-	for _, ls := range e.pool.LeaseStats() {
-		if ls.Name == e.leaseName {
-			s.LeaseGranted += ls.Granted
-		}
-		i := 0
-		for ; i < len(s.Tenants); i++ {
-			if s.Tenants[i].Name == ls.Name {
-				break
-			}
-		}
-		if i == len(s.Tenants) {
-			s.Tenants = append(s.Tenants, TenantStats{Name: ls.Name})
-		}
-		s.Tenants[i].Leases++
-		s.Tenants[i].Want += ls.Want
-		s.Tenants[i].Granted += ls.Granted
-		s.Tenants[i].Active += ls.Active
-	}
-	return s
-}
-
-// ResetStats zeroes the counters and restarts the uptime clock —
-// e.g. after warmup, so steady-state metrics exclude one-time plan
-// compilation. The queue-depth gauges and latency EWMAs survive: they
-// describe the engine's current state, not its history.
-func (e *Engine) ResetStats() { e.stats.zero() }
 
 // probeInterval rations the budget-gate probe admissions that keep the
 // batch EWMA self-healing when everything else sheds.
@@ -716,271 +729,173 @@ func (e *Engine) tryProbe(now time.Time) bool {
 		e.lastProbeNano.CompareAndSwap(last, now.UnixNano())
 }
 
-// admit decides one dequeued request's fate at dispatch time: drop it
-// if its context is done or its deadline has passed (it must never
-// occupy a batch slot), shed it if the remaining budget cannot cover
-// even one batch execution (probes are exempt — their job is to reach
-// execution and refresh the estimate). Reports whether the request may
-// join a batch.
-func (e *Engine) admit(r *request, now time.Time) bool {
-	if err := r.ctx.Err(); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			e.stats.expired.Add(1)
-			r.finish(nil, ErrExpired)
-		} else {
-			r.finish(nil, err)
-		}
-		return false
-	}
-	if !r.deadline.IsZero() {
-		if !now.Before(r.deadline) {
-			e.stats.expired.Add(1)
-			r.finish(nil, ErrExpired)
-			return false
-		}
-		if ew := e.stats.batchEWMA(); !r.probe && ew > 0 && now.Add(ew).After(r.deadline) {
-			e.stats.shed.Add(1)
-			r.finish(nil, ErrOverloaded)
-			return false
-		}
-	}
-	return true
-}
-
-// tryNext dequeues the next request without blocking, always draining
-// the interactive lane before the batch lane — the priority rule.
-func (e *Engine) tryNext() *request {
-	select {
-	case r := <-e.lanes[PriorityInteractive]:
-		e.stats.qdepth[PriorityInteractive].Add(-1)
-		return r
-	default:
-	}
-	select {
-	case r := <-e.lanes[PriorityBatch]:
-		e.stats.qdepth[PriorityBatch].Add(-1)
-		return r
-	default:
-	}
-	return nil
-}
-
-// next blocks for the first request of a batch; nil means shutdown.
-func (e *Engine) next() *request {
-	if r := e.tryNext(); r != nil {
-		return r
-	}
-	select {
-	case r := <-e.lanes[PriorityInteractive]:
-		e.stats.qdepth[PriorityInteractive].Add(-1)
-		return r
-	case r := <-e.lanes[PriorityBatch]:
-		e.stats.qdepth[PriorityBatch].Add(-1)
-		return r
-	case <-e.done:
-		return nil
-	}
-}
-
-// testHookDispatch, when non-nil, runs at the top of every dispatch
-// iteration. Tests install it before New — and clear it only after
-// Close has joined the dispatch loop — to stall dequeueing while they
-// build a deterministic backlog.
+// testHookDispatch, when non-nil, runs before the dispatcher looks for
+// the first request of a batch. Tests install it before New — and
+// clear it only after Close has joined the dispatch loop — to stall
+// dequeueing while they build a deterministic backlog.
 var testHookDispatch func()
 
-// dispatch is the micro-batching loop: take the first pending request,
-// then collect more until the batch is full or MaxDelay elapses.
-// Every dequeue goes through admit, so cancelled, expired, and
-// unserviceable requests are dropped here — they never occupy a batch
-// slot or skew the batch-fill stats.
+// dispatch is the micro-batching loop, and the one place a request is
+// dequeued: each turn takes the next request — interactive first,
+// never blocking while either lane has one — or, with both lanes
+// empty, waits on everything the batch in hand can still do. The two
+// arms that move a batch along are nil channels until their phase: the
+// first request kept arms the MaxDelay timer, the timer (or a full
+// batch) arms the hand-off, and while no worker takes it the lanes
+// stay live, so saturation tops the batch up to MaxBatch instead of
+// running it under-filled. Every dequeue is vetted, so cancelled,
+// expired and unserviceable requests never occupy a slot or skew the
+// batch-fill stats.
 func (e *Engine) dispatch() {
 	defer close(e.batches)
+	defer e.drain()
+	var (
+		batch   []*request
+		timer   *time.Timer
+		flush   <-chan time.Time  // nil until a request opens the window
+		handoff chan<- []*request // nil until the window closes
+	)
 	for {
-		if h := testHookDispatch; h != nil {
+		if h := testHookDispatch; h != nil && len(batch) == 0 {
 			h()
 		}
-		first := e.next()
-		if first == nil {
-			e.drain()
-			return
-		}
-		if !e.admit(first, time.Now()) {
-			continue
-		}
-		batch := []*request{first}
-		if len(batch) < e.maxBatch { // MaxBatch 1 never waits
-			timer := time.NewTimer(e.maxDelay)
-		collect:
-			for len(batch) < e.maxBatch {
-				if r := e.tryNext(); r != nil {
-					if e.admit(r, time.Now()) {
-						batch = append(batch, r)
-					}
-					continue
-				}
-				select {
-				case r := <-e.lanes[PriorityInteractive]:
-					e.stats.qdepth[PriorityInteractive].Add(-1)
-					if e.admit(r, time.Now()) {
-						batch = append(batch, r)
-					}
-				case r := <-e.lanes[PriorityBatch]:
-					e.stats.qdepth[PriorityBatch].Add(-1)
-					if e.admit(r, time.Now()) {
-						batch = append(batch, r)
-					}
-				case <-timer.C:
-					break collect
-				case <-e.done:
-					break collect
-				}
-			}
-			timer.Stop()
-		}
-		// Hand off. While every worker is busy, keep topping the batch
-		// up to MaxBatch — queue wait converts into batch fill instead
-		// of under-filled runs.
-		sent := false
-		for !sent && len(batch) < e.maxBatch {
-			if r := e.tryNext(); r != nil {
-				if e.admit(r, time.Now()) {
-					batch = append(batch, r)
-				}
-				continue
-			}
-			select {
-			case e.batches <- batch:
-				sent = true
-			case r := <-e.lanes[PriorityInteractive]:
-				e.stats.qdepth[PriorityInteractive].Add(-1)
-				if e.admit(r, time.Now()) {
-					batch = append(batch, r)
-				}
-			case r := <-e.lanes[PriorityBatch]:
-				e.stats.qdepth[PriorityBatch].Add(-1)
-				if e.admit(r, time.Now()) {
-					batch = append(batch, r)
-				}
-			case <-e.done:
-				e.batches <- batch
-				e.drain()
-				return
-			}
-		}
-		if !sent {
-			e.batches <- batch
-		}
+		// Shutdown beats queued work: hand off what is collected, fail
+		// the rest.
 		select {
 		case <-e.done:
-			e.drain()
+			if len(batch) > 0 {
+				e.batches <- batch
+			}
 			return
 		default:
 		}
+		lanes := e.lanes
+		if len(batch) == e.maxBatch {
+			lanes = [numLanes]chan *request{} // full: only the hand-off is left
+		}
+		var r *request
+		for _, lane := range lanes { // the priority rule: interactive first
+			select {
+			case r = <-lane:
+			default:
+				continue
+			}
+			break
+		}
+		if r == nil {
+			select {
+			case r = <-lanes[PriorityInteractive]:
+			case r = <-lanes[PriorityBatch]:
+			case <-flush:
+				flush, handoff = nil, e.batches
+			case handoff <- batch:
+				batch, handoff = nil, nil
+			case <-e.done:
+			}
+			if r == nil {
+				continue
+			}
+		}
+		e.stats.qdepth[r.lane].Add(-1)
+		if !e.vet(r, time.Now()) {
+			continue
+		}
+		batch = append(batch, r)
+		switch len(batch) {
+		case e.maxBatch: // MaxBatch 1 never waits
+			if timer != nil {
+				timer.Stop()
+			}
+			flush, handoff = nil, e.batches
+		case 1:
+			timer = time.NewTimer(e.maxDelay)
+			flush = timer.C
+		}
 	}
 }
 
-// drain fails every still-queued request after shutdown.
+// drain fails every still-queued request after shutdown. The
+// dispatcher is the lanes' only receiver, so a non-empty lane cannot
+// empty under it.
 func (e *Engine) drain() {
-	for lane := range e.lanes {
-	laneDrain:
-		for {
-			select {
-			case r := <-e.lanes[lane]:
-				e.stats.qdepth[lane].Add(-1)
-				r.finish(nil, ErrClosed)
-			default:
-				break laneDrain
-			}
+	for lane, queue := range e.lanes {
+		for len(queue) > 0 {
+			r := <-queue
+			e.stats.qdepth[lane].Add(-1)
+			r.finish(response{err: ErrClosed, outcome: cancelled})
 		}
 	}
 }
 
 // workerState is one worker's execution kit, built once: its session
-// (inference mode), reusable full-batch input buffers (parallel to
-// sig.Inputs), and the feeds map binding those buffers to their
-// placeholders. Per batch, the steady-state path allocates only the
-// per-request output examples.
+// (inference mode) and the feeds map binding a reusable full-batch
+// input buffer to each placeholder. Per batch, the steady-state path
+// allocates only the per-request output examples.
 type workerState struct {
-	sess   *runtime.Session
-	packed []*tensor.Tensor
-	feeds  runtime.Feeds
+	sess  *runtime.Session
+	feeds runtime.Feeds
 }
 
 func newWorkerState(e *Engine, sess *runtime.Session) *workerState {
 	sess.SetTraining(false)
 	ws := &workerState{sess: sess, feeds: make(runtime.Feeds, len(e.sig.Inputs))}
 	for _, in := range e.sig.Inputs {
-		buf := tensor.New(in.Shape()...)
-		ws.packed = append(ws.packed, buf)
-		ws.feeds[in.Node] = buf
+		ws.feeds[in.Node] = tensor.New(in.Shape()...)
 	}
 	return ws
 }
 
-// attachRunSpans replicates one executed batch's span subtree — batch
-// → run → per-op events — into every traced request it served. A
-// batch rarely carries more than one sampled request, so the
-// duplication is cheap; each trace stays self-contained. Op spans land
-// on lane 1+Event.Worker, so a traced request renders its inter-op
-// parallelism; request-level spans stay on lane 0.
-func attachRunSpans(traced []*request, batchStart, runStart time.Time, runDur time.Duration, events []runtime.Event) {
-	batchDur := time.Since(batchStart)
-	for _, r := range traced {
-		bs := r.trace.AddSpan("batch", r.rootSpan, 0, batchStart, batchDur)
-		rs := r.trace.AddSpan("run", bs, 0, runStart, runDur)
-		for i := range events {
-			ev := &events[i]
-			r.trace.AddSpan(ev.Op, rs, 1+ev.Worker, ev.WallStart, ev.Wall)
-		}
-	}
-}
-
-// runBatch executes one micro-batch on a worker, packing requests into
-// the worker's input buffers and running the signature's fetch set
-// directly (the same execution the workload's Inferencer performs). A
+// runBatch executes one micro-batch on a worker: pack, run, unpack. A
 // panic out of graph execution fails the batch's requests instead of
 // killing the worker (and with it the process).
 func (e *Engine) runBatch(ws *workerState, batch []*request) {
 	var live []*request
 	defer func() {
 		if p := recover(); p != nil {
-			for _, r := range live {
-				r.finish(nil, fmt.Errorf("serve: %s: panic during batch execution: %v", e.model.Name(), p))
-			}
+			fail(live, fmt.Errorf("serve: %s: panic during batch execution: %v", e.model.Name(), p))
 		}
 	}()
 	start := time.Now()
-	live = batch[:0]
-	var traced []*request
-	for _, r := range batch {
-		// Last gate before a slot is spent: requests that died between
-		// dispatch and execution are skipped so they never skew fill.
-		if err := r.ctx.Err(); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				e.stats.expired.Add(1)
-				r.finish(nil, ErrExpired)
-			} else {
-				r.finish(nil, err)
-			}
-			continue
-		}
-		if !r.deadline.IsZero() && !start.Before(r.deadline) {
-			e.stats.expired.Add(1)
-			r.finish(nil, ErrExpired)
-			continue
-		}
-		live = append(live, r)
-		e.stats.recordWait(start.Sub(r.enq))
-		if r.trace != nil {
-			r.trace.EndSpanAt(r.queueSpan, start)
-			traced = append(traced, r)
-		}
-	}
+	live = e.pack(ws, batch, start)
 	if len(live) == 0 {
 		return
 	}
-	for ii, in := range e.sig.Inputs {
-		buf := ws.packed[ii]
+	vals, err := e.run(ws, live, start)
+	if err != nil {
+		fail(live, fmt.Errorf("serve: %s: %w", e.model.Name(), err))
+		return
+	}
+	e.unpack(live, vals)
+}
+
+// fail answers every request of a batch with an execution fault.
+func fail(live []*request, err error) {
+	for _, r := range live {
+		r.finish(response{err: err})
+	}
+}
+
+// pack is the last gate before a slot is spent — requests that died
+// between dispatch and execution are skipped so they never skew fill —
+// and then copies the survivors into the worker's input buffers. It
+// returns them in slot order: len(live) is the batch's fill, decided
+// here and nowhere else.
+func (e *Engine) pack(ws *workerState, batch []*request, start time.Time) []*request {
+	live := batch[:0]
+	for _, r := range batch {
+		if !e.vet(r, start) {
+			continue
+		}
+		live = append(live, r)
+		wait := start.Sub(r.enq)
+		ewmaUpdate(&e.stats.ewmaWaitUS, wait)
+		e.stats.waitHist.Observe(wait)
+		if r.trace != nil {
+			r.trace.EndSpanAt(r.queueSpan, start)
+		}
+	}
+	for _, in := range e.sig.Inputs {
+		buf := ws.feeds[in.Node]
 		for i, r := range live {
 			putExample(buf, in.BatchDim, i, r.inputs[in.Name])
 		}
@@ -988,26 +903,47 @@ func (e *Engine) runBatch(ws *workerState, batch []*request) {
 		// zero just that tail (a full batch clears nothing).
 		clearTail(buf, in.BatchDim, len(live))
 	}
-	// The traced path — only when this batch carries a sampled request
-	// — runs with one-shot event capture so each traced request's span
-	// tree gets the run's per-op events as children.
+	return live
+}
+
+// run executes the signature's fetch set over the packed buffers (the
+// same execution the workload's Inferencer performs) and feeds the
+// batch's wall time since start into the admission estimate. Only when
+// the batch carries a sampled request does it run with one-shot event
+// capture, and replicates the batch → run → per-op subtree into every
+// traced request: a batch rarely carries more than one, so the
+// duplication is cheap and each trace stays self-contained. Op spans
+// land on lane 1+Event.Worker, so a traced request renders its
+// inter-op parallelism; request-level spans stay on lane 0.
+func (e *Engine) run(ws *workerState, live []*request, start time.Time) ([]*tensor.Tensor, error) {
 	var vals []*tensor.Tensor
 	var err error
-	if len(traced) > 0 {
-		runStart := time.Now()
-		var events []runtime.Event
-		vals, events, err = ws.sess.RunTraced(e.fetches, ws.feeds)
-		attachRunSpans(traced, start, runStart, time.Since(runStart), events)
-	} else {
+	if !slices.ContainsFunc(live, func(r *request) bool { return r.trace != nil }) {
 		vals, err = ws.sess.Run(e.fetches, ws.feeds)
-	}
-	e.stats.recordBatchExec(time.Since(start))
-	if err != nil {
+	} else {
+		var events []runtime.Event
+		runStart := time.Now()
+		vals, events, err = ws.sess.RunTraced(e.fetches, ws.feeds)
+		runDur := time.Since(runStart)
+		batchDur := time.Since(start)
 		for _, r := range live {
-			r.finish(nil, fmt.Errorf("serve: %s: %w", e.model.Name(), err))
+			if r.trace == nil {
+				continue
+			}
+			bs := r.trace.AddSpan("batch", r.rootSpan, 0, start, batchDur)
+			rs := r.trace.AddSpan("run", bs, 0, runStart, runDur)
+			for i := range events {
+				ev := &events[i]
+				r.trace.AddSpan(ev.Op, rs, 1+ev.Worker, ev.WallStart, ev.Wall)
+			}
 		}
-		return
 	}
+	ewmaUpdate(&e.stats.ewmaBatchUS, time.Since(start)) // the admission estimate
+	return vals, err
+}
+
+// unpack splits the batched outputs into per-request responses.
+func (e *Engine) unpack(live []*request, vals []*tensor.Tensor) {
 	e.stats.recordBatch(len(live))
 	for i, r := range live {
 		result := make(map[string]*tensor.Tensor, len(e.sig.Outputs))
@@ -1017,6 +953,6 @@ func (e *Engine) runBatch(ws *workerState, batch []*request) {
 			}
 			result[out.Name] = getExample(vals[oi], out.BatchDim, i)
 		}
-		r.finish(result, nil)
+		r.finish(response{outputs: result, outcome: served})
 	}
 }

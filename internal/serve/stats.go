@@ -2,17 +2,13 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
-
-// latBuckets is the latency histogram resolution, now provided by the
-// telemetry package the histogram was generalized into: bucket k holds
-// durations in [2^k, 2^(k+1)) microseconds, so 40 buckets cover
-// sub-microsecond to ~12 days.
-const latBuckets = telemetry.LogBuckets
 
 // ewmaShift is the EWMA smoothing factor for the batch-latency and
 // queue-wait gauges: new = old + (sample − old)/2^ewmaShift. 1/8 reacts
@@ -25,23 +21,17 @@ const ewmaShift = 3
 // serializing the hot path.
 type stats struct {
 	startNano atomic.Int64
-	requests  atomic.Uint64 // completed successfully (all lanes)
-	errors    atomic.Uint64 // execution faults
-	cancels   atomic.Uint64 // caller gave up (context cancelled, shutdown)
-	rejected  atomic.Uint64 // admission-queue full: refused at the door
-	shed      atomic.Uint64 // deadline budget < estimated queue+exec time
-	expired   atomic.Uint64 // deadline passed before execution
+	outcomes  [numOutcomes]atomic.Uint64 // one per ended call; see conclude
 	batches   atomic.Uint64
 	slots     atomic.Uint64 // sum of batch fills
 	maxFill   atomic.Uint64
-	latSumUS  atomic.Uint64
 
-	// Per-lane request counters and latency histograms (interactive,
+	// Per-lane end-to-end latency of served requests (interactive,
 	// batch), so the lanes' p50/p99/p999 are observable separately —
 	// the whole point of priority lanes is that these diverge under
-	// overload.
-	laneReqs [numLanes]atomic.Uint64
-	latHist  [numLanes]telemetry.LogHistogram
+	// overload. Their counts and sums are the lanes' request counts
+	// and the mean latency.
+	latHist [numLanes]telemetry.LogHistogram
 
 	// waitHist records every dispatched request's queue wait next to
 	// the EWMA gauge, so loadtest stages can separate queueing from
@@ -59,37 +49,6 @@ type stats struct {
 
 func (s *stats) reset() { s.startNano.Store(time.Now().UnixNano()) }
 
-// zero clears every counter and restarts the clock. The queue-depth
-// gauges and EWMAs are left alone: they describe present state, and
-// the admission estimate must not go blind after a stats reset.
-func (s *stats) zero() {
-	s.requests.Store(0)
-	s.errors.Store(0)
-	s.cancels.Store(0)
-	s.rejected.Store(0)
-	s.shed.Store(0)
-	s.expired.Store(0)
-	s.batches.Store(0)
-	s.slots.Store(0)
-	s.maxFill.Store(0)
-	s.latSumUS.Store(0)
-	for lane := range s.latHist {
-		s.laneReqs[lane].Store(0)
-		s.latHist[lane].Reset()
-	}
-	s.waitHist.Reset()
-	s.reset()
-}
-
-// record logs one successfully answered request's end-to-end latency
-// on its lane.
-func (s *stats) record(lane Priority, d time.Duration) {
-	s.requests.Add(1)
-	s.laneReqs[lane].Add(1)
-	s.latSumUS.Add(uint64(d.Microseconds()))
-	s.latHist[lane].Observe(d)
-}
-
 // recordBatch logs one executed micro-batch and its fill.
 func (s *stats) recordBatch(fill int) {
 	s.batches.Add(1)
@@ -102,43 +61,21 @@ func (s *stats) recordBatch(fill int) {
 	}
 }
 
-// ewmaUpdate folds one sample into an EWMA gauge with a CAS loop (the
-// workers race on it).
-func ewmaUpdate(g *atomic.Uint64, sample uint64) {
+// ewmaUpdate folds one sample into an EWMA gauge, in microseconds, with
+// a CAS loop (the workers race on it). Samples and results are clamped
+// to 1µs: a warmed gauge never reads as cold again.
+func ewmaUpdate(g *atomic.Uint64, d time.Duration) {
+	sample := max(uint64(d.Microseconds()), 1)
 	for {
 		old := g.Load()
 		nw := sample
 		if old != 0 {
-			nw = uint64(int64(old) + (int64(sample)-int64(old))>>ewmaShift)
-			if nw == 0 {
-				nw = 1 // a warmed gauge never reads as cold again
-			}
+			nw = max(uint64(int64(old)+(int64(sample)-int64(old))>>ewmaShift), 1)
 		}
 		if g.CompareAndSwap(old, nw) {
 			return
 		}
 	}
-}
-
-// recordBatchExec feeds one batch's execution wall time into the
-// admission estimate.
-func (s *stats) recordBatchExec(d time.Duration) {
-	us := uint64(d.Microseconds())
-	if us == 0 {
-		us = 1
-	}
-	ewmaUpdate(&s.ewmaBatchUS, us)
-}
-
-// recordWait feeds one dispatched request's queue wait into the EWMA
-// gauge and the wait histogram.
-func (s *stats) recordWait(d time.Duration) {
-	us := uint64(d.Microseconds())
-	if us == 0 {
-		us = 1
-	}
-	ewmaUpdate(&s.ewmaWaitUS, us)
-	s.waitHist.Observe(d)
 }
 
 // batchEWMA is the smoothed batch execution latency; zero means no
@@ -240,60 +177,124 @@ type TenantStats struct {
 	Active  int    `json:"active"`
 }
 
-func (s *stats) snapshot() Stats {
-	up := time.Since(time.Unix(0, s.startNano.Load()))
-	// Load each lane's histogram once; the merged view feeds the
+// quantiles reads the three reported quantiles off one histogram
+// snapshot.
+func quantiles(b *[telemetry.LogBuckets]uint64) (p50, p99, p999 time.Duration) {
+	return telemetry.QuantileOf(b, 0.50), telemetry.QuantileOf(b, 0.99), telemetry.QuantileOf(b, 0.999)
+}
+
+// arena sums the worker sessions' plan-arena stats (Arena.Stats is the
+// one concurrency-safe arena read).
+func (e *Engine) arena() (sum tensor.ArenaStats) {
+	for _, sess := range e.sessions {
+		as := sess.Arena().Stats()
+		sum.LiveBuffers += as.LiveBuffers
+		sum.TotalBuffers += as.TotalBuffers
+		sum.TotalBytes += as.TotalBytes
+		sum.Reuses += as.Reuses
+	}
+	return sum
+}
+
+// leaseGranted is this engine's slice of the shared pool: what the
+// occupancy negotiation currently grants its sessions' leases, as
+// opposed to the static claim they asked for.
+func (e *Engine) leaseGranted() (granted int) {
+	for _, ls := range e.pool.LeaseStats() {
+		if ls.Name == e.leaseName {
+			granted += ls.Granted
+		}
+	}
+	return granted
+}
+
+// Stats returns a snapshot of the engine's counters, plus the shared
+// worker pool's busy/spawned gauges and the engine's lease claim on it
+// — the load signals the admission estimate and any shedding layer in
+// front of /stats key off: when PoolBusy sits at PoolSize, every
+// engine on the pool is executing degraded (serial) and added load
+// only queues.
+func (e *Engine) Stats() Stats {
+	st := &e.stats
+	s := Stats{
+		Uptime:        time.Since(time.Unix(0, st.startNano.Load())),
+		MaxBatchFill:  int(st.maxFill.Load()),
+		QueueWaitEWMA: time.Duration(st.ewmaWaitUS.Load()) * time.Microsecond,
+		PoolSize:      e.pool.Size(),
+		PoolBusy:      e.pool.Busy(),
+		PoolSpawned:   e.pool.Spawned(),
+		LeaseClaim:    e.claim,
+	}
+	for i := range exported {
+		if sr := &exported[i]; sr.stat != nil {
+			sr.stat(&s, sr.value(e))
+		}
+	}
+	if s.Batches > 0 {
+		s.MeanBatchFill = float64(st.slots.Load()) / float64(s.Batches)
+	}
+	s.ArenaReuseRatio = tensor.ArenaStats{Reuses: s.ArenaReuses, TotalBuffers: s.ArenaTotalBuffers}.ReuseRatio()
+
+	// Each lane's histogram is loaded once; the merged view feeds the
 	// engine-wide quantiles.
-	var lanes [numLanes][latBuckets]uint64
-	var merged [latBuckets]uint64
-	for lane := range lanes {
-		s.latHist[lane].Buckets(&lanes[lane])
-		for i := range lanes[lane] {
-			merged[i] += lanes[lane][i]
+	var merged [telemetry.LogBuckets]uint64
+	var latSum time.Duration
+	for lane, ls := range []*LaneStats{&s.Interactive, &s.BatchLane} {
+		h := &st.latHist[lane]
+		var b [telemetry.LogBuckets]uint64
+		h.Buckets(&b)
+		for i := range b {
+			merged[i] += b[i]
+		}
+		latSum += h.Sum()
+		ls.Requests, ls.QueueDepth = h.Count(), int(st.qdepth[lane].Load())
+		ls.P50Latency, ls.P99Latency, ls.P999 = quantiles(&b)
+	}
+	s.P50Latency, s.P99Latency, s.P999Latency = quantiles(&merged)
+	if s.Requests > 0 {
+		s.MeanLatency = (latSum / time.Duration(s.Requests)).Truncate(time.Microsecond)
+		if sec := s.Uptime.Seconds(); sec > 0 {
+			s.ThroughputRPS = float64(s.Requests) / sec
 		}
 	}
-	laneStats := func(lane Priority) LaneStats {
-		return LaneStats{
-			Requests:   s.laneReqs[lane].Load(),
-			QueueDepth: int(s.qdepth[lane].Load()),
-			P50Latency: telemetry.QuantileOf(&lanes[lane], 0.50),
-			P99Latency: telemetry.QuantileOf(&lanes[lane], 0.99),
-			P999:       telemetry.QuantileOf(&lanes[lane], 0.999),
+	st.waitHist.Buckets(&s.WaitHist)
+	s.QueueWaitP50, s.QueueWaitP99, s.QueueWaitP999 = quantiles(&s.WaitHist)
+
+	// Per-tenant adaptive grants: every lease on the shared pool,
+	// aggregated by tenant name — the engine's own sessions appear as
+	// "engine/<model>" next to any co-resident dist trainer
+	// ("dist/<model>") or fused array ("fuse/<model>").
+	for _, ls := range e.pool.LeaseStats() {
+		i := slices.IndexFunc(s.Tenants, func(t TenantStats) bool { return t.Name == ls.Name })
+		if i < 0 {
+			i = len(s.Tenants)
+			s.Tenants = append(s.Tenants, TenantStats{Name: ls.Name})
+		}
+		s.Tenants[i].Leases++
+		s.Tenants[i].Want += ls.Want
+		s.Tenants[i].Granted += ls.Granted
+		s.Tenants[i].Active += ls.Active
+	}
+	return s
+}
+
+// ResetStats zeroes the counters and restarts the uptime clock —
+// e.g. after warmup, so steady-state metrics exclude one-time plan
+// compilation. The queue-depth gauges and latency EWMAs survive: they
+// describe the engine's current state, and the admission estimate must
+// not go blind after a stats reset.
+func (e *Engine) ResetStats() {
+	for i := range exported {
+		switch sr := &exported[i]; {
+		case sr.ctr != nil:
+			sr.ctr(e).Store(0)
+		case sr.hist != nil:
+			sr.hist(e).Reset()
 		}
 	}
-	out := Stats{
-		Uptime:           up,
-		Requests:         s.requests.Load(),
-		Errors:           s.errors.Load(),
-		Cancelled:        s.cancels.Load(),
-		Rejected:         s.rejected.Load(),
-		Shed:             s.shed.Load(),
-		Expired:          s.expired.Load(),
-		Batches:          s.batches.Load(),
-		MaxBatchFill:     int(s.maxFill.Load()),
-		P50Latency:       telemetry.QuantileOf(&merged, 0.50),
-		P99Latency:       telemetry.QuantileOf(&merged, 0.99),
-		P999Latency:      telemetry.QuantileOf(&merged, 0.999),
-		QueueWaitEWMA:    time.Duration(s.ewmaWaitUS.Load()) * time.Microsecond,
-		BatchLatencyEWMA: s.batchEWMA(),
-		Interactive:      laneStats(PriorityInteractive),
-		BatchLane:        laneStats(PriorityBatch),
-	}
-	s.waitHist.Buckets(&out.WaitHist)
-	out.QueueWaitP50 = telemetry.QuantileOf(&out.WaitHist, 0.50)
-	out.QueueWaitP99 = telemetry.QuantileOf(&out.WaitHist, 0.99)
-	out.QueueWaitP999 = telemetry.QuantileOf(&out.WaitHist, 0.999)
-	out.QueueDepth = out.Interactive.QueueDepth + out.BatchLane.QueueDepth
-	if out.Batches > 0 {
-		out.MeanBatchFill = float64(s.slots.Load()) / float64(out.Batches)
-	}
-	if out.Requests > 0 {
-		out.MeanLatency = time.Duration(s.latSumUS.Load()/out.Requests) * time.Microsecond
-		if sec := up.Seconds(); sec > 0 {
-			out.ThroughputRPS = float64(out.Requests) / sec
-		}
-	}
-	return out
+	e.stats.slots.Store(0)
+	e.stats.maxFill.Store(0)
+	e.stats.reset()
 }
 
 // String renders the snapshot for the CLI and logs.
