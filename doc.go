@@ -13,19 +13,19 @@
 //
 // The runtime compiles each fetch set into an execution plan
 // (runtime.Plan) in four passes over one step-indexed IR
-// (internal/runtime/compile.go): schedule (topological order, and
-// which operations write into a preassigned destination), liveness
+// (internal/runtime/compile.go): schedule (topological order), liveness
 // (when each destination's buffer dies, which fetches must be cloned),
 // constrain (the scheduling edges below) and assign (a slot in a
 // size-bucketed buffer arena, tensor.Arena, for every destination,
-// shared between disjoint lifetimes). One rule feeds all four: a root
-// is a step that owns storage — an operation implementing graph.IntoOp
-// owns its arena slot, a variable owns its tensor — and any other
-// operation may return a view of an input, so its value is taken to
-// reference every root its inputs reference. Steady-state steps
-// therefore run with near-zero heap allocation, and tensors returned
-// from Session.Run are copied out of arena memory, so results stay
-// valid across steps.
+// shared between disjoint lifetimes). An operation is one of two kinds
+// (graph.Op): a kernel, which writes its result into a destination it
+// is handed, or a view (graph.ViewOp: Reshape, Identity), which
+// computes nothing. One rule feeds all four passes: a root is a step
+// that owns storage — a kernel step owns its arena slot, a variable
+// owns its tensor — and a view step references what its input
+// references. Steady-state steps therefore run with near-zero heap
+// allocation, and tensors returned from Session.Run are copied out of
+// arena memory, so results stay valid across steps.
 //
 // The session runs every operation itself, on the host's kernels; a
 // runtime.Device only prices it for the simulated timeline — the CPU
@@ -156,8 +156,7 @@
 // bits; the determinism harness runs on both builds in CI.
 //
 // Local response normalization (AlexNet's LRN) is a tensor kernel too
-// (tensor.LRNInto, tensor.LRNGradInto; the ops are IntoOp wrappers, so
-// their outputs come from the plan arena). Per pixel the squares are
+// (tensor.LRNInto, tensor.LRNGradInto). Per pixel the squares are
 // taken once and every channel's window sum is its own ascending
 // float32 chain; scale^−β for β = 0.75 — what every model passes — is
 // 1/(√s·√√s) in float32, three correctly rounded steps within a few
@@ -208,9 +207,9 @@
 // slot state (momentum/RMSProp/Adam/Adagrad accumulators, plus Adam's
 // step counter) lives in "<var>/slot/<name>" graph variables, so
 // checkpoints capture the full optimizer trajectory and resumed runs
-// stay bit-identical for every optimizer. Finally, the Into kernels
-// (MatMulInto, ReduceInto, SoftmaxInto) never read their destination
-// and therefore forbid aliasing it with an input; the debug guard
+// stay bit-identical for every optimizer. Finally, every kernel writes
+// a destination it never reads and therefore forbids aliasing it with
+// an input; for MatMulInto, ReduceInto and SoftmaxInto the debug guard
 // tensor.AliasChecks turns violations into panics instead of silent
 // corruption (the tensor test binary enables it for every kernel
 // invocation).

@@ -50,7 +50,8 @@ type mapped struct {
 // serving all K trainees — the fusion win. Any op touching a stacked
 // operand is lifted per-slice (ops.ArrayWrap), routed onto the batched
 // GEMM (ops.BatchMatMul) when it is an untransposed product of two
-// stacked operands, or — dropout — rebuilt as its own stacked case, so
+// stacked operands, kept a view of the stack when it is a view
+// (ops.StackedView), or — dropout — rebuilt as its own stacked case, so
 // every trainee's arithmetic and the session's RNG draw order are
 // exactly those of a standalone run.
 func transform(m dist.Trainable, k int, scales []float32) (*fusedPlan, error) {
@@ -116,6 +117,10 @@ func transform(m dist.Trainable, k int, scales []float32) (*fusedPlan, error) {
 			anyStacked = anyStacked || mv.stacked
 		}
 		op := n.Op()
+		nodes := make([]*graph.Node, len(ins))
+		for i, mv := range ins {
+			nodes[i] = mv.node
+		}
 
 		fn, stacked, err := func() (*graph.Node, bool, error) {
 			// Fused dropout pair: one shared mask per dropout site
@@ -147,12 +152,12 @@ func transform(m dist.Trainable, k int, scales []float32) (*fusedPlan, error) {
 			if !anyStacked {
 				// Computed purely from shared operands: computed once,
 				// shared by all trainees.
-				shared := make([]*graph.Node, len(ins))
-				for i, mv := range ins {
-					shared[i] = mv.node
-				}
-				nd, err := fg.Apply(op, shared...)
+				nd, err := fg.Apply(op, nodes...)
 				return nd, false, err
+			}
+			if _, isView := op.(graph.ViewOp); isView {
+				nd, err := ops.StackedView(k, op, nodes...)
+				return nd, true, err
 			}
 			// The batched-GEMM fast path: an untransposed MatMul of
 			// two stacked operands is exactly one BatchMatMul over the
@@ -164,9 +169,8 @@ func transform(m dist.Trainable, k int, scales []float32) (*fusedPlan, error) {
 			// Everything else lifts per-slice: stacked operands are
 			// sliced per trainee, shared operands passed whole.
 			flags := make([]bool, len(ins))
-			nodes := make([]*graph.Node, len(ins))
 			for i, mv := range ins {
-				flags[i], nodes[i] = mv.stacked, mv.node
+				flags[i] = mv.stacked
 			}
 			nd, err := ops.ArrayWrap(k, op, flags, nodes...)
 			return nd, true, err

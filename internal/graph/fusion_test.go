@@ -19,8 +19,8 @@ func (testGemm) Class() OpClass { return ClassMatrix }
 func (testGemm) InferShape(in [][]int) ([]int, error) {
 	return append([]int(nil), in[0]...), nil
 }
-func (testGemm) Forward(ctx *ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.BinaryOp(ctx.Pool, in[0], in[1], func(a, b float32) float32 { return a*2 + b })
+func (testGemm) ForwardInto(ctx *ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	return tensor.BinaryOpInto(ctx.Pool, out, in[0], in[1], func(a, b float32) float32 { return a*2 + b })
 }
 func (o testGemm) AbsorbEpilogue(consumer Op, pos int) (Op, bool) {
 	switch consumer.(type) {
@@ -43,25 +43,23 @@ func (testFusedGemm) Class() OpClass { return ClassMatrix }
 func (o testFusedGemm) InferShape(in [][]int) ([]int, error) {
 	return append([]int(nil), in[0]...), nil
 }
-func (o testFusedGemm) Forward(ctx *ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	out, err := testGemm{}.Forward(ctx, in[:2])
-	if err != nil {
-		return nil, err
+func (o testFusedGemm) ForwardInto(ctx *ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	if err := (testGemm{}).ForwardInto(ctx, in[:2], out); err != nil {
+		return err
 	}
 	next := 2
 	for _, e := range o.eps {
 		switch e.(type) {
 		case testAdd:
-			out, err = e.Forward(ctx, []*tensor.Tensor{out, in[next]})
+			if err := tensor.BinaryOpInPlace(ctx.Pool, out, in[next], false, func(a, b float32) float32 { return a + b }); err != nil {
+				return err
+			}
 			next++
 		case testSquare:
-			out, err = e.Forward(ctx, []*tensor.Tensor{out})
-		}
-		if err != nil {
-			return nil, err
+			tensor.UnaryOpInPlace(ctx.Pool, out, func(x float32) float32 { return x * x })
 		}
 	}
-	return out, nil
+	return nil
 }
 func (o testFusedGemm) AbsorbEpilogue(consumer Op, pos int) (Op, bool) {
 	switch consumer.(type) {
@@ -197,7 +195,4 @@ type testBroadcastAdd struct{ testAdd }
 func (testBroadcastAdd) Name() string { return "Add" }
 func (testBroadcastAdd) InferShape(in [][]int) ([]int, error) {
 	return append([]int(nil), in[1]...), nil
-}
-func (testBroadcastAdd) Forward(ctx *ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.BinaryOp(ctx.Pool, in[0], in[1], func(a, b float32) float32 { return a + b })
 }

@@ -16,8 +16,8 @@ func (addN) Name() string   { return "AddN" }
 func (addN) Class() OpClass { return ClassElementwise }
 
 func (addN) InferShape(in [][]int) ([]int, error) {
-	if len(in) == 0 {
-		return nil, fmt.Errorf("AddN requires at least one input")
+	if len(in) < 2 {
+		return nil, fmt.Errorf("AddN requires at least two inputs")
 	}
 	for _, s := range in[1:] {
 		if !tensor.SameShape(s, in[0]) {
@@ -27,18 +27,21 @@ func (addN) InferShape(in [][]int) ([]int, error) {
 	return append([]int(nil), in[0]...), nil
 }
 
-func (addN) Forward(ctx *ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	out := in[0].Clone()
-	od := out.Data()
+// ForwardInto sums left to right: out = in0 + in1, then += in2 …. The
+// float32 chain per element is fixed by input order, never by how the
+// elements are chunked, so the sum keeps its bits at every width.
+func (addN) ForwardInto(ctx *ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	od, a := out.Data(), in[0].Data()
 	for _, t := range in[1:] {
-		td := t.Data()
+		x, td := a, t.Data()
 		ctx.Pool.For(len(od), 16384, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				od[i] += td[i]
+				od[i] = x[i] + td[i]
 			}
 		})
+		a = od
 	}
-	return out, nil
+	return nil
 }
 
 func (addN) Cost(in [][]int, out []int) (int64, int64) {

@@ -144,8 +144,13 @@ func (g *Graph) Const(name string, t *tensor.Tensor) *Node {
 	return g.add(&Node{kind: KindConst, name: name, shape: append([]int(nil), t.Shape()...), value: t})
 }
 
-// Apply adds an operation node, running static shape inference.
+// Apply adds an operation node, running static shape inference. The op
+// must be a kernel or a view (see Op), and not both.
 func (g *Graph) Apply(op Op, inputs ...*Node) (*Node, error) {
+	_, isKernel := op.(kernel)
+	if _, isView := op.(ViewOp); isKernel == isView {
+		return nil, fmt.Errorf("graph: %s must have exactly one of ForwardInto and View", op.Name())
+	}
 	shapes := make([][]int, len(inputs))
 	for i, in := range inputs {
 		if in == nil {

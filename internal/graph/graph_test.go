@@ -20,8 +20,8 @@ func (testAdd) InferShape(in [][]int) ([]int, error) {
 	}
 	return append([]int(nil), in[0]...), nil
 }
-func (testAdd) Forward(ctx *ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.BinaryOp(ctx.Pool, in[0], in[1], func(a, b float32) float32 { return a + b })
+func (testAdd) ForwardInto(ctx *ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	return tensor.BinaryOpInto(ctx.Pool, out, in[0], in[1], func(a, b float32) float32 { return a + b })
 }
 func (testAdd) Grad(g *Graph, n *Node, grad *Node) ([]*Node, error) {
 	return []*Node{grad, grad}, nil
@@ -34,8 +34,8 @@ func (testSquare) Class() OpClass { return ClassElementwise }
 func (testSquare) InferShape(in [][]int) ([]int, error) {
 	return append([]int(nil), in[0]...), nil
 }
-func (testSquare) Forward(ctx *ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.UnaryOp(ctx.Pool, in[0], func(x float32) float32 { return x * x }), nil
+func (testSquare) ForwardInto(ctx *ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	return tensor.UnaryOpInto(ctx.Pool, out, in[0], func(x float32) float32 { return x * x })
 }
 func (testSquare) Grad(g *Graph, n *Node, grad *Node) ([]*Node, error) {
 	two := g.Const("two", tensor.Scalar(2))
@@ -59,8 +59,8 @@ func (testMul) Class() OpClass { return ClassElementwise }
 func (testMul) InferShape(in [][]int) ([]int, error) {
 	return append([]int(nil), in[0]...), nil
 }
-func (testMul) Forward(ctx *ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.BinaryOp(ctx.Pool, in[0], in[1], func(a, b float32) float32 { return a * b })
+func (testMul) ForwardInto(ctx *ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	return tensor.BinaryOpInto(ctx.Pool, out, in[0], in[1], func(a, b float32) float32 { return a * b })
 }
 func (testMul) Grad(g *Graph, n *Node, grad *Node) ([]*Node, error) {
 	ga, err := g.Apply(testMul{}, grad, n.inputs[1])
@@ -79,8 +79,8 @@ type testSum struct{}
 func (testSum) Name() string                         { return "Sum" }
 func (testSum) Class() OpClass                       { return ClassReduction }
 func (testSum) InferShape(in [][]int) ([]int, error) { return []int{}, nil }
-func (testSum) Forward(ctx *ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.Reduce(ctx.Pool, in[0], nil, false, "sum")
+func (testSum) ForwardInto(ctx *ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	return tensor.ReduceInto(ctx.Pool, out, in[0], nil, false, "sum")
 }
 func (testSum) Grad(g *Graph, n *Node, grad *Node) ([]*Node, error) {
 	// Broadcast scalar grad to input shape via Mul with ones.
@@ -99,8 +99,8 @@ func (testBroadcastMul) Class() OpClass { return ClassElementwise }
 func (testBroadcastMul) InferShape(in [][]int) ([]int, error) {
 	return tensor.BroadcastShapes(in[0], in[1])
 }
-func (testBroadcastMul) Forward(ctx *ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.BinaryOp(ctx.Pool, in[0], in[1], func(a, b float32) float32 { return a * b })
+func (testBroadcastMul) ForwardInto(ctx *ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	return tensor.BinaryOpInto(ctx.Pool, out, in[0], in[1], func(a, b float32) float32 { return a * b })
 }
 func (testBroadcastMul) Grad(g *Graph, n *Node, grad *Node) ([]*Node, error) {
 	return nil, fmt.Errorf("not needed")
@@ -130,7 +130,7 @@ func evalNode(t *testing.T, n *Node, feeds map[*Node]*tensor.Tensor) *tensor.Ten
 			for i, in := range x.inputs {
 				ins[i] = vals[in]
 			}
-			out, err := x.op.Forward(ctx, ins)
+			out, err := Forward(ctx, x.op, ins)
 			if err != nil {
 				t.Fatalf("forward %v: %v", x, err)
 			}
@@ -168,6 +168,34 @@ func TestApplyShapeError(t *testing.T) {
 	b := g.Placeholder("b", 3, 3)
 	if _, err := g.Apply(testAdd{}, a, b); err == nil {
 		t.Fatal("expected shape inference error")
+	}
+}
+
+// testNeither has no ForwardInto and no View; testBoth has both.
+type testNeither struct{}
+
+func (testNeither) Name() string   { return "Neither" }
+func (testNeither) Class() OpClass { return ClassElementwise }
+func (testNeither) InferShape(in [][]int) ([]int, error) {
+	return append([]int(nil), in[0]...), nil
+}
+
+type testBoth struct{ testSquare }
+
+func (testBoth) View(in []*tensor.Tensor) (*tensor.Tensor, error) { return in[0], nil }
+
+// TestApplyWantsAKernelOrAView: an op is one of the two kinds or it
+// does not enter a graph.
+func TestApplyWantsAKernelOrAView(t *testing.T) {
+	g := New()
+	x := g.Placeholder("x", 2)
+	for _, op := range []Op{testNeither{}, testBoth{}} {
+		if _, err := g.Apply(op, x); err == nil {
+			t.Errorf("Apply accepted %T", op)
+		}
+	}
+	if g.NumNodes() != 1 {
+		t.Errorf("rejected ops left %d nodes behind", g.NumNodes()-1)
 	}
 }
 

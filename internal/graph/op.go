@@ -86,7 +86,21 @@ type ExecContext struct {
 
 // Op is a primitive operation: the smallest schedulable unit of the
 // runtime, and the unit at which all profiling in this repository is
-// performed.
+// performed. Beyond the three methods here an op is exactly one of two
+// kinds, and says which by the one method it adds:
+//
+//   - a kernel has
+//     ForwardInto(ctx *ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error
+//     and computes its result into a destination the caller owns. out
+//     has the statically inferred output shape, holds arbitrary stale
+//     data, and never aliases an input: a kernel writes out before it
+//     is done reading its inputs, and a compiled plan hands it recycled
+//     arena memory (see the runtime package). ForwardInto must fully
+//     overwrite out — zeroing it first if it accumulates — and must
+//     never read it.
+//   - a view implements ViewOp and computes nothing.
+//
+// Graph.Apply rejects an op that is neither, or both.
 type Op interface {
 	// Name returns the operation type name as it appears in profiles
 	// (e.g. "MatMul", "Conv2DBackFilter").
@@ -95,24 +109,42 @@ type Op interface {
 	Class() OpClass
 	// InferShape computes the static output shape from input shapes.
 	InferShape(in [][]int) ([]int, error)
-	// Forward executes the operation.
-	Forward(ctx *ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error)
 }
 
-// IntoOp is implemented by operations that can write their result into
-// a caller-provided destination tensor instead of allocating one — the
-// fast path compiled execution plans use to run steady-state steps
-// without heap allocation (see the runtime package).
-//
-// Contract: out has the statically inferred output shape, holds
-// arbitrary stale data, and never aliases any input; ForwardInto must
-// fully overwrite it (zeroing first if it accumulates) and must return
-// exactly the values Forward would. Ops that may return a view of an
-// input (Identity, Reshape, inference-mode Dropout) must not implement
-// IntoOp.
-type IntoOp interface {
-	Op
+// kernel is the method a kernel op adds to Op. The packages that run
+// kernels (runtime's execStep, the ops that wrap another op) declare
+// the same one-method interface where they call it.
+type kernel interface {
 	ForwardInto(ctx *ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error
+}
+
+// ViewOp is the method the other kind of op adds: its result is its
+// first input's storage under the inferred shape (Reshape, Identity).
+// View allocates no data, so whatever the input references, the result
+// references too — the one fact the plan compiler's root rule needs
+// from an op.
+type ViewOp interface {
+	View(in []*tensor.Tensor) (*tensor.Tensor, error)
+}
+
+// Forward runs op on in and returns the result in a tensor of its own
+// (a view's result shares its input's storage). It is a convenience for
+// constant folding and tests, not a method of any op and not on a
+// step's path: compiled plans call ForwardInto on arena memory.
+func Forward(ctx *ExecContext, op Op, in []*tensor.Tensor) (*tensor.Tensor, error) {
+	if v, ok := op.(ViewOp); ok {
+		return v.View(in)
+	}
+	shapes := make([][]int, len(in))
+	for i, t := range in {
+		shapes[i] = t.Shape()
+	}
+	shape, err := op.InferShape(shapes)
+	if err != nil {
+		return nil, err
+	}
+	out := tensor.New(shape...)
+	return out, op.(kernel).ForwardInto(ctx, in, out)
 }
 
 // GradOp is implemented by differentiable operations. Grad emits new

@@ -126,7 +126,7 @@ func Optimize(ctx *ExecContext, fetches []*Node) (*OptimizeResult, error) {
 				for i, in := range ins {
 					vals[i] = in.value
 				}
-				if folded, err := n.op.Forward(ctx, vals); err == nil {
+				if folded, err := Forward(ctx, n.op, vals); err == nil {
 					res.ConstantsFolded++
 					nn = ng.Const("folded/"+n.op.Name(), folded)
 					break

@@ -17,10 +17,8 @@ func (testIdentity) Class() OpClass { return ClassDataMovement }
 func (testIdentity) InferShape(in [][]int) ([]int, error) {
 	return append([]int(nil), in[0]...), nil
 }
-func (testIdentity) Forward(ctx *ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return in[0], nil
-}
-func (testIdentity) IsIdentity() bool { return true }
+func (testIdentity) View(in []*tensor.Tensor) (*tensor.Tensor, error) { return in[0], nil }
+func (testIdentity) IsIdentity() bool                                 { return true }
 
 type testRandom struct{ n int }
 
@@ -29,10 +27,9 @@ func (testRandom) Class() OpClass { return ClassRandom }
 func (o testRandom) InferShape(in [][]int) ([]int, error) {
 	return []int{o.n}, nil
 }
-func (o testRandom) Forward(ctx *ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	t := tensor.New(o.n)
-	tensor.FillUniform(t, ctx.RNG, 0, 1)
-	return t, nil
+func (o testRandom) ForwardInto(ctx *ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	tensor.FillUniform(out, ctx.RNG, 0, 1)
+	return nil
 }
 func (testRandom) Impure() {}
 

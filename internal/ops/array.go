@@ -10,13 +10,13 @@ import (
 // Horizontally fused array operations (see internal/fuse). A fused
 // graph trains K instances of one workload at once by stacking their
 // tensors along a new leading fusion axis of size K. Most fused nodes
-// are the ordinary primitive lifted across that axis: ArrayWrap runs
-// the wrapped kernel once per trainee on contiguous slice views, so
-// every trainee's arithmetic — operation order, chunk grid, float32
-// rounding — is exactly what its standalone run performs. That
-// per-slice execution is the determinism contract's foundation; the
-// batched-GEMM fast path (BatchMatMul) keeps it because its kernel is
-// itself a per-slice MatMul loop.
+// are the ordinary kernel lifted across that axis (a view stays a view,
+// StackedView): ArrayWrap runs the wrapped kernel once per trainee on
+// contiguous slice views, so every trainee's arithmetic — operation
+// order, chunk grid, float32 rounding — is exactly what its standalone
+// run performs. That per-slice execution is the determinism contract's
+// foundation; the batched-GEMM fast path (BatchMatMul) keeps it because
+// its kernel is itself a per-slice MatMul loop.
 //
 // What lifting alone cannot cover: broadcasting a shared (unstacked)
 // tensor across trainees (ArrayBroadcast, below), and the two stateful
@@ -61,14 +61,14 @@ func DropoutGradSrc(op graph.Op) (graph.Op, bool) {
 
 // ---- generic lifted primitive ----
 
-// arrayOp lifts a pure primitive across the fusion axis: input i is
+// arrayOp lifts a pure kernel across the fusion axis: input i is
 // either stacked (leading axis k, sliced per trainee) or shared
-// (passed whole to every trainee's invocation). Forward runs the inner
+// (passed whole to every trainee's invocation). It runs the inner
 // kernel k times on contiguous views, so each slice's result is
 // bit-identical to the standalone op on the same operands.
 type arrayOp struct {
 	k       int
-	inner   graph.Op
+	inner   kernelOp
 	stacked []bool
 }
 
@@ -122,51 +122,18 @@ func (o *arrayOp) sliceViews(in []*tensor.Tensor, kk int, views []*tensor.Tensor
 	return views
 }
 
-func (o *arrayOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	shapes := make([][]int, len(in))
-	for i, t := range in {
-		shapes[i] = t.Shape()
-	}
-	innerShapes, err := o.stripShapes(shapes)
-	if err != nil {
-		return nil, err
-	}
-	innerOut, err := o.inner.InferShape(innerShapes)
-	if err != nil {
-		return nil, err
-	}
-	out := tensor.New(append([]int{o.k}, innerOut...)...)
-	if err := o.runInto(ctx, in, out, innerOut); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ForwardInto implements graph.IntoOp: every trainee slice of out is
-// fully overwritten, and out never aliases an input (the wrapped op
-// receives fresh slice views of distinct tensors).
+// ForwardInto overwrites every trainee slice of out, and out never
+// aliases an input (the wrapped kernel receives fresh slice views of
+// distinct tensors).
 func (o *arrayOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
-	return o.runInto(ctx, in, out, out.Shape()[1:])
-}
-
-func (o *arrayOp) runInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor, innerOut []int) error {
+	innerOut := out.Shape()[1:]
 	s := tensor.SizeOf(innerOut)
 	views := make([]*tensor.Tensor, len(in))
-	into, hasInto := o.inner.(graph.IntoOp)
 	for kk := 0; kk < o.k; kk++ {
-		ins := o.sliceViews(in, kk, views)
-		dst := out.Data()[kk*s : (kk+1)*s]
-		if hasInto {
-			if err := into.ForwardInto(ctx, ins, tensor.FromSlice(dst, innerOut...)); err != nil {
-				return err
-			}
-			continue
-		}
-		res, err := o.inner.Forward(ctx, ins)
-		if err != nil {
+		dst := tensor.FromSlice(out.Data()[kk*s:(kk+1)*s], innerOut...)
+		if err := o.inner.ForwardInto(ctx, o.sliceViews(in, kk, views), dst); err != nil {
 			return err
 		}
-		copy(dst, res.Data())
 	}
 	return nil
 }
@@ -183,12 +150,13 @@ func (o *arrayOp) Cost(in [][]int, out []int) (int64, int64) {
 	return 0, defaultBytes(in, out)
 }
 
-// ArrayWrap lifts a pure primitive op across a fusion axis of size k.
+// ArrayWrap lifts a pure kernel op across a fusion axis of size k.
 // stacked[i] marks inputs carrying the leading axis; the rest are
 // shared across trainees. Impure or state-mutating ops are rejected —
 // dropout and the optimizer updates take a stack directly
-// (StackedDropout, ApplyUpdate).
-func ArrayWrap(k int, inner graph.Op, stacked []bool, inputs ...*graph.Node) (*graph.Node, error) {
+// (StackedDropout, ApplyUpdate) — and so is a view, which stays a view
+// of the stack (StackedView).
+func ArrayWrap(k int, op graph.Op, stacked []bool, inputs ...*graph.Node) (*graph.Node, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("ops: ArrayWrap fusion width %d", k)
 	}
@@ -197,6 +165,10 @@ func ArrayWrap(k int, inner graph.Op, stacked []bool, inputs ...*graph.Node) (*g
 	}
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("ops: ArrayWrap needs at least one input")
+	}
+	inner, ok := op.(kernelOp)
+	if !ok {
+		return nil, fmt.Errorf("ops: ArrayWrap cannot lift %s, which is not a kernel", op.Name())
 	}
 	if _, impure := inner.(graph.Impure); impure {
 		return nil, fmt.Errorf("ops: ArrayWrap cannot lift impure op %s", inner.Name())
@@ -218,6 +190,21 @@ func ArrayWrap(k int, inner graph.Op, stacked []bool, inputs ...*graph.Node) (*g
 	}, inputs...)
 }
 
+// StackedView applies a view op to a (K,…) stack: the same view with
+// the fusion axis carried through. A stacked Reshape is a Reshape — the
+// lanes are contiguous, so lane kk of the result is the standalone view
+// of lane kk — and nothing is lifted or copied.
+func StackedView(k int, op graph.Op, inputs ...*graph.Node) (*graph.Node, error) {
+	switch v := op.(type) {
+	case reshapeOp:
+		op = reshapeOp{target: append([]int{k}, v.target...)}
+	case identityOp:
+	default:
+		return nil, fmt.Errorf("ops: StackedView of %s, which is not a view", op.Name())
+	}
+	return inputs[0].Graph().Apply(op, inputs...)
+}
+
 // ---- broadcast: shared tensor → stacked ----
 
 // arrayBroadcastOp tiles a shared tensor K times along a new leading
@@ -233,15 +220,6 @@ func (o *arrayBroadcastOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return append([]int{o.k}, copyShape(in[0])...), nil
 }
-func (o *arrayBroadcastOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	out := tensor.New(append([]int{o.k}, in[0].Shape()...)...)
-	if err := o.ForwardInto(ctx, in, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ForwardInto implements graph.IntoOp.
 func (o *arrayBroadcastOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	src := in[0].Data()
 	s := len(src)

@@ -30,11 +30,6 @@ func (fusedAttentionOp) InferShape(in [][]int) ([]int, error) {
 	return copyShape(q), nil
 }
 
-func (o fusedAttentionOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.Attention(ctx.Pool, in[0], in[1], in[2], o.scale)
-}
-
-// ForwardInto implements graph.IntoOp.
 func (o fusedAttentionOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.AttentionInto(ctx.Pool, out, in[0], in[1], in[2], o.scale)
 }

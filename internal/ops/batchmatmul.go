@@ -34,21 +34,21 @@ func (batchMatMulOp) InferShape(in [][]int) ([]int, error) {
 	return []int{a[0], a[1], b[2]}, nil
 }
 
-func (batchMatMulOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
+// ForwardInto runs the 2-D kernel once per batch element, on views of
+// the operands and of out: each product lands where it belongs.
+func (batchMatMulOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	a, b := in[0], in[1]
 	batch, m, k := a.Shape()[0], a.Shape()[1], a.Shape()[2]
 	n := b.Shape()[2]
-	out := tensor.New(batch, m, n)
 	for i := 0; i < batch; i++ {
 		ai := tensor.FromSlice(a.Data()[i*m*k:(i+1)*m*k], m, k)
 		bi := tensor.FromSlice(b.Data()[i*k*n:(i+1)*k*n], k, n)
-		ci, err := tensor.MatMul(ctx.Pool, ai, bi, false, false)
-		if err != nil {
-			return nil, err
+		ci := tensor.FromSlice(out.Data()[i*m*n:(i+1)*m*n], m, n)
+		if err := tensor.MatMulInto(ctx.Pool, ci, ai, bi, false, false); err != nil {
+			return err
 		}
-		copy(out.Data()[i*m*n:(i+1)*m*n], ci.Data())
 	}
-	return out, nil
+	return nil
 }
 
 func (batchMatMulOp) Cost(in [][]int, out []int) (int64, int64) {
@@ -87,18 +87,17 @@ func (o oneHotOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return append(copyShape(in[0]), o.depth), nil
 }
-func (o oneHotOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	idx := in[0]
-	out := tensor.New(append(copyShape(idx.Shape()), o.depth)...)
+func (o oneHotOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	out.Zero()
 	od := out.Data()
-	for i, v := range idx.Data() {
+	for i, v := range in[0].Data() {
 		k := int(v)
 		if k < 0 || k >= o.depth {
-			return nil, fmt.Errorf("OneHot index %d out of range [0,%d)", k, o.depth)
+			return fmt.Errorf("OneHot index %d out of range [0,%d)", k, o.depth)
 		}
 		od[i*o.depth+k] = 1
 	}
-	return out, nil
+	return nil
 }
 
 // OneHot expands integer indices to one-hot vectors of the given depth

@@ -17,7 +17,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// sameShape returns in[0] copied, validating arity.
+// kernelOp is an op another op can wrap and run: graph.Op plus the
+// kernel method (see graph.Op for its contract).
+type kernelOp interface {
+	graph.Op
+	ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error
+}
+
 func copyShape(s []int) []int { return append([]int(nil), s...) }
 
 func wantInputs(name string, in [][]int, n int) error {

@@ -33,11 +33,6 @@ func (o conv2DOp) InferShape(in [][]int) ([]int, error) {
 	return []int{x[0], oh, ow, f[3]}, nil
 }
 
-func (o conv2DOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.Conv2D(ctx.Pool, in[0], in[1], o.spec)
-}
-
-// ForwardInto implements graph.IntoOp.
 func (o conv2DOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.Conv2DInto(ctx.Pool, out, in[0], in[1], o.spec)
 }
@@ -79,11 +74,6 @@ func (o conv2DBackFilterOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return []int{o.kh, o.kw, in[0][3], in[1][3]}, nil
 }
-func (o conv2DBackFilterOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.Conv2DBackFilter(ctx.Pool, in[0], in[1], o.kh, o.kw, o.spec)
-}
-
-// ForwardInto implements graph.IntoOp.
 func (o conv2DBackFilterOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.Conv2DBackFilterInto(ctx.Pool, out, in[0], in[1], o.kh, o.kw, o.spec)
 }
@@ -105,11 +95,6 @@ func (o conv2DBackInputOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return []int{in[1][0], o.h, o.w, in[0][2]}, nil
 }
-func (o conv2DBackInputOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.Conv2DBackInput(ctx.Pool, in[0], in[1], o.h, o.w, o.spec)
-}
-
-// ForwardInto implements graph.IntoOp.
 func (o conv2DBackInputOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.Conv2DBackInputInto(ctx.Pool, out, in[0], in[1], o.h, o.w, o.spec)
 }
@@ -138,11 +123,6 @@ func (o maxPoolOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return []int{in[0][0], oh, ow, in[0][3]}, nil
 }
-func (o maxPoolOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.MaxPool(ctx.Pool, in[0], o.k, o.s, o.pad)
-}
-
-// ForwardInto implements graph.IntoOp.
 func (o maxPoolOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.MaxPoolInto(ctx.Pool, out, in[0], o.k, o.s, o.pad)
 }
@@ -160,11 +140,6 @@ func (o maxPoolGradOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return copyShape(in[0]), nil
 }
-func (o maxPoolGradOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.MaxPoolGrad(ctx.Pool, in[0], in[1], o.k, o.s, o.pad)
-}
-
-// ForwardInto implements graph.IntoOp.
 func (o maxPoolGradOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.MaxPoolGradInto(ctx.Pool, out, in[0], in[1], o.k, o.s, o.pad)
 }
@@ -192,11 +167,6 @@ func (o avgPoolOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return []int{in[0][0], oh, ow, in[0][3]}, nil
 }
-func (o avgPoolOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.AvgPool(ctx.Pool, in[0], o.k, o.s, o.pad)
-}
-
-// ForwardInto implements graph.IntoOp.
 func (o avgPoolOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.AvgPoolInto(ctx.Pool, out, in[0], o.k, o.s, o.pad)
 }
@@ -217,11 +187,6 @@ func (o avgPoolGradOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return copyShape(o.inShape), nil
 }
-func (o avgPoolGradOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.AvgPoolGrad(ctx.Pool, o.inShape, in[0], o.k, o.s, o.pad)
-}
-
-// ForwardInto implements graph.IntoOp.
 func (o avgPoolGradOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.AvgPoolGradInto(ctx.Pool, out, in[0], o.k, o.s, o.pad)
 }
@@ -257,15 +222,6 @@ func (o lrnOp) InferShape(in [][]int) ([]int, error) {
 	return copyShape(in[0]), nil
 }
 
-func (o lrnOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	out := tensor.New(in[0].Shape()...)
-	if err := o.ForwardInto(ctx, in, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ForwardInto implements graph.IntoOp.
 func (o lrnOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.LRNInto(ctx.Pool, out, in[0], o.depth, o.bias, o.alpha, o.beta)
 }
@@ -290,15 +246,6 @@ func (lg lrnGradOp) InferShape(in [][]int) ([]int, error) {
 	return copyShape(in[0]), nil
 }
 
-func (lg lrnGradOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	out := tensor.New(in[0].Shape()...)
-	if err := lg.ForwardInto(ctx, in, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ForwardInto implements graph.IntoOp.
 func (lg lrnGradOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	o := lg.o
 	return tensor.LRNGradInto(ctx.Pool, out, in[0], in[1], in[2], o.depth, o.bias, o.alpha, o.beta)

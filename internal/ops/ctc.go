@@ -168,7 +168,7 @@ func (ctcLossOp) InferShape(in [][]int) ([]int, error) {
 	return []int{}, nil
 }
 
-func (ctcLossOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
+func (ctcLossOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	logits, labels := in[0], in[1]
 	T, B, K := logits.Shape()[0], logits.Shape()[1], logits.Shape()[2]
 	L := labels.Shape()[1]
@@ -196,7 +196,8 @@ func (ctcLossOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.T
 	for _, l := range losses {
 		total += l
 	}
-	return tensor.Scalar(float32(total / float64(B))), nil
+	out.Data()[0] = float32(total / float64(B))
+	return nil
 }
 
 func (ctcLossOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
@@ -216,13 +217,12 @@ func (ctcGradOp) InferShape(in [][]int) ([]int, error) {
 	return copyShape(in[0]), nil
 }
 
-func (ctcGradOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
+func (ctcGradOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	logits, labels, grad := in[0], in[1], in[2]
 	T, B, K := logits.Shape()[0], logits.Shape()[1], logits.Shape()[2]
 	L := labels.Shape()[1]
 	blank := K - 1
 	gscale := grad.Data()[0] / float32(B)
-	out := tensor.New(logits.Shape()...)
 	od := out.Data()
 	ctx.Pool.For(B, 1, func(lo, hi int) {
 		logY := make([]float64, T*K)
@@ -250,7 +250,7 @@ func (ctcGradOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.T
 			}
 		}
 	})
-	return out, nil
+	return nil
 }
 
 // CTCLoss returns the mean CTC loss of logits (T,B,K) against padded

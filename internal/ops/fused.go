@@ -51,10 +51,9 @@ func epilogueFor(consumer graph.Op, pos int) (epilogue, bool) {
 // epilogues applied in place on the base kernel's output. Inputs are
 // the base op's inputs (arity of them) followed by one operand per
 // binary epilogue, in fusion order. Pure and stateless like its parts;
-// it implements graph.IntoOp, so it is arena-friendly, and
-// graph.EpilogueProducer, so chains keep absorbing.
+// it implements graph.EpilogueProducer, so chains keep absorbing.
 type fusedEpilogueOp struct {
-	base  graph.Op // MatMul or Conv2D; must implement graph.IntoOp
+	base  kernelOp // MatMul or Conv2D
 	arity int      // base input count
 	eps   []epilogue
 }
@@ -100,27 +99,11 @@ func (o *fusedEpilogueOp) InferShape(in [][]int) ([]int, error) {
 	return shape, nil
 }
 
-func (o *fusedEpilogueOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	shapes := make([][]int, len(in))
-	for i, t := range in {
-		shapes[i] = t.Shape()
-	}
-	shape, err := o.InferShape(shapes)
-	if err != nil {
-		return nil, err
-	}
-	out := tensor.New(shape...)
-	if err := o.ForwardInto(ctx, in, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ForwardInto implements graph.IntoOp: the base kernel fully
-// overwrites out, and the epilogues rewrite it in place — out never
-// aliases an input (the epilogue operands are distinct buffers).
+// ForwardInto: the base kernel fully overwrites out, and the epilogues
+// rewrite it in place — out never aliases an input (the epilogue
+// operands are distinct buffers).
 func (o *fusedEpilogueOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
-	if err := o.base.(graph.IntoOp).ForwardInto(ctx, in[:o.arity], out); err != nil {
+	if err := o.base.ForwardInto(ctx, in[:o.arity], out); err != nil {
 		return err
 	}
 	next := o.arity

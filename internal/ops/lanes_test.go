@@ -210,9 +210,10 @@ func TestStackedDropoutMatchesStandalone(t *testing.T) {
 	if d.OpName() != "ArrayDropout" || dg.OpName() != "ArrayDropoutGrad" {
 		t.Fatalf("stacked dropout reports %q / %q", d.OpName(), dg.OpName())
 	}
-	// Inference mode is the identity, returned as a view of the input.
+	// Inference mode is the identity, as a copy: the step owns a slot
+	// in either mode.
 	ctx := &graph.ExecContext{Pool: tensor.NewPool(1), RNG: rand.New(rand.NewSource(1))}
-	if out, err := d.Op().Forward(ctx, []*tensor.Tensor{x}); err != nil || out != x {
-		t.Fatalf("inference-mode stacked dropout must return its input (err %v)", err)
+	if out, err := graph.Forward(ctx, d.Op(), []*tensor.Tensor{x}); err != nil || out == x || !sameBits(out.Data(), x.Data()) {
+		t.Fatalf("inference-mode stacked dropout must return a copy of its input (err %v)", err)
 	}
 }

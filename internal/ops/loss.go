@@ -26,7 +26,7 @@ func (crossEntropyOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return []int{}, nil
 }
-func (crossEntropyOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
+func (crossEntropyOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	logits, labels := in[0], in[1]
 	b, c := logits.Shape()[0], logits.Shape()[1]
 	ld := logits.Data()
@@ -45,11 +45,12 @@ func (crossEntropyOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*ten
 		}
 		lbl := int(labels.Data()[r])
 		if lbl < 0 || lbl >= c {
-			return nil, fmt.Errorf("CrossEntropy label %d out of range [0,%d)", lbl, c)
+			return fmt.Errorf("CrossEntropy label %d out of range [0,%d)", lbl, c)
 		}
 		total += math.Log(sum) - float64(row[lbl]-m)
 	}
-	return tensor.Scalar(float32(total / float64(b))), nil
+	out.Data()[0] = float32(total / float64(b))
+	return nil
 }
 func (crossEntropyOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
 	logits, labels := n.Inputs()[0], n.Inputs()[1]
@@ -67,19 +68,21 @@ func (crossEntropyGradOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return copyShape(in[0]), nil
 }
-func (crossEntropyGradOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
+func (crossEntropyGradOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	logits, labels, grad := in[0], in[1], in[2]
 	b, c := logits.Shape()[0], logits.Shape()[1]
 	gscale := grad.Data()[0] / float32(b)
-	sm := tensor.Softmax(ctx.Pool, logits)
-	od := sm.Data()
+	if err := tensor.SoftmaxInto(ctx.Pool, out, logits); err != nil {
+		return err
+	}
+	od := out.Data()
 	for r := 0; r < b; r++ {
 		od[r*c+int(labels.Data()[r])] -= 1
 	}
 	for i := range od {
 		od[i] *= gscale
 	}
-	return sm, nil
+	return nil
 }
 
 // CrossEntropy returns the mean softmax cross-entropy of logits (B,C)
@@ -105,7 +108,7 @@ func (sigmoidCrossEntropyOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return []int{}, nil
 }
-func (sigmoidCrossEntropyOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
+func (sigmoidCrossEntropyOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	x, t := in[0], in[1]
 	b := x.Shape()[0]
 	xd, td := x.Data(), t.Data()
@@ -114,7 +117,8 @@ func (sigmoidCrossEntropyOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor
 		xv, tv := float64(xd[i]), float64(td[i])
 		total += math.Max(xv, 0) - xv*tv + math.Log(1+math.Exp(-math.Abs(xv)))
 	}
-	return tensor.Scalar(float32(total / float64(b))), nil
+	out.Data()[0] = float32(total / float64(b))
+	return nil
 }
 func (sigmoidCrossEntropyOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
 	x, t := n.Inputs()[0], n.Inputs()[1]
@@ -132,11 +136,10 @@ func (sigmoidCrossEntropyGradOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return copyShape(in[0]), nil
 }
-func (sigmoidCrossEntropyGradOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
+func (sigmoidCrossEntropyGradOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	x, t, grad := in[0], in[1], in[2]
 	b := x.Shape()[0]
 	gscale := grad.Data()[0] / float32(b)
-	out := tensor.New(x.Shape()...)
 	xd, td, od := x.Data(), t.Data(), out.Data()
 	ctx.Pool.For(len(xd), 8192, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -144,7 +147,7 @@ func (sigmoidCrossEntropyGradOp) Forward(ctx *graph.ExecContext, in []*tensor.Te
 			od[i] = (sig - td[i]) * gscale
 		}
 	})
-	return out, nil
+	return nil
 }
 
 // SigmoidCrossEntropy returns mean-over-batch of summed elementwise

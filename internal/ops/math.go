@@ -64,11 +64,6 @@ func (o binOp) fn() func(a, b float32) float32 {
 	panic("ops: unhandled binary kind")
 }
 
-func (o binOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.BinaryOp(ctx.Pool, in[0], in[1], o.fn())
-}
-
-// ForwardInto implements graph.IntoOp.
 func (o binOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.BinaryOpInto(ctx.Pool, out, in[0], in[1], o.fn())
 }
@@ -104,7 +99,7 @@ func (o binOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.N
 		gb := Neg(Mul(grad, Div(n, b))) // -grad·(a/b)/b
 		return []*graph.Node{sumToShape(g, ga, a.Shape()), sumToShape(g, gb, b.Shape())}, nil
 	case binMaximum:
-		maskA := LessEqual(b, a) // 1 where a wins (ties to a, matching Forward)
+		maskA := LessEqual(b, a) // 1 where a wins (ties to a, matching the kernel)
 		maskB := Sub(ScalarConst(g, 1), maskA)
 		return []*graph.Node{
 			sumToShape(g, Mul(grad, maskA), a.Shape()),
@@ -158,11 +153,6 @@ func lessEqualFn(a, b float32) float32 {
 	return 0
 }
 
-func (lessEqualOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.BinaryOp(ctx.Pool, in[0], in[1], lessEqualFn)
-}
-
-// ForwardInto implements graph.IntoOp.
 func (lessEqualOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.BinaryOpInto(ctx.Pool, out, in[0], in[1], lessEqualFn)
 }
@@ -187,11 +177,6 @@ func equalFn(a, b float32) float32 {
 	return 0
 }
 
-func (equalOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.BinaryOp(ctx.Pool, in[0], in[1], equalFn)
-}
-
-// ForwardInto implements graph.IntoOp.
 func (equalOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.BinaryOpInto(ctx.Pool, out, in[0], in[1], equalFn)
 }
@@ -255,11 +240,6 @@ func (o unOp) fn() func(x float32) float32 {
 	panic("ops: unhandled unary kind")
 }
 
-func (o unOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.UnaryOp(ctx.Pool, in[0], o.fn()), nil
-}
-
-// ForwardInto implements graph.IntoOp.
 func (o unOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.UnaryOpInto(ctx.Pool, out, in[0], o.fn())
 }
@@ -345,11 +325,6 @@ func reluGradFn(gv, xv float32) float32 {
 	return 0
 }
 
-func (reluGradOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.BinaryOp(ctx.Pool, in[0], in[1], reluGradFn)
-}
-
-// ForwardInto implements graph.IntoOp.
 func (reluGradOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.BinaryOpInto(ctx.Pool, out, in[0], in[1], reluGradFn)
 }
@@ -373,11 +348,6 @@ func (o powOp) fn() func(x float32) float32 {
 	}
 }
 
-func (o powOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.UnaryOp(ctx.Pool, in[0], o.fn()), nil
-}
-
-// ForwardInto implements graph.IntoOp.
 func (o powOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.UnaryOpInto(ctx.Pool, out, in[0], o.fn())
 }
@@ -417,11 +387,6 @@ func (o huberOp) fn() func(x float32) float32 {
 	}
 }
 
-func (o huberOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.UnaryOp(ctx.Pool, in[0], o.fn()), nil
-}
-
-// ForwardInto implements graph.IntoOp.
 func (o huberOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.UnaryOpInto(ctx.Pool, out, in[0], o.fn())
 }

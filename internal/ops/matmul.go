@@ -41,11 +41,6 @@ func (o matMulOp) InferShape(in [][]int) ([]int, error) {
 	return []int{m, n}, nil
 }
 
-func (o matMulOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.MatMul(ctx.Pool, in[0], in[1], o.transA, o.transB)
-}
-
-// ForwardInto implements graph.IntoOp.
 func (o matMulOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.MatMulInto(ctx.Pool, out, in[0], in[1], o.transA, o.transB)
 }

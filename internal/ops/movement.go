@@ -51,7 +51,9 @@ func (o reshapeOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return resolveReshape(o.target, tensor.SizeOf(in[0]))
 }
-func (o reshapeOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
+
+// View implements graph.ViewOp.
+func (o reshapeOp) View(in []*tensor.Tensor) (*tensor.Tensor, error) {
 	shape, err := resolveReshape(o.target, in[0].Size())
 	if err != nil {
 		return nil, err
@@ -131,13 +133,11 @@ func (shapeOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return []int{len(in[0])}, nil
 }
-func (shapeOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	s := in[0].Shape()
-	out := tensor.New(len(s))
-	for i, d := range s {
+func (shapeOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	for i, d := range in[0].Shape() {
 		out.Data()[i] = float32(d)
 	}
-	return out, nil
+	return nil
 }
 
 // ShapeOf returns the runtime shape of x as a rank-1 tensor.
@@ -155,9 +155,9 @@ func (identityOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return copyShape(in[0]), nil
 }
-func (identityOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return in[0], nil
-}
+
+// View implements graph.ViewOp.
+func (identityOp) View(in []*tensor.Tensor) (*tensor.Tensor, error) { return in[0], nil }
 func (identityOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
 	return []*graph.Node{grad}, nil
 }
@@ -192,8 +192,8 @@ func (o transposeOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return out, nil
 }
-func (o transposeOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.Transpose(ctx.Pool, in[0], o.perm)
+func (o transposeOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	return tensor.TransposeInto(ctx.Pool, out, in[0], o.perm)
 }
 func (o transposeOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
 	inv := make([]int, len(o.perm))
@@ -244,8 +244,8 @@ func (o concatOp) InferShape(in [][]int) ([]int, error) {
 	out[axis] = total
 	return out, nil
 }
-func (o concatOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.Concat(ctx.Pool, o.axis, in...)
+func (o concatOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	return tensor.ConcatInto(ctx.Pool, out, o.axis, in...)
 }
 func (o concatOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
 	axis := o.axis
@@ -295,8 +295,8 @@ func (o sliceOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return out, nil
 }
-func (o sliceOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.SliceTensor(ctx.Pool, in[0], o.begin, o.size)
+func (o sliceOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	return tensor.SliceTensorInto(ctx.Pool, out, in[0], o.begin, o.size)
 }
 func (o sliceOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
 	// The adjoint zero-pads the gradient back into the input extent,
@@ -341,8 +341,8 @@ func (o padOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return out, nil
 }
-func (o padOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.Pad(ctx.Pool, in[0], o.before, o.after)
+func (o padOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	return tensor.PadInto(ctx.Pool, out, in[0], o.before, o.after)
 }
 func (o padOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
 	size := copyShape(n.Inputs()[0].Shape())
@@ -385,8 +385,8 @@ func (gatherOp) InferShape(in [][]int) ([]int, error) {
 	out = append(out, in[0][1:]...)
 	return out, nil
 }
-func (gatherOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.GatherRows(ctx.Pool, in[0], in[1])
+func (gatherOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	return tensor.GatherRowsInto(ctx.Pool, out, in[0], in[1])
 }
 func (gatherOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
 	params, idx := n.Inputs()[0], n.Inputs()[1]
@@ -410,8 +410,9 @@ func (o scatterAddOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return copyShape(o.paramShape), nil
 }
-func (o scatterAddOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.ScatterAddRows(ctx.Pool, in[0], in[1], o.paramShape), nil
+func (scatterAddOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	tensor.ScatterAddRowsInto(ctx.Pool, out, in[0], in[1])
+	return nil
 }
 
 // ---- NoOp group (class G): joins side-effecting fetches ----
@@ -423,12 +424,9 @@ func (noOp) Class() graph.OpClass { return graph.ClassDataMovement }
 func (noOp) InferShape(in [][]int) ([]int, error) {
 	return []int{}, nil
 }
-func (noOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.Scalar(0), nil
-}
 
-// ForwardInto implements graph.IntoOp: the group's result references
-// none of its inputs, so fetching it does not keep their buffers live.
+// ForwardInto writes the group's own scalar: its result references none
+// of its inputs, so fetching it does not keep their buffers live.
 func (noOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	out.Data()[0] = 0
 	return nil

@@ -331,40 +331,6 @@ func TestLRNRejectedAtGraphBuild(t *testing.T) {
 	}
 }
 
-// TestLRNForwardIntoMatchesForward: both LRN ops write exactly
-// Forward's bits over a destination holding stale data.
-func TestLRNForwardIntoMatchesForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	ctx := &graph.ExecContext{Pool: tensor.NewPool(1)}
-	x := tensor.RandNormal(rng, 0, 2, 2, 5, 5, 24)
-	dy := tensor.RandNormal(rng, 0, 1, 2, 5, 5, 24)
-	for _, beta := range []float32{0.75, 0.6} {
-		fwd := lrnOp{depth: 5, bias: 2, alpha: 1e-2, beta: beta}
-		y, err := fwd.Forward(ctx, []*tensor.Tensor{x})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range []struct {
-			op graph.IntoOp
-			in []*tensor.Tensor
-		}{{fwd, []*tensor.Tensor{x}}, {lrnGradOp{fwd}, []*tensor.Tensor{x, y, dy}}} {
-			want, err := c.op.Forward(ctx, c.in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := tensor.Full(float32(math.NaN()), x.Shape()...)
-			if err := c.op.ForwardInto(ctx, c.in, got); err != nil {
-				t.Fatal(err)
-			}
-			for i, w := range want.Data() {
-				if math.Float32bits(got.Data()[i]) != math.Float32bits(w) {
-					t.Fatalf("%s beta %g: ForwardInto element %d is %g, Forward gives %g", c.op.Name(), beta, i, got.Data()[i], w)
-				}
-			}
-		}
-	}
-}
-
 func TestOpNamesAndClasses(t *testing.T) {
 	g := graph.New()
 	a := g.Const("a", tensor.Ones(2, 2))

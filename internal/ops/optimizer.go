@@ -168,16 +168,10 @@ func (o *applyOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return []int{}, nil
 }
-func (o *applyOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	out := tensor.Scalar(0)
-	return out, o.ForwardInto(ctx, in, out)
-}
 
-// ForwardInto implements graph.IntoOp. The update's scalar result is
-// never a view of its gradient input, and saying so is what lets a plan
-// free the gradient's buffer at the update: an op without ForwardInto is
-// taken to reference everything its inputs do, which pinned every
-// weight gradient for as long as the fetched train op was live.
+// ForwardInto updates the target in place; its own result is a scalar
+// that references nothing, so a plan frees the gradient's buffer at the
+// update.
 func (o *applyOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	var step float64
 	if o.step != nil {

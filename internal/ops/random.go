@@ -22,10 +22,9 @@ func (o randomNormalOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return copyShape(o.shape), nil
 }
-func (o randomNormalOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	t := tensor.New(o.shape...)
-	tensor.FillNormal(t, ctx.RNG, 0, 1)
-	return t, nil
+func (randomNormalOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	tensor.FillNormal(out, ctx.RNG, 0, 1)
+	return nil
 }
 
 // Impure implements graph.Impure: sampling must never be folded.
@@ -46,10 +45,9 @@ func (o randomUniformOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return copyShape(o.shape), nil
 }
-func (o randomUniformOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	t := tensor.New(o.shape...)
-	tensor.FillUniform(t, ctx.RNG, 0, 1)
-	return t, nil
+func (randomUniformOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	tensor.FillUniform(out, ctx.RNG, 0, 1)
+	return nil
 }
 
 // Impure implements graph.Impure.
@@ -66,7 +64,9 @@ func RandomUniform(g *graph.Graph, shape ...int) *graph.Node {
 // mask and stores it so the paired DropoutGrad applies the *same* mask.
 // This mirrors cuDNN-style fused dropout. The executor runs operations
 // sequentially and the gradient is topologically after the forward op,
-// so the handoff is safe. In inference mode dropout is the identity.
+// so the handoff is safe. In inference mode dropout is the identity —
+// as a copy, not a view: Training is a session flag a compiled plan
+// cannot see, so the step owns a slot in either mode and fills it.
 //
 // lead is the number of leading axes the mask does not span: 0 for an
 // ordinary tensor, 1 for a horizontally fused (K,…) stack (see
@@ -102,10 +102,11 @@ func (o *dropoutOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return copyShape(in[0]), nil
 }
-func (o *dropoutOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
+func (o *dropoutOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	x := in[0]
 	if !ctx.Training || o.rate <= 0 {
-		return x, nil
+		copy(out.Data(), x.Data())
+		return nil
 	}
 	keep := 1 - o.rate
 	mask := tensor.New(x.Shape()[o.lead:]...)
@@ -117,23 +118,21 @@ func (o *dropoutOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tenso
 		}
 	}
 	o.mask = mask
-	return o.applyMask(ctx, x)
+	return o.applyMask(ctx, x, out)
 }
 
-// applyMask multiplies x by the saved mask. A stack is viewed as
-// (lanes, S) against the mask as (S), which is BinaryOp's trailing-
+// applyMask multiplies x by the saved mask into out. A stack is viewed
+// as (lanes, S) against the mask as (S), which is BinaryOp's trailing-
 // broadcast path; products are elementwise, so every lane holds the
 // bits a standalone run computes.
-func (o *dropoutOp) applyMask(ctx *graph.ExecContext, x *tensor.Tensor) (*tensor.Tensor, error) {
-	out := tensor.New(x.Shape()...)
-	dst, mask := out, o.mask
+func (o *dropoutOp) applyMask(ctx *graph.ExecContext, x, out *tensor.Tensor) error {
+	mask := o.mask
 	if o.lead > 0 {
 		s := mask.Size()
 		lanes := x.Size() / s
-		dst, x, mask = tensor.FromSlice(out.Data(), lanes, s), tensor.FromSlice(x.Data(), lanes, s), tensor.FromSlice(mask.Data(), s)
+		out, x, mask = tensor.FromSlice(out.Data(), lanes, s), tensor.FromSlice(x.Data(), lanes, s), tensor.FromSlice(mask.Data(), s)
 	}
-	err := tensor.BinaryOpInto(ctx.Pool, dst, x, mask, func(a, m float32) float32 { return a * m })
-	return out, err
+	return tensor.BinaryOpInto(ctx.Pool, out, x, mask, func(a, m float32) float32 { return a * m })
 }
 func (o *dropoutOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
 	return []*graph.Node{g.MustApply(&dropoutGradOp{src: o}, grad)}, nil
@@ -149,15 +148,15 @@ func (o *dropoutGradOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return copyShape(in[0]), nil
 }
-func (o *dropoutGradOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
+func (o *dropoutGradOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	if !ctx.Training || o.src.rate <= 0 || o.src.mask == nil {
-		return in[0], nil
+		copy(out.Data(), in[0].Data())
+		return nil
 	}
-	return o.src.applyMask(ctx, in[0])
+	return o.src.applyMask(ctx, in[0], out)
 }
 
-// Impure implements graph.Impure: dropout is stateful and stochastic —
-// and may return its input as a view in inference mode, so no IntoOp.
+// Impure implements graph.Impure: dropout is stateful and stochastic.
 func (*dropoutOp) Impure() {}
 
 // Impure implements graph.Impure.

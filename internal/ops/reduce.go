@@ -34,11 +34,6 @@ func (o reduceOp) InferShape(in [][]int) ([]int, error) {
 	return tensor.ReducedShape(in[0], o.axes, o.keepDims)
 }
 
-func (o reduceOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.Reduce(ctx.Pool, in[0], o.axes, o.keepDims, o.kind)
-}
-
-// ForwardInto implements graph.IntoOp.
 func (o reduceOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.ReduceInto(ctx.Pool, out, in[0], o.axes, o.keepDims, o.kind)
 }
@@ -157,11 +152,6 @@ func (o sumToOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return copyShape(o.target), nil
 }
-func (o sumToOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.ReduceGradToShape(ctx.Pool, in[0], o.target), nil
-}
-
-// ForwardInto implements graph.IntoOp.
 func (o sumToOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.ReduceGradToShapeInto(ctx.Pool, out, in[0])
 }
@@ -186,8 +176,9 @@ func (argMaxOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return copyShape(in[0][:len(in[0])-1]), nil
 }
-func (argMaxOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.ArgMax(in[0]), nil
+func (argMaxOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	tensor.ArgMaxInto(out, in[0])
+	return nil
 }
 
 // ArgMax returns the index of the maximum along the last axis.
@@ -208,11 +199,6 @@ func (softmaxOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return copyShape(in[0]), nil
 }
-func (softmaxOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.Softmax(ctx.Pool, in[0]), nil
-}
-
-// ForwardInto implements graph.IntoOp.
 func (softmaxOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.SoftmaxInto(ctx.Pool, out, in[0])
 }
@@ -231,11 +217,10 @@ func (softmaxGradOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return copyShape(in[0]), nil
 }
-func (softmaxGradOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
+func (softmaxGradOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	y, grad := in[0], in[1]
 	c := y.Shape()[len(y.Shape())-1]
 	rows := y.Size() / c
-	out := tensor.New(y.Shape()...)
 	yd, gd, od := y.Data(), grad.Data(), out.Data()
 	ctx.Pool.For(rows, 64, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
@@ -249,7 +234,7 @@ func (softmaxGradOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tens
 			}
 		}
 	})
-	return out, nil
+	return nil
 }
 
 // Softmax applies a fused row-wise softmax over the last axis.
@@ -277,8 +262,8 @@ func (o tileOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return out, nil
 }
-func (o tileOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.Tile(ctx.Pool, in[0], o.multiples)
+func (o tileOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	return tensor.TileInto(ctx.Pool, out, in[0], o.multiples)
 }
 func (o tileOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
 	return []*graph.Node{g.MustApply(tileGradOp{orig: copyShape(n.Inputs()[0].Shape())}, grad)}, nil
@@ -299,8 +284,9 @@ func (o tileGradOp) InferShape(in [][]int) ([]int, error) {
 	}
 	return copyShape(o.orig), nil
 }
-func (o tileGradOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.TileGradReduce(ctx.Pool, in[0], o.orig), nil
+func (o tileGradOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	tensor.TileGradReduceInto(ctx.Pool, out, in[0])
+	return nil
 }
 
 // TileN repeats x multiples[i] times along each axis.

@@ -2,7 +2,7 @@ package runtime
 
 // Plan compilation: four passes over one step-indexed IR.
 //
-//	schedule   topological order, the into/alloc decision, roots
+//	schedule   topological order, roots
 //	liveness   when each arena slot dies, which fetches must be cloned
 //	constrain  data, variable-hazard and Impure-lane scheduling edges
 //	assign     arena buffers for the slots, reuse gated by the edges
@@ -12,15 +12,12 @@ package runtime
 // graphs in compile_test.go, and checkPlan there states what a finished
 // plan must satisfy.
 //
-// The root rule, stated once: a root is a step that owns storage — an
-// into-op step owns its arena slot, a variable step owns its tensor. An
-// op with a ForwardInto fast path always writes fresh arena memory, so
-// its value references exactly its own slot. Any other op may return a
-// view of an input (Reshape, Identity, inference-mode Dropout do), so
-// its value is taken to reference everything its inputs reference.
-// Constants and feeds own nothing the plan manages. Slot lifetimes,
-// copy-on-fetch, variable hazards, buffer-reuse gating and the guard's
-// read sets are all read off that one analysis.
+// The root rule, stated once: a root is a step that owns storage — a
+// kernel step owns its arena slot, a variable step owns its tensor — and
+// a view step references what its input references (graph.Op has the
+// two kinds). Constants and feeds own nothing the plan manages. Slot
+// lifetimes, copy-on-fetch, variable hazards, buffer-reuse gating and
+// the guard's read sets are all read off that one analysis.
 
 import (
 	"time"
@@ -66,8 +63,8 @@ type schedule struct {
 	nOps     int
 	fetchPos []int
 	// reads[i] is the union of the roots of op step i's inputs; roots[i]
-	// is what step i's own value may reference: itself for a root, and
-	// reads[i] for an op that may return a view.
+	// is what step i's own value references: itself for a root, and what
+	// its first input references for a view.
 	reads, roots []rootSet
 	// writes[i] are the hazard ids op step i rewrites in place
 	// (graph.Mutator). A node's hazard id is its schedule position;
@@ -77,11 +74,11 @@ type schedule struct {
 	hazards int
 }
 
-func (sc *schedule) isSlot(r int32) bool { return sc.steps[r].into != nil }
+func (sc *schedule) isSlot(r int32) bool { return sc.steps[r].kernel != nil }
 func (sc *schedule) isVar(r int32) bool  { return sc.steps[r].kind == graph.KindVariable }
 
 // newSchedule is the first pass: topological order, one planStep per
-// node, the into/alloc decision, and the root analysis.
+// node, and the root analysis.
 func newSchedule(fetches []*graph.Node) *schedule {
 	order := graph.Topo(fetches)
 	n := len(order)
@@ -111,11 +108,12 @@ func newSchedule(fetches []*graph.Node) *schedule {
 				st.ins[j] = pos[in]
 				sc.reads[i] = union(sc.reads[i], sc.roots[pos[in]])
 			}
-			if io, ok := nd.Op().(graph.IntoOp); ok && tensor.SizeOf(nd.Shape()) > 0 {
-				st.into = io
-				sc.roots[i] = rootSet{int32(i)}
+			if v, ok := nd.Op().(graph.ViewOp); ok {
+				st.view = v
+				sc.roots[i] = sc.roots[st.ins[0]]
 			} else {
-				sc.roots[i] = sc.reads[i]
+				st.kernel = nd.Op().(kernel) // Graph.Apply admits nothing else
+				sc.roots[i] = rootSet{int32(i)}
 			}
 			if mut, ok := nd.Op().(graph.Mutator); ok {
 				for _, v := range mut.Mutates() {
@@ -136,7 +134,7 @@ func newSchedule(fetches []*graph.Node) *schedule {
 
 // liveness is the second pass. slotEnd[r] is the schedule position
 // after which slot r's buffer is dead — the last use of any value that
-// may reference it — and 0 where step r owns no slot (a slot is read
+// references it — and 0 where step r owns no slot (a slot is read
 // after position 0). A slot reachable from a fetch is pinned for the
 // whole run (position len(steps)) and that fetch is cloned on the way
 // out (fetchCopy). Indexed by step, so buffers are released — and enter
@@ -314,7 +312,7 @@ func (a ancestry) has(anc, of int) bool {
 // schedule and frees each slot's buffer as soon as the scan passes its
 // last use, so later slots with disjoint lifetimes reuse it. A step's
 // destination is drawn while all of its inputs' buffers are still
-// checked out, so out never aliases an input. It sets each into-step's
+// checked out, so out never aliases an input. It sets each kernel step's
 // out and every op step's guard read set, and reports how many slots
 // it assigned over how many distinct buffers.
 //
@@ -380,7 +378,7 @@ func assign(sc *schedule, slotEnd []int, e *edgeSet, interOp int, arena *tensor.
 	held := make([]buffer, n)      // held[sl]: the buffer behind slot sl
 	freelist := map[int][]buffer{} // size class → freed buffers (LIFO)
 	for i := range sc.steps {
-		if st := &sc.steps[i]; st.into != nil {
+		if st := &sc.steps[i]; st.kernel != nil {
 			size := tensor.SizeOf(st.node.Shape())
 			bkt := tensor.BucketFor(size)
 			free := freelist[bkt]

@@ -70,20 +70,20 @@ func TestSchedulePass(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		node  *graph.Node
-		into  bool
+		slot  bool
 		roots []*graph.Node
 		reads []*graph.Node
 	}{
 		{"feed owns nothing", x, false, nil, nil},
 		{"variable owns its tensor", w, false, []*graph.Node{w}, nil},
-		{"into-op owns its slot", mm, true, []*graph.Node{mm}, []*graph.Node{w}},
+		{"kernel owns its slot", mm, true, []*graph.Node{mm}, []*graph.Node{w}},
 		{"view chain carries the slot", view, false, []*graph.Node{mm}, []*graph.Node{mm}},
 		{"view of a variable carries it", wview, false, []*graph.Node{w}, []*graph.Node{w}},
-		{"into-op over a view reads the variable", side, true, []*graph.Node{side}, []*graph.Node{w}},
+		{"kernel over a view reads the variable", side, true, []*graph.Node{side}, []*graph.Node{w}},
 	} {
 		i := sc.at(t, c.node)
-		if got := sc.steps[i].into != nil; got != c.into {
-			t.Errorf("%s: into = %t, want %t", c.name, got, c.into)
+		if got := sc.isSlot(int32(i)); got != c.slot {
+			t.Errorf("%s: owns a slot = %t, want %t", c.name, got, c.slot)
 		}
 		if want := sc.positions(t, c.roots...); !reflect.DeepEqual(sc.roots[i], want) {
 			t.Errorf("%s: roots %v, want %v", c.name, sc.roots[i], want)
@@ -333,6 +333,7 @@ func TestAssignPass(t *testing.T) {
 // does not inherit a mistake of the passes:
 //
 //   - every scheduling edge points forward;
+//   - every op step owns a slot or is a graph.ViewOp, never both;
 //   - no step's destination shares a buffer with anything its inputs
 //     may reference;
 //   - a slot a fetch may reference is cloned on fetch and its buffer is
@@ -364,7 +365,7 @@ func checkPlan(p *Plan) error {
 	}
 	reaches := func(from, to int) bool { return reach[to][from/64]&(1<<uint(from%64)) != 0 }
 
-	// slots[i]: the slot-owning steps step i's value may reference.
+	// slots[i]: the slot-owning steps step i's value references.
 	slots := make([]map[int]bool, n)
 	readers := make([][]int, n)
 	for i := range p.steps {
@@ -385,10 +386,14 @@ func checkPlan(p *Plan) error {
 				return fmt.Errorf("step %d (%v) writes the buffer of slot %d, which its inputs may reference", i, st.node, sl)
 			}
 		}
-		if st.out != nil {
-			slots[i][i] = true
+		_, isView := st.node.Op().(graph.ViewOp)
+		if isView == (st.out != nil) {
+			return fmt.Errorf("step %d (%v): view %t, owns a slot %t", i, st.node, isView, st.out != nil)
+		}
+		if isView {
+			slots[i] = slots[st.ins[0]]
 		} else {
-			slots[i] = reads
+			slots[i][i] = true
 		}
 	}
 	pinned := map[int]bool{}
@@ -467,6 +472,17 @@ func TestCheckPlanCatchesBrokenPlans(t *testing.T) {
 	p.fetchCopy[0] = false
 	if err := checkPlan(p); err == nil {
 		t.Error("a plan returning arena memory from Run passed")
+	}
+	// Take a kernel step's slot away.
+	p = compile(1)
+	for i := range p.steps {
+		if st := &p.steps[i]; st.out != nil {
+			st.out = nil
+			break
+		}
+	}
+	if err := checkPlan(p); err == nil {
+		t.Error("a plan with a kernel step that owns no slot passed")
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// buildChain is a small feed-forward stack whose intermediates are all
-// IntoOp-capable, so the plan assigns arena slots throughout.
+// buildChain is a small feed-forward stack of kernels, so the plan
+// assigns arena slots throughout.
 func buildChain() (*graph.Graph, *graph.Node, *graph.Node, *graph.Node) {
 	g := graph.New()
 	x := g.Placeholder("x", 4, 8)
@@ -42,7 +42,7 @@ func TestRunResultsSurviveSubsequentRuns(t *testing.T) {
 	}
 }
 
-// TestFetchThroughViewIsCopied guards the conservative alias analysis:
+// TestFetchThroughViewIsCopied guards the alias analysis:
 // a fetch reached through a view op (Reshape of an arena-backed
 // MatMul) must still be protected by copy-on-fetch.
 func TestFetchThroughViewIsCopied(t *testing.T) {
@@ -137,7 +137,8 @@ func TestPlanOutputNeverAliasesInput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref = tensor.UnaryOp(p, mm, func(v float32) float32 {
+		ref = mm
+		tensor.UnaryOpInPlace(p, ref, func(v float32) float32 {
 			if v > 0 {
 				return v
 			}
@@ -149,20 +150,36 @@ func TestPlanOutputNeverAliasesInput(t *testing.T) {
 	}
 }
 
+// buildMovementChain is Slice → Concat → Tile → Transpose → Gather:
+// data movement only, every result in an arena slot.
+func buildMovementChain() (*graph.Graph, *graph.Node, *graph.Node, *graph.Node) {
+	g := graph.New()
+	x := g.Placeholder("x", 4, 8)
+	left := ops.SliceN(x, []int{0, 0}, []int{4, 4})
+	wide := ops.TileN(ops.ConcatN(1, left, left), []int{2, 1})
+	idx := g.Const("idx", tensor.FromSlice([]float32{7, 0, 3}, 3))
+	y := ops.Gather(ops.Transpose(wide), idx)
+	return g, x, left, y
+}
+
 // TestSteadyStateRunAllocsLittle: after the first Run compiles the
 // plan, subsequent Runs should perform only a handful of allocations
-// (the fetch clone and bookkeeping), not one per intermediate.
+// (the fetch clone and bookkeeping), not one per intermediate —
+// whatever kind of kernel the intermediates come from.
 func TestSteadyStateRunAllocsLittle(t *testing.T) {
-	g, x, _, y := buildChain()
-	_ = g
-	s := NewSession(g)
-	feed := Feeds{x: tensor.Ones(4, 8)}
-	s.MustRun([]*graph.Node{y}, feed)
-	allocs := testing.AllocsPerRun(20, func() {
+	for name, build := range map[string]func() (*graph.Graph, *graph.Node, *graph.Node, *graph.Node){
+		"arithmetic": buildChain, "movement": buildMovementChain,
+	} {
+		_, x, _, y := build()
+		s := NewSession(y.Graph())
+		feed := Feeds{x: tensor.Ones(4, 8)}
 		s.MustRun([]*graph.Node{y}, feed)
-	})
-	if allocs > 12 {
-		t.Fatalf("steady-state Run allocates %v objects; the plan should hold them near zero", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			s.MustRun([]*graph.Node{y}, feed)
+		})
+		if allocs > 12 {
+			t.Errorf("%s chain: steady-state Run allocates %v objects; the plan should hold them near zero", name, allocs)
+		}
 	}
 }
 
@@ -194,8 +211,8 @@ func TestTrainingStepMatchesSeedSemantics(t *testing.T) {
 	}
 }
 
-// TestGPUDevicePlansIntoPath: the modeled GPU also supports the
-// ForwardInto fast path and must stay numerically identical to CPU.
+// TestGPUDevicePlansIntoPath: a session pricing on the modeled GPU runs
+// the same arena plan and must stay numerically identical to CPU.
 func TestGPUDevicePlansIntoPath(t *testing.T) {
 	g, x, _, y := buildChain()
 	_ = g

@@ -12,14 +12,12 @@
 // dependencies in topological order, plus a static buffer assignment.
 // Compilation is four passes over one step-indexed IR — schedule,
 // liveness, constrain, assign; compile.go states the rule they share —
-// that give every operation implementing graph.IntoOp a destination
-// slot in a size-bucketed buffer arena (tensor.Arena). Two
-// intermediates with disjoint lifetimes share one buffer, and because
-// plans are cached on the session, steady-state steps execute with
-// near-zero heap allocation: operations write into their preassigned
-// slots through the ForwardInto fast path, and only those that cannot
-// (views such as Reshape, stateful random ops) keep the allocating
-// Forward path.
+// that give every kernel operation (graph.Op) a destination slot in a
+// size-bucketed buffer arena (tensor.Arena). Two intermediates with
+// disjoint lifetimes share one buffer, and because plans are cached on
+// the session, steady-state steps execute with near-zero heap
+// allocation: every operation writes into its preassigned slot, except
+// the views (Reshape, Identity), which compute nothing.
 //
 // Tensors returned from Run never alias arena memory: any fetch whose
 // value may reach an arena slot is deep-copied on the way out
@@ -177,14 +175,22 @@ func (d *GPUDevice) OpTime(n *graph.Node, _ *tensor.Pool, _ time.Duration) time.
 // Feeds maps placeholder nodes to their input tensors for one Run.
 type Feeds map[*graph.Node]*tensor.Tensor
 
-// planStep is one scheduled node of a compiled plan.
+// kernel is the method of a kernel op (see graph.Op), as execStep calls
+// it.
+type kernel interface {
+	ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error
+}
+
+// planStep is one scheduled node of a compiled plan. An op step is a
+// kernel, which writes its arena slot out, or a view, which has none.
 type planStep struct {
-	node *graph.Node
-	kind graph.NodeKind
-	ins  []int            // value positions of the node's inputs
-	in   []*tensor.Tensor // reusable input gather buffer
-	out  *tensor.Tensor   // arena-backed destination (fast path only)
-	into graph.IntoOp     // non-nil iff out is set
+	node   *graph.Node
+	kind   graph.NodeKind
+	ins    []int            // value positions of the node's inputs
+	in     []*tensor.Tensor // reusable input gather buffer
+	kernel kernel           // a kernel step's op, and
+	out    *tensor.Tensor   // the arena slot it writes
+	view   graph.ViewOp     // a view step's op
 	// readBufs are the arena buffers this step's inputs may reference
 	// (through views included) — the read set the tensor.BufferGuard
 	// assertion hook brackets in test builds.
@@ -606,7 +612,7 @@ func (s *Session) runSequential(plan *Plan, feeds Feeds) error {
 }
 
 // execStep runs one op step through the given execution context — the
-// package's one call site of Forward and ForwardInto — bracketing
+// package's one call site of ForwardInto and View — bracketing
 // arena-buffer access with the test-build guard, and has the session's
 // device price the wall time it measured.
 func (s *Session) execStep(ctx *graph.ExecContext, st *planStep, in []*tensor.Tensor, guard *tensor.BufferGuard) (*tensor.Tensor, opTiming, error) {
@@ -630,10 +636,10 @@ func (s *Session) execStep(ctx *graph.ExecContext, st *planStep, in []*tensor.Te
 	out := st.out
 	var err error
 	tm := opTiming{start: time.Now()}
-	if st.into != nil {
-		err = st.into.ForwardInto(ctx, in, out)
+	if st.view != nil {
+		out, err = st.view.View(in)
 	} else {
-		out, err = st.node.Op().Forward(ctx, in)
+		err = st.kernel.ForwardInto(ctx, in, out)
 	}
 	tm.wall = time.Since(tm.start)
 	tm.dur = s.dev.OpTime(st.node, ctx.Pool, tm.wall)

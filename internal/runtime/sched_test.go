@@ -303,7 +303,7 @@ func TestParallelMissingFeedAndErrors(t *testing.T) {
 	}
 }
 
-// failingOp errors in Forward on demand (after shape inference).
+// failingOp errors when run (after shape inference).
 type failingOp struct{}
 
 func (failingOp) Name() string         { return "Failing" }
@@ -311,11 +311,11 @@ func (failingOp) Class() graph.OpClass { return graph.ClassElementwise }
 func (failingOp) InferShape(in [][]int) ([]int, error) {
 	return append([]int(nil), in[0]...), nil
 }
-func (failingOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return nil, fmt.Errorf("deliberate failure")
+func (failingOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	return fmt.Errorf("deliberate failure")
 }
 
-// panickyOp panics in Forward.
+// panickyOp panics when run.
 type panickyOp struct{}
 
 func (panickyOp) Name() string         { return "Panicky" }
@@ -323,7 +323,7 @@ func (panickyOp) Class() graph.OpClass { return graph.ClassElementwise }
 func (panickyOp) InferShape(in [][]int) ([]int, error) {
 	return append([]int(nil), in[0]...), nil
 }
-func (panickyOp) Forward(ctx *graph.ExecContext, in []*tensor.Tensor) (*tensor.Tensor, error) {
+func (panickyOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	panic("deliberate panic")
 }
 
@@ -377,7 +377,7 @@ func randomDAG(seed int64, size int) (*graph.Graph, *graph.Node, []*graph.Node) 
 	pick := func() *graph.Node { return pool[r.Intn(len(pool))] }
 	for i := 0; i < size; i++ {
 		var nd *graph.Node
-		switch r.Intn(8) {
+		switch r.Intn(9) {
 		case 0:
 			nd = ops.Relu(pick())
 		case 1:
@@ -395,6 +395,9 @@ func randomDAG(seed int64, size int) (*graph.Graph, *graph.Node, []*graph.Node) 
 		case 7:
 			// View chain: exercises the alias analysis and anti-edges.
 			nd = ops.Reshape(ops.Reshape(pick(), 6, 4), 4, 6)
+		case 8:
+			// A view of whatever the pick is: a slot, a view, a sample.
+			nd = ops.Identity(pick())
 		}
 		pool = append(pool, nd)
 	}

@@ -17,8 +17,8 @@ import (
 // for the fused streaming kernel and as the measurement baseline in
 // BENCH_kernels.json.
 func naiveAttentionRef(t testing.TB, p *Pool, q, k, v *Tensor, scale float32) *Tensor {
-	kt, err := Transpose(p, k, []int{0, 2, 1})
-	if err != nil {
+	kt := New(k.shape[0], k.shape[2], k.shape[1])
+	if err := TransposeInto(p, kt, k, []int{0, 2, 1}); err != nil {
 		t.Fatal(err)
 	}
 	scores := naiveBatchMatMul(t, p, q, kt)

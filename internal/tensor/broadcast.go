@@ -201,13 +201,6 @@ func UnaryOpInPlace(p *Pool, out *Tensor, fn func(x float32) float32) {
 	unaryOpInto(p, out, out, fn)
 }
 
-// UnaryOp applies fn elementwise into a new tensor.
-func UnaryOp(p *Pool, a *Tensor, fn func(x float32) float32) *Tensor {
-	out := New(a.shape...)
-	unaryOpInto(p, out, a, fn)
-	return out
-}
-
 // UnaryOpInto applies fn elementwise into out, which must have a's
 // shape. out is fully overwritten and must not alias a.
 func UnaryOpInto(p *Pool, out, a *Tensor, fn func(x float32) float32) error {
@@ -227,22 +220,11 @@ func unaryOpInto(p *Pool, out, a *Tensor, fn func(x float32) float32) {
 	})
 }
 
-// ReduceGradToShape sums grad (of the broadcast output shape) down to
-// `shape`, undoing broadcasting: summed over leading extra axes and
-// over axes where shape has 1 but grad does not. Used by gradients of
-// broadcasting binary operations.
-func ReduceGradToShape(p *Pool, grad *Tensor, shape []int) *Tensor {
-	if SameShape(grad.shape, shape) {
-		return grad.Clone()
-	}
-	out := New(shape...)
-	reduceGradToShapeInto(p, out, grad)
-	return out
-}
-
-// ReduceGradToShapeInto is ReduceGradToShape into a preallocated out
-// (whose shape is the reduction target); out is reinitialized and must
-// not alias grad.
+// ReduceGradToShapeInto sums grad (of the broadcast output shape) down
+// to out's shape, undoing broadcasting: summed over leading extra axes
+// and over axes where out has 1 but grad does not. Used by gradients of
+// broadcasting binary operations. out is reinitialized and must not
+// alias grad.
 func ReduceGradToShapeInto(p *Pool, out, grad *Tensor) error {
 	if b, err := BroadcastShapes(out.shape, grad.shape); err != nil || !SameShape(b, grad.shape) {
 		return fmt.Errorf("tensor: ReduceGradToShapeInto target %v does not broadcast to %v", out.shape, grad.shape)

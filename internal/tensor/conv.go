@@ -239,22 +239,10 @@ func (g patches) col2im(p *Pool, out *Tensor, col []float32, r0, r1 int) {
 	})
 }
 
-// Conv2DBackFilter computes the gradient of Conv2D with respect to the
-// filter: input (N,H,W,Cin), gradOut (N,OH,OW,Cout) → (KH,KW,Cin,Cout).
-func Conv2DBackFilter(p *Pool, in, gradOut *Tensor, kh, kw int, spec ConvSpec) (*Tensor, error) {
-	if in.Rank() != 4 || gradOut.Rank() != 4 {
-		return nil, fmt.Errorf("tensor: Conv2DBackFilter requires NHWC tensors, got %v and %v", in.shape, gradOut.shape)
-	}
-	out := New(kh, kw, in.shape[3], gradOut.shape[3])
-	if err := Conv2DBackFilterInto(p, out, in, gradOut, kh, kw, spec); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Conv2DBackFilterInto writes the filter gradient colᵀ·dY into out,
-// which must have shape (kh, kw, Cin, Cout), is fully overwritten and
-// must not alias in or gradOut.
+// Conv2DBackFilterInto writes the gradient of Conv2D with respect to
+// the filter, colᵀ·dY for input (N,H,W,Cin) and gradOut (N,OH,OW,Cout),
+// into out, which must have shape (kh, kw, Cin, Cout), is fully
+// overwritten and must not alias in or gradOut.
 func Conv2DBackFilterInto(p *Pool, out, in, gradOut *Tensor, kh, kw int, spec ConvSpec) error {
 	spec = spec.check()
 	if in.Rank() != 4 {
@@ -282,22 +270,10 @@ func Conv2DBackFilterInto(p *Pool, out, in, gradOut *Tensor, kh, kw int, spec Co
 	return nil
 }
 
-// Conv2DBackInput computes the gradient of Conv2D with respect to the
-// input: filter (KH,KW,Cin,Cout), gradOut (N,OH,OW,Cout) → (N,H,W,Cin).
-func Conv2DBackInput(p *Pool, filter, gradOut *Tensor, h, w int, spec ConvSpec) (*Tensor, error) {
-	if filter.Rank() != 4 || gradOut.Rank() != 4 {
-		return nil, fmt.Errorf("tensor: Conv2DBackInput requires rank-4 tensors, got %v and %v", filter.shape, gradOut.shape)
-	}
-	out := New(gradOut.shape[0], h, w, filter.shape[2])
-	if err := Conv2DBackInputInto(p, out, filter, gradOut, h, w, spec); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Conv2DBackInputInto writes the input gradient col2im(dY·Wᵀ) into out,
-// which must have shape (N, h, w, Cin), is fully overwritten and must
-// not alias filter or gradOut.
+// Conv2DBackInputInto writes the gradient of Conv2D with respect to
+// the input, col2im(dY·Wᵀ) for filter (KH,KW,Cin,Cout) and gradOut
+// (N,OH,OW,Cout), into out, which must have shape (N, h, w, Cin), is
+// fully overwritten and must not alias filter or gradOut.
 func Conv2DBackInputInto(p *Pool, out, filter, gradOut *Tensor, h, w int, spec ConvSpec) error {
 	spec = spec.check()
 	if filter.Rank() != 4 || gradOut.Rank() != 4 || filter.shape[3] != gradOut.shape[3] {
@@ -324,21 +300,6 @@ func Conv2DBackInputInto(p *Pool, out, filter, gradOut *Tensor, h, w int, spec C
 	return nil
 }
 
-// MaxPool computes max pooling over (N,H,W,C) with window k and stride
-// s (symmetric padding p, padded cells treated as -inf).
-func MaxPool(p *Pool, in *Tensor, k, s, pad int) (*Tensor, error) {
-	if in.Rank() != 4 {
-		return nil, fmt.Errorf("tensor: MaxPool requires NHWC input, got %v", in.shape)
-	}
-	oh := ConvOutSize(in.shape[1], k, s, pad)
-	ow := ConvOutSize(in.shape[2], k, s, pad)
-	out := New(in.shape[0], oh, ow, in.shape[3])
-	if err := MaxPoolInto(p, out, in, k, s, pad); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // poolOutCheck validates a pooling destination against the inferred
 // output shape.
 func poolOutCheck(name string, out, in *Tensor, k, s, pad int) error {
@@ -352,7 +313,9 @@ func poolOutCheck(name string, out, in *Tensor, k, s, pad int) error {
 	return nil
 }
 
-// MaxPoolInto computes max pooling into out, fully overwriting it.
+// MaxPoolInto computes max pooling over (N,H,W,C) with window k and
+// stride s (symmetric padding pad, padded cells treated as -inf) into
+// out, fully overwriting it.
 func MaxPoolInto(p *Pool, out, in *Tensor, k, s, pad int) error {
 	if err := poolOutCheck("MaxPoolInto", out, in, k, s, pad); err != nil {
 		return err
@@ -395,18 +358,10 @@ func MaxPoolInto(p *Pool, out, in *Tensor, k, s, pad int) error {
 
 const negInf = float32(-3.4e38)
 
-// MaxPoolGrad routes gradOut back to the argmax input cell of each
-// pooling window (ties go to the first maximum, matching MaxPool).
-func MaxPoolGrad(p *Pool, in, gradOut *Tensor, k, s, pad int) (*Tensor, error) {
-	out := New(in.shape...)
-	if err := MaxPoolGradInto(p, out, in, gradOut, k, s, pad); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MaxPoolGradInto accumulates the pooling gradient into out after
-// zeroing it; out must have the input's shape.
+// MaxPoolGradInto routes gradOut back to the argmax input cell of each
+// pooling window (ties go to the first maximum, matching MaxPoolInto),
+// accumulating into out after zeroing it; out must have the input's
+// shape.
 func MaxPoolGradInto(p *Pool, out, in, gradOut *Tensor, k, s, pad int) error {
 	if !SameShape(out.shape, in.shape) {
 		return fmt.Errorf("tensor: MaxPoolGradInto destination %v, want %v", out.shape, in.shape)
@@ -456,21 +411,8 @@ func MaxPoolGradInto(p *Pool, out, in, gradOut *Tensor, k, s, pad int) error {
 	return nil
 }
 
-// AvgPool computes average pooling over valid (unpadded) cells.
-func AvgPool(p *Pool, in *Tensor, k, s, pad int) (*Tensor, error) {
-	if in.Rank() != 4 {
-		return nil, fmt.Errorf("tensor: AvgPool requires NHWC input, got %v", in.shape)
-	}
-	oh := ConvOutSize(in.shape[1], k, s, pad)
-	ow := ConvOutSize(in.shape[2], k, s, pad)
-	out := New(in.shape[0], oh, ow, in.shape[3])
-	if err := AvgPoolInto(p, out, in, k, s, pad); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AvgPoolInto computes average pooling into out after zeroing it.
+// AvgPoolInto computes average pooling over valid (unpadded) cells into
+// out after zeroing it.
 func AvgPoolInto(p *Pool, out, in *Tensor, k, s, pad int) error {
 	if err := poolOutCheck("AvgPoolInto", out, in, k, s, pad); err != nil {
 		return err
@@ -529,18 +471,9 @@ func AvgPoolInto(p *Pool, out, in *Tensor, k, s, pad int) error {
 	return nil
 }
 
-// AvgPoolGrad distributes gradOut uniformly over each window's valid
-// input cells.
-func AvgPoolGrad(p *Pool, inShape []int, gradOut *Tensor, k, s, pad int) (*Tensor, error) {
-	out := New(inShape...)
-	if err := AvgPoolGradInto(p, out, gradOut, k, s, pad); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AvgPoolGradInto accumulates the average-pooling gradient into out
-// (whose shape is the original input shape) after zeroing it.
+// AvgPoolGradInto distributes gradOut uniformly over each window's
+// valid input cells, accumulating into out (whose shape is the original
+// input shape) after zeroing it.
 func AvgPoolGradInto(p *Pool, out, gradOut *Tensor, k, s, pad int) error {
 	if out.Rank() != 4 || gradOut.Rank() != 4 {
 		return fmt.Errorf("tensor: AvgPoolGradInto wants NHWC tensors, got %v and %v", out.shape, gradOut.shape)

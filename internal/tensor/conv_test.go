@@ -341,53 +341,29 @@ func TestConvIntoVariantsOverwriteDirtyDestinations(t *testing.T) {
 		t.Fatal("Conv2DInto must fully overwrite a dirty destination")
 	}
 
+	// The kernels with no allocating form: a zeroed and a dirty
+	// destination must end up the same.
 	grad := RandNormal(rng, 0, 1, out.Shape()...)
-	gf, err := Conv2DBackFilter(p, in, grad, 3, 3, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirty = Full(99, 3, 3, 2, 3)
-	if err := Conv2DBackFilterInto(p, dirty, in, grad, 3, 3, spec); err != nil {
-		t.Fatal(err)
-	}
-	if !AllClose(dirty, gf, 0, 0) {
-		t.Fatal("Conv2DBackFilterInto must zero before accumulating")
-	}
-
-	gi, err := Conv2DBackInput(p, f, grad, 6, 6, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirty = Full(99, 1, 6, 6, 2)
-	if err := Conv2DBackInputInto(p, dirty, f, grad, 6, 6, spec); err != nil {
-		t.Fatal(err)
-	}
-	if !AllClose(dirty, gi, 0, 0) {
-		t.Fatal("Conv2DBackInputInto must zero before accumulating")
-	}
-
-	mp, err := MaxPool(p, in, 2, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirty = Full(99, mp.Shape()...)
-	if err := MaxPoolInto(p, dirty, in, 2, 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !AllClose(dirty, mp, 0, 0) {
-		t.Fatal("MaxPoolInto must fully overwrite a dirty destination")
-	}
-
-	ap, err := AvgPool(p, in, 2, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirty = Full(99, ap.Shape()...)
-	if err := AvgPoolInto(p, dirty, in, 2, 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !AllClose(dirty, ap, 0, 0) {
-		t.Fatal("AvgPoolInto must zero before accumulating")
+	for _, c := range []struct {
+		name  string
+		shape []int
+		run   func(out *Tensor) error
+	}{
+		{"Conv2DBackFilterInto", []int{3, 3, 2, 3}, func(o *Tensor) error { return Conv2DBackFilterInto(p, o, in, grad, 3, 3, spec) }},
+		{"Conv2DBackInputInto", []int{1, 6, 6, 2}, func(o *Tensor) error { return Conv2DBackInputInto(p, o, f, grad, 6, 6, spec) }},
+		{"MaxPoolInto", []int{1, 3, 3, 2}, func(o *Tensor) error { return MaxPoolInto(p, o, in, 2, 2, 0) }},
+		{"AvgPoolInto", []int{1, 3, 3, 2}, func(o *Tensor) error { return AvgPoolInto(p, o, in, 2, 2, 0) }},
+	} {
+		clean, dirty := New(c.shape...), Full(99, c.shape...)
+		if err := c.run(clean); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.run(dirty); err != nil {
+			t.Fatal(err)
+		}
+		if !AllClose(dirty, clean, 0, 0) {
+			t.Fatalf("%s must fully overwrite a dirty destination", c.name)
+		}
 	}
 }
 
@@ -412,12 +388,11 @@ func TestConv2DGradientsFiniteDiff(t *testing.T) {
 	}
 	gradOut := Ones(out.Shape()...)
 
-	gf, err := Conv2DBackFilter(p, in, gradOut, 3, 3, spec)
-	if err != nil {
+	gf, gi := New(f.Shape()...), New(in.Shape()...)
+	if err := Conv2DBackFilterInto(p, gf, in, gradOut, 3, 3, spec); err != nil {
 		t.Fatal(err)
 	}
-	gi, err := Conv2DBackInput(p, f, gradOut, 6, 6, spec)
-	if err != nil {
+	if err := Conv2DBackInputInto(p, gi, f, gradOut, 6, 6, spec); err != nil {
 		t.Fatal(err)
 	}
 
@@ -465,8 +440,8 @@ func TestMaxPoolKnown(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 4, 4, 1)
-	out, err := MaxPool(p, in, 2, 2, 0)
-	if err != nil {
+	out := New(1, 2, 2, 1)
+	if err := MaxPoolInto(p, out, in, 2, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	want := []float32{6, 8, 14, 16}
@@ -484,8 +459,8 @@ func TestMaxPoolGradRoutesToArgmax(t *testing.T) {
 		3, 4,
 	}, 1, 2, 2, 1)
 	gradOut := FromSlice([]float32{10}, 1, 1, 1, 1)
-	g, err := MaxPoolGrad(p, in, gradOut, 2, 2, 0)
-	if err != nil {
+	g := Full(99, in.Shape()...)
+	if err := MaxPoolGradInto(p, g, in, gradOut, 2, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	want := []float32{0, 0, 0, 10}
@@ -504,8 +479,8 @@ func TestAvgPoolKnownAndGrad(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 4, 4, 1)
-	out, err := AvgPool(p, in, 2, 2, 0)
-	if err != nil {
+	out := New(1, 2, 2, 1)
+	if err := AvgPoolInto(p, out, in, 2, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	want := []float32{3.5, 5.5, 11.5, 13.5}
@@ -515,8 +490,8 @@ func TestAvgPoolKnownAndGrad(t *testing.T) {
 		}
 	}
 	gradOut := FromSlice([]float32{4, 4, 4, 4}, 1, 2, 2, 1)
-	g, err := AvgPoolGrad(p, in.Shape(), gradOut, 2, 2, 0)
-	if err != nil {
+	g := Full(99, in.Shape()...)
+	if err := AvgPoolGradInto(p, g, gradOut, 2, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range g.Data() {
@@ -530,19 +505,16 @@ func TestPoolingWithPadding(t *testing.T) {
 	p := NewPool(1)
 	rng := rand.New(rand.NewSource(6))
 	in := RandNormal(rng, 0, 1, 2, 7, 7, 3)
-	out, err := MaxPool(p, in, 3, 2, 1)
-	if err != nil {
-		t.Fatal(err)
+	// The padded output is (2,4,4,3): the kernels refuse any other
+	// destination.
+	if err := MaxPoolInto(p, New(2, 4, 4, 3), in, 3, 2, 1); err != nil {
+		t.Fatalf("padded maxpool: %v", err)
 	}
-	if !SameShape(out.Shape(), []int{2, 4, 4, 3}) {
-		t.Fatalf("padded maxpool shape %v", out.Shape())
+	if err := AvgPoolInto(p, New(2, 4, 4, 3), in, 3, 2, 1); err != nil {
+		t.Fatalf("padded avgpool: %v", err)
 	}
-	out2, err := AvgPool(p, in, 3, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !SameShape(out2.Shape(), []int{2, 4, 4, 3}) {
-		t.Fatalf("padded avgpool shape %v", out2.Shape())
+	if MaxPoolInto(p, New(2, 3, 3, 3), in, 3, 2, 1) == nil || AvgPoolInto(p, New(2, 3, 3, 3), in, 3, 2, 1) == nil {
+		t.Fatal("padded pooling accepted an unpadded destination shape")
 	}
 }
 

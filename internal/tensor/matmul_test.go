@@ -259,8 +259,8 @@ func TestMatMulTransposeIdentityQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		abT, err := Transpose(p, ab, []int{1, 0})
-		if err != nil {
+		abT := New(n, m)
+		if TransposeInto(p, abT, ab, []int{1, 0}) != nil {
 			return false
 		}
 		// Bᵀ·Aᵀ computed with transpose flags on the stored tensors.

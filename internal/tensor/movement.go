@@ -2,23 +2,46 @@ package tensor
 
 import "fmt"
 
-// Transpose permutes the axes of a tensor. perm must be a permutation
-// of [0,rank).
-func Transpose(p *Pool, in *Tensor, perm []int) (*Tensor, error) {
+// The movement kernels write into out, which must have the shape the
+// arguments imply and must not alias an input; it may hold stale data
+// and is fully overwritten.
+
+// dstCheck validates a movement kernel's destination against the shape
+// its arguments imply, dim(i) along axis i. The shape is compared in
+// place and built only to report an error: these kernels run once per
+// step of a compiled plan.
+func dstCheck(name string, out *Tensor, rank int, dim func(i int) int) error {
+	ok := len(out.shape) == rank
+	for i := 0; ok && i < rank; i++ {
+		ok = out.shape[i] == dim(i)
+	}
+	if ok {
+		return nil
+	}
+	want := make([]int, rank)
+	for i := range want {
+		want[i] = dim(i)
+	}
+	return fmt.Errorf("tensor: %s destination %v, want %v", name, out.shape, want)
+}
+
+// TransposeInto permutes the axes of a tensor. perm must be a
+// permutation of [0,rank).
+func TransposeInto(p *Pool, out, in *Tensor, perm []int) error {
 	rank := in.Rank()
 	if len(perm) != rank {
-		return nil, fmt.Errorf("tensor: Transpose perm %v does not match rank %d", perm, rank)
+		return fmt.Errorf("tensor: Transpose perm %v does not match rank %d", perm, rank)
 	}
 	seen := make([]bool, rank)
-	outShape := make([]int, rank)
-	for i, a := range perm {
+	for _, a := range perm {
 		if a < 0 || a >= rank || seen[a] {
-			return nil, fmt.Errorf("tensor: Transpose perm %v is not a permutation", perm)
+			return fmt.Errorf("tensor: Transpose perm %v is not a permutation", perm)
 		}
 		seen[a] = true
-		outShape[i] = in.shape[a]
 	}
-	out := New(outShape...)
+	if err := dstCheck("TransposeInto", out, rank, func(i int) int { return in.shape[perm[i]] }); err != nil {
+		return err
+	}
 	if rank == 2 && perm[0] == 1 && perm[1] == 0 {
 		// Fast common case.
 		r, c := in.shape[0], in.shape[1]
@@ -30,11 +53,11 @@ func Transpose(p *Pool, in *Tensor, perm []int) (*Tensor, error) {
 				}
 			}
 		})
-		return out, nil
+		return nil
 	}
 	// Stride of output position per input axis.
 	ostByIn := make([]int, rank)
-	ost := Strides(outShape)
+	ost := Strides(out.shape)
 	for i, a := range perm {
 		ostByIn[a] = ost[i]
 	}
@@ -53,23 +76,24 @@ func Transpose(p *Pool, in *Tensor, perm []int) (*Tensor, error) {
 			opos -= ostByIn[i] * in.shape[i]
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// Tile repeats a tensor multiples[i] times along each axis.
-func Tile(p *Pool, in *Tensor, multiples []int) (*Tensor, error) {
+// TileInto repeats a tensor multiples[i] times along each axis.
+func TileInto(p *Pool, out, in *Tensor, multiples []int) error {
 	rank := in.Rank()
 	if len(multiples) != rank {
-		return nil, fmt.Errorf("tensor: Tile multiples %v does not match rank %d", multiples, rank)
+		return fmt.Errorf("tensor: Tile multiples %v does not match rank %d", multiples, rank)
 	}
-	outShape := make([]int, rank)
-	for i := range outShape {
-		if multiples[i] < 1 {
-			return nil, fmt.Errorf("tensor: Tile multiple must be >= 1, got %v", multiples)
+	for _, m := range multiples {
+		if m < 1 {
+			return fmt.Errorf("tensor: Tile multiple must be >= 1, got %v", multiples)
 		}
-		outShape[i] = in.shape[i] * multiples[i]
 	}
-	out := New(outShape...)
+	if err := dstCheck("TileInto", out, rank, func(i int) int { return in.shape[i] * multiples[i] }); err != nil {
+		return err
+	}
+	outShape := out.shape
 	ist := Strides(in.shape)
 	ost := Strides(outShape)
 	id, od := in.data, out.data
@@ -95,13 +119,14 @@ func Tile(p *Pool, in *Tensor, multiples []int) (*Tensor, error) {
 			}
 		}
 	})
-	return out, nil
+	return nil
 }
 
-// TileGradReduce sums a gradient of the tiled shape back to the
-// original shape (the adjoint of Tile).
-func TileGradReduce(p *Pool, grad *Tensor, origShape []int) *Tensor {
-	out := New(origShape...)
+// TileGradReduceInto sums a gradient of the tiled shape back to out's
+// shape, the original one (the adjoint of Tile). out is zeroed first.
+func TileGradReduceInto(p *Pool, out, grad *Tensor) {
+	origShape := out.shape
+	out.Zero()
 	ist := Strides(origShape)
 	rank := len(origShape)
 	gd, od := grad.data, out.data
@@ -120,37 +145,44 @@ func TileGradReduce(p *Pool, grad *Tensor, origShape []int) *Tensor {
 			idx[i] = 0
 		}
 	}
-	return out
 }
 
-// Concat joins tensors along the given axis. All inputs must agree on
-// every other dimension.
-func Concat(p *Pool, axis int, ins ...*Tensor) (*Tensor, error) {
+// ConcatInto joins tensors along the given axis. All inputs must agree
+// on every other dimension.
+func ConcatInto(p *Pool, out *Tensor, axis int, ins ...*Tensor) error {
 	if len(ins) == 0 {
-		return nil, fmt.Errorf("tensor: Concat requires at least one input")
+		return fmt.Errorf("tensor: Concat requires at least one input")
 	}
 	rank := ins[0].Rank()
 	if axis < 0 {
 		axis += rank
 	}
 	if axis < 0 || axis >= rank {
-		return nil, fmt.Errorf("tensor: Concat axis %d out of range for rank %d", axis, rank)
+		return fmt.Errorf("tensor: Concat axis %d out of range for rank %d", axis, rank)
 	}
-	outShape := append([]int(nil), ins[0].shape...)
+	first := ins[0].shape
 	concatDim := 0
 	for _, t := range ins {
 		if t.Rank() != rank {
-			return nil, fmt.Errorf("tensor: Concat rank mismatch")
+			return fmt.Errorf("tensor: Concat rank mismatch")
 		}
 		for i := range t.shape {
-			if i != axis && t.shape[i] != outShape[i] {
-				return nil, fmt.Errorf("tensor: Concat shape mismatch %v vs %v on axis %d", t.shape, outShape, i)
+			if i != axis && t.shape[i] != first[i] {
+				return fmt.Errorf("tensor: Concat shape mismatch %v vs %v on axis %d", t.shape, first, i)
 			}
 		}
 		concatDim += t.shape[axis]
 	}
-	outShape[axis] = concatDim
-	out := New(outShape...)
+	err := dstCheck("ConcatInto", out, rank, func(i int) int {
+		if i == axis {
+			return concatDim
+		}
+		return first[i]
+	})
+	if err != nil {
+		return err
+	}
+	outShape := out.shape
 	// outer = product of dims before axis; inner = product after.
 	outer := 1
 	for i := 0; i < axis; i++ {
@@ -170,32 +202,34 @@ func Concat(p *Pool, axis int, ins ...*Tensor) (*Tensor, error) {
 		}
 		off += rowIn
 	}
-	return out, nil
+	return nil
 }
 
-// SliceTensor extracts a contiguous region: out[i...] =
+// SliceTensorInto extracts a contiguous region: out[i...] =
 // in[begin[0]+i0, begin[1]+i1, ...] with the given size per axis. A
 // size of -1 means "to the end of that axis".
-func SliceTensor(p *Pool, in *Tensor, begin, size []int) (*Tensor, error) {
+func SliceTensorInto(p *Pool, out, in *Tensor, begin, size []int) error {
 	rank := in.Rank()
 	if len(begin) != rank || len(size) != rank {
-		return nil, fmt.Errorf("tensor: Slice begin/size must match rank %d", rank)
+		return fmt.Errorf("tensor: Slice begin/size must match rank %d", rank)
 	}
-	outShape := make([]int, rank)
-	for i := range outShape {
-		s := size[i]
-		if s == -1 {
-			s = in.shape[i] - begin[i]
+	extent := func(i int) int {
+		if size[i] == -1 {
+			return in.shape[i] - begin[i]
 		}
-		if begin[i] < 0 || s < 0 || begin[i]+s > in.shape[i] {
-			return nil, fmt.Errorf("tensor: Slice [%v:%v] out of bounds for %v", begin, size, in.shape)
-		}
-		outShape[i] = s
+		return size[i]
 	}
-	out := New(outShape...)
+	for i := 0; i < rank; i++ {
+		if s := extent(i); begin[i] < 0 || s < 0 || begin[i]+s > in.shape[i] {
+			return fmt.Errorf("tensor: Slice [%v:%v] out of bounds for %v", begin, size, in.shape)
+		}
+	}
+	if err := dstCheck("SliceTensorInto", out, rank, extent); err != nil {
+		return err
+	}
 	ist := Strides(in.shape)
-	copySlice(in.data, out.data, in.shape, outShape, begin, ist, 0, 0, 0)
-	return out, nil
+	copySlice(in.data, out.data, in.shape, out.shape, begin, ist, 0, 0, 0)
+	return nil
 }
 
 func copySlice(id, od []float32, inShape, outShape, begin, ist []int, axis, ioff, ooff int) {
@@ -214,51 +248,25 @@ func copySlice(id, od []float32, inShape, outShape, begin, ist []int, axis, ioff
 	}
 }
 
-// SliceGradPad places grad back into a zero tensor of the original
-// shape at the slice position (the adjoint of SliceTensor).
-func SliceGradPad(p *Pool, grad *Tensor, origShape, begin []int) *Tensor {
-	out := New(origShape...)
-	ist := Strides(origShape)
-	addSlice(out.data, grad.data, origShape, grad.shape, begin, ist, 0, 0, 0)
-	return out
-}
-
-func addSlice(od, gd []float32, origShape, gShape, begin, ist []int, axis, ooff, goff int) {
-	if axis == len(gShape)-1 {
-		base := ooff + begin[axis]
-		for j := 0; j < gShape[axis]; j++ {
-			od[base+j] += gd[goff+j]
-		}
-		return
-	}
-	gstride := 1
-	for i := axis + 1; i < len(gShape); i++ {
-		gstride *= gShape[i]
-	}
-	for i := 0; i < gShape[axis]; i++ {
-		addSlice(od, gd, origShape, gShape, begin, ist, axis+1,
-			ooff+(begin[axis]+i)*ist[axis], goff+i*gstride)
-	}
-}
-
-// Pad zero-pads each axis with before[i] leading and after[i] trailing
-// zeros.
-func Pad(p *Pool, in *Tensor, before, after []int) (*Tensor, error) {
+// PadInto zero-pads each axis with before[i] leading and after[i]
+// trailing zeros. out is zeroed first.
+func PadInto(p *Pool, out, in *Tensor, before, after []int) error {
 	rank := in.Rank()
 	if len(before) != rank || len(after) != rank {
-		return nil, fmt.Errorf("tensor: Pad before/after must match rank %d", rank)
+		return fmt.Errorf("tensor: Pad before/after must match rank %d", rank)
 	}
-	outShape := make([]int, rank)
-	for i := range outShape {
+	for i := 0; i < rank; i++ {
 		if before[i] < 0 || after[i] < 0 {
-			return nil, fmt.Errorf("tensor: Pad amounts must be non-negative")
+			return fmt.Errorf("tensor: Pad amounts must be non-negative")
 		}
-		outShape[i] = in.shape[i] + before[i] + after[i]
 	}
-	out := New(outShape...)
-	ost := Strides(outShape)
-	addSliceSet(out.data, in.data, outShape, in.shape, before, ost, 0, 0, 0)
-	return out, nil
+	if err := dstCheck("PadInto", out, rank, func(i int) int { return in.shape[i] + before[i] + after[i] }); err != nil {
+		return err
+	}
+	out.Zero()
+	ost := Strides(out.shape)
+	addSliceSet(out.data, in.data, out.shape, in.shape, before, ost, 0, 0, 0)
+	return nil
 }
 
 func addSliceSet(od, id []float32, outShape, inShape, begin, ost []int, axis, ooff, ioff int) {
@@ -277,33 +285,42 @@ func addSliceSet(od, id []float32, outShape, inShape, begin, ost []int, axis, oo
 	}
 }
 
-// GatherRows selects rows of params (axis 0) by integer indices stored
-// as float32 values: out[i, ...] = params[indices[i], ...]. The index
-// tensor may have any shape; its shape replaces axis 0 of params.
-func GatherRows(p *Pool, params, indices *Tensor) (*Tensor, error) {
+// GatherRowsInto selects rows of params (axis 0) by integer indices
+// stored as float32 values: out[i, ...] = params[indices[i], ...]. The
+// index tensor may have any shape; its shape replaces axis 0 of params.
+func GatherRowsInto(p *Pool, out, params, indices *Tensor) error {
 	if params.Rank() < 1 {
-		return nil, fmt.Errorf("tensor: GatherRows requires rank >= 1 params")
+		return fmt.Errorf("tensor: GatherRows requires rank >= 1 params")
 	}
 	rowLen := params.Size() / params.shape[0]
-	outShape := append(append([]int(nil), indices.shape...), params.shape[1:]...)
-	out := New(outShape...)
+	ir := indices.Rank()
+	err := dstCheck("GatherRowsInto", out, ir+params.Rank()-1, func(i int) int {
+		if i < ir {
+			return indices.shape[i]
+		}
+		return params.shape[i-ir+1]
+	})
+	if err != nil {
+		return err
+	}
 	pd, idd, od := params.data, indices.data, out.data
 	n := indices.Size()
 	for i := 0; i < n; i++ {
 		r := int(idd[i])
 		if r < 0 || r >= params.shape[0] {
-			return nil, fmt.Errorf("tensor: GatherRows index %d out of range [0,%d)", r, params.shape[0])
+			return fmt.Errorf("tensor: GatherRows index %d out of range [0,%d)", r, params.shape[0])
 		}
 		copy(od[i*rowLen:(i+1)*rowLen], pd[r*rowLen:(r+1)*rowLen])
 	}
-	return out, nil
+	return nil
 }
 
-// ScatterAddRows accumulates grad rows back into a zero tensor of
-// paramShape at the indexed rows (the adjoint of GatherRows).
-func ScatterAddRows(p *Pool, grad, indices *Tensor, paramShape []int) *Tensor {
-	out := New(paramShape...)
-	rowLen := out.Size() / paramShape[0]
+// ScatterAddRowsInto accumulates grad rows into out, which has the
+// params' shape, at the indexed rows (the adjoint of GatherRowsInto). out is
+// zeroed first.
+func ScatterAddRowsInto(p *Pool, out, grad, indices *Tensor) {
+	out.Zero()
+	rowLen := out.Size() / out.shape[0]
 	gd, idd, od := grad.data, indices.data, out.data
 	n := indices.Size()
 	for i := 0; i < n; i++ {
@@ -314,5 +331,4 @@ func ScatterAddRows(p *Pool, grad, indices *Tensor, paramShape []int) *Tensor {
 			dst[j] += src[j]
 		}
 	}
-	return out
 }

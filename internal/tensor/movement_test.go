@@ -1,20 +1,21 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// stale returns a destination holding data no kernel may let through.
+func stale(shape ...int) *Tensor { return Full(float32(math.NaN()), shape...) }
+
 func TestTranspose2D(t *testing.T) {
 	p := NewPool(1)
 	in := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	out, err := Transpose(p, in, []int{1, 0})
-	if err != nil {
+	out := stale(3, 2)
+	if err := TransposeInto(p, out, in, []int{1, 0}); err != nil {
 		t.Fatal(err)
-	}
-	if !SameShape(out.Shape(), []int{3, 2}) {
-		t.Fatalf("shape %v", out.Shape())
 	}
 	if out.At(0, 1) != 4 || out.At(2, 0) != 3 {
 		t.Fatalf("transpose values wrong: %v", out.Data())
@@ -25,12 +26,9 @@ func TestTransposeGeneralPerm(t *testing.T) {
 	p := NewPool(1)
 	rng := rand.New(rand.NewSource(11))
 	in := RandNormal(rng, 0, 1, 2, 3, 4)
-	out, err := Transpose(p, in, []int{2, 0, 1})
-	if err != nil {
+	out := stale(4, 2, 3)
+	if err := TransposeInto(p, out, in, []int{2, 0, 1}); err != nil {
 		t.Fatal(err)
-	}
-	if !SameShape(out.Shape(), []int{4, 2, 3}) {
-		t.Fatalf("shape %v", out.Shape())
 	}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 3; j++ {
@@ -45,11 +43,14 @@ func TestTransposeGeneralPerm(t *testing.T) {
 
 func TestTransposeBadPerm(t *testing.T) {
 	p := NewPool(1)
-	if _, err := Transpose(p, New(2, 2), []int{0, 0}); err == nil {
+	if err := TransposeInto(p, New(2, 2), New(2, 2), []int{0, 0}); err == nil {
 		t.Fatal("expected bad-perm error")
 	}
-	if _, err := Transpose(p, New(2, 2), []int{0}); err == nil {
+	if err := TransposeInto(p, New(2, 2), New(2, 2), []int{0}); err == nil {
 		t.Fatal("expected rank error")
+	}
+	if err := TransposeInto(p, New(2, 3), New(2, 3), []int{1, 0}); err == nil {
+		t.Fatal("expected destination shape error")
 	}
 }
 
@@ -63,12 +64,8 @@ func TestTransposeInvolutionQuick(t *testing.T) {
 		x := RandNormal(rng, 0, 1, a, b, c)
 		perm := []int{2, 0, 1}
 		inv := []int{1, 2, 0}
-		y, err := Transpose(p, x, perm)
-		if err != nil {
-			return false
-		}
-		z, err := Transpose(p, y, inv)
-		if err != nil {
+		y, z := stale(c, a, b), stale(a, b, c)
+		if TransposeInto(p, y, x, perm) != nil || TransposeInto(p, z, y, inv) != nil {
 			return false
 		}
 		return AllClose(x, z, 0, 0)
@@ -81,12 +78,12 @@ func TestTransposeInvolutionQuick(t *testing.T) {
 func TestTile(t *testing.T) {
 	p := NewPool(1)
 	in := FromSlice([]float32{1, 2}, 1, 2)
-	out, err := Tile(p, in, []int{2, 3})
-	if err != nil {
+	out := stale(2, 6)
+	if err := TileInto(p, out, in, []int{2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if !SameShape(out.Shape(), []int{2, 6}) {
-		t.Fatalf("tile shape %v", out.Shape())
+	if err := TileInto(p, stale(2, 5), in, []int{2, 3}); err == nil {
+		t.Fatal("expected destination shape error")
 	}
 	want := []float32{1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2}
 	for i := range want {
@@ -98,9 +95,9 @@ func TestTile(t *testing.T) {
 
 func TestTileGradReduce(t *testing.T) {
 	p := NewPool(1)
-	orig := []int{1, 2}
 	grad := Ones(2, 6)
-	g := TileGradReduce(p, grad, orig)
+	g := stale(1, 2)
+	TileGradReduceInto(p, g, grad)
 	if g.Data()[0] != 6 || g.Data()[1] != 6 {
 		t.Fatalf("tile grad = %v", g.Data())
 	}
@@ -114,11 +111,11 @@ func TestTileAdjointQuick(t *testing.T) {
 	f := func(m0, n0 uint8) bool {
 		m, n := int(m0%3)+1, int(n0%3)+1
 		x := RandNormal(rng, 0, 1, 2, 3)
-		tiled, err := Tile(p, x, []int{m, n})
-		if err != nil {
+		tiled, back := stale(2*m, 3*n), stale(2, 3)
+		if TileInto(p, tiled, x, []int{m, n}) != nil {
 			return false
 		}
-		back := TileGradReduce(p, Ones(tiled.Shape()...), x.Shape())
+		TileGradReduceInto(p, back, Ones(tiled.Shape()...))
 		for _, v := range back.Data() {
 			if v != float32(m*n) {
 				return false
@@ -135,41 +132,44 @@ func TestConcatAxis0And1(t *testing.T) {
 	p := NewPool(1)
 	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float32{5, 6}, 1, 2)
-	out, err := Concat(p, 0, a, b)
-	if err != nil {
+	out := stale(3, 2)
+	if err := ConcatInto(p, out, 0, a, b); err != nil {
 		t.Fatal(err)
 	}
-	if !SameShape(out.Shape(), []int{3, 2}) || out.At(2, 1) != 6 {
-		t.Fatalf("concat0 = %v %v", out.Shape(), out.Data())
+	if out.At(0, 0) != 1 || out.At(2, 1) != 6 {
+		t.Fatalf("concat0 = %v", out.Data())
 	}
 	c := FromSlice([]float32{7, 8}, 2, 1)
-	out1, err := Concat(p, 1, a, c)
-	if err != nil {
+	out1 := stale(2, 3)
+	if err := ConcatInto(p, out1, 1, a, c); err != nil {
 		t.Fatal(err)
 	}
-	if !SameShape(out1.Shape(), []int{2, 3}) || out1.At(0, 2) != 7 || out1.At(1, 2) != 8 {
-		t.Fatalf("concat1 = %v %v", out1.Shape(), out1.Data())
+	if out1.At(1, 1) != 4 || out1.At(0, 2) != 7 || out1.At(1, 2) != 8 {
+		t.Fatalf("concat1 = %v", out1.Data())
 	}
 }
 
 func TestConcatErrors(t *testing.T) {
 	p := NewPool(1)
-	if _, err := Concat(p, 0); err == nil {
+	if err := ConcatInto(p, New(2, 2), 0); err == nil {
 		t.Fatal("expected empty-input error")
 	}
-	if _, err := Concat(p, 0, New(2, 2), New(2, 3)); err == nil {
+	if err := ConcatInto(p, New(4, 2), 0, New(2, 2), New(2, 3)); err == nil {
 		t.Fatal("expected shape mismatch error")
 	}
-	if _, err := Concat(p, 5, New(2, 2)); err == nil {
+	if err := ConcatInto(p, New(2, 2), 5, New(2, 2)); err == nil {
 		t.Fatal("expected axis error")
+	}
+	if err := ConcatInto(p, New(3, 2), 0, New(2, 2), New(2, 2)); err == nil {
+		t.Fatal("expected destination shape error")
 	}
 }
 
 func TestSliceTensor(t *testing.T) {
 	p := NewPool(1)
 	in := FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 3, 3)
-	out, err := SliceTensor(p, in, []int{1, 0}, []int{2, 2})
-	if err != nil {
+	out := stale(2, 2)
+	if err := SliceTensorInto(p, out, in, []int{1, 0}, []int{2, 2}); err != nil {
 		t.Fatal(err)
 	}
 	want := []float32{4, 5, 7, 8}
@@ -179,40 +179,34 @@ func TestSliceTensor(t *testing.T) {
 		}
 	}
 	// -1 size means "rest of axis".
-	out2, err := SliceTensor(p, in, []int{0, 1}, []int{-1, -1})
-	if err != nil {
+	out2 := stale(3, 2)
+	if err := SliceTensorInto(p, out2, in, []int{0, 1}, []int{-1, -1}); err != nil {
 		t.Fatal(err)
 	}
-	if !SameShape(out2.Shape(), []int{3, 2}) || out2.At(0, 0) != 2 {
-		t.Fatalf("slice rest = %v %v", out2.Shape(), out2.Data())
+	if out2.At(0, 0) != 2 || out2.At(2, 1) != 9 {
+		t.Fatalf("slice rest = %v", out2.Data())
 	}
 }
 
 func TestSliceOutOfBounds(t *testing.T) {
 	p := NewPool(1)
-	if _, err := SliceTensor(p, New(2, 2), []int{1, 1}, []int{2, 1}); err == nil {
+	if err := SliceTensorInto(p, New(2, 1), New(2, 2), []int{1, 1}, []int{2, 1}); err == nil {
 		t.Fatal("expected bounds error")
 	}
-}
-
-func TestSliceGradPadAdjoint(t *testing.T) {
-	p := NewPool(1)
-	grad := FromSlice([]float32{10, 20}, 1, 2)
-	out := SliceGradPad(p, grad, []int{3, 3}, []int{1, 1})
-	if out.At(1, 1) != 10 || out.At(1, 2) != 20 || out.At(0, 0) != 0 {
-		t.Fatalf("slice grad pad = %v", out.Data())
+	if err := SliceTensorInto(p, New(2, 1), New(2, 2), []int{1, 1}, []int{1, 1}); err == nil {
+		t.Fatal("expected destination shape error")
 	}
 }
 
 func TestPad(t *testing.T) {
 	p := NewPool(1)
 	in := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	out, err := Pad(p, in, []int{1, 0}, []int{0, 1})
-	if err != nil {
+	out := stale(3, 3)
+	if err := PadInto(p, out, in, []int{1, 0}, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if !SameShape(out.Shape(), []int{3, 3}) {
-		t.Fatalf("pad shape %v", out.Shape())
+	if err := PadInto(p, stale(3, 2), in, []int{1, 0}, []int{0, 1}); err == nil {
+		t.Fatal("expected destination shape error")
 	}
 	if out.At(0, 0) != 0 || out.At(1, 0) != 1 || out.At(2, 1) != 4 || out.At(1, 2) != 0 {
 		t.Fatalf("pad = %v", out.Data())
@@ -227,8 +221,8 @@ func TestGatherRowsAndScatterAdd(t *testing.T) {
 		5, 6,
 	}, 3, 2)
 	idx := FromSlice([]float32{2, 0, 2}, 3)
-	out, err := GatherRows(p, params, idx)
-	if err != nil {
+	out := stale(3, 2)
+	if err := GatherRowsInto(p, out, params, idx); err != nil {
 		t.Fatal(err)
 	}
 	want := []float32{5, 6, 1, 2, 5, 6}
@@ -238,7 +232,8 @@ func TestGatherRowsAndScatterAdd(t *testing.T) {
 		}
 	}
 	grad := Ones(3, 2)
-	back := ScatterAddRows(p, grad, idx, []int{3, 2})
+	back := stale(3, 2)
+	ScatterAddRowsInto(p, back, grad, idx)
 	// Row 2 was gathered twice → grad 2; row 0 once; row 1 never.
 	if back.At(2, 0) != 2 || back.At(0, 0) != 1 || back.At(1, 0) != 0 {
 		t.Fatalf("scatter = %v", back.Data())
@@ -247,8 +242,11 @@ func TestGatherRowsAndScatterAdd(t *testing.T) {
 
 func TestGatherRowsOutOfRange(t *testing.T) {
 	p := NewPool(1)
-	if _, err := GatherRows(p, New(2, 2), FromSlice([]float32{5}, 1)); err == nil {
+	if err := GatherRowsInto(p, New(1, 2), New(2, 2), FromSlice([]float32{5}, 1)); err == nil {
 		t.Fatal("expected index error")
+	}
+	if err := GatherRowsInto(p, New(2, 2), New(2, 2), FromSlice([]float32{1}, 1)); err == nil {
+		t.Fatal("expected destination shape error")
 	}
 }
 
@@ -256,12 +254,9 @@ func TestGatherRows2DIndices(t *testing.T) {
 	p := NewPool(1)
 	params := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	idx := FromSlice([]float32{0, 1, 1, 0}, 2, 2)
-	out, err := GatherRows(p, params, idx)
-	if err != nil {
+	out := stale(2, 2, 2)
+	if err := GatherRowsInto(p, out, params, idx); err != nil {
 		t.Fatal(err)
-	}
-	if !SameShape(out.Shape(), []int{2, 2, 2}) {
-		t.Fatalf("gather 2d shape %v", out.Shape())
 	}
 	if out.At(0, 1, 0) != 3 || out.At(1, 1, 1) != 2 {
 		t.Fatalf("gather 2d values %v", out.Data())

@@ -342,38 +342,11 @@ func softmaxInto(p *Pool, out, in *Tensor) {
 	})
 }
 
-// LogSumExp computes log(Σ exp(x)) over the last axis, one value per
-// row, returned with the last axis removed.
-func LogSumExp(p *Pool, in *Tensor) *Tensor {
+// ArgMaxInto writes the index of the maximum along the last axis, as
+// float32 values, into out, which has in's shape less that axis.
+func ArgMaxInto(out, in *Tensor) {
 	c := in.shape[len(in.shape)-1]
 	rows := in.Size() / c
-	out := New(in.shape[:len(in.shape)-1]...)
-	id, od := in.data, out.data
-	p.For(rows, 64, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			row := id[r*c : (r+1)*c]
-			m := row[0]
-			for _, v := range row {
-				if v > m {
-					m = v
-				}
-			}
-			var sum float64
-			for _, v := range row {
-				sum += math.Exp(float64(v - m))
-			}
-			od[r] = m + float32(math.Log(sum))
-		}
-	})
-	return out
-}
-
-// ArgMax returns the index of the maximum along the last axis, stored
-// as float32 values, with the last axis removed.
-func ArgMax(in *Tensor) *Tensor {
-	c := in.shape[len(in.shape)-1]
-	rows := in.Size() / c
-	out := New(in.shape[:len(in.shape)-1]...)
 	for r := 0; r < rows; r++ {
 		row := in.data[r*c : (r+1)*c]
 		bi, bv := 0, row[0]
@@ -384,5 +357,4 @@ func ArgMax(in *Tensor) *Tensor {
 		}
 		out.data[r] = float32(bi)
 	}
-	return out
 }

@@ -108,18 +108,10 @@ func TestSoftmaxNumericalStability(t *testing.T) {
 	}
 }
 
-func TestLogSumExp(t *testing.T) {
-	p := NewPool(1)
-	in := FromSlice([]float32{0, 0, 0, 0}, 1, 4)
-	out := LogSumExp(p, in)
-	if math.Abs(float64(out.Data()[0])-math.Log(4)) > 1e-5 {
-		t.Fatalf("logsumexp = %v want log(4)", out.Data()[0])
-	}
-}
-
 func TestArgMax(t *testing.T) {
 	in := FromSlice([]float32{1, 9, 3, 7, 2, 8}, 2, 3)
-	out := ArgMax(in)
+	out := stale(2)
+	ArgMaxInto(out, in)
 	if out.Data()[0] != 1 || out.Data()[1] != 2 {
 		t.Fatalf("argmax = %v", out.Data())
 	}
@@ -132,7 +124,8 @@ func TestSoftmaxShiftInvarianceQuick(t *testing.T) {
 	f := func(c0 int8) bool {
 		c := float32(c0) / 8
 		x := RandNormal(rng, 0, 2, 3, 5)
-		shifted := UnaryOp(p, x, func(v float32) float32 { return v + c })
+		shifted := x.Clone()
+		UnaryOpInPlace(p, shifted, func(v float32) float32 { return v + c })
 		return AllClose(Softmax(p, x), Softmax(p, shifted), 1e-4, 1e-5)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -211,12 +211,16 @@ func TestBinaryOpShapeError(t *testing.T) {
 func TestUnaryOp(t *testing.T) {
 	p := NewPool(1)
 	a := FromSlice([]float32{-1, 2, -3}, 3)
-	out := UnaryOp(p, a, func(x float32) float32 {
+	out := New(3)
+	err := UnaryOpInto(p, out, a, func(x float32) float32 {
 		if x < 0 {
 			return 0
 		}
 		return x
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if out.Data()[0] != 0 || out.Data()[1] != 2 || out.Data()[2] != 0 {
 		t.Fatalf("relu wrong: %v", out.Data())
 	}
@@ -225,19 +229,26 @@ func TestUnaryOp(t *testing.T) {
 func TestReduceGradToShape(t *testing.T) {
 	p := NewPool(1)
 	grad := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	got := ReduceGradToShape(p, grad, []int{3})
+	reduce := func(shape ...int) *Tensor {
+		out := Full(99, shape...)
+		if err := ReduceGradToShapeInto(p, out, grad); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	got := reduce(3)
 	want := []float32{5, 7, 9}
 	for i := range want {
 		if got.Data()[i] != want[i] {
 			t.Fatalf("ReduceGradToShape = %v want %v", got.Data(), want)
 		}
 	}
-	got2 := ReduceGradToShape(p, grad, []int{2, 1})
+	got2 := reduce(2, 1)
 	if got2.Data()[0] != 6 || got2.Data()[1] != 15 {
 		t.Fatalf("keepdim reduce = %v", got2.Data())
 	}
 	// Same shape: identity copy.
-	got3 := ReduceGradToShape(p, grad, []int{2, 3})
+	got3 := reduce(2, 3)
 	if MaxAbsDiff(got3, grad) != 0 {
 		t.Fatal("same-shape reduce should copy")
 	}
