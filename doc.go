@@ -92,9 +92,10 @@
 // contract: chunk boundaries are a function of trip count and grain
 // only — never of worker count or helper availability — For bodies
 // are index-pure (each chunk writes only its own output range), and
-// cross-chunk float32 reductions (Pool.ForSum/ForMax, used by the
-// full-reduction path of tensor.Reduce) combine per-chunk partials in
-// ascending chunk order at every width including 1. Pool width is a
+// the one reduction kernel behind Sum, Mean, Max and the sums back to a
+// broadcast or tiled shape (tensor.ReduceInto, tensor.SumToInto)
+// combines per-chunk partials in ascending chunk order at every width
+// including 1. Pool width is a
 // constructor argument (a session builds its pools once its options
 // have run), so modeled makespans can never be skewed mid-plan.
 //
@@ -199,11 +200,13 @@
 // consumers; fused epilogues run in place over the same float
 // sequence, so fused and unfused graphs are bit-identical.
 //
-// Axis reductions complete the chunked-combine story: max-kind
-// reductions run through Pool.ForMaxVec (per-chunk partial vectors,
-// combined elementwise in ascending chunk order), and reductions with
-// many outputs parallelize over output fibers, each fiber folded whole
-// in ascending input order — bit-identical at every width. Optimizer
+// Reductions are one kernel over one layout: the input's axes coalesce
+// into alternating reduced and kept blocks, and one chunk rule splits
+// the outermost block into chunks of at least 4096 inputs. A kept
+// outermost block gives each chunk its own outputs, each folded in
+// ascending input order; a reduced one folds chunk partials combined in
+// ascending chunk order. Max folds v > m from its seed, so it skips NaN
+// wherever it sits; every kind is bit-identical at every width. Optimizer
 // slot state (momentum/RMSProp/Adam/Adagrad accumulators, plus Adam's
 // step counter) lives in "<var>/slot/<name>" graph variables, so
 // checkpoints capture the full optimizer trajectory and resumed runs

@@ -270,24 +270,27 @@ func TestWorkloadsLearn(t *testing.T) {
 }
 
 // TestInferenceCheaperThanTraining checks the Fig.-5 invariant at the
-// profile level for every workload.
+// profile level for every workload. It is asserted on the modeled GPU,
+// whose roofline price of a step is a function of the graph alone, so
+// host scheduling cannot move it; the measured wall-clock ratio of the
+// same runs is printed.
 func TestInferenceCheaperThanTraining(t *testing.T) {
-	for _, name := range []string{"alexnet", "memnet", "autoenc", "speech"} {
+	for _, name := range core.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			train, err := core.SetupAndRun(name, core.Config{Preset: core.PresetTiny, Seed: 7},
-				core.RunOptions{Mode: core.ModeTraining, Steps: 3, Warmup: 1})
-			if err != nil {
-				t.Fatal(err)
+			run := func(mode core.Mode) *core.RunResult {
+				res, err := core.SetupAndRun(name, core.Config{Preset: core.PresetTiny, Seed: 7},
+					core.RunOptions{Mode: mode, Steps: 3, Warmup: 1, Device: "gpu"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
 			}
-			infer, err := core.SetupAndRun(name, core.Config{Preset: core.PresetTiny, Seed: 7},
-				core.RunOptions{Mode: core.ModeInference, Steps: 3, Warmup: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
+			train, infer := run(core.ModeTraining), run(core.ModeInference)
+			t.Logf("modeled gpu inference/training %.3f, wall %.3f",
+				float64(infer.SimTime)/float64(train.SimTime), float64(infer.WallTime)/float64(train.WallTime))
 			if infer.SimTime >= train.SimTime {
-				t.Fatalf("inference (%v) should be cheaper than training (%v)",
-					infer.SimTime, train.SimTime)
+				t.Fatalf("inference (%v) should be cheaper than training (%v)", infer.SimTime, train.SimTime)
 			}
 		})
 	}

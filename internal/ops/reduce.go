@@ -130,10 +130,11 @@ func MaxReduceKeep(x *graph.Node, axes ...int) *graph.Node {
 	return x.Graph().MustApply(reduceOp{kind: "max", axes: axes, keepDims: true}, x)
 }
 
-// ---- sumTo: reduce a broadcast gradient to an input shape ----
+// ---- sumTo: reduce a broadcast or tiled gradient to an input shape ----
 //
-// Appears in profiles as "Sum", matching how TensorFlow reports the
-// reductions its broadcasting gradients insert.
+// The gradient of a broadcasting binary op and of Tile. Appears in
+// profiles as "Sum", matching how TensorFlow reports the reductions
+// those gradients insert.
 type sumToOp struct{ target []int }
 
 func (sumToOp) Name() string         { return "Sum" }
@@ -142,18 +143,21 @@ func (o sumToOp) InferShape(in [][]int) ([]int, error) {
 	if err := wantInputs("Sum", in, 1); err != nil {
 		return nil, err
 	}
-	// The target must be broadcastable to the input.
-	b, err := tensor.BroadcastShapes(o.target, in[0])
-	if err != nil {
-		return nil, err
+	// Every input axis must be whole tiles of the target's, which is
+	// padded with leading 1s; broadcasting tiles a length-1 axis.
+	off := len(in[0]) - len(o.target)
+	ok := off >= 0
+	for i := 0; ok && i < len(o.target); i++ {
+		t, d := o.target[i], in[0][off+i]
+		ok = t == d || t > 0 && d%t == 0
 	}
-	if !tensor.SameShape(b, in[0]) {
-		return nil, fmt.Errorf("Sum(to): %v does not broadcast to %v", o.target, in[0])
+	if !ok {
+		return nil, fmt.Errorf("Sum(to): %v does not tile %v", o.target, in[0])
 	}
 	return copyShape(o.target), nil
 }
 func (o sumToOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
-	return tensor.ReduceGradToShapeInto(ctx.Pool, out, in[0])
+	return tensor.SumToInto(ctx.Pool, out, in[0])
 }
 
 // SumTo reduces x to the given shape (the adjoint of broadcasting).
@@ -266,27 +270,7 @@ func (o tileOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *te
 	return tensor.TileInto(ctx.Pool, out, in[0], o.multiples)
 }
 func (o tileOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
-	return []*graph.Node{g.MustApply(tileGradOp{orig: copyShape(n.Inputs()[0].Shape())}, grad)}, nil
-}
-
-// tileGradOp sums tiled blocks back to the original shape. TensorFlow
-// reports this reduction as a Sum, so we use the same profile name.
-type tileGradOp struct{ orig []int }
-
-func (tileGradOp) Name() string         { return "Sum" }
-func (tileGradOp) Class() graph.OpClass { return graph.ClassReduction }
-func (o tileGradOp) InferShape(in [][]int) ([]int, error) {
-	if err := wantInputs("Sum", in, 1); err != nil {
-		return nil, err
-	}
-	if len(in[0]) != len(o.orig) {
-		return nil, fmt.Errorf("tile grad rank mismatch")
-	}
-	return copyShape(o.orig), nil
-}
-func (o tileGradOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
-	tensor.TileGradReduceInto(ctx.Pool, out, in[0])
-	return nil
+	return []*graph.Node{g.MustApply(sumToOp{target: copyShape(n.Inputs()[0].Shape())}, grad)}, nil
 }
 
 // TileN repeats x multiples[i] times along each axis.

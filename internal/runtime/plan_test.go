@@ -162,13 +162,28 @@ func buildMovementChain() (*graph.Graph, *graph.Node, *graph.Node, *graph.Node) 
 	return g, x, left, y
 }
 
+// buildReductionChain is one of each reduction: the gradient of a
+// Tile, a SumTo undoing a broadcast, an axis Sum, a MeanKeep and a full
+// Max.
+func buildReductionChain() (*graph.Graph, *graph.Node, *graph.Node, *graph.Node) {
+	g := graph.New()
+	x := g.Placeholder("x", 4, 8)
+	grads, err := graph.Gradients(ops.Sum(ops.TileN(x, []int{2, 1})), []*graph.Node{x})
+	if err != nil {
+		panic(err)
+	}
+	cols := ops.SumTo(grads[0], []int{1, 8})
+	y := ops.MaxReduce(ops.MeanKeep(ops.Sum(cols, 1), 0))
+	return g, x, cols, y
+}
+
 // TestSteadyStateRunAllocsLittle: after the first Run compiles the
 // plan, subsequent Runs should perform only a handful of allocations
 // (the fetch clone and bookkeeping), not one per intermediate —
 // whatever kind of kernel the intermediates come from.
 func TestSteadyStateRunAllocsLittle(t *testing.T) {
 	for name, build := range map[string]func() (*graph.Graph, *graph.Node, *graph.Node, *graph.Node){
-		"arithmetic": buildChain, "movement": buildMovementChain,
+		"arithmetic": buildChain, "movement": buildMovementChain, "reduction": buildReductionChain,
 	} {
 		_, x, _, y := build()
 		s := NewSession(y.Graph())

@@ -219,42 +219,3 @@ func unaryOpInto(p *Pool, out, a *Tensor, fn func(x float32) float32) {
 		}
 	})
 }
-
-// ReduceGradToShapeInto sums grad (of the broadcast output shape) down
-// to out's shape, undoing broadcasting: summed over leading extra axes
-// and over axes where out has 1 but grad does not. Used by gradients of
-// broadcasting binary operations. out is reinitialized and must not
-// alias grad.
-func ReduceGradToShapeInto(p *Pool, out, grad *Tensor) error {
-	if b, err := BroadcastShapes(out.shape, grad.shape); err != nil || !SameShape(b, grad.shape) {
-		return fmt.Errorf("tensor: ReduceGradToShapeInto target %v does not broadcast to %v", out.shape, grad.shape)
-	}
-	if SameShape(grad.shape, out.shape) {
-		copy(out.data, grad.data)
-		return nil
-	}
-	out.Zero()
-	reduceGradToShapeInto(p, out, grad)
-	return nil
-}
-
-func reduceGradToShapeInto(p *Pool, out, grad *Tensor) {
-	shape := out.shape
-	st := broadcastStrides(shape, grad.shape)
-	rank := len(grad.shape)
-	gd, od := grad.data, out.data
-	idx := make([]int, rank)
-	oo := 0
-	for pos := 0; pos < len(gd); pos++ {
-		od[oo] += gd[pos]
-		for i := rank - 1; i >= 0; i-- {
-			idx[i]++
-			oo += st[i]
-			if idx[i] < grad.shape[i] {
-				break
-			}
-			idx[i] = 0
-			oo -= st[i] * grad.shape[i]
-		}
-	}
-}

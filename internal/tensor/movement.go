@@ -122,31 +122,6 @@ func TileInto(p *Pool, out, in *Tensor, multiples []int) error {
 	return nil
 }
 
-// TileGradReduceInto sums a gradient of the tiled shape back to out's
-// shape, the original one (the adjoint of Tile). out is zeroed first.
-func TileGradReduceInto(p *Pool, out, grad *Tensor) {
-	origShape := out.shape
-	out.Zero()
-	ist := Strides(origShape)
-	rank := len(origShape)
-	gd, od := grad.data, out.data
-	idx := make([]int, rank)
-	for pos := 0; pos < len(gd); pos++ {
-		off := 0
-		for i := 0; i < rank; i++ {
-			off += (idx[i] % origShape[i]) * ist[i]
-		}
-		od[off] += gd[pos]
-		for i := rank - 1; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < grad.shape[i] {
-				break
-			}
-			idx[i] = 0
-		}
-	}
-}
-
 // ConcatInto joins tensors along the given axis. All inputs must agree
 // on every other dimension.
 func ConcatInto(p *Pool, out *Tensor, axis int, ins ...*Tensor) error {

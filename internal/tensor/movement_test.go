@@ -97,13 +97,15 @@ func TestTileGradReduce(t *testing.T) {
 	p := NewPool(1)
 	grad := Ones(2, 6)
 	g := stale(1, 2)
-	TileGradReduceInto(p, g, grad)
+	if err := SumToInto(p, g, grad); err != nil {
+		t.Fatal(err)
+	}
 	if g.Data()[0] != 6 || g.Data()[1] != 6 {
 		t.Fatalf("tile grad = %v", g.Data())
 	}
 }
 
-// Property: Tile then TileGradReduce with all-ones grad multiplies each
+// Property: Tile then SumToInto with all-ones grad multiplies each
 // element count by the product of multiples.
 func TestTileAdjointQuick(t *testing.T) {
 	p := NewPool(1)
@@ -115,7 +117,9 @@ func TestTileAdjointQuick(t *testing.T) {
 		if TileInto(p, tiled, x, []int{m, n}) != nil {
 			return false
 		}
-		TileGradReduceInto(p, back, Ones(tiled.Shape()...))
+		if SumToInto(p, back, Ones(tiled.Shape()...)) != nil {
+			return false
+		}
 		for _, v := range back.Data() {
 			if v != float32(m*n) {
 				return false

@@ -40,10 +40,11 @@ type Executor interface {
 // so the chunks of a region are identical at every configured width.
 // For's body must be index-pure (chunk [lo,hi) writes only outputs
 // indexed by [lo,hi) and reads no other chunk's output), which makes
-// results bit-identical across widths and lane assignments; ForSum and
-// ForMax carry cross-chunk float32 reductions by combining per-chunk
-// partials in ascending chunk order, at every width including 1, so
-// reductions are bit-identical too. The determinism harness
+// results bit-identical across widths and lane assignments. The one
+// reduction kernel (reduce.go) carries cross-chunk float32 reductions
+// by combining per-chunk partials in ascending chunk order, at every
+// width including 1, so reductions are bit-identical too. The
+// determinism harness
 // (internal/models/determinism_test.go) pins this across intra-op ×
 // inter-op width combinations for all ten workloads.
 //
@@ -70,9 +71,7 @@ type Pool struct {
 	// nothing.
 	lanes []laneScratchSet
 
-	clocks   []time.Duration // modeled lane clocks, reused per region
-	partials []float32       // ForSum/ForMax chunk partials, reused
-	vecParts [][]float32     // ForSumVec per-chunk accumulators, reused
+	clocks []time.Duration // modeled lane clocks, reused per region
 }
 
 type laneScratchSet [scratchSlots][]float32
@@ -86,6 +85,7 @@ const (
 	scratchIm2col        // conv: im2col patch matrix (caller-side)
 	scratchAttn          // attention: one score row of length S (per lane)
 	scratchLRN           // LRN: one pixel's squares, scales and powers (per lane)
+	scratchReduce        // reduction: chunk partials (caller-side, disjoint per chunk)
 	scratchSlots
 )
 
@@ -250,151 +250,6 @@ func (p *Pool) ForLane(n, grain int, fn func(lane, lo, hi int)) {
 	p.run(n, chunks, func(lane, chunk, lo, hi int) { fn(lane, lo, hi) })
 }
 
-// ForSum reduces [0,n) to a float32 sum: fn returns each chunk's
-// partial and ForSum combines the partials in ascending chunk order.
-// Unlike For, the region is chunked identically at every width —
-// including width 1 — so the float32 combination order, and therefore
-// the result bits, never depend on the configured parallelism.
-func (p *Pool) ForSum(n, grain int, fn func(lo, hi int) float32) float32 {
-	parts, chunks := p.forPartials(n, grain, fn)
-	if chunks == 0 {
-		return 0
-	}
-	if chunks == 1 {
-		return parts[0]
-	}
-	var s float32
-	for _, v := range parts[:chunks] {
-		s += v
-	}
-	return s
-}
-
-// ForMax reduces [0,n) to a float32 maximum with the same
-// deterministic chunking as ForSum. fn returns each chunk's maximum;
-// chunks of an empty region yield none and ForMax returns negInf.
-func (p *Pool) ForMax(n, grain int, fn func(lo, hi int) float32) float32 {
-	parts, chunks := p.forPartials(n, grain, fn)
-	if chunks == 0 {
-		return negInf
-	}
-	m := parts[0]
-	for _, v := range parts[1:chunks] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// ForSumVec reduces [0,n) to a float32 vector of length w — the
-// vector-valued counterpart of ForSum, used by axis reductions whose
-// output is small (the outer dims the reduced axes leave behind). fn
-// accumulates chunk [lo,hi)'s contribution into a zeroed chunk-private
-// accumulator acc of length w; the per-chunk partials then combine
-// elementwise in ascending chunk order into out (length w, fully
-// overwritten). As with ForSum, the region is chunked identically at
-// every width — including width 1 — so the float32 combination order,
-// and therefore the result bits, never depend on the configured
-// parallelism. Per-chunk accumulator memory is bounded by
-// maxRegionChunks × w and reused across regions.
-func (p *Pool) ForSumVec(n, grain, w int, out []float32, fn func(lo, hi int, acc []float32)) {
-	out = out[:w]
-	for i := range out {
-		out[i] = 0
-	}
-	if n <= 0 || w <= 0 {
-		return
-	}
-	chunks := regionChunks(n, grain)
-	if chunks == 1 {
-		fn(0, n, out)
-		return
-	}
-	parts := p.vecPartials(chunks, w, 0)
-	p.run(n, chunks, func(lane, chunk, lo, hi int) { fn(lo, hi, parts[chunk]) })
-	copy(out, parts[0])
-	for c := 1; c < chunks; c++ {
-		part := parts[c]
-		for i := range out {
-			out[i] += part[i]
-		}
-	}
-}
-
-// ForMaxVec is ForSumVec's max-kind counterpart, used by max axis
-// reductions whose output is small: fn folds chunk [lo,hi)'s maxima
-// into a chunk-private accumulator initialized to negInf, and the
-// per-chunk partials combine elementwise in ascending chunk order with
-// the same v > cur comparison the serial walk uses (so a NaN never
-// displaces a partial, matching the serial semantics exactly). As with
-// ForSumVec, chunk boundaries and combination order are identical at
-// every width including 1.
-func (p *Pool) ForMaxVec(n, grain, w int, out []float32, fn func(lo, hi int, acc []float32)) {
-	out = out[:w]
-	for i := range out {
-		out[i] = negInf
-	}
-	if n <= 0 || w <= 0 {
-		return
-	}
-	chunks := regionChunks(n, grain)
-	if chunks == 1 {
-		fn(0, n, out)
-		return
-	}
-	parts := p.vecPartials(chunks, w, negInf)
-	p.run(n, chunks, func(lane, chunk, lo, hi int) { fn(lo, hi, parts[chunk]) })
-	copy(out, parts[0])
-	for c := 1; c < chunks; c++ {
-		part := parts[c]
-		for i := range out {
-			if part[i] > out[i] {
-				out[i] = part[i]
-			}
-		}
-	}
-}
-
-// vecPartials returns chunk-private accumulators of length w, each
-// initialized to init, reused across regions.
-func (p *Pool) vecPartials(chunks, w int, init float32) [][]float32 {
-	for len(p.vecParts) < chunks {
-		p.vecParts = append(p.vecParts, nil)
-	}
-	parts := p.vecParts[:chunks]
-	for c := range parts {
-		if cap(parts[c]) < w {
-			parts[c] = make([]float32, w)
-		}
-		parts[c] = parts[c][:w]
-		for i := range parts[c] {
-			parts[c][i] = init
-		}
-	}
-	return parts
-}
-
-// forPartials runs the deterministic chunks of a reduction region and
-// returns the per-chunk partials (valid until the next reduction on
-// this pool) along with the chunk count.
-func (p *Pool) forPartials(n, grain int, fn func(lo, hi int) float32) ([]float32, int) {
-	if n <= 0 {
-		return nil, 0
-	}
-	chunks := regionChunks(n, grain)
-	if cap(p.partials) < chunks {
-		p.partials = make([]float32, chunks)
-	}
-	parts := p.partials[:chunks]
-	if chunks == 1 {
-		parts[0] = fn(0, n)
-		return parts, 1
-	}
-	p.run(n, chunks, func(lane, chunk, lo, hi int) { parts[chunk] = fn(lo, hi) })
-	return parts, chunks
-}
-
 // run drives the chunks of a split region under the pool's strategy:
 // on the caller plus helpers (parallel), in order and measured
 // (modeled lanes), or — width 1 — in order and unmodeled. The chunk
@@ -421,27 +276,31 @@ func (p *Pool) run(n, chunks int, fn func(lane, chunk, lo, hi int)) {
 // and each measurement is assigned to the earliest-free of Workers
 // modeled lanes (in-order list scheduling). The region's measured
 // serial time and modeled makespan feed OpTime. One driver serves
-// For, ForLane and the reductions so the three variants can never
-// model different makespans.
+// For, ForLane and the reduction kernel so they can never model
+// different makespans.
 func (p *Pool) runModeled(n, chunks int, fn func(lane, chunk, lo, hi int)) {
 	clocks := p.laneClocks()
-	var sum time.Duration
 	for i := 0; i < chunks; i++ {
 		lo, hi := chunkBounds(n, chunks, i)
 		t0 := time.Now()
 		fn(0, i, lo, hi)
 		d := time.Since(t0)
-		sum += d
-		l := 0
-		for j := 1; j < len(clocks); j++ {
-			if clocks[j] < clocks[l] {
-				l = j
-			}
-		}
-		clocks[l] += d
+		p.realPar += d
+		assignLane(clocks, d)
 	}
-	p.realPar += sum
 	p.simPar += maxClock(clocks)
+}
+
+// assignLane list-schedules a chunk of duration d onto the
+// earliest-free modeled lane.
+func assignLane(clocks []time.Duration, d time.Duration) {
+	l := 0
+	for j := 1; j < len(clocks); j++ {
+		if clocks[j] < clocks[l] {
+			l = j
+		}
+	}
+	clocks[l] += d
 }
 
 // laneClocks returns the zeroed modeled-lane clock array (len Workers),

@@ -25,66 +25,63 @@ func (e *execN) TryRun(task func()) bool {
 }
 
 // TestForSumVecBitIdenticalAcrossWidths is the vector counterpart of
-// the ForSum width-invariance contract: per-chunk partials combined in
-// ascending chunk order give the same bits under the serial, modeled
-// and real-parallel strategies at every width.
+// the full-sum width-invariance contract: a reduction to a short vector
+// of outputs folds per-chunk vector partials in ascending chunk order,
+// giving the same bits under the serial, modeled and real-parallel
+// strategies at every width.
 func TestForSumVecBitIdenticalAcrossWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	const n, w = 50000, 7
-	in := make([]float32, n)
-	for i := range in {
-		in[i] = rng.Float32()*2 - 1
-	}
-	body := func(lo, hi int, acc []float32) {
-		for i := lo; i < hi; i++ {
-			acc[i%w] += in[i]
-		}
-	}
+	const rows, w = 7142, 7
+	in := RandUniform(rng, -1, 1, rows, w)
 	sum := func(p *Pool) []float32 {
-		out := make([]float32, w)
-		p.ForSumVec(n, 1024, w, out, body)
-		return out
+		out, err := Reduce(p, in, []int{0}, false, "sum")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Data()
 	}
 	want := sum(NewPool(1))
 
-	// Reference: explicit ascending-chunk combination.
-	chunks := regionChunks(n, 1024)
+	// Reference: explicit ascending-chunk combination. The layout is one
+	// reduced block of rows over one kept block of w, so the chunk rule
+	// splits the rows into chunks of at least ⌈reduceGrain/w⌉.
+	id := in.Data()
+	chunks := regionChunks(rows, (reduceGrain+w-1)/w)
+	if chunks < 2 {
+		t.Fatalf("%d rows of %d make %d chunk(s); the test needs several", rows, w, chunks)
+	}
 	ref := make([]float32, w)
 	for c := 0; c < chunks; c++ {
-		lo, hi := chunkBounds(n, chunks, c)
+		lo, hi := chunkBounds(rows, chunks, c)
 		part := make([]float32, w)
-		body(lo, hi, part)
+		for pos := lo * w; pos < hi*w; pos++ {
+			part[pos%w] += id[pos]
+		}
 		for i := range ref {
 			ref[i] += part[i]
 		}
 	}
-	for i := range ref {
-		if want[i] != ref[i] {
-			t.Fatalf("width-1 ForSumVec[%d] = %v != chunk-ordered reference %v", i, want[i], ref[i])
-		}
+	if i, ok := firstDiff(ref, want); !ok {
+		t.Fatalf("width-1 sum differs from the chunk-ordered reference at %d", i)
 	}
 
-	check := func(name string, got []float32) {
-		t.Helper()
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: ForSumVec[%d] = %v != width-1 %v", name, i, got[i], want[i])
-			}
-		}
-	}
 	for _, workers := range []int{2, 4, 8} {
-		check("modeled", sum(NewPool(workers)))
+		if i, ok := firstDiff(want, sum(NewPool(workers))); !ok {
+			t.Fatalf("modeled width %d differs from width 1 at %d", workers, i)
+		}
 		for rep := 0; rep < 5; rep++ {
-			check("parallel", sum(NewParallelPool(workers, newExecN(workers-1))))
+			if i, ok := firstDiff(want, sum(NewParallelPool(workers, newExecN(workers-1)))); !ok {
+				t.Fatalf("parallel width %d differs from width 1 at %d", workers, i)
+			}
 		}
 	}
 }
 
-// TestAxisReduceSmallOuterParallel pins the axis-reduction satellite:
-// sum/mean reductions whose outputs are small (batch-norm channel
-// statistics) split the input walk into chunks, and the result bits
-// are identical at every pool width — and equal to an explicit
-// ascending-chunk reference.
+// TestAxisReduceSmallOuterParallel: sum/mean reductions whose outputs
+// are small (batch-norm channel statistics) split their reduced
+// outermost block into chunks, and the result bits are identical at
+// every pool width — and equal to an explicit ascending-chunk
+// reference.
 func TestAxisReduceSmallOuterParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	in := RandUniform(rng, -1, 1, 6, 28, 28, 5) // NHWC, C=5 outer dim
@@ -111,18 +108,19 @@ func TestAxisReduceSmallOuterParallel(t *testing.T) {
 		}
 	}
 
-	// The width-1 result itself must follow the ascending-chunk
-	// combine order over the flattened input walk.
-	// The kept axis is the contiguous last one, so a position's output
-	// index is simply pos % C.
+	// The width-1 result itself must follow the ascending-chunk combine
+	// order. The layout is one reduced block of 6·28·28 outer positions
+	// over one kept block of C = 5, so the chunk rule splits the outer
+	// positions into chunks of at least ⌈4096/5⌉, and a position's
+	// output index is simply pos % C.
 	id := in.Data()
-	w := 5
-	chunks := regionChunks(len(id), 4096)
+	w, outer := 5, 6*28*28
+	chunks := regionChunks(outer, (4096+w-1)/w)
 	ref := make([]float32, w)
 	for c := 0; c < chunks; c++ {
-		lo, hi := chunkBounds(len(id), chunks, c)
+		lo, hi := chunkBounds(outer, chunks, c)
 		part := make([]float32, w)
-		for pos := lo; pos < hi; pos++ {
+		for pos := lo * w; pos < hi*w; pos++ {
 			part[pos%w] += id[pos]
 		}
 		for i := range ref {
@@ -138,11 +136,10 @@ func TestAxisReduceSmallOuterParallel(t *testing.T) {
 	}
 }
 
-// TestAxisReduceMaxAndLargeOuterExact: max reductions and large-outer
-// reductions (both parallel since kernel tier 2) still match an exact
-// per-fiber left-to-right fold — the output-parallel path assigns each
-// fiber whole to one chunk, so the element order within a fiber never
-// changes.
+// TestAxisReduceMaxAndLargeOuterExact: max reductions and reductions
+// with many outputs match an exact per-fiber left-to-right fold. Both
+// inputs are under 2 × reduceGrain elements, so the chunk rule keeps
+// the outermost block whole and each fiber is one chain.
 func TestAxisReduceMaxAndLargeOuterExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	in := RandUniform(rng, -1, 1, 64, 40)
@@ -161,8 +158,7 @@ func TestAxisReduceMaxAndLargeOuterExact(t *testing.T) {
 			t.Fatalf("max over axis 0 wrong at %d", j)
 		}
 	}
-	// Large outer dim (> axisVecElems): stays on the serial walk and
-	// matches an exact per-fiber left-to-right fold.
+	// Many outputs, too few inputs to split: one chain per fiber.
 	big := RandUniform(rng, -1, 1, 3, 2048)
 	sum, err := Reduce(NewPool(4), big, []int{0}, false, "sum")
 	if err != nil {

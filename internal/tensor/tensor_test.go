@@ -231,7 +231,7 @@ func TestReduceGradToShape(t *testing.T) {
 	grad := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	reduce := func(shape ...int) *Tensor {
 		out := Full(99, shape...)
-		if err := ReduceGradToShapeInto(p, out, grad); err != nil {
+		if err := SumToInto(p, out, grad); err != nil {
 			t.Fatal(err)
 		}
 		return out
@@ -240,17 +240,23 @@ func TestReduceGradToShape(t *testing.T) {
 	want := []float32{5, 7, 9}
 	for i := range want {
 		if got.Data()[i] != want[i] {
-			t.Fatalf("ReduceGradToShape = %v want %v", got.Data(), want)
+			t.Fatalf("SumToInto = %v want %v", got.Data(), want)
 		}
 	}
 	got2 := reduce(2, 1)
 	if got2.Data()[0] != 6 || got2.Data()[1] != 15 {
 		t.Fatalf("keepdim reduce = %v", got2.Data())
 	}
-	// Same shape: identity copy.
+	// Same shape: every output is its own one-element chain.
 	got3 := reduce(2, 3)
 	if MaxAbsDiff(got3, grad) != 0 {
 		t.Fatal("same-shape reduce should copy")
+	}
+	// A target that neither broadcasts nor tiles is refused.
+	for _, bad := range [][]int{{2}, {4}, {1, 2, 3}, {0, 3}} {
+		if err := SumToInto(p, New(bad...), grad); err == nil {
+			t.Fatalf("SumToInto to %v accepted a gradient of %v", bad, grad.Shape())
+		}
 	}
 }
 
