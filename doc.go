@@ -108,23 +108,24 @@
 //
 // # Kernels: one GEMM, one convolution lowering, one SIMD tile
 //
-// tensor.MatMul dispatches every product of at least 4096
-// multiply-adds and enough rows to a tiled GEMM that packs A and B
-// panels into contiguous scratch ahead of one micro kernel; thinner or
-// tinier products keep the streaming kernels, which need no packing.
-// "Enough rows" follows the tile the build has (blockedMinRows, declared
-// beside simdStrip, and the only per-build value in the dispatch): the
-// micro kernel works in strips of four rows, so with fewer it computes
-// rows nobody asked for, which the AVX2 tile still does faster than a
-// scalar stream from one row up (a batch-2 fully connected layer, 576 →
-// 512: 3.4×), and the Go tile does not (0.6×). Under transposed B the
-// floor is four on both builds: packing Bᵀ is a strided transpose of
-// the whole operand, and with fewer than four rows to share it the
-// streaming dot kernel, which reads B's rows in place, stays ahead
-// (0.3× at that size). That dot kernel computes four output columns per
-// pass over a row of A — four independent chains in flight instead of
-// one dependent add after another, 2.4× — and each column is still its
-// own ascending-k chain, so none of this moves a bit. All three
+// tensor.MatMul runs every product, whatever its shape, on one tiled
+// GEMM that packs A and B panels into contiguous scratch ahead of one
+// micro kernel; no shape rule picks a second kernel. On the smallest
+// products the suite runs most often — per-head attention, 12×8×12 and
+// 12×12×8 — it is 2–4× faster than the streaming loops it replaced.
+// An empty product returns at once (k = 0 writes zeros, or under acc
+// leaves the destination as it was). Bᵀ is packed by a tiled
+// transpose, eight B rows per pass, so a few-row product with B stored
+// transposed does not pay a strided scalar transpose (a 256×128 panel:
+// about 16 µs, against 65 µs element by element). A slab whose tile grid does
+// not split runs its tile loop on the caller without building a closure
+// (Pool.inline), so once pool scratch has grown a width-1 product
+// allocates nothing. The cost of one kernel falls on builds without the
+// AVX2 tile (-tags purego, non-amd64): a product of one to three rows
+// runs a whole four-row Go strip against zero rows of packed A, so
+// 2×512×512 with B transposed takes 3–5× as long there (about 170 →
+// 540–830 µs on a 2-vCPU x86 host). No benchmark workload runs that
+// build, and it is not worth a per-build shape rule. All three
 // convolution passes run on that GEMM through one lowering over the
 // patch matrix col (one row per output position, its receptive field
 // in (ky, kx, c) order, gathered in row blocks of at most 1 MB of
@@ -149,12 +150,12 @@
 // output columns, so a lane is one output element and nothing is ever
 // summed across lanes, and each k step is a VMULPS followed by a VADDPS
 // — no FMA — which is the Go tile's one rounded multiply and one
-// rounded add (the Go products — micro-tile, streaming kernels and
-// FusedAttention's dots alike — are written float32(a*b), which forbids
-// the compiler to fuse them on any target). Every kernel therefore
-// computes each element as the same ascending-k chain, and the choice
-// of kernel, like the choice of width, is invisible in the result
-// bits; the determinism harness runs on both builds in CI.
+// rounded add (the Go products — the micro-tile and FusedAttention's
+// dots alike — are written float32(a*b), which forbids the compiler to
+// fuse them on any target). Both tiles therefore compute each element
+// as the same ascending-k chain, and which tile runs a column, like the
+// choice of width, is invisible in the result bits; the determinism
+// harness runs on both builds in CI.
 //
 // Local response normalization (AlexNet's LRN) is a tensor kernel too
 // (tensor.LRNInto, tensor.LRNGradInto). Per pixel the squares are
@@ -178,9 +179,9 @@
 // work units instead of the former row-only split inside one column
 // panel. B panels are packed once per slab on the calling goroutine
 // and shared read-only by every lane; each lane packs A into per-lane
-// scratch. Short-and-wide streaming products (fewer than
-// streamSplitRows rows) chunk over columns instead of rows, so
-// single-row inference GEMMs parallelize too. Tile grid, panel groups
+// scratch. Column panels are grouped so that a short-and-wide product,
+// a single row block, still splits over its panels: single-row
+// inference GEMMs parallelize too. Tile grid, panel groups
 // and chunk boundaries are pure functions of shape, and every output
 // element accumulates the same products in the same ascending-slab
 // order at every width, so the decomposition is invisible in the

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,7 +12,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// assertSameTensors fails if a and b differ bitwise.
+// assertSameTensors fails if a and b differ bitwise, NaNs of any payload
+// counting as equal (which operand's payload survives an x86 add depends
+// on operand order, not on the value). Comparing with != instead fails
+// two identical NaNs and passes +0 against −0.
 func assertSameTensors(t *testing.T, label string, a, b []*tensor.Tensor) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -23,8 +27,8 @@ func assertSameTensors(t *testing.T, label string, a, b []*tensor.Tensor) {
 		}
 		ad, bd := a[i].Data(), b[i].Data()
 		for j := range ad {
-			if ad[j] != bd[j] {
-				t.Fatalf("%s[%d]: element %d differs: %v vs %v", label, i, j, ad[j], bd[j])
+			if x, y := ad[j], bd[j]; math.Float32bits(x) != math.Float32bits(y) && !(x != x && y != y) {
+				t.Fatalf("%s[%d]: element %d differs: %v vs %v", label, i, j, x, y)
 			}
 		}
 	}

@@ -236,7 +236,7 @@ func checkConvLowering(t testing.TB, p *Pool, c convCase, seed int64) {
 
 // convLoweringCases covers strides {1,2,4}, PadH ≠ PadW, negative
 // (cropping) padding, non-square images and filters, pointwise
-// convolutions (view and gathered), the streaming and the blocked GEMM,
+// convolutions (view and gathered), GEMMs of one tile and of several,
 // K spanning several reduction slabs, and patch matrices walked in
 // several row blocks whose boundaries fall inside batch entries.
 var convLoweringCases = []convCase{

@@ -8,16 +8,16 @@ import (
 	"repro/internal/sched"
 )
 
-// Kernel tier 2 coverage: the 2-D tiled GEMM, the column-chunked
-// streaming kernels, the parallel max / large-outer reductions, and
-// the no-alias contract guard. The alias guard runs for the whole
+// Kernel tier 2 coverage: the 2-D tiled GEMM, its SIMD tile and its
+// short products, the parallel max / large-outer reductions, and the
+// no-alias contract guard. The alias guard runs for the whole
 // package test binary — every kernel invocation in every tensor test
 // is checked.
 
 func init() { AliasChecks = true }
 
 // TestMatMulPropertyRandomShapes is the tier-2 GEMM property test:
-// random shapes on both sides of the blocked dispatch rule, all four
+// random shapes from a padded strip to several tiles, all four
 // transpose combinations, checked against the naive reference and
 // required bit-identical across pool widths 1, 2 and 8 (modeled and
 // real-parallel). Per-output-element accumulation order is a pure
@@ -31,9 +31,8 @@ func TestMatMulPropertyRandomShapes(t *testing.T) {
 		var m, k, n int
 		switch trial % 3 {
 		case 0:
-			// Too few rows for a micro-kernel strip: the streaming
-			// kernels, or one padded strip where the build has a tile.
-			m, k, n = dim(microRows-1), dim(48), dim(200)
+			// Too few rows for a micro-kernel strip: one padded strip.
+			m, k, n = dim(3), dim(48), dim(200)
 		case 1:
 			m, k, n = dim(48), dim(48), dim(48)
 		default:
@@ -168,7 +167,7 @@ func TestSIMDTileMatchesGoTile(t *testing.T) {
 		}
 		for w, p := range pools {
 			got := Full(99, m, n)
-			matmulBlocked(p, got.data, a.data, b.data, m, n, k, a.shape[1], b.shape[1], ta, tb, false)
+			matmulInto(p, got.data, a.data, b.data, m, n, k, a.shape[1], b.shape[1], ta, tb, false)
 			if i, ok := sameBits(got.data, want.data); !ok {
 				t.Fatalf("(%d,%d,%d) ta=%v tb=%v width %d: element %d is %g (%#x), the Go tile gives %g (%#x)", m, k, n, ta, tb, w, i,
 					got.data[i], math.Float32bits(got.data[i]), want.data[i], math.Float32bits(want.data[i]))
@@ -177,15 +176,15 @@ func TestSIMDTileMatchesGoTile(t *testing.T) {
 	}
 }
 
-// TestSmallRowGEMMMatchesNaive covers the products of one to three rows,
-// where the two builds dispatch differently (a padded strip of the
-// blocked kernel where simdStrip has a tile, the streaming kernels
-// otherwise, the four-column dot kernel under transposed B on both):
-// whichever kernel matmulInto picks must give the naive definition's
-// bits, for all four transpose cases, every n mod 4 tail, either side of
-// blockedMinWork, at widths 1 and 4 — and so must the same product split
-// in two over the reduction with acc, the second half continuing each
-// element's chain from what the first stored.
+// TestSmallRowGEMMMatchesNaive covers the products of one to three
+// rows, which the GEMM runs as one strip padded with zero rows of packed
+// A: each must give the naive definition's bits, for all four transpose
+// cases, every n mod 4 tail, one and several column panels and
+// reduction slabs, at widths 1 and 4 — and so must the same product
+// split in two over the reduction with acc, the second half continuing
+// each element's chain from what the first stored. It also covers the
+// empty products: m = 0 writes nothing, and k = 0 writes zeros, or with
+// acc leaves the destination as it was.
 func TestSmallRowGEMMMatchesNaive(t *testing.T) {
 	ex := sched.New(3)
 	defer ex.Close()
@@ -232,12 +231,40 @@ func TestSmallRowGEMMMatchesNaive(t *testing.T) {
 			}
 		}
 	}
+	for _, sh := range []struct{ m, k, n int }{{0, 7, 17}, {3, 0, 17}} {
+		for tr := 0; tr < 4; tr++ {
+			ta, tb := tr&1 != 0, tr&2 != 0
+			lda, ldb := sh.k, sh.n
+			if ta {
+				lda = sh.m
+			}
+			if tb {
+				ldb = sh.k
+			}
+			a, b := make([]float32, sh.m*sh.k), make([]float32, sh.k*sh.n)
+			for w, p := range pools {
+				for _, acc := range []bool{false, true} {
+					got := Full(99, sh.m, sh.n).data
+					matmulInto(p, got, a, b, sh.m, sh.n, sh.k, lda, ldb, ta, tb, acc)
+					want := float32(0)
+					if acc {
+						want = 99
+					}
+					for i, v := range got {
+						if v != want {
+							t.Fatalf("(%d,%d,%d) ta=%v tb=%v width %d acc=%v: element %d is %g, want %g", sh.m, sh.k, sh.n, ta, tb, w, acc, i, v, want)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
-// TestMatMulWideStreamingSplitsColumns drives the small-m wide-n
-// streaming shape that used to serialize (one row = one ForLane unit):
-// the column-chunked path must match the naive reference and stay
-// bit-identical across widths.
+// TestMatMulWideStreamingSplitsColumns drives the short-and-wide
+// shape (single-row inference GEMMs): its one row block splits over
+// column panels instead, so it parallelizes, and it must match the
+// naive reference and stay bit-identical across widths.
 func TestMatMulWideStreamingSplitsColumns(t *testing.T) {
 	ex := sched.New(4)
 	defer ex.Close()
@@ -253,7 +280,7 @@ func TestMatMulWideStreamingSplitsColumns(t *testing.T) {
 		}
 		naive := naiveMatMul(a, b, false, false)
 		if !AllClose(want, naive, 1e-3, 1e-3) {
-			t.Fatalf("(%d,%d,%d): wide streaming diverges from naive (max diff %g)",
+			t.Fatalf("(%d,%d,%d): short-and-wide product diverges from naive (max diff %g)",
 				shape.m, shape.k, shape.n, MaxAbsDiff(want, naive))
 		}
 		got, err := MatMul(NewParallelPool(4, ex), a, b, false, false)
@@ -261,7 +288,7 @@ func TestMatMulWideStreamingSplitsColumns(t *testing.T) {
 			t.Fatal(err)
 		}
 		if d := MaxAbsDiff(got, want); d != 0 {
-			t.Fatalf("(%d,%d,%d): wide streaming parallel differs (max |Δ| %g)",
+			t.Fatalf("(%d,%d,%d): short-and-wide product differs in parallel (max |Δ| %g)",
 				shape.m, shape.k, shape.n, d)
 		}
 	}

@@ -31,13 +31,8 @@ func benchBest(iters int, f func()) float64 {
 // timed:
 //
 //   - GEMM: the 2-D tiled kernel against the row-only kernel it replaced
-//     (verbatim copies below), over a big square, a tall/skinny and a
-//     short-and-wide streaming product;
-//   - dispatch: the streaming kernels against the blocked kernel on
-//     small products either side of blockedMinWork and of a four-row
-//     strip, all four transpose cases each — the sweep picksBlocked and
-//     each build's blockedMinRows are read off, so a host or compiler
-//     that moves the crossover shows here;
+//     (a verbatim copy below), over a big square, a tall/skinny and a
+//     short-and-wide product;
 //   - micro-tile: the dispatching micro kernel (AVX2 tiles where the
 //     build has them) against the Go tile alone, on one packed block;
 //   - convolution: the three lowered passes against the direct loop
@@ -146,12 +141,7 @@ func TestKernelBenchArtifact(t *testing.T) {
 			matmulInto(p, dst.data, a.data, b.data, s.m, s.n, s.k, s.k, s.n, false, false, false)
 		}
 		oldKernel := func(p *Pool) {
-			matmulStreamRowOnly(p, ref.data, a.data, b.data, s.m, s.n, s.k, s.k, s.n)
-		}
-		if picksBlocked(s.m, s.n, s.k, false) {
-			oldKernel = func(p *Pool) {
-				matmulBlockedRowOnly(p, ref.data, a.data, b.data, s.m, s.n, s.k, s.k, s.n, false, false)
-			}
+			matmulBlockedRowOnly(p, ref.data, a.data, b.data, s.m, s.n, s.k, s.k, s.n, false, false)
 		}
 		// The tiled kernel keeps every output element's accumulation
 		// order, so old and new must agree exactly at every width.
@@ -169,67 +159,6 @@ func TestKernelBenchArtifact(t *testing.T) {
 			Wide:              scalingOf(times["tiled2d"], times["row_only"])}
 		results = append(results, res)
 		t.Logf("%s: tiled %.2fms vs row-only %.2fms at width 1", s.name, times["tiled2d"][1]*1e3, times["row_only"][1]*1e3)
-	}
-
-	// Dispatch section: both kernel families forced onto the same small
-	// product, width 1; "picks" is what matmulInto chooses for the shape
-	// on this build, and should name the faster column.
-	type dispatchRow struct {
-		M                 int     `json:"m"`
-		K                 int     `json:"k"`
-		N                 int     `json:"n"`
-		Trans             string  `json:"trans"` // nn, nt (B stored n×k), tn (A stored k×m), tt
-		StreamUs          float64 `json:"stream_us"`
-		BlockedUs         float64 `json:"blocked_us"`
-		BlockedOverStream float64 `json:"blocked_over_stream"` // stream time / blocked time
-		Picks             string  `json:"picks"`
-	}
-	var dispatchRows []dispatchRow
-	for _, s := range [][3]int{ // m, k, n
-		{1, 16, 16}, {2, 16, 16}, {3, 16, 16}, {1, 64, 64}, {2, 64, 64}, {3, 64, 64}, // less than a strip: tiny,
-		{1, 576, 512}, {2, 576, 512}, {3, 576, 512}, // fully connected at batch 1 to 3,
-		{1, 512, 512}, {2, 512, 512}, {2, 64, 4096}, // square and wide
-		{4, 16, 16}, {8, 16, 16}, {32, 8, 8}, // below blockedMinWork
-		{4, 32, 32}, {64, 8, 8}, {8, 32, 32}, // at it and just above
-		{16, 64, 64}, {128, 27, 8}, {18, 576, 96}, {64, 64, 64}, {98, 216, 24}, // tiny- and small-preset layers
-	} {
-		m, k, n := s[0], s[1], s[2]
-		a, b := RandNormal(rng, 0, 1, m*k).data, RandNormal(rng, 0, 1, k*n).data
-		got, want := make([]float32, m*n), make([]float32, m*n)
-		reps := 1 + (1<<18)/(m*k*n)
-		for _, tr := range []struct {
-			name           string
-			transA, transB bool
-		}{{"nn", false, false}, {"nt", false, true}, {"tn", true, false}, {"tt", true, true}} {
-			lda, ldb := k, n
-			if tr.transA {
-				lda = m
-			}
-			if tr.transB {
-				ldb = k
-			}
-			stream := func() {
-				for r := 0; r < reps; r++ {
-					matmulStream(want, a, b, 0, m, 0, n, n, k, lda, ldb, tr.transA, tr.transB, false)
-				}
-			}
-			blocked := func() {
-				for r := 0; r < reps; r++ {
-					matmulBlocked(p1, got, a, b, m, n, k, lda, ldb, tr.transA, tr.transB, false)
-				}
-			}
-			stream()
-			blocked()
-			if i, ok := sameBits(got, want); !ok {
-				t.Fatalf("dispatch %dx%dx%d %s: element %d differs between the streaming and the blocked kernel", m, k, n, tr.name, i)
-			}
-			ts, tb := benchBest(20, stream)/float64(reps), benchBest(20, blocked)/float64(reps)
-			picks := "stream"
-			if picksBlocked(m, n, k, tr.transB) {
-				picks = "blocked"
-			}
-			dispatchRows = append(dispatchRows, dispatchRow{m, k, n, tr.name, ts * 1e6, tb * 1e6, ts / tb, picks})
-		}
 	}
 
 	// Micro-tile section: one full packed block (blockM×blockK · blockK×
@@ -373,11 +302,10 @@ func TestKernelBenchArtifact(t *testing.T) {
 		SIMD      string            `json:"simd"`
 		Widths    []int             `json:"widths"`
 		Shapes    []shapeResult     `json:"shapes"`
-		Dispatch  []dispatchRow     `json:"dispatch"`
 		MicroTile any               `json:"micro_tile"`
 		Conv      []convResult      `json:"conv"`
 		Attention []attnShapeResult `json:"attention"`
-	}{"kernels", goruntime.NumCPU(), goruntime.Version(), simd, widths, results, dispatchRows, microResult, convResults, attnResults}
+	}{"kernels", goruntime.NumCPU(), goruntime.Version(), simd, widths, results, microResult, convResults, attnResults}
 	data, err := json.MarshalIndent(artifact, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -409,15 +337,4 @@ func matmulBlockedRowOnly(p *Pool, dst, a, b []float32, m, n, k, lda, ldb int, t
 			})
 		}
 	}
-}
-
-// matmulStreamRowOnly is the pre-tier-2 streaming dispatch, verbatim in
-// effect: rows are the only split axis, so short-and-wide products ran
-// on at most m chunks regardless of width.
-func matmulStreamRowOnly(p *Pool, dst, a, b []float32, m, n, k, lda, ldb int) {
-	rowGrain := 1 + 65536/(n*k+1)
-	p.For(m, rowGrain, func(lo, hi int) {
-		clear(dst[lo*n : hi*n])
-		matmulRows(dst, a, b, lo, hi, 0, n, n, k, lda, ldb)
-	})
 }

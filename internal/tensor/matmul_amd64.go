@@ -8,18 +8,6 @@ var hasAVX2 = cpuHasAVX2()
 
 func cpuHasAVX2() bool
 
-// blockedMinRows is the row count below which a product with
-// non-transposed B stays on the streaming kernels. With the AVX2 tile a
-// strip's unasked-for rows cost less than streaming's scalar chains
-// from one row up (dispatch section of BENCH_kernels.json, m = 2,
-// 512×512: nn and tn 3.4×); without it the Go tile needs a full strip.
-var blockedMinRows = func() int {
-	if hasAVX2 {
-		return 1
-	}
-	return microRows
-}()
-
 // microTile4x16 and microTile4x8 accumulate a 4-row C tile of 16 or 8
 // columns: c[r*ldc+x] (+)= Σ_l a[r*kc+l]·b[l*ldb+x], l ascending. Lanes
 // run across output columns and each step is one VMULPS then one VADDPS

@@ -23,9 +23,8 @@ func benchMatMul(b *testing.B, m, k, n int) {
 	}
 }
 
-// BenchmarkMatMul sweeps square sizes across the streaming→blocked
-// dispatch threshold; the tiled/packed kernel's win should grow with
-// size as the working set falls out of cache.
+// BenchmarkMatMul sweeps square sizes from one that fits in L1 to ones
+// whose operands fall out of L2, where the packing earns its keep.
 func BenchmarkMatMul(b *testing.B) {
 	for _, s := range []int{64, 128, 256, 384, 512} {
 		b.Run(fmt.Sprintf("%dx%dx%d", s, s, s), func(b *testing.B) { benchMatMul(b, s, s, s) })
@@ -96,10 +95,10 @@ func BenchmarkMatMulTallSkinny(b *testing.B) {
 	benchMatMulWidths(b, 4096, 256, 64)
 }
 
-// BenchmarkMatMulWideStream drives the short-and-wide streaming shape
-// (single-row inference GEMMs): below streamSplitRows the kernel chunks
-// over columns, the axis the row-only dispatch could not split.
-func BenchmarkMatMulWideStream(b *testing.B) {
+// BenchmarkMatMulShortWide drives the short-and-wide shape (few-row
+// inference GEMMs): one row block, so the tile grid splits over column
+// panels, the axis a row-only split could not use.
+func BenchmarkMatMulShortWide(b *testing.B) {
 	benchMatMulWidths(b, 2, 64, 4096)
 }
 

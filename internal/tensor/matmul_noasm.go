@@ -2,11 +2,6 @@
 
 package tensor
 
-// blockedMinRows is the row count below which a product stays on the
-// streaming kernels: the Go micro-tile pays in full for the rows of a
-// strip nobody asked for.
-const blockedMinRows = microRows
-
 // simdStrip reports that no columns were vectorised: without the amd64
 // assembly (other architectures, or -tags purego) the Go micro-tile
 // computes every strip.

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -105,17 +106,14 @@ func TestMatMulShapeErrors(t *testing.T) {
 	}
 }
 
-// TestMatMulBlockedMatchesStreaming drives the tiled/packed kernel at
-// sizes past blockedMinWork — with odd dimensions so partial panels in
-// every blocking loop are exercised — and compares it against the
-// streaming kernels on the identical operands.
+// TestMatMulBlockedMatchesStreaming drives the GEMM at sizes with odd
+// dimensions, so partial panels in every blocking loop are exercised,
+// and holds it to the definition bit for bit in all four transpose
+// cases.
 func TestMatMulBlockedMatchesStreaming(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	p := NewPool(1)
-	m, k, n := 131, 157, 101 // m·n·k > blockedMinWork, nothing divides a block
-	if int64(m)*int64(n)*int64(k) < blockedMinWork {
-		t.Fatal("test sizes must engage the blocked kernel")
-	}
+	m, k, n := 131, 157, 101 // nothing divides a block
 	for _, ta := range []bool{false, true} {
 		for _, tb := range []bool{false, true} {
 			ashape := []int{m, k}
@@ -128,51 +126,10 @@ func TestMatMulBlockedMatchesStreaming(t *testing.T) {
 			}
 			a := RandNormal(rng, 0, 1, ashape...)
 			b := RandNormal(rng, 0, 1, bshape...)
-			got := New(m, n)
-			matmulBlocked(p, got.data, a.data, b.data, m, n, k, a.shape[1], b.shape[1], ta, tb, false)
-			want := New(m, n)
-			matmulStreamingForTest(p, want.data, a.data, b.data, m, n, k, a.shape[1], b.shape[1], ta, tb)
-			if !AllClose(got, want, 1e-3, 1e-3) {
-				t.Fatalf("transA=%v transB=%v: blocked kernel diverges (max diff %g)", ta, tb, MaxAbsDiff(got, want))
-			}
-		}
-	}
-}
-
-// matmulStreamingForTest runs the small-size kernels regardless of the
-// dispatch threshold.
-func matmulStreamingForTest(p *Pool, dst, a, b []float32, m, n, k, lda, ldb int, ta, tb bool) {
-	switch {
-	case !ta && !tb:
-		matmulRows(dst, a, b, 0, m, 0, n, n, k, lda, ldb)
-	case !ta && tb:
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				var s float32
-				for l := 0; l < k; l++ {
-					s += a[i*lda+l] * b[j*ldb+l]
-				}
-				dst[i*n+j] = s
-			}
-		}
-	case ta && !tb:
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				var s float32
-				for l := 0; l < k; l++ {
-					s += a[l*lda+i] * b[l*ldb+j]
-				}
-				dst[i*n+j] = s
-			}
-		}
-	default:
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				var s float32
-				for l := 0; l < k; l++ {
-					s += a[l*lda+i] * b[j*ldb+l]
-				}
-				dst[i*n+j] = s
+			got := Full(99, m, n)
+			matmulInto(p, got.data, a.data, b.data, m, n, k, a.shape[1], b.shape[1], ta, tb, false)
+			if i, ok := sameBits(got.data, naiveMatMul(a, b, ta, tb).data); !ok {
+				t.Fatalf("transA=%v transB=%v: element %d differs from the definition", ta, tb, i)
 			}
 		}
 	}
@@ -180,8 +137,8 @@ func matmulStreamingForTest(p *Pool, dst, a, b []float32, m, n, k, lda, ldb int,
 
 // TestMatMulAccumulateSplitsReduction: a product computed as two acc
 // slabs of its reduction dimension has the bits of the unsplit product,
-// in every transpose case and on both sides of the dispatch rule (the
-// contract Conv2DBackFilterInto's row blocks rest on).
+// in every transpose case, from a padded strip to several tiles and
+// slabs (the contract Conv2DBackFilterInto's row blocks rest on).
 func TestMatMulAccumulateSplitsReduction(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	p := NewPool(2)
@@ -275,22 +232,22 @@ func TestMatMulTransposeIdentityQuick(t *testing.T) {
 	}
 }
 
-// TestMatMulParallelBitIdentical drives both kernel paths (streaming —
-// products too thin or too small for the blocked dispatch rule — and
-// blocked/packed) at several real-parallel widths and
-// demands bitwise equality with the serial pool: chunk boundaries are
-// width-independent and per-row accumulation order never changes, so
-// the parallel strategy must be invisible in the result bits.
+// TestMatMulParallelBitIdentical drives the GEMM — thin and tiny
+// products of one tile, and products of several — at several
+// real-parallel widths and demands bitwise equality with the serial
+// pool: chunk boundaries are width-independent and per-element
+// accumulation order never changes, so the parallel strategy must be
+// invisible in the result bits.
 func TestMatMulParallelBitIdentical(t *testing.T) {
 	ex := sched.New(4)
 	defer ex.Close()
 	rng := rand.New(rand.NewSource(3))
 	cases := []struct{ m, k, n int }{
-		{3, 40, 290},   // streaming kernel, column split
-		{9, 20, 17},    // streaming kernel, below blockedMinWork
-		{33, 40, 29},   // blocked kernel, one partial tile
-		{160, 144, 80}, // blocked kernel, several row blocks
-		{256, 128, 64}, // blocked kernel, uneven tiles
+		{3, 40, 290},   // one padded strip, three column panels
+		{9, 20, 17},    // one tile, a few hundred multiply-adds
+		{33, 40, 29},   // one partial tile
+		{160, 144, 80}, // several row blocks
+		{256, 128, 64}, // uneven tiles
 	}
 	for _, tc := range cases {
 		a := RandNormal(rng, 0, 1, tc.m, tc.k)
@@ -311,7 +268,7 @@ func TestMatMulParallelBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		// Transposed operands through the blocked path too.
+		// Transposed operands too.
 		at := RandNormal(rng, 0, 1, tc.k, tc.m)
 		wantT, err := MatMul(NewPool(1), at, b, true, false)
 		if err != nil {
@@ -355,4 +312,118 @@ func TestConv2DParallelBitIdentical(t *testing.T) {
 	if d := MaxAbsDiff(got2, want2); d != 0 {
 		t.Fatalf("parallel strided conv differs (max |Δ| %g)", d)
 	}
+}
+
+// TestMatMulAllocatesNothing: on a width-1 pool the GEMM runs its tile
+// loop on the caller (Pool.inline) and keeps its panels in pool
+// scratch, so once that scratch has grown a product allocates nothing,
+// whatever its shape or transpose case.
+func TestMatMulAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	p := NewPool(1)
+	for _, c := range []struct {
+		name           string
+		m, k, n        int
+		transA, transB bool
+	}{
+		{"12x8x12 nn", 12, 8, 12, false, false},
+		{"2x512x512 nt", 2, 512, 512, false, true},
+		{"131x157x101 tn", 131, 157, 101, true, false},
+	} {
+		ashape, bshape := []int{c.m, c.k}, []int{c.k, c.n}
+		if c.transA {
+			ashape = []int{c.k, c.m}
+		}
+		if c.transB {
+			bshape = []int{c.n, c.k}
+		}
+		a, b, out := RandNormal(rng, 0, 1, ashape...), RandNormal(rng, 0, 1, bshape...), New(c.m, c.n)
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := MatMulInto(p, out, a, b, c.transA, c.transB); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: MatMulInto allocates %v objects per call at width 1, want 0", c.name, allocs)
+		}
+	}
+}
+
+// FuzzMatMul drives the GEMM over m, n and k in 0–70, all four
+// transpose cases, acc, and operands stored with row strides past their
+// width (the gap holds NaN, so reading it shows). It must not panic,
+// and the bits must be the naive definition's — into a NaN-filled
+// destination, or with acc onto zeros — on a width-1, a modeled width-4
+// and a parallel width-4 pool alike; the product split over k into a
+// plain call and an acc call must give the same bits.
+func FuzzMatMul(f *testing.F) {
+	f.Add(uint8(12), uint8(12), uint8(8), uint8(0), false, uint8(0), uint8(0), uint8(3), int64(1))
+	f.Add(uint8(2), uint8(70), uint8(70), uint8(2), true, uint8(1), uint8(3), uint8(35), int64(2))
+	f.Add(uint8(0), uint8(5), uint8(7), uint8(1), false, uint8(2), uint8(0), uint8(0), int64(3))
+	f.Add(uint8(3), uint8(9), uint8(0), uint8(3), true, uint8(0), uint8(1), uint8(0), int64(4))
+	f.Add(uint8(70), uint8(69), uint8(67), uint8(3), false, uint8(3), uint8(2), uint8(66), int64(5))
+	ex := sched.New(3)
+	f.Cleanup(ex.Close)
+	pools := []*Pool{NewPool(1), NewPool(4), NewParallelPool(4, ex)}
+	nan := float32(math.NaN())
+	f.Fuzz(func(t *testing.T, mB, nB, kB, trans uint8, acc bool, padA, padB, split uint8, seed int64) {
+		m, n, k := int(mB%71), int(nB%71), int(kB%71)
+		ta, tb := trans&1 != 0, trans&2 != 0
+		rng := rand.New(rand.NewSource(seed))
+		// stored fills a rows×cols operand at row stride ld and returns
+		// the strided buffer and a contiguous copy for the definition.
+		stored := func(rows, cols, ld int) ([]float32, *Tensor) {
+			buf, dense := make([]float32, rows*ld), New(rows, cols)
+			for r := 0; r < rows; r++ {
+				for c := 0; c < ld; c++ {
+					v := nan
+					if c < cols {
+						v = float32(rng.NormFloat64())
+						dense.data[r*cols+c] = v
+					}
+					buf[r*ld+c] = v
+				}
+			}
+			return buf, dense
+		}
+		ar, ac := m, k
+		if ta {
+			ar, ac = k, m
+		}
+		br, bc := k, n
+		if tb {
+			br, bc = n, k
+		}
+		lda, ldb := ac+int(padA%4), bc+int(padB%4)
+		a, aT := stored(ar, ac, lda)
+		b, bT := stored(br, bc, ldb)
+		want := naiveMatMul(aT, bT, ta, tb).data
+		for i, p := range pools {
+			got := Full(nan, m, n).data
+			if acc {
+				got = New(m, n).data
+			}
+			matmulInto(p, got, a, b, m, n, k, lda, ldb, ta, tb, acc)
+			if j, ok := sameBits(got, want); !ok {
+				t.Fatalf("(%d,%d,%d) ta=%v tb=%v acc=%v pool %d: element %d is %v, the definition gives %v", m, k, n, ta, tb, acc, i, j, got[j], want[j])
+			}
+			if m == 0 || n == 0 {
+				continue // nothing to split, and no stored row to offset into
+			}
+			k1 := int(split) % (k + 1)
+			aoff, boff := k1, k1*ldb
+			if ta {
+				aoff = k1 * lda
+			}
+			if tb {
+				boff = k1
+			}
+			got = Full(nan, m, n).data
+			matmulInto(p, got, a, b, m, n, k1, lda, ldb, ta, tb, false)
+			matmulInto(p, got, a[aoff:], b[boff:], m, n, k-k1, lda, ldb, ta, tb, true)
+			if j, ok := sameBits(got, want); !ok {
+				t.Fatalf("(%d,%d,%d) ta=%v tb=%v pool %d, split at %d: element %d is %v, the definition gives %v", m, k, n, ta, tb, i, k1, j, got[j], want[j])
+			}
+		}
+	})
 }

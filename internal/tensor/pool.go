@@ -223,12 +223,11 @@ func (p *Pool) For(n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	chunks := regionChunks(n, grain)
-	if chunks == 1 || p.workers == 1 {
+	if p.inline(n, grain) {
 		fn(0, n)
 		return
 	}
-	p.run(n, chunks, func(lane, chunk, lo, hi int) { fn(lo, hi) })
+	p.run(n, regionChunks(n, grain), func(lane, chunk, lo, hi int) { fn(lo, hi) })
 }
 
 // ForLane is For for kernels that need per-executor scratch: fn
@@ -242,12 +241,22 @@ func (p *Pool) ForLane(n, grain int, fn func(lane, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	chunks := regionChunks(n, grain)
-	if chunks == 1 || p.workers == 1 {
+	if p.inline(n, grain) {
 		fn(0, 0, n)
 		return
 	}
-	p.run(n, chunks, func(lane, chunk, lo, hi int) { fn(lane, lo, hi) })
+	p.run(n, regionChunks(n, grain), func(lane, chunk, lo, hi int) { fn(lane, lo, hi) })
+}
+
+// inline reports whether For and ForLane run a region of n iterations
+// as one call on the caller — fn(0, n), lane 0 — because it does not
+// split or the pool has one worker. This is the one place that rule
+// lives. The fn they take escapes (a helper goroutine may run it), so
+// building a closure for them allocates even when the region runs
+// inline; a kernel that must allocate nothing in that case asks inline
+// first and calls its loop body directly.
+func (p *Pool) inline(n, grain int) bool {
+	return p.workers == 1 || regionChunks(n, grain) == 1
 }
 
 // run drives the chunks of a split region under the pool's strategy:
