@@ -12,20 +12,34 @@
 // # Execution architecture
 //
 // The runtime compiles each fetch set into an execution plan
-// (runtime.Plan) in four passes over one step-indexed IR
-// (internal/runtime/compile.go): schedule (topological order), liveness
+// (runtime.Plan) in five passes over one step-indexed IR
+// (internal/runtime/compile.go): schedule (topological order), fuse (a
+// connected set of element-wise ops whose values nothing outside the
+// set reads, counted inside this plan, becomes one step), liveness
 // (when each destination's buffer dies, which fetches must be cloned),
 // constrain (the scheduling edges below) and assign (a slot in a
 // size-bucketed buffer arena, tensor.Arena, for every destination,
 // shared between disjoint lifetimes). An operation is one of two kinds
 // (graph.Op): a kernel, which writes its result into a destination it
 // is handed, or a view (graph.ViewOp: Reshape, Identity), which
-// computes nothing. One rule feeds all four passes: a root is a step
+// computes nothing. One rule feeds the passes: a root is a step
 // that owns storage — a kernel step owns its arena slot, a variable
 // owns its tensor — and a view step references what its input
 // references. Steady-state steps therefore run with near-zero heap
 // allocation, and tensors returned from Session.Run are copied out of
 // arena memory, so results stay valid across steps.
+//
+// Fusion is a decision of the compiled plan, not of the graph: a
+// model's one graph holds its backward pass, whose gradient taps read
+// every gate of an LSTM cell, but an inference fetch set never runs
+// them, so there each cell's 13-op tail of Slices, Sigmoids, Tanhs,
+// Muls and an Add becomes two steps. A fused step runs the block
+// evaluator (tensor.Program) and gives each element the float32 op
+// sequence of the unfused ops, so fused and unfused plans are
+// bit-identical. The paper characterises TensorFlow 0.8, which did not
+// fuse, so core.Run — the profile behind every figure — compiles
+// unfused plans (runtime.WithUnfusedPlans); serving, training and the
+// benchmark run fused.
 //
 // The session runs every operation itself, on the host's kernels; a
 // runtime.Device only prices it for the simulated timeline — the CPU
@@ -197,9 +211,13 @@
 // place (node identity preserved), eliminating one arena round-trip
 // per folded op. The pass never fuses across Impure or Mutator ops,
 // multi-reader intermediates (gradient taps keep pre-activations
-// materialized), externally fetched/kept nodes, or shape-changing
-// consumers; fused epilogues run in place over the same float
-// sequence, so fused and unfused graphs are bit-identical.
+// materialized), externally fetched/kept nodes, or consumers whose
+// operand is not an affine read of the producer's output; after the
+// base kernel, one pass of the block evaluator applies every epilogue
+// to each output block in turn, over the same float sequence, so fused
+// and unfused graphs are bit-identical. The plan's fuse pass uses the
+// same evaluator for sets of element-wise ops with no GEMM at their
+// head; which epilogues a GEMM absorbs is still decided on the graph.
 //
 // Reductions are one kernel over one layout: the input's axes coalesce
 // into alternating reduced and kept blocks, and one chunk rule splits

@@ -337,6 +337,9 @@ func Run(m Model, opt RunOptions) (*RunResult, error) {
 		runtime.WithInterOpWorkers(opt.InterOp),
 		runtime.WithSeed(seed),
 		runtime.WithTrace(),
+		// The profiles characterise the workload as the paper's
+		// TensorFlow 0.8 ran it, one op per step.
+		runtime.WithUnfusedPlans(),
 	}
 	if opt.IntraOp > 1 {
 		sessOpts = append(sessOpts, runtime.WithIntraOpWorkers(opt.IntraOp))

@@ -23,7 +23,10 @@ import (
 //  3. fused BatchMatMul vs the Mul+Tile+Sum attention decomposition
 //     the paper's seq2seq/memnet profiles exhibit.
 //
-// Each comparison reports per-step times on the same inputs.
+// Each comparison reports per-step times on the same inputs, on
+// unfused plans: the graph-level choices are what is compared. One
+// extra row runs the primitive softmax with plan fusion on, which joins
+// its Sub and Exp.
 func Ablation(o Options) (Result, error) {
 	o = o.withDefaults()
 	var text, csv strings.Builder
@@ -51,8 +54,9 @@ func Ablation(o Options) (Result, error) {
 		return Result{}, err
 	}
 	feed := tensor.RandNormal(rng, 0, 1, 16, 64)
-	timeGraph := func(g *graph.Graph, fetch *graph.Node, ph *graph.Node, in *tensor.Tensor) (time.Duration, error) {
-		s := runtime.NewSession(g, runtime.WithTrace(), runtime.WithSeed(o.Seed))
+	unfused := runtime.WithUnfusedPlans()
+	timeGraph := func(g *graph.Graph, fetch *graph.Node, ph *graph.Node, in *tensor.Tensor, opts ...runtime.Option) (time.Duration, error) {
+		s := runtime.NewSession(g, append([]runtime.Option{runtime.WithTrace(), runtime.WithSeed(o.Seed)}, opts...)...)
 		const reps = 20
 		for i := 0; i < reps; i++ {
 			if _, err := s.Run([]*graph.Node{fetch}, runtime.Feeds{ph: in}); err != nil {
@@ -61,7 +65,7 @@ func Ablation(o Options) (Result, error) {
 		}
 		return s.SimTime() / reps, nil
 	}
-	raw, err := timeGraph(g, out, x, feed)
+	raw, err := timeGraph(g, out, x, feed, unfused)
 	if err != nil {
 		return Result{}, err
 	}
@@ -71,7 +75,7 @@ func Ablation(o Options) (Result, error) {
 			nx = n
 		}
 	}
-	opt, err := timeGraph(optRes.Graph, optRes.Fetch(out), nx, feed)
+	opt, err := timeGraph(optRes.Graph, optRes.Fetch(out), nx, feed, unfused)
 	if err != nil {
 		return Result{}, err
 	}
@@ -87,18 +91,23 @@ func Ablation(o Options) (Result, error) {
 	fused := ops.Softmax(in2)
 	prim := nn.PrimitiveSoftmax(in2)
 	feed2 := tensor.RandNormal(rng, 0, 1, 64, 512)
-	tf, err := timeGraph(g2, fused, in2, feed2)
+	tf, err := timeGraph(g2, fused, in2, feed2, unfused)
 	if err != nil {
 		return Result{}, err
 	}
-	tp, err := timeGraph(g2, prim, in2, feed2)
+	tp, err := timeGraph(g2, prim, in2, feed2, unfused)
+	if err != nil {
+		return Result{}, err
+	}
+	tpf, err := timeGraph(g2, prim, in2, feed2)
 	if err != nil {
 		return Result{}, err
 	}
 	fmt.Fprintf(&text, "\nkernel fusion — softmax over (64,512):\n")
 	fmt.Fprintf(&text, "  fused Softmax op:            %v/step\n", tf)
 	fmt.Fprintf(&text, "  Max/Sub/Exp/Sum/Div recipe:  %v/step (%.2fx)\n", tp, float64(tp)/float64(tf))
-	fmt.Fprintf(&csv, "softmax,fused,%d\nsoftmax,primitive,%d\n", tf.Nanoseconds(), tp.Nanoseconds())
+	fmt.Fprintf(&text, "  the recipe, plan fusion on:  %v/step (%.2fx)\n", tpf, float64(tpf)/float64(tf))
+	fmt.Fprintf(&csv, "softmax,fused,%d\nsoftmax,primitive,%d\nsoftmax,primitive_plan_fused,%d\n", tf.Nanoseconds(), tp.Nanoseconds(), tpf.Nanoseconds())
 
 	// --- 3. fused BatchMatMul vs Mul+Tile+Sum attention scores ---
 	g3 := graph.New()
@@ -112,7 +121,7 @@ func Ablation(o Options) (Result, error) {
 	feedEnc := tensor.RandNormal(rng, 0, 1, 16, 32, 64)
 	feedQ := tensor.RandNormal(rng, 0, 1, 16, 64)
 	timePair := func(fetch *graph.Node) (time.Duration, error) {
-		s := runtime.NewSession(g3, runtime.WithTrace(), runtime.WithSeed(o.Seed))
+		s := runtime.NewSession(g3, runtime.WithTrace(), runtime.WithSeed(o.Seed), unfused)
 		const reps = 20
 		for i := 0; i < reps; i++ {
 			if _, err := s.Run([]*graph.Node{fetch}, runtime.Feeds{enc: feedEnc, qry: feedQ}); err != nil {

@@ -243,13 +243,13 @@ func TestAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"optimizer", "fused Softmax", "BatchMatMul", "CSE"} {
+	for _, want := range []string{"optimizer", "fused Softmax", "plan fusion on", "BatchMatMul", "CSE"} {
 		if !strings.Contains(r.Text, want) {
 			t.Fatalf("ablation missing %q:\n%s", want, r.Text)
 		}
 	}
 	lines := strings.Split(strings.TrimSpace(r.CSV), "\n")
-	if len(lines) != 7 { // header + 3 ablations × 2 variants
+	if len(lines) != 8 { // header + 3 ablations × 2 variants + the plan-fused recipe
 		t.Fatalf("ablation CSV rows = %d", len(lines))
 	}
 }

@@ -127,6 +127,24 @@ type ViewOp interface {
 	View(in []*tensor.Tensor) (*tensor.Tensor, error)
 }
 
+// Pointwise is what an index-pure element-wise kernel may add: its
+// result at every index is its scalar function of its inputs at that
+// index, after broadcasting, and its kernel computes exactly that
+// function per element. The runtime's fuse pass may then run it inside
+// one step with the element-wise ops around it (tensor.Program), with
+// the same bits.
+type Pointwise interface {
+	Pointwise() tensor.ScalarFn
+}
+
+// Window is what a Slice adds instead: when it keeps every leading
+// index of an input of shape in, its result reads one run of columns
+// of each of the input's rows — from column col, rows rowStride long —
+// and a fused step reads its input that way rather than copying it.
+type Window interface {
+	Window(in []int) (col, rowStride int, ok bool)
+}
+
 // Forward runs op on in and returns the result in a tensor of its own
 // (a view's result shares its input's storage). It is a convenience for
 // constant folding and tests, not a method of any op and not on a

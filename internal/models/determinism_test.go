@@ -1,14 +1,17 @@
 // Cross-workload determinism harness: the executable contract behind
-// the parallel inter-op scheduler. Every registered workload's train +
-// infer trajectory must be bit-identical (a) across two serial runs
-// under the same WithSeed — the replay contract — and (b) between
-// serial execution and a 4-wide inter-op schedule — the scheduler
-// contract. Any future scheduler change that perturbs RNG order,
-// variable update order, or arena buffer lifetimes fails this test
-// for at least one of the ten workloads.
+// the parallel inter-op scheduler and plan fusion. Every registered
+// workload's train + infer trajectory must be bit-identical (a) across
+// two serial runs under the same WithSeed — the replay contract — (b)
+// between serial execution and a 4-wide inter-op schedule — the
+// scheduler contract — and (c) between fused and unfused plans — the
+// fusion contract. Any future scheduler or compile change that perturbs
+// RNG order, variable update order, arena buffer lifetimes or an
+// element's float32 op sequence fails this test for at least one of the
+// ten workloads.
 package models_test
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -35,9 +38,9 @@ type fingerprint struct {
 // workloadFingerprint builds a fresh instance of the workload and
 // drives it through trainSteps optimizer updates and two self-feeding
 // inference steps on a session of the given intra-op × inter-op
-// widths, then snapshots the trajectory. Model config and session
-// seed are fixed, so two calls differ only in scheduler widths.
-func workloadFingerprint(t *testing.T, name string, intraop, interop, trainSteps int) fingerprint {
+// widths, fused or not, then snapshots the trajectory. Model config and
+// session seed are fixed, so two calls differ only in those.
+func workloadFingerprint(t *testing.T, name string, intraop, interop, trainSteps int, unfused bool) fingerprint {
 	t.Helper()
 	m, err := core.New(name)
 	if err != nil {
@@ -46,11 +49,15 @@ func workloadFingerprint(t *testing.T, name string, intraop, interop, trainSteps
 	if err := m.Setup(core.Config{Preset: core.PresetTiny, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	s := runtime.NewSession(m.Graph(),
+	opts := []runtime.Option{
 		runtime.WithSeed(11),
 		runtime.WithIntraOpWorkers(intraop),
 		runtime.WithInterOpWorkers(interop),
-	)
+	}
+	if unfused {
+		opts = append(opts, runtime.WithUnfusedPlans())
+	}
+	s := runtime.NewSession(m.Graph(), opts...)
 	defer s.Close()
 	fp := fingerprint{infer: map[string][]float32{}, vars: map[string][]float32{}}
 	tr, ok := m.(core.Trainer)
@@ -89,12 +96,14 @@ func workloadFingerprint(t *testing.T, name string, intraop, interop, trainSteps
 	return fp
 }
 
+// sameFloat32s compares bits, NaNs of any payload counting as equal;
+// != would fail two identical NaNs and pass +0 against −0.
 func sameFloat32s(a, b []float32) (int, bool) {
 	if len(a) != len(b) {
 		return -1, false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if x, y := a[i], b[i]; math.Float32bits(x) != math.Float32bits(y) && !(x != x && y != y) {
 			return i, false
 		}
 	}
@@ -134,27 +143,34 @@ func compareFingerprints(t *testing.T, label string, a, b fingerprint) {
 
 // TestCrossWorkloadDeterminism is the suite-wide determinism harness:
 // for all ten workloads, serial replay under WithSeed is bit-exact,
-// and every intra-op × inter-op width combination — real parallel
-// kernel chunks crossed with the parallel plan scheduler, all drawing
-// helpers from the shared worker pool — is bit-identical to serial.
+// every intra-op × inter-op width combination — real parallel kernel
+// chunks crossed with the parallel plan scheduler, all drawing helpers
+// from the shared worker pool — is bit-identical to serial, and so is
+// every such width with plans compiled unfused: losses, fetches and
+// trained variables.
 func TestCrossWorkloadDeterminism(t *testing.T) {
 	const trainSteps = 3
 	widths := []struct {
 		label          string
 		intra, interop int
+		unfused        bool
 	}{
-		{"intraop 4 vs serial", 4, 1},
-		{"interop 4 vs serial", 1, 4},
-		{"intraop 4 × interop 4 vs serial", 4, 4},
+		{"intraop 4 vs serial", 4, 1, false},
+		{"interop 4 vs serial", 1, 4, false},
+		{"intraop 4 × interop 4 vs serial", 4, 4, false},
+		{"unfused vs fused serial", 1, 1, true},
+		{"unfused intraop 4 vs fused serial", 4, 1, true},
+		{"unfused interop 4 vs fused serial", 1, 4, true},
+		{"unfused intraop 4 × interop 4 vs fused serial", 4, 4, true},
 	}
 	for _, name := range allNames {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			base := workloadFingerprint(t, name, 1, 1, trainSteps)
-			replay := workloadFingerprint(t, name, 1, 1, trainSteps)
+			base := workloadFingerprint(t, name, 1, 1, trainSteps, false)
+			replay := workloadFingerprint(t, name, 1, 1, trainSteps, false)
 			compareFingerprints(t, "serial replay (WithSeed)", base, replay)
 			for _, w := range widths {
-				par := workloadFingerprint(t, name, w.intra, w.interop, trainSteps)
+				par := workloadFingerprint(t, name, w.intra, w.interop, trainSteps, w.unfused)
 				compareFingerprints(t, w.label, base, par)
 			}
 		})

@@ -10,58 +10,74 @@ import (
 // Epilogue fusion (kernel tier 2): graph.FuseEpilogues folds
 // elementwise consumers — bias adds, activations — into their MatMul /
 // Conv2D producer, and this file supplies the fused kernel. The fused
-// op runs the producer's Into kernel into the output buffer, then
-// applies each absorbed epilogue in place on that buffer
-// (tensor.BinaryOpInPlace / tensor.UnaryOpInPlace), so the
-// intermediate tensor between producer and consumer never exists. The
-// float operation sequence per element is identical to the unfused
-// chain, keeping results bit-identical with fusion on or off.
+// op runs the producer's kernel into the output buffer, then one pass of
+// the block evaluator (tensor.Program) that applies every absorbed
+// epilogue to each output block in turn, so the intermediate tensor
+// between producer and consumer never exists. The evaluator gives each
+// element the float operation sequence of the unfused chain, keeping
+// results bit-identical with fusion on or off.
 
-// epilogue is one absorbed elementwise step. It stores kind
-// descriptors, never closures, so fused ops keep printable,
-// CSE-fingerprint-stable attribute structs.
+// epilogue is one absorbed elementwise consumer: a unary or binary
+// arithmetic op (graph.Pointwise), and for a binary one whether the
+// producer result is its right operand.
 type epilogue struct {
-	unary bool
-	un    unKind
-	bin   binKind
-	swap  bool // the producer result is the binary op's right operand
+	op   graph.Op
+	swap bool
 }
 
-func (e epilogue) label() string {
-	if e.unary {
-		return unNames[e.un]
-	}
-	return binNames[e.bin]
-}
-
-// epilogueFor maps a consumer op onto an epilogue descriptor; pos is
-// the consumer input slot fed by the producer. Only the elementwise
-// arithmetic ops qualify.
+// epilogueFor maps a consumer op onto an epilogue; pos is the consumer
+// input slot fed by the producer. Only the elementwise arithmetic ops
+// qualify.
 func epilogueFor(consumer graph.Op, pos int) (epilogue, bool) {
-	switch c := consumer.(type) {
-	case unOp:
-		return epilogue{unary: true, un: c.kind}, true
-	case binOp:
-		return epilogue{bin: c.kind, swap: pos == 1}, true
+	switch consumer.(type) {
+	case unOp, binOp:
+		return epilogue{op: consumer, swap: pos == 1}, true
 	}
 	return epilogue{}, false
 }
 
 // fusedEpilogueOp computes base followed by a chain of elementwise
-// epilogues applied in place on the base kernel's output. Inputs are
-// the base op's inputs (arity of them) followed by one operand per
-// binary epilogue, in fusion order. Pure and stateless like its parts;
-// it implements graph.EpilogueProducer, so chains keep absorbing.
+// epilogues over the base kernel's output. Inputs are the base op's
+// inputs (arity of them) followed by one operand per binary epilogue,
+// in fusion order. Pure and stateless like its parts; it implements
+// graph.EpilogueProducer, so chains keep absorbing.
 type fusedEpilogueOp struct {
 	base  kernelOp // MatMul or Conv2D
 	arity int      // base input count
 	eps   []epilogue
+	prog  tensor.Program // eps over the output: loads tensor.Dest, then each operand
+}
+
+// newFusedEpilogue builds the fused op and its program: slot 0 holds the
+// base kernel's output, slots 1.. the binary epilogues' operands, and
+// each epilogue is one instruction over the previous one's result.
+func newFusedEpilogue(base kernelOp, arity int, eps []epilogue) *fusedEpilogueOp {
+	prog := tensor.Program{Loads: []tensor.Load{{In: tensor.Dest}}}
+	for _, e := range eps {
+		if _, bin := e.op.(binOp); bin {
+			prog.Loads = append(prog.Loads, tensor.Load{In: arity + len(prog.Loads) - 1})
+		}
+	}
+	acc, operand := 0, 1
+	for k, e := range eps {
+		ins := tensor.Instr{Fn: e.op.(graph.Pointwise).Pointwise(), A: acc}
+		if ins.Fn.Bin != nil {
+			ins.B = operand
+			if e.swap {
+				ins.A, ins.B = ins.B, ins.A
+			}
+			operand++
+		}
+		prog.Code = append(prog.Code, ins)
+		acc = len(prog.Loads) + k
+	}
+	return &fusedEpilogueOp{base: base, arity: arity, eps: eps, prog: prog}
 }
 
 func (o *fusedEpilogueOp) Name() string {
 	s := o.base.Name()
 	for _, e := range o.eps {
-		s += "+" + e.label()
+		s += "+" + e.op.Name()
 	}
 	return s
 }
@@ -69,55 +85,29 @@ func (o *fusedEpilogueOp) Name() string {
 func (o *fusedEpilogueOp) Class() graph.OpClass { return o.base.Class() }
 
 func (o *fusedEpilogueOp) InferShape(in [][]int) ([]int, error) {
-	if len(in) < o.arity {
-		return nil, fmt.Errorf("%s wants at least %d inputs, got %d", o.Name(), o.arity, len(in))
+	if want := o.arity + len(o.prog.Loads) - 1; len(in) != want { // the Dest load has no input
+		return nil, fmt.Errorf("%s wants %d inputs, got %d", o.Name(), want, len(in))
 	}
 	shape, err := o.base.InferShape(in[:o.arity])
 	if err != nil {
 		return nil, err
 	}
-	next := o.arity
-	for _, e := range o.eps {
-		if e.unary {
-			continue
+	for _, operand := range in[o.arity:] {
+		if !tensor.AffineOperand(operand, shape) {
+			return nil, fmt.Errorf("%s: epilogue operand %v is not an affine read of the producer shape %v", o.Name(), operand, shape)
 		}
-		if next >= len(in) {
-			return nil, fmt.Errorf("%s missing the operand of epilogue %s", o.Name(), e.label())
-		}
-		bs, err := tensor.BroadcastShapes(shape, in[next])
-		if err != nil {
-			return nil, err
-		}
-		if !tensor.SameShape(bs, shape) {
-			return nil, fmt.Errorf("%s epilogue %s operand %v broadens the producer shape %v", o.Name(), e.label(), in[next], shape)
-		}
-		next++
-	}
-	if next != len(in) {
-		return nil, fmt.Errorf("%s wants %d inputs, got %d", o.Name(), next, len(in))
 	}
 	return shape, nil
 }
 
-// ForwardInto: the base kernel fully overwrites out, and the epilogues
-// rewrite it in place — out never aliases an input (the epilogue
-// operands are distinct buffers).
+// ForwardInto: the base kernel fully overwrites out, and the program
+// then rewrites it block by block — each block's loads are gathered
+// before its last instruction stores — so out never aliases an input.
 func (o *fusedEpilogueOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	if err := o.base.ForwardInto(ctx, in[:o.arity], out); err != nil {
 		return err
 	}
-	next := o.arity
-	for _, e := range o.eps {
-		if e.unary {
-			tensor.UnaryOpInPlace(ctx.Pool, out, unOp{e.un}.fn())
-			continue
-		}
-		if err := tensor.BinaryOpInPlace(ctx.Pool, out, in[next], e.swap, binOp{e.bin}.fn()); err != nil {
-			return err
-		}
-		next++
-	}
-	return nil
+	return o.prog.Run(ctx.Pool, out, in)
 }
 
 func (o *fusedEpilogueOp) Cost(in [][]int, out []int) (int64, int64) {
@@ -142,7 +132,7 @@ func (o *fusedEpilogueOp) AbsorbEpilogue(consumer graph.Op, pos int) (graph.Op, 
 	}
 	eps := make([]epilogue, len(o.eps), len(o.eps)+1)
 	copy(eps, o.eps)
-	return &fusedEpilogueOp{base: o.base, arity: o.arity, eps: append(eps, e)}, true
+	return newFusedEpilogue(o.base, o.arity, append(eps, e)), true
 }
 
 // AbsorbEpilogue implements graph.EpilogueProducer for the dense GEMM.
@@ -151,7 +141,7 @@ func (o matMulOp) AbsorbEpilogue(consumer graph.Op, pos int) (graph.Op, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &fusedEpilogueOp{base: o, arity: 2, eps: []epilogue{e}}, true
+	return newFusedEpilogue(o, 2, []epilogue{e}), true
 }
 
 // AbsorbEpilogue implements graph.EpilogueProducer for Conv2D (the
@@ -162,5 +152,5 @@ func (o conv2DOp) AbsorbEpilogue(consumer graph.Op, pos int) (graph.Op, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &fusedEpilogueOp{base: o, arity: 2, eps: []epilogue{e}}, true
+	return newFusedEpilogue(o, 2, []epilogue{e}), true
 }

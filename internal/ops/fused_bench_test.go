@@ -28,12 +28,15 @@ func BenchmarkEpilogueFusion(b *testing.B) {
 		w := g.Variable("w", wv.Clone())
 		bias := g.Variable("b", bv.Clone())
 		y := Relu(Add(MatMul(x, w), bias))
+		opts := []runtime.Option{runtime.WithSeed(1)}
 		if fuse {
 			if fused := graph.FuseEpilogues(g, y); fused != 2 {
 				b.Fatalf("expected 2 fusions, got %d", fused)
 			}
+		} else {
+			opts = append(opts, runtime.WithUnfusedPlans()) // or the plan would fuse Add and Relu
 		}
-		return runtime.NewSession(g, runtime.WithSeed(1)), []*graph.Node{y}, runtime.Feeds{x: xv}
+		return runtime.NewSession(g, opts...), []*graph.Node{y}, runtime.Feeds{x: xv}
 	}
 
 	for _, cfg := range []struct {

@@ -68,6 +68,9 @@ func (o binOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *ten
 	return tensor.BinaryOpInto(ctx.Pool, out, in[0], in[1], o.fn())
 }
 
+// Pointwise implements graph.Pointwise.
+func (o binOp) Pointwise() tensor.ScalarFn { return tensor.ScalarFn{Bin: o.fn()} }
+
 func (o binOp) Cost(in [][]int, out []int) (int64, int64) {
 	return int64(tensor.SizeOf(out)), defaultBytes(in, out)
 }
@@ -243,6 +246,9 @@ func (o unOp) fn() func(x float32) float32 {
 func (o unOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.UnaryOpInto(ctx.Pool, out, in[0], o.fn())
 }
+
+// Pointwise implements graph.Pointwise.
+func (o unOp) Pointwise() tensor.ScalarFn { return tensor.ScalarFn{Un: o.fn()} }
 
 func (o unOp) Cost(in [][]int, out []int) (int64, int64) {
 	return int64(tensor.SizeOf(out)), defaultBytes(in, out)

@@ -298,6 +298,21 @@ func (o sliceOp) InferShape(in [][]int) ([]int, error) {
 func (o sliceOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	return tensor.SliceTensorInto(ctx.Pool, out, in[0], o.begin, o.size)
 }
+
+// Window implements graph.Window for a Slice on the last axis.
+func (o sliceOp) Window(in []int) (col, rowStride int, ok bool) {
+	last := len(in) - 1
+	if last < 0 || len(o.begin) != len(in) || len(o.size) != len(in) {
+		return 0, 0, false
+	}
+	for k := 0; k < last; k++ {
+		if o.begin[k] != 0 || (o.size[k] != -1 && o.size[k] != in[k]) {
+			return 0, 0, false
+		}
+	}
+	return o.begin[last], in[last], true
+}
+
 func (o sliceOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
 	// The adjoint zero-pads the gradient back into the input extent,
 	// which TensorFlow reports as a Pad op.

@@ -1,8 +1,9 @@
 package runtime
 
-// Plan compilation: four passes over one step-indexed IR.
+// Plan compilation: five passes over one step-indexed IR.
 //
 //	schedule   topological order, roots
+//	fuse       connected element-wise sets read only inside themselves become one step
 //	liveness   when each arena slot dies, which fetches must be cloned
 //	constrain  data, variable-hazard and Impure-lane scheduling edges
 //	assign     arena buffers for the slots, reuse gated by the edges
@@ -10,7 +11,13 @@ package runtime
 // Every pass is a function of its arguments alone (assign also draws
 // from the arena it is handed), so each has a table test on hand-built
 // graphs in compile_test.go, and checkPlan there states what a finished
-// plan must satisfy.
+// plan must satisfy. A session made WithUnfusedPlans skips fuse.
+//
+// The reader rule, stated once: fuse counts a value's readers among the
+// op steps of this plan — the fetch set's transitive dependencies —
+// not among the graph's nodes. A gradient tap that a forward-only fetch
+// set never runs does not read anything, so the one graph a workload
+// builds for training and inference fuses differently in each.
 //
 // The root rule, stated once: a root is a step that owns storage — a
 // kernel step owns its arena slot, a variable step owns its tensor — and
@@ -20,6 +27,8 @@ package runtime
 // the guard's read sets are all read off that one analysis.
 
 import (
+	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/graph"
@@ -81,41 +90,64 @@ func (sc *schedule) isVar(r int32) bool  { return sc.steps[r].kind == graph.Kind
 // node, and the root analysis.
 func newSchedule(fetches []*graph.Node) *schedule {
 	order := graph.Topo(fetches)
-	n := len(order)
-	pos := make(map[*graph.Node]int, n)
+	steps := make([]planStep, len(order))
 	for i, nd := range order {
-		pos[nd] = i
+		steps[i] = planStep{node: nd, kind: nd.Kind(), nodes: order[i : i+1 : i+1]}
+	}
+	return analyze(steps, fetches)
+}
+
+// analyze numbers the steps' inputs by position and runs the root
+// analysis over them. Every input must be scheduled: a value fused into
+// another step is read by no step.
+func analyze(steps []planStep, fetches []*graph.Node) *schedule {
+	n := len(steps)
+	pos := make(map[*graph.Node]int, n)
+	for i := range steps {
+		pos[steps[i].node] = i
 	}
 	sc := &schedule{
-		steps: make([]planStep, n), fetchPos: make([]int, len(fetches)),
+		steps: steps, fetchPos: make([]int, len(fetches)),
 		reads: make([]rootSet, n), roots: make([]rootSet, n),
 		writes: make([][]int32, n), hazards: n,
 	}
 	for j, f := range fetches {
 		sc.fetchPos[j] = pos[f]
 	}
-	for i, nd := range order {
-		st := planStep{node: nd, kind: nd.Kind()}
+	for i := range steps {
+		st := &steps[i]
 		switch st.kind {
 		case graph.KindVariable:
 			sc.roots[i] = rootSet{int32(i)}
 		case graph.KindOp:
 			sc.nOps++
-			ins := nd.Inputs()
+			ins := st.node.Inputs()
+			if st.fused != nil {
+				ins = st.fused.operands
+			}
 			st.ins = make([]int, len(ins))
 			st.in = make([]*tensor.Tensor, len(ins))
 			for j, in := range ins {
-				st.ins[j] = pos[in]
-				sc.reads[i] = union(sc.reads[i], sc.roots[pos[in]])
+				p, ok := pos[in]
+				if !ok {
+					panic(fmt.Sprintf("runtime: %v reads %v, which no step computes", st.node, in))
+				}
+				st.ins[j] = p
+				sc.reads[i] = union(sc.reads[i], sc.roots[p])
 			}
-			if v, ok := nd.Op().(graph.ViewOp); ok {
+			v, isView := st.node.Op().(graph.ViewOp)
+			switch {
+			case st.fused != nil:
+				st.kernel = st.fused
+				sc.roots[i] = rootSet{int32(i)}
+			case isView:
 				st.view = v
 				sc.roots[i] = sc.roots[st.ins[0]]
-			} else {
-				st.kernel = nd.Op().(kernel) // Graph.Apply admits nothing else
+			default:
+				st.kernel = st.node.Op().(kernel) // Graph.Apply admits nothing else
 				sc.roots[i] = rootSet{int32(i)}
 			}
-			if mut, ok := nd.Op().(graph.Mutator); ok {
+			if mut, ok := st.node.Op().(graph.Mutator); ok {
 				for _, v := range mut.Mutates() {
 					id, ok := pos[v]
 					if !ok {
@@ -127,12 +159,225 @@ func newSchedule(fetches []*graph.Node) *schedule {
 				}
 			}
 		}
-		sc.steps[i] = st
 	}
 	return sc
 }
 
-// liveness is the second pass. slotEnd[r] is the schedule position
+// fusedStep is the kernel of a fused plan step: the block evaluator
+// over a program built from the step's members.
+type fusedStep struct {
+	prog     tensor.Program
+	operands []*graph.Node // the values the members read from outside the set, one per input
+	name     string        // the members' op names joined with "+", in schedule order
+}
+
+// ForwardInto runs the program over the step's operands.
+func (f *fusedStep) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	return f.prog.Run(ctx.Pool, out, in)
+}
+
+// member is how a step can take part in a fused set: as an instruction
+// over its inputs, or, for a window, as a way of reading its one input.
+type member struct {
+	fn     tensor.ScalarFn
+	window bool
+	load   tensor.Load // a window's load of its input
+}
+
+// memberOf reports whether op step i is an element-wise kernel a fused
+// set may hold, and how. Its shape is the set's output shape, so every
+// operand it reads from outside must be an affine read of it.
+func (sc *schedule) memberOf(i int) (member, bool) {
+	st := &sc.steps[i]
+	if st.kernel == nil {
+		return member{}, false
+	}
+	op := st.node.Op()
+	if _, ok := op.(graph.Impure); ok {
+		return member{}, false
+	}
+	if _, ok := op.(graph.Mutator); ok {
+		return member{}, false
+	}
+	ins := st.node.Inputs()
+	if w, ok := op.(graph.Window); ok {
+		col, stride, ok := w.Window(ins[0].Shape())
+		return member{window: true, load: tensor.Load{Window: true, Col: col, RowStride: stride}}, ok
+	}
+	pw, ok := op.(graph.Pointwise)
+	if !ok {
+		return member{}, false
+	}
+	for _, in := range ins {
+		if !tensor.AffineOperand(in.Shape(), st.node.Shape()) {
+			return member{}, false
+		}
+	}
+	return member{fn: pw.Pointwise()}, true
+}
+
+// fuse is the second pass: every connected set of element-wise steps
+// whose values nothing outside the set reads becomes one step with one
+// arena slot, computing the set's one remaining value. Readers are
+// counted by the reader rule above. A step joins the set of its readers
+// when
+//
+//   - it is an element-wise kernel (memberOf): graph.Pointwise, or a
+//     graph.Window, never Impure or a Mutator;
+//   - it is not fetched, and every op step that reads it is in that one
+//     set and reads it as a value, not through a window;
+//   - it has the set's output shape; and
+//   - it reads no variable an update in this plan rewrites, since its
+//     read moves to the set's position in the schedule.
+//
+// Steps are decided in reverse schedule order, so a step's readers are
+// decided before it. The fused step sits where the set's output did and
+// reads the set's operands from outside; every other member's value is
+// gone from the plan. Sets of one step stay as they were.
+func fuse(sc *schedule) *schedule {
+	n := len(sc.steps)
+	fetched := make([]bool, n)
+	for _, f := range sc.fetchPos {
+		fetched[f] = true
+	}
+	written := make([]bool, sc.hazards)
+	for _, ws := range sc.writes {
+		for _, v := range ws {
+			written[v] = true
+		}
+	}
+	readsWritten := func(i int) bool {
+		for _, r := range sc.reads[i] {
+			if sc.isVar(r) && written[r] {
+				return true
+			}
+		}
+		return false
+	}
+	// group[i] is the position of the set step i belongs to — the set's
+	// output — or -1. via[i] is what i's readers, decided first, allow:
+	// the one set they all belong to, or noReader or blocked.
+	const noReader, blocked = -2, -1
+	group, via, size := make([]int, n), make([]int, n), make([]int, n)
+	for i := range via {
+		via[i] = noReader
+	}
+	for i := n - 1; i >= 0; i-- {
+		group[i] = -1
+		m, ok := sc.memberOf(i)
+		if ok {
+			group[i] = i
+			if set := via[i]; set >= 0 && !fetched[i] && !readsWritten(i) &&
+				tensor.SameShape(sc.steps[i].node.Shape(), sc.steps[set].node.Shape()) {
+				group[i] = set
+			}
+			size[group[i]]++
+		}
+		for _, p := range sc.steps[i].ins {
+			switch {
+			case !ok || m.window:
+				via[p] = blocked
+			case via[p] == noReader:
+				via[p] = group[i]
+			case via[p] != group[i]:
+				via[p] = blocked
+			}
+		}
+	}
+	sets := make(map[int][]int)
+	for i, g := range group {
+		if g >= 0 && size[g] > 1 {
+			sets[g] = append(sets[g], i)
+		}
+	}
+	if len(sets) == 0 {
+		return sc
+	}
+	steps := make([]planStep, 0, n)
+	for i := range sc.steps {
+		st := &sc.steps[i]
+		switch set, ok := sets[i]; {
+		case ok:
+			steps = append(steps, sc.fusedStep(set, group))
+		case group[i] < 0 || size[group[i]] < 2:
+			steps = append(steps, planStep{node: st.node, kind: st.kind, nodes: st.nodes})
+		}
+	}
+	fetches := make([]*graph.Node, len(sc.fetchPos))
+	for j, f := range sc.fetchPos {
+		fetches[j] = sc.steps[f].node
+	}
+	return analyze(steps, fetches)
+}
+
+// fusedStep builds the step of one fused set, given its members'
+// positions in schedule order (its output last). Loads come first: each
+// window, and each distinct value a member reads from outside the set;
+// then one instruction per non-window member.
+func (sc *schedule) fusedStep(set, group []int) planStep {
+	out := set[len(set)-1]
+	f := &fusedStep{}
+	nodes := make([]*graph.Node, len(set))
+	names := make([]string, len(set))
+	members := make([]member, len(set))
+	slot := make(map[int]int, len(set)) // a member's position → the slot holding its value
+	loads := map[tensor.Load]int{}
+	operand := map[int]int{} // an outside value's position → its input index
+	load := func(p int, l tensor.Load) int {
+		j, ok := operand[p]
+		if !ok {
+			j = len(f.operands)
+			operand[p] = j
+			f.operands = append(f.operands, sc.steps[p].node)
+		}
+		l.In = j
+		s, ok := loads[l]
+		if !ok {
+			s = len(f.prog.Loads)
+			loads[l] = s
+			f.prog.Loads = append(f.prog.Loads, l)
+		}
+		return s
+	}
+	inSet := func(p int) bool { return group[p] == out }
+	for k, i := range set {
+		st := &sc.steps[i]
+		nodes[k], names[k] = st.node, st.node.OpName()
+		members[k], _ = sc.memberOf(i)
+		if m := members[k]; m.window {
+			slot[i] = load(st.ins[0], m.load)
+			continue
+		}
+		for _, p := range st.ins {
+			if !inSet(p) {
+				load(p, tensor.Load{})
+			}
+		}
+	}
+	arg := func(p int) int {
+		if inSet(p) {
+			return slot[p]
+		}
+		return load(p, tensor.Load{})
+	}
+	for k, i := range set {
+		st := &sc.steps[i]
+		m := members[k]
+		if m.window {
+			continue
+		}
+		ins := tensor.Instr{Fn: m.fn, A: arg(st.ins[0])}
+		if m.fn.Bin != nil {
+			ins.B = arg(st.ins[1])
+		}
+		slot[i] = len(f.prog.Loads) + len(f.prog.Code)
+		f.prog.Code = append(f.prog.Code, ins)
+	}
+	f.name = strings.Join(names, "+")
+	return planStep{node: sc.steps[out].node, kind: graph.KindOp, nodes: nodes, fused: f}
+}
+
+// liveness is the third pass. slotEnd[r] is the schedule position
 // after which slot r's buffer is dead — the last use of any value that
 // references it — and 0 where step r owns no slot (a slot is read
 // after position 0). A slot reachable from a fetch is pinned for the
@@ -225,7 +470,7 @@ func (e *edgeSet) add(from, to int, anti bool) {
 	e.edges++
 }
 
-// constrain is the third pass: the edges that make any worker count
+// constrain is the fourth pass: the edges that make any worker count
 // reproduce sequential execution bit-exactly, in one schedule walk.
 // Data edges order an op after its op inputs. Hazard edges serialize
 // every access to a mutated node (graph.Mutator — optimizer apply-ops)
@@ -308,7 +553,7 @@ func (a ancestry) has(anc, of int) bool {
 	return a.bits[of*a.words+anc/64]&(1<<uint(anc%64)) != 0
 }
 
-// assign is the fourth pass: greedy buffer assignment. It walks the
+// assign is the fifth pass: greedy buffer assignment. It walks the
 // schedule and frees each slot's buffer as soon as the scan passes its
 // last use, so later slots with disjoint lifetimes reuse it. A step's
 // destination is drawn while all of its inputs' buffers are still
@@ -444,10 +689,13 @@ func assign(sc *schedule, slotEnd []int, e *edgeSet, interOp int, arena *tensor.
 	return slots, buffers
 }
 
-// compile builds the execution plan of a fetch set from the four
+// compile builds the execution plan of a fetch set from the five
 // passes, then ranks the ready queue by unit-weight height.
 func (s *Session) compile(fetches []*graph.Node) *Plan {
 	sc := newSchedule(fetches)
+	if !s.unfused {
+		sc = fuse(sc)
+	}
 	slotEnd, fetchCopy := liveness(sc)
 	edges := constrain(sc)
 	slots, buffers := assign(sc, slotEnd, edges, s.interOp, s.arena)

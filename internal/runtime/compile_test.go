@@ -2,11 +2,15 @@ package runtime
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
+	"repro/internal/models/nn"
 	"repro/internal/ops"
 	"repro/internal/tensor"
 )
@@ -341,8 +345,15 @@ func TestAssignPass(t *testing.T) {
 //   - of two slots sharing a buffer, the later writer comes after the
 //     earlier slot's owner and all its readers, by position and through
 //     scheduling edges (anti-dependency edges at inter-op 1, ancestry
-//     above).
+//     above);
+//   - no step and no fetch references a value fusion absorbed: a fused
+//     step's members other than its output are computed by no step and
+//     read by none, and every step reads exactly the values its node —
+//     or, fused, its members — reads from outside it.
 func checkPlan(p *Plan) error {
+	if err := checkFusion(p); err != nil {
+		return err
+	}
 	n := len(p.steps)
 	// reach[i][j]: step j reaches step i through scheduling edges.
 	words := (n + 63) / 64
@@ -429,6 +440,62 @@ func checkPlan(p *Plan) error {
 	return nil
 }
 
+// checkFusion is checkPlan's fusion clause.
+func checkFusion(p *Plan) error {
+	absorbed := map[*graph.Node]int{} // a member fused away → its step
+	for i := range p.steps {
+		nodes := p.steps[i].nodes
+		if len(nodes) == 0 || nodes[len(nodes)-1] != p.steps[i].node {
+			return fmt.Errorf("step %d (%v) does not end its member list %v", i, p.steps[i].node, nodes)
+		}
+		for _, m := range nodes[:len(nodes)-1] {
+			absorbed[m] = i
+		}
+	}
+	for i := range p.steps {
+		st := &p.steps[i]
+		if f, ok := absorbed[st.node]; ok {
+			return fmt.Errorf("step %d computes %v, which step %d absorbed", i, st.node, f)
+		}
+		if st.kind != graph.KindOp {
+			continue
+		}
+		members := map[*graph.Node]bool{}
+		for _, m := range st.nodes {
+			members[m] = true
+		}
+		want := map[*graph.Node]bool{}
+		for _, m := range st.nodes {
+			for _, in := range m.Inputs() {
+				if !members[in] {
+					want[in] = true
+				}
+			}
+		}
+		got := map[*graph.Node]bool{}
+		for _, in := range st.ins {
+			got[p.steps[in].node] = true
+		}
+		for in := range want {
+			if f, ok := absorbed[in]; ok {
+				return fmt.Errorf("step %d (%v) reads %v, which step %d absorbed", i, st.node, in, f)
+			}
+			if !got[in] {
+				return fmt.Errorf("step %d (%v) does not read %v", i, st.node, in)
+			}
+		}
+		if len(got) != len(want) {
+			return fmt.Errorf("step %d (%v) reads %d values, its members %d", i, st.node, len(got), len(want))
+		}
+	}
+	for j, f := range p.fetchPos {
+		if s, ok := absorbed[p.steps[f].node]; ok {
+			return fmt.Errorf("fetch %d is %v, which step %d absorbed", j, p.steps[f].node, s)
+		}
+	}
+	return nil
+}
+
 // CheckCachedPlans runs checkPlan over every plan the session has
 // compiled — the hook the workload sweep in package runtime_test uses.
 func CheckCachedPlans(s *Session) error {
@@ -484,11 +551,28 @@ func TestCheckPlanCatchesBrokenPlans(t *testing.T) {
 	if err := checkPlan(p); err == nil {
 		t.Error("a plan with a kernel step that owns no slot passed")
 	}
+	// Let a fused step claim a value another step still computes and it
+	// reads.
+	g, fetches := cellTail()
+	p = NewSession(g).Plan(fetches)
+	if err := checkPlan(p); err != nil {
+		t.Fatalf("sound fused plan rejected: %v", err)
+	}
+	for i := range p.steps {
+		if st := &p.steps[i]; st.fused != nil {
+			st.nodes = append([]*graph.Node{p.steps[st.ins[0]].node}, st.nodes...)
+			break
+		}
+	}
+	if err := checkPlan(p); err == nil {
+		t.Error("a plan with a step reading a value fusion absorbed passed")
+	}
 }
 
 // FuzzPlanCompile: for any random training graph and width, compile
 // does not panic, the plan satisfies checkPlan, and a parallel run's
-// fetches and variables equal the sequential session's bit for bit.
+// fetches and variables equal the sequential session's bit for bit, as
+// do an unfused session's.
 func FuzzPlanCompile(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(4))
 	f.Add(int64(7), uint8(40), uint8(2))
@@ -496,35 +580,211 @@ func FuzzPlanCompile(f *testing.F) {
 	f.Add(int64(-5), uint8(63), uint8(7))
 	f.Fuzz(func(t *testing.T, seed int64, size, interOp uint8) {
 		n, width := int(size%64), 1+int(interOp%8)
-		gSer, xSer, fSer := randomDAG(seed, n)
-		gPar, xPar, fPar := randomDAG(seed, n)
-		ser := NewSession(gSer, WithSeed(seed))
-		par := NewSession(gPar, WithSeed(seed), WithInterOpWorkers(width))
-		defer par.Close()
-		ser.SetTraining(true)
-		par.SetTraining(true)
-		// The loss alone first: a second, smaller plan on the same arena.
-		for _, fetches := range [][]*graph.Node{fSer[:1], fSer} {
-			if err := checkPlan(ser.Plan(fetches)); err != nil {
-				t.Fatalf("inter-op 1: %v", err)
-			}
+		type arm struct {
+			g       *graph.Graph
+			x       *graph.Node
+			fetches []*graph.Node
+			s       *Session
+			label   string
 		}
-		for _, fetches := range [][]*graph.Node{fPar[:1], fPar} {
-			if err := checkPlan(par.Plan(fetches)); err != nil {
-				t.Fatalf("inter-op %d: %v", width, err)
+		var arms []*arm
+		for _, c := range []struct {
+			label string
+			opts  []Option
+		}{
+			{"inter-op 1", nil},
+			{fmt.Sprintf("inter-op %d", width), []Option{WithInterOpWorkers(width)}},
+			{"unfused", []Option{WithUnfusedPlans()}},
+		} {
+			g, x, fetches := randomDAG(seed, n)
+			s := NewSession(g, append([]Option{WithSeed(seed)}, c.opts...)...)
+			defer s.Close()
+			s.SetTraining(true)
+			// The loss alone first: a second, smaller plan on the same arena.
+			for _, fs := range [][]*graph.Node{fetches[:1], fetches} {
+				if err := checkPlan(s.Plan(fs)); err != nil {
+					t.Fatalf("%s: %v", c.label, err)
+				}
 			}
+			arms = append(arms, &arm{g: g, x: x, fetches: fetches, s: s, label: c.label})
 		}
 		for run := 0; run < 2; run++ {
-			a, err := ser.Run(fSer, Feeds{xSer: tensor.Full(0.3, 4, 6)})
-			if err != nil {
-				t.Fatal(err)
+			var want []*tensor.Tensor
+			for i, a := range arms {
+				got, err := a.s.Run(a.fetches, Feeds{a.x: tensor.Full(0.3, 4, 6)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					want = got
+					continue
+				}
+				assertSameTensors(t, fmt.Sprintf("run %d fetches, %s", run, a.label), got, want)
 			}
-			b, err := par.Run(fPar, Feeds{xPar: tensor.Full(0.3, 4, 6)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameTensors(t, fmt.Sprintf("run %d fetches", run), a, b)
 		}
-		assertSameVariables(t, gSer, gPar)
+		for _, a := range arms[1:] {
+			assertSameVariables(t, arms[0].g, a.g)
+		}
 	})
+}
+
+// cellTail is one nn.LSTMCell step as seq2seq builds it — the gate
+// GEMMs with their bias adds fused in by graph.FuseEpilogues — fetching
+// the next hidden and cell state, as the next step reads both.
+func cellTail() (*graph.Graph, []*graph.Node) {
+	g := graph.New()
+	x, h, cs := g.Placeholder("x", 4, 8), g.Placeholder("h", 4, 16), g.Placeholder("cs", 4, 16)
+	hNext, csNext := nn.NewLSTMCell(g, rand.New(rand.NewSource(3)), "cell", 8, 16).Step(x, h, cs)
+	fetches := []*graph.Node{hNext, csNext}
+	graph.FuseEpilogues(g, fetches...)
+	return g, fetches
+}
+
+// feedAll feeds every placeholder of g seeded normal data.
+func feedAll(g *graph.Graph, seed int64) Feeds {
+	rng := rand.New(rand.NewSource(seed))
+	feeds := Feeds{}
+	for _, nd := range g.Nodes() {
+		if nd.Kind() == graph.KindPlaceholder {
+			feeds[nd] = tensor.RandNormal(rng, 0, 1, nd.Shape()...)
+		}
+	}
+	return feeds
+}
+
+// noisyTanh is element-wise and says so, but is Impure, as a stochastic
+// activation would be: the fuse pass keeps it and its neighbours apart.
+type noisyTanh struct{}
+
+func (noisyTanh) Name() string         { return "NoisyTanh" }
+func (noisyTanh) Class() graph.OpClass { return graph.ClassElementwise }
+func (noisyTanh) Impure()              {}
+func (noisyTanh) InferShape(in [][]int) ([]int, error) {
+	return append([]int(nil), in[0]...), nil
+}
+func (o noisyTanh) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	return tensor.UnaryOpInto(ctx.Pool, out, in[0], o.Pointwise().Un)
+}
+func (noisyTanh) Pointwise() tensor.ScalarFn {
+	return tensor.ScalarFn{Un: func(x float32) float32 { return float32(math.Tanh(float64(x))) }}
+}
+
+// TestFusePass: where the fuse pass fires, and each gate that blocks
+// it. Every case also runs fused and unfused and compares the bits.
+func TestFusePass(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func() (*graph.Graph, []*graph.Node)
+		want  []string // the fused steps, in schedule order
+	}{
+		{"LSTM cell tail: 13 ops become 2 steps", cellTail,
+			[]string{"Slice+Sigmoid+Mul+Slice+Sigmoid+Slice+Tanh+Mul+Add", "Slice+Sigmoid+Tanh+Mul"}},
+		{"row, column and scalar operands", func() (*graph.Graph, []*graph.Node) {
+			g := graph.New()
+			x, r, b := g.Placeholder("x", 4, 6), g.Placeholder("r", 4, 1), g.Placeholder("b", 6)
+			y := ops.Div(ops.Mul(ops.Sub(ops.Exp(x), r), b), ops.ScalarConst(g, 3))
+			return g, []*graph.Node{y}
+		}, []string{"Exp+Sub+Mul+Div"}},
+		{"a fetched intermediate", func() (*graph.Graph, []*graph.Node) {
+			g := graph.New()
+			a := ops.Sigmoid(g.Placeholder("x", 4, 6))
+			return g, []*graph.Node{ops.Tanh(a), a}
+		}, nil},
+		{"a reader outside the set", func() (*graph.Graph, []*graph.Node) {
+			g := graph.New()
+			a := ops.Sigmoid(g.Placeholder("x", 4, 6))
+			return g, []*graph.Node{ops.Tanh(a), ops.MatMul(a, g.Placeholder("w", 6, 6))}
+		}, nil},
+		{"an operand that broadens the output", func() (*graph.Graph, []*graph.Node) {
+			g := graph.New()
+			a := ops.Sigmoid(g.Placeholder("x", 4, 1))
+			return g, []*graph.Node{ops.Add(a, g.Placeholder("y", 4, 6))}
+		}, nil},
+		{"an operand that is not affine", func() (*graph.Graph, []*graph.Node) {
+			g := graph.New()
+			a := ops.Sigmoid(g.Placeholder("x", 2, 4, 6))
+			return g, []*graph.Node{ops.Add(a, g.Placeholder("y", 4, 1))}
+		}, nil},
+		{"an Impure neighbour", func() (*graph.Graph, []*graph.Node) {
+			g := graph.New()
+			a := ops.Sigmoid(g.Placeholder("x", 4, 6))
+			return g, []*graph.Node{ops.Tanh(g.MustApply(noisyTanh{}, a))}
+		}, nil},
+		{"a variable an update in the plan rewrites", func() (*graph.Graph, []*graph.Node) {
+			// Sigmoid reads v before the update, the Add after it: fused at
+			// the Add, Sigmoid would read the updated v.
+			g := graph.New()
+			v := g.Variable("v", tensor.Full(0.5, 4, 6))
+			up := ops.ApplySGD(v, g.Const("grad", tensor.Ones(4, 6)), 0.1)
+			return g, []*graph.Node{ops.Add(ops.Sigmoid(v), up)}
+		}, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g, fetches := c.build()
+			sc := fuse(newSchedule(fetches))
+			var got []string
+			for i := range sc.steps {
+				if f := sc.steps[i].fused; f != nil {
+					got = append(got, f.name)
+				}
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("fused steps %q, want %q", got, c.want)
+			}
+			g2, fetches2 := c.build() // its own variables
+			fused, unfused := NewSession(g), NewSession(g2, WithUnfusedPlans())
+			if err := checkPlan(fused.Plan(fetches)); err != nil {
+				t.Fatal(err)
+			}
+			if err := checkPlan(unfused.Plan(fetches2)); err != nil {
+				t.Fatal(err)
+			}
+			for run := 0; run < 2; run++ {
+				want := unfused.MustRun(fetches2, feedAll(g2, 1))
+				assertSameTensors(t, "fused vs unfused", fused.MustRun(fetches, feedAll(g, 1)), want)
+			}
+			assertSameVariables(t, g, g2)
+		})
+	}
+}
+
+// TestFusedStepIsOneOp: to every reader of a plan a fused step is one
+// op — named by its members joined with "+", element-wise, and priced by
+// the modeled GPU as one launch over the sum of its members' costs.
+func TestFusedStepIsOneOp(t *testing.T) {
+	g, fetches := cellTail()
+	gpu := NewGTX960()
+	s := NewSession(g, WithTrace(), WithDevice(gpu))
+	s.MustRun(fetches, feedAll(g, 2))
+	plan := s.Plan(fetches)
+	if plan.Ops() != 4 {
+		t.Errorf("the cell runs %d op steps, want 4: two gate GEMMs and two fused tails", plan.Ops())
+	}
+	byNode := map[*graph.Node]*planStep{}
+	for i := range plan.steps {
+		byNode[plan.steps[i].node] = &plan.steps[i]
+	}
+	fused := 0
+	for _, e := range s.Trace() {
+		st := byNode[e.Node]
+		if st.fused == nil {
+			continue
+		}
+		fused++
+		if e.Op != st.fused.name || e.Class != graph.ClassElementwise {
+			t.Errorf("fused step traced as %q (%v)", e.Op, e.Class)
+		}
+		// Each member alone is bandwidth-bound, so the sum of their
+		// roofline times past the launch is the roofline time of the sum.
+		want := gpu.Launch
+		for _, m := range st.nodes {
+			want += gpu.OpTime([]*graph.Node{m}, nil, 0) - gpu.Launch
+		}
+		if d := e.Dur - want; d < -time.Duration(len(st.nodes)) || d > time.Duration(len(st.nodes)) {
+			t.Errorf("%s priced %v, its members %v", e.Op, e.Dur, want)
+		}
+	}
+	if fused != 2 {
+		t.Errorf("%d fused steps traced, want 2", fused)
+	}
 }

@@ -85,7 +85,8 @@ func TestPlanCachedMatchesFreshCompile(t *testing.T) {
 
 // TestPlanAssignsAndReusesArenaSlots checks the liveness analysis
 // actually shares buffers: a deep chain of same-shaped intermediates
-// needs far fewer buffers than slots.
+// needs far fewer buffers than slots. Unfused, or the chain would be one
+// step.
 func TestPlanAssignsAndReusesArenaSlots(t *testing.T) {
 	g := graph.New()
 	x := g.Placeholder("x", 16, 16)
@@ -93,7 +94,7 @@ func TestPlanAssignsAndReusesArenaSlots(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h = ops.Relu(h)
 	}
-	s := NewSession(g)
+	s := NewSession(g, WithUnfusedPlans())
 	p := s.Plan([]*graph.Node{h})
 	if p.Slots() != 10 {
 		t.Fatalf("expected 10 arena slots, got %d", p.Slots())
@@ -138,12 +139,9 @@ func TestPlanOutputNeverAliasesInput(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref = mm
-		tensor.UnaryOpInPlace(p, ref, func(v float32) float32 {
-			if v > 0 {
-				return v
-			}
-			return 0
-		})
+		for j, v := range ref.Data() {
+			ref.Data()[j] = max(v, 0)
+		}
 	}
 	if tensor.MaxAbsDiff(got, ref) != 0 {
 		t.Fatalf("plan execution diverges from reference (max diff %g)", tensor.MaxAbsDiff(got, ref))
@@ -180,20 +178,34 @@ func buildReductionChain() (*graph.Graph, *graph.Node, *graph.Node, *graph.Node)
 // TestSteadyStateRunAllocsLittle: after the first Run compiles the
 // plan, subsequent Runs should perform only a handful of allocations
 // (the fetch clone and bookkeeping), not one per intermediate —
-// whatever kind of kernel the intermediates come from.
+// whatever kind of kernel the intermediates come from — and a fused
+// plan no more than the same chain unfused.
 func TestSteadyStateRunAllocsLittle(t *testing.T) {
-	for name, build := range map[string]func() (*graph.Graph, *graph.Node, *graph.Node, *graph.Node){
-		"arithmetic": buildChain, "movement": buildMovementChain, "reduction": buildReductionChain,
+	chain := func(build func() (*graph.Graph, *graph.Node, *graph.Node, *graph.Node)) func() (*graph.Graph, []*graph.Node) {
+		return func() (*graph.Graph, []*graph.Node) {
+			g, _, _, y := build()
+			return g, []*graph.Node{y}
+		}
+	}
+	for name, build := range map[string]func() (*graph.Graph, []*graph.Node){
+		"arithmetic": chain(buildChain), "movement": chain(buildMovementChain),
+		"reduction": chain(buildReductionChain), "cell tail": cellTail,
 	} {
-		_, x, _, y := build()
-		s := NewSession(y.Graph())
-		feed := Feeds{x: tensor.Ones(4, 8)}
-		s.MustRun([]*graph.Node{y}, feed)
-		allocs := testing.AllocsPerRun(20, func() {
-			s.MustRun([]*graph.Node{y}, feed)
-		})
-		if allocs > 12 {
-			t.Errorf("%s chain: steady-state Run allocates %v objects; the plan should hold them near zero", name, allocs)
+		var allocs [2]float64 // fused, unfused
+		for i, opts := range [][]Option{nil, {WithUnfusedPlans()}} {
+			g, fetches := build()
+			s := NewSession(g, opts...)
+			feed := feedAll(g, 1)
+			s.MustRun(fetches, feed)
+			allocs[i] = testing.AllocsPerRun(20, func() {
+				s.MustRun(fetches, feed)
+			})
+		}
+		if allocs[0] > 12 {
+			t.Errorf("%s chain: steady-state Run allocates %v objects; the plan should hold them near zero", name, allocs[0])
+		}
+		if allocs[0] > allocs[1] {
+			t.Errorf("%s chain: a fused Run allocates %v objects, unfused %v", name, allocs[0], allocs[1])
 		}
 	}
 }

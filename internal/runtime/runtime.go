@@ -10,14 +10,21 @@
 //
 // The first Run of a fetch set compiles it into a Plan: the transitive
 // dependencies in topological order, plus a static buffer assignment.
-// Compilation is four passes over one step-indexed IR — schedule,
-// liveness, constrain, assign; compile.go states the rule they share —
+// Compilation is five passes over one step-indexed IR — schedule, fuse,
+// liveness, constrain, assign; compile.go states the rules they share —
 // that give every kernel operation (graph.Op) a destination slot in a
 // size-bucketed buffer arena (tensor.Arena). Two intermediates with
 // disjoint lifetimes share one buffer, and because plans are cached on
 // the session, steady-state steps execute with near-zero heap
 // allocation: every operation writes into its preassigned slot, except
 // the views (Reshape, Identity), which compute nothing.
+//
+// The fuse pass runs each connected set of element-wise ops
+// (graph.Pointwise, and last-axis Slices as graph.Window reads) whose
+// values only the set reads in this plan as one step: one slot, one
+// dispatch, one trace event named by its members joined with "+", and
+// the unfused ops' bits (tensor.Program). WithUnfusedPlans turns it off
+// for the op-level profiles the paper's figures are made of.
 //
 // Tensors returned from Run never alias arena memory: any fetch whose
 // value may reach an arena slot is deep-copied on the way out
@@ -56,9 +63,9 @@ var ErrClosed = errors.New("runtime: session closed")
 // timeline. Dur is the price the session's Device put on the
 // operation; Wall is what the host measured.
 type Event struct {
-	Node  *graph.Node
-	Op    string        // operation type name
-	Class graph.OpClass // Figure-3 class
+	Node  *graph.Node   // for a fused step, the node of the value it computes
+	Op    string        // operation type name; a fused step's members' names joined with "+"
+	Class graph.OpClass // Figure-3 class; elementwise for a fused step
 	Start time.Duration // simulated start since session creation
 	Dur   time.Duration // simulated duration
 	Step  int           // session run counter when executed
@@ -89,9 +96,10 @@ type Event struct {
 // the timeline it simulates.
 type Device interface {
 	Name() string
-	// OpTime prices one execution of n that took wall on the host and
-	// ran its kernels through pool.
-	OpTime(n *graph.Node, pool *tensor.Pool, wall time.Duration) time.Duration
+	// OpTime prices one execution of a plan step that took wall on the
+	// host and ran its kernels through pool. nodes are what the step
+	// computes: its one node, or a fused step's members.
+	OpTime(nodes []*graph.Node, pool *tensor.Pool, wall time.Duration) time.Duration
 }
 
 // CPUDevice prices an operation at the kernel pool's simulated
@@ -102,7 +110,7 @@ type CPUDevice struct{}
 func (CPUDevice) Name() string { return "cpu" }
 
 // OpTime implements Device.
-func (CPUDevice) OpTime(_ *graph.Node, pool *tensor.Pool, wall time.Duration) time.Duration {
+func (CPUDevice) OpTime(_ []*graph.Node, pool *tensor.Pool, wall time.Duration) time.Duration {
 	return pool.OpTime(wall)
 }
 
@@ -136,23 +144,30 @@ func NewGTX960() *GPUDevice {
 // Name implements Device.
 func (d *GPUDevice) Name() string { return "gpu" }
 
-// modelTime computes the roofline duration for executing n.
-func (d *GPUDevice) modelTime(n *graph.Node) time.Duration {
+// cost is the flop and byte count of executing n.
+func cost(n *graph.Node) (flops, bytes int64) {
 	inShapes := make([][]int, len(n.Inputs()))
 	for i, x := range n.Inputs() {
 		inShapes[i] = x.Shape()
 	}
-	var flops, bytes int64
 	if c, ok := n.Op().(graph.Coster); ok {
-		flops, bytes = c.Cost(inShapes, n.Shape())
-	} else {
-		var b int64
-		for _, s := range inShapes {
-			b += int64(tensor.SizeOf(s))
-		}
-		b += int64(tensor.SizeOf(n.Shape()))
-		bytes = b * 4
-		flops = int64(tensor.SizeOf(n.Shape()))
+		return c.Cost(inShapes, n.Shape())
+	}
+	var b int64
+	for _, s := range inShapes {
+		b += int64(tensor.SizeOf(s))
+	}
+	b += int64(tensor.SizeOf(n.Shape()))
+	return int64(tensor.SizeOf(n.Shape())), b * 4
+}
+
+// modelTime computes the roofline duration for executing nodes as one
+// kernel: one launch, and the sum of their costs.
+func (d *GPUDevice) modelTime(nodes []*graph.Node) time.Duration {
+	var flops, bytes int64
+	for _, n := range nodes {
+		f, b := cost(n)
+		flops, bytes = flops+f, bytes+b
 	}
 	eff := d.Efficiency
 	if eff <= 0 || eff > 1 {
@@ -168,8 +183,8 @@ func (d *GPUDevice) modelTime(n *graph.Node) time.Duration {
 }
 
 // OpTime implements Device.
-func (d *GPUDevice) OpTime(n *graph.Node, _ *tensor.Pool, _ time.Duration) time.Duration {
-	return d.modelTime(n)
+func (d *GPUDevice) OpTime(nodes []*graph.Node, _ *tensor.Pool, _ time.Duration) time.Duration {
+	return d.modelTime(nodes)
 }
 
 // Feeds maps placeholder nodes to their input tensors for one Run.
@@ -182,11 +197,15 @@ type kernel interface {
 }
 
 // planStep is one scheduled node of a compiled plan. An op step is a
-// kernel, which writes its arena slot out, or a view, which has none.
+// kernel, which writes its arena slot out, or a view, which has none. A
+// fused step is a kernel that computes node from a connected set of
+// element-wise nodes (see compile.go's fuse pass).
 type planStep struct {
 	node   *graph.Node
 	kind   graph.NodeKind
-	ins    []int            // value positions of the node's inputs
+	nodes  []*graph.Node    // what the step computes: node, or a fused step's members in schedule order
+	fused  *fusedStep       // a fused step's kernel
+	ins    []int            // value positions of the node's inputs (a fused step's operands)
 	in     []*tensor.Tensor // reusable input gather buffer
 	kernel kernel           // a kernel step's op, and
 	out    *tensor.Tensor   // the arena slot it writes
@@ -296,6 +315,7 @@ type Session struct {
 	// (tensor.NewParallelPool) instead of modeling the speedup.
 	intraOp   int
 	workers   int                  // modeled width of serial kernel pools (WithModeledWorkers)
+	unfused   bool                 // compile plans without the fuse pass (WithUnfusedPlans)
 	execPool  *sched.Pool          // shared worker pool (default sched.Default)
 	lease     *sched.Lease         // the session's adaptive claim on it
 	leaseName string               // tenant name the claim registers under
@@ -314,6 +334,12 @@ func WithDevice(d Device) Option { return func(s *Session) { s.dev = d } }
 // 1): kernels still run their chunks serially and the pool reports the
 // makespan n lanes would have had. WithIntraOpWorkers is the real one.
 func WithModeledWorkers(n int) Option { return func(s *Session) { s.workers = n } }
+
+// WithUnfusedPlans compiles plans without the fuse pass, so every
+// graph op runs as its own step — the executor TensorFlow 0.8 was, whose
+// op-level profiles the paper's figures characterise. core.Run, the
+// profile path, sets it; results are bit-identical either way.
+func WithUnfusedPlans() Option { return func(s *Session) { s.unfused = true } }
 
 // WithSeed seeds the session RNG (default 1).
 func WithSeed(seed int64) Option {
@@ -642,15 +668,19 @@ func (s *Session) execStep(ctx *graph.ExecContext, st *planStep, in []*tensor.Te
 		err = st.kernel.ForwardInto(ctx, in, out)
 	}
 	tm.wall = time.Since(tm.start)
-	tm.dur = s.dev.OpTime(st.node, ctx.Pool, tm.wall)
+	tm.dur = s.dev.OpTime(st.nodes, ctx.Pool, tm.wall)
 	return out, tm, err
 }
 
 // emit appends one op step's trace event: where the simulation placed
 // it (start, lane, critical-path finish) and what execStep measured.
 func (s *Session) emit(st *planStep, start time.Duration, lane int, tm opTiming, cp time.Duration) {
+	op, class := st.node.OpName(), st.node.Op().Class()
+	if st.fused != nil {
+		op, class = st.fused.name, graph.ClassElementwise
+	}
 	s.trace = append(s.trace, Event{
-		Node: st.node, Op: st.node.OpName(), Class: st.node.Op().Class(),
+		Node: st.node, Op: op, Class: class,
 		Start: start, Dur: tm.dur, Step: s.step,
 		Worker: lane, Wall: tm.wall, WallStart: tm.start, CP: cp,
 	})

@@ -366,9 +366,13 @@ func TestParallelPanicRethrown(t *testing.T) {
 
 // randomDAG builds a deterministic pseudo-random training graph:
 // random fan-in/fan-out over (4,6) tensors with a stateful-op mix
-// (dropout, RNG sampling, in-place SGD updates) plus view chains, a
-// loss, and gradient-descent updates. Built twice with the same seed
-// it yields structurally identical graphs.
+// (dropout, RNG sampling, in-place SGD updates), view chains, the
+// element-wise ops the fuse pass joins — over operands of shape (4,1)
+// and (6) and last-axis Slices of wider products — a loss, fetched
+// intermediates and gradient-descent updates. Half the picks take the
+// newest node, so single-reader chains form next to values with several
+// readers. Built twice with the same seed it yields structurally
+// identical graphs.
 func randomDAG(seed int64, size int) (*graph.Graph, *graph.Node, []*graph.Node) {
 	r := rand.New(rand.NewSource(seed))
 	g := graph.New()
@@ -376,12 +380,19 @@ func randomDAG(seed int64, size int) (*graph.Graph, *graph.Node, []*graph.Node) 
 	v1 := g.Variable("v1", tensor.Full(0.07, 4, 6))
 	v2 := g.Variable("v2", tensor.Full(-0.05, 4, 6))
 	w := g.Variable("w", tensor.Full(0.11, 6, 6))
+	wide := g.Variable("wide", tensor.Full(0.03, 6, 12))
+	bias := g.Variable("bias", tensor.Full(0.2, 6))
 	cur := ops.Add(ops.MatMul(ops.Add(x, v1), w), v2)
 	pool := []*graph.Node{cur}
-	pick := func() *graph.Node { return pool[r.Intn(len(pool))] }
+	pick := func() *graph.Node {
+		if r.Intn(2) == 0 {
+			return pool[len(pool)-1]
+		}
+		return pool[r.Intn(len(pool))]
+	}
 	for i := 0; i < size; i++ {
 		var nd *graph.Node
-		switch r.Intn(9) {
+		switch r.Intn(15) {
 		case 0:
 			nd = ops.Relu(pick())
 		case 1:
@@ -402,6 +413,19 @@ func randomDAG(seed int64, size int) (*graph.Graph, *graph.Node, []*graph.Node) 
 		case 8:
 			// A view of whatever the pick is: a slot, a view, a sample.
 			nd = ops.Identity(pick())
+		case 9:
+			nd = ops.Sigmoid(pick())
+		case 10:
+			nd = ops.Tanh(pick())
+		case 11:
+			nd = ops.Sub(pick(), pick())
+		case 12:
+			nd = ops.Mul(pick(), bias) // a column broadcast (6)
+		case 13:
+			nd = ops.Sub(pick(), ops.SumKeep(pick(), 1)) // a row broadcast (4,1)
+		case 14:
+			// A window onto a wider product, at any column offset.
+			nd = ops.SliceN(ops.MatMul(pick(), wide), []int{0, r.Intn(7)}, []int{-1, 6})
 		}
 		pool = append(pool, nd)
 	}
@@ -410,13 +434,16 @@ func randomDAG(seed int64, size int) (*graph.Graph, *graph.Node, []*graph.Node) 
 	for i := 0; i < 2; i++ {
 		loss = ops.Add(loss, ops.Sum(pick()))
 	}
-	grads, err := graph.Gradients(loss, []*graph.Node{v1, v2, w})
+	params := []*graph.Node{v1, v2, w, wide, bias}
+	grads, err := graph.Gradients(loss, params)
 	if err != nil {
 		panic(err)
 	}
 	fetches := []*graph.Node{loss, pick(), pick()}
-	for i, v := range []*graph.Node{v1, v2, w} {
-		fetches = append(fetches, ops.ApplySGD(v, grads[i], 0.003))
+	for i, v := range params {
+		if grads[i] != nil { // wide and bias reach the loss only if drawn
+			fetches = append(fetches, ops.ApplySGD(v, grads[i], 0.003))
+		}
 	}
 	return g, x, fetches
 }

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
 
 // series is one thing the engine exports: its /metrics name and help,
@@ -19,9 +21,10 @@ import (
 // gauge whose value is a time.Duration, anything else a plain gauge.
 type series struct {
 	name, help string
-	ctr        func(*Engine) *atomic.Uint64 // a counter the engine owns: ResetStats zeroes it
-	read       func(*Engine) int64          // a value derived when asked for
-	stat       func(*Stats, int64)          // the Stats field a ctr or read row fills
+	ctr        func(*Engine) *atomic.Uint64  // a counter the engine owns: ResetStats zeroes it
+	read       func(*Engine) int64           // a value derived when asked for
+	arena      func(tensor.ArenaStats) int64 // a field of the session arenas' sum, taken once per walk
+	stat       func(*Stats, int64)           // the Stats field a ctr, read or arena row fills
 	hist       func(*Engine) *telemetry.LogHistogram
 	lane       string // hist only: the series' lane label
 }
@@ -66,27 +69,31 @@ var exported = []series{
 
 	// Arena utilization, summed over the worker sessions.
 	{name: "fathom_arena_live_buffers", help: "Plan-arena buffers currently checked out.",
-		read: func(e *Engine) int64 { return int64(e.arena().LiveBuffers) },
-		stat: func(s *Stats, v int64) { s.ArenaLiveBuffers = int(v) }},
+		arena: func(a tensor.ArenaStats) int64 { return int64(a.LiveBuffers) },
+		stat:  func(s *Stats, v int64) { s.ArenaLiveBuffers = int(v) }},
 	{name: "fathom_arena_bytes", help: "Plan-arena heap footprint in bytes.",
-		read: func(e *Engine) int64 { return e.arena().TotalBytes },
-		stat: func(s *Stats, v int64) { s.ArenaBytes = v }},
+		arena: func(a tensor.ArenaStats) int64 { return a.TotalBytes },
+		stat:  func(s *Stats, v int64) { s.ArenaBytes = v }},
 	{name: "fathom_arena_reuses_total", help: "Arena buffer requests served by recycling.",
-		read: func(e *Engine) int64 { return int64(e.arena().Reuses) },
-		stat: func(s *Stats, v int64) { s.ArenaReuses = int(v) }},
+		arena: func(a tensor.ArenaStats) int64 { return int64(a.Reuses) },
+		stat:  func(s *Stats, v int64) { s.ArenaReuses = int(v) }},
 	{name: "fathom_arena_allocs_total", help: "Arena buffers allocated from the heap.",
-		read: func(e *Engine) int64 { return int64(e.arena().TotalBuffers) },
-		stat: func(s *Stats, v int64) { s.ArenaTotalBuffers = int(v) }},
+		arena: func(a tensor.ArenaStats) int64 { return int64(a.TotalBuffers) },
+		stat:  func(s *Stats, v int64) { s.ArenaTotalBuffers = int(v) }},
 
 	{name: "fathom_lease_granted", help: "Helpers the adaptive lease negotiation grants this engine.",
 		read: func(e *Engine) int64 { return int64(e.leaseGranted()) },
 		stat: func(s *Stats, v int64) { s.LeaseGranted = int(v) }},
 }
 
-// value reads a scalar row now.
-func (sr *series) value(e *Engine) int64 {
-	if sr.ctr != nil {
+// value reads a scalar row now; arena returns the walk's one sum of the
+// session arenas.
+func (sr *series) value(e *Engine, arena func() tensor.ArenaStats) int64 {
+	switch {
+	case sr.ctr != nil:
 		return int64(sr.ctr(e).Load())
+	case sr.arena != nil:
+		return sr.arena(arena())
 	}
 	return sr.read(e)
 }
@@ -112,17 +119,31 @@ func (sr *series) labels(e *Engine) telemetry.Labels {
 // Engines with bounded lifetimes should call UnregisterMetrics from
 // their teardown so the registry never scrapes a closed engine.
 func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
+	// The arena rows of one scrape share one sum of the session arenas.
+	var (
+		mu  sync.Mutex
+		at  uint64
+		sum tensor.ArenaStats
+	)
+	arena := func() tensor.ArenaStats {
+		mu.Lock()
+		defer mu.Unlock()
+		if n := reg.Scrapes(); n != at {
+			at, sum = n, e.arena()
+		}
+		return sum
+	}
 	for i := range exported {
 		sr := &exported[i]
 		switch {
 		case sr.hist != nil:
 			reg.Histogram(sr.name, sr.help, sr.labels(e), sr.hist(e))
 		case strings.HasSuffix(sr.name, "_total"):
-			reg.CounterFunc(sr.name, sr.help, sr.labels(e), func() uint64 { return uint64(sr.value(e)) })
+			reg.CounterFunc(sr.name, sr.help, sr.labels(e), func() uint64 { return uint64(sr.value(e, arena)) })
 		case strings.HasSuffix(sr.name, "_seconds"):
-			reg.GaugeFunc(sr.name, sr.help, sr.labels(e), func() float64 { return time.Duration(sr.value(e)).Seconds() })
+			reg.GaugeFunc(sr.name, sr.help, sr.labels(e), func() float64 { return time.Duration(sr.value(e, arena)).Seconds() })
 		default:
-			reg.GaugeFunc(sr.name, sr.help, sr.labels(e), func() float64 { return float64(sr.value(e)) })
+			reg.GaugeFunc(sr.name, sr.help, sr.labels(e), func() float64 { return float64(sr.value(e, arena)) })
 		}
 	}
 	// Unlabeled: the pool is process-wide, and the registry's

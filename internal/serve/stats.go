@@ -225,9 +225,11 @@ func (e *Engine) Stats() Stats {
 		PoolSpawned:   e.pool.Spawned(),
 		LeaseClaim:    e.claim,
 	}
+	sum := e.arena()
+	arena := func() tensor.ArenaStats { return sum }
 	for i := range exported {
 		if sr := &exported[i]; sr.stat != nil {
-			sr.stat(&s, sr.value(e))
+			sr.stat(&s, sr.value(e, arena))
 		}
 	}
 	if s.Batches > 0 {

@@ -179,8 +179,9 @@ type series struct {
 // one replaces it — re-registration is idempotent, so short-lived
 // subsystems (tests, rebuilt engines) never poison the registry.
 type Registry struct {
-	mu     sync.Mutex
-	series []*series
+	mu      sync.Mutex
+	series  []*series
+	scrapes atomic.Uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -276,11 +277,17 @@ func (r *Registry) Histogram(name, help string, labels Labels, h *LogHistogram) 
 	r.add(&series{name: name, help: help, typ: "histogram", labels: renderLabels(labels), hist: h})
 }
 
+// Scrapes returns how many WritePrometheus walks have begun. A
+// subsystem whose scrape-time readers derive several series from one
+// costly read keys a cache on it, so the read happens once per scrape.
+func (r *Registry) Scrapes() uint64 { return r.scrapes.Load() }
+
 // WritePrometheus renders every registered series in the Prometheus
 // text exposition format (version 0.0.4): series sharing a name form
 // one family with a single HELP/TYPE header; histograms emit
 // cumulative le buckets in seconds plus _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	r.scrapes.Add(1)
 	r.mu.Lock()
 	snap := append([]*series(nil), r.series...)
 	r.mu.Unlock()

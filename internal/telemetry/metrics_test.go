@@ -237,6 +237,9 @@ func TestCountersMonotonicAcrossScrapes(t *testing.T) {
 	if v := find(t, second, "mono_total", "").value; v != 8 {
 		t.Errorf("mono_total = %v, want 8", v)
 	}
+	if n := r.Scrapes(); n != 2 {
+		t.Errorf("Scrapes() = %d after two scrapes", n)
+	}
 }
 
 // TestRegistryReplaceAndUnregister pins the idempotent-registration

@@ -169,38 +169,6 @@ func binaryOpInto(p *Pool, out, a, b *Tensor, shape []int, fn func(x, y float32)
 	})
 }
 
-// BinaryOpInPlace applies fn elementwise over out and other, writing
-// the result back into out: out = fn(out, other), or fn(other, out)
-// when swap is set. other must broadcast to out's shape without
-// broadening it (out's shape is the result shape). This is the fused
-// epilogue primitive — unlike the *Into kernels, aliasing out with the
-// full-shape operand is the point, and it is safe in every path of the
-// shared kernel: the operand carrying out's shape is always read at
-// exactly the index being written (identity index mapping, no
-// broadcast strides), so each element load happens before its store.
-func BinaryOpInPlace(p *Pool, out, other *Tensor, swap bool, fn func(x, y float32) float32) error {
-	shape, err := BroadcastShapes(out.shape, other.shape)
-	if err != nil {
-		return err
-	}
-	if !SameShape(shape, out.shape) {
-		return fmt.Errorf("tensor: BinaryOpInPlace operand %v broadens destination %v", other.shape, out.shape)
-	}
-	if swap {
-		binaryOpInto(p, out, other, out, shape, fn)
-	} else {
-		binaryOpInto(p, out, out, other, shape, fn)
-	}
-	return nil
-}
-
-// UnaryOpInPlace applies fn elementwise in place over out — the unary
-// fused epilogue primitive. Trivially alias-safe: each element is read
-// once, at the index being written.
-func UnaryOpInPlace(p *Pool, out *Tensor, fn func(x float32) float32) {
-	unaryOpInto(p, out, out, fn)
-}
-
 // UnaryOpInto applies fn elementwise into out, which must have a's
 // shape. out is fully overwritten and must not alias a.
 func UnaryOpInto(p *Pool, out, a *Tensor, fn func(x float32) float32) error {

@@ -80,12 +80,13 @@ type laneScratchSet [scratchSlots][]float32
 // may nest (Conv2D's im2col path calls the matmul kernel), so each
 // concern owns a distinct slot.
 const (
-	scratchPackA  = iota // matmul: packed A panel (per lane)
-	scratchPackB         // matmul: packed B panel (caller-side)
-	scratchIm2col        // conv: im2col patch matrix (caller-side)
-	scratchAttn          // attention: one score row of length S (per lane)
-	scratchLRN           // LRN: one pixel's squares, scales and powers (per lane)
-	scratchReduce        // reduction: chunk partials (caller-side, disjoint per chunk)
+	scratchPackA     = iota // matmul: packed A panel (per lane)
+	scratchPackB            // matmul: packed B panel (caller-side)
+	scratchIm2col           // conv: im2col patch matrix (caller-side)
+	scratchAttn             // attention: one score row of length S (per lane)
+	scratchLRN              // LRN: one pixel's squares, scales and powers (per lane)
+	scratchReduce           // reduction: chunk partials (caller-side, disjoint per chunk)
+	scratchPointwise        // block evaluator: one block per load and intermediate (per lane)
 	scratchSlots
 )
 
