@@ -203,21 +203,22 @@
 // retained row-only baseline, with scaling columns only at widths the
 // recording host has processors for).
 //
-// A graph-level epilogue-fusion pass (graph.FuseEpilogues; pass 4 of
-// graph.Optimize, and applied to every workload's training graph via
-// nn.TrainPlan.Fuse) folds elementwise consumers — bias Add, Relu,
-// Tanh, and friends — into their GEMM/Conv2D producer: a producer
-// implementing graph.EpilogueProducer absorbs the consumer node in
-// place (node identity preserved), eliminating one arena round-trip
-// per folded op. The pass never fuses across Impure or Mutator ops,
-// multi-reader intermediates (gradient taps keep pre-activations
-// materialized), externally fetched/kept nodes, or consumers whose
-// operand is not an affine read of the producer's output; after the
-// base kernel, one pass of the block evaluator applies every epilogue
-// to each output block in turn, over the same float sequence, so fused
-// and unfused graphs are bit-identical. The plan's fuse pass uses the
-// same evaluator for sets of element-wise ops with no GEMM at their
-// head; which epilogues a GEMM absorbs is still decided on the graph.
+// Epilogue fusion is the plan's fuse pass too, not a graph rewrite: a
+// fused set of element-wise ops may have one head, any kernel that is
+// neither Impure nor a Mutator and whose value only the set reads, as
+// a value and at the set's shape. The head runs first into the step's
+// slot and the block evaluator then applies the bias add, the
+// activation and whatever else the set holds to each output block in
+// turn, over the same float sequence, so a GEMM or convolution and its
+// epilogue cost one arena round-trip and stay bit-identical to the
+// unfused plan. The gates are the fuse pass's own (compile.go): gradient
+// taps keep pre-activations out of a training plan's sets, fetched
+// values stay, and a step joins a set only if no update rewrites a
+// variable it reads between it and the set's output — which a training
+// plan's updates, all after its forward pass, never do. A headed step
+// traces as its members joined with "+" (Conv2D+Add+Relu) in its
+// head's class. Graphs themselves keep TensorFlow 0.8's op types, so
+// the unfused profiles report MatMul and Add, never MatMul+Add.
 //
 // Reductions are one kernel over one layout: the input's axes coalesce
 // into alternating reduced and kept blocks, and one chunk rule splits
@@ -255,12 +256,11 @@
 // including rows containing ±Inf masks.
 //
 // At the graph level, ops.NaiveAttention builds the unfused reference
-// chain and graph.FuseAttention (joining pass 4 of graph.Optimize,
-// ahead of epilogue fusion, which would otherwise absorb the chain's
-// scale) pattern-matches BatchMatMul→scalar-Mul→Softmax→BatchMatMul
-// with a rank-3 (0,2,1) transpose on K and rewrites it in place to one
-// FusedAttention node, under the same gates as epilogue fusion
-// (single-reader intermediates, no Impure/Mutator, no kept/fetched
+// chain and graph.FuseAttention (pass 4 of graph.Optimize)
+// pattern-matches BatchMatMul→scalar-Mul→Softmax→BatchMatMul with a
+// rank-3 (0,2,1) transpose on K and rewrites it in place to one
+// FusedAttention node, under gates of its own (single-reader
+// intermediates, graph-wide; no Impure/Mutator; no kept/fetched
 // nodes). Training graphs fuse before gradient construction: the fused
 // op's Grad recomputes the probability matrix in its own backward
 // subgraph, so dQ/dK/dV match the naive chain's autodiff bitwise. The

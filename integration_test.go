@@ -87,8 +87,9 @@ func TestSuiteProfileDeterminism(t *testing.T) {
 //
 // attention is a filed outlier (ROADMAP 2): it sat at 13–15 before its
 // products moved to the SIMD GEMM tile and needs 16–19 since, at every
-// preset, partly because epilogue fusion reports MatMul, MatMul+Add and
-// MatMul+Add+Add as three types. Its bar only stops it drifting further.
+// preset. The profile compiles unfused plans over graphs no rewrite
+// fused, so it reports root op types only (MatMul and Add, never
+// MatMul+Add). Its bar only stops it drifting further.
 func TestHeavyTypesWithinPaperRange(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiles all workloads")

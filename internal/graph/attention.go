@@ -5,29 +5,28 @@ import (
 )
 
 // AttentionComposer marks operations that can replace a whole
-// softmax(score·scale)·value chain with one fused kernel — the
-// attention analogue of EpilogueProducer. The receiver is the final
-// (probabilities × values) matmul of the chain; ComposeAttention
-// receives the upstream ops (the Softmax, the scalar Mul, the score
-// matmul and the key Transpose) plus the scale constant's value, and
-// returns the fused op or declines. The structural gates — node kinds,
-// reader counts, purity — are the pass's job; the composer only judges
-// whether the ops themselves form the pattern it implements.
+// softmax(score·scale)·value chain with one fused kernel. The receiver
+// is the final (probabilities × values) matmul of the chain;
+// ComposeAttention receives the upstream ops (the Softmax, the scalar
+// Mul, the score matmul and the key Transpose) plus the scale
+// constant's value, and returns the fused op or declines. The
+// structural gates — node kinds, reader counts, purity — are the pass's
+// job; the composer only judges whether the ops themselves form the
+// pattern it implements.
 type AttentionComposer interface {
 	Op
 	ComposeAttention(softmax, scale, score, transpose Op, scaleVal *tensor.Tensor) (Op, bool)
 }
 
 // FuseAttention rewrites Softmax(BatchMatMul(Q, Transpose(K))·scale)·V
-// chains into single fused streaming-softmax attention nodes. Like
-// FuseEpilogues the rewrite is in place and mutates only the final
-// consumer node (the probabilities×values matmul), so node identity is
-// preserved — fetches, gradients and signatures referencing it keep
-// working — and the absorbed chain merely goes dead.
+// chains into single fused streaming-softmax attention nodes. The
+// rewrite is in place and mutates only the final consumer node (the
+// probabilities×values matmul), so node identity is preserved —
+// fetches, gradients and signatures referencing it keep working — and
+// the absorbed chain merely goes dead.
 //
-// The gates mirror FuseEpilogues exactly. Every interior node of the
-// chain (the Softmax, the scalar Mul, the score matmul and the key
-// Transpose) must be:
+// Every interior node of the chain (the Softmax, the scalar Mul, the
+// score matmul and the key Transpose) must be:
 //
 //   - a KindOp node — Variables, Placeholders and Consts stay put;
 //   - pure: not Impure and not a Mutator, on either side, so stateful
@@ -113,10 +112,9 @@ func FuseAttention(g *Graph, keep ...*Node) int {
 		if err != nil || !tensor.SameShape(outShape, n.shape) {
 			continue
 		}
-		// Bookkeeping mirrors FuseEpilogues: n stops reading the
-		// probability node and reads Q and K directly; the dead
-		// chain's own reads stay counted, which only makes later
-		// single-reader gates more conservative.
+		// Bookkeeping: n stops reading the probability node and reads
+		// Q and K directly; the dead chain's own reads stay counted,
+		// which only makes later single-reader gates more conservative.
 		counts[w]--
 		counts[qNode]++
 		counts[kNode]++

@@ -37,18 +37,6 @@ type Impure interface {
 	Impure()
 }
 
-// EpilogueProducer marks operations whose kernel can absorb a trailing
-// elementwise consumer — the tier-2 fusion producers (MatMul, the
-// im2col Conv2D, and already-fused chains). AbsorbEpilogue returns an
-// op computing consumer∘producer in one kernel; pos is the input slot
-// of the consumer fed by the producer. The fused op's inputs are the
-// producer's inputs followed by the consumer's remaining inputs in
-// order. Returning false declines the consumer.
-type EpilogueProducer interface {
-	Op
-	AbsorbEpilogue(consumer Op, pos int) (Op, bool)
-}
-
 // OptimizeResult reports what the optimizer did.
 type OptimizeResult struct {
 	Graph *Graph
@@ -59,7 +47,6 @@ type OptimizeResult struct {
 	ConstantsFolded  int
 	CSEMerged        int
 	FusedAttention   int
-	FusedEpilogues   int
 }
 
 // Fetch returns the rewritten node for an original fetch.
@@ -171,116 +158,16 @@ func Optimize(ctx *ExecContext, fetches []*Node) (*OptimizeResult, error) {
 			return nil, err
 		}
 	}
-	// Pass 4: fusion on the rewritten graph. The rewrite above
+	// Pass 4: attention fusion on the rewritten graph. The rewrite above
 	// deduplicated consumers, so the single-reader gates see accurate
-	// counts. In-place, so the Mapping stays valid. Attention chains
-	// fuse first — the epilogue pass would otherwise absorb the
-	// chain's scalar Mul into an unrelated fused op and break the
-	// pattern.
+	// counts. In-place, so the Mapping stays valid. Element-wise
+	// epilogues are left to the compiled plan (runtime's fuse pass).
 	mapped := make([]*Node, 0, len(fetches))
 	for _, f := range fetches {
 		mapped = append(mapped, res.Mapping[f])
 	}
 	res.FusedAttention = FuseAttention(ng, mapped...)
-	res.FusedEpilogues = FuseEpilogues(ng, mapped...)
 	return res, nil
-}
-
-// FuseEpilogues folds elementwise consumers into their
-// EpilogueProducer input — bias adds and activations chained onto a
-// GEMM or im2col convolution become one fused kernel, killing the
-// intermediate arena buffer and its anti-dependency edges. The rewrite
-// is in place and mutates only the consumer node (its op becomes the
-// fused op over the producer's inputs plus the consumer's remaining
-// operands), so node identity is preserved: fetches, gradients and
-// signatures referencing the consumer keep working, and the absorbed
-// producer merely goes dead. Because it runs over nodes in insertion
-// (topological) order, a fused node can absorb further consumers
-// downstream, folding whole MatMul+Add+…+Act chains.
-//
-// Fusion is gated conservatively — it never crosses:
-//
-//   - Impure or Mutator ops, on either side: stateful kernels and
-//     in-place variable updates keep their scheduling barriers;
-//   - multi-reader intermediates: a producer with more than one
-//     consumer anywhere in the graph (gradient taps included) stays
-//     materialized, so nothing is ever computed twice. This is what
-//     keeps ReLU pre-activations unfused in training — ReluGrad reads
-//     them — while Tanh/Sigmoid chains fuse fully (their gradients
-//     read the activation node, which fusion preserves);
-//   - nodes listed in keep: externally fetched producers.
-//
-// The fused kernel applies the same float operations in the same
-// order as the unfused chain (the epilogue runs in place on the
-// producer kernel's output buffer), so results are bit-identical with
-// fusion on or off. Returns the number of absorbed consumers.
-func FuseEpilogues(g *Graph, keep ...*Node) int {
-	keepSet := make(map[*Node]bool, len(keep))
-	for _, n := range keep {
-		keepSet[n] = true
-	}
-	counts := make(map[*Node]int, len(g.nodes))
-	for _, n := range g.nodes {
-		for _, in := range n.inputs {
-			counts[in]++
-		}
-	}
-	fused := 0
-	for _, n := range g.nodes { // insertion order is topological
-		if n.kind != KindOp {
-			continue
-		}
-		if _, impure := n.op.(Impure); impure {
-			continue
-		}
-		if _, mut := n.op.(Mutator); mut {
-			continue
-		}
-		for pos, in := range n.inputs {
-			if in.kind != KindOp || keepSet[in] || counts[in] != 1 {
-				continue
-			}
-			if _, impure := in.op.(Impure); impure {
-				continue
-			}
-			if _, mut := in.op.(Mutator); mut {
-				continue
-			}
-			prod, ok := in.op.(EpilogueProducer)
-			if !ok {
-				continue
-			}
-			f, ok := prod.AbsorbEpilogue(n.op, pos)
-			if !ok {
-				continue
-			}
-			inputs := make([]*Node, 0, len(in.inputs)+len(n.inputs)-1)
-			inputs = append(inputs, in.inputs...)
-			for i, other := range n.inputs {
-				if i != pos {
-					inputs = append(inputs, other)
-				}
-			}
-			shapes := make([][]int, len(inputs))
-			for i, x := range inputs {
-				shapes[i] = x.shape
-			}
-			outShape, err := f.InferShape(shapes)
-			if err != nil || !tensor.SameShape(outShape, n.shape) {
-				// The consumer broadens the producer's shape (or the
-				// fused op rejects the combination): not an epilogue.
-				continue
-			}
-			counts[in]--
-			for _, pi := range in.inputs {
-				counts[pi]++
-			}
-			n.op, n.inputs, n.name = f, inputs, f.Name()
-			fused++
-			break // one producer per consumer
-		}
-	}
-	return fused
 }
 
 func copyInts(s []int) []int { return append([]int(nil), s...) }

@@ -172,9 +172,6 @@ func (m *Model) Setup(cfg core.Config) error {
 		return err
 	}
 	m.trainOp = m.train.TrainOp()
-	// Keep every externally fetched Q head materialized: the batch
-	// head (TD targets), the batch-1 action path, and the target net.
-	m.train.Fuse(m.qB, m.qOne, m.qTarget)
 
 	// Prefill the replay buffer with a random policy (the DQN
 	// "replay start size") so the first training step already

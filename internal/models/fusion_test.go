@@ -6,33 +6,74 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/models/nn"
+	"repro/internal/runtime"
 
 	_ "repro/internal/models/all"
 )
 
-// TestEpilogueFusionFires pins the tier-2 epilogue-fusion pass as an
-// active part of every workload's Setup: each graph must contain at
-// least one fused node (a MatMul/Conv2D that absorbed an elementwise
-// consumer — its op name carries a "+"). A workload dropping to zero
-// means the pass regressed or Setup stopped calling TrainPlan.Fuse.
+// TestEpilogueFusionFires pins epilogue fusion as part of every
+// workload's compiled plans: at preset small, seed 7, the plans of the
+// loss+TrainOp, loss+gradients and inference-output fetch sets run no
+// more op steps than when a graph rewrite fused each GEMM's and
+// convolution's epilogues (the bars below), and each workload runs a
+// headed step: a fused step traced in its head's class, which is not
+// the element-wise one.
 func TestEpilogueFusionFires(t *testing.T) {
+	bars := map[string][3]int{
+		"alexnet": {80, 63, 24}, "attention": {217, 198, 60}, "autoenc": {51, 40, 8},
+		"deepq": {43, 34, 8}, "memnet": {180, 172, 58}, "neuraltalk": {121, 96, 31},
+		"residual": {1336, 1134, 254}, "seq2seq": {2090, 2055, 535}, "speech": {1503, 1486, 394},
+		"vgg": {168, 129, 46},
+	}
 	for _, name := range core.Names() {
 		m, err := core.New(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Setup(core.Config{Preset: core.PresetTiny, Seed: 7}); err != nil {
+		if err := m.Setup(core.Config{Preset: core.PresetSmall, Seed: 7}); err != nil {
 			t.Fatalf("%s: Setup: %v", name, err)
 		}
-		fused := 0
-		for _, n := range m.Graph().Nodes() {
-			if n.Kind() == graph.KindOp && strings.Contains(n.OpName(), "+") {
-				fused++
+		tp := m.(interface{ TrainPlan() *nn.TrainPlan }).TrainPlan()
+		var outs []*graph.Node
+		for _, o := range m.Signature(core.ModeInference).Outputs {
+			outs = append(outs, o.Node)
+		}
+		bar, ok := bars[name]
+		if !ok {
+			t.Fatalf("%s: no plan-length bar", name)
+		}
+		for k, fetches := range [][]*graph.Node{
+			{tp.Loss(), tp.TrainOp()},
+			append([]*graph.Node{tp.Loss()}, tp.Grads()...),
+			outs,
+		} {
+			s := runtime.NewSession(m.Graph())
+			if ops := s.Plan(fetches).Ops(); ops > bar[k] {
+				t.Errorf("%s: fetch set %d runs %d op steps, more than %d", name, k, ops, bar[k])
+			}
+			s.Close()
+		}
+		headed := ""
+		for _, mode := range []core.Mode{core.ModeInference, core.ModeTraining} {
+			s := runtime.NewSession(m.Graph(), runtime.WithSeed(7), runtime.WithTrace())
+			if err := core.Step(m, s, mode); err != nil {
+				t.Fatalf("%s %s: %v", name, mode, err)
+			}
+			for _, e := range s.Trace() {
+				if strings.Contains(e.Op, "+") && e.Class != graph.ClassElementwise {
+					headed = e.Op
+					break
+				}
+			}
+			s.Close()
+			if headed != "" {
+				break
 			}
 		}
-		t.Logf("%s: %d fused nodes", name, fused)
-		if fused == 0 {
-			t.Errorf("%s: epilogue fusion absorbed nothing", name)
+		t.Logf("%s: headed step %q", name, headed)
+		if headed == "" {
+			t.Errorf("%s: no fused step has a head", name)
 		}
 	}
 }

@@ -114,23 +114,6 @@ func (tp *TrainPlan) fedPath(g *graph.Graph, prefix string, params []*graph.Node
 	return distPath{apply: apply, gradIn: ins}, err
 }
 
-// Fuse runs the tier-2 epilogue-fusion pass (graph.FuseEpilogues) over
-// the assembled graph, folding bias-add and activation consumers into
-// their MatMul/Conv2D producers. The plan's own fetch surface — loss,
-// raw gradients, and the optimizer step — is kept materialized
-// automatically; extra lists any additional externally fetched nodes
-// (inference heads, probes). Call it at the end of model Setup, after
-// every head is built. Fused graphs compute bit-identical values, so
-// the determinism contract is unaffected. Returns the number of
-// absorbed consumers.
-func (tp *TrainPlan) Fuse(extra ...*graph.Node) int {
-	keep := make([]*graph.Node, 0, 2+len(tp.grads)+len(extra))
-	keep = append(keep, tp.loss, tp.trainOp)
-	keep = append(keep, tp.grads...)
-	keep = append(keep, extra...)
-	return graph.FuseEpilogues(tp.g, keep...)
-}
-
 // recipes maps each Optimizer to its update rule in internal/ops and
 // the constants every workload runs it with.
 var recipes = [...]struct {

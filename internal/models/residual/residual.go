@@ -166,7 +166,6 @@ func (m *Model) Setup(cfg core.Config) error {
 		return err
 	}
 	m.trainOp = m.train.TrainOp()
-	m.train.Fuse(m.probs)
 	return nil
 }
 

@@ -162,7 +162,6 @@ func (m *Model) Setup(cfg core.Config) error {
 		return err
 	}
 	m.trainOp = m.train.TrainOp()
-	m.train.Fuse(m.logits)
 	return nil
 }
 

@@ -125,7 +125,6 @@ func (m *Model) Setup(cfg core.Config) error {
 		return err
 	}
 	m.trainOp = m.train.TrainOp()
-	m.train.Fuse(m.probs)
 	return nil
 }
 

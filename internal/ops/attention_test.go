@@ -147,7 +147,7 @@ func TestFuseAttentionGates(t *testing.T) {
 }
 
 // TestOptimizeRunsAttentionFusion: the attention pass is part of the
-// standard Optimize pipeline, running before epilogue fusion.
+// standard Optimize pipeline.
 func TestOptimizeRunsAttentionFusion(t *testing.T) {
 	qv, kv, vv := attnOperands(t)
 	g, out, _ := attnGraph(qv, kv, vv)

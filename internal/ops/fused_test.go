@@ -1,7 +1,9 @@
 package ops
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,173 +24,132 @@ func runAll(t *testing.T, g *graph.Graph, fetch []*graph.Node, feeds runtime.Fee
 	return out
 }
 
-// TestFusedMatMulBiasReluBitIdentical: the canonical inference
-// epilogue chain relu(x·W + b) folds into one MatMul+Add+Relu kernel
-// and produces the exact bits of the unfused graph — the epilogues run
-// in place on the GEMM output, identical float sequence.
+// fusedSteps runs fetch through a fused and an unfused session at
+// intra-op widths 1 and 4, requires every run to give the unfused
+// width-1 bits, and returns the fused steps of the fused plan as traced:
+// "name/class" for each step that joined several ops. Nothing here
+// mutates a variable, so all four sessions share g.
+func fusedSteps(t *testing.T, g *graph.Graph, fetch []*graph.Node, feeds runtime.Feeds) []string {
+	t.Helper()
+	var want []*tensor.Tensor
+	var steps []string
+	for _, unfused := range []bool{true, false} {
+		for _, width := range []int{1, 4} {
+			opts := []runtime.Option{runtime.WithSeed(3), runtime.WithTrace(), runtime.WithIntraOpWorkers(width)}
+			if unfused {
+				opts = append(opts, runtime.WithUnfusedPlans())
+			}
+			s := runtime.NewSession(g, opts...)
+			got, err := s.Run(fetch, feeds)
+			s.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			}
+			for i := range want {
+				if d := tensor.MaxAbsDiff(got[i], want[i]); d != 0 {
+					t.Fatalf("fetch %d, unfused %t, intra-op %d: differs from unfused (max |Δ| %g)", i, unfused, width, d)
+				}
+			}
+			if !unfused && width == 1 {
+				for _, e := range s.Trace() {
+					if strings.Contains(e.Op, "+") {
+						steps = append(steps, fmt.Sprintf("%s/%v", e.Op, e.Class))
+					}
+				}
+			}
+		}
+	}
+	return steps
+}
+
+// TestFusedMatMulBiasReluBitIdentical: a compiled inference plan runs
+// relu(x·W + b) as one step headed by the GEMM — MatMul+Add+Relu, in
+// the matrix class — at a size where the GEMM packs and tiles, and the
+// program over its output splits into chunks at width 4. The bits are
+// the unfused plan's: the epilogue reads what the GEMM wrote.
 func TestFusedMatMulBiasReluBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	wv := tensor.RandNormal(rng, 0, 1, 17, 9)
-	bv := tensor.RandNormal(rng, 0, 1, 9)
-	xv := tensor.RandNormal(rng, 0, 1, 5, 17)
-
-	build := func() (*graph.Graph, *graph.Node, *graph.Node) {
-		g := graph.New()
-		x := g.Placeholder("x", 5, 17)
-		w := g.Variable("w", wv.Clone())
-		b := g.Variable("b", bv.Clone())
-		return g, x, Relu(Add(MatMul(x, w), b))
-	}
-	gU, xU, outU := build()
-	gF, xF, outF := build()
-	if fused := graph.FuseEpilogues(gF, outF); fused != 2 {
-		t.Fatalf("expected MatMul to absorb Add and Relu, got %d fusions", fused)
-	}
-	if outF.OpName() != "MatMul+Add+Relu" {
-		t.Fatalf("fused op name %q", outF.OpName())
-	}
-	want := runAll(t, gU, []*graph.Node{outU}, runtime.Feeds{xU: xv})[0]
-	got := runAll(t, gF, []*graph.Node{outF}, runtime.Feeds{xF: xv})[0]
-	if d := tensor.MaxAbsDiff(got, want); d != 0 {
-		t.Fatalf("fused relu(x·W+b) differs from unfused (max |Δ| %g)", d)
+	g := graph.New()
+	x := g.Placeholder("x", 96, 170)
+	w := g.Variable("w", tensor.RandNormal(rng, 0, 1, 170, 260))
+	b := g.Variable("b", tensor.RandNormal(rng, 0, 1, 260))
+	out := Relu(Add(MatMul(x, w), b))
+	got := fusedSteps(t, g, []*graph.Node{out}, runtime.Feeds{x: tensor.RandNormal(rng, 0, 1, 96, 170)})
+	if want := []string{"MatMul+Add+Relu/" + graph.ClassMatrix.String()}; !slices.Equal(got, want) {
+		t.Fatalf("fused steps %q, want %q", got, want)
 	}
 }
 
 // TestFusedConv2DBiasTanhBitIdentical: the conv variant of the same
-// chain — tanh(conv(x, f) + b) — through the im2col Conv2D producer.
+// chain — tanh(conv(x, f) + b) — headed by the im2col Conv2D.
 func TestFusedConv2DBiasTanhBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	fv := tensor.RandNormal(rng, 0, 1, 3, 3, 4, 8)
-	bv := tensor.RandNormal(rng, 0, 1, 8)
-	xv := tensor.RandNormal(rng, 0, 1, 2, 10, 10, 4)
-
-	build := func() (*graph.Graph, *graph.Node, *graph.Node) {
-		g := graph.New()
-		x := g.Placeholder("x", 2, 10, 10, 4)
-		f := g.Variable("f", fv.Clone())
-		b := g.Variable("b", bv.Clone())
-		return g, x, Tanh(Add(Conv2D(x, f, 1, 1, 1, 1), b))
-	}
-	gU, xU, outU := build()
-	gF, xF, outF := build()
-	if fused := graph.FuseEpilogues(gF, outF); fused != 2 {
-		t.Fatalf("expected Conv2D to absorb Add and Tanh, got %d fusions", fused)
-	}
-	if outF.OpName() != "Conv2D+Add+Tanh" {
-		t.Fatalf("fused op name %q", outF.OpName())
-	}
-	want := runAll(t, gU, []*graph.Node{outU}, runtime.Feeds{xU: xv})[0]
-	got := runAll(t, gF, []*graph.Node{outF}, runtime.Feeds{xF: xv})[0]
-	if d := tensor.MaxAbsDiff(got, want); d != 0 {
-		t.Fatalf("fused tanh(conv+b) differs from unfused (max |Δ| %g)", d)
+	g := graph.New()
+	x := g.Placeholder("x", 4, 20, 20, 4)
+	f := g.Variable("f", tensor.RandNormal(rng, 0, 1, 3, 3, 4, 8))
+	b := g.Variable("b", tensor.RandNormal(rng, 0, 1, 8))
+	out := Tanh(Add(Conv2D(x, f, 1, 1, 1, 1), b))
+	got := fusedSteps(t, g, []*graph.Node{out}, runtime.Feeds{x: tensor.RandNormal(rng, 0, 1, 4, 20, 20, 4)})
+	if want := []string{"Conv2D+Add+Tanh/" + graph.ClassConv.String()}; !slices.Equal(got, want) {
+		t.Fatalf("fused steps %q, want %q", got, want)
 	}
 }
 
-// TestTrainingFusionRespectsGradientTaps builds a training graph over
-// relu(x·W+b) and checks the multi-reader gate against the backward
-// pass: ReluGrad reads the pre-activation, so Relu must NOT absorb the
-// Add (the pre-activation stays materialized), while the Add still
-// absorbs the MatMul (its gradient reads x and W, not the product).
-// Loss and gradients must stay bit-identical with fusion on.
-func TestTrainingFusionRespectsGradientTaps(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	wv := tensor.RandNormal(rng, 0, 1, 7, 6)
-	bv := tensor.RandNormal(rng, 0, 1, 6)
-	xv := tensor.RandNormal(rng, 0, 1, 4, 7)
+// trainingFusion builds loss = Sum(act(x·W + b)) with its gradients and
+// returns the fused steps of the loss+gradients plan.
+func trainingFusion(t *testing.T, seed int64, act func(*graph.Node) *graph.Node) []string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	g := graph.New()
+	x := g.Placeholder("x", 64, 70)
+	w := g.Variable("w", tensor.RandNormal(rng, 0, 1, 70, 300))
+	b := g.Variable("b", tensor.RandNormal(rng, 0, 1, 300))
+	loss := Sum(act(Add(MatMul(x, w), b)))
+	grads, err := graph.Gradients(loss, []*graph.Node{w, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fusedSteps(t, g, append([]*graph.Node{loss}, grads...), runtime.Feeds{x: tensor.RandNormal(rng, 0, 1, 64, 70)})
+}
 
-	build := func() (*graph.Graph, *graph.Node, *graph.Node, []*graph.Node) {
-		g := graph.New()
-		x := g.Placeholder("x", 4, 7)
-		w := g.Variable("w", wv.Clone())
-		b := g.Variable("b", bv.Clone())
-		loss := Sum(Relu(Add(MatMul(x, w), b)))
-		grads, err := graph.Gradients(loss, []*graph.Node{w, b})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g, x, loss, grads
-	}
-	gU, xU, lossU, gradsU := build()
-	gF, xF, lossF, gradsF := build()
-	keep := append([]*graph.Node{lossF}, gradsF...)
-	if fused := graph.FuseEpilogues(gF, keep...); fused == 0 {
-		t.Fatal("training graph fused nothing")
-	}
-	var haveMatMulAdd, haveFusedRelu bool
-	for _, n := range gF.Nodes() {
-		if n.Kind() != graph.KindOp {
-			continue
-		}
-		if n.OpName() == "MatMul+Add" {
-			haveMatMulAdd = true
-		}
-		if strings.HasSuffix(n.OpName(), "+Relu") {
-			haveFusedRelu = true
+// TestTrainingFusionRespectsGradientTaps: in a loss+gradients plan over
+// relu(x·W+b), ReluGrad reads the pre-activation, so the Relu stays
+// apart while the Add still takes the GEMM as its head (the GEMM's
+// gradients read x and W, not the product).
+func TestTrainingFusionRespectsGradientTaps(t *testing.T) {
+	got := trainingFusion(t, 25, Relu)
+	var head bool
+	for _, s := range got {
+		head = head || strings.HasPrefix(s, "MatMul+Add/")
+		if strings.Contains(s, "Relu") && !strings.Contains(s, "ReluGrad") {
+			t.Errorf("%s: the Relu joined its pre-activation despite the ReluGrad tap", s)
 		}
 	}
-	if !haveMatMulAdd {
-		t.Fatal("MatMul+Add pre-activation fusion missing")
-	}
-	if haveFusedRelu {
-		t.Fatal("Relu absorbed its pre-activation despite the ReluGrad tap")
-	}
-	want := runAll(t, gU, append([]*graph.Node{lossU}, gradsU...), runtime.Feeds{xU: xv})
-	got := runAll(t, gF, append([]*graph.Node{lossF}, gradsF...), runtime.Feeds{xF: xv})
-	for i := range want {
-		if d := tensor.MaxAbsDiff(got[i], want[i]); d != 0 {
-			t.Fatalf("fetch %d differs under training fusion (max |Δ| %g)", i, d)
-		}
+	if !head {
+		t.Errorf("fused steps %q: no MatMul+Add", got)
 	}
 }
 
 // TestTrainingFusionTanhChainFusesFully: Tanh's gradient reads the
-// activation node itself — which fusion preserves (the consumer node
-// is mutated in place, keeping its identity) — so the whole
-// MatMul+Add+Tanh chain fuses even in a training graph, and the
-// backward pass still matches bit for bit.
+// activation, which is the set's output, so the whole MatMul+Add+Tanh
+// chain fuses in a training plan too.
 func TestTrainingFusionTanhChainFusesFully(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	wv := tensor.RandNormal(rng, 0, 1, 7, 6)
-	bv := tensor.RandNormal(rng, 0, 1, 6)
-	xv := tensor.RandNormal(rng, 0, 1, 4, 7)
-
-	build := func() (*graph.Graph, *graph.Node, *graph.Node, []*graph.Node) {
-		g := graph.New()
-		x := g.Placeholder("x", 4, 7)
-		w := g.Variable("w", wv.Clone())
-		b := g.Variable("b", bv.Clone())
-		loss := Sum(Tanh(Add(MatMul(x, w), b)))
-		grads, err := graph.Gradients(loss, []*graph.Node{w, b})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g, x, loss, grads
-	}
-	gU, xU, lossU, gradsU := build()
-	gF, xF, lossF, gradsF := build()
-	keep := append([]*graph.Node{lossF}, gradsF...)
-	graph.FuseEpilogues(gF, keep...)
-	var haveChain bool
-	for _, n := range gF.Nodes() {
-		if n.Kind() == graph.KindOp && n.OpName() == "MatMul+Add+Tanh" {
-			haveChain = true
+	got := trainingFusion(t, 27, Tanh)
+	for _, s := range got {
+		if strings.HasPrefix(s, "MatMul+Add+Tanh/") {
+			return
 		}
 	}
-	if !haveChain {
-		t.Fatal("Tanh chain did not fuse fully in the training graph")
-	}
-	want := runAll(t, gU, append([]*graph.Node{lossU}, gradsU...), runtime.Feeds{xU: xv})
-	got := runAll(t, gF, append([]*graph.Node{lossF}, gradsF...), runtime.Feeds{xF: xv})
-	for i := range want {
-		if d := tensor.MaxAbsDiff(got[i], want[i]); d != 0 {
-			t.Fatalf("fetch %d differs under tanh-chain fusion (max |Δ| %g)", i, d)
-		}
-	}
+	t.Errorf("fused steps %q: no MatMul+Add+Tanh", got)
 }
 
-// TestOptimizePassRunsFusion: the graph optimizer's pass 4 reports
-// fusions through OptimizeResult and the optimized graph computes the
-// original bits.
+// TestOptimizePassRunsFusion: the graph optimizer leaves element-wise
+// epilogues to the compiled plan — the optimized graph still holds the
+// MatMul, the Add and the Relu, its plan runs them as one step, and it
+// computes the original bits.
 func TestOptimizePassRunsFusion(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	g := graph.New()
@@ -201,8 +162,9 @@ func TestOptimizePassRunsFusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FusedEpilogues != 2 {
-		t.Fatalf("Optimize pass 4 fused %d, want 2", res.FusedEpilogues)
+	opt := res.Fetch(out)
+	if opt.OpName() != "Relu" || opt.Inputs()[0].OpName() != "Add" {
+		t.Fatalf("Optimize rewrote the epilogue: %s over %s", opt.OpName(), opt.Inputs()[0].OpName())
 	}
 	xv := tensor.RandNormal(rng, 0, 1, 3, 5)
 	want := runAll(t, g, []*graph.Node{out}, runtime.Feeds{x: xv})[0]
@@ -213,8 +175,12 @@ func TestOptimizePassRunsFusion(t *testing.T) {
 			nx = n
 		}
 	}
-	got := runAll(t, res.Graph, []*graph.Node{res.Fetch(out)}, runtime.Feeds{nx: xv})[0]
+	steps := fusedSteps(t, res.Graph, []*graph.Node{opt}, runtime.Feeds{nx: xv})
+	if len(steps) != 1 || !strings.HasPrefix(steps[0], "MatMul+Add+Relu/") {
+		t.Fatalf("optimized graph's plan fused %q, want one MatMul+Add+Relu", steps)
+	}
+	got := runAll(t, res.Graph, []*graph.Node{opt}, runtime.Feeds{nx: xv})[0]
 	if d := tensor.MaxAbsDiff(got, want); d != 0 {
-		t.Fatalf("optimized+fused output differs (max |Δ| %g)", d)
+		t.Fatalf("optimized output differs (max |Δ| %g)", d)
 	}
 }

@@ -3,7 +3,8 @@ package runtime
 // Plan compilation: five passes over one step-indexed IR.
 //
 //	schedule   topological order, roots
-//	fuse       connected element-wise sets read only inside themselves become one step
+//	fuse       connected element-wise sets read only inside themselves, each with at
+//	           most one other kernel at its head, become one step
 //	liveness   when each arena slot dies, which fetches must be cloned
 //	constrain  data, variable-hazard and Impure-lane scheduling edges
 //	assign     arena buffers for the slots, reuse gated by the edges
@@ -18,6 +19,13 @@ package runtime
 // not among the graph's nodes. A gradient tap that a forward-only fetch
 // set never runs does not read anything, so the one graph a workload
 // builds for training and inference fuses differently in each.
+//
+// The head rule and the variable rule, stated once: a fused set may
+// hold one head — any other kernel that is not Impure or a Mutator: a
+// GEMM, a convolution, a reduction, a Tile — which runs first into the
+// set's slot while the element-wise members read its value in place;
+// and a step whose read of a variable would cross an update of it, were
+// the read moved to the set's output, stays out of the set.
 //
 // The root rule, stated once: a root is a step that owns storage — a
 // kernel step owns its arena slot, a variable step owns its tensor — and
@@ -163,16 +171,27 @@ func analyze(steps []planStep, fetches []*graph.Node) *schedule {
 	return sc
 }
 
-// fusedStep is the kernel of a fused plan step: the block evaluator
-// over a program built from the step's members.
+// fusedStep is the kernel of a fused plan step: the set's head, if it
+// has one, then the block evaluator over a program built from the other
+// members, which reads the head's value through tensor.Dest.
 type fusedStep struct {
+	head     kernel // run first, into the destination, over the first arity operands
+	arity    int
 	prog     tensor.Program
 	operands []*graph.Node // the values the members read from outside the set, one per input
-	name     string        // the members' op names joined with "+", in schedule order
+	name     string        // the members' op names joined with "+": the head, then schedule order
+	class    graph.OpClass // the head's class, or element-wise
 }
 
-// ForwardInto runs the program over the step's operands.
+// ForwardInto runs the head, then the program over the step's operands.
+// The head writes every element of out, and the program gathers each
+// block's loads before it stores the block, so out aliases no input.
 func (f *fusedStep) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	if f.head != nil {
+		if err := f.head.ForwardInto(ctx, in[:f.arity], out); err != nil {
+			return err
+		}
+	}
 	return f.prog.Run(ctx.Pool, out, in)
 }
 
@@ -184,21 +203,24 @@ type member struct {
 	load   tensor.Load // a window's load of its input
 }
 
+// pure reports whether op step i is a kernel a fused set may hold:
+// neither a view, nor Impure, nor a Mutator.
+func (sc *schedule) pure(i int) bool {
+	op := sc.steps[i].node.Op()
+	_, impure := op.(graph.Impure)
+	_, mutator := op.(graph.Mutator)
+	return sc.steps[i].kernel != nil && !impure && !mutator
+}
+
 // memberOf reports whether op step i is an element-wise kernel a fused
 // set may hold, and how. Its shape is the set's output shape, so every
 // operand it reads from outside must be an affine read of it.
 func (sc *schedule) memberOf(i int) (member, bool) {
+	if !sc.pure(i) {
+		return member{}, false
+	}
 	st := &sc.steps[i]
-	if st.kernel == nil {
-		return member{}, false
-	}
 	op := st.node.Op()
-	if _, ok := op.(graph.Impure); ok {
-		return member{}, false
-	}
-	if _, ok := op.(graph.Mutator); ok {
-		return member{}, false
-	}
 	ins := st.node.Inputs()
 	if w, ok := op.(graph.Window); ok {
 		col, stride, ok := w.Window(ins[0].Shape())
@@ -223,12 +245,22 @@ func (sc *schedule) memberOf(i int) (member, bool) {
 // when
 //
 //   - it is an element-wise kernel (memberOf): graph.Pointwise, or a
-//     graph.Window, never Impure or a Mutator;
+//     graph.Window, never Impure or a Mutator — or it is the set's one
+//     head (see below);
 //   - it is not fetched, and every op step that reads it is in that one
 //     set and reads it as a value, not through a window;
 //   - it has the set's output shape; and
-//   - it reads no variable an update in this plan rewrites, since its
-//     read moves to the set's position in the schedule.
+//   - no update in this plan rewrites a variable it reads between it and
+//     the set's output, since its read moves to the output's position in
+//     the schedule. (A training plan's updates all follow its forward
+//     pass, so its forward products still head sets.)
+//
+// The head rule: any other kernel that is neither Impure nor a Mutator
+// may join a set as its head, when the set has none yet. It runs first,
+// into the set's slot, over its own inputs, which never join the set;
+// the members then read its value through tensor.Dest. So a GEMM or a
+// convolution takes in its bias add and activation, and nothing needs
+// to declare that it can. A head alone is never a set.
 //
 // Steps are decided in reverse schedule order, so a step's readers are
 // decided before it. The fused step sits where the set's output did and
@@ -240,38 +272,50 @@ func fuse(sc *schedule) *schedule {
 	for _, f := range sc.fetchPos {
 		fetched[f] = true
 	}
-	written := make([]bool, sc.hazards)
-	for _, ws := range sc.writes {
+	writers := make([][]int, sc.hazards) // the steps rewriting each hazard id, in schedule order
+	for i, ws := range sc.writes {
 		for _, v := range ws {
-			written[v] = true
+			writers[v] = append(writers[v], i)
 		}
 	}
-	readsWritten := func(i int) bool {
+	rewrittenBetween := func(i, out int) bool {
 		for _, r := range sc.reads[i] {
-			if sc.isVar(r) && written[r] {
-				return true
+			if !sc.isVar(r) {
+				continue
+			}
+			for _, w := range writers[r] {
+				if i < w && w < out {
+					return true
+				}
 			}
 		}
 		return false
 	}
 	// group[i] is the position of the set step i belongs to — the set's
 	// output — or -1. via[i] is what i's readers, decided first, allow:
-	// the one set they all belong to, or noReader or blocked.
+	// the one set they all belong to, or noReader or blocked. head[o] is
+	// the head of the set whose output is o, or -1.
 	const noReader, blocked = -2, -1
-	group, via, size := make([]int, n), make([]int, n), make([]int, n)
+	group, via, size, head := make([]int, n), make([]int, n), make([]int, n), make([]int, n)
 	for i := range via {
-		via[i] = noReader
+		via[i], head[i] = noReader, -1
 	}
 	for i := n - 1; i >= 0; i-- {
 		group[i] = -1
 		m, ok := sc.memberOf(i)
-		if ok {
+		set := via[i]
+		joins := set >= 0 && !fetched[i] && !rewrittenBetween(i, set) &&
+			tensor.SameShape(sc.steps[i].node.Shape(), sc.steps[set].node.Shape())
+		switch {
+		case ok:
 			group[i] = i
-			if set := via[i]; set >= 0 && !fetched[i] && !readsWritten(i) &&
-				tensor.SameShape(sc.steps[i].node.Shape(), sc.steps[set].node.Shape()) {
+			if joins {
 				group[i] = set
 			}
 			size[group[i]]++
+		case joins && head[set] < 0 && sc.pure(i):
+			group[i], head[set] = set, i
+			size[set]++
 		}
 		for _, p := range sc.steps[i].ins {
 			switch {
@@ -298,7 +342,7 @@ func fuse(sc *schedule) *schedule {
 		st := &sc.steps[i]
 		switch set, ok := sets[i]; {
 		case ok:
-			steps = append(steps, sc.fusedStep(set, group))
+			steps = append(steps, sc.fusedStep(set, head[i], group))
 		case group[i] < 0 || size[group[i]] < 2:
 			steps = append(steps, planStep{node: st.node, kind: st.kind, nodes: st.nodes})
 		}
@@ -311,26 +355,17 @@ func fuse(sc *schedule) *schedule {
 }
 
 // fusedStep builds the step of one fused set, given its members'
-// positions in schedule order (its output last). Loads come first: each
-// window, and each distinct value a member reads from outside the set;
-// then one instruction per non-window member.
-func (sc *schedule) fusedStep(set, group []int) planStep {
+// positions in schedule order (its output last) and its head's, or -1.
+// The head's inputs are the first operands. Loads come first: the
+// head's value, each window, and each distinct value a member reads
+// from outside the set; then one instruction per other member.
+func (sc *schedule) fusedStep(set []int, head int, group []int) planStep {
 	out := set[len(set)-1]
-	f := &fusedStep{}
-	nodes := make([]*graph.Node, len(set))
-	names := make([]string, len(set))
-	members := make([]member, len(set))
+	f := &fusedStep{class: graph.ClassElementwise}
 	slot := make(map[int]int, len(set)) // a member's position → the slot holding its value
 	loads := map[tensor.Load]int{}
 	operand := map[int]int{} // an outside value's position → its input index
-	load := func(p int, l tensor.Load) int {
-		j, ok := operand[p]
-		if !ok {
-			j = len(f.operands)
-			operand[p] = j
-			f.operands = append(f.operands, sc.steps[p].node)
-		}
-		l.In = j
+	slotOf := func(l tensor.Load) int {
 		s, ok := loads[l]
 		if !ok {
 			s = len(f.prog.Loads)
@@ -339,10 +374,45 @@ func (sc *schedule) fusedStep(set, group []int) planStep {
 		}
 		return s
 	}
+	load := func(p int, l tensor.Load) int {
+		j, ok := operand[p]
+		if !ok {
+			j = len(f.operands)
+			operand[p] = j
+			f.operands = append(f.operands, sc.steps[p].node)
+		}
+		l.In = j
+		return slotOf(l)
+	}
+	if head >= 0 {
+		hs := &sc.steps[head]
+		f.head, f.arity, f.class = hs.kernel, len(hs.ins), hs.node.Op().Class()
+		for _, p := range hs.ins { // every input in order, repeats too: the head reads in[:arity]
+			if _, ok := operand[p]; !ok {
+				operand[p] = len(f.operands)
+			}
+			f.operands = append(f.operands, sc.steps[p].node)
+		}
+		slot[head] = slotOf(tensor.Load{In: tensor.Dest})
+		// The head leads the member list, as it runs first.
+		order := []int{head}
+		for _, i := range set {
+			if i != head {
+				order = append(order, i)
+			}
+		}
+		set = order
+	}
+	nodes := make([]*graph.Node, len(set))
+	names := make([]string, len(set))
+	members := make([]member, len(set))
 	inSet := func(p int) bool { return group[p] == out }
 	for k, i := range set {
 		st := &sc.steps[i]
 		nodes[k], names[k] = st.node, st.node.OpName()
+		if i == head {
+			continue
+		}
 		members[k], _ = sc.memberOf(i)
 		if m := members[k]; m.window {
 			slot[i] = load(st.ins[0], m.load)
@@ -363,7 +433,7 @@ func (sc *schedule) fusedStep(set, group []int) planStep {
 	for k, i := range set {
 		st := &sc.steps[i]
 		m := members[k]
-		if m.window {
+		if m.window || i == head {
 			continue
 		}
 		ins := tensor.Instr{Fn: m.fn, A: arg(st.ins[0])}

@@ -349,7 +349,9 @@ func TestAssignPass(t *testing.T) {
 //   - no step and no fetch references a value fusion absorbed: a fused
 //     step's members other than its output are computed by no step and
 //     read by none, and every step reads exactly the values its node —
-//     or, fused, its members — reads from outside it.
+//     or, fused, its members — reads from outside it;
+//   - a fused step has at most one head, and the head's inputs are the
+//     step's first operands.
 func checkPlan(p *Plan) error {
 	if err := checkFusion(p); err != nil {
 		return err
@@ -460,6 +462,9 @@ func checkFusion(p *Plan) error {
 		if st.kind != graph.KindOp {
 			continue
 		}
+		if err := checkHead(p, i); err != nil {
+			return err
+		}
 		members := map[*graph.Node]bool{}
 		for _, m := range st.nodes {
 			members[m] = true
@@ -491,6 +496,38 @@ func checkFusion(p *Plan) error {
 	for j, f := range p.fetchPos {
 		if s, ok := absorbed[p.steps[f].node]; ok {
 			return fmt.Errorf("fetch %d is %v, which step %d absorbed", j, p.steps[f].node, s)
+		}
+	}
+	return nil
+}
+
+// checkHead is checkFusion's head clause: a fused step holds at most one
+// member the block evaluator cannot run — its head, which leads the
+// member list — and reads the head's inputs, in order, as its first
+// operands.
+func checkHead(p *Plan, i int) error {
+	st := &p.steps[i]
+	f := st.fused
+	if f == nil {
+		return nil
+	}
+	for k, m := range st.nodes {
+		_, pw := m.Op().(graph.Pointwise)
+		_, win := m.Op().(graph.Window)
+		if !pw && !win && (k > 0 || f.head == nil) {
+			return fmt.Errorf("step %d (%v): member %v is neither element-wise nor the step's head", i, st.node, m)
+		}
+	}
+	if f.head == nil {
+		return nil
+	}
+	ins := st.nodes[0].Inputs()
+	if f.arity != len(ins) || len(st.ins) < len(ins) {
+		return fmt.Errorf("step %d (%v): head %v has %d inputs, the step %d operands and arity %d", i, st.node, st.nodes[0], len(ins), len(st.ins), f.arity)
+	}
+	for j, in := range ins {
+		if got := p.steps[st.ins[j]].node; got != in {
+			return fmt.Errorf("step %d (%v): operand %d is %v, head input %d is %v", i, st.node, j, got, j, in)
 		}
 	}
 	return nil
@@ -567,6 +604,18 @@ func TestCheckPlanCatchesBrokenPlans(t *testing.T) {
 	if err := checkPlan(p); err == nil {
 		t.Error("a plan with a step reading a value fusion absorbed passed")
 	}
+	// Move a headed step's head inputs away from its first operands.
+	p = NewSession(g).Plan(fetches)
+	for i := range p.steps {
+		if st := &p.steps[i]; st.fused != nil && st.fused.head != nil {
+			last := len(st.ins) - 1
+			st.ins[0], st.ins[last] = st.ins[last], st.ins[0]
+			break
+		}
+	}
+	if err := checkPlan(p); err == nil {
+		t.Error("a plan whose head does not read the step's first operands passed")
+	}
 }
 
 // FuzzPlanCompile: for any random training graph and width, compile
@@ -628,16 +677,14 @@ func FuzzPlanCompile(f *testing.F) {
 	})
 }
 
-// cellTail is one nn.LSTMCell step as seq2seq builds it — the gate
-// GEMMs with their bias adds fused in by graph.FuseEpilogues — fetching
-// the next hidden and cell state, as the next step reads both.
+// cellTail is one nn.LSTMCell step as seq2seq builds it — two gate
+// GEMMs, their sum and bias add, and the gates' element-wise tail —
+// fetching the next hidden and cell state, as the next step reads both.
 func cellTail() (*graph.Graph, []*graph.Node) {
 	g := graph.New()
 	x, h, cs := g.Placeholder("x", 4, 8), g.Placeholder("h", 4, 16), g.Placeholder("cs", 4, 16)
 	hNext, csNext := nn.NewLSTMCell(g, rand.New(rand.NewSource(3)), "cell", 8, 16).Step(x, h, cs)
-	fetches := []*graph.Node{hNext, csNext}
-	graph.FuseEpilogues(g, fetches...)
-	return g, fetches
+	return g, []*graph.Node{hNext, csNext}
 }
 
 // feedAll feeds every placeholder of g seeded normal data.
@@ -669,6 +716,42 @@ func (noisyTanh) Pointwise() tensor.ScalarFn {
 	return tensor.ScalarFn{Un: func(x float32) float32 { return float32(math.Tanh(float64(x))) }}
 }
 
+// wrapped runs another kernel op under the same name; impureOp and
+// mutatorOp add a declaration to it that keeps it out of any fused set.
+type wrapped struct{ graph.Op }
+
+func (o wrapped) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	return o.Op.(kernel).ForwardInto(ctx, in, out)
+}
+
+type impureOp struct{ wrapped }
+
+func (impureOp) Impure() {}
+
+type mutatorOp struct {
+	wrapped
+	target *graph.Node
+}
+
+func (o mutatorOp) Mutates() []*graph.Node { return []*graph.Node{o.target} }
+
+// dense is x·W + b over fresh variables, x being a (4,6) placeholder.
+func dense(g *graph.Graph) (y, w, b *graph.Node) {
+	w = g.Variable("w", tensor.Full(0.1, 6, 5))
+	b = g.Variable("b", tensor.Full(-0.2, 5))
+	return ops.Add(ops.MatMul(g.Placeholder("x", 4, 6), w), b), w, b
+}
+
+// lossAndGrads fetches Sum(y) and its gradients with respect to vars.
+func lossAndGrads(y *graph.Node, vars ...*graph.Node) []*graph.Node {
+	loss := ops.Sum(y)
+	grads, err := graph.Gradients(loss, vars)
+	if err != nil {
+		panic(err)
+	}
+	return append([]*graph.Node{loss}, grads...)
+}
+
 // TestFusePass: where the fuse pass fires, and each gate that blocks
 // it. Every case also runs fused and unfused and compares the bits.
 func TestFusePass(t *testing.T) {
@@ -677,8 +760,73 @@ func TestFusePass(t *testing.T) {
 		build func() (*graph.Graph, []*graph.Node)
 		want  []string // the fused steps, in schedule order
 	}{
+		// The gate sum takes the later product as its head and reads the
+		// earlier one as an operand; the slices read the gates in place.
 		{"LSTM cell tail: 13 ops become 2 steps", cellTail,
-			[]string{"Slice+Sigmoid+Mul+Slice+Sigmoid+Slice+Tanh+Mul+Add", "Slice+Sigmoid+Tanh+Mul"}},
+			[]string{"MatMul+Add+Add", "Slice+Sigmoid+Mul+Slice+Sigmoid+Slice+Tanh+Mul+Add", "Slice+Sigmoid+Tanh+Mul"}},
+		{"a GEMM heads its bias add and relu", func() (*graph.Graph, []*graph.Node) {
+			g := graph.New()
+			y, _, _ := dense(g)
+			return g, []*graph.Node{ops.Relu(y)}
+		}, []string{"MatMul+Add+Relu"}},
+		{"a convolution heads its bias add and tanh", func() (*graph.Graph, []*graph.Node) {
+			g := graph.New()
+			f := g.Variable("f", tensor.Full(0.05, 3, 3, 2, 4))
+			b := g.Variable("b", tensor.Full(0.1, 4))
+			conv := ops.Conv2D(g.Placeholder("x", 2, 5, 5, 2), f, 1, 1, 1, 1)
+			return g, []*graph.Node{ops.Tanh(ops.Add(conv, b))}
+		}, []string{"Conv2D+Add+Tanh"}},
+		{"training: the ReluGrad tap keeps the relu apart", func() (*graph.Graph, []*graph.Node) {
+			g := graph.New()
+			y, w, b := dense(g)
+			return g, lossAndGrads(ops.Relu(y), w, b)
+		}, []string{"MatMul+Add"}},
+		{"training: the tanh chain fuses fully", func() (*graph.Graph, []*graph.Node) {
+			g := graph.New()
+			y, w, b := dense(g)
+			return g, lossAndGrads(ops.Tanh(y), w, b)
+		}, []string{"MatMul+Add+Tanh", "Tile+Mul+Sub+Mul"}},
+		{"two products: one heads, one is an operand", func() (*graph.Graph, []*graph.Node) {
+			g := graph.New()
+			a := ops.MatMul(g.Placeholder("x", 4, 6), g.Variable("w", tensor.Full(0.1, 6, 5)))
+			b := ops.MatMul(g.Placeholder("h", 4, 3), g.Variable("u", tensor.Full(0.3, 3, 5)))
+			return g, []*graph.Node{ops.Add(a, b)}
+		}, []string{"MatMul+Add"}},
+		{"a product read through a window stays an operand", func() (*graph.Graph, []*graph.Node) {
+			g := graph.New()
+			y, _, _ := dense(g)
+			return g, []*graph.Node{ops.Sigmoid(ops.SliceN(y, []int{0, 1}, []int{-1, 3}))}
+		}, []string{"MatMul+Add", "Slice+Sigmoid"}},
+		{"a fetched head", func() (*graph.Graph, []*graph.Node) {
+			g := graph.New()
+			mm := ops.MatMul(g.Placeholder("x", 4, 6), g.Variable("w", tensor.Full(0.1, 6, 5)))
+			return g, []*graph.Node{ops.Relu(mm), mm}
+		}, nil},
+		{"an Impure head", func() (*graph.Graph, []*graph.Node) {
+			g := graph.New()
+			x, w := g.Placeholder("x", 4, 6), g.Variable("w", tensor.Full(0.1, 6, 5))
+			return g, []*graph.Node{ops.Relu(g.MustApply(impureOp{wrapped{ops.MatMul(x, w).Op()}}, x, w))}
+		}, nil},
+		{"a Mutator head", func() (*graph.Graph, []*graph.Node) {
+			g := graph.New()
+			x, w := g.Placeholder("x", 4, 6), g.Variable("w", tensor.Full(0.1, 6, 5))
+			v := g.Variable("v", tensor.New(4, 5))
+			return g, []*graph.Node{ops.Relu(g.MustApply(mutatorOp{wrapped{ops.MatMul(x, w).Op()}, v}, x, w))}
+		}, nil},
+		{"a head the set broadens", func() (*graph.Graph, []*graph.Node) {
+			g := graph.New()
+			mm := ops.MatMul(g.Placeholder("x", 4, 6), g.Variable("w", tensor.Full(0.1, 6, 1)))
+			return g, []*graph.Node{ops.Add(mm, g.Placeholder("y", 4, 5))}
+		}, nil},
+		{"an update after the set's output does not block", func() (*graph.Graph, []*graph.Node) {
+			// The MatMul reads w and the Add b; both are rewritten only after
+			// the fused step has run.
+			g := graph.New()
+			y, w, b := dense(g)
+			upW := ops.ApplySGD(w, g.Const("gw", tensor.Ones(6, 5)), 0.1)
+			upB := ops.ApplySGD(b, g.Const("gb", tensor.Ones(5)), 0.1)
+			return g, []*graph.Node{ops.Relu(y), upW, upB}
+		}, []string{"MatMul+Add+Relu"}},
 		{"row, column and scalar operands", func() (*graph.Graph, []*graph.Node) {
 			g := graph.New()
 			x, r, b := g.Placeholder("x", 4, 6), g.Placeholder("r", 4, 1), g.Placeholder("b", 6)
@@ -749,8 +897,9 @@ func TestFusePass(t *testing.T) {
 }
 
 // TestFusedStepIsOneOp: to every reader of a plan a fused step is one
-// op — named by its members joined with "+", element-wise, and priced by
-// the modeled GPU as one launch over the sum of its members' costs.
+// op — named by its members joined with "+", in its head's class or
+// else element-wise, and priced by the modeled GPU as one launch over
+// the sum of its members' costs.
 func TestFusedStepIsOneOp(t *testing.T) {
 	g, fetches := cellTail()
 	gpu := NewGTX960()
@@ -758,21 +907,26 @@ func TestFusedStepIsOneOp(t *testing.T) {
 	s.MustRun(fetches, feedAll(g, 2))
 	plan := s.Plan(fetches)
 	if plan.Ops() != 4 {
-		t.Errorf("the cell runs %d op steps, want 4: two gate GEMMs and two fused tails", plan.Ops())
+		t.Errorf("the cell runs %d op steps, want 4: a gate GEMM, the GEMM-headed gate sum and two fused tails", plan.Ops())
 	}
 	byNode := map[*graph.Node]*planStep{}
 	for i := range plan.steps {
 		byNode[plan.steps[i].node] = &plan.steps[i]
 	}
-	fused := 0
+	fused, headed := 0, 0
 	for _, e := range s.Trace() {
 		st := byNode[e.Node]
 		if st.fused == nil {
 			continue
 		}
 		fused++
-		if e.Op != st.fused.name || e.Class != graph.ClassElementwise {
-			t.Errorf("fused step traced as %q (%v)", e.Op, e.Class)
+		class := graph.ClassElementwise
+		if st.fused.head != nil {
+			headed++
+			class = graph.ClassMatrix
+		}
+		if e.Op != st.fused.name || e.Class != class {
+			t.Errorf("fused step traced as %q (%v), want %q (%v)", e.Op, e.Class, st.fused.name, class)
 		}
 		// Each member alone is bandwidth-bound, so the sum of their
 		// roofline times past the launch is the roofline time of the sum.
@@ -784,7 +938,29 @@ func TestFusedStepIsOneOp(t *testing.T) {
 			t.Errorf("%s priced %v, its members %v", e.Op, e.Dur, want)
 		}
 	}
-	if fused != 2 {
-		t.Errorf("%d fused steps traced, want 2", fused)
+	if fused != 3 || headed != 1 {
+		t.Errorf("%d fused steps traced, %d of them headed; want 3, one headed", fused, headed)
+	}
+}
+
+// TestRandomDAGFusesHeads reports how many of randomDAG's fused steps
+// have a head, over 200 seeds, so FuzzPlanCompile's fused-vs-unfused
+// axis is known to reach headed steps.
+func TestRandomDAGFusesHeads(t *testing.T) {
+	fused, headed := 0, 0
+	for seed := int64(1); seed <= 200; seed++ {
+		g, _, fetches := randomDAG(seed, 10+int(seed*7)%50)
+		for _, st := range NewSession(g).Plan(fetches).steps {
+			if st.fused != nil {
+				fused++
+				if st.fused.head != nil {
+					headed++
+				}
+			}
+		}
+	}
+	t.Logf("randomDAG, 200 seeds: %d fused steps, %d headed", fused, headed)
+	if headed == 0 {
+		t.Error("no randomDAG plan has a headed fused step")
 	}
 }

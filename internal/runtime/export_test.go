@@ -27,7 +27,7 @@ func decodeTrace(t *testing.T, b []byte) []map[string]interface{} {
 
 func TestWriteChromeTrace(t *testing.T) {
 	g, x, y, _ := buildAffine(t)
-	s := NewSession(g, WithTrace())
+	s := NewSession(g, WithTrace(), WithUnfusedPlans()) // MatMul and Add as two events
 	s.MustRun([]*graph.Node{y}, Feeds{x: tensor.Ones(2, 3)})
 
 	var buf bytes.Buffer
@@ -57,7 +57,7 @@ func TestWriteChromeTrace(t *testing.T) {
 
 func TestWriteChromeTraceWall(t *testing.T) {
 	g, x, y, _ := buildAffine(t)
-	s := NewSession(g, WithTrace(), WithInterOpWorkers(2))
+	s := NewSession(g, WithTrace(), WithInterOpWorkers(2), WithUnfusedPlans())
 	s.MustRun([]*graph.Node{y}, Feeds{x: tensor.Ones(2, 3)})
 
 	var buf bytes.Buffer

@@ -21,8 +21,10 @@
 //
 // The fuse pass runs each connected set of element-wise ops
 // (graph.Pointwise, and last-axis Slices as graph.Window reads) whose
-// values only the set reads in this plan as one step: one slot, one
-// dispatch, one trace event named by its members joined with "+", and
+// values only the set reads in this plan as one step, together with at
+// most one other kernel the set reads — its head, such as the GEMM
+// under a bias add and an activation: one slot, one dispatch, one trace
+// event named by its members joined with "+" in its head's class, and
 // the unfused ops' bits (tensor.Program). WithUnfusedPlans turns it off
 // for the op-level profiles the paper's figures are made of.
 //
@@ -65,7 +67,7 @@ var ErrClosed = errors.New("runtime: session closed")
 type Event struct {
 	Node  *graph.Node   // for a fused step, the node of the value it computes
 	Op    string        // operation type name; a fused step's members' names joined with "+"
-	Class graph.OpClass // Figure-3 class; elementwise for a fused step
+	Class graph.OpClass // Figure-3 class; a fused step's head's, or elementwise
 	Start time.Duration // simulated start since session creation
 	Dur   time.Duration // simulated duration
 	Step  int           // session run counter when executed
@@ -677,7 +679,7 @@ func (s *Session) execStep(ctx *graph.ExecContext, st *planStep, in []*tensor.Te
 func (s *Session) emit(st *planStep, start time.Duration, lane int, tm opTiming, cp time.Duration) {
 	op, class := st.node.OpName(), st.node.Op().Class()
 	if st.fused != nil {
-		op, class = st.fused.name, graph.ClassElementwise
+		op, class = st.fused.name, st.fused.class
 	}
 	s.trace = append(s.trace, Event{
 		Node: st.node, Op: op, Class: class,

@@ -55,7 +55,7 @@ func TestSessionFeedShapeMismatch(t *testing.T) {
 
 func TestSessionTraceRecordsOps(t *testing.T) {
 	g, x, y, _ := buildAffine(t)
-	s := NewSession(g, WithTrace())
+	s := NewSession(g, WithTrace(), WithUnfusedPlans()) // MatMul and Add as two events
 	s.MustRun([]*graph.Node{y}, Feeds{x: tensor.Ones(2, 3)})
 	tr := s.Trace()
 	if len(tr) != 2 {

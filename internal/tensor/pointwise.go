@@ -3,10 +3,10 @@ package tensor
 import "fmt"
 
 // The block evaluator: one kernel for any straight line of element-wise
-// ops. Two callers build programs for it — the runtime's fuse pass, which
-// runs a connected set of single-reader element-wise ops of a plan as one
-// step, and the ops package's epilogue fusion, which runs the consumers a
-// GEMM or convolution absorbed over the output it just wrote.
+// ops. The runtime's fuse pass builds its programs: it runs a connected
+// set of single-reader element-wise ops of a plan as one step, after the
+// set's head — a GEMM or a convolution, say — has written the
+// destination the program then reads through Dest.
 
 // ScalarFn is an element-wise op's scalar function: Un for an op of one
 // operand, Bin for an op of two.
@@ -16,7 +16,7 @@ type ScalarFn struct {
 }
 
 // Dest, as a Load's In, reads the destination's current contents: an
-// epilogue runs over what its base kernel wrote there. Every load of a
+// epilogue runs over what its head kernel wrote there. Every load of a
 // block is gathered before the block's last instruction writes it.
 const Dest = -1
 
