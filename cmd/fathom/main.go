@@ -14,8 +14,9 @@
 //	fathom all                          # everything, optionally to -out
 //
 // Common flags: -preset ref|small|tiny, -steps N, -warmup N, -seed N,
-// -workers N (modeled intra-op), -intraop N (real intra-op on the
-// shared pool), -interop N, -pool N (shared worker-pool size),
+// -intraop N (real intra-op on the shared pool; every profile also
+// records kernel chunks, from which modeled widths are priced),
+// -interop N, -pool N (shared worker-pool size),
 // -device cpu|gpu, -mode training|inference, -out DIR. Serving flags:
 // -addr, -sessions, -maxbatch, -maxdelay, -queue, -deadline, plus
 // observability: -tracesample N (trace every Nth request), -tracedir
@@ -57,7 +58,6 @@ func main() {
 	steps := fs.Int("steps", 0, "measured steps per run (0 = experiment default)")
 	warmup := fs.Int("warmup", 0, "warmup steps per run (0 = experiment default)")
 	seed := fs.Int64("seed", 1, "random seed")
-	workers := fs.Int("workers", 1, "modeled intra-op workers")
 	intraop := fs.Int("intraop", 1, "real intra-op workers on the shared pool (run, profile, serve)")
 	interop := fs.Int("interop", 1, "inter-op scheduler width (run, profile, serve)")
 	poolSize := fs.Int("pool", 0, "shared worker-pool size (0 = max(2, GOMAXPROCS))")
@@ -140,36 +140,32 @@ func main() {
 			st = 4
 		}
 		res, err := core.SetupAndRun(*model, core.Config{Preset: preset, Seed: *seed, Heads: *heads}, core.RunOptions{
-			Mode: md, Steps: st, Warmup: *warmup, ModeledWorkers: *workers, IntraOp: *intraop, InterOp: *interop, Device: *device, Seed: *seed,
+			Mode: md, Steps: st, Warmup: *warmup, IntraOp: *intraop, InterOp: *interop, Device: *device, Seed: *seed,
 		})
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("%s %s on %s, %d steps (%d workers, %d intra-op, %d inter-op): %v/step simulated, %v/step wall\n\n",
-			*model, md, *device, st, *workers, *intraop, *interop,
+		fmt.Printf("%s %s on %s, %d steps (%d intra-op, %d inter-op): %v/step simulated, %v/step wall\n\n",
+			*model, md, *device, st, *intraop, *interop,
 			res.SimTime/time.Duration(st), res.WallTime/time.Duration(st))
 		fmt.Println(res.Profile)
 	case "profile":
 		// Parallelism characterization across both axes: per workload,
 		// how much op time is on the critical path, the inter-op
 		// speedup the scheduler achieved at -interop vs the
-		// dependency-structure bound, and real vs modeled intra-op
-		// speedup at -intraop. Emits CSV with -out like the fig
-		// commands.
+		// dependency-structure bound, real vs modeled intra-op speedup
+		// at -intraop and the model's error. Emits CSV with -out like
+		// the fig commands.
 		md, err := core.ParseMode(*mode)
 		if err != nil {
 			fatal(err)
-		}
-		ia := *intraop
-		if ia == 1 {
-			ia = *workers // -workers N alone still sweeps the intra axis
 		}
 		var names []string
 		if *model != "" {
 			names = strings.Split(*model, ",")
 		}
 		must(experiments.ProfileParallel(
-			experiments.Options{Preset: preset, Steps: *steps, Warmup: *warmup, Seed: *seed}, md, *interop, ia, names, *device))(emit)
+			experiments.Options{Preset: preset, Steps: *steps, Warmup: *warmup, Seed: *seed}, md, *interop, *intraop, names, *device))(emit)
 	case "train":
 		// Data-parallel training: replicate each workload over shards
 		// of its global batch on the shared pool, report achieved vs
@@ -478,9 +474,10 @@ func usage() {
 
 commands:
   list       registered workloads
-  run        profile one workload        (-model, -mode, -device, -workers, -intraop, -interop, -heads)
+  run        profile one workload        (-model, -mode, -device, -intraop, -interop, -heads)
   profile    parallelism report          (-interop N -intraop N; critical path, achieved vs
-             achievable inter-op speedup, real vs modeled intra-op speedup; CSV with -out)
+             achievable inter-op speedup, real vs modeled intra-op speedup and the
+             model's error; CSV with -out)
   train      training scaling            (-replicas N -chunks K -fuse K -model a,b -steps N -intraop N;
              data-parallel achieved vs achievable scaling plus horizontally fused arrays,
              bit-identical across replica counts and fused trainees;
@@ -500,7 +497,8 @@ commands:
   fig3       class heat map
   fig4       similarity dendrogram
   fig5       train/inference × CPU/GPU
-  fig6       op-type scaling vs workers  (-model deepq,seq2seq,memnet)
+  fig6       op-type scaling vs workers  (-model deepq,seq2seq,memnet; one recorded run
+             priced at 1/2/4/8 workers)
   overhead   inter-op overhead (§V-A)
   ablation   optimizer-pass and kernel-fusion ablations
   all        everything

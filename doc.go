@@ -76,14 +76,16 @@
 //
 // # Intra-op parallelism: real and modeled
 //
-// tensor.Pool runs the chunked loops of every kernel behind one
-// interface with two strategies. The serial+simulated strategy
-// (runtime.WithModeledWorkers; CLI: -workers) executes chunks serially,
-// measures them, and models the makespan of list-scheduling them over
-// n lanes — the paper's Fig. 6 axis, usable on any host. The real
-// strategy (runtime.WithIntraOpWorkers; CLI: -intraop) executes the
-// same chunks on shared-pool goroutines and reports measured wall
-// time. `fathom profile` puts the two side by side per workload.
+// tensor.Pool runs the chunked loops of every kernel, and execution is
+// always real: inline on the caller, in order while recording each
+// region's chunk durations (runtime.WithChunkRecord, which every
+// core.Run profile sets on the CPU), or on shared-pool goroutines
+// (runtime.WithIntraOpWorkers; CLI: -intraop). A modeled width is
+// computed from what execution recorded: profiling.AtWidth
+// list-schedules one run's chunks over n lanes — the paper's Fig. 6
+// axis, usable on any host, every width from one run. `fathom profile`
+// puts modeled and measured speedup side by side per workload, with
+// the model's error, their ratio.
 //
 // # Determinism contract
 //
@@ -111,11 +113,12 @@
 // combines per-chunk partials in ascending chunk order at every width
 // including 1. Pool width is a
 // constructor argument (a session builds its pools once its options
-// have run), so modeled makespans can never be skewed mid-plan.
+// have run), and chunks do not depend on it, so one chunk record
+// prices every modeled width.
 //
-// Simulated timing follows the package's philosophy for inter-op as
-// for intra-op parallelism: n modeled worker lanes are list-scheduled
-// and the session clock advances by the simulated makespan, so the
+// Inter-op timing is likewise computed from what execution measured:
+// op times are list-scheduled over n modeled worker lanes and the
+// session clock advances by the simulated makespan, so the
 // profiler reports achieved and achievable (critical-path) inter-op
 // speedup per workload — `fathom profile -interop N` — even on a
 // single-core host.

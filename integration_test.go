@@ -162,26 +162,27 @@ func TestGPUModelSpeedsUpComputeDenseWorkloads(t *testing.T) {
 // with more modeled workers, the dominant op's share shrinks (Amdahl).
 func TestWorkerScalingFlattensProfile(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two profile runs")
+		t.Skip("five profile runs")
 	}
 	// The median of five profiles: an op is a few milliseconds, so one
 	// scheduling stall while other packages test in parallel can double
-	// its modeled makespan, and a single profile would flake.
-	prof := func(workers int) float64 {
-		var top []float64
-		for i := 0; i < 5; i++ {
-			res, err := core.SetupAndRun("deepq", core.Config{Preset: core.PresetSmall, Seed: 6},
-				core.RunOptions{Mode: core.ModeTraining, Steps: 3, Warmup: 2, ModeledWorkers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			top = append(top, res.Profile.Shares()[0].Fraction)
+	// its recorded chunks, and a single profile would flake. Both widths
+	// price the same five chunk records.
+	var top1s, top8s []float64
+	for i := 0; i < 5; i++ {
+		res, err := core.SetupAndRun("deepq", core.Config{Preset: core.PresetSmall, Seed: 6},
+			core.RunOptions{Mode: core.ModeTraining, Steps: 3, Warmup: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-		sort.Float64s(top)
-		return top[2]
+		top := func(w int) float64 {
+			return profiling.Collect("deepq", "training", 3, profiling.AtWidth(res.Events, w)).Shares()[0].Fraction
+		}
+		top1s, top8s = append(top1s, top(1)), append(top8s, top(8))
 	}
-	top1 := prof(1)
-	top8 := prof(8)
+	sort.Float64s(top1s)
+	sort.Float64s(top8s)
+	top1, top8 := top1s[2], top8s[2]
 	if top8 >= top1 {
 		t.Errorf("dominant op share should shrink with parallelism: %.3f -> %.3f", top1, top8)
 	}

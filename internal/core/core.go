@@ -275,14 +275,13 @@ func New(name string) (Model, error) {
 
 // RunOptions configures an instrumented run.
 type RunOptions struct {
-	Mode           Mode
-	Steps          int // measured steps
-	Warmup         int // untraced warmup steps
-	ModeledWorkers int // modeled intra-op workers (default 1)
-	IntraOp        int // real intra-op workers on the shared pool (default 1; overrides ModeledWorkers)
-	InterOp        int // inter-op scheduler width (default 1 = serial)
-	Device         string
-	Seed           int64
+	Mode    Mode
+	Steps   int // measured steps
+	Warmup  int // untraced warmup steps
+	IntraOp int // real intra-op workers on the shared pool (default 1)
+	InterOp int // inter-op scheduler width (default 1 = serial)
+	Device  string
+	Seed    int64
 }
 
 // RunResult is the outcome of an instrumented run.
@@ -317,9 +316,6 @@ func Run(m Model, opt RunOptions) (*RunResult, error) {
 	if opt.Steps <= 0 {
 		opt.Steps = 1
 	}
-	if opt.ModeledWorkers <= 0 {
-		opt.ModeledWorkers = 1
-	}
 	dev, err := NewDevice(opt.Device)
 	if err != nil {
 		return nil, err
@@ -333,7 +329,6 @@ func Run(m Model, opt RunOptions) (*RunResult, error) {
 	}
 	sessOpts := []runtime.Option{
 		runtime.WithDevice(dev),
-		runtime.WithModeledWorkers(opt.ModeledWorkers),
 		runtime.WithInterOpWorkers(opt.InterOp),
 		runtime.WithSeed(seed),
 		runtime.WithTrace(),
@@ -343,6 +338,11 @@ func Run(m Model, opt RunOptions) (*RunResult, error) {
 	}
 	if opt.IntraOp > 1 {
 		sessOpts = append(sessOpts, runtime.WithIntraOpWorkers(opt.IntraOp))
+	}
+	if _, cpu := dev.(runtime.CPUDevice); cpu {
+		// Serial kernel chunks are recorded so profiling.AtWidth can
+		// price any intra-op width; the GPU roofline prices whole ops.
+		sessOpts = append(sessOpts, runtime.WithChunkRecord())
 	}
 	sess := runtime.NewSession(m.Graph(), sessOpts...)
 	defer sess.Close()

@@ -356,22 +356,22 @@ func Fig5(o Options) (Result, error) {
 func Fig6Models() []string { return []string{"deepq", "seq2seq", "memnet"} }
 
 // Fig6 sweeps intra-op workers for one model and reports absolute
-// time per op type — the application-level Amdahl's-law picture.
+// time per op type — the application-level Amdahl's-law picture. One
+// chunk-recorded profile is priced at every width (profiling.AtWidth).
 func Fig6(o Options, model string) (Result, error) {
 	o = o.withDefaults()
 	workers := []int{1, 2, 4, 8}
-	// Profile at each worker count.
-	byWorkers := make([]*core.RunResult, len(workers))
+	res, err := core.SetupAndRun(model, core.Config{Preset: o.Preset, Seed: o.Seed},
+		core.RunOptions{Mode: core.ModeTraining, Steps: o.Steps, Warmup: o.Warmup, Seed: o.Seed})
+	if err != nil {
+		return Result{}, fmt.Errorf("fig6 %s: %w", model, err)
+	}
+	byWorkers := make([]*profiling.Profile, len(workers))
 	for i, w := range workers {
-		res, err := core.SetupAndRun(model, core.Config{Preset: o.Preset, Seed: o.Seed},
-			core.RunOptions{Mode: core.ModeTraining, Steps: o.Steps, Warmup: o.Warmup, ModeledWorkers: w, Seed: o.Seed})
-		if err != nil {
-			return Result{}, fmt.Errorf("fig6 %s workers=%d: %w", model, w, err)
-		}
-		byWorkers[i] = res
+		byWorkers[i] = profiling.Collect(model, res.Mode.String(), o.Steps, profiling.AtWidth(res.Events, w))
 	}
 	// Rank op types by their single-worker time.
-	shares := byWorkers[0].Profile.Shares()
+	shares := byWorkers[0].Shares()
 	topN := 10
 	if len(shares) < topN {
 		topN = len(shares)
@@ -394,7 +394,7 @@ func Fig6(o Options, model string) (Result, error) {
 		fmt.Fprintf(&csv, "%s,%s", op, shares[i].Class.Letter())
 		var t1, tN time.Duration
 		for j := range workers {
-			d := byWorkers[j].Profile.ByType[op] / time.Duration(o.Steps)
+			d := byWorkers[j].ByType[op] / time.Duration(o.Steps)
 			if j == 0 {
 				t1 = d
 			}
@@ -412,7 +412,7 @@ func Fig6(o Options, model string) (Result, error) {
 	// Overall step time and the profile flattening effect.
 	text.WriteString("\ntotal op time per step and share of the largest op type:\n")
 	for j, w := range workers {
-		p := byWorkers[j].Profile
+		p := byWorkers[j]
 		top := p.Shares()[0]
 		fmt.Fprintf(&text, "  %d workers: %12v   top=%s (%.1f%%)\n",
 			w, (p.Total / time.Duration(o.Steps)).Round(time.Microsecond), top.Op, 100*top.Fraction)
@@ -455,20 +455,20 @@ func Overhead(o Options) (Result, error) {
 // ProfileParallel characterizes both parallelism axes per workload and
 // emits the same Result shape as the fig commands, so `fathom profile`
 // writes CSV with -out and joins the `all` artifact sweep. Per
-// workload it runs four instrumented configurations:
+// workload it runs three instrumented configurations:
 //
-//   - a serial baseline (the wall and simulated denominators);
+//   - a serial, chunk-recorded baseline (the wall and simulated
+//     denominators, and the modeled intra-op time: its record priced
+//     at width intraop by profiling.AtWidth — the paper's Fig. 6 axis);
 //   - a traced inter-op run at width interop (critical path, achieved
 //     vs achievable speedup, modeled makespan);
-//   - a modeled intra-op run at width intraop (serial+simulated kernel
-//     pools — the paper's Fig. 6 axis);
 //   - a real intra-op run at width intraop (parallel kernel pools on
 //     the shared worker pool — measured wall speedup).
 //
-// The last two columns are profiling.IntraOpStats's modeled and
-// measured speedups side by side; on a loaded or single-core host the
-// measured column legitimately hugs 1.0× while the modeled column
-// reports what the hardware model predicts.
+// The last three columns are profiling.IntraOpStats's modeled and
+// measured speedups and the model's error, their ratio; on a loaded or
+// single-core host the measured column legitimately hugs 1.0× while
+// the modeled column reports what the hardware model predicts.
 //
 // names selects the workloads to profile; nil or empty profiles the
 // whole suite in Workloads() order. device is the execution device
@@ -487,9 +487,9 @@ func ProfileParallel(o Options, mode core.Mode, interop, intraop int, names []st
 	}
 	var text, csv strings.Builder
 	fmt.Fprintf(&text, "parallelism profile: %s, %d steps, inter-op %d, intra-op %d\n\n", mode, o.Steps, interop, intraop)
-	fmt.Fprintf(&text, "%-10s %6s %12s %12s %12s %9s %10s %9s %9s\n",
-		"workload", "ops", "serial/step", "critpath/st", "span/step", "achieved", "achievable", "intra-mod", "intra-real")
-	csv.WriteString("workload,ops_per_step,serial_ns,critpath_ns,makespan_ns,achieved,achievable,intraop_modeled,intraop_measured,interop,intraop\n")
+	fmt.Fprintf(&text, "%-10s %6s %12s %12s %12s %9s %10s %9s %9s %9s\n",
+		"workload", "ops", "serial/step", "critpath/st", "span/step", "achieved", "achievable", "intra-mod", "intra-real", "model_err")
+	csv.WriteString("workload,ops_per_step,serial_ns,critpath_ns,makespan_ns,achieved,achievable,intraop_modeled,intraop_measured,model_err,interop,intraop\n")
 	for _, name := range names {
 		name = strings.TrimSpace(name)
 		run := func(opt core.RunOptions) (*core.RunResult, error) {
@@ -504,29 +504,27 @@ func ProfileParallel(o Options, mode core.Mode, interop, intraop int, names []st
 		if err != nil {
 			return Result{}, fmt.Errorf("profile %s interop=%d: %w", name, interop, err)
 		}
-		modeled, err := run(core.RunOptions{ModeledWorkers: intraop})
-		if err != nil {
-			return Result{}, fmt.Errorf("profile %s workers=%d: %w", name, intraop, err)
-		}
 		real, err := run(core.RunOptions{IntraOp: intraop})
 		if err != nil {
 			return Result{}, fmt.Errorf("profile %s intraop=%d: %w", name, intraop, err)
 		}
 		io := profiling.InterOp(inter.Events)
-		ia := profiling.IntraOp(intraop, base.SimTime, modeled.SimTime, base.WallTime, real.WallTime)
+		modeled := profiling.Collect(name, mode.String(), o.Steps, profiling.AtWidth(base.Events, intraop))
+		ia := profiling.IntraOp(intraop, base.Profile.Total, modeled.Total, base.WallTime, real.WallTime)
 		div := io.Steps
 		if div == 0 {
 			div = 1 // empty trace: print a zero row, never divide by it
 		}
-		fmt.Fprintf(&text, "%-10s %6d %12v %12v %12v %8.2fx %9.2fx %8.2fx %8.2fx\n",
+		fmt.Fprintf(&text, "%-10s %6d %12v %12v %12v %8.2fx %9.2fx %8.2fx %8.2fx %9.2f\n",
 			name, io.Ops/div, io.Serial/time.Duration(div), io.CritPath/time.Duration(div), io.Makespan/time.Duration(div),
-			io.Achieved, io.Achievable, ia.Modeled, ia.Measured)
-		fmt.Fprintf(&csv, "%s,%d,%d,%d,%d,%.4f,%.4f,%.4f,%.4f,%d,%d\n",
+			io.Achieved, io.Achievable, ia.Modeled, ia.Measured, ia.Error)
+		fmt.Fprintf(&csv, "%s,%d,%d,%d,%d,%.4f,%.4f,%.4f,%.4f,%.4f,%d,%d\n",
 			name, io.Ops/div, (io.Serial / time.Duration(div)).Nanoseconds(), (io.CritPath / time.Duration(div)).Nanoseconds(),
-			(io.Makespan / time.Duration(div)).Nanoseconds(), io.Achieved, io.Achievable, ia.Modeled, ia.Measured, interop, intraop)
+			(io.Makespan / time.Duration(div)).Nanoseconds(), io.Achieved, io.Achievable, ia.Modeled, ia.Measured, ia.Error, interop, intraop)
 	}
 	text.WriteString("\nachieved/achievable: inter-op speedup of the traced schedule vs the critical-path bound\n")
-	text.WriteString("intra-mod/intra-real: modeled (simulated lanes) vs measured (shared-pool goroutines) intra-op speedup\n")
+	text.WriteString("intra-mod/intra-real: modeled (recorded chunks over simulated lanes) vs measured (shared-pool goroutines) intra-op speedup\n")
+	text.WriteString("model_err: intra-mod / intra-real (above 1: the model promises more than the host delivered)\n")
 	return Result{
 		ID:    "profile",
 		Title: "Parallelism profile: inter-op critical paths and intra-op real vs modeled speedup",

@@ -327,7 +327,7 @@ func TestTrainPhases(t *testing.T) {
 // inter-op columns respect achieved ≤ achievable.
 func TestProfileParallel(t *testing.T) {
 	if testing.Short() {
-		t.Skip("profile runs 4 configurations per workload")
+		t.Skip("profile runs 3 configurations per workload")
 	}
 	r, err := ProfileParallel(tinyOpts(), core.ModeTraining, 4, 2, nil, "")
 	if err != nil {
@@ -342,7 +342,7 @@ func TestProfileParallel(t *testing.T) {
 		}
 	}
 	lines := strings.Split(strings.TrimSpace(r.CSV), "\n")
-	if lines[0] != "workload,ops_per_step,serial_ns,critpath_ns,makespan_ns,achieved,achievable,intraop_modeled,intraop_measured,interop,intraop" {
+	if lines[0] != "workload,ops_per_step,serial_ns,critpath_ns,makespan_ns,achieved,achievable,intraop_modeled,intraop_measured,model_err,interop,intraop" {
 		t.Fatalf("profile CSV header %q", lines[0])
 	}
 	if len(lines) != 1+8 {
@@ -357,8 +357,8 @@ func TestProfileParallel(t *testing.T) {
 		if ach > bound*1.02 {
 			t.Errorf("%s: achieved %v exceeds achievable %v", f[0], ach, bound)
 		}
-		if f[9] != "4" || f[10] != "2" {
-			t.Errorf("%s: width columns %v,%v want 4,2", f[0], f[9], f[10])
+		if f[10] != "4" || f[11] != "2" {
+			t.Errorf("%s: width columns %v,%v want 4,2", f[0], f[10], f[11])
 		}
 	}
 }

@@ -38,9 +38,9 @@ type fingerprint struct {
 // workloadFingerprint builds a fresh instance of the workload and
 // drives it through trainSteps optimizer updates and two self-feeding
 // inference steps on a session of the given intra-op × inter-op
-// widths, fused or not, then snapshots the trajectory. Model config and
-// session seed are fixed, so two calls differ only in those.
-func workloadFingerprint(t *testing.T, name string, intraop, interop, trainSteps int, unfused bool) fingerprint {
+// widths and extra options, then snapshots the trajectory. Model config
+// and session seed are fixed, so two calls differ only in those.
+func workloadFingerprint(t *testing.T, name string, intraop, interop, trainSteps int, extra ...runtime.Option) fingerprint {
 	t.Helper()
 	m, err := core.New(name)
 	if err != nil {
@@ -54,10 +54,7 @@ func workloadFingerprint(t *testing.T, name string, intraop, interop, trainSteps
 		runtime.WithIntraOpWorkers(intraop),
 		runtime.WithInterOpWorkers(interop),
 	}
-	if unfused {
-		opts = append(opts, runtime.WithUnfusedPlans())
-	}
-	s := runtime.NewSession(m.Graph(), opts...)
+	s := runtime.NewSession(m.Graph(), append(opts, extra...)...)
 	defer s.Close()
 	fp := fingerprint{infer: map[string][]float32{}, vars: map[string][]float32{}}
 	tr, ok := m.(core.Trainer)
@@ -146,31 +143,34 @@ func compareFingerprints(t *testing.T, label string, a, b fingerprint) {
 // every intra-op × inter-op width combination — real parallel kernel
 // chunks crossed with the parallel plan scheduler, all drawing helpers
 // from the shared worker pool — is bit-identical to serial, and so is
-// every such width with plans compiled unfused: losses, fetches and
+// every such width with plans compiled unfused, and the chunk-recorded
+// unfused serial session core.Run profiles with: losses, fetches and
 // trained variables.
 func TestCrossWorkloadDeterminism(t *testing.T) {
 	const trainSteps = 3
+	unfused := []runtime.Option{runtime.WithUnfusedPlans()}
 	widths := []struct {
 		label          string
 		intra, interop int
-		unfused        bool
+		opts           []runtime.Option
 	}{
-		{"intraop 4 vs serial", 4, 1, false},
-		{"interop 4 vs serial", 1, 4, false},
-		{"intraop 4 × interop 4 vs serial", 4, 4, false},
-		{"unfused vs fused serial", 1, 1, true},
-		{"unfused intraop 4 vs fused serial", 4, 1, true},
-		{"unfused interop 4 vs fused serial", 1, 4, true},
-		{"unfused intraop 4 × interop 4 vs fused serial", 4, 4, true},
+		{"intraop 4 vs serial", 4, 1, nil},
+		{"interop 4 vs serial", 1, 4, nil},
+		{"intraop 4 × interop 4 vs serial", 4, 4, nil},
+		{"unfused vs fused serial", 1, 1, unfused},
+		{"unfused intraop 4 vs fused serial", 4, 1, unfused},
+		{"unfused interop 4 vs fused serial", 1, 4, unfused},
+		{"unfused intraop 4 × interop 4 vs fused serial", 4, 4, unfused},
+		{"chunk-recorded unfused vs fused serial", 1, 1, append(unfused, runtime.WithChunkRecord())},
 	}
 	for _, name := range allNames {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			base := workloadFingerprint(t, name, 1, 1, trainSteps, false)
-			replay := workloadFingerprint(t, name, 1, 1, trainSteps, false)
+			base := workloadFingerprint(t, name, 1, 1, trainSteps)
+			replay := workloadFingerprint(t, name, 1, 1, trainSteps)
 			compareFingerprints(t, "serial replay (WithSeed)", base, replay)
 			for _, w := range widths {
-				par := workloadFingerprint(t, name, w.intra, w.interop, trainSteps, w.unfused)
+				par := workloadFingerprint(t, name, w.intra, w.interop, trainSteps, w.opts...)
 				compareFingerprints(t, w.label, base, par)
 			}
 		})

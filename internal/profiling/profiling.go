@@ -8,6 +8,7 @@ package profiling
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -394,25 +395,59 @@ func InterOp(events []runtime.Event) InterOpStats {
 
 // ---- intra-op parallelism: real vs. modeled ----
 
-// IntraOpStats puts the two intra-op execution strategies side by
-// side for one workload: the modeled speedup of the serial+simulated
-// kernel pools (the paper's Fig. 6 axis — measured chunk makespans
-// list-scheduled over modeled lanes) and the measured wall speedup of
-// the real parallel pools (WithIntraOpWorkers — chunks actually
-// executing on shared-pool goroutines). On a host with enough free
-// cores the two should roughly agree; the gap between them is the
-// model's optimism about memory bandwidth and scheduling overhead.
+// AtWidth re-prices a chunk-recorded CPU trace (runtime.WithChunkRecord)
+// at intra-op width w, the paper's Fig. 6 axis. Each event's Dur
+// becomes its time outside its regions plus, per region, the makespan
+// of its chunks list-scheduled in chunk order onto the earliest-free
+// of w lanes (ties to the lowest lane), clamped at 0. Chunks do not
+// depend on width, so one record prices every width. Events without
+// regions keep their Dur; Start, CP and every other field keep the
+// recorded run's values. w < 1 is treated as 1.
+func AtWidth(events []runtime.Event, w int) []runtime.Event {
+	lanes := make([]time.Duration, max(w, 1))
+	out := make([]runtime.Event, len(events))
+	for i, e := range events {
+		for _, r := range e.Regions {
+			clear(lanes)
+			for _, d := range r {
+				l := 0
+				for j := 1; j < len(lanes); j++ {
+					if lanes[j] < lanes[l] {
+						l = j
+					}
+				}
+				lanes[l] += d
+				e.Dur -= d
+			}
+			e.Dur += slices.Max(lanes)
+		}
+		e.Dur = max(e.Dur, 0)
+		out[i] = e
+	}
+	return out
+}
+
+// IntraOpStats puts modeled and measured intra-op speedup side by side
+// for one workload: the modeled speedup prices a chunk-recorded run at
+// Workers lanes (AtWidth), the measured one is the wall speedup of
+// real parallel pools (WithIntraOpWorkers — chunks actually executing
+// on shared-pool goroutines). On a host with enough free cores the two
+// should roughly agree; their ratio is the model's error, its optimism
+// about memory bandwidth and scheduling overhead.
 type IntraOpStats struct {
 	Workers int
 	// SerialSim and ModeledSim are simulated op time per run at width
-	// 1 and Workers (serial strategy).
+	// 1 and Workers, priced from one chunk record.
 	SerialSim, ModeledSim time.Duration
 	// SerialWall and ParallelWall are host wall time per run at width
-	// 1 and Workers (parallel strategy).
+	// 1 and Workers (parallel pools).
 	SerialWall, ParallelWall time.Duration
 	// Modeled is SerialSim/ModeledSim; Measured is
 	// SerialWall/ParallelWall.
 	Modeled, Measured float64
+	// Error is Modeled/Measured (0 when Measured is 0): above 1 the
+	// model promises more speedup than the host delivered.
+	Error float64
 }
 
 // IntraOp assembles the side-by-side comparison from the four timing
@@ -428,6 +463,9 @@ func IntraOp(workers int, serialSim, modeledSim, serialWall, parallelWall time.D
 	}
 	if parallelWall > 0 {
 		st.Measured = float64(serialWall) / float64(parallelWall)
+	}
+	if st.Measured > 0 {
+		st.Error = st.Modeled / st.Measured
 	}
 	return st
 }

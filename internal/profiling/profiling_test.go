@@ -239,3 +239,69 @@ func TestInterOpSerialTraceIsFlat(t *testing.T) {
 		t.Fatalf("workers = %d, want 1", st.Workers)
 	}
 }
+
+// TestAtWidth: each region's chunks are list-scheduled in order onto
+// the earliest-free of w lanes and replace their serial sum in the
+// event's time, clamped at zero.
+func TestAtWidth(t *testing.T) {
+	us := func(ds ...int) []time.Duration {
+		out := make([]time.Duration, len(ds))
+		for i, d := range ds {
+			out[i] = time.Duration(d) * time.Microsecond
+		}
+		return out
+	}
+	cases := []struct {
+		name    string
+		dur     int
+		regions [][]time.Duration
+		w, want int
+	}{
+		{"no regions keeps its time", 7, nil, 4, 7},
+		{"one lane takes the serial sum", 10, [][]time.Duration{us(3, 1, 1, 1)}, 1, 10},
+		{"width below 1 is one lane", 10, [][]time.Duration{us(3, 1, 1, 1)}, 0, 10},
+		{"two lanes", 10, [][]time.Duration{us(3, 1, 1, 1)}, 2, 7},
+		{"more lanes than chunks", 10, [][]time.Duration{us(3, 1, 1, 1)}, 8, 7},
+		{"in order, not sorted", 10, [][]time.Duration{us(1, 1, 1, 3)}, 2, 8},
+		{"regions add up", 20, [][]time.Duration{us(2, 2, 2, 2), us(5, 1)}, 2, 15},
+		{"clamped at zero", 0, [][]time.Duration{us(5, 5)}, 2, 0},
+	}
+	for _, c := range cases {
+		in := []runtime.Event{{Op: "MatMul", Dur: time.Duration(c.dur) * time.Microsecond, Regions: c.regions}}
+		got := AtWidth(in, c.w)
+		if want := time.Duration(c.want) * time.Microsecond; got[0].Dur != want {
+			t.Errorf("%s: Dur %v, want %v", c.name, got[0].Dur, want)
+		}
+		if in[0].Dur != time.Duration(c.dur)*time.Microsecond {
+			t.Errorf("%s: AtWidth rewrote its input", c.name)
+		}
+	}
+
+	// 400 µs of work in 32 near-equal chunks (the pool's chunking of a
+	// 400-iteration region at grain 1) models a speedup near 4 on 4
+	// lanes.
+	chunks := make([]time.Duration, 32)
+	for i := range chunks {
+		chunks[i] = time.Duration((i+1)*400/32-i*400/32) * time.Microsecond
+	}
+	ev := []runtime.Event{{Dur: 400 * time.Microsecond, Regions: [][]time.Duration{chunks}}}
+	t1, t4 := AtWidth(ev, 1)[0].Dur, AtWidth(ev, 4)[0].Dur
+	if t1 != 400*time.Microsecond {
+		t.Fatalf("one lane should take the serial sum, got %v", t1)
+	}
+	if ratio := float64(t1) / float64(t4); ratio < 3.5 || ratio > 4 {
+		t.Fatalf("4 lanes over 32 near-equal chunks should model a speedup near 4, got %v (%v / %v)", ratio, t1, t4)
+	}
+}
+
+// TestIntraOpError: the model's error is modeled over measured speedup,
+// and zero when nothing was measured.
+func TestIntraOpError(t *testing.T) {
+	st := IntraOp(2, 10, 5, 10, 8)
+	if st.Modeled != 2 || st.Measured != 1.25 || st.Error != 1.6 {
+		t.Fatalf("modeled %v measured %v error %v, want 2, 1.25, 1.6", st.Modeled, st.Measured, st.Error)
+	}
+	if st := IntraOp(2, 10, 5, 10, 0); st.Measured != 0 || st.Error != 0 {
+		t.Fatalf("no measurement: measured %v error %v, want 0, 0", st.Measured, st.Error)
+	}
+}

@@ -932,7 +932,7 @@ func TestFusedStepIsOneOp(t *testing.T) {
 		// roofline times past the launch is the roofline time of the sum.
 		want := gpu.Launch
 		for _, m := range st.nodes {
-			want += gpu.OpTime([]*graph.Node{m}, nil, 0) - gpu.Launch
+			want += gpu.OpTime([]*graph.Node{m}, 0) - gpu.Launch
 		}
 		if d := e.Dur - want; d < -time.Duration(len(st.nodes)) || d > time.Duration(len(st.nodes)) {
 			t.Errorf("%s priced %v, its members %v", e.Op, e.Dur, want)

@@ -42,8 +42,8 @@
 // for the scheduler and the determinism contract (serial Impure lane,
 // variable hazard edges, gated arena reuse). WithIntraOpWorkers(n)
 // additionally makes every kernel pool execute its chunks on shared-
-// pool goroutines (tensor.Pool's real parallel strategy) instead of
-// modeling the speedup. Sessions lease their helper claim at creation
+// pool goroutines (tensor.Pool's parallel behaviour) instead of
+// running them in order. Sessions lease their helper claim at creation
 // and release it in Close; no goroutines are spawned per Run.
 package runtime
 
@@ -82,6 +82,9 @@ type Event struct {
 	// timeline (one lane per inter-op worker) next to the simulated
 	// one, and lets serving traces nest op spans under request spans.
 	WallStart time.Time
+	// Regions holds each split region's chunk durations in chunk order,
+	// for profiling.AtWidth; nil unless the session has WithChunkRecord.
+	Regions [][]time.Duration
 	// CP is the operation's critical-path finish within its run: Dur
 	// plus the longest Dur-weighted chain of semantic scheduling
 	// constraints (data, variable hazard and serial-lane edges)
@@ -99,22 +102,19 @@ type Event struct {
 type Device interface {
 	Name() string
 	// OpTime prices one execution of a plan step that took wall on the
-	// host and ran its kernels through pool. nodes are what the step
-	// computes: its one node, or a fused step's members.
-	OpTime(nodes []*graph.Node, pool *tensor.Pool, wall time.Duration) time.Duration
+	// host. nodes are what the step computes: its one node, or a fused
+	// step's members.
+	OpTime(nodes []*graph.Node, wall time.Duration) time.Duration
 }
 
-// CPUDevice prices an operation at the kernel pool's simulated
-// parallel time (measured chunk makespan; see tensor.Pool).
+// CPUDevice prices an operation at the wall time the host measured.
 type CPUDevice struct{}
 
 // Name implements Device.
 func (CPUDevice) Name() string { return "cpu" }
 
 // OpTime implements Device.
-func (CPUDevice) OpTime(_ []*graph.Node, pool *tensor.Pool, wall time.Duration) time.Duration {
-	return pool.OpTime(wall)
-}
+func (CPUDevice) OpTime(_ []*graph.Node, wall time.Duration) time.Duration { return wall }
 
 // GPUDevice prices an operation at launch + max(flops/PeakFlops,
 // bytes/PeakBytes) whatever the host measured: a roofline model
@@ -185,7 +185,7 @@ func (d *GPUDevice) modelTime(nodes []*graph.Node) time.Duration {
 }
 
 // OpTime implements Device.
-func (d *GPUDevice) OpTime(nodes []*graph.Node, _ *tensor.Pool, _ time.Duration) time.Duration {
+func (d *GPUDevice) OpTime(nodes []*graph.Node, _ time.Duration) time.Duration {
 	return d.modelTime(nodes)
 }
 
@@ -253,11 +253,12 @@ type Plan struct {
 }
 
 // opTiming is what execStep measured of one operation: when its kernel
-// started on the host, how long it took, and the device's price for it.
+// started on the host, how long it took, its price and its chunks.
 type opTiming struct {
-	start time.Time
-	wall  time.Duration
-	dur   time.Duration
+	start   time.Time
+	wall    time.Duration
+	dur     time.Duration
+	regions [][]time.Duration
 }
 
 // Slots reports how many operation outputs were assigned arena slots.
@@ -313,10 +314,9 @@ type Session struct {
 	// still may not be invoked concurrently.
 	interOp int
 	// intraOp is the real intra-op width: with n > 1 the session's
-	// kernel pools execute chunks on shared-pool helpers
-	// (tensor.NewParallelPool) instead of modeling the speedup.
+	// kernel pools run chunks on shared-pool helpers (NewParallelPool).
 	intraOp   int
-	workers   int                  // modeled width of serial kernel pools (WithModeledWorkers)
+	record    bool                 // serial kernel pools record chunk durations (WithChunkRecord)
 	unfused   bool                 // compile plans without the fuse pass (WithUnfusedPlans)
 	execPool  *sched.Pool          // shared worker pool (default sched.Default)
 	lease     *sched.Lease         // the session's adaptive claim on it
@@ -332,10 +332,11 @@ type Option func(*Session)
 // CPUDevice).
 func WithDevice(d Device) Option { return func(s *Session) { s.dev = d } }
 
-// WithModeledWorkers sets the modeled intra-op worker count (default
-// 1): kernels still run their chunks serially and the pool reports the
-// makespan n lanes would have had. WithIntraOpWorkers is the real one.
-func WithModeledWorkers(n int) Option { return func(s *Session) { s.workers = n } }
+// WithChunkRecord makes the session's serial kernel pools split every
+// region and record its chunk durations into trace events' Regions,
+// from which profiling.AtWidth prices any intra-op width. Pools made
+// parallel by WithIntraOpWorkers do not record; results are identical.
+func WithChunkRecord() Option { return func(s *Session) { s.record = true } }
 
 // WithUnfusedPlans compiles plans without the fuse pass, so every
 // graph op runs as its own step — the executor TensorFlow 0.8 was, whose
@@ -380,13 +381,11 @@ func WithInterOpWorkers(n int) Option {
 
 // WithIntraOpWorkers sets the real intra-op width (default 1): with
 // n > 1 every kernel pool of the session executes its chunked loops on
-// up to n goroutines drawn from the shared worker pool, and traced op
-// durations are measured wall time rather than modeled makespans.
-// Chunk boundaries and float32 reduction order are fixed by trip count
-// and grain — never by width — so results stay bit-identical to a
-// serial session (and to any other intra-op × inter-op width). Takes
-// precedence over WithModeledWorkers, which keeps the paper's serial
-// modeled pools.
+// up to n goroutines drawn from the shared worker pool. Chunk
+// boundaries and float32 reduction order are fixed by trip count and
+// grain — never by width — so results stay bit-identical to a serial
+// session (and to any other intra-op × inter-op width). Takes
+// precedence over WithChunkRecord, whose pools are serial.
 func WithIntraOpWorkers(n int) Option {
 	return func(s *Session) {
 		if n < 1 {
@@ -660,7 +659,6 @@ func (s *Session) execStep(ctx *graph.ExecContext, st *planStep, in []*tensor.Te
 			}
 		}()
 	}
-	ctx.Pool.ResetOp()
 	out := st.out
 	var err error
 	tm := opTiming{start: time.Now()}
@@ -670,7 +668,8 @@ func (s *Session) execStep(ctx *graph.ExecContext, st *planStep, in []*tensor.Te
 		err = st.kernel.ForwardInto(ctx, in, out)
 	}
 	tm.wall = time.Since(tm.start)
-	tm.dur = s.dev.OpTime(st.nodes, ctx.Pool, tm.wall)
+	tm.dur = s.dev.OpTime(st.nodes, tm.wall)
+	tm.regions = ctx.Pool.TakeRegions()
 	return out, tm, err
 }
 
@@ -684,7 +683,7 @@ func (s *Session) emit(st *planStep, start time.Duration, lane int, tm opTiming,
 	s.trace = append(s.trace, Event{
 		Node: st.node, Op: op, Class: class,
 		Start: start, Dur: tm.dur, Step: s.step,
-		Worker: lane, Wall: tm.wall, WallStart: tm.start, CP: cp,
+		Worker: lane, Wall: tm.wall, WallStart: tm.start, Regions: tm.regions, CP: cp,
 	})
 }
 

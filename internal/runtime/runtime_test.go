@@ -155,31 +155,31 @@ func TestGPUFasterThanCPUOnBigMatMul(t *testing.T) {
 	}
 }
 
-func TestWorkersReduceSimulatedTime(t *testing.T) {
+// TestChunkRecordFillsRegions: under WithChunkRecord a product that
+// splits traces its chunk durations, one slice per region; without the
+// option its event carries none.
+func TestChunkRecordFillsRegions(t *testing.T) {
 	g := graph.New()
-	// Large enough that the product's modeled chunks outweigh scheduling
-	// noise from packages testing in parallel.
-	a := g.Const("a", tensor.Ones(768, 768))
-	b := g.Const("b", tensor.Ones(768, 768))
+	a := g.Const("a", tensor.Ones(256, 256))
+	b := g.Const("b", tensor.Ones(256, 256))
 	mm := ops.MatMul(a, b)
 
-	measure := func(workers int) time.Duration {
-		s := NewSession(g, WithModeledWorkers(workers), WithTrace())
-		// Average over a few runs for stability.
-		var total time.Duration
-		const reps = 3
-		for i := 0; i < reps; i++ {
-			s.MustRun([]*graph.Node{mm}, nil)
-		}
-		for _, e := range s.Trace() {
-			total += e.Dur
-		}
-		return total / reps
+	regions := func(opts ...Option) [][]time.Duration {
+		s := NewSession(g, append(opts, WithTrace())...)
+		s.MustRun([]*graph.Node{mm}, nil)
+		return s.Trace()[0].Regions
 	}
-	t1 := measure(1)
-	t8 := measure(8)
-	if t8 >= t1 {
-		t.Fatalf("8 modeled workers (%v) should be faster than 1 (%v)", t8, t1)
+	rec := regions(WithChunkRecord())
+	if len(rec) == 0 {
+		t.Fatal("WithChunkRecord: a split product recorded no regions")
+	}
+	for _, r := range rec {
+		if len(r) < 2 {
+			t.Fatalf("a split region holds %d chunks: %v", len(r), rec)
+		}
+	}
+	if r := regions(); r != nil {
+		t.Fatalf("without WithChunkRecord the event carries regions %v", r)
 	}
 }
 

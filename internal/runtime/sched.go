@@ -25,11 +25,11 @@ package runtime
 // priority is pure scheduling policy.
 //
 // Each helper owns a private ExecContext (its own tensor.Pool, so
-// kernel scratch space and timing accumulators stay
-// goroutine-confined); the RNG is deliberately shared, protected by
-// the serial Impure lane. Completion releases successors via atomic
-// in-degree decrements; the heap's mutex plus the atomics establish
-// the happens-before edges that make value propagation race-free.
+// kernel scratch space and chunk records stay goroutine-confined); the
+// RNG is deliberately shared, protected by the serial Impure lane.
+// Completion releases successors via atomic in-degree decrements; the
+// heap's mutex plus the atomics establish the happens-before edges
+// that make value propagation race-free.
 //
 // Timing follows the package's simulation philosophy: N simulated
 // worker lanes each keep a clock, an op is assigned the lane that can
@@ -37,12 +37,10 @@ package runtime
 // finish, lane free), and the run's simulated makespan — not the sum
 // of op durations — advances the session clock. Lanes are modeled
 // rather than tied to host goroutines so the reported schedule
-// reflects the configured width even on a single-core host, exactly
-// as tensor.Pool's serial strategy models intra-op workers (with
-// WithIntraOpWorkers the op durations themselves are measured wall
-// times instead). Trace events record the lane, the measured wall
-// time, and the critical-path finish, from which internal/profiling
-// derives achieved and achievable inter-op speedup per workload.
+// reflects the configured width even on a single-core host. Trace
+// events record the lane, the measured wall time, and the
+// critical-path finish, from which internal/profiling derives
+// achieved and achievable inter-op speedup per workload.
 
 import (
 	"fmt"
@@ -428,7 +426,7 @@ func (s *Session) simulateSchedule(plan *Plan, workers int) {
 // and syncing the run-scoped fields. Each helper owns a distinct
 // tensor.Pool — built at the session's configured width, which like
 // every pool's is a constructor argument and never changes — so kernel
-// scratch buffers and timing accumulators stay goroutine-confined;
+// scratch buffers and chunk records stay goroutine-confined;
 // the RNG pointer is shared deliberately — the plan's serial Impure
 // lane guarantees at most one RNG consumer runs at a time, in
 // schedule order, so WithSeed replay matches sequential execution.
@@ -447,11 +445,14 @@ func (s *Session) helperContexts(n int) []*graph.ExecContext {
 
 // newKernelPool builds a kernel pool matching the session's intra-op
 // configuration: a real parallel pool over the session's lease when
-// WithIntraOpWorkers is set, otherwise a serial pool modeling the
-// session's WithModeledWorkers width.
+// WithIntraOpWorkers is set, otherwise a serial pool — recording under
+// WithChunkRecord, where any width above 1 splits the same chunks.
 func (s *Session) newKernelPool() *tensor.Pool {
 	if s.intraOp > 1 {
 		return tensor.NewParallelPool(s.intraOp, s.lease)
 	}
-	return tensor.NewPool(s.workers)
+	if s.record {
+		return tensor.NewPool(2)
+	}
+	return tensor.NewPool(1)
 }

@@ -496,13 +496,13 @@ func TestSchedulerPropertyRandomDAGs(t *testing.T) {
 	}
 }
 
-// TestParallelWorkloadSessionOptions: inter-op width composes with the
-// other session options (device, intra-op workers, trace).
+// TestParallelComposesWithGPUDevice: inter-op width composes with the
+// other session options (device, chunk record).
 func TestParallelComposesWithGPUDevice(t *testing.T) {
 	g1, x1, y1 := buildWide(4, 2)
 	g2, x2, y2 := buildWide(4, 2)
-	ser := NewSession(g1, WithDevice(NewGTX960()), WithModeledWorkers(2))
-	par := NewSession(g2, WithDevice(NewGTX960()), WithModeledWorkers(2), WithInterOpWorkers(3))
+	ser := NewSession(g1, WithDevice(NewGTX960()), WithChunkRecord())
+	par := NewSession(g2, WithDevice(NewGTX960()), WithChunkRecord(), WithInterOpWorkers(3))
 	a := ser.MustRun([]*graph.Node{y1}, Feeds{x1: tensor.Ones(16, 16)})
 	b := par.MustRun([]*graph.Node{y2}, Feeds{x2: tensor.Ones(16, 16)})
 	assertSameTensors(t, "gpu wide", a, b)

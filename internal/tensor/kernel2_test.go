@@ -19,7 +19,7 @@ func init() { AliasChecks = true }
 // TestMatMulPropertyRandomShapes is the tier-2 GEMM property test:
 // random shapes from a padded strip to several tiles, all four
 // transpose combinations, checked against the naive reference and
-// required bit-identical across pool widths 1, 2 and 8 (modeled and
+// required bit-identical across pool widths 1, 2 and 8 (recorded and
 // real-parallel). Per-output-element accumulation order is a pure
 // function of shape, so width must be invisible in the bits.
 func TestMatMulPropertyRandomShapes(t *testing.T) {
@@ -65,7 +65,7 @@ func TestMatMulPropertyRandomShapes(t *testing.T) {
 				t.Fatal(err)
 			}
 			if d := MaxAbsDiff(got, want); d != 0 {
-				t.Fatalf("(%d,%d,%d) ta=%v tb=%v modeled width %d: not bit-identical (max |Δ| %g)",
+				t.Fatalf("(%d,%d,%d) ta=%v tb=%v recorded width %d: not bit-identical (max |Δ| %g)",
 					m, k, n, ta, tb, w, d)
 			}
 			got, err = MatMul(NewParallelPool(w, ex), a, b, ta, tb)
@@ -327,7 +327,7 @@ func TestAxisReduceMaxSmallOuterWidthInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i, ok := firstDiff(want.Data(), got.Data()); !ok {
-			t.Fatalf("max modeled width %d differs from width 1 at %d", workers, i)
+			t.Fatalf("max recorded width %d differs from width 1 at %d", workers, i)
 		}
 		par, err := Reduce(NewParallelPool(workers, newExecN(workers-1)), in, []int{0, 1, 2}, false, "max")
 		if err != nil {
@@ -365,7 +365,7 @@ func TestAxisReduceLargeOuterWidthInvariant(t *testing.T) {
 					t.Fatal(err)
 				}
 				if i, ok := firstDiff(want.Data(), got.Data()); !ok {
-					t.Fatalf("%v %s modeled width %d differs at %d", shape.dims, kind, workers, i)
+					t.Fatalf("%v %s recorded width %d differs at %d", shape.dims, kind, workers, i)
 				}
 				par, err := Reduce(NewParallelPool(workers, newExecN(workers-1)), in, shape.axes, false, kind)
 				if err != nil {

@@ -353,7 +353,7 @@ func TestMatMulAllocatesNothing(t *testing.T) {
 // transpose cases, acc, and operands stored with row strides past their
 // width (the gap holds NaN, so reading it shows). It must not panic,
 // and the bits must be the naive definition's — into a NaN-filled
-// destination, or with acc onto zeros — on a width-1, a modeled width-4
+// destination, or with acc onto zeros — on a width-1, a recorded width-4
 // and a parallel width-4 pool alike; the product split over k into a
 // plain call and an acc call must give the same bits.
 func FuzzMatMul(f *testing.F) {

@@ -18,20 +18,22 @@ type Executor interface {
 
 // Pool runs the chunked loops of tensor kernels — the analogue of the
 // Eigen thread pool TensorFlow used on CPUs when the paper was
-// written. It has two execution strategies behind one interface, used
-// by the matmul, conv, reduce and broadcast kernels alike:
+// written. The matmul, conv, reduce and broadcast kernels all drive it
+// through For, ForLane and run, and a region runs one of three ways:
 //
-//   - Serial + simulated (NewPool): every chunk executes serially on
-//     the calling goroutine and is measured; the pool then reports the
-//     makespan the kernel would have had under list scheduling of the
-//     measured chunks across Workers modeled lanes. This is the
-//     strategy behind the paper's Fig. 6 intra-op profiles, where the
-//     host may not have the cores the model assumes.
-//   - Real parallel (NewParallelPool): chunks execute on up to Workers
-//     goroutines — the caller plus helpers drawn non-blockingly from a
-//     shared Executor (the process-wide sched pool) — and OpTime
-//     reports plain wall time. Helper scarcity degrades to serial
-//     execution on the caller, never blocks, never deadlocks.
+//   - Inline: at width 1, or when a region does not split, chunks run
+//     in order on the calling goroutine and nothing is recorded.
+//   - Recorded serial (NewPool(n), n > 1): chunks run in order on the
+//     calling goroutine and each split region's chunk durations are
+//     appended to a record (TakeRegions). Chunks do not depend on
+//     width, so one record prices every modeled width offline
+//     (profiling.AtWidth, the paper's Fig. 6 axis), whatever cores
+//     the host has.
+//   - Parallel (NewParallelPool): chunks run on up to Workers
+//     goroutines — the caller plus helpers drawn non-blockingly from
+//     a shared Executor (the process-wide sched pool). Helper
+//     scarcity degrades to serial execution on the caller, never
+//     blocks, never deadlocks.
 //
 // # Determinism contract
 //
@@ -49,29 +51,21 @@ type Executor interface {
 // inter-op width combinations for all ten workloads.
 //
 // A Pool is confined to one goroutine from the caller's perspective:
-// only the internal parallel strategy fans chunks out, and every
-// region joins before For returns. Width is fixed at construction, so
-// a plan's modeled makespans can never be skewed by a mid-plan width
-// change.
+// only the parallel behaviour fans chunks out, and every region joins
+// before For returns. Width is fixed at construction.
 type Pool struct {
 	workers int
 	exec    Executor
 
-	// Accumulators for the operation currently executing, maintained
-	// by the serial+simulated strategy. ResetOp clears them; OpTime
-	// folds them into a simulated duration. The parallel strategy
-	// leaves them zero, so OpTime degenerates to measured wall time.
-	simPar  time.Duration // modeled parallel time of For regions
-	realPar time.Duration // measured serial time of For regions
-	regions int           // number of For regions that actually split
+	// record holds the chunk durations of every region a recording
+	// pool split since the last TakeRegions, one slice per region.
+	record [][]time.Duration
 
 	// Persistent per-lane kernel scratch (see laneScratch). Lane 0 is
 	// the calling goroutine; parallel helpers use lanes 1..Workers-1.
 	// They survive across operations so steady-state kernels allocate
 	// nothing.
 	lanes []laneScratchSet
-
-	clocks []time.Duration // modeled lane clocks, reused per region
 }
 
 type laneScratchSet [scratchSlots][]float32
@@ -96,8 +90,8 @@ const (
 // keeping enough chunks (4× a typical width) for load balance.
 const maxRegionChunks = 32
 
-// regionChunks is the deterministic chunking rule shared by both
-// strategies and every For variant: purely a function of (n, grain).
+// regionChunks is the deterministic chunking rule shared by all three
+// behaviours and every For variant: purely a function of (n, grain).
 // A region below 2×grain does not split; otherwise it splits into
 // n/grain chunks (each at least grain iterations) capped at
 // maxRegionChunks.
@@ -125,8 +119,8 @@ func chunkBounds(n, chunks, i int) (lo, hi int) {
 	return i * n / chunks, (i + 1) * n / chunks
 }
 
-// NewPool returns a serial pool modeling n workers. n < 1 is treated
-// as 1.
+// NewPool returns a serial pool of width n: inline at n = 1, recorded
+// serial above it. n < 1 is treated as 1.
 func NewPool(n int) *Pool {
 	if n < 1 {
 		n = 1
@@ -144,39 +138,19 @@ func NewParallelPool(n int, ex Executor) *Pool {
 	return p
 }
 
-// Workers returns the pool width: modeled lanes for the serial
-// strategy, the max concurrent executors for the parallel one.
+// Workers returns the pool width: the max concurrent executors of a
+// parallel pool; above 1, a serial pool records its regions.
 func (p *Pool) Workers() int { return p.workers }
 
-// Parallel reports whether the pool really executes chunks
-// concurrently (vs. modeling the speedup).
-func (p *Pool) Parallel() bool { return p.exec != nil && p.workers > 1 }
-
-// ResetOp clears the per-operation accumulators. The executor calls it
-// before running each operation.
-func (p *Pool) ResetOp() {
-	p.simPar = 0
-	p.realPar = 0
-	p.regions = 0
+// TakeRegions returns the chunk durations recorded since the last call
+// — one entry per split region, one duration per chunk in chunk order
+// — and clears the record. Only a serial pool wider than 1 records;
+// any other pool returns nil.
+func (p *Pool) TakeRegions() [][]time.Duration {
+	r := p.record
+	p.record = nil
+	return r
 }
-
-// OpTime converts the measured wall time of an operation into its
-// simulated duration: serial (non-For) time is kept as-is, while each
-// For region contributes its modeled makespan instead of its measured
-// serial time. For the parallel strategy the accumulators stay zero
-// and OpTime returns the wall time unchanged — the op really ran that
-// fast.
-func (p *Pool) OpTime(wall time.Duration) time.Duration {
-	d := wall - p.realPar + p.simPar
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// Regions reports how many For regions split during the current
-// operation (used by tests).
-func (p *Pool) Regions() int { return p.regions }
 
 // growLanes ensures per-lane scratch exists for lanes [0,n). It runs
 // on the owning goroutine before helpers spawn, so laneScratch never
@@ -210,16 +184,15 @@ func (p *Pool) scratchBuf(slot, n int) []float32 {
 
 // For executes fn over [0,n) in chunks fixed by (n, grain); see the
 // determinism contract above. fn must be index-pure: chunk [lo,hi)
-// writes only outputs indexed by it. Under the serial strategy chunks
-// run in order and are measured; under the parallel strategy they run
-// on the caller plus available helpers. Either way every chunk
-// completes before For returns.
+// writes only outputs indexed by it. A serial pool runs chunks in
+// order (recording them above width 1); a parallel pool runs them on
+// the caller plus available helpers. Either way every chunk completes
+// before For returns.
 //
 // grain is the minimum number of iterations that justifies splitting:
 // if n < grain*2 or the pool has one worker, the loop runs as a single
-// serial chunk and its time counts fully toward the operation (no
-// modeled speedup) — a coalescing that index-purity makes bitwise
-// invisible.
+// serial chunk and is not recorded — a coalescing that index-purity
+// makes bitwise invisible.
 func (p *Pool) For(n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -260,11 +233,11 @@ func (p *Pool) inline(n, grain int) bool {
 	return p.workers == 1 || regionChunks(n, grain) == 1
 }
 
-// run drives the chunks of a split region under the pool's strategy:
-// on the caller plus helpers (parallel), in order and measured
-// (modeled lanes), or — width 1 — in order and unmodeled. The chunk
-// set is identical under all three. fn receives the executing lane (0
-// unless parallel), the chunk index and its bounds.
+// run drives the chunks of a split region under the pool's behaviour:
+// in order (width 1), in order and recorded (serial, wider than 1), or
+// on the caller plus helpers (parallel). The chunk set is identical
+// under all three. fn receives the executing lane (0 unless parallel),
+// the chunk index and its bounds.
 func (p *Pool) run(n, chunks int, fn func(lane, chunk, lo, hi int)) {
 	switch {
 	case p.workers == 1:
@@ -273,77 +246,27 @@ func (p *Pool) run(n, chunks int, fn func(lane, chunk, lo, hi int)) {
 			fn(0, c, lo, hi)
 		}
 	case p.exec == nil:
-		p.regions++
-		p.runModeled(n, chunks, fn)
+		durs := make([]time.Duration, chunks)
+		for c := range durs {
+			lo, hi := chunkBounds(n, chunks, c)
+			t0 := time.Now()
+			fn(0, c, lo, hi)
+			durs[c] = time.Since(t0)
+		}
+		p.record = append(p.record, durs)
 	default:
-		p.regions++
 		p.runChunks(n, chunks, fn)
 	}
 }
 
-// runModeled is the serial+simulated strategy's chunk driver: every
-// chunk executes in order on the calling goroutine and is measured,
-// and each measurement is assigned to the earliest-free of Workers
-// modeled lanes (in-order list scheduling). The region's measured
-// serial time and modeled makespan feed OpTime. One driver serves
-// For, ForLane and the reduction kernel so they can never model
-// different makespans.
-func (p *Pool) runModeled(n, chunks int, fn func(lane, chunk, lo, hi int)) {
-	clocks := p.laneClocks()
-	for i := 0; i < chunks; i++ {
-		lo, hi := chunkBounds(n, chunks, i)
-		t0 := time.Now()
-		fn(0, i, lo, hi)
-		d := time.Since(t0)
-		p.realPar += d
-		assignLane(clocks, d)
-	}
-	p.simPar += maxClock(clocks)
-}
-
-// assignLane list-schedules a chunk of duration d onto the
-// earliest-free modeled lane.
-func assignLane(clocks []time.Duration, d time.Duration) {
-	l := 0
-	for j := 1; j < len(clocks); j++ {
-		if clocks[j] < clocks[l] {
-			l = j
-		}
-	}
-	clocks[l] += d
-}
-
-// laneClocks returns the zeroed modeled-lane clock array (len Workers),
-// reused across regions so the serial strategy stays allocation-free.
-func (p *Pool) laneClocks() []time.Duration {
-	if cap(p.clocks) < p.workers {
-		p.clocks = make([]time.Duration, p.workers)
-	}
-	c := p.clocks[:p.workers]
-	for i := range c {
-		c[i] = 0
-	}
-	return c
-}
-
-func maxClock(clocks []time.Duration) time.Duration {
-	var m time.Duration
-	for _, c := range clocks {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
-// runChunks is the parallel strategy's chunk driver: a shared atomic
+// runChunks is the parallel chunk driver: a shared atomic
 // cursor feeds chunks to the caller (lane 0) and up to Workers-1
 // helpers acquired non-blockingly from the Executor (each on a
 // distinct lane, so laneScratch stays executor-private). The caller
 // always participates, so progress never depends on helper
 // availability. A panic on a helper is captured and re-raised on the
-// calling goroutine after every lane has joined, preserving the
-// serial strategy's panic semantics.
+// calling goroutine after every lane has joined, preserving a serial
+// pool's panic semantics.
 func (p *Pool) runChunks(n, chunks int, fn func(lane, chunk, lo, hi int)) {
 	p.growLanes(p.workers)
 	var cursor atomic.Int64

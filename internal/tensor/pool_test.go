@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/sched"
 )
@@ -22,8 +21,8 @@ func TestPoolSerialWhenOneWorker(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("expected 1 call, got %d", calls)
 	}
-	if p.Regions() != 0 {
-		t.Fatal("serial execution must not count as a split region")
+	if r := p.TakeRegions(); r != nil {
+		t.Fatalf("width 1 must not record, got %v", r)
 	}
 }
 
@@ -46,20 +45,18 @@ func TestPoolCoversRangeExactlyOnce(t *testing.T) {
 
 func TestPoolRefusesToSplitSmallLoops(t *testing.T) {
 	p := NewPool(8)
-	p.ResetOp()
 	calls := 0
 	p.For(10, 100, func(lo, hi int) { calls++ })
 	if calls != 1 {
 		t.Fatalf("small loop should not split, got %d chunks", calls)
 	}
-	if p.Regions() != 0 {
-		t.Fatal("small loop must not count as parallel region")
+	if r := p.TakeRegions(); r != nil {
+		t.Fatalf("a small loop must not be recorded as a region, got %v", r)
 	}
 }
 
 func TestPoolChunkCountRespectsGrain(t *testing.T) {
 	p := NewPool(8)
-	p.ResetOp()
 	chunks := 0
 	// 40 items, grain 10 → at most 4 chunks even with 8 workers.
 	p.For(40, 10, func(lo, hi int) {
@@ -73,59 +70,33 @@ func TestPoolChunkCountRespectsGrain(t *testing.T) {
 	}
 }
 
-// TestPoolSimulatedSpeedup: the modeled strategy's makespan is list
-// scheduling of the measured chunks over its lanes. The arithmetic is
-// asserted on fixed chunk durations; a real region is held only to
-// what scheduling noise cannot move (the makespan lies between the
-// serial sum over the lanes and the sum itself), and its wall-clock
-// speedup is printed.
-func TestPoolSimulatedSpeedup(t *testing.T) {
-	chunks := regionChunks(400, 1)
-	makespan := func(w int) time.Duration {
-		clocks := make([]time.Duration, w)
-		for i := 0; i < chunks; i++ {
-			lo, hi := chunkBounds(400, chunks, i)
-			assignLane(clocks, time.Duration(hi-lo)*time.Microsecond)
-		}
-		return maxClock(clocks)
+// TestPoolRecordsChunks: a serial pool wider than 1 records one entry
+// per split region and one duration per chunk, and TakeRegions hands
+// the record over and clears it. Parallel pools record nothing.
+func TestPoolRecordsChunks(t *testing.T) {
+	p := NewPool(4)
+	p.For(400, 1, func(lo, hi int) {})
+	p.For(10, 100, func(lo, hi int) {}) // does not split
+	p.ForLane(64, 8, func(lane, lo, hi int) {})
+	r := p.TakeRegions()
+	if len(r) != 2 || len(r[0]) != regionChunks(400, 1) || len(r[1]) != regionChunks(64, 8) {
+		t.Fatalf("record has %d regions, want 2 of %d and %d chunks: %v",
+			len(r), regionChunks(400, 1), regionChunks(64, 8), r)
 	}
-	t1, t4 := makespan(1), makespan(4)
-	if t1 != 400*time.Microsecond {
-		t.Fatalf("one lane should take the serial sum, got %v", t1)
-	}
-	if ratio := float64(t1) / float64(t4); ratio < 3.5 || ratio > 4 {
-		t.Fatalf("4 lanes over %d near-equal chunks should model a speedup near 4, got %v (%v / %v)", chunks, ratio, t1, t4)
-	}
-
-	work := func(lo, hi int) {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			for j := 0; j < 2000; j++ {
-				s += float64(i*j) * 1e-9
+	for _, reg := range r {
+		for _, d := range reg {
+			if d < 0 {
+				t.Fatalf("negative chunk duration %v", d)
 			}
 		}
-		_ = s
 	}
-	measure := func(w int) time.Duration {
-		p := NewPool(w)
-		p.ResetOp()
-		t0 := time.Now()
-		p.For(400, 1, work)
-		if w > 1 && (p.regions != 1 || p.simPar > p.realPar || p.simPar*time.Duration(w) < p.realPar) {
-			t.Fatalf("%d lanes: makespan %v outside [sum/%d, sum] of %v over %d regions", w, p.simPar, w, p.realPar, p.regions)
-		}
-		return p.OpTime(time.Since(t0))
+	if r := p.TakeRegions(); r != nil {
+		t.Fatalf("TakeRegions must clear the record, got %v", r)
 	}
-	w1, w4 := measure(1), measure(4)
-	t.Logf("measured: 1 lane %v, 4 lanes %v, modeled speedup %.2f", w1, w4, float64(w1)/float64(w4))
-}
-
-func TestPoolOpTimeNeverNegative(t *testing.T) {
-	p := NewPool(4)
-	p.ResetOp()
-	p.For(1000, 1, func(lo, hi int) {})
-	if d := p.OpTime(0); d < 0 {
-		t.Fatalf("OpTime must clamp at zero, got %v", d)
+	par := NewParallelPool(4, newExecN(3))
+	par.For(400, 1, func(lo, hi int) {})
+	if r := par.TakeRegions(); r != nil {
+		t.Fatalf("a parallel pool must not record, got %v", r)
 	}
 }
 
@@ -151,7 +122,6 @@ func TestPoolChunkAccounting(t *testing.T) {
 		for _, grain := range []int{1, 2, 3, 5, 10, 100} {
 			for n := 0; n <= 64; n++ {
 				p := NewPool(w)
-				p.ResetOp()
 				seen := make([]int, n)
 				chunks := 0
 				p.For(n, grain, func(lo, hi int) {
@@ -168,7 +138,7 @@ func TestPoolChunkAccounting(t *testing.T) {
 						t.Fatalf("w=%d grain=%d n=%d: index %d covered %d times", w, grain, n, i, c)
 					}
 				}
-				if p.Regions() > 0 && chunks < 2 {
+				if len(p.TakeRegions()) > 0 && chunks < 2 {
 					t.Fatalf("w=%d grain=%d n=%d: split region with %d chunks", w, grain, n, chunks)
 				}
 			}

@@ -163,7 +163,7 @@ func TestReduceSumDecompositionQuick(t *testing.T) {
 
 // TestReduceAllDeterministicAcrossWidths: the full-reduction path
 // combines chunk partials in chunk order, so sum/mean/max bits match
-// across the serial pool, the modeled pool and real parallel pools of
+// across the serial pool, the recorded pool and real parallel pools of
 // any width.
 func TestReduceAllDeterministicAcrossWidths(t *testing.T) {
 	ex := sched.New(4)
@@ -200,7 +200,7 @@ func TestReduceAllDeterministicAcrossWidths(t *testing.T) {
 // TestForSumBitIdenticalAcrossWidths is the reduction half of the
 // determinism contract: a full sum split into chunks combines the chunk
 // partials in chunk order, giving the same float32 bits for the serial
-// strategy at width 1, the modeled strategy at width 4, and the
+// strategy at width 1, the recorded serial pool at width 4, and the
 // parallel strategy at any width — and those bits are the chunk-ordered
 // combination, not a linear fold.
 func TestForSumBitIdenticalAcrossWidths(t *testing.T) {
@@ -272,7 +272,7 @@ func TestReduceAllMatchesFloat64(t *testing.T) {
 func TestMaxNaNRule(t *testing.T) {
 	ex := sched.New(3)
 	defer ex.Close()
-	pools := map[string]*Pool{"1": NewPool(1), "modeled-4": NewPool(4), "parallel-4": NewParallelPool(4, ex)}
+	pools := map[string]*Pool{"1": NewPool(1), "recorded-4": NewPool(4), "parallel-4": NewParallelPool(4, ex)}
 	fold := func(vs ...float32) float32 {
 		m := negInf
 		for _, v := range vs {
@@ -319,7 +319,7 @@ func TestMaxNaNRule(t *testing.T) {
 // from tile (kept, broadcast, a divisor, a non-divisor, or dropped as a
 // leading axis). Neither may panic; a bad axis, a target that does not
 // tile and a layout past maxBlocks must be errors. Results must be
-// bit-equal across a width-1, a modeled width-4 and a parallel width-4
+// bit-equal across a width-1, a recorded width-4 and a parallel width-4
 // pool; Max must equal the naive v > m fold from negInf and Sum a
 // float64 reference within float32 tolerance. Values are half-integers
 // in [-1.5, 1.5], -0 included, so Max sees ties and signed zeros.

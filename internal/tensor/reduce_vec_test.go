@@ -27,7 +27,7 @@ func (e *execN) TryRun(task func()) bool {
 // TestForSumVecBitIdenticalAcrossWidths is the vector counterpart of
 // the full-sum width-invariance contract: a reduction to a short vector
 // of outputs folds per-chunk vector partials in ascending chunk order,
-// giving the same bits under the serial, modeled and real-parallel
+// giving the same bits under the serial, recorded and real-parallel
 // strategies at every width.
 func TestForSumVecBitIdenticalAcrossWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -67,7 +67,7 @@ func TestForSumVecBitIdenticalAcrossWidths(t *testing.T) {
 
 	for _, workers := range []int{2, 4, 8} {
 		if i, ok := firstDiff(want, sum(NewPool(workers))); !ok {
-			t.Fatalf("modeled width %d differs from width 1 at %d", workers, i)
+			t.Fatalf("recorded width %d differs from width 1 at %d", workers, i)
 		}
 		for rep := 0; rep < 5; rep++ {
 			if i, ok := firstDiff(want, sum(NewParallelPool(workers, newExecN(workers-1)))); !ok {
@@ -96,7 +96,7 @@ func TestAxisReduceSmallOuterParallel(t *testing.T) {
 				t.Fatal(err)
 			}
 			if i, ok := firstDiff(want.Data(), got.Data()); !ok {
-				t.Fatalf("%s modeled width %d differs from width 1 at %d", kind, workers, i)
+				t.Fatalf("%s recorded width %d differs from width 1 at %d", kind, workers, i)
 			}
 			par, err := Reduce(NewParallelPool(workers, newExecN(workers-1)), in, []int{0, 1, 2}, true, kind)
 			if err != nil {
