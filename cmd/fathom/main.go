@@ -67,7 +67,7 @@ func main() {
 	outDir := fs.String("out", "", "directory for CSV outputs (optional)")
 	addr := fs.String("addr", "localhost:7711", "listen address (serve)")
 	sessions := fs.Int("sessions", 2, "worker sessions per served model (serve)")
-	maxBatch := fs.Int("maxbatch", 8, "micro-batch window: max coalesced requests per run (serve)")
+	maxBatch := fs.Int("maxbatch", 8, "micro-batch window: max coalesced requests per run; the graph is also built at each power of two below it, and a batch runs on the smallest build that holds it (serve)")
 	maxDelay := fs.Duration("maxdelay", 2*time.Millisecond, "max wait for a micro-batch to fill (serve)")
 	heads := fs.Int("heads", 0, "attention head-count override for multi-head workloads; 0 = preset default, must divide the embedding dim (run, serve)")
 	replicas := fs.Int("replicas", 4, "data-parallel model replicas (train)")

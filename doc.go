@@ -294,9 +294,14 @@
 // micro-batch: the first request it keeps opens a MaxDelay window, the
 // batch leaves when it is full or the window closes, and while every
 // worker is busy it keeps filling to MaxBatch. A worker packs the
-// batch into its session's input buffers (zero-padding unfilled
-// slots), executes one compiled-plan run, and unpacks per-request
-// outputs; the caller counts the outcome as it returns. Context
+// batch into the smallest rung of the engine's batch ladder that holds
+// it — the workload rebuilt by core.Rebatch at each power of two below
+// MaxBatch, sharing the served model's variables, then the served
+// graph itself — zero-padding only that rung's unfilled slots,
+// executes one compiled-plan run, and unpacks per-request outputs; a
+// run that returns an error is retried one request at a time, so one
+// bad request fails alone. The caller counts the outcome as it
+// returns. Context
 // cancellation is honoured at every step. serve.Server and `fathom
 // serve` expose any registered workload over HTTP/JSON (POST
 // /v1/models/<name>:infer, GET /v1/models, /healthz, /stats). What the

@@ -142,6 +142,8 @@ type Model interface {
 	Meta() Meta
 	// Setup builds the dataflow graph and data pipeline.
 	Setup(cfg Config) error
+	// Config returns the configuration of the last Setup.
+	Config() Config
 	// Graph returns the built graph (after Setup).
 	Graph() *graph.Graph
 	// Signature returns the workload's explicit I/O contract for the
@@ -212,6 +214,69 @@ type BatchCoupled interface {
 // of their most recent training step (used by convergence tests).
 type LossReporter interface {
 	LastLoss() float64
+}
+
+// Rebatch builds the Setup workload m again at batch size batch — m's
+// own Config with Batch overridden — and returns that build's
+// inference signature over a graph holding only what its outputs read
+// (graph.Optimize, whose rewrites keep every value's bits). The
+// build's variables are m's storage (graph.Node.ShareValue): an update
+// to m's variables, a checkpoint load included, is the rebuild's
+// update too, and no variable memory is duplicated. Both builds must
+// declare the same variables in the same order with the same shapes;
+// Rebatch reports any mismatch rather than compute with other weights.
+// m's type must be registered (Register) under m.Name().
+func Rebatch(m Model, batch int) (Signature, error) {
+	fail := func(format string, args ...any) (Signature, error) {
+		return Signature{}, fmt.Errorf("core: rebatch %s at batch %d: "+format, append([]any{m.Name(), batch}, args...)...)
+	}
+	if m.Graph() == nil {
+		return fail("model has no graph (call Setup first)")
+	}
+	r, err := New(m.Name())
+	if err != nil {
+		return Signature{}, err
+	}
+	cfg := m.Config()
+	cfg.Batch = batch
+	if err := r.Setup(cfg); err != nil {
+		return fail("%w", err)
+	}
+	src, dst := m.Graph().Variables(), r.Graph().Variables()
+	if len(src) != len(dst) {
+		return fail("%d variables, want %d", len(dst), len(src))
+	}
+	for i, v := range dst {
+		if v.Name() != src[i].Name() || !tensor.SameShape(v.Shape(), src[i].Shape()) {
+			return fail("variable %d is %q%v, want %q%v", i, v.Name(), v.Shape(), src[i].Name(), src[i].Shape())
+		}
+	}
+	for i, v := range dst {
+		v.ShareValue(src[i])
+	}
+	sig := r.Signature(ModeInference)
+	fetches := make([]*graph.Node, len(sig.Outputs))
+	for i, out := range sig.Outputs {
+		fetches[i] = out.Node
+	}
+	opt, err := graph.Optimize(&graph.ExecContext{Pool: tensor.NewPool(1)}, fetches)
+	if err != nil {
+		return fail("%w", err)
+	}
+	// The optimized graph shares the variables; an input its outputs
+	// never read keeps its old placeholder, which no plan will ask for.
+	pruned := Signature{
+		Inputs:  append([]IOSpec(nil), sig.Inputs...),
+		Outputs: append([]IOSpec(nil), sig.Outputs...),
+	}
+	for _, specs := range [][]IOSpec{pruned.Inputs, pruned.Outputs} {
+		for i := range specs {
+			if n := opt.Fetch(specs[i].Node); n != nil {
+				specs[i].Node = n
+			}
+		}
+	}
+	return pruned, nil
 }
 
 // Step executes one self-feeding step — one optimizer update

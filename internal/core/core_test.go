@@ -26,6 +26,7 @@ func (t *toy) Meta() Meta {
 	return Meta{Name: "toy", Year: 2016, Style: "Full", Layers: 1, Task: "Supervised", Dataset: "none"}
 }
 func (t *toy) Graph() *graph.Graph { return t.g }
+func (t *toy) Config() Config      { return Config{} }
 func (t *toy) Setup(cfg Config) error {
 	g := graph.New()
 	t.g = g

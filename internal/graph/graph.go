@@ -84,6 +84,22 @@ func (n *Node) SetValue(t *tensor.Tensor) {
 	copy(n.value.Data(), t.Data())
 }
 
+// ShareValue points the Variable node at src's storage, so the two
+// variables are one tensor from then on: an update through either is
+// seen by both. graph.Optimize shares variables the same way; this is
+// for two graphs built separately with the same parameters (a workload
+// built at two batch sizes). It panics unless both are variables of
+// one shape.
+func (n *Node) ShareValue(src *Node) {
+	if n.kind != KindVariable || src.kind != KindVariable {
+		panic(fmt.Sprintf("graph: ShareValue from %v node %q to %v node %q", src.kind, src.name, n.kind, n.name))
+	}
+	if !tensor.SameShape(src.shape, n.shape) {
+		panic(fmt.Sprintf("graph: ShareValue shape %v does not match variable %q shape %v", src.shape, n.name, n.shape))
+	}
+	n.value = src.value
+}
+
 // OpName returns the profile name of the node: the op type for op
 // nodes, the kind otherwise.
 func (n *Node) OpName() string {

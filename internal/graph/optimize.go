@@ -16,7 +16,8 @@ import (
 //   - constant folding: pure ops whose inputs are all constants are
 //     evaluated once at optimization time;
 //   - common-subexpression elimination: structurally identical pure
-//     ops applied to identical inputs are merged.
+//     ops applied to identical inputs are merged;
+//   - dead-node sweep: what no fetch reads any more is dropped.
 //
 // Optimization never folds or merges across Impure operations (random
 // sampling, stateful kernels, mutating optimizer updates) — the same
@@ -167,7 +168,43 @@ func Optimize(ctx *ExecContext, fetches []*Node) (*OptimizeResult, error) {
 		mapped = append(mapped, res.Mapping[f])
 	}
 	res.FusedAttention = FuseAttention(ng, mapped...)
+	res.sweep(mapped)
 	return res, nil
+}
+
+// sweep drops the nodes of the optimized graph that no fetch reads —
+// the constants a fold consumed, the chains attention fusion replaced —
+// so the graph holds, and keeps alive, only what can run. Survivors
+// keep their order and are renumbered; mappings to dropped nodes go.
+func (res *OptimizeResult) sweep(fetches []*Node) {
+	g := res.Graph
+	live := make([]bool, len(g.nodes))
+	var mark func(n *Node)
+	mark = func(n *Node) {
+		if !live[n.id] {
+			live[n.id] = true
+			for _, in := range n.inputs {
+				mark(in)
+			}
+		}
+	}
+	for _, f := range fetches {
+		mark(f)
+	}
+	for orig, n := range res.Mapping {
+		if !live[n.id] {
+			delete(res.Mapping, orig)
+		}
+	}
+	kept := g.nodes[:0]
+	for _, n := range g.nodes {
+		if live[n.id] {
+			n.id = len(kept)
+			kept = append(kept, n)
+		}
+	}
+	clear(g.nodes[len(kept):])
+	g.nodes = kept
 }
 
 func copyInts(s []int) []int { return append([]int(nil), s...) }

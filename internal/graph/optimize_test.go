@@ -168,6 +168,31 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 	}
 }
 
+// TestOptimizeSweepsDeadNodes: a fold leaves the constant it read with
+// no reader; the sweep drops it, forgets its mapping and renumbers the
+// survivors densely.
+func TestOptimizeSweepsDeadNodes(t *testing.T) {
+	g := New()
+	x := g.Placeholder("x", 2)
+	c := g.Const("c", tensor.FromSlice([]float32{3, 4}, 2))
+	out := g.MustApply(testMul{}, x, g.MustApply(testSquare{}, c))
+	res, err := Optimize(optCtx(), []*Node{out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ConstantsFolded != 1 || res.Fetch(c) != nil {
+		t.Fatalf("folded %d, constant c mapped to %v: want 1 fold and c gone", res.ConstantsFolded, res.Fetch(c))
+	}
+	for i, n := range res.Graph.Nodes() {
+		if n.ID() != i || n.Name() == "c" {
+			t.Fatalf("node %d is %v after the sweep", i, n)
+		}
+	}
+	if n := res.Graph.NumNodes(); n != 3 {
+		t.Fatalf("optimized graph holds %d nodes, want 3 (x, the folded square, the product)", n)
+	}
+}
+
 func TestOptimizeErrors(t *testing.T) {
 	if _, err := Optimize(optCtx(), nil); err == nil {
 		t.Fatal("empty fetches should error")

@@ -11,6 +11,7 @@
 package models_test
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -393,5 +394,106 @@ func TestDeterminismHarnessGuardedByArena(t *testing.T) {
 	}
 	if v := guard.Violations(); len(v) != 0 {
 		t.Fatalf("arena guard violations during memnet training: %v", v)
+	}
+}
+
+// rows copies examples [from, from+n) of t's batch axis dim into a
+// tensor n wide on that axis.
+func rows(t *tensor.Tensor, dim, from, n int) *tensor.Tensor {
+	shape := append([]int(nil), t.Shape()...)
+	outer, inner := 1, 1
+	for _, d := range shape[:dim] {
+		outer *= d
+	}
+	for _, d := range shape[dim+1:] {
+		inner *= d
+	}
+	width := shape[dim]
+	shape[dim] = n
+	out := tensor.New(shape...)
+	td, od := t.Data(), out.Data()
+	for o := 0; o < outer; o++ {
+		copy(od[o*n*inner:(o+1)*n*inner], td[(o*width+from)*inner:(o*width+from+n)*inner])
+	}
+	return out
+}
+
+// TestRungDeterminism is the serving ladder's contract (internal/serve
+// runs each micro-batch on the smallest of the workload's builds at a
+// power-of-two batch, core.Rebatch): for every workload that serves
+// sampled requests, fused and unfused, every row a build at batch r
+// returns equals, bit for bit, the same example's row from the build
+// at full capacity — on one session running all the builds, as a
+// serving worker does. A stochastic graph (autoenc samples its latent
+// code) draws its noise row by row from the session RNG, so with the
+// RNG reseeded alike only a rung's leading rows see the capacity run's
+// noise, and only those are compared.
+func TestRungDeterminism(t *testing.T) {
+	const capacity = 8
+	for _, name := range allNames {
+		for _, unfused := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/unfused=%v", name, unfused), func(t *testing.T) {
+				m, err := core.New(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Setup(core.Config{Preset: core.PresetTiny, Seed: 3, Batch: capacity}); err != nil {
+					t.Fatal(err)
+				}
+				smp, okS := m.(core.Sampler)
+				_, okI := m.(core.Inferencer)
+				bc, okB := m.(core.BatchCoupled)
+				if !okS || !okI || okB && bc.BatchCoupled() {
+					t.Skipf("%s does not serve sampled requests", name)
+				}
+				var opts []runtime.Option
+				if unfused {
+					opts = append(opts, runtime.WithUnfusedPlans())
+				}
+				s := runtime.NewSession(m.Graph(), opts...)
+				defer s.Close()
+				s.SetTraining(false)
+				infer := func(sig core.Signature, seed int64, feeds map[string]*tensor.Tensor) map[string]*tensor.Tensor {
+					t.Helper()
+					s.Reseed(seed)
+					out, err := sig.Run(s, feeds)
+					if err != nil {
+						t.Fatalf("batch %d: %v", sig.BatchCapacity(), err)
+					}
+					return out
+				}
+				sig := m.Signature(core.ModeInference)
+				batch := smp.Sample()
+				want := infer(sig, 11, batch)
+				stochastic := false
+				for name, v := range infer(sig, 12, batch) {
+					_, same := sameFloat32s(v.Data(), want[name].Data())
+					stochastic = stochastic || !same
+				}
+				for r := 1; r < capacity; r *= 2 {
+					rsig, err := core.Rebatch(m, r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for from := 0; from+r <= capacity && (from == 0 || !stochastic); from += r {
+						feeds := map[string]*tensor.Tensor{}
+						for _, in := range sig.Inputs {
+							feeds[in.Name] = rows(batch[in.Name], in.BatchDim, from, r)
+						}
+						got := infer(rsig, 11, feeds)
+						for _, out := range sig.Outputs {
+							if out.BatchDim == core.BatchNone {
+								continue
+							}
+							w := rows(want[out.Name], out.BatchDim, from, r)
+							if i, ok := sameFloat32s(w.Data(), got[out.Name].Data()); !ok {
+								t.Fatalf("rung %d rows [%d,%d) output %q differ from capacity %d at element %d",
+									r, from, from+r, out.Name, capacity, i)
+							}
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -76,6 +76,9 @@ func (m *Model) Meta() core.Meta {
 // Graph implements core.Model.
 func (m *Model) Graph() *graph.Graph { return m.g }
 
+// Config implements core.Model.
+func (m *Model) Config() core.Config { return m.cfg }
+
 // LastLoss implements core.LossReporter.
 func (m *Model) LastLoss() float64 { return m.lastLoss }
 

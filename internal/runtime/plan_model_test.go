@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -9,6 +10,7 @@ import (
 	_ "repro/internal/models/all"
 	"repro/internal/models/nn"
 	"repro/internal/runtime"
+	"repro/internal/tensor"
 )
 
 // TestWorkloadPlansSound: every plan the ten workloads compile — the
@@ -74,5 +76,55 @@ func TestPlanCompileDeterministic(t *testing.T) {
 					interOp, i, p.Edges(), p.Slots(), p.Buffers(), edges, slots, buffers)
 			}
 		}
+	}
+}
+
+// TestPlanCacheKeyedByGraph: two builds of one workload number their
+// nodes alike, so a session given both must still compile one plan
+// per graph — each build's fetches get that build's plan and the
+// outputs a session of its own would give.
+func TestPlanCacheKeyedByGraph(t *testing.T) {
+	var builds []core.Model
+	for _, batch := range []int{2, 4} {
+		m, err := core.New("memnet")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Setup(core.Config{Preset: core.PresetTiny, Seed: 3, Batch: batch}); err != nil {
+			t.Fatal(err)
+		}
+		builds = append(builds, m)
+	}
+	shared := runtime.NewSession(builds[0].Graph())
+	defer shared.Close()
+	var plans []*runtime.Plan
+	for _, m := range builds {
+		sig := m.Signature(core.ModeInference)
+		feeds := m.(core.Sampler).Sample()
+		got, err := core.RunInference(m, shared, feeds)
+		if err != nil {
+			t.Fatalf("batch %d on the shared session: %v", sig.BatchCapacity(), err)
+		}
+		own := runtime.NewSession(m.Graph())
+		want, err := core.RunInference(m, own, feeds)
+		own.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, w := range want {
+			g := got[name]
+			if !tensor.SameShape(g.Shape(), w.Shape()) || !slices.Equal(g.Data(), w.Data()) {
+				t.Fatalf("batch %d output %q: shared session %v differs from its own session's %v",
+					sig.BatchCapacity(), name, g.Shape(), w.Shape())
+			}
+		}
+		var fetches []*graph.Node
+		for _, out := range sig.Outputs {
+			fetches = append(fetches, out.Node)
+		}
+		plans = append(plans, shared.Plan(fetches))
+	}
+	if plans[0] == plans[1] {
+		t.Fatal("two graphs' fetch sets share one cached plan")
 	}
 }

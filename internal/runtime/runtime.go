@@ -303,7 +303,7 @@ type Session struct {
 	trace   []Event
 
 	arena     *tensor.Arena
-	planCache map[string]*Plan
+	planCache map[planKey]*Plan
 
 	// interOp is the inter-op scheduler width: 1 executes the plan's
 	// sequential schedule on the session goroutine (the default);
@@ -422,7 +422,7 @@ func NewSession(g *graph.Graph, opts ...Option) *Session {
 		dev:       CPUDevice{},
 		ctx:       &graph.ExecContext{RNG: rand.New(rand.NewSource(1))},
 		arena:     tensor.NewArena(),
-		planCache: map[string]*Plan{},
+		planCache: map[planKey]*Plan{},
 		interOp:   1,
 		intraOp:   1,
 	}
@@ -497,19 +497,31 @@ func (s *Session) ResetTrace() {
 // SimTime returns the simulated timeline position.
 func (s *Session) SimTime() time.Duration { return s.clock }
 
-func planKey(fetches []*graph.Node) string {
+// planKey names a fetch set: its graph and its fetches' node IDs. IDs
+// alone are not enough — two builds of one workload (serve's batch
+// ladder runs several on one session) number their nodes alike.
+type planKey struct {
+	g   *graph.Graph
+	ids string
+}
+
+func keyOf(fetches []*graph.Node) planKey {
 	b := make([]byte, 0, len(fetches)*4)
 	for _, f := range fetches {
 		id := f.ID()
 		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
 	}
-	return string(b)
+	k := planKey{ids: string(b)}
+	if len(fetches) > 0 {
+		k.g = fetches[0].Graph()
+	}
+	return k
 }
 
 // Plan returns the compiled plan for a fetch set, compiling and
 // caching it if needed.
 func (s *Session) Plan(fetches []*graph.Node) *Plan {
-	key := planKey(fetches)
+	key := keyOf(fetches)
 	plan, ok := s.planCache[key]
 	if !ok {
 		plan = s.compile(fetches)

@@ -404,19 +404,20 @@ func TestStatsSurfacesAgree(t *testing.T) {
 	}
 	metrics := scrape(t, reg)
 	for series, field := range map[string]string{
-		"fathom_serve_requests_total":  "requests",
-		"fathom_serve_errors_total":    "errors",
-		"fathom_serve_cancelled_total": "cancelled",
-		"fathom_serve_rejected_total":  "rejected",
-		"fathom_serve_shed_total":      "shed",
-		"fathom_serve_expired_total":   "expired",
-		"fathom_serve_batches_total":   "batches",
-		"fathom_serve_queue_depth":     "queue_depth",
-		"fathom_arena_live_buffers":    "arena_live_buffers",
-		"fathom_arena_bytes":           "arena_bytes",
-		"fathom_arena_reuses_total":    "arena_reuses",
-		"fathom_arena_allocs_total":    "arena_total_buffers",
-		"fathom_lease_granted":         "lease_granted",
+		"fathom_serve_requests_total":    "requests",
+		"fathom_serve_errors_total":      "errors",
+		"fathom_serve_cancelled_total":   "cancelled",
+		"fathom_serve_rejected_total":    "rejected",
+		"fathom_serve_shed_total":        "shed",
+		"fathom_serve_expired_total":     "expired",
+		"fathom_serve_batches_total":     "batches",
+		"fathom_serve_padded_rows_total": "padded_rows",
+		"fathom_serve_queue_depth":       "queue_depth",
+		"fathom_arena_live_buffers":      "arena_live_buffers",
+		"fathom_arena_bytes":             "arena_bytes",
+		"fathom_arena_reuses_total":      "arena_reuses",
+		"fathom_arena_allocs_total":      "arena_total_buffers",
+		"fathom_lease_granted":           "lease_granted",
 	} {
 		got, ok := metrics[series+`{model="memnet"}`]
 		want, _ := stats["memnet"][field].(float64)

@@ -54,6 +54,9 @@ var exported = []series{
 	{name: "fathom_serve_batches_total", help: "Micro-batches executed.",
 		ctr:  func(e *Engine) *atomic.Uint64 { return &e.stats.batches },
 		stat: func(s *Stats, v int64) { s.Batches = uint64(v) }},
+	{name: "fathom_serve_padded_rows_total", help: "Zero rows executed to fill micro-batches up to their rung's batch size.",
+		ctr:  func(e *Engine) *atomic.Uint64 { return &e.stats.padded },
+		stat: func(s *Stats, v int64) { s.PaddedRows = uint64(v) }},
 	{name: "fathom_serve_queue_depth", help: "Queued requests across both admission lanes.",
 		read: func(e *Engine) int64 {
 			return e.stats.qdepth[PriorityInteractive].Load() + e.stats.qdepth[PriorityBatch].Load()

@@ -14,11 +14,20 @@
 // must remain exclusive with serving.
 //
 // Requests carry one example each and are executed in micro-batches
-// along each input's batch axis (IOSpec.BatchDim); unfilled batch slots
-// are zero-padded. Workloads that couple examples across the batch
-// (core.BatchCoupled — residual's primitive batch normalization) are
-// refused unless built at batch capacity 1, so batch composition and
-// padding never perturb a request's rows. Stochastic inference graphs
+// along each input's batch axis (IOSpec.BatchDim). A micro-batch runs
+// at the batch size it has, near enough: New builds a ladder of rungs
+// — the workload's inference subgraph rebuilt (core.Rebatch, sharing
+// the served model's variables) at each power of two below the
+// effective MaxBatch, then the served graph itself at its full
+// capacity — and each batch runs on the smallest rung that holds its
+// fill, the slots past the fill zero-padded. A fill of 2 on an 8-wide
+// graph runs two rows, not eight; every row is bit-equal to the same
+// example's row on any other rung. Each worker's one session compiles
+// one plan per rung it runs, lazily, into its one arena. Workloads that
+// couple examples across the batch (core.BatchCoupled — residual's
+// primitive batch normalization) are refused unless built at batch
+// capacity 1, so batch composition and padding never perturb a
+// request's rows. Stochastic inference graphs
 // (autoenc's reparameterization sampling) are served batched: their
 // noise is drawn i.i.d. per element from the worker session's RNG, so
 // results are distributionally equivalent to sequential inference but
@@ -34,8 +43,10 @@
 //	enqueue   a non-blocking send into its lane's bounded queue, or
 //	          the request is rejected
 //	dispatch  the dispatcher's window: dequeue, vet, collect
-//	pack      the worker's last vet, then copy into the batch buffers
-//	run       one compiled-plan run of the signature's fetch set
+//	pack      the worker's last vet fixes the fill; copy into the
+//	          buffers of the smallest rung that holds it
+//	run       one compiled-plan run of that rung's fetch set; a run
+//	          that returns an error re-runs each request alone
 //	unpack    split the batched outputs into per-request responses
 //	conclude  the caller counts the outcome and returns
 //
@@ -80,7 +91,8 @@
 // counter and their sum is the number of calls:
 //
 //	requests   outputs returned
-//	errors     execution fault (a failed or panicking run)
+//	errors     execution fault (a failed or panicking run; when a
+//	          batch's run fails, only requests that also fail alone)
 //	cancelled  context.Canceled, or ErrClosed from shutdown
 //	rejected   ErrOverloaded: the lane's queue was full
 //	shed       ErrOverloaded: the budget cannot cover the estimate
@@ -176,7 +188,11 @@ type Options struct {
 	Sessions int
 	// MaxBatch caps how many requests one graph execution coalesces.
 	// It is clamped to the signature's batch capacity (the graph's
-	// batch-axis extent); 0 means "use the full capacity".
+	// batch-axis extent); 0 means "use the full capacity". It also
+	// sets the batch ladder: the engine rebuilds the workload at every
+	// power of two below the clamped MaxBatch and runs each batch on
+	// the smallest of those builds, or the full-capacity graph, that
+	// holds it.
 	MaxBatch int
 	// MaxDelay bounds how long the dispatcher holds the first request
 	// of a batch while waiting for more (default 2ms).
@@ -294,8 +310,8 @@ func (r *request) finish(resp response) {
 // goroutine call Infer; sessions stay confined to their workers.
 type Engine struct {
 	model    core.Model
-	sig      core.Signature
-	fetches  []*graph.Node // sig.Outputs in fetch order, bound once
+	sig      core.Signature // the capacity signature: validates and unpacks
+	rungs    []rung         // ascending batch sizes; the last is sig's graph
 	maxBatch int
 	maxDelay time.Duration
 	deadline time.Duration // DefaultDeadline
@@ -372,6 +388,41 @@ func servable(m core.Model) (sig core.Signature, capacity int, err error) {
 	return sig, capacity, err
 }
 
+// rung is one batch size a micro-batch can run at: the inference
+// signature of the workload built at that batch, and its outputs in
+// fetch order, bound once.
+type rung struct {
+	size    int
+	sig     core.Signature
+	fetches []*graph.Node
+}
+
+func newRung(sig core.Signature) rung {
+	r := rung{size: sig.BatchCapacity(), sig: sig}
+	for _, out := range sig.Outputs {
+		r.fetches = append(r.fetches, out.Node)
+	}
+	return r
+}
+
+// ladder builds the engine's rungs: m's inference subgraph rebuilt at
+// each power of two below top (core.Rebatch, so every rung reads m's
+// variables), then m itself.
+func ladder(m core.Model, sig core.Signature, top int) ([]rung, error) {
+	var rungs []rung
+	for b := 1; b < top; b *= 2 {
+		rsig, err := core.Rebatch(m, b)
+		if err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
+		}
+		if got := rsig.BatchCapacity(); got != b {
+			return nil, fmt.Errorf("serve: %s rebuilt at batch %d has batch capacity %d", m.Name(), b, got)
+		}
+		rungs = append(rungs, newRung(rsig))
+	}
+	return append(rungs, newRung(sig)), nil
+}
+
 // withDefaults resolves the zero Options fields New documents defaults
 // for, and clamps MaxBatch to the graph's batch capacity.
 func (opts Options) withDefaults(capacity int) Options {
@@ -400,16 +451,22 @@ func (opts Options) withDefaults(capacity int) Options {
 // implement core.Inferencer, and its inference-signature batched
 // inputs must agree on their batch extent. Combine with
 // core.Config.Batch to build the graph at the micro-batching window
-// you want to serve.
+// you want to serve. New also builds the batch ladder (see Options.
+// MaxBatch), so m's type must be registered with core.Register.
 func New(m core.Model, opts Options) (*Engine, error) {
 	sig, capacity, err := servable(m)
 	if err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults(capacity)
+	rungs, err := ladder(m, sig, opts.MaxBatch)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		model:     m,
 		sig:       sig,
+		rungs:     rungs,
 		maxBatch:  opts.MaxBatch,
 		maxDelay:  opts.MaxDelay,
 		deadline:  opts.DefaultDeadline,
@@ -423,9 +480,6 @@ func New(m core.Model, opts Options) (*Engine, error) {
 	}
 	for lane := range e.lanes {
 		e.lanes[lane] = make(chan *request, opts.QueueLen)
-	}
-	for _, out := range sig.Outputs {
-		e.fetches = append(e.fetches, out.Node)
 	}
 	e.stats.reset()
 	var workers sync.WaitGroup
@@ -828,26 +882,32 @@ func (e *Engine) drain() {
 }
 
 // workerState is one worker's execution kit, built once: its session
-// (inference mode) and the feeds map binding a reusable full-batch
-// input buffer to each placeholder. Per batch, the steady-state path
-// allocates only the per-request output examples.
+// (inference mode), which runs every rung, and per rung the feeds map
+// binding a reusable rung-wide input buffer to each placeholder. Per
+// batch, the steady-state path allocates only the per-request output
+// examples.
 type workerState struct {
 	sess  *runtime.Session
-	feeds runtime.Feeds
+	feeds []runtime.Feeds // indexed like Engine.rungs
 }
 
 func newWorkerState(e *Engine, sess *runtime.Session) *workerState {
 	sess.SetTraining(false)
-	ws := &workerState{sess: sess, feeds: make(runtime.Feeds, len(e.sig.Inputs))}
-	for _, in := range e.sig.Inputs {
-		ws.feeds[in.Node] = tensor.New(in.Shape()...)
+	ws := &workerState{sess: sess}
+	for _, r := range e.rungs {
+		feeds := make(runtime.Feeds, len(r.sig.Inputs))
+		for _, in := range r.sig.Inputs {
+			feeds[in.Node] = tensor.New(in.Shape()...)
+		}
+		ws.feeds = append(ws.feeds, feeds)
 	}
 	return ws
 }
 
 // runBatch executes one micro-batch on a worker: pack, run, unpack. A
-// panic out of graph execution fails the batch's requests instead of
-// killing the worker (and with it the process).
+// run that returns an error is retried one request at a time
+// (isolate). A panic out of graph execution fails the batch's requests
+// instead of killing the worker (and with it the process).
 func (e *Engine) runBatch(ws *workerState, batch []*request) {
 	var live []*request
 	defer func() {
@@ -856,16 +916,41 @@ func (e *Engine) runBatch(ws *workerState, batch []*request) {
 		}
 	}()
 	start := time.Now()
-	live = e.pack(ws, batch, start)
+	live, ri := e.pack(ws, batch, start)
 	if len(live) == 0 {
 		return
 	}
-	vals, err := e.run(ws, live, start)
-	if err != nil {
-		fail(live, fmt.Errorf("serve: %s: %w", e.model.Name(), err))
-		return
+	vals, err := e.run(ws, ri, live, start)
+	switch {
+	case err == nil:
+		e.unpack(ri, live, vals)
+	case len(live) == 1:
+		fail(live, e.fault(err))
+	default:
+		e.isolate(ws, live)
 	}
-	e.unpack(live, vals)
+}
+
+// isolate answers a batch whose run returned an error by running each
+// of its requests alone on the smallest rung. A request whose own
+// values fail the run — a word index past a vocabulary — fails alone;
+// its batch-mates get the answers they would have had without it.
+func (e *Engine) isolate(ws *workerState, live []*request) {
+	for i := range live {
+		one := live[i : i+1]
+		ri := e.load(ws, one)
+		vals, err := e.run(ws, ri, one, time.Now())
+		if err != nil {
+			fail(one, e.fault(err))
+			continue
+		}
+		e.unpack(ri, one, vals)
+	}
+}
+
+// fault wraps an execution error for the callers it fails.
+func (e *Engine) fault(err error) error {
+	return fmt.Errorf("serve: %s: %w", e.model.Name(), err)
 }
 
 // fail answers every request of a batch with an execution fault.
@@ -877,11 +962,11 @@ func fail(live []*request, err error) {
 
 // pack is the last gate before a slot is spent — requests that died
 // between dispatch and execution are skipped so they never skew fill —
-// and then copies the survivors into the worker's input buffers. It
-// returns them in slot order: len(live) is the batch's fill, decided
-// here and nowhere else.
-func (e *Engine) pack(ws *workerState, batch []*request, start time.Time) []*request {
-	live := batch[:0]
+// and then loads the survivors into a rung. It returns them in slot
+// order — len(live) is the batch's fill, decided here and nowhere
+// else — and the rung they are loaded into.
+func (e *Engine) pack(ws *workerState, batch []*request, start time.Time) (live []*request, ri int) {
+	live = batch[:0]
 	for _, r := range batch {
 		if !e.vet(r, start) {
 			continue
@@ -894,20 +979,30 @@ func (e *Engine) pack(ws *workerState, batch []*request, start time.Time) []*req
 			r.trace.EndSpanAt(r.queueSpan, start)
 		}
 	}
-	for _, in := range e.sig.Inputs {
-		buf := ws.feeds[in.Node]
+	if len(live) == 0 {
+		return live, 0
+	}
+	return live, e.load(ws, live)
+}
+
+// load copies live into the input buffers of the smallest rung that
+// holds them, and returns that rung.
+func (e *Engine) load(ws *workerState, live []*request) int {
+	ri := slices.IndexFunc(e.rungs, func(r rung) bool { return r.size >= len(live) })
+	for _, in := range e.rungs[ri].sig.Inputs {
+		buf := ws.feeds[ri][in.Node]
 		for i, r := range live {
 			putExample(buf, in.BatchDim, i, r.inputs[in.Name])
 		}
 		// Slots past the fill keep stale rows from earlier batches;
-		// zero just that tail (a full batch clears nothing).
+		// zero just that tail (a full rung clears nothing).
 		clearTail(buf, in.BatchDim, len(live))
 	}
-	return live
+	return ri
 }
 
-// run executes the signature's fetch set over the packed buffers (the
-// same execution the workload's Inferencer performs) and feeds the
+// run executes rung ri's fetch set over its packed buffers (the same
+// execution the workload's Inferencer performs) and feeds the
 // batch's wall time since start into the admission estimate. Only when
 // the batch carries a sampled request does it run with one-shot event
 // capture, and replicates the batch → run → per-op subtree into every
@@ -915,15 +1010,16 @@ func (e *Engine) pack(ws *workerState, batch []*request, start time.Time) []*req
 // duplication is cheap and each trace stays self-contained. Op spans
 // land on lane 1+Event.Worker, so a traced request renders its
 // inter-op parallelism; request-level spans stay on lane 0.
-func (e *Engine) run(ws *workerState, live []*request, start time.Time) ([]*tensor.Tensor, error) {
+func (e *Engine) run(ws *workerState, ri int, live []*request, start time.Time) ([]*tensor.Tensor, error) {
 	var vals []*tensor.Tensor
 	var err error
+	fetches, feeds := e.rungs[ri].fetches, ws.feeds[ri]
 	if !slices.ContainsFunc(live, func(r *request) bool { return r.trace != nil }) {
-		vals, err = ws.sess.Run(e.fetches, ws.feeds)
+		vals, err = ws.sess.Run(fetches, feeds)
 	} else {
 		var events []runtime.Event
 		runStart := time.Now()
-		vals, events, err = ws.sess.RunTraced(e.fetches, ws.feeds)
+		vals, events, err = ws.sess.RunTraced(fetches, feeds)
 		runDur := time.Since(runStart)
 		batchDur := time.Since(start)
 		for _, r := range live {
@@ -942,9 +1038,9 @@ func (e *Engine) run(ws *workerState, live []*request, start time.Time) ([]*tens
 	return vals, err
 }
 
-// unpack splits the batched outputs into per-request responses.
-func (e *Engine) unpack(live []*request, vals []*tensor.Tensor) {
-	e.stats.recordBatch(len(live))
+// unpack splits rung ri's batched outputs into per-request responses.
+func (e *Engine) unpack(ri int, live []*request, vals []*tensor.Tensor) {
+	e.stats.recordBatch(len(live), e.rungs[ri].size)
 	for i, r := range live {
 		result := make(map[string]*tensor.Tensor, len(e.sig.Outputs))
 		for oi, out := range e.sig.Outputs {

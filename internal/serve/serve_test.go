@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	goruntime "runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"encoding/json"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/runtime"
 	"repro/internal/sched"
 	"repro/internal/tensor"
@@ -641,5 +643,199 @@ func TestEngineShutdownReleasesGoroutines(t *testing.T) {
 	if got := goruntime.NumGoroutine(); got > base+pool.Size()+1 {
 		t.Fatalf("goroutines %d after 3 engine lifecycles (baseline %d, pool %d): leak",
 			got, base, pool.Size())
+	}
+}
+
+// TestEngineLadder: a batch-8 graph served at MaxBatch 8 gets rungs at
+// 1, 2 and 4 beside itself, each fill runs on the smallest rung that
+// holds it, and PaddedRows counts the zero rows that leaves.
+func TestEngineLadder(t *testing.T) {
+	m := buildModel(t, "memnet", 8)
+	e, err := New(m, Options{Sessions: 1, MaxBatch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var sizes []int
+	for _, r := range e.rungs {
+		sizes = append(sizes, r.size)
+	}
+	if want := []int{1, 2, 4, 8}; !slices.Equal(sizes, want) {
+		t.Fatalf("rungs %v, want %v", sizes, want)
+	}
+	if e.rungs[3].sig.Inputs[0].Node != e.sig.Inputs[0].Node {
+		t.Fatal("the top rung must be the served graph itself")
+	}
+	ws := newWorkerState(e, runtime.NewSession(m.Graph()))
+	defer ws.sess.Close()
+	examples := sampleExamples(t, m, 8)
+	var padded int
+	for fill, want := range map[int]int{1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 8: 8} {
+		live := make([]*request, fill)
+		for i := range live {
+			live[i] = &request{inputs: examples[i], resp: make(chan response, 1)}
+		}
+		ri := e.load(ws, live)
+		if got := e.rungs[ri].size; got != want {
+			t.Errorf("fill %d ran on rung %d, want %d", fill, got, want)
+		}
+		vals, err := e.run(ws, ri, live, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.unpack(ri, live, vals)
+		padded += want - fill
+	}
+	if s := e.Stats(); s.PaddedRows != uint64(padded) || s.Batches != 6 {
+		t.Fatalf("padded rows %d over %d batches, want %d over 6", s.PaddedRows, s.Batches, padded)
+	}
+	// MaxBatch below the capacity caps the ladder; MaxBatch 1 has none.
+	for maxBatch, want := range map[int][]int{4: {1, 2, 8}, 1: {8}} {
+		e, err := New(m, Options{Sessions: 1, MaxBatch: maxBatch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = sizes[:0]
+		for _, r := range e.rungs {
+			sizes = append(sizes, r.size)
+		}
+		e.Close()
+		if !slices.Equal(sizes, want) {
+			t.Errorf("MaxBatch %d: rungs %v, want %v", maxBatch, sizes, want)
+		}
+	}
+}
+
+// TestEngineRungsShareVariables: the rungs read the served model's
+// variables, so a SetValue after New — a checkpoint load, say — moves
+// the answers of the rung-1 and the capacity graph alike, and they stay
+// bit-equal.
+func TestEngineRungsShareVariables(t *testing.T) {
+	m := buildModel(t, "memnet", 4)
+	e, err := New(m, Options{Sessions: 1, MaxBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ws := newWorkerState(e, runtime.NewSession(m.Graph()))
+	defer ws.sess.Close()
+	examples := sampleExamples(t, m, 4)
+	// rowOnRung answers examples[:fill] on the rung load picks and
+	// returns example 0's probabilities.
+	rowOnRung := func(fill, wantRung int) *tensor.Tensor {
+		t.Helper()
+		live := make([]*request, fill)
+		for i := range live {
+			live[i] = &request{inputs: examples[i]}
+		}
+		ri := e.load(ws, live)
+		if ri != wantRung {
+			t.Fatalf("fill %d ran on rung %d, want %d", fill, ri, wantRung)
+		}
+		vals, err := e.run(ws, ri, live, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return getExample(vals[0], e.sig.Outputs[0].BatchDim, 0)
+	}
+	top := len(e.rungs) - 1
+	before1, beforeCap := rowOnRung(1, 0), rowOnRung(4, top)
+	if !tensorsEqual(before1, beforeCap) {
+		t.Fatal("rung 1 and capacity disagree before SetValue")
+	}
+	var w *graph.Node
+	for _, v := range m.Graph().Variables() {
+		if v.Name() == "W" {
+			w = v
+		}
+	}
+	scaled := w.Value().Clone()
+	for i, x := range scaled.Data() {
+		scaled.Data()[i] = 2*x + 0.5
+	}
+	w.SetValue(scaled)
+	after1, afterCap := rowOnRung(1, 0), rowOnRung(4, top)
+	if tensorsEqual(after1, before1) || tensorsEqual(afterCap, beforeCap) {
+		t.Fatal("SetValue on the served model did not reach every rung")
+	}
+	if !tensorsEqual(after1, afterCap) {
+		t.Fatal("rung 1 and capacity disagree after SetValue")
+	}
+	got, err := e.Infer(context.Background(), examples[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tensorsEqual(got["probs"], after1) {
+		t.Fatal("the engine's own workers did not see the SetValue")
+	}
+}
+
+// TestEngineIsolatesFailingRequest: a request whose values fail the
+// run — a word index past memnet's vocabulary, which Gather refuses —
+// fails alone. Its three batch-mates, dispatched with it as one batch,
+// are served their solo answers bit for bit, and each call is counted
+// once.
+func TestEngineIsolatesFailingRequest(t *testing.T) {
+	m := buildModel(t, "memnet", 4)
+	examples := sampleExamples(t, m, 4)
+	bad := map[string]*tensor.Tensor{"stories": examples[3]["stories"].Clone(), "query": examples[3]["query"]}
+	bad["stories"].Data()[0] = 1e6
+
+	solo, err := New(m, Options{Sessions: 1, MaxBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]map[string]*tensor.Tensor, 3)
+	for i := range want {
+		if want[i], err = solo.Infer(context.Background(), examples[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solo.Close()
+
+	// The dispatcher parks before its first dequeue, so all four
+	// requests are queued when it wakes and leave as one batch.
+	arm, _, release, cleanup := stallDispatch()
+	defer cleanup()
+	arm()
+	e, err := New(m, Options{Sessions: 1, MaxBatch: 4, MaxDelay: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	defer release() // before Close: a stalled dispatcher cannot shut down
+	inputs := []map[string]*tensor.Tensor{examples[0], examples[1], bad, examples[2]}
+	got := make([]map[string]*tensor.Tensor, len(inputs))
+	errs := make([]error, len(inputs))
+	var wg sync.WaitGroup
+	for i, in := range inputs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = e.Infer(context.Background(), in)
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for e.stats.qdepth[PriorityInteractive].Load() != int64(len(inputs)) {
+		if time.Now().After(deadline) {
+			t.Fatal("the four requests never queued")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	release()
+	wg.Wait()
+	if errs[2] == nil || !strings.Contains(errs[2].Error(), "out of range") {
+		t.Fatalf("the bad request answered %v, want Gather's range error", errs[2])
+	}
+	for i, k := range []int{0, 1, 3} {
+		if errs[k] != nil {
+			t.Fatalf("good request %d failed with its bad batch-mate: %v", i, errs[k])
+		}
+		if !tensorsEqual(got[k]["probs"], want[i]["probs"]) {
+			t.Fatalf("good request %d differs from its solo answer", i)
+		}
+	}
+	if s := e.Stats(); s.Requests != 3 || s.Errors != 1 {
+		t.Fatalf("3 served and 1 failed counted as requests %d errors %d", s.Requests, s.Errors)
 	}
 }

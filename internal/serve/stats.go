@@ -24,6 +24,7 @@ type stats struct {
 	outcomes  [numOutcomes]atomic.Uint64 // one per ended call; see conclude
 	batches   atomic.Uint64
 	slots     atomic.Uint64 // sum of batch fills
+	padded    atomic.Uint64 // sum of rung size minus fill: zero rows run
 	maxFill   atomic.Uint64
 
 	// Per-lane end-to-end latency of served requests (interactive,
@@ -49,10 +50,12 @@ type stats struct {
 
 func (s *stats) reset() { s.startNano.Store(time.Now().UnixNano()) }
 
-// recordBatch logs one executed micro-batch and its fill.
-func (s *stats) recordBatch(fill int) {
+// recordBatch logs one executed micro-batch, its fill and the rows of
+// the rung it ran on.
+func (s *stats) recordBatch(fill, rows int) {
 	s.batches.Add(1)
 	s.slots.Add(uint64(fill))
+	s.padded.Add(uint64(rows - fill))
 	for {
 		cur := s.maxFill.Load()
 		if uint64(fill) <= cur || s.maxFill.CompareAndSwap(cur, uint64(fill)) {
@@ -105,6 +108,9 @@ type Stats struct {
 	Batches       uint64        `json:"batches"`
 	MeanBatchFill float64       `json:"mean_batch_fill"`
 	MaxBatchFill  int           `json:"max_batch_fill"`
+	// PaddedRows counts the zero rows executed to fill batches up to
+	// their rung: rows run minus rows filled, summed over batches.
+	PaddedRows    uint64        `json:"padded_rows"`
 	ThroughputRPS float64       `json:"throughput_rps"`
 	MeanLatency   time.Duration `json:"mean_latency_ns"`
 	P50Latency    time.Duration `json:"p50_latency_ns"`
@@ -302,9 +308,9 @@ func (e *Engine) ResetStats() {
 // String renders the snapshot for the CLI and logs.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"requests=%d errors=%d cancelled=%d admit(rejected=%d shed=%d expired=%d) batches=%d fill(mean=%.2f max=%d) rps=%.1f latency(mean=%v p50=%v p99=%v p999=%v) queue(depth=%d wait=%v p50=%v p99=%v batch-ewma=%v) lanes(interactive p99=%v, batch p99=%v) pool(busy=%d/%d spawned=%d claim=%d granted=%d) arena(live=%d total=%d bytes=%d reuse=%.3f)%s",
+		"requests=%d errors=%d cancelled=%d admit(rejected=%d shed=%d expired=%d) batches=%d fill(mean=%.2f max=%d padded=%d) rps=%.1f latency(mean=%v p50=%v p99=%v p999=%v) queue(depth=%d wait=%v p50=%v p99=%v batch-ewma=%v) lanes(interactive p99=%v, batch p99=%v) pool(busy=%d/%d spawned=%d claim=%d granted=%d) arena(live=%d total=%d bytes=%d reuse=%.3f)%s",
 		s.Requests, s.Errors, s.Cancelled, s.Rejected, s.Shed, s.Expired,
-		s.Batches, s.MeanBatchFill, s.MaxBatchFill,
+		s.Batches, s.MeanBatchFill, s.MaxBatchFill, s.PaddedRows,
 		s.ThroughputRPS, s.MeanLatency, s.P50Latency, s.P99Latency, s.P999Latency,
 		s.QueueDepth, s.QueueWaitEWMA, s.QueueWaitP50, s.QueueWaitP99, s.BatchLatencyEWMA,
 		s.Interactive.P99Latency, s.BatchLane.P99Latency,
