@@ -167,9 +167,9 @@
 // output columns, so a lane is one output element and nothing is ever
 // summed across lanes, and each k step is a VMULPS followed by a VADDPS
 // — no FMA — which is the Go tile's one rounded multiply and one
-// rounded add (the Go products — the micro-tile and FusedAttention's
-// dots alike — are written float32(a*b), which forbids the compiler to
-// fuse them on any target). Both tiles therefore compute each element
+// rounded add (the Go tile's products are written float32(a*b), which
+// forbids the compiler to fuse them on any target; FusedAttention has
+// no products of its own, it runs on this GEMM). Both tiles therefore compute each element
 // as the same ascending-k chain, and which tile runs a column, like the
 // choice of width, is invisible in the result bits; the determinism
 // harness runs on both builds in CI.
@@ -243,20 +243,24 @@
 // # Fused attention
 //
 // tensor.FusedAttention executes the scaled-dot-product attention
-// chain Softmax(Q·Kᵀ·scale)·V as one streaming kernel: for each of
-// the G·S output rows (parallelized over the shared pool like any
-// other kernel) it computes the row of scores, its softmax, and the
-// probability-weighted sum of V in a scratch buffer of O(S) floats —
-// the (G,S,S) score and probability matrices are never materialized,
-// which removes the naive chain's dominant memory traffic
-// (BENCH_kernels.json tracks the fused-over-naive ratio and the arena
-// bytes eliminated; since the GEMM gained its SIMD tile the naive
-// chain, which runs on it, is the faster of the two at some shapes —
-// the streaming kernel's dot loops are still scalar). The kernel replays the exact float sequence of
-// the unfused chain — same dot order, one scale rounding, the
-// softmax's max/exp/sum/normalize in the same ascending order — so
-// fused and unfused are bit-identical at every intra-op width,
-// including rows containing ±Inf masks.
+// chain Softmax(Q·Kᵀ·scale)·V as one kernel over blocks of R =
+// min(S, 64) query rows: for each (group, row block) unit
+// (parallelized over the shared pool like any other kernel) it
+// computes the R×S score block Q_blk·Kᵀ with the one GEMM into lane
+// scratch, scales and softmaxes each row in place, and computes
+// O_blk = P_blk·V with the GEMM again, straight into the output. The
+// products run on the executing lane, packing into that lane's own
+// scratch, and open no nested region. Scratch is O(R·S) per lane — the
+// (G,S,S) score and probability matrices are never materialized, which
+// removes the naive chain's dominant memory traffic, and the kernel
+// does not pay the chain's per-op dispatch (BENCH_kernels.json tracks
+// the fused-over-naive ratio, at least 1.3× on its three shapes at
+// width 1, and the bytes eliminated). Its two products are the naive
+// chain's own GEMM, and the scale multiply and softmax replay the
+// chain's max/exp/sum/normalize in the same ascending order, so fused
+// and unfused are bit-identical at every intra-op width, including
+// rows containing ±Inf masks (FuzzAttention poisons Q and K with ±Inf,
+// NaN and -0).
 //
 // At the graph level, ops.NaiveAttention builds the unfused reference
 // chain and graph.FuseAttention (pass 4 of graph.Optimize)

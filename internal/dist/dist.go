@@ -70,6 +70,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -425,31 +426,55 @@ func (t *Trainer) ResetTiming() { t.phases.ResetSum() }
 // step, so stragglers and warmup spikes are visible individually.
 func (t *Trainer) PhaseLog() []telemetry.PhaseSample { return t.phases.Samples() }
 
-// RegisterMetrics exposes the trainer's step throughput and phase ring
-// on reg, labeled trainer="<kind>/<name>". The reads are scrape-time
-// and mutex-cheap (once per scrape, not per step). Trainers are
-// ephemeral next to the process registry, so callers pair it with
-// UnregisterMetrics.
-func (t *Trainer) RegisterMetrics(reg *telemetry.Registry) {
-	labels := telemetry.Labels{"trainer": t.label}
-	phases := t.phases
-	reg.CounterFunc("fathom_train_steps_total", "Global training steps executed.", labels,
-		func() uint64 { return uint64(phases.Total()) })
-	reg.GaugeFunc("fathom_train_step_seconds", "Wall time of the most recent training step.", labels,
-		func() float64 {
-			s := phases.Samples()
+// trainSeries is one series a trainer exports: its /metrics name and
+// help and the scrape-time read of its value. The trainerSeries table
+// is the only place a series is declared — RegisterMetrics and
+// UnregisterMetrics walk it — so the two cannot drift. As in serve, a
+// _total series is a counter and anything else a gauge.
+type trainSeries struct {
+	name, help string
+	read       func(*Trainer) float64
+}
+
+var trainerSeries = []trainSeries{
+	{"fathom_train_steps_total", "Global training steps executed.",
+		func(t *Trainer) float64 { return float64(t.phases.Total()) }},
+	{"fathom_train_step_seconds", "Wall time of the most recent training step.",
+		func(t *Trainer) float64 {
+			s := t.phases.Samples()
 			if len(s) == 0 {
 				return 0
 			}
 			return s[len(s)-1].Wall.Seconds()
-		})
+		}},
+	// One fused step advances each of its K lanes' trainees, so this
+	// moves K per step: the HFTA-style throughput next to the per-model
+	// step rate.
+	{"fathom_trainee_steps_total", "Trainee-steps executed (steps x fusion width; a plain trainer has width 1).",
+		func(t *Trainer) float64 { return float64(t.phases.Total() * t.lanes) }},
+}
+
+// RegisterMetrics exposes the trainer's trainerSeries on reg, labeled
+// trainer="<kind>/<name>". The reads are scrape-time and mutex-cheap
+// (once per scrape, not per step). Trainers are ephemeral next to the
+// process registry, so callers pair it with UnregisterMetrics.
+func (t *Trainer) RegisterMetrics(reg *telemetry.Registry) {
+	labels := telemetry.Labels{"trainer": t.label}
+	for _, s := range trainerSeries {
+		if strings.HasSuffix(s.name, "_total") {
+			reg.CounterFunc(s.name, s.help, labels, func() uint64 { return uint64(s.read(t)) })
+		} else {
+			reg.GaugeFunc(s.name, s.help, labels, func() float64 { return s.read(t) })
+		}
+	}
 }
 
 // UnregisterMetrics removes the series RegisterMetrics added.
 func (t *Trainer) UnregisterMetrics(reg *telemetry.Registry) {
 	labels := telemetry.Labels{"trainer": t.label}
-	reg.Unregister("fathom_train_steps_total", labels)
-	reg.Unregister("fathom_train_step_seconds", labels)
+	for _, s := range trainerSeries {
+		reg.Unregister(s.name, labels)
+	}
 }
 
 // Replica exposes replica r's model (tests compare variable bits

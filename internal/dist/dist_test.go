@@ -2,13 +2,18 @@ package dist_test
 
 import (
 	"bytes"
+	"fmt"
 	goruntime "runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/fuse"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 
 	_ "repro/internal/models/all"
 )
@@ -269,5 +274,72 @@ func TestTrainerOptionValidation(t *testing.T) {
 	}
 	if _, err := dist.New("nope", dist.Options{Pool: pool}); err == nil {
 		t.Fatal("want error: unknown workload")
+	}
+}
+
+// TestTrainerMetricsTable: a plain trainer and a fused array (which is
+// dist's engine) export exactly the trainerSeries table, in table
+// order, under their own trainer label; the trainee-step counter moves
+// by the fusion width per step; and UnregisterMetrics leaves the
+// registry empty.
+func TestTrainerMetricsTable(t *testing.T) {
+	pool := sched.New(2)
+	defer pool.Close()
+	tr, err := dist.New("autoenc", dist.Options{Chunks: 2, Preset: core.PresetTiny, Seed: 3, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	arr, err := fuse.New("autoenc", fuse.Options{Width: 2, Chunks: 2, Preset: core.PresetTiny, Seed: 3, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer arr.Close()
+	if _, err := tr.Train(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := arr.Step(); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	tr.RegisterMetrics(reg)
+	arr.RegisterMetrics(reg)
+	var out strings.Builder
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	// names[label] lists the sample names scraped under that trainer
+	// label, in scrape order; values keys a sample by name and label.
+	names, values := map[string][]string{}, map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		series, value, _ := strings.Cut(line, " ")
+		name, labels, _ := strings.Cut(series, "{")
+		names[labels] = append(names[labels], name)
+		values[series] = value
+	}
+	want := dist.TrainerSeriesNames()
+	for _, c := range []struct{ label, trainee string }{{"dist/autoenc", "1"}, {"fuse/autoenc", "2"}} {
+		labels := fmt.Sprintf("trainer=%q}", c.label)
+		if got := names[labels]; !slices.Equal(got, want) {
+			t.Errorf("%s scrapes %v, want the table %v", c.label, got, want)
+		}
+		if got := values["fathom_trainee_steps_total{"+labels]; got != c.trainee {
+			t.Errorf("%s: fathom_trainee_steps_total is %q after one step, want %s", c.label, got, c.trainee)
+		}
+	}
+	if len(names) != 2 {
+		t.Errorf("scrape carries %d label sets, want the two trainers'", len(names))
+	}
+	tr.UnregisterMetrics(reg)
+	arr.UnregisterMetrics(reg)
+	out.Reset()
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("registry not empty after UnregisterMetrics:\n%s", out.String())
 	}
 }

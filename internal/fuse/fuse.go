@@ -54,7 +54,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/runtime"
 	"repro/internal/sched"
-	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -95,10 +94,10 @@ type Options struct {
 // Array drives fused training of K instances of one workload: the dist
 // engine over the fused program, plus the per-trainee views of it.
 // Everything not redeclared here — Steps, Partition, PhaseLog,
-// PhaseSum, ResetTiming, SaveCheckpoint, LoadCheckpoint, Close — is the
-// engine's own; Step, Train and Losses are redeclared in their
-// per-trainee shapes. Like the engine it is confined to a single
-// goroutine.
+// PhaseSum, ResetTiming, SaveCheckpoint, LoadCheckpoint,
+// RegisterMetrics, UnregisterMetrics, Close — is the engine's own;
+// Step, Train and Losses are redeclared in their per-trainee shapes.
+// Like the engine it is confined to a single goroutine.
 type Array struct {
 	*dist.Trainer
 
@@ -214,21 +213,4 @@ func (a *Array) TraineeParams(k int) []*tensor.Tensor {
 		out[i] = tensor.FromSlice(p.Value().Data()[k*s:(k+1)*s], a.paramShape[i]...)
 	}
 	return out
-}
-
-// RegisterMetrics exposes the engine's series on reg, labeled
-// trainer="fuse/<name>", plus the array's trainee-step throughput: one
-// fused step advances Width trainees, so that counter moves Width per
-// Step — the HFTA-style throughput next to dist's per-model rate.
-func (a *Array) RegisterMetrics(reg *telemetry.Registry) {
-	a.Trainer.RegisterMetrics(reg)
-	reg.CounterFunc("fathom_trainee_steps_total", "Trainee-steps executed (steps x fusion width).",
-		telemetry.Labels{"trainer": "fuse/" + a.Name()},
-		func() uint64 { return uint64(a.StepsRun() * a.Width()) })
-}
-
-// UnregisterMetrics removes the series RegisterMetrics added.
-func (a *Array) UnregisterMetrics(reg *telemetry.Registry) {
-	a.Trainer.UnregisterMetrics(reg)
-	reg.Unregister("fathom_trainee_steps_total", telemetry.Labels{"trainer": "fuse/" + a.Name()})
 }

@@ -19,7 +19,7 @@ type AttentionComposer interface {
 }
 
 // FuseAttention rewrites Softmax(BatchMatMul(Q, Transpose(K))·scale)·V
-// chains into single fused streaming-softmax attention nodes. The
+// chains into single fused attention nodes. The
 // rewrite is in place and mutates only the final consumer node (the
 // probabilities×values matmul), so node identity is preserved —
 // fetches, gradients and signatures referencing it keep working — and

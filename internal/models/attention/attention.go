@@ -5,13 +5,15 @@
 // synthetic sequence-reversal task (the output at position i is the
 // input token at position S-1-i, so information must move across
 // positions through the attention heads; positional embeddings alone
-// cannot solve it). It exists to drive the fused streaming-softmax
-// attention path end to end: Setup builds each head as the unfused
-// Softmax(Q·Kᵀ·scale)·V chain and then runs graph.FuseAttention, so
-// every head executes as one FusedAttention kernel in both training
-// and serving graphs while remaining bit-identical to the unfused
-// reference (the fusion happens before gradient construction; the
-// fused op recomputes the probability matrix in its own Grad).
+// cannot solve it). It exists to drive the fused attention path end
+// to end (tensor.AttentionInto: both products on the one GEMM, a block
+// of query rows at a time, no (G,S,S) intermediate): Setup builds each
+// head as the unfused Softmax(Q·Kᵀ·scale)·V chain and then runs
+// graph.FuseAttention, so every head executes as one FusedAttention
+// kernel in both training and serving graphs while remaining
+// bit-identical to the unfused reference (the fusion happens before
+// gradient construction; the fused op recomputes the probability
+// matrix in its own Grad).
 package attention
 
 import (
@@ -75,7 +77,7 @@ func (m *Model) Meta() core.Meta {
 		Name: "attention", Year: 2017, Ref: "Vaswani et al., NIPS 2017",
 		Style: "Attention", Layers: 1, Task: "Supervised",
 		Dataset: "synthetic reversal",
-		Purpose: "Suite extension: the attention-only topology that displaced recurrence. Drives the fused streaming-softmax kernel (batched softmax(QKᵀ)V) end to end.",
+		Purpose: "Suite extension: the attention-only topology that displaced recurrence. Drives the fused attention kernel (batched softmax(QKᵀ)V on the GEMM, one block of query rows at a time) end to end.",
 	}
 }
 

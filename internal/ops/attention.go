@@ -9,10 +9,11 @@ import (
 
 // fusedAttentionOp computes softmax(Q·Kᵀ·scale)·V over rank-3 (G,S,Dh)
 // operands in one kernel (tensor.AttentionInto), class A. It is the
-// rewrite target of graph.FuseAttention: the streaming-softmax kernel
-// never materializes the (G,S,S) score matrix but applies the same
-// float operations in the same order as the unfused chain, so results
-// are bit-identical with fusion on or off (see the determinism note in
+// rewrite target of graph.FuseAttention: the kernel walks blocks of
+// query rows, running both products on the one GEMM, and never
+// materializes the (G,S,S) score matrix, but it applies the same float
+// operations in the same order as the unfused chain, so results are
+// bit-identical with fusion on or off (see the determinism note in
 // tensor/attention.go).
 type fusedAttentionOp struct{ scale float32 }
 
@@ -37,8 +38,8 @@ func (o fusedAttentionOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tenso
 func (o fusedAttentionOp) Cost(in [][]int, out []int) (int64, int64) {
 	q := in[0]
 	g, s, dh := int64(q[0]), int64(q[1]), int64(q[2])
-	// QKᵀ and P·V mul-adds; bytes are the streamed operands only —
-	// the (G,S,S) intermediate never exists.
+	// QKᵀ and P·V mul-adds; bytes are the operands only — the (G,S,S)
+	// intermediate never exists.
 	return 4 * g * s * s * dh, defaultBytes(in, out)
 }
 
@@ -47,7 +48,7 @@ func (o fusedAttentionOp) Cost(in [][]int, out []int) (int64, int64) {
 // W = softmax(Q·Kᵀ·scale) — bit-identical to what the fused kernel
 // computed internally — and differentiates through it. The recompute
 // trades a second score evaluation for never retaining (G,S,S)
-// activations, the same memory/time trade the streaming forward makes.
+// activations, the same memory/time trade the blocked forward makes.
 func (o fusedAttentionOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
 	q, k, v := n.Inputs()[0], n.Inputs()[1], n.Inputs()[2]
 	sc := ScalarConst(g, o.scale)
@@ -62,8 +63,8 @@ func (o fusedAttentionOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) 
 	return []*graph.Node{dQ, dK, dV}, nil
 }
 
-// FusedAttention applies softmax(Q·Kᵀ·scale)·V as one fused streaming
-// op over rank-3 (G,S,Dh) nodes — the form graph.FuseAttention
+// FusedAttention applies softmax(Q·Kᵀ·scale)·V as one fused op over
+// rank-3 (G,S,Dh) nodes — the form graph.FuseAttention
 // rewrites the unfused chain into.
 func FusedAttention(q, k, v *graph.Node, scale float32) *graph.Node {
 	return q.Graph().MustApply(fusedAttentionOp{scale: scale}, q, k, v)
@@ -84,8 +85,7 @@ func NaiveAttention(q, k, v *graph.Node, scale float32) *graph.Node {
 // probabilities×values BatchMatMul of an attention chain. It inspects
 // the ops upstream — Softmax over a scalar Mul over a BatchMatMul
 // whose right operand is a (0,2,1) Transpose — and, when they form
-// exactly the softmax(Q·Kᵀ·scale)·V pattern, returns the fused
-// streaming op. The graph pass has already verified the structural
+// exactly the softmax(Q·Kᵀ·scale)·V pattern, returns the fused op. The graph pass has already verified the structural
 // gates (single-reader, pure, non-keep intermediates).
 func (batchMatMulOp) ComposeAttention(softmax, scale, score, transpose graph.Op, scaleVal *tensor.Tensor) (graph.Op, bool) {
 	if _, ok := softmax.(softmaxOp); !ok {

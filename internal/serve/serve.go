@@ -18,16 +18,17 @@
 // at the batch size it has, near enough: New builds a ladder of rungs
 // — the workload's inference subgraph rebuilt (core.Rebatch, sharing
 // the served model's variables) at each power of two below the
-// effective MaxBatch, then the served graph itself at its full
-// capacity — and each batch runs on the smallest rung that holds its
-// fill, the slots past the fill zero-padded. A fill of 2 on an 8-wide
-// graph runs two rows, not eight; every row is bit-equal to the same
-// example's row on any other rung. Each worker's one session compiles
-// one plan per rung it runs, lazily, into its one arena. Workloads that
-// couple examples across the batch (core.BatchCoupled — residual's
-// primitive batch normalization) are refused unless built at batch
-// capacity 1, so batch composition and padding never perturb a
-// request's rows. Stochastic inference graphs
+// effective MaxBatch and at MaxBatch itself, which is the served graph
+// when MaxBatch is its full capacity — and each batch runs on the
+// smallest rung that holds its fill, the slots past the fill
+// zero-padded. A fill of 2 on an 8-wide graph runs two rows, not
+// eight; every row is bit-equal to the same example's row on any other
+// rung. Each worker's one session compiles one plan per rung it runs,
+// lazily, into its one arena. Workloads that couple examples across
+// the batch (core.BatchCoupled — residual's primitive batch
+// normalization) are refused unless built at batch capacity 1, so
+// batch composition and padding never perturb a request's rows.
+// Stochastic inference graphs
 // (autoenc's reparameterization sampling) are served batched: their
 // noise is drawn i.i.d. per element from the worker session's RNG, so
 // results are distributionally equivalent to sequential inference but
@@ -190,9 +191,9 @@ type Options struct {
 	// It is clamped to the signature's batch capacity (the graph's
 	// batch-axis extent); 0 means "use the full capacity". It also
 	// sets the batch ladder: the engine rebuilds the workload at every
-	// power of two below the clamped MaxBatch and runs each batch on
-	// the smallest of those builds, or the full-capacity graph, that
-	// holds it.
+	// power of two below the clamped MaxBatch and at MaxBatch itself
+	// (the served graph when that is the full capacity), and runs each
+	// batch on the smallest of those builds that holds it.
 	MaxBatch int
 	// MaxDelay bounds how long the dispatcher holds the first request
 	// of a batch while waiting for more (default 2ms).
@@ -311,7 +312,7 @@ func (r *request) finish(resp response) {
 type Engine struct {
 	model    core.Model
 	sig      core.Signature // the capacity signature: validates and unpacks
-	rungs    []rung         // ascending batch sizes; the last is sig's graph
+	rungs    []rung         // ascending batch sizes; the last is maxBatch
 	maxBatch int
 	maxDelay time.Duration
 	deadline time.Duration // DefaultDeadline
@@ -406,21 +407,26 @@ func newRung(sig core.Signature) rung {
 }
 
 // ladder builds the engine's rungs: m's inference subgraph rebuilt at
-// each power of two below top (core.Rebatch, so every rung reads m's
-// variables), then m itself.
+// each power of two below top and at top itself (core.Rebatch, so
+// every rung reads m's variables). A rung at m's own capacity is m.
 func ladder(m core.Model, sig core.Signature, top int) ([]rung, error) {
 	var rungs []rung
-	for b := 1; b < top; b *= 2 {
-		rsig, err := core.Rebatch(m, b)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		if got := rsig.BatchCapacity(); got != b {
-			return nil, fmt.Errorf("serve: %s rebuilt at batch %d has batch capacity %d", m.Name(), b, got)
+	for b := 1; ; b = min(2*b, top) {
+		rsig := sig
+		if b < sig.BatchCapacity() {
+			var err error
+			if rsig, err = core.Rebatch(m, b); err != nil {
+				return nil, fmt.Errorf("serve: %w", err)
+			}
+			if got := rsig.BatchCapacity(); got != b {
+				return nil, fmt.Errorf("serve: %s rebuilt at batch %d has batch capacity %d", m.Name(), b, got)
+			}
 		}
 		rungs = append(rungs, newRung(rsig))
+		if b == top {
+			return rungs, nil
+		}
 	}
-	return append(rungs, newRung(sig)), nil
 }
 
 // withDefaults resolves the zero Options fields New documents defaults

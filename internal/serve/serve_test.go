@@ -689,8 +689,9 @@ func TestEngineLadder(t *testing.T) {
 	if s := e.Stats(); s.PaddedRows != uint64(padded) || s.Batches != 6 {
 		t.Fatalf("padded rows %d over %d batches, want %d over 6", s.PaddedRows, s.Batches, padded)
 	}
-	// MaxBatch below the capacity caps the ladder; MaxBatch 1 has none.
-	for maxBatch, want := range map[int][]int{4: {1, 2, 8}, 1: {8}} {
+	// MaxBatch below the capacity tops the ladder at MaxBatch: a fill of
+	// 3 at MaxBatch 4 runs 4 rows, not 8, and MaxBatch 1 runs one.
+	for maxBatch, want := range map[int][]int{4: {1, 2, 4}, 1: {1}} {
 		e, err := New(m, Options{Sessions: 1, MaxBatch: maxBatch})
 		if err != nil {
 			t.Fatal(err)
@@ -699,10 +700,26 @@ func TestEngineLadder(t *testing.T) {
 		for _, r := range e.rungs {
 			sizes = append(sizes, r.size)
 		}
-		e.Close()
 		if !slices.Equal(sizes, want) {
 			t.Errorf("MaxBatch %d: rungs %v, want %v", maxBatch, sizes, want)
 		}
+		ws := newWorkerState(e, runtime.NewSession(m.Graph()))
+		fill := min(3, maxBatch)
+		live := make([]*request, fill)
+		for i := range live {
+			live[i] = &request{inputs: examples[i], resp: make(chan response, 1)}
+		}
+		ri := e.load(ws, live)
+		vals, err := e.run(ws, ri, live, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.unpack(ri, live, vals)
+		if got, want := e.Stats().PaddedRows, uint64(maxBatch-fill); got != want {
+			t.Errorf("MaxBatch %d: a fill of %d padded %d rows, want %d", maxBatch, fill, got, want)
+		}
+		ws.sess.Close()
+		e.Close()
 	}
 }
 

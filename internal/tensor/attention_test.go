@@ -204,3 +204,61 @@ func BenchmarkAttentionNaive(b *testing.B) {
 		naiveAttentionRef(b, p, q, k, v, scale)
 	}
 }
+
+// FuzzAttention drives the fused kernel over small (G, S, Dh) — S past
+// blockM, so a group splits into a full and a partial row block — an
+// arbitrary scale, and poison bytes that place ±Inf, NaN and -0 in Q
+// and K (byte pairs: position, then kind). The bits at widths 1 and 2
+// must be naiveAttentionRef's, NaNs of any payload counted equal.
+func FuzzAttention(f *testing.F) {
+	f.Add(uint8(32), uint8(12), uint8(8), float32(0.35), []byte{}, int64(1))
+	f.Add(uint8(3), uint8(70), uint8(5), float32(0.5), []byte{0, 1, 9, 2}, int64(2))
+	f.Add(uint8(1), uint8(1), uint8(1), float32(-1), []byte{0, 0}, int64(3))
+	f.Add(uint8(2), uint8(65), uint8(17), float32(1e4), []byte{3, 4, 200, 5, 77, 6, 41, 7}, int64(4))
+	ex := sched.New(1)
+	f.Cleanup(ex.Close)
+	pools := map[int]*Pool{1: NewPool(1), 2: NewParallelPool(2, ex)}
+	poison := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), float32(math.Copysign(0, -1))}
+	f.Fuzz(func(t *testing.T, gB, sB, dhB uint8, scale float32, poisons []byte, seed int64) {
+		g, s, dh := 1+int(gB%4), 1+int(sB%80), 1+int(dhB%20)
+		rng := rand.New(rand.NewSource(seed))
+		q := RandNormal(rng, 0, 1, g, s, dh)
+		k := RandNormal(rng, 0, 1, g, s, dh)
+		v := RandNormal(rng, 0, 1, g, s, dh)
+		for i := 0; i+1 < len(poisons); i += 2 {
+			dst := q.data
+			if poisons[i+1]&4 != 0 {
+				dst = k.data
+			}
+			dst[int(poisons[i])*len(dst)/256] = poison[poisons[i+1]&3]
+		}
+		want := naiveAttentionRef(t, NewPool(1), q, k, v, scale)
+		for w, p := range pools {
+			got := Full(float32(math.NaN()), g, s, dh)
+			if err := AttentionInto(p, got, q, k, v, scale); err != nil {
+				t.Fatal(err)
+			}
+			if i, ok := sameBits(got.data, want.data); !ok {
+				t.Fatalf("(%d,%d,%d) scale %v width %d: element %d is %v, the naive chain gives %v", g, s, dh, scale, w, i, got.data[i], want.data[i])
+			}
+		}
+	})
+}
+
+// TestAttentionAllocatesNothing: at width 1 the region runs inline
+// (Pool.inline) and every product runs on lane 0's scratch, so once
+// that scratch has grown a call allocates nothing.
+func TestAttentionAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	p := NewPool(1)
+	q, k, v := RandNormal(rng, 0, 1, 32, 12, 8), RandNormal(rng, 0, 1, 32, 12, 8), RandNormal(rng, 0, 1, 32, 12, 8)
+	out := New(32, 12, 8)
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := AttentionInto(p, out, q, k, v, 0.35); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AttentionInto allocates %v objects per call at width 1 on (32,12,8), want 0", allocs)
+	}
+}

@@ -13,15 +13,25 @@ import (
 	"repro/internal/sched"
 )
 
-// benchBest returns the fastest of iters timed runs of f, in seconds,
-// after one warm-up run.
-func benchBest(iters int, f func()) float64 {
-	f()
-	best := math.MaxFloat64
-	for i := 0; i < iters; i++ {
-		t0 := time.Now()
+// benchBest returns the fastest of iters timed runs of each f, in
+// seconds, after a garbage collection (as testing.B makes before each
+// benchmark, so an earlier kernel's garbage is not collected during
+// these runs) and one warm-up run of each. The fs take turns run by
+// run: a host that slows down or speeds up part-way through weighs on
+// every f alike, so their ratios hold where their times drift.
+func benchBest(iters int, fs ...func()) []float64 {
+	goruntime.GC()
+	best := make([]float64, len(fs))
+	for i, f := range fs {
 		f()
-		best = min(best, time.Since(t0).Seconds())
+		best[i] = math.MaxFloat64
+	}
+	for n := 0; n < iters; n++ {
+		for i, f := range fs {
+			t0 := time.Now()
+			f()
+			best[i] = min(best[i], time.Since(t0).Seconds())
+		}
 	}
 	return best
 }
@@ -38,8 +48,8 @@ func benchBest(iters int, f func()) float64 {
 //   - convolution: the three lowered passes against the direct loop
 //     nests they replaced (conv_test.go), strided and tiny shapes
 //     included;
-//   - attention: the fused streaming-softmax kernel against the
-//     materialized chain.
+//   - attention: the fused kernel (both products on the GEMM, a block
+//     of query rows at a time) against the materialized chain.
 //
 // Everything is measured at width 1. A second, wide width — the largest
 // of 8, 4, 2 the host has processors for — adds rows and scaling
@@ -80,21 +90,32 @@ func TestKernelBenchArtifact(t *testing.T) {
 		MsPerOp float64 `json:"ms_per_op"`
 		GFLOPS  float64 `json:"gflops"`
 	}
-	// measure times each kernel at every width and returns the rows plus
-	// the best times keyed by kernel name, per width.
+	// measure times the kernels at every width, taking turns (see
+	// benchBest), and returns the rows plus the best times keyed by
+	// kernel name, per width.
 	type kernel struct {
 		label string
 		run   func(p *Pool)
 	}
 	measure := func(iters int, flops float64, kernels ...kernel) ([]row, map[string]map[int]float64) {
-		var rows []row
 		times := map[string]map[int]float64{}
 		for _, k := range kernels {
 			times[k.label] = map[int]float64{}
+		}
+		for _, w := range widths {
+			fs := make([]func(), len(kernels))
+			for i, k := range kernels {
+				fs[i] = func() { k.run(pools[w]) }
+			}
+			for i, best := range benchBest(iters, fs...) {
+				times[kernels[i].label][w] = best
+			}
+		}
+		var rows []row
+		for _, k := range kernels {
 			for _, w := range widths {
-				best := benchBest(iters, func() { k.run(pools[w]) })
+				best := times[k.label][w]
 				rows = append(rows, row{k.label, w, best * 1e3, flops / best / 1e9})
-				times[k.label][w] = best
 			}
 		}
 		return rows, times
@@ -188,7 +209,7 @@ func TestKernelBenchArtifact(t *testing.T) {
 			t.Fatalf("micro-tile: element %d differs between the dispatching kernel and the Go tile", i)
 		}
 		flops := 2 * float64(blockM) * float64(blockK) * float64(blockN)
-		td, tg := benchBest(200, dispatch), benchBest(50, goTile)
+		td, tg := benchBest(200, dispatch)[0], benchBest(50, goTile)[0]
 		microResult.DispatchGFLOPS, microResult.GoTileGFLOPS, microResult.DispatchOverGo = flops/td/1e9, flops/tg/1e9, tg/td
 		t.Logf("micro-tile (%s): dispatch %.1f GFLOP/s vs Go tile %.1f GFLOP/s", simd, microResult.DispatchGFLOPS, microResult.GoTileGFLOPS)
 	}
@@ -230,8 +251,8 @@ func TestKernelBenchArtifact(t *testing.T) {
 				func(out *Tensor) { _ = Conv2DBackInputInto(p1, out, f, dy, c.h, c.w, c.spec) },
 				func(out *Tensor) { conv2DBackInputDirect(out, f, dy, c.spec) }},
 		} {
-			tl := benchBest(10, func() { ps.lowered(ps.out) })
-			to := benchBest(3, func() { ps.loop(ps.out) })
+			tl := benchBest(10, func() { ps.lowered(ps.out) })[0]
+			to := benchBest(3, func() { ps.loop(ps.out) })[0]
 			res.Passes = append(res.Passes, convPass{ps.name, tl * 1e3, to * 1e3, to / tl})
 		}
 		convResults = append(convResults, res)
@@ -239,12 +260,13 @@ func TestKernelBenchArtifact(t *testing.T) {
 			c.name, res.Passes[0].LoweredOverL, res.Passes[1].LoweredOverL, res.Passes[2].LoweredOverL)
 	}
 
-	// Attention section: the fused streaming-softmax kernel against
-	// the unfused materialized chain (Transpose → BatchMatMul → Mul →
-	// Softmax → BatchMatMul). Alongside throughput it records the
-	// working-set story the fusion exists for: the naive chain
-	// materializes Kᵀ plus three (G,S,S) tensors and a per-slice matmul
-	// result, while the fused kernel holds two score rows per lane.
+	// Attention section: the fused kernel against the unfused
+	// materialized chain (Transpose → BatchMatMul → Mul → Softmax →
+	// BatchMatMul). Alongside throughput it records the working-set
+	// story the fusion exists for: the naive chain materializes Kᵀ plus
+	// three (G,S,S) tensors and a per-slice matmul result, while the
+	// fused kernel holds one R×S score block per lane, R = min(S,
+	// blockM).
 	type attnShapeResult struct {
 		Shape             string   `json:"shape"`
 		G                 int      `json:"g"`
@@ -254,7 +276,7 @@ func TestKernelBenchArtifact(t *testing.T) {
 		FusedOverNaiveW1  float64  `json:"fused_over_naive_w1"` // naive w1 time / fused w1 time
 		Wide              *scaling `json:"wide,omitempty"`
 		NaivePeakBytes    int64    `json:"naive_peak_bytes"`    // materialized intermediates
-		FusedScratchBytes int64    `json:"fused_scratch_bytes"` // per-lane score rows, all lanes
+		FusedScratchBytes int64    `json:"fused_scratch_bytes"` // per-lane R×S score blocks, all lanes
 	}
 	var attnResults []attnShapeResult
 	for _, s := range []struct {
@@ -284,15 +306,15 @@ func TestKernelBenchArtifact(t *testing.T) {
 		// QKᵀ and P·V mul-adds; the softmax between them is O(S) per
 		// row and excluded, as is conventional.
 		rows, times := measure(s.iters, 4*float64(s.g)*float64(s.s)*float64(s.s)*float64(s.dh),
-			kernel{"fused_stream", func(p *Pool) { _ = AttentionInto(p, out, q, k, v, scale) }},
+			kernel{"fused_blocked", func(p *Pool) { _ = AttentionInto(p, out, q, k, v, scale) }},
 			kernel{"naive_chain", func(p *Pool) { naiveAttentionRef(t, p, q, k, v, scale) }})
 		gss := int64(s.g) * int64(s.s) * int64(s.s)
 		attnResults = append(attnResults, attnShapeResult{Shape: s.name, G: s.g, S: s.s, Dh: s.dh, Rows: rows,
-			FusedOverNaiveW1:  times["naive_chain"][1] / times["fused_stream"][1],
-			Wide:              scalingOf(times["fused_stream"], times["naive_chain"]),
+			FusedOverNaiveW1:  times["naive_chain"][1] / times["fused_blocked"][1],
+			Wide:              scalingOf(times["fused_blocked"], times["naive_chain"]),
 			NaivePeakBytes:    4 * (3*gss + int64(s.g)*int64(s.s)*int64(s.dh) + int64(s.s)*int64(s.s)),
-			FusedScratchBytes: 4 * 2 * int64(s.s) * int64(wide)})
-		t.Logf("%s: fused %.1fms vs naive %.1fms at width 1", s.name, times["fused_stream"][1]*1e3, times["naive_chain"][1]*1e3)
+			FusedScratchBytes: 4 * int64(min(s.s, blockM)) * int64(s.s) * int64(wide)})
+		t.Logf("%s: fused %.1fms vs naive %.1fms at width 1", s.name, times["fused_blocked"][1]*1e3, times["naive_chain"][1]*1e3)
 	}
 
 	artifact := struct {

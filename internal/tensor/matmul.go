@@ -96,6 +96,16 @@ const (
 // perturb results: every output element accumulates the same products
 // in the same order at every width.
 func matmulInto(p *Pool, dst, a, b []float32, m, n, k, lda, ldb int, transA, transB, acc bool) {
+	matmulLane(p, -1, dst, a, b, m, n, k, lda, ldb, transA, transB, acc)
+}
+
+// matmulLane is matmulInto's body. A lane ≥ 0 runs every tile on that
+// lane, packs B into that lane's own scratch and opens no region: the
+// form for a kernel already inside a region chunk (attention). Lane -1
+// is the caller outside any region: a slab whose tiles split becomes a
+// region sharing lane 0's packed B, and one that does not runs on lane
+// 0 by the same path as a lane ≥ 0.
+func matmulLane(p *Pool, lane int, dst, a, b []float32, m, n, k, lda, ldb int, transA, transB, acc bool) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -113,22 +123,23 @@ func matmulInto(p *Pool, dst, a, b []float32, m, n, k, lda, ldb int, transA, tra
 	groupPanels := min((maxRegionChunks+mBlocks-1)/mBlocks, maxSlabPanels, nPanels)
 	s := gemmSlab{dst: dst, a: a, b: b, m: m, n: n, lda: lda, transA: transA,
 		kcMax: min(blockK, k), mcMax: min(blockM, m), panel: min(blockK, k) * min(blockN, n)}
-	packB := p.scratchBuf(scratchPackB, groupPanels*s.panel)
+	own := max(lane, 0)
+	packB := p.laneScratch(own, scratchPackB, groupPanels*s.panel)
 	for jg := 0; jg < nPanels; jg += groupPanels {
 		gPanels := min(groupPanels, nPanels-jg)
 		for pc := 0; pc < k; pc += blockK {
 			kc := min(blockK, k-pc)
 			// The group's B panels are packed once per slab, outside
-			// the parallel region: workers share the packed panels
-			// rather than each repacking them.
+			// any region: its workers share the packed panels rather
+			// than each repacking them.
 			for jp := 0; jp < gPanels; jp++ {
 				jc := (jg + jp) * blockN
 				packPanelB(packB[jp*s.panel:], b, pc, kc, jc, min(blockN, n-jc), ldb, transB)
 			}
 			s.packB, s.jg, s.gPanels, s.pc, s.kc, s.first = packB, jg, gPanels, pc, kc, pc == 0 && !acc
 			tiles := mBlocks * gPanels
-			if p.inline(tiles, 1) {
-				s.tiles(p, 0, 0, tiles)
+			if lane >= 0 || p.inline(tiles, 1) {
+				s.tiles(p, own, 0, tiles)
 			} else {
 				s.forTiles(p, tiles)
 			}
@@ -239,8 +250,7 @@ func packPanelB(pb, b []float32, pc, kc, jc, nc, ldb int, transB bool) {
 // where the target has an FMA (arm64 today, amd64 at whatever GOAMD64
 // level starts to), so each output element is the same ascending-k
 // chain of one rounded multiply and one rounded add in the assembly
-// tile and the Go tile, on every build. attention.go writes its dots
-// the same way, because FusedAttention promises the bits of this chain.
+// tile and the Go tile, on every build.
 func matmulMicro(dst, pa, pb []float32, ic, mc, jc, nc, kc, ldc int, first bool) {
 	i := 0
 	for ; i+4 <= mc; i += 4 {

@@ -71,13 +71,13 @@ type Pool struct {
 type laneScratchSet [scratchSlots][]float32
 
 // Scratch slot assignments for the pool's kernel workspaces. Kernels
-// may nest (Conv2D's im2col path calls the matmul kernel), so each
-// concern owns a distinct slot.
+// may nest (Conv2D's im2col path and attention call the matmul
+// kernel), so each concern owns a distinct slot.
 const (
 	scratchPackA     = iota // matmul: packed A panel (per lane)
-	scratchPackB            // matmul: packed B panel (caller-side)
+	scratchPackB            // matmul: packed B panels (per lane; lane 0's when a slab splits)
 	scratchIm2col           // conv: im2col patch matrix (caller-side)
-	scratchAttn             // attention: one score row of length S (per lane)
+	scratchAttn             // attention: one R×S score block, R = min(S, blockM) (per lane)
 	scratchLRN              // LRN: one pixel's squares, scales and powers (per lane)
 	scratchReduce           // reduction: chunk partials (caller-side, disjoint per chunk)
 	scratchPointwise        // block evaluator: one block per load and intermediate (per lane)
