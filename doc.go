@@ -33,11 +33,15 @@
 // model's one graph holds its backward pass, whose gradient taps read
 // every gate of an LSTM cell, but an inference fetch set never runs
 // them, so there each cell's 13-op tail of Slices, Sigmoids, Tanhs,
-// Muls and an Add becomes two steps. A fused step runs the block
-// evaluator (tensor.Program) and gives each element the float32 op
-// sequence of the unfused ops, so fused and unfused plans are
-// bit-identical. The paper characterises TensorFlow 0.8, which did not
-// fuse, so core.Run — the profile behind every figure — compiles
+// Muls and an Add becomes two steps. Every element-wise op, fused or
+// not, runs on one kernel, the block evaluator (tensor.Program): an
+// unfused op is a one-instruction program (tensor.PointwiseInto), a
+// fused step a longer one that gives each element the same float32 op
+// sequence, so fused and unfused plans are bit-identical. An operand is
+// read wherever it broadcasts to the output — a bias, a row, a scalar or
+// a (1,S,d) table under (B,S,d) alike — so no operand shape keeps an op
+// out of a fused set. The paper characterises TensorFlow 0.8, which did
+// not fuse, so core.Run — the profile behind every figure — compiles
 // unfused plans (runtime.WithUnfusedPlans); serving, training and the
 // benchmark run fused.
 //
@@ -212,7 +216,8 @@
 // a value and at the set's shape. The head runs first into the step's
 // slot and the block evaluator then applies the bias add, the
 // activation and whatever else the set holds to each output block in
-// turn, over the same float sequence, so a GEMM or convolution and its
+// turn, reading the slot in place, over the same float sequence as the
+// unfused ops' one-instruction programs, so a GEMM or convolution and its
 // epilogue cost one arena round-trip and stay bit-identical to the
 // unfused plan. The gates are the fuse pass's own (compile.go): gradient
 // taps keep pre-activations out of a training plan's sets, fetched

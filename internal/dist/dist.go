@@ -393,12 +393,6 @@ func (t *Trainer) Partition() dataset.Partition { return t.part }
 // Steps returns the number of applied global steps.
 func (t *Trainer) Steps() int { return t.step }
 
-// StepsRun reports how many steps this trainer itself has executed —
-// the count behind fathom_train_steps_total. Unlike Steps it is never
-// moved by LoadCheckpoint, and it is safe to read from a metrics
-// scrape while Step runs.
-func (t *Trainer) StepsRun() int { return t.phases.Total() }
-
 // Lanes returns the loss vector's length K: 1 for a plain workload,
 // the fusion width for a fused program.
 func (t *Trainer) Lanes() int { return t.lanes }

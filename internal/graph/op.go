@@ -129,10 +129,11 @@ type ViewOp interface {
 
 // Pointwise is what an index-pure element-wise kernel may add: its
 // result at every index is its scalar function of its inputs at that
-// index, after broadcasting, and its kernel computes exactly that
-// function per element. The runtime's fuse pass may then run it inside
-// one step with the element-wise ops around it (tensor.Program), with
-// the same bits.
+// index, after broadcasting, and its kernel is that function's
+// one-instruction program (tensor.PointwiseInto). The runtime's fuse
+// pass may then run it inside one step with the element-wise ops around
+// it, as one more instruction of the same block evaluator
+// (tensor.Program), with the same bits.
 type Pointwise interface {
 	Pointwise() tensor.ScalarFn
 }

@@ -38,11 +38,6 @@ func ScalarConst(g *graph.Graph, v float32) *graph.Node {
 	return g.Const(fmt.Sprintf("const_%g", v), tensor.Scalar(v))
 }
 
-// ConstTensor adds a tensor constant node.
-func ConstTensor(g *graph.Graph, name string, t *tensor.Tensor) *graph.Node {
-	return g.Const(name, t)
-}
-
 // elemBytes is the storage size of one element.
 const elemBytes = 4
 

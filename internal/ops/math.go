@@ -65,7 +65,7 @@ func (o binOp) fn() func(a, b float32) float32 {
 }
 
 func (o binOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
-	return tensor.BinaryOpInto(ctx.Pool, out, in[0], in[1], o.fn())
+	return tensor.PointwiseInto(ctx.Pool, out, o.Pointwise(), in...)
 }
 
 // Pointwise implements graph.Pointwise.
@@ -157,7 +157,7 @@ func lessEqualFn(a, b float32) float32 {
 }
 
 func (lessEqualOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
-	return tensor.BinaryOpInto(ctx.Pool, out, in[0], in[1], lessEqualFn)
+	return tensor.PointwiseInto(ctx.Pool, out, tensor.ScalarFn{Bin: lessEqualFn}, in...)
 }
 
 // LessEqual returns the 0/1 mask of a <= b (no gradient).
@@ -181,7 +181,7 @@ func equalFn(a, b float32) float32 {
 }
 
 func (equalOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
-	return tensor.BinaryOpInto(ctx.Pool, out, in[0], in[1], equalFn)
+	return tensor.PointwiseInto(ctx.Pool, out, tensor.ScalarFn{Bin: equalFn}, in...)
 }
 
 // Equal returns the 0/1 mask of a == b (no gradient).
@@ -244,7 +244,7 @@ func (o unOp) fn() func(x float32) float32 {
 }
 
 func (o unOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
-	return tensor.UnaryOpInto(ctx.Pool, out, in[0], o.fn())
+	return tensor.PointwiseInto(ctx.Pool, out, o.Pointwise(), in...)
 }
 
 // Pointwise implements graph.Pointwise.
@@ -332,7 +332,7 @@ func reluGradFn(gv, xv float32) float32 {
 }
 
 func (reluGradOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
-	return tensor.BinaryOpInto(ctx.Pool, out, in[0], in[1], reluGradFn)
+	return tensor.PointwiseInto(ctx.Pool, out, tensor.ScalarFn{Bin: reluGradFn}, in...)
 }
 
 // ---- Pow with constant exponent (class C) ----
@@ -355,7 +355,7 @@ func (o powOp) fn() func(x float32) float32 {
 }
 
 func (o powOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
-	return tensor.UnaryOpInto(ctx.Pool, out, in[0], o.fn())
+	return tensor.PointwiseInto(ctx.Pool, out, tensor.ScalarFn{Un: o.fn()}, in...)
 }
 func (o powOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
 	x := n.Inputs()[0]
@@ -394,7 +394,7 @@ func (o huberOp) fn() func(x float32) float32 {
 }
 
 func (o huberOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
-	return tensor.UnaryOpInto(ctx.Pool, out, in[0], o.fn())
+	return tensor.PointwiseInto(ctx.Pool, out, tensor.ScalarFn{Un: o.fn()}, in...)
 }
 func (o huberOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
 	// d/dx Huber = clamp(x, -δ, δ): the DQN error-clipping trick.

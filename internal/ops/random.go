@@ -121,18 +121,12 @@ func (o *dropoutOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out
 	return o.applyMask(ctx, x, out)
 }
 
-// applyMask multiplies x by the saved mask into out. A stack is viewed
-// as (lanes, S) against the mask as (S), which is BinaryOp's trailing-
-// broadcast path; products are elementwise, so every lane holds the
-// bits a standalone run computes.
+// applyMask multiplies x by the saved mask into out. A stack's mask has
+// the per-lane shape, which broadcasts over the leading lane axis;
+// products are elementwise, so every lane holds the bits a standalone
+// run computes.
 func (o *dropoutOp) applyMask(ctx *graph.ExecContext, x, out *tensor.Tensor) error {
-	mask := o.mask
-	if o.lead > 0 {
-		s := mask.Size()
-		lanes := x.Size() / s
-		out, x, mask = tensor.FromSlice(out.Data(), lanes, s), tensor.FromSlice(x.Data(), lanes, s), tensor.FromSlice(mask.Data(), s)
-	}
-	return tensor.BinaryOpInto(ctx.Pool, out, x, mask, func(a, m float32) float32 { return a * m })
+	return tensor.PointwiseInto(ctx.Pool, out, tensor.ScalarFn{Bin: func(a, m float32) float32 { return a * m }}, x, o.mask)
 }
 func (o *dropoutOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
 	return []*graph.Node{g.MustApply(&dropoutGradOp{src: o}, grad)}, nil

@@ -184,8 +184,8 @@ type fusedStep struct {
 }
 
 // ForwardInto runs the head, then the program over the step's operands.
-// The head writes every element of out, and the program gathers each
-// block's loads before it stores the block, so out aliases no input.
+// The head writes every element of out, and the program reads each
+// element of a block before it stores it, so out aliases no input.
 func (f *fusedStep) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
 	if f.head != nil {
 		if err := f.head.ForwardInto(ctx, in[:f.arity], out); err != nil {
@@ -213,8 +213,8 @@ func (sc *schedule) pure(i int) bool {
 }
 
 // memberOf reports whether op step i is an element-wise kernel a fused
-// set may hold, and how. Its shape is the set's output shape, so every
-// operand it reads from outside must be an affine read of it.
+// set may hold, and how. Its shape is the set's output shape; an operand
+// it reads from outside is a load, which reads whatever broadcasts to it.
 func (sc *schedule) memberOf(i int) (member, bool) {
 	if !sc.pure(i) {
 		return member{}, false
@@ -229,11 +229,6 @@ func (sc *schedule) memberOf(i int) (member, bool) {
 	pw, ok := op.(graph.Pointwise)
 	if !ok {
 		return member{}, false
-	}
-	for _, in := range ins {
-		if !tensor.AffineOperand(in.Shape(), st.node.Shape()) {
-			return member{}, false
-		}
 	}
 	return member{fn: pw.Pointwise()}, true
 }

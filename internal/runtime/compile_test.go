@@ -710,7 +710,7 @@ func (noisyTanh) InferShape(in [][]int) ([]int, error) {
 	return append([]int(nil), in[0]...), nil
 }
 func (o noisyTanh) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
-	return tensor.UnaryOpInto(ctx.Pool, out, in[0], o.Pointwise().Un)
+	return tensor.PointwiseInto(ctx.Pool, out, o.Pointwise(), in...)
 }
 func (noisyTanh) Pointwise() tensor.ScalarFn {
 	return tensor.ScalarFn{Un: func(x float32) float32 { return float32(math.Tanh(float64(x))) }}
@@ -848,11 +848,11 @@ func TestFusePass(t *testing.T) {
 			a := ops.Sigmoid(g.Placeholder("x", 4, 1))
 			return g, []*graph.Node{ops.Add(a, g.Placeholder("y", 4, 6))}
 		}, nil},
-		{"an operand that is not affine", func() (*graph.Graph, []*graph.Node) {
+		{"an operand broadcast along a leading axis", func() (*graph.Graph, []*graph.Node) {
 			g := graph.New()
 			a := ops.Sigmoid(g.Placeholder("x", 2, 4, 6))
 			return g, []*graph.Node{ops.Add(a, g.Placeholder("y", 4, 1))}
-		}, nil},
+		}, []string{"Sigmoid+Add"}},
 		{"an Impure neighbour", func() (*graph.Graph, []*graph.Node) {
 			g := graph.New()
 			a := ops.Sigmoid(g.Placeholder("x", 4, 6))
@@ -944,23 +944,34 @@ func TestFusedStepIsOneOp(t *testing.T) {
 }
 
 // TestRandomDAGFusesHeads reports how many of randomDAG's fused steps
-// have a head, over 200 seeds, so FuzzPlanCompile's fused-vs-unfused
-// axis is known to reach headed steps.
+// have a head, and how many read the (1,2,6) operand broadcast along a
+// leading axis, over 200 seeds, so FuzzPlanCompile's fused-vs-unfused
+// axis is known to reach both.
 func TestRandomDAGFusesHeads(t *testing.T) {
-	fused, headed := 0, 0
+	fused, headed, leading := 0, 0, 0
 	for seed := int64(1); seed <= 200; seed++ {
 		g, _, fetches := randomDAG(seed, 10+int(seed*7)%50)
 		for _, st := range NewSession(g).Plan(fetches).steps {
-			if st.fused != nil {
-				fused++
-				if st.fused.head != nil {
-					headed++
+			if st.fused == nil {
+				continue
+			}
+			fused++
+			if st.fused.head != nil {
+				headed++
+			}
+			for _, o := range st.fused.operands {
+				if tensor.SameShape(o.Shape(), []int{1, 2, 6}) {
+					leading++
+					break
 				}
 			}
 		}
 	}
-	t.Logf("randomDAG, 200 seeds: %d fused steps, %d headed", fused, headed)
+	t.Logf("randomDAG, 200 seeds: %d fused steps, %d headed, %d reading a leading-axis broadcast", fused, headed, leading)
 	if headed == 0 {
 		t.Error("no randomDAG plan has a headed fused step")
+	}
+	if leading == 0 {
+		t.Error("no randomDAG plan fuses an operand broadcast along a leading axis")
 	}
 }

@@ -367,8 +367,9 @@ func TestParallelPanicRethrown(t *testing.T) {
 // randomDAG builds a deterministic pseudo-random training graph:
 // random fan-in/fan-out over (4,6) tensors with a stateful-op mix
 // (dropout, RNG sampling, in-place SGD updates), view chains, the
-// element-wise ops the fuse pass joins — over operands of shape (4,1)
-// and (6) and last-axis Slices of wider products — a loss, fetched
+// element-wise ops the fuse pass joins — over operands of shape (4,1),
+// (6) and (1,2,6), the last under a (2,2,6) view, and last-axis Slices
+// of wider products — a loss, fetched
 // intermediates and gradient-descent updates. Half the picks take the
 // newest node, so single-reader chains form next to values with several
 // readers. Built twice with the same seed it yields structurally
@@ -382,6 +383,7 @@ func randomDAG(seed int64, size int) (*graph.Graph, *graph.Node, []*graph.Node) 
 	w := g.Variable("w", tensor.Full(0.11, 6, 6))
 	wide := g.Variable("wide", tensor.Full(0.03, 6, 12))
 	bias := g.Variable("bias", tensor.Full(0.2, 6))
+	pos := g.Variable("pos", tensor.Full(-0.1, 1, 2, 6))
 	cur := ops.Add(ops.MatMul(ops.Add(x, v1), w), v2)
 	pool := []*graph.Node{cur}
 	pick := func() *graph.Node {
@@ -392,7 +394,7 @@ func randomDAG(seed int64, size int) (*graph.Graph, *graph.Node, []*graph.Node) 
 	}
 	for i := 0; i < size; i++ {
 		var nd *graph.Node
-		switch r.Intn(15) {
+		switch r.Intn(16) {
 		case 0:
 			nd = ops.Relu(pick())
 		case 1:
@@ -426,6 +428,10 @@ func randomDAG(seed int64, size int) (*graph.Graph, *graph.Node, []*graph.Node) 
 		case 14:
 			// A window onto a wider product, at any column offset.
 			nd = ops.SliceN(ops.MatMul(pick(), wide), []int{0, r.Intn(7)}, []int{-1, 6})
+		case 15:
+			// A broadcast along the leading axis of a (2,2,6) view, which
+			// the Tanh reading the sum fuses as an operand.
+			nd = ops.Reshape(ops.Tanh(ops.Add(ops.Reshape(pick(), 2, 2, 6), pos)), 4, 6)
 		}
 		pool = append(pool, nd)
 	}
@@ -434,14 +440,14 @@ func randomDAG(seed int64, size int) (*graph.Graph, *graph.Node, []*graph.Node) 
 	for i := 0; i < 2; i++ {
 		loss = ops.Add(loss, ops.Sum(pick()))
 	}
-	params := []*graph.Node{v1, v2, w, wide, bias}
+	params := []*graph.Node{v1, v2, w, wide, bias, pos}
 	grads, err := graph.Gradients(loss, params)
 	if err != nil {
 		panic(err)
 	}
 	fetches := []*graph.Node{loss, pick(), pick()}
 	for i, v := range params {
-		if grads[i] != nil { // wide and bias reach the loss only if drawn
+		if grads[i] != nil { // wide, bias and pos reach the loss only if drawn
 			fetches = append(fetches, ops.ApplySGD(v, grads[i], 0.003))
 		}
 	}

@@ -22,8 +22,8 @@ func naiveAttentionRef(t testing.TB, p *Pool, q, k, v *Tensor, scale float32) *T
 		t.Fatal(err)
 	}
 	scores := naiveBatchMatMul(t, p, q, kt)
-	scaled, err := BinaryOp(p, scores, Scalar(scale), func(a, b float32) float32 { return a * b })
-	if err != nil {
+	scaled := New(scores.shape...)
+	if err := PointwiseInto(p, scaled, ScalarFn{Bin: func(a, b float32) float32 { return a * b }}, scores, Scalar(scale)); err != nil {
 		t.Fatal(err)
 	}
 	w := Softmax(p, scaled)

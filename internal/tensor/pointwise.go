@@ -1,12 +1,16 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// The block evaluator: one kernel for any straight line of element-wise
-// ops. The runtime's fuse pass builds its programs: it runs a connected
-// set of single-reader element-wise ops of a plan as one step, after the
-// set's head — a GEMM or a convolution, say — has written the
-// destination the program then reads through Dest.
+// The block evaluator: the one kernel of every element-wise op. An op
+// that runs alone is a one-instruction program (PointwiseInto). The
+// runtime's fuse pass builds longer ones: it runs a connected set of
+// single-reader element-wise ops of a plan as one step, after the set's
+// head — a GEMM or a convolution, say — has written the destination the
+// program then reads through Dest.
 
 // ScalarFn is an element-wise op's scalar function: Un for an op of one
 // operand, Bin for an op of two.
@@ -16,16 +20,17 @@ type ScalarFn struct {
 }
 
 // Dest, as a Load's In, reads the destination's current contents: an
-// epilogue runs over what its head kernel wrote there. Every load of a
-// block is gathered before the block's last instruction writes it.
+// epilogue runs over what its head kernel wrote there. A block's last
+// instruction writes each element after every read of it.
 const Dest = -1
 
-// Load is one operand of a Program, gathered into a slot of its own for
-// each block. View the output as rows × cols, cols being its last axis.
-// A plain load reads input In at a map from the output index that is
-// affine in row and column, derived from the shapes (see AffineOperand).
-// A window reads columns [Col, Col+cols) of each row of In, rows being
-// RowStride long: a last-axis Slice, read in place instead of copied.
+// Load is one operand of a Program. View the output as rows × cols, cols
+// being its last axis. A plain load reads input In wherever it
+// broadcasts to the output, at stride 0 along each axis it lacks or
+// holds at 1 (a bias; a (1,S,d) table under (B,S,d)). One of the
+// output's shape is read in place, any other gathered into a slot per
+// block. A window reads columns [Col, Col+cols) of each row of In, rows
+// being RowStride long: a last-axis Slice, read instead of copied out.
 type Load struct {
 	In             int
 	Window         bool
@@ -39,14 +44,15 @@ type Instr struct {
 	A, B int
 }
 
-// Program is a fused element-wise kernel. Its instructions run in order
-// over each block of the output; the last one writes the output, and
-// every other result is stored to its slot in lane scratch as float32.
-// Each element therefore sees exactly the float32 op sequence of the
-// unfused ops — the same scalar functions on the same values, every
-// intermediate rounded to float32 in memory, so nothing can contract
-// into a multiply-add across instructions — and the result is
-// bit-identical to running them one op at a time, at every width.
+// Program is an element-wise kernel: one op, or a fused set of them. Its
+// instructions run in order over each block of the output; the last one
+// writes the output, and every other result is stored to its slot in
+// lane scratch as float32. Each element therefore sees exactly the
+// float32 op sequence of the unfused ops — the same scalar functions on
+// the same values, every intermediate rounded to float32 in memory, so
+// nothing can contract into a multiply-add across instructions — and the
+// result is bit-identical to running them one op at a time, at every
+// width.
 type Program struct {
 	Loads []Load
 	Code  []Instr
@@ -56,82 +62,123 @@ type Program struct {
 // of a program a few dozen instructions long stay in L1.
 const pointwiseBlock = 256
 
-// pointwiseGrain is the chunk rule's grain in elements: the one the
-// unfused element-wise kernels split at.
+// pointwiseGrain is the chunk rule's grain in elements.
 const pointwiseGrain = 16384
 
-// AffineOperand reports whether an operand of shape in is read from an
-// output of shape out by a map affine in row and column: the same shape,
-// a row broadcast such as (B,1), a column broadcast such as a bias (C),
-// or a scalar. Any other broadcast, and any operand that broadens out,
-// is not.
-func AffineOperand(in, out []int) bool {
-	_, _, ok := operandMap(in, out)
-	return ok
+// operand is a load resolved against a run's tensors: output element
+// (r, c) of the rows × cols view reads src[rowAt(r) + c*cs].
+type operand struct {
+	src        []float32
+	shape, out []int // the operand's and the output's
+	off, cs    int
+	direct     bool // the output's own layout: read in place
 }
 
-// operandMap is how an operand of shape in is read at element (r, c) of
-// an output of shape out viewed as rows × cols: at r*rs + c*cs.
-func operandMap(in, out []int) (rs, cs int, ok bool) {
-	if len(in) > len(out) {
-		return 0, 0, false
-	}
-	if len(out) == 0 {
-		return 0, 0, true
-	}
-	pad := len(out) - len(in)
-	same, ones := true, true
-	for k := 0; k < len(out)-1; k++ {
-		d := 1
-		if k >= pad {
-			d = in[k-pad]
-		}
-		if d != out[k] && d != 1 {
-			return 0, 0, false
-		}
-		same = same && d == out[k]
-		ones = ones && d == 1
-	}
-	last := 1
-	if len(in) > 0 {
-		last = in[len(in)-1]
-	}
-	switch last {
-	case out[len(out)-1]:
-		cs = 1
-	case 1:
-		cs = 0
-	default:
-		return 0, 0, false
-	}
-	switch {
-	case same:
-		rs = last
-	case ones:
-		rs = 0
-	default:
-		return 0, 0, false
-	}
-	return rs, cs, true
-}
-
-// at resolves a load against the run's tensors: the data it reads and
-// the map from output element (r, c) to off + r*rs + c*cs.
-func (l Load) at(in []*Tensor, out *Tensor, cols int) (src []float32, off, rs, cs int, ok bool) {
+// resolve maps the load onto the run's tensors, or says why it cannot:
+// an operand that broadens the output or its rank, or does not
+// broadcast to it, or a window that does not fit its input's rows.
+func (l Load) resolve(in []*Tensor, out *Tensor, cols int) (operand, error) {
 	t := out
 	if l.In != Dest {
 		t = in[l.In]
 	}
-	if !l.Window {
-		rs, cs, ok = operandMap(t.shape, out.shape)
-		return t.data, 0, rs, cs, ok
+	o := operand{src: t.data, shape: t.shape, out: out.shape}
+	pad, last := len(out.shape)-len(t.shape), 1
+	if len(t.shape) > 0 {
+		last = t.shape[len(t.shape)-1]
 	}
-	ok = len(t.shape) == len(out.shape) && len(t.shape) > 0 &&
-		t.shape[len(t.shape)-1] == l.RowStride && l.Col >= 0 && l.Col+cols <= l.RowStride
-	for k := 0; ok && k < len(t.shape)-1; k++ {
-		ok = t.shape[k] == out.shape[k]
+	ok := pad >= 0
+	for k := max(pad, 0); ok && k < len(out.shape)-1; k++ {
+		ok = t.shape[k-pad] == out.shape[k] || t.shape[k-pad] == 1
 	}
-	return t.data, l.Col, l.RowStride, 1, ok
+	switch {
+	case l.Window:
+		o.off, o.cs = l.Col, 1
+		ok = ok && len(t.shape) > 0 && last == l.RowStride && l.Col >= 0 && l.Col+cols <= last
+	case last == cols:
+		o.cs = 1
+	case last != 1:
+		ok = false
+	}
+	if !ok {
+		return o, fmt.Errorf("tensor: element-wise operand %v (window %t at column %d) does not broadcast to output %v",
+			t.shape, l.Window, l.Col, out.shape)
+	}
+	o.direct = !l.Window && SameShape(t.shape, out.shape)
+	return o, nil
+}
+
+// rowAt is where output row r starts in the operand: the row's index
+// along each leading axis, at the operand's stride along it, 0 where the
+// operand broadcasts or lacks the axis.
+func (o *operand) rowAt(r int) int {
+	at, stride := o.off, 1
+	if n := len(o.shape); n > 0 {
+		stride = o.shape[n-1]
+	}
+	for k, j := len(o.out)-2, len(o.shape)-2; j >= 0 && r > 0; k, j = k-1, j-1 {
+		if o.shape[j] != 1 {
+			at += r % o.out[k] * stride
+		}
+		r /= o.out[k]
+		stride *= o.shape[j]
+	}
+	return at
+}
+
+// gather copies columns [c0,c0+w) of rows [r0,r1) into dst, row after
+// row.
+func (o *operand) gather(dst []float32, r0, r1, c0, w int) {
+	for r := r0; r < r1; r++ {
+		seg, at := dst[(r-r0)*w:(r-r0+1)*w], o.rowAt(r)+c0*o.cs
+		if o.cs == 1 {
+			copy(seg, o.src[at:at+w])
+			continue
+		}
+		seg[0] = o.src[at]
+		for j := 1; j < w; j *= 2 {
+			copy(seg[j:], seg[:j])
+		}
+	}
+}
+
+// PointwiseInto runs one element-wise op into out: fn.Un over in[0], or
+// fn.Bin over in[0] and in[1], each read wherever it broadcasts to out,
+// which must have their broadcast shape. It is the block evaluator's
+// one-instruction program, so an op gives the same bits alone as fused
+// into a longer one; a width-1 call allocates nothing. out is fully
+// overwritten and must not alias an operand.
+func PointwiseInto(p *Pool, out *Tensor, fn ScalarFn, in ...*Tensor) error {
+	arity := 1
+	if fn.Bin != nil {
+		arity = 2
+	}
+	if len(in) != arity || !spans(out.shape, in) {
+		shapes := make([][]int, len(in))
+		for i, t := range in {
+			shapes[i] = t.shape
+		}
+		return fmt.Errorf("tensor: element-wise destination %v for operands %v: want %d of them and their broadcast shape", out.shape, shapes, arity)
+	}
+	prog := Program{Loads: []Load{{In: 0}, {In: 1}}[:arity], Code: []Instr{{Fn: fn, A: 0, B: 1}}}
+	return prog.Run(p, out, in)
+}
+
+// spans reports whether some operand holds each axis of out at out's
+// extent. With Run's check that each operand broadcasts to out, that
+// makes out their broadcast shape, without allocating one to compare.
+func spans(out []int, in []*Tensor) bool {
+	for k, d := range out {
+		held := false
+		for _, t := range in {
+			pad := len(out) - len(t.shape)
+			held = held || k >= pad && t.shape[k-pad] == d
+		}
+		if !held {
+			return false
+		}
+	}
+	return true
 }
 
 // Run evaluates the program into out; in holds the tensors the loads
@@ -140,88 +187,96 @@ func (l Load) at(in []*Tensor, out *Tensor, cols int) (src []float32, off, rs, c
 // grain; a width-1 run allocates nothing.
 func (p *Program) Run(pool *Pool, out *Tensor, in []*Tensor) error {
 	checkNoAlias("pointwise program", out, in...)
-	rows, cols := 1, 1
+	g := pointwiseGeom{rows: 1, cols: 1, rowsPer: 1, tiles: 1}
 	if r := len(out.shape); r > 0 {
-		rows, cols = SizeOf(out.shape[:r-1]), out.shape[r-1]
+		g.rows, g.cols = SizeOf(out.shape[:r-1]), out.shape[r-1]
 	}
-	for _, l := range p.Loads {
-		if _, _, _, _, ok := l.at(in, out, cols); !ok {
-			src := out
-			if l.In != Dest {
-				src = in[l.In]
-			}
-			return fmt.Errorf("tensor: fused element-wise operand %v (window %t at column %d) is not an affine read of output %v",
-				src.shape, l.Window, l.Col, out.shape)
+	for k, l := range p.Loads {
+		o, err := l.resolve(in, out, g.cols)
+		if err != nil {
+			return err
+		}
+		if o.direct {
+			g.direct |= 1 << k // 0 past bit 63: such a load is gathered
 		}
 	}
-	if rows*cols == 0 {
+	if g.rows*g.cols == 0 {
 		return nil
 	}
-	r := pointwiseRun{prog: p, out: out, in: in, rows: rows, cols: cols, rowsPer: 1, tiles: 1}
-	if cols >= pointwiseBlock {
-		r.tiles = (cols + pointwiseBlock - 1) / pointwiseBlock
+	if g.cols >= pointwiseBlock {
+		g.tiles = (g.cols + pointwiseBlock - 1) / pointwiseBlock
 	} else {
-		r.rowsPer = pointwiseBlock / cols
+		g.rowsPer = pointwiseBlock / g.cols
 	}
-	blocks := (rows + r.rowsPer - 1) / r.rowsPer * r.tiles
-	grain := max(1, pointwiseGrain/(r.rowsPer*min(cols, pointwiseBlock)))
+	blocks := (g.rows + g.rowsPer - 1) / g.rowsPer * g.tiles
+	grain := max(1, pointwiseGrain/(g.rowsPer*min(g.cols, pointwiseBlock)))
 	if pool.inline(blocks, grain) {
-		r.blocks(pool, 0, 0, blocks)
+		pointwiseRun{g, p.Loads, p.Code, out, in}.blocks(pool, 0, 0, blocks)
 	} else {
-		r.forBlocks(pool, blocks, grain)
+		g.forBlocks(pool, p.Loads, p.Code, out, in, blocks, grain)
 	}
 	return nil
 }
 
-// pointwiseRun is one Run's geometry: a block is rowsPer whole rows, or,
-// for rows of at least pointwiseBlock, one of a row's tiles.
-type pointwiseRun struct {
-	prog                       *Program
-	out                        *Tensor
-	in                         []*Tensor
+// pointwiseGeom is one Run's geometry: a block is rowsPer whole rows,
+// or, for rows of at least pointwiseBlock, one of a row's tiles. Bit k
+// of direct says load k is read in place.
+type pointwiseGeom struct {
 	rows, cols, rowsPer, tiles int
+	direct                     uint64
 }
 
-// forBlocks runs the blocks as a pool region. It takes the run by value
-// so that only a region that splits moves one to the heap for its
-// closure (see Pool.inline).
-func (r pointwiseRun) forBlocks(pool *Pool, blocks, grain int) {
+// pointwiseRun is a Run: its geometry, program and tensors.
+type pointwiseRun struct {
+	pointwiseGeom
+	loads []Load
+	code  []Instr
+	out   *Tensor
+	in    []*Tensor
+}
+
+// forBlocks runs the blocks as a pool region. Its closure may run on a
+// helper, so what it holds moves to the heap: copies, so that neither
+// the caller's program nor its operand list has to, and a run that does
+// not split allocates nothing (see Pool.inline).
+func (g pointwiseGeom) forBlocks(pool *Pool, loads []Load, code []Instr, out *Tensor, in []*Tensor, blocks, grain int) {
+	r := pointwiseRun{g, slices.Clone(loads), slices.Clone(code), out, slices.Clone(in)}
 	pool.ForLane(blocks, grain, func(lane, lo, hi int) { r.blocks(pool, lane, lo, hi) })
 }
 
-// blocks evaluates blocks [lo,hi) on lane: gather every load, then run
-// each instruction as one loop over the block.
+// blocks evaluates blocks [lo,hi) on lane: gather every load that is
+// not read in place, then run each instruction as one loop over the
+// block.
 func (r pointwiseRun) blocks(pool *Pool, lane, lo, hi int) {
-	loads, code := r.prog.Loads, r.prog.Code
-	last := len(code) - 1
-	scratch := pool.laneScratch(lane, scratchPointwise, (len(loads)+last)*pointwiseBlock)
+	last := len(r.code) - 1
+	scratch := pool.laneScratch(lane, scratchPointwise, (len(r.loads)+last)*pointwiseBlock)
 	for b := lo; b < hi; b++ {
 		r0 := b / r.tiles * r.rowsPer
 		r1 := min(r.rows, r0+r.rowsPer)
 		c0 := b % r.tiles * pointwiseBlock
 		w := min(r.cols, c0+pointwiseBlock) - c0
-		n := (r1 - r0) * w
-		slot := func(s int) []float32 { return scratch[s*pointwiseBlock : s*pointwiseBlock+n] }
-		for k, l := range loads {
-			src, off, rs, cs, _ := l.at(r.in, r.out, r.cols)
-			dst := slot(k)
-			for row := r0; row < r1; row++ {
-				base := off + row*rs + c0*cs
-				seg := dst[(row-r0)*w : (row-r0+1)*w]
-				if cs == 1 {
-					copy(seg, src[base:base+w])
-				} else {
-					v := src[base]
-					for j := range seg {
-						seg[j] = v
-					}
+		at, n := r0*r.cols+c0, (r1-r0)*w // a block is one run of the output
+		slot := func(s int) []float32 {
+			if s < len(r.loads) && r.direct>>s&1 == 1 {
+				t := r.out
+				if l := r.loads[s]; l.In != Dest {
+					t = r.in[l.In]
 				}
+				return t.data[at : at+n]
 			}
+			return scratch[s*pointwiseBlock : s*pointwiseBlock+n]
 		}
-		for k, ins := range code {
-			dst := r.out.data[r0*r.cols+c0 : r0*r.cols+c0+n]
+		for k, l := range r.loads {
+			if r.direct>>k&1 == 1 {
+				continue
+			}
+			o, _ := l.resolve(r.in, r.out, r.cols)
+			o.gather(slot(k), r0, r1, c0, w)
+		}
+		for k, ins := range r.code {
+			dst := r.out.data[at : at+n]
 			if k < last {
-				dst = slot(len(loads) + k)
+				dst = slot(len(r.loads) + k)
 			}
 			if f := ins.Fn.Un; f != nil {
 				x := slot(ins.A)[:len(dst)]

@@ -8,52 +8,46 @@ import (
 	"repro/internal/sched"
 )
 
-func TestAffineOperand(t *testing.T) {
-	for _, c := range []struct {
-		in, out []int
-		want    bool
-	}{
-		{[]int{4, 16}, []int{4, 16}, true},         // same shape
-		{[]int{4, 1}, []int{4, 16}, true},          // row broadcast
-		{[]int{16}, []int{4, 16}, true},            // column broadcast (bias)
-		{[]int{1, 16}, []int{4, 16}, true},         // column broadcast, kept rank
-		{[]int{}, []int{4, 16}, true},              // scalar
-		{[]int{1, 1}, []int{4, 16}, true},          // scalar, kept rank
-		{[]int{2, 3, 1}, []int{2, 3, 7}, true},     // row broadcast over two leading axes
-		{[]int{1, 1, 7}, []int{2, 3, 7}, true},     // bias of a rank-3 output
-		{[]int{}, []int{}, true},                   // scalar of a scalar
-		{[]int{3, 1}, []int{2, 3, 7}, false},       // broadcast along one leading axis only
-		{[]int{1, 3, 7}, []int{2, 3, 7}, false},    // the same
-		{[]int{4, 16}, []int{4, 1}, false},         // broadens the output
-		{[]int{1, 4, 16}, []int{4, 16}, false},     // broadens its rank
-		{[]int{4, 8}, []int{4, 16}, false},         // does not broadcast
-		{[]int{5}, []int{}, false},                 // broadens a scalar
-		{[]int{2, 1, 7}, []int{2, 3, 7}, false},    // broadcast inside the leading axes
-		{[]int{1, 3, 1}, []int{2, 3, 7}, false},    // the same, row-wise
-		{[]int{2, 3, 7}, []int{2, 3, 7}, true},     // same shape, rank 3
-		{[]int{1}, []int{2, 3, 7}, true},           // scalar, rank 1
-		{[]int{7}, []int{1, 1, 7}, true},           // one row: any leading map
-		{[]int{6, 1}, []int{6, 1}, true},           // one column
-		{[]int{1}, []int{6, 1}, true},              // one column, scalar
-		{[]int{6}, []int{6, 1}, false},             // a column as a row: does not broadcast
-		{[]int{1, 6}, []int{6, 1}, false},          // the same, kept rank
-		{[]int{6, 1}, []int{6, 6}, true},           // row broadcast, square
-		{[]int{6}, []int{6, 6}, true},              // column broadcast, square
-		{[]int{1, 1, 1}, []int{2, 3, 7}, true},     // scalar, kept rank
-		{[]int{2, 3, 7, 1}, []int{2, 3, 7}, false}, // broadens its rank
-	} {
-		if got := AffineOperand(c.in, c.out); got != c.want {
-			t.Errorf("AffineOperand(%v, %v) = %t, want %t", c.in, c.out, got, c.want)
-		}
-	}
-}
-
 func sigmoid32(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }
 func tanh32(x float32) float32    { return float32(math.Tanh(float64(x))) }
 func add32(x, y float32) float32  { return x + y }
 func sub32(x, y float32) float32  { return x - y }
 func mul32(x, y float32) float32  { return x * y }
 func div32(x, y float32) float32  { return x / y }
+
+// naivePointwise is fn over the operands broadcast to shape, one output
+// index at a time: the reference the block evaluator is held to. It
+// shares no code with Program.
+func naivePointwise(shape []int, fn ScalarFn, in ...*Tensor) *Tensor {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	out := &Tensor{shape: append([]int{}, shape...), data: make([]float32, n)}
+	idx := make([]int, len(shape))
+	at := func(t *Tensor) float32 {
+		off, stride := 0, 1
+		for k := len(t.shape) - 1; k >= 0; k-- {
+			if t.shape[k] != 1 {
+				off += idx[k+len(shape)-len(t.shape)] * stride
+			}
+			stride *= t.shape[k]
+		}
+		return t.data[off]
+	}
+	for i := range out.data {
+		rem := i
+		for k := len(shape) - 1; k >= 0; k-- {
+			idx[k], rem = rem%shape[k], rem/shape[k]
+		}
+		if fn.Un != nil {
+			out.data[i] = fn.Un(at(in[0]))
+		} else {
+			out.data[i] = fn.Bin(at(in[0]), at(in[1]))
+		}
+	}
+	return out
+}
 
 // cellProgram is an LSTM cell's state update over gates (R, 4C), then a
 // tail over every other operand kind: a row broadcast r (R, 1), a bias
@@ -81,8 +75,8 @@ func cellProgram(c int) Program {
 	}
 }
 
-// cellUnfused is cellProgram one op at a time, through the unfused
-// kernels.
+// cellUnfused is cellProgram one op at a time: the slices through
+// SliceTensorInto, every other op through naivePointwise.
 func cellUnfused(t *testing.T, p *Pool, g, cs, r, bias, s *Tensor) *Tensor {
 	t.Helper()
 	rows, c := cs.shape[0], cs.shape[1]
@@ -94,25 +88,17 @@ func cellUnfused(t *testing.T, p *Pool, g, cs, r, bias, s *Tensor) *Tensor {
 		return out
 	}
 	un := func(fn func(float32) float32, a *Tensor) *Tensor {
-		out := New(a.shape...)
-		if err := UnaryOpInto(p, out, a, fn); err != nil {
-			t.Fatal(err)
-		}
-		return out
+		return naivePointwise(a.shape, ScalarFn{Un: fn}, a)
 	}
 	bin := func(fn func(x, y float32) float32, a, b *Tensor) *Tensor {
-		out := New(rows, c)
-		if err := BinaryOpInto(p, out, a, b, fn); err != nil {
-			t.Fatal(err)
-		}
-		return out
+		return naivePointwise([]int{rows, c}, ScalarFn{Bin: fn}, a, b)
 	}
 	next := bin(add32, bin(mul32, un(sigmoid32, slice(1)), cs), bin(mul32, un(sigmoid32, slice(0)), un(tanh32, slice(3))))
 	return bin(div32, bin(mul32, bin(sub32, next, r), bias), s)
 }
 
-// TestProgramMatchesUnfusedOps: the block evaluator gives the unfused
-// ops' bits for every load kind — windows, same shape, row and column
+// TestProgramMatchesUnfusedOps: the block evaluator gives the naive
+// reference's bits for every load kind — windows, same shape, row and column
 // broadcasts, a scalar — over shapes that make one block, several
 // whole-row blocks, row tiles and a split region, at pool widths 1, 2
 // and 4, with NaN, ±Inf and −0 among the inputs.
@@ -137,7 +123,7 @@ func TestProgramMatchesUnfusedOps(t *testing.T) {
 				t.Fatal(err)
 			}
 			if i, ok := sameBits(got.data, want.data); !ok {
-				t.Fatalf("%dx%d at width %d: element %d is %v, unfused %v", rows, c, w, i, got.data[i], want.data[i])
+				t.Fatalf("%dx%d at width %d: element %d is %v, naive %v", rows, c, w, i, got.data[i], want.data[i])
 			}
 		}
 	}
@@ -151,13 +137,7 @@ func TestProgramReadsItsDestination(t *testing.T) {
 	for _, shape := range [][2]int{{4, 16}, {3, 600}} {
 		out := RandNormal(rng, 0, 1, shape[0], shape[1])
 		bias := RandNormal(rng, 0, 1, shape[1])
-		want := New(out.shape...)
-		if err := BinaryOpInto(NewPool(1), want, out, bias, add32); err != nil {
-			t.Fatal(err)
-		}
-		if err := UnaryOpInto(NewPool(1), want, want.Clone(), tanh32); err != nil {
-			t.Fatal(err)
-		}
+		want := naivePointwise(out.shape, ScalarFn{Un: tanh32}, naivePointwise(out.shape, ScalarFn{Bin: add32}, out, bias))
 		prog := Program{
 			Loads: []Load{{In: Dest}, {In: 0}},
 			Code:  []Instr{{Fn: ScalarFn{Bin: add32}, A: 0, B: 1}, {Fn: ScalarFn{Un: tanh32}, A: 2}},
@@ -171,25 +151,72 @@ func TestProgramReadsItsDestination(t *testing.T) {
 	}
 }
 
-// TestProgramRefusesOperandsItCannotMap: a plain operand that is not an
-// affine read of the output and a window that does not fit its input are
-// errors, not out-of-range reads.
+// TestProgramRefusesOperandsItCannotMap: a plain operand that broadens
+// the output or its rank, or does not broadcast to it, and a window that
+// does not fit its input are errors, not out-of-range reads.
 func TestProgramRefusesOperandsItCannotMap(t *testing.T) {
 	neg := Program{Loads: []Load{{In: 0}}, Code: []Instr{{Fn: ScalarFn{Un: tanh32}}}}
 	for _, c := range []struct {
-		name string
-		prog Program
-		in   *Tensor
-		out  *Tensor
+		name    string
+		prog    Program
+		in, out []int
 	}{
-		{"broadcast along one leading axis", neg, New(3, 1), New(2, 3, 7)},
-		{"broadens the output", neg, New(4, 8), New(4, 1)},
-		{"window past its row", Program{Loads: []Load{{In: 0, Window: true, Col: 5, RowStride: 8}}, Code: neg.Code}, New(4, 8), New(4, 4)},
-		{"window of another row count", Program{Loads: []Load{{In: 0, Window: true, Col: 0, RowStride: 8}}, Code: neg.Code}, New(3, 8), New(4, 4)},
-		{"window with a wrong row stride", Program{Loads: []Load{{In: 0, Window: true, Col: 0, RowStride: 6}}, Code: neg.Code}, New(4, 8), New(4, 4)},
+		{"broadens the output", neg, []int{4, 16}, []int{4, 1}},
+		{"broadens its rank", neg, []int{1, 4, 16}, []int{4, 16}},
+		{"broadens its rank by a trailing axis", neg, []int{2, 3, 7, 1}, []int{2, 3, 7}},
+		{"broadens a scalar", neg, []int{5}, []int{}},
+		{"does not broadcast", neg, []int{4, 8}, []int{4, 16}},
+		{"a column as a row", neg, []int{6}, []int{6, 1}},
+		{"a column as a row, kept rank", neg, []int{1, 6}, []int{6, 1}},
+		{"a leading axis that does not broadcast", neg, []int{3, 1}, []int{2, 4, 7}},
+		{"window past its row", Program{Loads: []Load{{In: 0, Window: true, Col: 5, RowStride: 8}}, Code: neg.Code}, []int{4, 8}, []int{4, 4}},
+		{"window of another row count", Program{Loads: []Load{{In: 0, Window: true, Col: 0, RowStride: 8}}, Code: neg.Code}, []int{3, 8}, []int{4, 4}},
+		{"window with a wrong row stride", Program{Loads: []Load{{In: 0, Window: true, Col: 0, RowStride: 6}}, Code: neg.Code}, []int{4, 8}, []int{4, 4}},
 	} {
-		if err := c.prog.Run(NewPool(1), c.out, []*Tensor{c.in}); err == nil {
-			t.Errorf("%s: ran", c.name)
+		if err := c.prog.Run(NewPool(1), New(c.out...), []*Tensor{New(c.in...)}); err == nil {
+			t.Errorf("%s: %v into %v ran", c.name, c.in, c.out)
+		}
+	}
+}
+
+// TestPointwiseReadsEveryBroadcast: a plain operand of any shape that
+// broadcasts to the output is read at the naive reference's index — the
+// same shape, row, column and scalar broadcasts, and a broadcast along a
+// leading axis alone, inside the leading axes or over several of them.
+func TestPointwiseReadsEveryBroadcast(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, c := range []struct{ in, out []int }{
+		{[]int{4, 16}, []int{4, 16}},           // same shape
+		{[]int{4, 1}, []int{4, 16}},            // row broadcast
+		{[]int{16}, []int{4, 16}},              // column broadcast (bias)
+		{[]int{1, 16}, []int{4, 16}},           // column broadcast, kept rank
+		{[]int{}, []int{4, 16}},                // scalar
+		{[]int{1, 1}, []int{4, 16}},            // scalar, kept rank
+		{[]int{2, 3, 1}, []int{2, 3, 7}},       // row broadcast over two leading axes
+		{[]int{1, 1, 7}, []int{2, 3, 7}},       // bias of a rank-3 output
+		{[]int{}, []int{}},                     // scalar of a scalar
+		{[]int{3, 1}, []int{2, 3, 7}},          // broadcast along one leading axis
+		{[]int{1, 3, 7}, []int{2, 3, 7}},       // a positional table: (1,S,d) under (B,S,d)
+		{[]int{2, 1, 7}, []int{2, 3, 7}},       // broadcast inside the leading axes: (B,1,d)
+		{[]int{1, 3, 1}, []int{2, 3, 7}},       // the same, row-wise
+		{[]int{2, 1, 3, 1}, []int{2, 4, 3, 5}}, // alternating axes
+		{[]int{1}, []int{2, 3, 7}},             // scalar, rank 1
+		{[]int{7}, []int{1, 1, 7}},             // one row
+		{[]int{6, 1}, []int{6, 1}},             // one column
+		{[]int{1}, []int{6, 1}},                // one column, scalar
+		{[]int{1, 300}, []int{3, 2, 300}},      // row tiles under a leading broadcast
+	} {
+		a := RandNormal(rng, 0, 1, c.out...)
+		b := RandNormal(rng, 0, 1, c.in...)
+		for _, args := range [][2]*Tensor{{a, b}, {b, a}} {
+			got := Full(float32(math.NaN()), c.out...)
+			if err := PointwiseInto(NewPool(1), got, ScalarFn{Bin: sub32}, args[0], args[1]); err != nil {
+				t.Fatalf("%v against %v: %v", c.in, c.out, err)
+			}
+			want := naivePointwise(c.out, ScalarFn{Bin: sub32}, args[0], args[1])
+			if i, ok := sameBits(got.data, want.data); !ok {
+				t.Fatalf("%v against %v: element %d is %v, naive %v", c.in, c.out, i, got.data[i], want.data[i])
+			}
 		}
 	}
 }
@@ -210,4 +237,134 @@ func TestProgramAllocatesNothing(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("a width-1 run allocates %v objects", allocs)
 	}
+}
+
+// TestPointwiseAllocatesNothing: a width-1 call of the entry point
+// builds its one-instruction program on the stack and runs it inline,
+// for a bias add and for a broadcast along a leading axis.
+func TestPointwiseAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	p := NewPool(1)
+	for _, c := range []struct{ a, b []int }{
+		{[]int{4, 16}, []int{16}},
+		{[]int{2, 3, 7}, []int{1, 3, 7}},
+	} {
+		a, b, out := RandNormal(rng, 0, 1, c.a...), RandNormal(rng, 0, 1, c.b...), New(c.a...)
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := PointwiseInto(p, out, ScalarFn{Bin: add32}, a, b); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%v + %v allocates %v objects per call at width 1, want 0", c.a, c.b, allocs)
+		}
+	}
+}
+
+// FuzzPointwise: the entry point over fuzzed output ranks 0–4 and
+// operands that broadcast to the output — a leading axis dropped or held
+// at 1, as a (1,S,d) or (B,1,d) operand is — with NaN, ±Inf and −0
+// poisoned in, gives the naive reference's bits at widths 1 and 2, NaNs
+// of any payload counted equal. An operand shape made not to broadcast,
+// or to broaden the output's rank, is an error and not a panic.
+func FuzzPointwise(f *testing.F) {
+	f.Add(uint8(3), uint32(0x4321), uint16(0), uint8(0), []byte{}, int64(1))
+	f.Add(uint8(3), uint32(0x1356), uint16(0x0101), uint8(3), []byte{0, 1, 9, 2}, int64(2))
+	f.Add(uint8(2), uint32(0x2f), uint16(0x0200), uint8(6), []byte{5, 3}, int64(3))
+	f.Add(uint8(0x82), uint32(0x35), uint16(0x0002), uint8(2), []byte{3, 4, 200, 5, 77, 6}, int64(4))
+	f.Add(uint8(4), uint32(0xabcd), uint16(0x1010), uint8(0x13), []byte{}, int64(5))
+	ex := sched.New(1)
+	f.Cleanup(ex.Close)
+	pools := map[int]*Pool{1: NewPool(1), 2: NewParallelPool(2, ex)}
+	poison := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), float32(math.Copysign(0, -1))}
+	maximum := func(x, y float32) float32 {
+		if x > y {
+			return x
+		}
+		return y
+	}
+	minimum := func(x, y float32) float32 {
+		if x < y {
+			return x
+		}
+		return y
+	}
+	fns := []ScalarFn{{Bin: add32}, {Bin: sub32}, {Bin: mul32}, {Bin: div32}, {Bin: maximum}, {Bin: minimum}, {Un: tanh32}}
+	f.Fuzz(func(t *testing.T, rankB uint8, dims uint32, masks uint16, op uint8, poisons []byte, seed int64) {
+		// The output: rank 0–4, each extent 1–7 or, one time in sixteen, 0.
+		// The high bit widens the last two axes, so the run splits into
+		// row tiles and chunks.
+		out := make([]int, rankB%5)
+		for k := range out {
+			v := int(dims >> (4 * k) & 15)
+			out[k] = v%7 + 1
+			if v == 15 {
+				out[k] = 0
+			}
+		}
+		if rankB&0x80 != 0 && len(out) >= 2 {
+			out[len(out)-1] += 300
+			out[len(out)-2] *= 40
+		}
+		fn := fns[int(op)%len(fns)]
+		// An operand's mask byte: bits 0–2 drop leading axes, bits 3–5
+		// hold axes at 1, bit 6 prepends an axis of 2 and bit 7 bends one
+		// extent, most often so that it no longer broadcasts.
+		rng := rand.New(rand.NewSource(seed))
+		arity := 2
+		if fn.Un != nil {
+			arity = 1
+		}
+		var in []*Tensor
+		for j := 0; j < arity; j++ {
+			m := int(masks >> (8 * j) & 0xff)
+			shape := append([]int(nil), out[min(m&7%5, len(out)):]...)
+			for k := range shape {
+				if m>>(3+k%3)&1 != 0 {
+					shape[k] = 1
+				}
+			}
+			if m&0x80 != 0 && len(shape) > 0 {
+				shape[int(dims>>20)%len(shape)] += 2
+			}
+			if m&0x40 != 0 {
+				shape = append([]int{2}, shape...)
+			}
+			x := RandNormal(rng, 0, 1, shape...)
+			for i := 0; i+1 < len(poisons) && len(x.data) > 0; i += 2 {
+				if int(poisons[i+1]>>2)%arity == j {
+					x.data[int(poisons[i])*len(x.data)/256] = poison[poisons[i+1]&3]
+				}
+			}
+			in = append(in, x)
+		}
+		want, err := in[0].shape, error(nil)
+		if arity == 2 {
+			want, err = BroadcastShapes(in[0].shape, in[1].shape)
+		}
+		for w, p := range pools {
+			got := Full(float32(math.NaN()), out...)
+			gotErr := PointwiseInto(p, got, fn, in...)
+			if err != nil || !SameShape(want, out) {
+				if gotErr == nil {
+					t.Fatalf("operands %v into %v at width %d: no error", shapesOf(in), out, w)
+				}
+				continue
+			}
+			if gotErr != nil {
+				t.Fatalf("operands %v into %v at width %d: %v", shapesOf(in), out, w, gotErr)
+			}
+			ref := naivePointwise(out, fn, in...)
+			if i, ok := sameBits(got.data, ref.data); !ok {
+				t.Fatalf("operands %v into %v at width %d: element %d is %v, naive %v", shapesOf(in), out, w, i, got.data[i], ref.data[i])
+			}
+		}
+	})
+}
+
+func shapesOf(in []*Tensor) [][]int {
+	var s [][]int
+	for _, t := range in {
+		s = append(s, t.shape)
+	}
+	return s
 }

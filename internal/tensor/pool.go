@@ -18,8 +18,8 @@ type Executor interface {
 
 // Pool runs the chunked loops of tensor kernels — the analogue of the
 // Eigen thread pool TensorFlow used on CPUs when the paper was
-// written. The matmul, conv, reduce and broadcast kernels all drive it
-// through For, ForLane and run, and a region runs one of three ways:
+// written. The matmul, conv, reduce and element-wise kernels all drive
+// it through For, ForLane and run, and a region runs one of three ways:
 //
 //   - Inline: at width 1, or when a region does not split, chunks run
 //     in order on the calling goroutine and nothing is recorded.
