@@ -16,18 +16,19 @@
 // (internal/runtime/compile.go): schedule (topological order), fuse (a
 // connected set of element-wise ops whose values nothing outside the
 // set reads, counted inside this plan, becomes one step), liveness
-// (when each destination's buffer dies, which fetches must be cloned),
-// constrain (the scheduling edges below) and assign (a slot in a
-// size-bucketed buffer arena, tensor.Arena, for every destination,
-// shared between disjoint lifetimes). An operation is one of two kinds
+// (when each destination dies, which fetches must be cloned),
+// constrain (the scheduling edges below) and assign (an offset in the
+// session's one slab, tensor.Arena, for every destination, placed
+// greedy by size so that disjoint lifetimes share floats; the slab is
+// sized to the largest plan the session compiled). An operation is one of two kinds
 // (graph.Op): a kernel, which writes its result into a destination it
 // is handed, or a view (graph.ViewOp: Reshape, Identity), which
 // computes nothing. One rule feeds the passes: a root is a step
-// that owns storage — a kernel step owns its arena slot, a variable
+// that owns storage — a kernel step owns its slot, a variable
 // owns its tensor — and a view step references what its input
 // references. Steady-state steps therefore run with near-zero heap
 // allocation, and tensors returned from Session.Run are copied out of
-// arena memory, so results stay valid across steps.
+// the slab, so results stay valid across steps.
 //
 // Fusion is a decision of the compiled plan, not of the graph: a
 // model's one graph holds its backward pass, whose gradient taps read
@@ -57,8 +58,8 @@
 // goroutine plus up to n-1 helpers instead, over the edges the
 // constrain pass records — data edges, variable hazard edges, a serial
 // lane chaining Impure (stateful/RNG) operations in schedule order —
-// and the arena anti-dependency edges of the assign pass, which gate
-// buffer reuse on the completion of every reader of the buffer's
+// and the anti-dependency edges of the assign pass, which gate a
+// slot's sharing of floats on the completion of every reader of their
 // previous value. The ready queue is a max-heap keyed by longest
 // processing time to a sink, so the drain starts critical-path work
 // first.
@@ -218,7 +219,7 @@
 // activation and whatever else the set holds to each output block in
 // turn, reading the slot in place, over the same float sequence as the
 // unfused ops' one-instruction programs, so a GEMM or convolution and its
-// epilogue cost one arena round-trip and stay bit-identical to the
+// epilogue cost one pass over the slot and stay bit-identical to the
 // unfused plan. The gates are the fuse pass's own (compile.go): gradient
 // taps keep pre-activations out of a training plan's sets, fetched
 // values stay, and a step joins a set only if no update rewrites a
@@ -482,9 +483,9 @@
 // adds nothing to the request hot path. A serving process exposes the
 // registry in Prometheus 0.0.4 text format at /metrics — serve
 // admission/shed/latency families per model, shared worker-pool
-// gauges, per-engine arena utilization, and dist/fuse training
+// gauges, per-engine slab sizes, and dist/fuse training
 // throughput — next to the JSON /stats endpoint (which also carries
-// arena and queue-wait quantile blocks).
+// slab and queue-wait quantile blocks).
 //
 // Request tracing samples at admission: `fathom serve -tracesample N`
 // traces every Nth request end to end, the decision made exactly once

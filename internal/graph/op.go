@@ -94,8 +94,8 @@ type ExecContext struct {
 //     and computes its result into a destination the caller owns. out
 //     has the statically inferred output shape, holds arbitrary stale
 //     data, and never aliases an input: a kernel writes out before it
-//     is done reading its inputs, and a compiled plan hands it recycled
-//     arena memory (see the runtime package). ForwardInto must fully
+//     is done reading its inputs, and a compiled plan hands it slab
+//     floats another step used before (see the runtime package). ForwardInto must fully
 //     overwrite out — zeroing it first if it accumulates — and must
 //     never read it.
 //   - a view implements ViewOp and computes nothing.
@@ -149,7 +149,7 @@ type Window interface {
 // Forward runs op on in and returns the result in a tensor of its own
 // (a view's result shares its input's storage). It is a convenience for
 // constant folding and tests, not a method of any op and not on a
-// step's path: compiled plans call ForwardInto on arena memory.
+// step's path: compiled plans call ForwardInto on slab memory.
 func Forward(ctx *ExecContext, op Op, in []*tensor.Tensor) (*tensor.Tensor, error) {
 	if v, ok := op.(ViewOp); ok {
 		return v.View(in)

@@ -5,7 +5,7 @@
 // between serial execution and a 4-wide inter-op schedule — the
 // scheduler contract — and (c) between fused and unfused plans — the
 // fusion contract. Any future scheduler or compile change that perturbs
-// RNG order, variable update order, arena buffer lifetimes or an
+// RNG order, variable update order, slot lifetimes in the slab or an
 // element's float32 op sequence fails this test for at least one of the
 // ten workloads.
 package models_test
@@ -373,7 +373,7 @@ func TestFusedArrayDeterminism(t *testing.T) {
 }
 
 // TestDeterminismHarnessGuardedByArena runs one representative wide
-// workload (memnet: parallel hops) under the arena's buffer-lifetime
+// workload (memnet: parallel hops) under the arena's slab-range
 // assertion hook at inter-op width 4.
 func TestDeterminismHarnessGuardedByArena(t *testing.T) {
 	m, err := core.New("memnet")

@@ -5,14 +5,15 @@ package runtime
 //	schedule   topological order, roots
 //	fuse       connected element-wise sets read only inside themselves, each with at
 //	           most one other kernel at its head, become one step
-//	liveness   when each arena slot dies, which fetches must be cloned
+//	liveness   when each slot dies, which fetches must be cloned
 //	constrain  data, variable-hazard and Impure-lane scheduling edges
-//	assign     arena buffers for the slots, reuse gated by the edges
+//	assign     an offset in the session slab for each slot, sharing gated by the edges
 //
-// Every pass is a function of its arguments alone (assign also draws
-// from the arena it is handed), so each has a table test on hand-built
-// graphs in compile_test.go, and checkPlan there states what a finished
-// plan must satisfy. A session made WithUnfusedPlans skips fuse.
+// Every pass is a function of its arguments alone, so each has a table
+// test on hand-built graphs in compile_test.go, and checkPlan there
+// states what a finished plan must satisfy. A session made
+// WithUnfusedPlans skips fuse. compile then binds the plan's slots to
+// the slab.
 //
 // The reader rule, stated once: fuse counts a value's readers among the
 // op steps of this plan — the fetch set's transitive dependencies —
@@ -28,14 +29,15 @@ package runtime
 // the read moved to the set's output, stays out of the set.
 //
 // The root rule, stated once: a root is a step that owns storage — a
-// kernel step owns its arena slot, a variable step owns its tensor — and
+// kernel step owns its slot, a variable step owns its tensor — and
 // a view step references what its input references (graph.Op has the
 // two kinds). Constants and feeds own nothing the plan manages. Slot
-// lifetimes, copy-on-fetch, variable hazards, buffer-reuse gating and
-// the guard's read sets are all read off that one analysis.
+// lifetimes, copy-on-fetch, variable hazards, the gating of shared
+// floats and the guard's read sets are all read off that one analysis.
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -235,7 +237,7 @@ func (sc *schedule) memberOf(i int) (member, bool) {
 
 // fuse is the second pass: every connected set of element-wise steps
 // whose values nothing outside the set reads becomes one step with one
-// arena slot, computing the set's one remaining value. Readers are
+// slot, computing the set's one remaining value. Readers are
 // counted by the reader rule above. A step joins the set of its readers
 // when
 //
@@ -443,12 +445,10 @@ func (sc *schedule) fusedStep(set []int, head int, group []int) planStep {
 }
 
 // liveness is the third pass. slotEnd[r] is the schedule position
-// after which slot r's buffer is dead — the last use of any value that
-// references it — and 0 where step r owns no slot (a slot is read
-// after position 0). A slot reachable from a fetch is pinned for the
-// whole run (position len(steps)) and that fetch is cloned on the way
-// out (fetchCopy). Indexed by step, so buffers are released — and enter
-// the LIFO free list — in schedule order, the same in every compile.
+// after which slot r's floats are dead — the last use of any value that
+// references it, at least r — and 0 where step r owns no slot. A slot
+// reachable from a fetch is pinned for the whole run (position
+// len(steps)) and that fetch is cloned on the way out (fetchCopy).
 func liveness(sc *schedule) (slotEnd []int, fetchCopy []bool) {
 	n := len(sc.steps)
 	lastUse := make([]int, n)
@@ -486,9 +486,9 @@ func liveness(sc *schedule) (slotEnd []int, fetchCopy []bool) {
 type edgeSet struct {
 	succs [][]int32 // scheduling successors of each step
 	preds [][]int32 // scheduling predecessors (mirror of succs)
-	// predsCP excludes arena anti-dependency edges: the semantic
+	// predsCP excludes the slab's anti-dependency edges: the semantic
 	// constraints (data, variable hazard, serial Impure lane) that any
-	// buffer assignment must respect. Critical paths are computed over
+	// slab layout must respect. Critical paths are computed over
 	// these, so the reported achievable speedup is width-independent;
 	// the makespan simulation uses the full preds, which do include
 	// the anti-dependency resource constraints of this plan.
@@ -497,9 +497,10 @@ type edgeSet struct {
 	edges   int     // scheduling edges (incl. hazard/serial/anti)
 
 	// Compile-time only. Edges into one target are added in a burst
-	// (constrain's walk reaches it, later assign reuses a buffer for
-	// it), so "from→to is recorded" is a stamp per source holding the
-	// burst's target, re-seeded from preds[to] when the target changes.
+	// (constrain's walk reaches it, later assign places it over earlier
+	// slots), so "from→to is recorded" is a stamp per source holding
+	// the burst's target, re-seeded from preds[to] when the target
+	// changes.
 	stamp  []int32
 	target int
 }
@@ -587,7 +588,7 @@ func constrain(sc *schedule) *edgeSet {
 }
 
 // ancestorCap bounds the plans assign builds ancestor bitsets for
-// (n² bits); larger plans fall back to maximal reuse.
+// (n² bits); larger plans fall back to maximal sharing.
 const ancestorCap = 8192
 
 // ancestry holds, for each op step, the set of steps that reach it
@@ -618,40 +619,51 @@ func (a ancestry) has(anc, of int) bool {
 	return a.bits[of*a.words+anc/64]&(1<<uint(anc%64)) != 0
 }
 
-// assign is the fifth pass: greedy buffer assignment. It walks the
-// schedule and frees each slot's buffer as soon as the scan passes its
-// last use, so later slots with disjoint lifetimes reuse it. A step's
-// destination is drawn while all of its inputs' buffers are still
-// checked out, so out never aliases an input. It sets each kernel step's
-// out and every op step's guard read set, and reports how many slots
-// it assigned over how many distinct buffers.
+// slabAlign is the alignment of a slot's offset in the slab, in floats:
+// 64 bytes.
+const slabAlign = 16
+
+func alignUp(n int) int { return (n + slabAlign - 1) / slabAlign * slabAlign }
+
+// assign is the fifth pass: it places every kernel slot at an offset in
+// the session's slab, greedy by size — largest first, ties in schedule
+// order, so the offsets are a pure function of the plan — each at the
+// first aligned offset whose range meets no slot it conflicts with. A
+// slot conflicts with every slot whose lifetime, from its step to
+// slotEnd inclusive, meets its own, so a step's destination never
+// overlaps an input that dies at that step. It sets each kernel step's
+// offset and every op step's guard read set, and reports how many slots
+// it placed, how many of them sit on floats no earlier slot of the plan
+// used, and the slab floats the plan needs with and without sharing.
 //
-// Completion-count gating: when step i reuses the buffer slot sl
-// released, sequential execution is safe because i runs after sl's
-// last reader by position; under parallel execution that ordering
-// must be explicit. Two strategies, by session width:
+// Completion-count gating: when slot s overlaps slot p that died
+// earlier, sequential execution is safe because s runs after p's last
+// reader by position; under parallel execution that ordering must be
+// explicit. Two strategies, by session width:
 //
 //   - interOp == 1 (and plans too large for ancestor bitsets):
-//     maximal reuse, with anti-dependency edges from sl and every
-//     reader of sl to the acquiring step. Transitively (each acquirer
-//     waits for the previous holder's readers and is itself ordered
-//     before the next acquirer) a buffer's whole access history stays
+//     maximal sharing, with anti-dependency edges to s from the last
+//     earlier slot on each float of its range and that slot's readers.
+//     Transitively (each slot waits for the previous holder of its floats
+//     and that holder's readers) every float's access history stays
 //     sequential.
-//   - interOp > 1: parallelism-aware reuse — a freed buffer is taken
-//     only when the releasing slot and all of its readers are already
-//     ancestors of the acquiring step through constrain's edges, so
-//     reuse never serializes independent branches; otherwise the step
-//     draws a fresh buffer (more memory, no lost concurrency).
-func assign(sc *schedule, slotEnd []int, e *edgeSet, interOp int, arena *tensor.Arena) (slots, buffers int) {
+//   - interOp > 1: parallelism-aware sharing — two slots conflict unless
+//     the earlier one and all of its readers are already ancestors of
+//     the later one through constrain's edges, so sharing never
+//     serializes independent branches (more memory, no lost
+//     concurrency).
+func assign(sc *schedule, slotEnd []int, e *edgeSet, interOp int) (slots, buffers, floats, unshared int) {
 	n := len(sc.steps)
 	// readers[sl]: every op step whose inputs may reference slot sl's
 	// value (via views included) — the completion set that gates
-	// recycling sl's buffer under parallel execution.
+	// sharing sl's floats under parallel execution, and step i's
+	// guard read set the other way round.
 	readers := make([][]int32, n)
 	for i, set := range sc.reads {
 		for _, sl := range set {
 			if sc.isSlot(sl) {
 				readers[sl] = append(readers[sl], int32(i))
+				sc.steps[i].readSlots = append(sc.steps[i].readSlots, &sc.steps[sl])
 			}
 		}
 	}
@@ -673,85 +685,78 @@ func assign(sc *schedule, slotEnd []int, e *edgeSet, interOp int, arena *tensor.
 		}
 		return true
 	}
+	// apart reports whether slots a < b may share floats.
+	apart := func(a, b int) bool { return slotEnd[a] < b && (!useAnc || orderedBefore(a, b)) }
 
-	releaseAt := make([][]int, n)
-	for sl, end := range slotEnd {
-		if end > 0 && end < n {
-			releaseAt[end] = append(releaseAt[end], sl)
+	var order []int // the slots in schedule order
+	size := make([]int, n)
+	for i := range sc.steps {
+		if sc.steps[i].kernel != nil {
+			order = append(order, i)
+			size[i] = tensor.SizeOf(sc.steps[i].node.Shape())
+			unshared += alignUp(size[i])
 		}
 	}
-	type buffer struct {
-		data []float32 // full size-class capacity
-		id   int32     // first-assignment index
-		slot int       // slot that last held it
-	}
-	held := make([]buffer, n)      // held[sl]: the buffer behind slot sl
-	freelist := map[int][]buffer{} // size class → freed buffers (LIFO)
-	for i := range sc.steps {
-		if st := &sc.steps[i]; st.kernel != nil {
-			size := tensor.SizeOf(st.node.Shape())
-			bkt := tensor.BucketFor(size)
-			free := freelist[bkt]
-			pick := len(free) - 1
-			for useAnc && pick >= 0 && !orderedBefore(free[pick].slot, i) {
-				pick--
+	bySize := slices.Clone(order)
+	slices.SortStableFunc(bySize, func(a, b int) int { return size[b] - size[a] })
+	offs := make([]int, n)
+	placed := make([]int, 0, len(order)) // by offset
+	for _, s := range bySize {
+		off := 0
+		// Past off+size[s], no placed slot can move off any more.
+		for _, p := range placed {
+			if offs[p] >= off+size[s] {
+				break
 			}
-			var buf buffer
-			if pick < 0 {
-				buf = buffer{data: arena.Get(size), id: int32(buffers)}
-				buffers++
-			} else {
-				buf = free[pick]
-				freelist[bkt] = append(free[:pick], free[pick+1:]...)
-				if !useAnc {
-					e.add(buf.slot, i, true)
-					for _, r := range readers[buf.slot] {
-						e.add(int(r), i, true)
+			if end := offs[p] + alignUp(size[p]); end > off && !apart(min(p, s), max(p, s)) {
+				off = end
+			}
+		}
+		offs[s], sc.steps[s].off = off, off
+		floats = max(floats, off+size[s])
+		k, _ := slices.BinarySearchFunc(placed, off, func(p, off int) int { return offs[p] - off })
+		placed = slices.Insert(placed, k, s)
+	}
+
+	// Walk the slots in schedule order over owner, the last slot (plus
+	// one) on each aligned block of the slab: a slot on an owned block
+	// reuses floats, and at inter-op 1 waits for the owner.
+	owner := make([]int32, (floats+slabAlign-1)/slabAlign)
+	for _, s := range order {
+		reused, prev := false, int32(0)
+		for b := offs[s] / slabAlign; b < (offs[s]+size[s]+slabAlign-1)/slabAlign; b++ {
+			if p := owner[b]; p != 0 {
+				if p != prev && !useAnc {
+					e.add(int(p-1), s, true)
+					for _, r := range readers[p-1] {
+						e.add(int(r), s, true)
 					}
 				}
-				// Hand the reused buffer to the arena and take it
-				// straight back: compile-time reuse is then counted like
-				// any other recycled Get, so a plan's
-				// ArenaStats.ReuseRatio is (slots−buffers)/slots. The
-				// assignment above must stand, so the round trip has to
-				// return the very buffer it was given.
-				arena.Put(buf.data)
-				if back := arena.Get(size); &back[:1][0] != &buf.data[:1][0] {
-					panic("runtime: arena round trip returned another buffer")
-				}
+				reused, prev = true, p
 			}
-			buf.slot = i
-			held[i] = buf
-			st.out = tensor.FromSlice(buf.data[:size], st.node.Shape()...)
-			slots++
+			owner[b] = int32(s + 1)
 		}
-		for _, sl := range releaseAt[i] {
-			b := held[sl]
-			b.data = b.data[:cap(b.data)]
-			freelist[cap(b.data)] = append(freelist[cap(b.data)], b)
+		if !reused {
+			buffers++
 		}
 	}
-	// Freed buffers not re-acquired go back to the session arena for
-	// other plans (runs of different plans never overlap).
-	for _, free := range freelist {
-		for _, b := range free {
-			arena.Put(b.data)
-		}
-	}
+	return len(order), buffers, floats, unshared
+}
 
-	// Guard read sets: the distinct arena buffers each op step's
-	// inputs may reference (consulted only when a tensor.BufferGuard
-	// is installed, i.e. in test builds).
-	seen := make([]int, buffers) // seen[id] == i+1: already in step i's set
-	for i, set := range sc.reads {
-		for _, sl := range set {
-			if b := held[sl]; sc.isSlot(sl) && seen[b.id] != i+1 {
-				seen[b.id] = i + 1
-				sc.steps[i].readBufs = append(sc.steps[i].readBufs, sc.steps[sl].out.Data())
-			}
+// bind points every kernel step of the plan at its range of slab —
+// three-index, so a kernel cannot reach its neighbour's range — and
+// drops the last run's values and gathered inputs, which may view a
+// slab the plan no longer uses.
+func (p *Plan) bind(slab []float32) {
+	clear(p.values)
+	for i := range p.steps {
+		st := &p.steps[i]
+		clear(st.in)
+		if st.kernel != nil {
+			end := st.off + tensor.SizeOf(st.node.Shape())
+			st.out = tensor.FromSlice(slab[st.off:end:end], st.node.Shape()...)
 		}
 	}
-	return slots, buffers
 }
 
 // compile builds the execution plan of a fetch set from the five
@@ -763,7 +768,7 @@ func (s *Session) compile(fetches []*graph.Node) *Plan {
 	}
 	slotEnd, fetchCopy := liveness(sc)
 	edges := constrain(sc)
-	slots, buffers := assign(sc, slotEnd, edges, s.interOp, s.arena)
+	slots, buffers, floats, unshared := assign(sc, slotEnd, edges, s.interOp)
 	edges.stamp = nil
 	n := len(sc.steps)
 	plan := &Plan{
@@ -775,5 +780,13 @@ func (s *Session) compile(fetches []*graph.Node) *Plan {
 		timing: make([]opTiming, n),
 	}
 	plan.rank(nil)
+	// Plans of one session never run at once: all of them share its one
+	// slab, and a larger plan moves every cached plan to a larger slab.
+	if s.arena.Fit(floats, unshared) {
+		for _, p := range s.planCache {
+			p.bind(s.arena.Slab())
+		}
+	}
+	plan.bind(s.arena.Slab())
 	return plan
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/models/nn"
@@ -51,7 +52,7 @@ func TestUnion(t *testing.T) {
 	}
 }
 
-// viewGraph is the shape the root rule exists for: an arena-backed
+// viewGraph is the shape the root rule exists for: a slot-backed
 // product and a variable, each seen again through a chain of views.
 func viewGraph() (g *graph.Graph, x, w, mm, view, wview, side *graph.Node) {
 	g = graph.New()
@@ -186,7 +187,7 @@ func TestLivenessFreesGradientAtItsUpdate(t *testing.T) {
 		}
 	}
 	if !fetchCopy[0] || !fetchCopy[1] {
-		t.Errorf("fetchCopy %v: both fetches sit in arena slots", fetchCopy)
+		t.Errorf("fetchCopy %v: both fetches sit in slots", fetchCopy)
 	}
 }
 
@@ -257,30 +258,14 @@ func TestConstrainPass(t *testing.T) {
 	})
 }
 
-// bufferIDs numbers the distinct buffers behind the steps' destinations
-// by first assignment; -1 where a step has none.
-func bufferIDs(steps []planStep) []int {
-	ids := make([]int, len(steps))
-	seen := map[*float32]int{}
-	for i := range steps {
-		ids[i] = -1
-		if out := steps[i].out; out != nil {
-			k := &out.Data()[0]
-			if _, ok := seen[k]; !ok {
-				seen[k] = len(seen)
-			}
-			ids[i] = seen[k]
-		}
-	}
-	return ids
-}
-
-// TestAssignPass: a diamond whose arms share buffers at inter-op 1,
-// where reuse is maximal and anti-dependency edges serialize them, and
-// keep apart at inter-op 4, where a buffer is reused only by a step that
-// already follows every access to it.
+// TestAssignPass: where the slots land in the slab. A diamond whose arms
+// share floats at inter-op 1, where sharing is maximal and
+// anti-dependency edges serialize it, and keep apart at inter-op 4,
+// where two slots share only when the later one already follows every
+// access to the earlier; and a chain of uneven sizes, placed largest
+// first at 16-float (64-byte) offsets.
 func TestAssignPass(t *testing.T) {
-	build := func() (*schedule, []*graph.Node) {
+	diamond := func() (*schedule, []*graph.Node) {
 		g := graph.New()
 		x := g.Placeholder("x", 8, 8)
 		a := ops.Relu(x)
@@ -291,45 +276,79 @@ func TestAssignPass(t *testing.T) {
 		y := ops.Add(l2, r2)
 		return newSchedule([]*graph.Node{y}), []*graph.Node{a, l1, l2, r1, r2, y}
 	}
+	uneven := func() (*schedule, []*graph.Node) {
+		g := graph.New()
+		a := ops.Relu(g.Placeholder("x", 3, 5))                     // 15 floats
+		b := ops.MatMul(a, g.Variable("w", tensor.Full(0.1, 5, 7))) // 21
+		c := ops.Relu(b)                                            // 21
+		y := ops.MatMul(c, g.Variable("v", tensor.Full(0.2, 7, 5))) // 15
+		return newSchedule([]*graph.Node{y}), []*graph.Node{a, b, c, y}
+	}
 	for _, c := range []struct {
-		interOp        int
-		bufs           []int // of a, l1, l2, r1, r2, y
-		slots, buffers int
-		anti           int // anti-dependency edges added
+		name                   string
+		build                  func() (*schedule, []*graph.Node)
+		interOp                int
+		offs                   []int // of the nodes build returns
+		slots, buffers, floats int
+		anti                   int // anti-dependency edges added
 	}{
-		// r1 takes l1's buffer (new edges from l1 and its reader l2), r2
+		// r1 takes l1's floats (new edges from l1 and its reader l2), r2
 		// takes a's (from a and its reader l1; r1→r2 is a data edge
 		// already), y takes r1's (from r1; r2→y likewise).
-		{1, []int{0, 1, 2, 1, 0, 1}, 6, 3, 5},
-		// Only y follows every access to a freed buffer (r1's).
-		{4, []int{0, 1, 2, 3, 4, 3}, 6, 5, 0},
+		{"diamond", diamond, 1, []int{0, 64, 128, 64, 0, 64}, 6, 3, 192, 5},
+		// Only y follows every access to a dead slot: a's, l1's and r1's.
+		// The first fit among them is a's.
+		{"diamond", diamond, 4, []int{0, 64, 128, 192, 256, 0}, 6, 5, 320, 0},
+		// b goes first, at 0; c meets b's lifetime, so it goes to 32, the
+		// aligned end of b's 21 floats; a meets b only and fits at 32
+		// before c is written; y meets c only and fits at 0. c waits for a
+		// (c→b is a data edge already) and y for b (and b's reader c).
+		{"uneven", uneven, 1, []int{32, 0, 32, 0}, 4, 2, 53, 2},
 	} {
-		sc, nodes := build()
+		sc, nodes := c.build()
 		slotEnd, _ := liveness(sc)
 		e := constrain(sc)
 		before := e.edges
-		arena := tensor.NewArena()
-		slots, buffers := assign(sc, slotEnd, e, c.interOp, arena)
-		ids := bufferIDs(sc.steps)
+		slots, buffers, floats, unshared := assign(sc, slotEnd, e, c.interOp)
 		var got []int
+		wantUnshared := 0
 		for _, nd := range nodes {
-			got = append(got, ids[sc.at(t, nd)])
+			got = append(got, sc.steps[sc.at(t, nd)].off)
+			wantUnshared += alignUp(tensor.SizeOf(nd.Shape()))
 		}
-		if !reflect.DeepEqual(got, c.bufs) || slots != c.slots || buffers != c.buffers {
-			t.Errorf("inter-op %d: buffers %v (%d slots, %d buffers), want %v (%d, %d)",
-				c.interOp, got, slots, buffers, c.bufs, c.slots, c.buffers)
+		label := fmt.Sprintf("%s at inter-op %d", c.name, c.interOp)
+		if !reflect.DeepEqual(got, c.offs) || slots != c.slots || buffers != c.buffers || floats != c.floats {
+			t.Errorf("%s: offsets %v (%d slots, %d buffers, %d floats), want %v (%d, %d, %d)",
+				label, got, slots, buffers, floats, c.offs, c.slots, c.buffers, c.floats)
+		}
+		if unshared != wantUnshared {
+			t.Errorf("%s: %d unshared floats, want %d", label, unshared, wantUnshared)
 		}
 		if anti := e.edges - before; anti != c.anti {
-			t.Errorf("inter-op %d: %d anti-dependency edges, want %d", c.interOp, anti, c.anti)
+			t.Errorf("%s: %d anti-dependency edges, want %d", label, anti, c.anti)
 		}
-		if st := arena.Stats(); st.TotalBuffers != buffers {
-			t.Errorf("inter-op %d: arena made %d buffers, plan counts %d", c.interOp, st.TotalBuffers, buffers)
-		}
-		y := sc.at(t, nodes[5])
-		if len(sc.steps[y].readBufs) != 2 {
-			t.Errorf("inter-op %d: sink reads %d buffers, want 2", c.interOp, len(sc.steps[y].readBufs))
+		if y := sc.at(t, nodes[len(nodes)-1]); c.name == "diamond" && len(sc.steps[y].readSlots) != 2 {
+			t.Errorf("%s: sink reads %d slots, want 2", label, len(sc.steps[y].readSlots))
 		}
 	}
+}
+
+// slabRange is where a slot's floats sit, in bytes from address 0; an
+// empty slot has an empty range.
+func slabRange(st *planStep) (lo, hi uintptr) {
+	d := st.out.Data()
+	if len(d) == 0 {
+		return 0, 0
+	}
+	lo = uintptr(unsafe.Pointer(&d[0]))
+	return lo, lo + uintptr(len(d))*4
+}
+
+// rangesMeet reports whether two slots share a float.
+func rangesMeet(a, b *planStep) bool {
+	alo, ahi := slabRange(a)
+	blo, bhi := slabRange(b)
+	return alo < bhi && blo < ahi
 }
 
 // checkPlan states what every compiled plan must satisfy, from an
@@ -338,12 +357,12 @@ func TestAssignPass(t *testing.T) {
 //
 //   - every scheduling edge points forward;
 //   - every op step owns a slot or is a graph.ViewOp, never both;
-//   - no step's destination shares a buffer with anything its inputs
+//   - no step's destination shares a float with anything its inputs
 //     may reference;
-//   - a slot a fetch may reference is cloned on fetch and its buffer is
-//     never handed on;
-//   - of two slots sharing a buffer, the later writer comes after the
-//     earlier slot's owner and all its readers, by position and through
+//   - a slot a fetch may reference is cloned on fetch, and no slot after
+//     it shares a float with it;
+//   - no two slots' ranges of the slab overlap unless one slot and all
+//     its readers come before the other, by position and through
 //     scheduling edges (anti-dependency edges at inter-op 1, ancestry
 //     above);
 //   - no step and no fetch references a value fusion absorbed: a fused
@@ -395,8 +414,8 @@ func checkPlan(p *Plan) error {
 		}
 		for sl := range reads {
 			readers[sl] = append(readers[sl], i)
-			if st.out != nil && &st.out.Data()[0] == &p.steps[sl].out.Data()[0] {
-				return fmt.Errorf("step %d (%v) writes the buffer of slot %d, which its inputs may reference", i, st.node, sl)
+			if st.out != nil && rangesMeet(st, &p.steps[sl]) {
+				return fmt.Errorf("step %d (%v) writes floats of slot %d, which its inputs may reference", i, st.node, sl)
 			}
 		}
 		_, isView := st.node.Op().(graph.ViewOp)
@@ -418,23 +437,20 @@ func checkPlan(p *Plan) error {
 			pinned[sl] = true
 		}
 	}
-	holders := map[*float32][]int{} // buffer → slots in schedule order
-	for i := range p.steps {
-		if out := p.steps[i].out; out != nil {
-			k := &out.Data()[0]
-			holders[k] = append(holders[k], i)
+	for b := range p.steps {
+		if p.steps[b].out == nil {
+			continue
 		}
-	}
-	for _, hs := range holders {
-		for bi, b := range hs {
-			for _, a := range hs[:bi] {
-				if pinned[a] {
-					return fmt.Errorf("slot %d is reachable from a fetch but slot %d reuses its buffer", a, b)
-				}
-				for _, acc := range append([]int{a}, readers[a]...) {
-					if acc >= b || !reaches(acc, b) {
-						return fmt.Errorf("slot %d reuses slot %d's buffer but is not ordered after step %d, which accesses it", b, a, acc)
-					}
+		for a := 0; a < b; a++ {
+			if p.steps[a].out == nil || !rangesMeet(&p.steps[a], &p.steps[b]) {
+				continue
+			}
+			if pinned[a] {
+				return fmt.Errorf("slot %d is reachable from a fetch but slot %d shares its floats", a, b)
+			}
+			for _, acc := range append([]int{a}, readers[a]...) {
+				if acc >= b || !reaches(acc, b) {
+					return fmt.Errorf("slot %d shares floats with slot %d but is not ordered after step %d, which accesses them", b, a, acc)
 				}
 			}
 		}
@@ -575,7 +591,7 @@ func TestCheckPlanCatchesBrokenPlans(t *testing.T) {
 	p = compile(4)
 	p.fetchCopy[0] = false
 	if err := checkPlan(p); err == nil {
-		t.Error("a plan returning arena memory from Run passed")
+		t.Error("a plan returning slab memory from Run passed")
 	}
 	// Take a kernel step's slot away.
 	p = compile(1)
@@ -621,7 +637,9 @@ func TestCheckPlanCatchesBrokenPlans(t *testing.T) {
 // FuzzPlanCompile: for any random training graph and width, compile
 // does not panic, the plan satisfies checkPlan, and a parallel run's
 // fetches and variables equal the sequential session's bit for bit, as
-// do an unfused session's.
+// do an unfused session's. Each session compiles the loss alone and then
+// the full fetch set, a larger plan that moves both to a larger slab,
+// and runs the two in turn under a BufferGuard: two plans on one slab.
 func FuzzPlanCompile(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(4))
 	f.Add(int64(7), uint8(40), uint8(2))
@@ -630,11 +648,12 @@ func FuzzPlanCompile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, size, interOp uint8) {
 		n, width := int(size%64), 1+int(interOp%8)
 		type arm struct {
-			g       *graph.Graph
-			x       *graph.Node
-			fetches []*graph.Node
-			s       *Session
-			label   string
+			g     *graph.Graph
+			x     *graph.Node
+			sets  [][]*graph.Node // the loss alone, then every fetch
+			s     *Session
+			guard *tensor.BufferGuard
+			label string
 		}
 		var arms []*arm
 		for _, c := range []struct {
@@ -649,30 +668,43 @@ func FuzzPlanCompile(f *testing.F) {
 			s := NewSession(g, append([]Option{WithSeed(seed)}, c.opts...)...)
 			defer s.Close()
 			s.SetTraining(true)
-			// The loss alone first: a second, smaller plan on the same arena.
-			for _, fs := range [][]*graph.Node{fetches[:1], fetches} {
+			a := &arm{g: g, x: x, sets: [][]*graph.Node{fetches[:1], fetches}, s: s, guard: tensor.NewBufferGuard(), label: c.label}
+			s.Arena().SetGuard(a.guard)
+			for _, fs := range a.sets {
+				s.Plan(fs)
+			}
+			// Checked once both are compiled: the first plan now lives on
+			// the slab the second sized.
+			for _, fs := range a.sets {
 				if err := checkPlan(s.Plan(fs)); err != nil {
 					t.Fatalf("%s: %v", c.label, err)
 				}
 			}
-			arms = append(arms, &arm{g: g, x: x, fetches: fetches, s: s, label: c.label})
+			arms = append(arms, a)
 		}
 		for run := 0; run < 2; run++ {
-			var want []*tensor.Tensor
-			for i, a := range arms {
-				got, err := a.s.Run(a.fetches, Feeds{a.x: tensor.Full(0.3, 4, 6)})
-				if err != nil {
-					t.Fatal(err)
+			for k := range arms[0].sets {
+				var want []*tensor.Tensor
+				for i, a := range arms {
+					got, err := a.s.Run(a.sets[k], Feeds{a.x: tensor.Full(0.3, 4, 6)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i == 0 {
+						want = got
+						continue
+					}
+					assertSameTensors(t, fmt.Sprintf("run %d fetch set %d, %s", run, k, a.label), got, want)
 				}
-				if i == 0 {
-					want = got
-					continue
-				}
-				assertSameTensors(t, fmt.Sprintf("run %d fetches, %s", run, a.label), got, want)
 			}
 		}
-		for _, a := range arms[1:] {
-			assertSameVariables(t, arms[0].g, a.g)
+		for i, a := range arms {
+			if v := a.guard.Violations(); len(v) != 0 {
+				t.Fatalf("%s: guard violations: %v", a.label, v)
+			}
+			if i > 0 {
+				assertSameVariables(t, arms[0].g, a.g)
+			}
 		}
 	})
 }

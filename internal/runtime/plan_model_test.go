@@ -48,9 +48,9 @@ func TestWorkloadPlansSound(t *testing.T) {
 
 // TestPlanCompileDeterministic: compiling one fetch set is a pure
 // function of the graph and the session's widths. alexnet's training
-// plan has enough same-sized buffers dying at one step that any
-// unordered walk over them shows up as a different reuse assignment
-// and so a different anti-dependency edge count.
+// plan has enough same-sized slots dying at one step that any
+// unordered walk over them shows up as a different slab layout and so
+// a different anti-dependency edge count.
 func TestPlanCompileDeterministic(t *testing.T) {
 	m, err := core.New("alexnet")
 	if err != nil {

@@ -9,15 +9,16 @@
 // # Compiled execution plans
 //
 // The first Run of a fetch set compiles it into a Plan: the transitive
-// dependencies in topological order, plus a static buffer assignment.
+// dependencies in topological order, plus a static memory layout.
 // Compilation is five passes over one step-indexed IR — schedule, fuse,
 // liveness, constrain, assign; compile.go states the rules they share —
-// that give every kernel operation (graph.Op) a destination slot in a
-// size-bucketed buffer arena (tensor.Arena). Two intermediates with
-// disjoint lifetimes share one buffer, and because plans are cached on
-// the session, steady-state steps execute with near-zero heap
-// allocation: every operation writes into its preassigned slot, except
-// the views (Reshape, Identity), which compute nothing.
+// that give every kernel operation (graph.Op) a destination slot at an
+// offset in the session's one slab (tensor.Arena), sized to the largest
+// plan it compiled. Intermediates with disjoint lifetimes share floats,
+// and because plans are cached on the session, steady-state steps
+// execute with near-zero heap allocation: every operation writes into
+// its preassigned slot, except the views (Reshape, Identity), which
+// compute nothing.
 //
 // The fuse pass runs each connected set of element-wise ops
 // (graph.Pointwise, and last-axis Slices as graph.Window reads) whose
@@ -28,8 +29,8 @@
 // the unfused ops' bits (tensor.Program). WithUnfusedPlans turns it off
 // for the op-level profiles the paper's figures are made of.
 //
-// Tensors returned from Run never alias arena memory: any fetch whose
-// value may reach an arena slot is deep-copied on the way out
+// Tensors returned from Run never alias the slab: any fetch whose
+// value may reach a slot is deep-copied on the way out
 // (copy-on-fetch), so callers can hold results across subsequent Runs.
 //
 // # Parallelism and the shared worker pool
@@ -40,7 +41,7 @@
 // leased from the process-wide bounded worker pool (internal/sched)
 // while staying bit-identical to sequential execution — see sched.go
 // for the scheduler and the determinism contract (serial Impure lane,
-// variable hazard edges, gated arena reuse). WithIntraOpWorkers(n)
+// variable hazard edges, gated slab sharing). WithIntraOpWorkers(n)
 // additionally makes every kernel pool execute its chunks on shared-
 // pool goroutines (tensor.Pool's parallel behaviour) instead of
 // running them in order. Sessions lease their helper claim at creation
@@ -90,7 +91,7 @@ type Event struct {
 	// constraints (data, variable hazard and serial-lane edges)
 	// feeding it. The run's maximum CP is its critical path — the
 	// lower bound on makespan under unlimited inter-op workers and
-	// unconstrained buffers for any schedule the determinism contract
+	// an unconstrained slab for any schedule the determinism contract
 	// permits, which profiling turns into the achievable inter-op
 	// speedup of the workload (independent of the traced width).
 	CP time.Duration
@@ -199,7 +200,7 @@ type kernel interface {
 }
 
 // planStep is one scheduled node of a compiled plan. An op step is a
-// kernel, which writes its arena slot out, or a view, which has none. A
+// kernel, which writes its slot out, or a view, which has none. A
 // fused step is a kernel that computes node from a connected set of
 // element-wise nodes (see compile.go's fuse pass).
 type planStep struct {
@@ -209,27 +210,28 @@ type planStep struct {
 	fused  *fusedStep       // a fused step's kernel
 	ins    []int            // value positions of the node's inputs (a fused step's operands)
 	in     []*tensor.Tensor // reusable input gather buffer
-	kernel kernel           // a kernel step's op, and
-	out    *tensor.Tensor   // the arena slot it writes
+	kernel kernel           // a kernel step's op,
+	off    int              // its slot's offset in the session slab, and
+	out    *tensor.Tensor   // the slot it writes, bound to that slab
 	view   graph.ViewOp     // a view step's op
-	// readBufs are the arena buffers this step's inputs may reference
+	// readSlots are the slot steps this step's inputs may reference
 	// (through views included) — the read set the tensor.BufferGuard
 	// assertion hook brackets in test builds.
-	readBufs [][]float32
+	readSlots []*planStep
 }
 
 // Plan is a compiled execution schedule for one fetch set: the
-// topological order of the transitive dependencies, the static
-// arena-buffer assignment, and the scheduling edges the parallel
+// topological order of the transitive dependencies, the slot offsets
+// in the session slab, and the scheduling edges the parallel
 // scheduler drains (see compile.go for how each is decided). Plans are
 // cached per session and reused by every Run with the same fetches.
 type Plan struct {
 	steps     []planStep
 	values    []*tensor.Tensor // per-step results, reused across Runs
 	fetchPos  []int            // value position of each fetch
-	fetchCopy []bool           // fetch may alias arena memory → clone
-	slots     int              // arena slots assigned
-	buffers   int              // distinct arena buffers backing them
+	fetchCopy []bool           // fetch may alias the slab → clone
+	slots     int              // slots placed in the slab
+	buffers   int              // of them, those on floats no earlier slot used
 
 	nOps    int // number of op steps
 	edgeSet     // inter-op scheduling structure over them
@@ -261,28 +263,29 @@ type opTiming struct {
 	regions [][]time.Duration
 }
 
-// Slots reports how many operation outputs were assigned arena slots.
+// Slots reports how many operation outputs were given slots in the slab.
 func (p *Plan) Slots() int { return p.slots }
 
-// Buffers reports how many distinct arena buffers back those slots;
-// slots minus buffers is the number of in-plan buffer reuses.
+// Buffers reports how many of those slots sit on floats of the slab that
+// no slot earlier in the schedule uses; slots minus buffers is the
+// number of slots that reuse an earlier slot's floats.
 func (p *Plan) Buffers() int { return p.buffers }
 
 // Ops reports how many schedulable operation steps the plan holds.
 func (p *Plan) Ops() int { return p.nOps }
 
 // Edges reports how many scheduling edges constrain the plan: data
-// dependencies plus the hazard, serial-lane and arena anti-dependency
+// dependencies plus the hazard, serial-lane and slab anti-dependency
 // edges that make parallel execution bit-identical to sequential.
 func (p *Plan) Edges() int { return p.edges }
 
 // Session executes fetches against a graph on a device, accumulating
 // an operation trace on a simulated timeline.
 //
-// A Session is confined to a single goroutine: the plan cache, buffer
-// arena, execution context (pool, RNG, training flag) and trace are
-// all unsynchronized, and compiled plans write into arena buffers the
-// session owns. Concurrent callers must use one session per goroutine
+// A Session is confined to a single goroutine: the plan cache, slab,
+// execution context (pool, RNG, training flag) and trace are all
+// unsynchronized, and compiled plans write into the slab the session
+// owns. Concurrent callers must use one session per goroutine
 // — serve.Engine's session pool is the sanctioned concurrent entry
 // point. Multiple sessions may share one graph for inference (forward
 // execution only reads variable values); training mutates variable and
@@ -473,7 +476,7 @@ func (s *Session) Context() *graph.ExecContext { return s.ctx }
 // Device returns the session's device.
 func (s *Session) Device() Device { return s.dev }
 
-// Arena exposes the session's buffer arena (stats, tests).
+// Arena exposes the session's slab (stats, tests).
 func (s *Session) Arena() *tensor.Arena { return s.arena }
 
 // InterOpWorkers returns the configured inter-op scheduler width.
@@ -531,7 +534,7 @@ func (s *Session) Plan(fetches []*graph.Node) *Plan {
 }
 
 // Run evaluates fetches given feeds, returning one tensor per fetch.
-// The returned tensors never alias plan buffers: they remain valid
+// The returned tensors never alias the slab: they remain valid
 // across subsequent Runs.
 //
 // With WithInterOpWorkers(n > 1) the plan's ready queue is drained by
@@ -634,7 +637,7 @@ func (s *Session) runSequential(plan *Plan, feeds Feeds) error {
 		if s.traceOn {
 			// Critical path over the semantic constraints (data,
 			// hazard, serial lane): the width-independent bound any
-			// legal schedule and buffer assignment must respect.
+			// legal schedule and slab layout must respect.
 			c := time.Duration(0)
 			for _, p := range plan.predsCP[i] {
 				if cp[p] > c {
@@ -652,12 +655,12 @@ func (s *Session) runSequential(plan *Plan, feeds Feeds) error {
 
 // execStep runs one op step through the given execution context — the
 // package's one call site of ForwardInto and View — bracketing
-// arena-buffer access with the test-build guard, and has the session's
+// slab access with the test-build guard, and has the session's
 // device price the wall time it measured.
 func (s *Session) execStep(ctx *graph.ExecContext, st *planStep, in []*tensor.Tensor, guard *tensor.BufferGuard) (*tensor.Tensor, opTiming, error) {
 	if guard != nil {
-		for _, b := range st.readBufs {
-			guard.BeginRead(b)
+		for _, sl := range st.readSlots {
+			guard.BeginRead(sl.out.Data())
 		}
 		if st.out != nil {
 			guard.BeginWrite(st.out.Data())
@@ -666,8 +669,8 @@ func (s *Session) execStep(ctx *graph.ExecContext, st *planStep, in []*tensor.Te
 			if st.out != nil {
 				guard.EndWrite(st.out.Data())
 			}
-			for _, b := range st.readBufs {
-				guard.EndRead(b)
+			for _, sl := range st.readSlots {
+				guard.EndRead(sl.out.Data())
 			}
 		}()
 	}

@@ -5,9 +5,9 @@ package runtime
 // A compiled Plan carries, besides its sequential schedule, the
 // dependency-counting structure of a ready-queue scheduler: per-step
 // successor lists and in-degrees over the data, variable-hazard and
-// serial-Impure-lane edges of compile.go's constrain pass and the arena
-// anti-dependency edges of its assign pass (a buffer's next writer
-// waits for the previous holder and all of its readers to retire).
+// serial-Impure-lane edges of compile.go's constrain pass and the
+// anti-dependency edges of its assign pass (a slot on floats an earlier
+// slot held waits for that slot and all of its readers to retire).
 //
 // runParallel drains the ready queue with the session goroutine plus
 // up to interOp-1 helpers leased from the shared worker pool

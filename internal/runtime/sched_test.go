@@ -85,7 +85,7 @@ func buildWide(branches, depth int) (*graph.Graph, *graph.Node, *graph.Node) {
 
 // TestParallelWideGraphBitIdentical: independent branches execute
 // concurrently yet produce bit-identical fetches, with the arena
-// guard attached to catch any buffer-lifetime violation.
+// guard attached to catch any slot-lifetime violation.
 func TestParallelWideGraphBitIdentical(t *testing.T) {
 	g1, x1, y1 := buildWide(6, 4)
 	g2, x2, y2 := buildWide(6, 4)
@@ -138,7 +138,7 @@ func TestParallelSeedReplay(t *testing.T) {
 
 // TestParallelTrainingBitIdentical: a training step with dropout and
 // in-place optimizer updates — the full hazard surface (RNG order,
-// variable read/write serialization, arena reuse) — must leave
+// variable read/write serialization, slab sharing) — must leave
 // bit-identical weights and losses for any worker count.
 func TestParallelTrainingBitIdentical(t *testing.T) {
 	build := func() (*graph.Graph, *graph.Node, []*graph.Node, *graph.Node) {
@@ -457,8 +457,8 @@ func randomDAG(seed int64, size int) (*graph.Graph, *graph.Node, []*graph.Node) 
 // TestSchedulerPropertyRandomDAGs is the scheduler's property test:
 // for a sweep of random graphs, parallel execution must equal
 // sequential execution bitwise — fetches and trained variables — and
-// the arena guard must observe no buffer being written while readers
-// of its previous value are outstanding.
+// the arena guard must observe no slab range being written while
+// readers of an overlapping range are outstanding.
 func TestSchedulerPropertyRandomDAGs(t *testing.T) {
 	seeds := 12
 	if testing.Short() {

@@ -413,10 +413,8 @@ func TestStatsSurfacesAgree(t *testing.T) {
 		"fathom_serve_batches_total":     "batches",
 		"fathom_serve_padded_rows_total": "padded_rows",
 		"fathom_serve_queue_depth":       "queue_depth",
-		"fathom_arena_live_buffers":      "arena_live_buffers",
 		"fathom_arena_bytes":             "arena_bytes",
-		"fathom_arena_reuses_total":      "arena_reuses",
-		"fathom_arena_allocs_total":      "arena_total_buffers",
+		"fathom_arena_slot_bytes":        "arena_slot_bytes",
 		"fathom_lease_granted":           "lease_granted",
 	} {
 		got, ok := metrics[series+`{model="memnet"}`]

@@ -70,19 +70,13 @@ var exported = []series{
 	{name: "fathom_serve_queue_wait_seconds", help: "Queue wait of dispatched requests.",
 		hist: func(e *Engine) *telemetry.LogHistogram { return &e.stats.waitHist }},
 
-	// Arena utilization, summed over the worker sessions.
-	{name: "fathom_arena_live_buffers", help: "Plan-arena buffers currently checked out.",
-		arena: func(a tensor.ArenaStats) int64 { return int64(a.LiveBuffers) },
-		stat:  func(s *Stats, v int64) { s.ArenaLiveBuffers = int(v) }},
-	{name: "fathom_arena_bytes", help: "Plan-arena heap footprint in bytes.",
+	// The worker sessions' slabs, summed.
+	{name: "fathom_arena_bytes", help: "Session slab bytes.",
 		arena: func(a tensor.ArenaStats) int64 { return a.TotalBytes },
 		stat:  func(s *Stats, v int64) { s.ArenaBytes = v }},
-	{name: "fathom_arena_reuses_total", help: "Arena buffer requests served by recycling.",
-		arena: func(a tensor.ArenaStats) int64 { return int64(a.Reuses) },
-		stat:  func(s *Stats, v int64) { s.ArenaReuses = int(v) }},
-	{name: "fathom_arena_allocs_total", help: "Arena buffers allocated from the heap.",
-		arena: func(a tensor.ArenaStats) int64 { return int64(a.TotalBuffers) },
-		stat:  func(s *Stats, v int64) { s.ArenaTotalBuffers = int(v) }},
+	{name: "fathom_arena_slot_bytes", help: "Bytes the slots of the plans that sized the session slabs would take without sharing.",
+		arena: func(a tensor.ArenaStats) int64 { return a.SlotBytes },
+		stat:  func(s *Stats, v int64) { s.ArenaSlotBytes = v }},
 
 	{name: "fathom_lease_granted", help: "Helpers the adaptive lease negotiation grants this engine.",
 		read: func(e *Engine) int64 { return int64(e.leaseGranted()) },
@@ -111,7 +105,7 @@ func (sr *series) labels(e *Engine) telemetry.Labels {
 }
 
 // RegisterMetrics exposes the engine's exported series — counters,
-// latency and queue-wait histograms, its sessions' arena utilization —
+// latency and queue-wait histograms, its sessions' slab sizes —
 // and the shared worker pool's gauges on reg as Prometheus families.
 // Every series is a scrape-time reader over the atomics the engine
 // already maintains, so registration adds nothing to the request hot

@@ -4,8 +4,8 @@
 //
 // # Architecture
 //
-// A runtime.Session is single-goroutine (its plan cache and buffer
-// arena are unsynchronized), so the Engine owns a pool of sessions —
+// A runtime.Session is single-goroutine (its plan cache and slab are
+// unsynchronized), so the Engine owns a pool of sessions —
 // one per worker goroutine — over one shared model graph. Sharing the
 // graph is safe for inference: forward execution only reads variable
 // values, and the mode-dependent stateful ops (dropout masks,
@@ -24,8 +24,10 @@
 // zero-padded. A fill of 2 on an 8-wide graph runs two rows, not
 // eight; every row is bit-equal to the same example's row on any other
 // rung. Each worker's one session compiles one plan per rung it runs,
-// lazily, into its one arena. Workloads that couple examples across
-// the batch (core.BatchCoupled — residual's primitive batch
+// lazily, and all of them share its one slab, sized to the largest rung
+// it has run: rungs of one session never run at once, so the ladder
+// costs no memory beyond its top rung. Workloads that couple examples
+// across the batch (core.BatchCoupled — residual's primitive batch
 // normalization) are refused unless built at batch capacity 1, so
 // batch composition and padding never perturb a request's rows.
 // Stochastic inference graphs
@@ -100,7 +102,7 @@
 //	expired    ErrExpired or context.DeadlineExceeded
 //
 // Those counters, the batch and queue gauges, the latency histograms
-// and the sessions' arena sums are declared once, in the exported
+// and the sessions' slab sums are declared once, in the exported
 // table (metrics.go); /metrics, /stats and ResetStats all walk it.
 package serve
 

@@ -787,6 +787,56 @@ func TestEngineRungsShareVariables(t *testing.T) {
 	}
 }
 
+// TestEngineLadderHoldsOneSlab: a worker session that has run rungs
+// 1/2/4/8 holds one slab, sized to the largest rung's plan rather than
+// the sum of the rungs', and a rung compiled before the slab last grew
+// still answers bit for bit as before.
+func TestEngineLadderHoldsOneSlab(t *testing.T) {
+	m := buildModel(t, "memnet", 8)
+	e, err := New(m, Options{Sessions: 1, MaxBatch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	examples := sampleExamples(t, m, 8)
+	// runRung answers examples[:fill] on ws and returns example 0's
+	// output.
+	runRung := func(ws *workerState, fill int) *tensor.Tensor {
+		t.Helper()
+		live := make([]*request, fill)
+		for i := range live {
+			live[i] = &request{inputs: examples[i]}
+		}
+		ri := e.load(ws, live)
+		vals, err := e.run(ws, ri, live, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return getExample(vals[0], e.sig.Outputs[0].BatchDim, 0)
+	}
+	ws := newWorkerState(e, runtime.NewSession(m.Graph()))
+	defer ws.sess.Close()
+	var first *tensor.Tensor
+	var largest, sum int64
+	for _, r := range e.rungs {
+		out := runRung(ws, r.size)
+		if first == nil {
+			first = out
+		}
+		alone := newWorkerState(e, runtime.NewSession(m.Graph()))
+		runRung(alone, r.size)
+		b := alone.sess.Arena().Stats().TotalBytes
+		alone.sess.Close()
+		largest, sum = max(largest, b), sum+b
+	}
+	if got := ws.sess.Arena().Stats().TotalBytes; got != largest || largest >= sum {
+		t.Fatalf("the session holds %d slab bytes after rungs 1/2/4/8; the largest rung's plan needs %d, the rungs together %d", got, largest, sum)
+	}
+	if !tensorsEqual(runRung(ws, 1), first) {
+		t.Fatal("rung 1 answers differently after the slab grew under it")
+	}
+}
+
 // TestEngineIsolatesFailingRequest: a request whose values fail the
 // run — a word index past memnet's vocabulary, which Gather refuses —
 // fails alone. Its three batch-mates, dispatched with it as one batch,

@@ -133,16 +133,14 @@ type Stats struct {
 	QueueWaitP999 time.Duration                `json:"queue_wait_p999_ns"`
 	WaitHist      [telemetry.LogBuckets]uint64 `json:"-"`
 
-	// Arena utilization aggregated over the engine's session arenas
-	// (filled by Engine.Stats): checked-out and ever-allocated buffer
-	// counts, total heap footprint, and the fraction of buffer
-	// requests served by recycling — steady-state serving should sit
-	// near 1.0, and a drift down means plans are allocating.
-	ArenaLiveBuffers  int     `json:"arena_live_buffers"`
-	ArenaTotalBuffers int     `json:"arena_total_buffers"`
-	ArenaBytes        int64   `json:"arena_bytes"`
-	ArenaReuses       int     `json:"arena_reuses"`
-	ArenaReuseRatio   float64 `json:"arena_reuse_ratio"`
+	// The engine's session slabs (filled by Engine.Stats): their bytes,
+	// what the slots of the plans that sized them would take without
+	// sharing floats, and the share of that the sharing saves
+	// (tensor.ArenaStats.ReuseRatio). A slab grows only when a larger
+	// plan compiles, so steady-state serving holds both still.
+	ArenaBytes      int64   `json:"arena_bytes"`
+	ArenaSlotBytes  int64   `json:"arena_slot_bytes"`
+	ArenaReuseRatio float64 `json:"arena_reuse_ratio"`
 
 	// Per-lane views: interactive is dispatched first; batch queues,
 	// sheds, and expires first under overload.
@@ -189,15 +187,13 @@ func quantiles(b *[telemetry.LogBuckets]uint64) (p50, p99, p999 time.Duration) {
 	return telemetry.QuantileOf(b, 0.50), telemetry.QuantileOf(b, 0.99), telemetry.QuantileOf(b, 0.999)
 }
 
-// arena sums the worker sessions' plan-arena stats (Arena.Stats is the
-// one concurrency-safe arena read).
+// arena sums the worker sessions' slab stats (Arena.Stats is the one
+// concurrency-safe arena read).
 func (e *Engine) arena() (sum tensor.ArenaStats) {
 	for _, sess := range e.sessions {
 		as := sess.Arena().Stats()
-		sum.LiveBuffers += as.LiveBuffers
-		sum.TotalBuffers += as.TotalBuffers
 		sum.TotalBytes += as.TotalBytes
-		sum.Reuses += as.Reuses
+		sum.SlotBytes += as.SlotBytes
 	}
 	return sum
 }
@@ -241,7 +237,7 @@ func (e *Engine) Stats() Stats {
 	if s.Batches > 0 {
 		s.MeanBatchFill = float64(st.slots.Load()) / float64(s.Batches)
 	}
-	s.ArenaReuseRatio = tensor.ArenaStats{Reuses: s.ArenaReuses, TotalBuffers: s.ArenaTotalBuffers}.ReuseRatio()
+	s.ArenaReuseRatio = sum.ReuseRatio()
 
 	// Each lane's histogram is loaded once; the merged view feeds the
 	// engine-wide quantiles.
@@ -308,14 +304,14 @@ func (e *Engine) ResetStats() {
 // String renders the snapshot for the CLI and logs.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"requests=%d errors=%d cancelled=%d admit(rejected=%d shed=%d expired=%d) batches=%d fill(mean=%.2f max=%d padded=%d) rps=%.1f latency(mean=%v p50=%v p99=%v p999=%v) queue(depth=%d wait=%v p50=%v p99=%v batch-ewma=%v) lanes(interactive p99=%v, batch p99=%v) pool(busy=%d/%d spawned=%d claim=%d granted=%d) arena(live=%d total=%d bytes=%d reuse=%.3f)%s",
+		"requests=%d errors=%d cancelled=%d admit(rejected=%d shed=%d expired=%d) batches=%d fill(mean=%.2f max=%d padded=%d) rps=%.1f latency(mean=%v p50=%v p99=%v p999=%v) queue(depth=%d wait=%v p50=%v p99=%v batch-ewma=%v) lanes(interactive p99=%v, batch p99=%v) pool(busy=%d/%d spawned=%d claim=%d granted=%d) arena(bytes=%d slot_bytes=%d reuse=%.3f)%s",
 		s.Requests, s.Errors, s.Cancelled, s.Rejected, s.Shed, s.Expired,
 		s.Batches, s.MeanBatchFill, s.MaxBatchFill, s.PaddedRows,
 		s.ThroughputRPS, s.MeanLatency, s.P50Latency, s.P99Latency, s.P999Latency,
 		s.QueueDepth, s.QueueWaitEWMA, s.QueueWaitP50, s.QueueWaitP99, s.BatchLatencyEWMA,
 		s.Interactive.P99Latency, s.BatchLane.P99Latency,
 		s.PoolBusy, s.PoolSize, s.PoolSpawned, s.LeaseClaim, s.LeaseGranted,
-		s.ArenaLiveBuffers, s.ArenaTotalBuffers, s.ArenaBytes, s.ArenaReuseRatio,
+		s.ArenaBytes, s.ArenaSlotBytes, s.ArenaReuseRatio,
 		s.tenantString())
 }
 

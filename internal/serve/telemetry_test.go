@@ -181,9 +181,12 @@ func TestServerTelemetryEndpoints(t *testing.T) {
 	if _, ok := stats["memnet"]["arena_bytes"]; !ok {
 		t.Errorf("/stats missing arena_bytes: %v", stats["memnet"])
 	}
-	// The engine runs compiled plans, whose buffer sharing must show.
-	if r, _ := stats["memnet"]["arena_reuse_ratio"].(float64); r <= 0 || r >= 1 {
-		t.Errorf("/stats arena_reuse_ratio = %v, want the plans' (slots−buffers)/slots in (0,1)", stats["memnet"]["arena_reuse_ratio"])
+	// The engine runs compiled plans, whose sharing of slab floats must
+	// show: the slab is smaller than its plan's slots laid end to end.
+	bytes, _ := stats["memnet"]["arena_bytes"].(float64)
+	slotBytes, _ := stats["memnet"]["arena_slot_bytes"].(float64)
+	if r, _ := stats["memnet"]["arena_reuse_ratio"].(float64); r <= 0 || r >= 1 || r != 1-bytes/slotBytes {
+		t.Errorf("/stats arena_reuse_ratio = %v, want 1 − arena_bytes/arena_slot_bytes = 1 − %v/%v in (0,1)", r, bytes, slotBytes)
 	}
 	if _, ok := stats["memnet"]["queue_wait_p99_ns"]; !ok {
 		t.Errorf("/stats missing queue_wait_p99_ns: %v", stats["memnet"])

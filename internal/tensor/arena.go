@@ -6,182 +6,149 @@ import (
 	"sync/atomic"
 )
 
-// Arena is a size-bucketed recycler of float32 buffers, the storage
-// substrate for compiled execution plans: the runtime's planner runs
-// liveness analysis over a topological schedule and assigns every
-// operation output a buffer from an arena, so that tensors with
-// disjoint lifetimes share storage and steady-state steps perform
-// near-zero heap allocation.
-//
-// Buffers are grouped into power-of-two size classes. Get returns a
-// buffer whose length is exactly the requested element count but whose
-// capacity is the bucket size; Put recycles a buffer obtained from Get
-// into its bucket. Buffers are handed out dirty — callers must fully
-// overwrite (or Zero) them before reading.
+// Arena is a session's slab: one []float32 holding every kernel slot of
+// every plan the session compiled, each at the offset its plan's assign
+// pass gave it (see the runtime package), so that tensors with disjoint
+// lifetimes share storage and steady-state steps allocate nothing for
+// their intermediates. Plans of one session never run at once, so they
+// share the slab; it is sized to the largest of them. Its contents are
+// unspecified: every kernel overwrites its slot.
 //
 // An Arena is not safe for concurrent use; like Pool, it is owned by a
-// single session whose operations execute sequentially.
+// single session. Stats alone may be read concurrently.
 type Arena struct {
-	buckets map[int][][]float32
+	slab []float32
 
 	// guard, when non-nil (test builds), observes every read and write
-	// of arena-backed plan buffers at execution time so tests can
-	// assert the scheduler's lifetime invariant: no buffer is rewritten
-	// while readers of its previous value are outstanding.
+	// of slab ranges at execution time so tests can assert the
+	// scheduler's lifetime invariant: no range is rewritten while
+	// readers of an overlapping range are outstanding.
 	guard *BufferGuard
 
 	// Stats. Atomic so concurrent observers (the serving engine's
 	// /stats and /metrics scrapes) can read them while the owning
-	// session executes; the buckets themselves stay single-owner.
-	liveBuffers  atomic.Int64 // buffers created and not currently in a bucket
-	totalBuffers atomic.Int64 // buffers ever created
-	totalFloats  atomic.Int64 // elements ever allocated from the heap
-	reuses       atomic.Int64 // Gets served from a bucket instead of the heap
+	// session executes.
+	floats, slotFloats atomic.Int64
 }
 
-// NewArena returns an empty arena.
-func NewArena() *Arena {
-	return &Arena{buckets: map[int][][]float32{}}
-}
+// NewArena returns an arena with an empty slab.
+func NewArena() *Arena { return &Arena{} }
 
-// arenaMinBucket is the smallest size class; tiny tensors (scalars,
-// biases) all share it rather than fragmenting into many buckets.
-const arenaMinBucket = 64
+// Slab returns the slab.
+func (a *Arena) Slab() []float32 { return a.slab }
 
-// bucketFor returns the size class for a buffer of n elements: the
-// smallest power of two >= max(n, arenaMinBucket).
-func bucketFor(n int) int {
-	b := arenaMinBucket
-	for b < n {
-		b <<= 1
+// Fit makes the slab hold at least n floats for a plan whose slots would
+// take slotFloats without sharing addresses. It reports whether it
+// allocated a new slab, whose every range must then be bound again: the
+// old slab belongs to no one.
+func (a *Arena) Fit(n, slotFloats int) bool {
+	if n <= len(a.slab) {
+		return false
 	}
-	return b
-}
-
-// BucketFor reports the size class Get would serve a request of n
-// elements from — exported for the runtime planner, whose
-// parallelism-aware buffer assignment pools freed buffers by the same
-// classes the arena uses.
-func BucketFor(n int) int { return bucketFor(n) }
-
-// Get returns a buffer of exactly n elements (n >= 0), recycling one
-// from the matching size class when available. The contents are
-// unspecified.
-func (a *Arena) Get(n int) []float32 {
-	b := bucketFor(n)
-	a.liveBuffers.Add(1)
-	if free := a.buckets[b]; len(free) > 0 {
-		buf := free[len(free)-1]
-		a.buckets[b] = free[:len(free)-1]
-		a.reuses.Add(1)
-		return buf[:n]
-	}
-	a.totalBuffers.Add(1)
-	a.totalFloats.Add(int64(b))
-	return make([]float32, b)[:n]
-}
-
-// Put returns a buffer obtained from Get to its size class. Passing a
-// buffer the arena did not create corrupts the bucket invariants; the
-// capacity must be a size class.
-func (a *Arena) Put(buf []float32) {
-	if buf == nil {
-		return
-	}
-	b := cap(buf)
-	a.liveBuffers.Add(-1)
-	a.buckets[b] = append(a.buckets[b], buf[:b])
+	a.slab = make([]float32, n)
+	a.floats.Store(int64(n))
+	a.slotFloats.Store(int64(slotFloats))
+	return true
 }
 
 // SetGuard installs (or, with nil, removes) the execution-time
 // assertion hook. Tests attach a guard before running plans; the
-// runtime consults it around every operation that touches arena
-// memory. Production sessions leave it nil.
+// runtime consults it around every operation that touches the slab.
+// Production sessions leave it nil.
 func (a *Arena) SetGuard(g *BufferGuard) { a.guard = g }
 
 // Guard returns the installed assertion hook (nil outside tests).
 func (a *Arena) Guard() *BufferGuard { return a.guard }
 
-// BufferGuard is the test-build assertion hook for plan-buffer
-// lifetimes. The executor brackets every operation with BeginRead
-// calls for each arena buffer its inputs may reference and a
-// BeginWrite call for its destination buffer. The guard records a
-// violation whenever a buffer is written while concurrent readers of
-// its previous contents are outstanding, or while another writer owns
-// it — exactly the corruption a scheduler without completion-count
-// gating of slot reuse would permit. It is safe for concurrent use.
+// BufferGuard is the test-build assertion hook for slab ranges. The
+// executor brackets every operation with BeginRead calls for each slot
+// its inputs may reference and a BeginWrite call for its own slot. The
+// guard records a violation whenever a range is written while a reader
+// or another writer of an overlapping range is outstanding, or read
+// while a writer of an overlapping range is — exactly the corruption a
+// scheduler without completion-count gating of address reuse would
+// permit. Ranges are compared by address, so two slots that overlap
+// without starting at the same element still collide. It is safe for
+// concurrent use.
 type BufferGuard struct {
-	mu         sync.Mutex
-	readers    map[*float32]int
-	writing    map[*float32]bool
-	violations []string
+	mu            sync.Mutex
+	reads, writes [][]float32 // outstanding accesses
+	violations    []string
 }
 
 // NewBufferGuard returns an empty guard.
-func NewBufferGuard() *BufferGuard {
-	return &BufferGuard{readers: map[*float32]int{}, writing: map[*float32]bool{}}
+func NewBufferGuard() *BufferGuard { return &BufferGuard{} }
+
+// overlapping counts the ranges of set that share an element with buf.
+func overlapping(set [][]float32, buf []float32) (n int) {
+	for _, r := range set {
+		if slicesOverlap(r, buf) {
+			n++
+		}
+	}
+	return n
 }
 
-func bufKey(buf []float32) *float32 {
-	if len(buf) == 0 {
-		return nil
+// drop removes one access to exactly buf from set.
+func drop(set [][]float32, buf []float32) [][]float32 {
+	for i, r := range set {
+		if len(r) == len(buf) && &r[0] == &buf[0] {
+			set[i] = set[len(set)-1]
+			return set[:len(set)-1]
+		}
 	}
-	return &buf[0]
+	return set
 }
 
 // BeginRead registers an outstanding reader of buf's current value.
-// Reading concurrently with the buffer's writer is a violation.
+// Reading while a writer owns an overlapping range is a violation.
 func (g *BufferGuard) BeginRead(buf []float32) {
-	k := bufKey(buf)
-	if k == nil {
+	if len(buf) == 0 {
 		return
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.writing[k] {
-		g.violations = append(g.violations, fmt.Sprintf("read of buffer %p while a writer owns it", k))
+	if overlapping(g.writes, buf) > 0 {
+		g.violations = append(g.violations, fmt.Sprintf("read of %p+%d while a writer owns an overlapping range", &buf[0], len(buf)))
 	}
-	g.readers[k]++
+	g.reads = append(g.reads, buf)
 }
 
 // EndRead retires a reader registered by BeginRead.
 func (g *BufferGuard) EndRead(buf []float32) {
-	k := bufKey(buf)
-	if k == nil {
+	if len(buf) == 0 {
 		return
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.readers[k]--
+	g.reads = drop(g.reads, buf)
 }
 
-// BeginWrite registers buf's next writer. Outstanding readers of the
-// previous value, or a concurrent writer, are violations.
+// BeginWrite registers buf's next writer. Outstanding readers of an
+// overlapping range, or a writer of one, are violations.
 func (g *BufferGuard) BeginWrite(buf []float32) {
-	k := bufKey(buf)
-	if k == nil {
+	if len(buf) == 0 {
 		return
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if n := g.readers[k]; n > 0 {
-		g.violations = append(g.violations, fmt.Sprintf("write of buffer %p with %d readers outstanding", k, n))
+	if n := overlapping(g.reads, buf); n > 0 {
+		g.violations = append(g.violations, fmt.Sprintf("write of %p+%d with %d readers of an overlapping range outstanding", &buf[0], len(buf), n))
 	}
-	if g.writing[k] {
-		g.violations = append(g.violations, fmt.Sprintf("write of buffer %p while another writer owns it", k))
+	if overlapping(g.writes, buf) > 0 {
+		g.violations = append(g.violations, fmt.Sprintf("write of %p+%d while another writer owns an overlapping range", &buf[0], len(buf)))
 	}
-	g.writing[k] = true
+	g.writes = append(g.writes, buf)
 }
 
 // EndWrite retires the writer registered by BeginWrite.
 func (g *BufferGuard) EndWrite(buf []float32) {
-	k := bufKey(buf)
-	if k == nil {
+	if len(buf) == 0 {
 		return
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	delete(g.writing, k)
+	g.writes = drop(g.writes, buf)
 }
 
 // Violations returns every recorded invariant breach.
@@ -191,37 +158,30 @@ func (g *BufferGuard) Violations() []string {
 	return append([]string(nil), g.violations...)
 }
 
-// ArenaStats summarizes arena usage.
+// ArenaStats summarizes an arena's slab.
 type ArenaStats struct {
-	// LiveBuffers is the number of buffers currently checked out.
-	LiveBuffers int
-	// TotalBuffers is the number of distinct buffers ever allocated.
-	TotalBuffers int
-	// TotalBytes is the heap footprint of all buffers ever allocated.
+	// TotalBytes is the slab's size.
 	TotalBytes int64
-	// Reuses counts Gets served by recycling instead of allocation.
-	Reuses int
+	// SlotBytes is what the slots of the plan the slab is sized to would
+	// take if no two of them shared an address, each rounded up to its
+	// alignment.
+	SlotBytes int64
 }
 
-// Stats reports usage counters. Unlike the rest of the arena, Stats is
-// safe to call concurrently with the owning session's Get/Put.
+// Stats reports the slab's size. Unlike the rest of the arena, Stats is
+// safe to call concurrently with the owning session.
 func (a *Arena) Stats() ArenaStats {
-	return ArenaStats{
-		LiveBuffers:  int(a.liveBuffers.Load()),
-		TotalBuffers: int(a.totalBuffers.Load()),
-		TotalBytes:   a.totalFloats.Load() * elemSize,
-		Reuses:       int(a.reuses.Load()),
-	}
+	return ArenaStats{TotalBytes: a.floats.Load() * elemSize, SlotBytes: a.slotFloats.Load() * elemSize}
 }
 
-// ReuseRatio is the fraction of Gets served by recycling: Reuses over
-// all Gets (Reuses + TotalBuffers). Zero before any Get.
+// ReuseRatio is the share of SlotBytes that address sharing saves,
+// 1 − TotalBytes/SlotBytes: in [0, 1), since a first-fit offset never
+// passes the sum of the slots placed before it. Zero before any plan.
 func (s ArenaStats) ReuseRatio() float64 {
-	gets := s.Reuses + s.TotalBuffers
-	if gets == 0 {
+	if s.SlotBytes == 0 {
 		return 0
 	}
-	return float64(s.Reuses) / float64(gets)
+	return 1 - float64(s.TotalBytes)/float64(s.SlotBytes)
 }
 
 // elemSize is the storage size of one element in bytes.

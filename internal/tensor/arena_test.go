@@ -2,69 +2,26 @@ package tensor
 
 import "testing"
 
-func TestArenaGetPutRecycles(t *testing.T) {
+// TestArenaFitGrowsOnce: the slab grows only for a plan larger than it,
+// and its stats describe the plan that sized it.
+func TestArenaFitGrowsOnce(t *testing.T) {
 	a := NewArena()
-	b1 := a.Get(100)
-	if len(b1) != 100 {
-		t.Fatalf("Get(100) length %d", len(b1))
+	if a.Fit(0, 0) || a.Slab() != nil || a.Stats() != (ArenaStats{}) || a.Stats().ReuseRatio() != 0 {
+		t.Fatalf("an empty plan allocated: slab %d, stats %+v", len(a.Slab()), a.Stats())
 	}
-	if cap(b1) != 128 {
-		t.Fatalf("Get(100) capacity %d, want bucket 128", cap(b1))
+	if !a.Fit(100, 400) || len(a.Slab()) != 100 {
+		t.Fatalf("Fit(100) gave a %d-float slab", len(a.Slab()))
 	}
-	a.Put(b1)
-	b2 := a.Get(120) // same bucket
-	if &b1[0] != &b2[0] {
-		t.Fatal("second Get in the same bucket must recycle the buffer")
+	first := &a.Slab()[0]
+	if a.Fit(60, 1000) || &a.Slab()[0] != first {
+		t.Fatal("a smaller plan replaced the slab")
 	}
-	if len(b2) != 120 {
-		t.Fatalf("recycled length %d, want 120", len(b2))
+	if st := a.Stats(); st.TotalBytes != 400 || st.SlotBytes != 1600 || st.ReuseRatio() != 0.75 {
+		t.Fatalf("stats %+v (reuse ratio %g), want the 100-float plan's 400 of 1600 bytes", st, st.ReuseRatio())
 	}
-	st := a.Stats()
-	if st.TotalBuffers != 1 || st.Reuses != 1 || st.LiveBuffers != 1 {
-		t.Fatalf("stats %+v", st)
+	if !a.Fit(101, 101) || len(a.Slab()) != 101 || a.Stats().ReuseRatio() != 0 {
+		t.Fatalf("Fit(101): slab %d, stats %+v", len(a.Slab()), a.Stats())
 	}
-}
-
-func TestArenaBucketsAreSizeClasses(t *testing.T) {
-	cases := map[int]int{0: 64, 1: 64, 64: 64, 65: 128, 128: 128, 1000: 1024, 1 << 20: 1 << 20}
-	for n, want := range cases {
-		if got := bucketFor(n); got != want {
-			t.Fatalf("bucketFor(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
-func TestArenaDistinctBucketsDoNotMix(t *testing.T) {
-	a := NewArena()
-	small := a.Get(10)
-	big := a.Get(1000)
-	a.Put(small)
-	b := a.Get(1000) // must not get the small buffer
-	if cap(b) < 1000 {
-		t.Fatalf("got %d-cap buffer from wrong bucket", cap(b))
-	}
-	a.Put(big)
-	a.Put(b)
-	if st := a.Stats(); st.LiveBuffers != 0 {
-		t.Fatalf("live buffers %d after returning all", st.LiveBuffers)
-	}
-}
-
-func TestArenaPutNilIsNoop(t *testing.T) {
-	a := NewArena()
-	a.Put(nil)
-	if st := a.Stats(); st.LiveBuffers != 0 {
-		t.Fatalf("nil Put must not change stats: %+v", st)
-	}
-}
-
-func TestArenaZeroSizeGet(t *testing.T) {
-	a := NewArena()
-	b := a.Get(0)
-	if len(b) != 0 || cap(b) != arenaMinBucket {
-		t.Fatalf("Get(0): len %d cap %d", len(b), cap(b))
-	}
-	a.Put(b)
 }
 
 // TestBufferGuardDetectsOverlaps pins the assertion hook's semantics:
@@ -111,5 +68,39 @@ func TestBufferGuardDetectsOverlaps(t *testing.T) {
 	g.BeginRead(nil)
 	if v := g.Violations(); len(v) != 0 {
 		t.Fatalf("nil buffers must be ignored: %v", v)
+	}
+}
+
+// TestBufferGuardComparesRanges: the guard keys accesses on address
+// ranges, not on where a slice starts. Two slots of one slab that
+// overlap without sharing a first element collide; adjacent ones do
+// not.
+func TestBufferGuardComparesRanges(t *testing.T) {
+	slab := make([]float32, 32)
+	g := NewBufferGuard()
+	g.BeginRead(slab[0:16])
+	g.BeginWrite(slab[16:32]) // adjacent: legal
+	g.EndWrite(slab[16:32])
+	g.EndRead(slab[0:16])
+	if v := g.Violations(); len(v) != 0 {
+		t.Fatalf("adjacent ranges reported violations: %v", v)
+	}
+	g.BeginRead(slab[0:16])
+	g.BeginWrite(slab[8:24]) // overlaps the read from its middle
+	if v := g.Violations(); len(v) != 1 {
+		t.Fatalf("a write overlapping an outstanding read: %d violations, want 1: %v", len(v), v)
+	}
+	g.EndRead(slab[0:16])
+	g.BeginWrite(slab[20:28]) // inside the outstanding write
+	g.BeginRead(slab[4:12])   // into the write's first half
+	if v := g.Violations(); len(v) != 3 {
+		t.Fatalf("overlapping writes and a read under a write: %d violations, want 3: %v", len(v), v)
+	}
+	g.EndRead(slab[4:12])
+	g.EndWrite(slab[20:28])
+	g.EndWrite(slab[8:24])
+	g.BeginWrite(slab[0:32]) // every access retired: legal
+	if v := g.Violations(); len(v) != 3 {
+		t.Fatalf("retired accesses still collide: %v", v)
 	}
 }
