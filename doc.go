@@ -35,10 +35,13 @@
 // every gate of an LSTM cell, but an inference fetch set never runs
 // them, so there each cell's 13-op tail of Slices, Sigmoids, Tanhs,
 // Muls and an Add becomes two steps. Every element-wise op, fused or
-// not, runs on one kernel, the block evaluator (tensor.Program): an
-// unfused op is a one-instruction program (tensor.PointwiseInto), a
-// fused step a longer one that gives each element the same float32 op
-// sequence, so fused and unfused plans are bit-identical. An operand is
+// not, gradient accumulation (AddN) included, runs on one kernel, the
+// block evaluator (tensor.Program), whose instructions are opcodes
+// (tensor.ScalarFn) it runs as direct loops: an unfused op is a
+// one-instruction program (tensor.PointwiseInto; AddN's n operands are
+// Add's left fold, n−1 instructions), a fused step a longer one that
+// gives each element the same float32 op sequence, so fused and unfused
+// plans are bit-identical. An operand is
 // read wherever it broadcasts to the output — a bias, a row, a scalar or
 // a (1,S,d) table under (B,S,d) alike — so no operand shape keeps an op
 // out of a fused set. The paper characterises TensorFlow 0.8, which did
@@ -221,7 +224,8 @@
 // unfused ops' one-instruction programs, so a GEMM or convolution and its
 // epilogue cost one pass over the slot and stay bit-identical to the
 // unfused plan. The gates are the fuse pass's own (compile.go): gradient
-// taps keep pre-activations out of a training plan's sets, fetched
+// taps that read a pre-activation keep it out of a training plan's sets
+// (ReluGrad reads the relu's output, so Conv2D+Add+Relu still fuses), fetched
 // values stay, and a step joins a set only if no update rewrites a
 // variable it reads between it and the set's output — which a training
 // plan's updates, all after its forward pass, never do. A headed step

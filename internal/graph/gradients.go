@@ -27,22 +27,16 @@ func (addN) InferShape(in [][]int) ([]int, error) {
 	return append([]int(nil), in[0]...), nil
 }
 
-// ForwardInto sums left to right: out = in0 + in1, then += in2 …. The
-// float32 chain per element is fixed by input order, never by how the
-// elements are chunked, so the sum keeps its bits at every width.
-func (addN) ForwardInto(ctx *ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
-	od, a := out.Data(), in[0].Data()
-	for _, t := range in[1:] {
-		x, td := a, t.Data()
-		ctx.Pool.For(len(od), 16384, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				od[i] = x[i] + td[i]
-			}
-		})
-		a = od
-	}
-	return nil
+// ForwardInto sums left to right, ((in0 + in1) + in2) + …: Add's left
+// fold on the block evaluator. The float32 chain per element is fixed by
+// input order, never by how the elements are chunked, so the sum keeps
+// its bits at every width, and fused or not.
+func (o addN) ForwardInto(ctx *ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
+	return tensor.PointwiseInto(ctx.Pool, out, o.Pointwise(), in...)
 }
+
+// Pointwise implements Pointwise: Add over n operands is their left fold.
+func (addN) Pointwise() tensor.ScalarFn { return tensor.ScalarFn{Op: tensor.Add} }
 
 func (addN) Cost(in [][]int, out []int) (int64, int64) {
 	n := int64(tensor.SizeOf(out))

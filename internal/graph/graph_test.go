@@ -21,7 +21,7 @@ func (testAdd) InferShape(in [][]int) ([]int, error) {
 	return append([]int(nil), in[0]...), nil
 }
 func (testAdd) ForwardInto(ctx *ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
-	return tensor.PointwiseInto(ctx.Pool, out, tensor.ScalarFn{Bin: func(a, b float32) float32 { return a + b }}, in...)
+	return tensor.PointwiseInto(ctx.Pool, out, tensor.ScalarFn{Op: tensor.Add}, in...)
 }
 func (testAdd) Grad(g *Graph, n *Node, grad *Node) ([]*Node, error) {
 	return []*Node{grad, grad}, nil
@@ -35,7 +35,7 @@ func (testSquare) InferShape(in [][]int) ([]int, error) {
 	return append([]int(nil), in[0]...), nil
 }
 func (testSquare) ForwardInto(ctx *ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
-	return tensor.PointwiseInto(ctx.Pool, out, tensor.ScalarFn{Un: func(x float32) float32 { return x * x }}, in...)
+	return tensor.PointwiseInto(ctx.Pool, out, tensor.ScalarFn{Op: tensor.Square}, in...)
 }
 func (testSquare) Grad(g *Graph, n *Node, grad *Node) ([]*Node, error) {
 	two := g.Const("two", tensor.Scalar(2))
@@ -60,7 +60,7 @@ func (testMul) InferShape(in [][]int) ([]int, error) {
 	return append([]int(nil), in[0]...), nil
 }
 func (testMul) ForwardInto(ctx *ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
-	return tensor.PointwiseInto(ctx.Pool, out, tensor.ScalarFn{Bin: func(a, b float32) float32 { return a * b }}, in...)
+	return tensor.PointwiseInto(ctx.Pool, out, tensor.ScalarFn{Op: tensor.Mul}, in...)
 }
 func (testMul) Grad(g *Graph, n *Node, grad *Node) ([]*Node, error) {
 	ga, err := g.Apply(testMul{}, grad, n.inputs[1])
@@ -100,7 +100,7 @@ func (testBroadcastMul) InferShape(in [][]int) ([]int, error) {
 	return tensor.BroadcastShapes(in[0], in[1])
 }
 func (testBroadcastMul) ForwardInto(ctx *ExecContext, in []*tensor.Tensor, out *tensor.Tensor) error {
-	return tensor.PointwiseInto(ctx.Pool, out, tensor.ScalarFn{Bin: func(a, b float32) float32 { return a * b }}, in...)
+	return tensor.PointwiseInto(ctx.Pool, out, tensor.ScalarFn{Op: tensor.Mul}, in...)
 }
 func (testBroadcastMul) Grad(g *Graph, n *Node, grad *Node) ([]*Node, error) {
 	return nil, fmt.Errorf("not needed")

@@ -128,12 +128,14 @@ type ViewOp interface {
 }
 
 // Pointwise is what an index-pure element-wise kernel may add: its
-// result at every index is its scalar function of its inputs at that
-// index, after broadcasting, and its kernel is that function's
-// one-instruction program (tensor.PointwiseInto). The runtime's fuse
-// pass may then run it inside one step with the element-wise ops around
-// it, as one more instruction of the same block evaluator
-// (tensor.Program), with the same bits.
+// result at every index is its scalar function — an opcode and a
+// constant, tensor.ScalarFn — of its inputs at that index, after
+// broadcasting, and its kernel is that function's program
+// (tensor.PointwiseInto). A binary opcode over n ≥ 2 inputs is their
+// left fold, ((in0 ∘ in1) ∘ in2) ∘ …, each step rounded to float32, as
+// AddN sums. The runtime's fuse pass may then run the op inside one step
+// with the element-wise ops around it, as one more instruction (or fold
+// step) of the same block evaluator (tensor.Program), with the same bits.
 type Pointwise interface {
 	Pointwise() tensor.ScalarFn
 }

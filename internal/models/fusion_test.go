@@ -15,16 +15,18 @@ import (
 // TestEpilogueFusionFires pins epilogue fusion as part of every
 // workload's compiled plans: at preset small, seed 7, the plans of the
 // loss+TrainOp, loss+gradients and inference-output fetch sets run no
-// more op steps than when a graph rewrite fused each GEMM's and
-// convolution's epilogues (the bars below), and each workload runs a
-// headed step: a fused step traced in its head's class, which is not
+// more op steps than the bars below — the training bars are the lengths
+// once gradient accumulation (AddN) and ReluGrad fuse and ReluGrad reads
+// the relu's output, the inference bars those of a graph rewrite that
+// fused each GEMM's and convolution's epilogues — and each workload runs
+// a headed step: a fused step traced in its head's class, which is not
 // the element-wise one.
 func TestEpilogueFusionFires(t *testing.T) {
 	bars := map[string][3]int{
-		"alexnet": {80, 63, 24}, "attention": {217, 198, 60}, "autoenc": {51, 40, 8},
-		"deepq": {43, 34, 8}, "memnet": {180, 172, 58}, "neuraltalk": {121, 96, 31},
-		"residual": {1336, 1134, 254}, "seq2seq": {2090, 2055, 535}, "speech": {1503, 1486, 394},
-		"vgg": {168, 129, 46},
+		"alexnet": {68, 51, 24}, "attention": {189, 172, 60}, "autoenc": {44, 33, 8},
+		"deepq": {34, 25, 8}, "memnet": {150, 142, 58}, "neuraltalk": {94, 81, 31},
+		"residual": {947, 800, 254}, "seq2seq": {1787, 1769, 535}, "speech": {957, 940, 394},
+		"vgg": {134, 95, 46},
 	}
 	for _, name := range core.Names() {
 		m, err := core.New(name)

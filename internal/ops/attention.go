@@ -91,7 +91,7 @@ func (batchMatMulOp) ComposeAttention(softmax, scale, score, transpose graph.Op,
 	if _, ok := softmax.(softmaxOp); !ok {
 		return nil, false
 	}
-	if mul, ok := scale.(binOp); !ok || mul.kind != binMul {
+	if mul, ok := scale.(pointwiseOp); !ok || mul.fn.Op != tensor.Mul {
 		return nil, false
 	}
 	if _, ok := score.(batchMatMulOp); !ok {

@@ -126,7 +126,7 @@ func (o *dropoutOp) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out
 // products are elementwise, so every lane holds the bits a standalone
 // run computes.
 func (o *dropoutOp) applyMask(ctx *graph.ExecContext, x, out *tensor.Tensor) error {
-	return tensor.PointwiseInto(ctx.Pool, out, tensor.ScalarFn{Bin: func(a, m float32) float32 { return a * m }}, x, o.mask)
+	return tensor.PointwiseInto(ctx.Pool, out, tensor.ScalarFn{Op: tensor.Mul}, x, o.mask)
 }
 func (o *dropoutOp) Grad(g *graph.Graph, n *graph.Node, grad *graph.Node) ([]*graph.Node, error) {
 	return []*graph.Node{g.MustApply(&dropoutGradOp{src: o}, grad)}, nil

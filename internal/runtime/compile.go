@@ -433,12 +433,11 @@ func (sc *schedule) fusedStep(set []int, head int, group []int) planStep {
 		if m.window || i == head {
 			continue
 		}
-		ins := tensor.Instr{Fn: m.fn, A: arg(st.ins[0])}
-		if m.fn.Bin != nil {
-			ins.B = arg(st.ins[1])
+		args := make([]int, len(st.ins))
+		for j, p := range st.ins {
+			args[j] = arg(p)
 		}
-		slot[i] = len(f.prog.Loads) + len(f.prog.Code)
-		f.prog.Code = append(f.prog.Code, ins)
+		f.prog, slot[i] = f.prog.Emit(m.fn, args...)
 	}
 	f.name = strings.Join(names, "+")
 	return planStep{node: sc.steps[out].node, kind: graph.KindOp, nodes: nodes, fused: f}

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -745,7 +744,7 @@ func (o noisyTanh) ForwardInto(ctx *graph.ExecContext, in []*tensor.Tensor, out 
 	return tensor.PointwiseInto(ctx.Pool, out, o.Pointwise(), in...)
 }
 func (noisyTanh) Pointwise() tensor.ScalarFn {
-	return tensor.ScalarFn{Un: func(x float32) float32 { return float32(math.Tanh(float64(x))) }}
+	return tensor.ScalarFn{Op: tensor.Tanh}
 }
 
 // wrapped runs another kernel op under the same name; impureOp and
@@ -808,16 +807,25 @@ func TestFusePass(t *testing.T) {
 			conv := ops.Conv2D(g.Placeholder("x", 2, 5, 5, 2), f, 1, 1, 1, 1)
 			return g, []*graph.Node{ops.Tanh(ops.Add(conv, b))}
 		}, []string{"Conv2D+Add+Tanh"}},
-		{"training: the ReluGrad tap keeps the relu apart", func() (*graph.Graph, []*graph.Node) {
+		// ReluGrad reads the relu's output, the set's output, so no
+		// gradient tap reads inside the set.
+		{"training: the relu chain fuses fully", func() (*graph.Graph, []*graph.Node) {
 			g := graph.New()
 			y, w, b := dense(g)
 			return g, lossAndGrads(ops.Relu(y), w, b)
-		}, []string{"MatMul+Add"}},
+		}, []string{"MatMul+Add+Relu", "Tile+ReluGrad"}},
 		{"training: the tanh chain fuses fully", func() (*graph.Graph, []*graph.Node) {
 			g := graph.New()
 			y, w, b := dense(g)
 			return g, lossAndGrads(ops.Tanh(y), w, b)
 		}, []string{"MatMul+Add+Tanh", "Tile+Mul+Sub+Mul"}},
+		// y has three readers, so its gradient is a three-input AddN:
+		// Add's left fold, which joins the set of the terms it sums.
+		{"training: a three-way gradient sum fuses", func() (*graph.Graph, []*graph.Node) {
+			g := graph.New()
+			y, w, b := dense(g)
+			return g, lossAndGrads(ops.Add(ops.Add(ops.Tanh(y), ops.Square(y)), ops.Neg(y)), w, b)
+		}, []string{"MatMul+Add", "Square+Add+Neg+Add", "Tile+Neg+Mul+Mul+Mul+Sub+Mul+AddN"}},
 		{"two products: one heads, one is an operand", func() (*graph.Graph, []*graph.Node) {
 			g := graph.New()
 			a := ops.MatMul(g.Placeholder("x", 4, 6), g.Variable("w", tensor.Full(0.1, 6, 5)))

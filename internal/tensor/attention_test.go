@@ -23,7 +23,7 @@ func naiveAttentionRef(t testing.TB, p *Pool, q, k, v *Tensor, scale float32) *T
 	}
 	scores := naiveBatchMatMul(t, p, q, kt)
 	scaled := New(scores.shape...)
-	if err := PointwiseInto(p, scaled, ScalarFn{Bin: func(a, b float32) float32 { return a * b }}, scores, Scalar(scale)); err != nil {
+	if err := PointwiseInto(p, scaled, ScalarFn{Op: Mul}, scores, Scalar(scale)); err != nil {
 		t.Fatal(err)
 	}
 	w := Softmax(p, scaled)

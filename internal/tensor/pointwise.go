@@ -2,21 +2,201 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
 // The block evaluator: the one kernel of every element-wise op. An op
-// that runs alone is a one-instruction program (PointwiseInto). The
-// runtime's fuse pass builds longer ones: it runs a connected set of
-// single-reader element-wise ops of a plan as one step, after the set's
-// head — a GEMM or a convolution, say — has written the destination the
-// program then reads through Dest.
+// that runs alone is a program of one instruction, or, for a binary
+// opcode over n operands, of the n−1 steps of its left fold
+// (PointwiseInto). The runtime's fuse pass builds longer ones: it runs a
+// connected set of single-reader element-wise ops of a plan as one step,
+// after the set's head — a GEMM or a convolution, say — has written the
+// destination the program then reads through Dest. An instruction is a
+// value, not a closure: each block runs it as one direct loop chosen by
+// its opcode, and this file holds every element-wise scalar function.
 
-// ScalarFn is an element-wise op's scalar function: Un for an op of one
-// operand, Bin for an op of two.
+// Opcode names an element-wise scalar function.
+type Opcode uint8
+
+const (
+	Neg Opcode = iota
+	Exp
+	Log
+	Sqrt
+	Square
+	Tanh
+	Sigmoid
+	Relu
+	Pow   // x^C
+	Huber // ½x² where |x| ≤ C, else C(|x| − ½C)
+	Add
+	Sub
+	Mul
+	Div
+	Maximum // x where x > y, else y
+	Minimum // x where x < y, else y
+	LessEqual
+	Equal
+	ReluGrad // x where y > 0, else 0: a gradient x routed by a Relu's output y
+	numOpcodes
+)
+
+// arity is each opcode's operand count. A binary opcode over n ≥ 2
+// operands is their left fold, ((in0 ∘ in1) ∘ in2) ∘ …, every step
+// rounded to float32.
+var arity = [numOpcodes]int{
+	Neg: 1, Exp: 1, Log: 1, Sqrt: 1, Square: 1, Tanh: 1, Sigmoid: 1, Relu: 1, Pow: 1, Huber: 1,
+	Add: 2, Sub: 2, Mul: 2, Div: 2, Maximum: 2, Minimum: 2, LessEqual: 2, Equal: 2, ReluGrad: 2,
+}
+
+// ScalarFn is an element-wise op's scalar function: an opcode and the
+// one constant Pow (its exponent) and Huber (its δ) read. It is a
+// comparable value, so a program is data the evaluator switches on.
 type ScalarFn struct {
-	Un  func(x float32) float32
-	Bin func(x, y float32) float32
+	Op Opcode
+	C  float32
+}
+
+// Arity is the number of operands fn takes: 1, or 2 for a binary
+// opcode, which also folds more.
+func (fn ScalarFn) Arity() int { return arity[fn.Op] }
+
+// unary writes fn(x[i]) to dst[i], x as long as dst.
+func (fn ScalarFn) unary(dst, x []float32) {
+	x = x[:len(dst)]
+	switch fn.Op {
+	case Neg:
+		for i, v := range x {
+			dst[i] = -v
+		}
+	case Exp:
+		for i, v := range x {
+			dst[i] = exp32(v)
+		}
+	case Log:
+		for i, v := range x {
+			dst[i] = log32(v)
+		}
+	case Sqrt:
+		for i, v := range x {
+			dst[i] = float32(math.Sqrt(float64(v)))
+		}
+	case Square:
+		for i, v := range x {
+			dst[i] = v * v
+		}
+	case Tanh:
+		for i, v := range x {
+			dst[i] = tanh32(v)
+		}
+	case Sigmoid:
+		for i, v := range x {
+			dst[i] = sigmoid32(v)
+		}
+	case Relu:
+		for i, v := range x {
+			dst[i] = pick(v > 0, v, 0)
+		}
+	case Pow:
+		for i, v := range x {
+			dst[i] = pow32(v, fn.C)
+		}
+	case Huber:
+		for i, v := range x {
+			dst[i] = huber(v, fn.C)
+		}
+	default:
+		panic(fmt.Sprintf("tensor: opcode %d is not unary", fn.Op))
+	}
+}
+
+// binary writes fn(x[i], y[i]) to dst[i], x and y as long as dst.
+func (fn ScalarFn) binary(dst, x, y []float32) {
+	x, y = x[:len(dst)], y[:len(dst)]
+	switch fn.Op {
+	case Add:
+		for i, v := range x {
+			dst[i] = v + y[i]
+		}
+	case Sub:
+		for i, v := range x {
+			dst[i] = v - y[i]
+		}
+	case Mul:
+		for i, v := range x {
+			dst[i] = v * y[i]
+		}
+	case Div:
+		for i, v := range x {
+			dst[i] = v / y[i]
+		}
+	case Maximum:
+		for i, v := range x {
+			dst[i] = pick(v > y[i], v, y[i])
+		}
+	case Minimum:
+		for i, v := range x {
+			dst[i] = pick(v < y[i], v, y[i])
+		}
+	case LessEqual:
+		for i, v := range x {
+			dst[i] = pick(v <= y[i], 1, 0)
+		}
+	case Equal:
+		for i, v := range x {
+			dst[i] = pick(v == y[i], 1, 0)
+		}
+	case ReluGrad:
+		for i, v := range x {
+			dst[i] = pick(y[i] > 0, v, 0)
+		}
+	default:
+		panic(fmt.Sprintf("tensor: opcode %d is not binary", fn.Op))
+	}
+}
+
+// exp32, log32, tanh32, sigmoid32 and pow32 go through float64 math and
+// stay calls. Inlined into a loop, each element's conversion to float64
+// writes part of the register that holds the last element's result, so
+// the math calls would run one after another instead of overlapping
+// (tanh ×2 slower).
+
+//go:noinline
+func exp32(x float32) float32 { return float32(math.Exp(float64(x))) }
+
+//go:noinline
+func log32(x float32) float32 { return float32(math.Log(float64(x))) }
+
+//go:noinline
+func tanh32(x float32) float32 { return float32(math.Tanh(float64(x))) }
+
+//go:noinline
+func sigmoid32(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }
+
+//go:noinline
+func pow32(x, e float32) float32 { return float32(math.Pow(float64(x), float64(e))) }
+
+// pick is a if c holds, else b: Relu, ReluGrad, Maximum, Minimum and
+// the comparisons, where a comparison with a NaN fails and picks b.
+func pick(c bool, a, b float32) float32 {
+	if c {
+		return a
+	}
+	return b
+}
+
+// huber rounds ½δ before the subtraction, so that no target contracts
+// it into a multiply-subtract.
+func huber(x, d float32) float32 {
+	a := x
+	if a < 0 {
+		a = -a
+	}
+	if a <= d {
+		return 0.5 * x * x
+	}
+	return d * (a - float32(0.5*d))
 }
 
 // Dest, as a Load's In, reads the destination's current contents: an
@@ -37,8 +217,9 @@ type Load struct {
 	Col, RowStride int
 }
 
-// Instr is one instruction: Fn over the values in slot A and, for a Bin,
-// slot B. Slots number the loads first, then the instructions' results.
+// Instr is one instruction: Fn over the values in slot A and, for a
+// binary opcode, slot B. Slots number the loads first, then the
+// instructions' results.
 type Instr struct {
 	Fn   ScalarFn
 	A, B int
@@ -142,26 +323,53 @@ func (o *operand) gather(dst []float32, r0, r1, c0, w int) {
 	}
 }
 
-// PointwiseInto runs one element-wise op into out: fn.Un over in[0], or
-// fn.Bin over in[0] and in[1], each read wherever it broadcasts to out,
-// which must have their broadcast shape. It is the block evaluator's
-// one-instruction program, so an op gives the same bits alone as fused
-// into a longer one; a width-1 call allocates nothing. out is fully
+// PointwiseInto runs one element-wise op into out: fn over in[0], or,
+// for a binary opcode, over in[0] and in[1], or the left fold of fn over
+// in[0], in[1], … in[n−1]. Each operand is read wherever it broadcasts to
+// out, which must have their broadcast shape. It is the block
+// evaluator's program of one instruction per fold step, so an op gives
+// the same bits alone as fused into a longer one; a width-1 call over up
+// to maxStackOperands operands allocates nothing. out is fully
 // overwritten and must not alias an operand.
 func PointwiseInto(p *Pool, out *Tensor, fn ScalarFn, in ...*Tensor) error {
-	arity := 1
-	if fn.Bin != nil {
-		arity = 2
-	}
-	if len(in) != arity || !spans(out.shape, in) {
+	n := len(in)
+	if n < fn.Arity() || fn.Arity() == 1 && n > 1 || !spans(out.shape, in) {
 		shapes := make([][]int, len(in))
 		for i, t := range in {
 			shapes[i] = t.shape
 		}
-		return fmt.Errorf("tensor: element-wise destination %v for operands %v: want %d of them and their broadcast shape", out.shape, shapes, arity)
+		return fmt.Errorf("tensor: element-wise destination %v for operands %v: want %d of them and their broadcast shape", out.shape, shapes, fn.Arity())
 	}
-	prog := Program{Loads: []Load{{In: 0}, {In: 1}}[:arity], Code: []Instr{{Fn: fn, A: 0, B: 1}}}
+	var lbuf [maxStackOperands]Load
+	var cbuf [maxStackOperands - 1]Instr
+	var abuf [maxStackOperands]int
+	prog, args := Program{Loads: lbuf[:0], Code: cbuf[:0]}, abuf[:0]
+	for k := range in {
+		prog.Loads = append(prog.Loads, Load{In: k})
+		args = append(args, k)
+	}
+	prog, _ = prog.Emit(fn, args...)
 	return prog.Run(p, out, in)
+}
+
+// maxStackOperands is the most operands PointwiseInto holds on the stack.
+const maxStackOperands = 8
+
+// Emit returns the program with fn over the values in slots args
+// appended, and the slot of its result: one instruction, or, for a
+// binary opcode over n ≥ 2 slots, the n−1 steps of their left fold, each
+// over the last step's result and the next slot. The program's loads
+// must all precede it.
+func (p Program) Emit(fn ScalarFn, args ...int) (Program, int) {
+	a, rest := args[0], args[1:]
+	if len(rest) == 0 {
+		rest = args // a unary instruction, which reads no B
+	}
+	for _, b := range rest {
+		p.Code = append(p.Code, Instr{Fn: fn, A: a, B: b})
+		a = len(p.Loads) + len(p.Code) - 1
+	}
+	return p, a
 }
 
 // spans reports whether some operand holds each axis of out at out's
@@ -278,16 +486,10 @@ func (r pointwiseRun) blocks(pool *Pool, lane, lo, hi int) {
 			if k < last {
 				dst = slot(len(r.loads) + k)
 			}
-			if f := ins.Fn.Un; f != nil {
-				x := slot(ins.A)[:len(dst)]
-				for i := range dst {
-					dst[i] = f(x[i])
-				}
-				continue
-			}
-			f, x, y := ins.Fn.Bin, slot(ins.A)[:len(dst)], slot(ins.B)[:len(dst)]
-			for i := range dst {
-				dst[i] = f(x[i], y[i])
+			if ins.Fn.Arity() == 1 {
+				ins.Fn.unary(dst, slot(ins.A))
+			} else {
+				ins.Fn.binary(dst, slot(ins.A), slot(ins.B))
 			}
 		}
 	}

@@ -8,16 +8,73 @@ import (
 	"repro/internal/sched"
 )
 
-func sigmoid32(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }
-func tanh32(x float32) float32    { return float32(math.Tanh(float64(x))) }
-func add32(x, y float32) float32  { return x + y }
-func sub32(x, y float32) float32  { return x - y }
-func mul32(x, y float32) float32  { return x * y }
-func div32(x, y float32) float32  { return x / y }
+// naiveUnary and naiveBinary are every opcode's scalar function,
+// written apart from the evaluator's loops: the reference they are held
+// to. c is Pow's exponent or Huber's δ.
+var naiveUnary = map[Opcode]func(x, c float32) float32{
+	Neg:     func(x, _ float32) float32 { return -x },
+	Exp:     func(x, _ float32) float32 { return float32(math.Exp(float64(x))) },
+	Log:     func(x, _ float32) float32 { return float32(math.Log(float64(x))) },
+	Sqrt:    func(x, _ float32) float32 { return float32(math.Sqrt(float64(x))) },
+	Square:  func(x, _ float32) float32 { return x * x },
+	Tanh:    func(x, _ float32) float32 { return float32(math.Tanh(float64(x))) },
+	Sigmoid: func(x, _ float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) },
+	Relu: func(x, _ float32) float32 {
+		if x > 0 {
+			return x
+		}
+		return 0
+	},
+	Pow: func(x, c float32) float32 { return float32(math.Pow(float64(x), float64(c))) },
+	Huber: func(x, c float32) float32 {
+		if x <= c && -x <= c {
+			return 0.5 * x * x
+		}
+		half := float32(0.5 * c)
+		return c * (float32(math.Abs(float64(x))) - half)
+	},
+}
+
+var naiveBinary = map[Opcode]func(x, y float32) float32{
+	Add: func(x, y float32) float32 { return x + y },
+	Sub: func(x, y float32) float32 { return x - y },
+	Mul: func(x, y float32) float32 { return x * y },
+	Div: func(x, y float32) float32 { return x / y },
+	Maximum: func(x, y float32) float32 {
+		if x > y {
+			return x
+		}
+		return y
+	},
+	Minimum: func(x, y float32) float32 {
+		if x < y {
+			return x
+		}
+		return y
+	},
+	LessEqual: func(x, y float32) float32 {
+		if x <= y {
+			return 1
+		}
+		return 0
+	},
+	Equal: func(x, y float32) float32 {
+		if x == y {
+			return 1
+		}
+		return 0
+	},
+	ReluGrad: func(g, y float32) float32 {
+		if y > 0 {
+			return g
+		}
+		return 0
+	},
+}
 
 // naivePointwise is fn over the operands broadcast to shape, one output
-// index at a time: the reference the block evaluator is held to. It
-// shares no code with Program.
+// index at a time, a binary fn folding them left to right: the reference
+// the block evaluator is held to. It shares no code with Program.
 func naivePointwise(shape []int, fn ScalarFn, in ...*Tensor) *Tensor {
 	n := 1
 	for _, d := range shape {
@@ -40,11 +97,14 @@ func naivePointwise(shape []int, fn ScalarFn, in ...*Tensor) *Tensor {
 		for k := len(shape) - 1; k >= 0; k-- {
 			idx[k], rem = rem%shape[k], rem/shape[k]
 		}
-		if fn.Un != nil {
-			out.data[i] = fn.Un(at(in[0]))
-		} else {
-			out.data[i] = fn.Bin(at(in[0]), at(in[1]))
+		v := at(in[0])
+		if un, ok := naiveUnary[fn.Op]; ok {
+			v = un(v, fn.C)
 		}
+		for _, t := range in[1:] {
+			v = naiveBinary[fn.Op](v, at(t))
+		}
+		out.data[i] = v
 	}
 	return out
 }
@@ -62,15 +122,15 @@ func cellProgram(c int) Program {
 	return Program{
 		Loads: []Load{win(1), win(0), win(3), {In: 1}, {In: 2}, {In: 3}, {In: 4}},
 		Code: []Instr{
-			{Fn: ScalarFn{Un: sigmoid32}, A: 0},     // 7  f
-			{Fn: ScalarFn{Bin: mul32}, A: 7, B: 3},  // 8  f·cs
-			{Fn: ScalarFn{Un: sigmoid32}, A: 1},     // 9  i
-			{Fn: ScalarFn{Un: tanh32}, A: 2},        // 10 cand
-			{Fn: ScalarFn{Bin: mul32}, A: 9, B: 10}, // 11 i·cand
-			{Fn: ScalarFn{Bin: add32}, A: 8, B: 11}, // 12 cs'
-			{Fn: ScalarFn{Bin: sub32}, A: 12, B: 4}, // 13
-			{Fn: ScalarFn{Bin: mul32}, A: 13, B: 5}, // 14
-			{Fn: ScalarFn{Bin: div32}, A: 14, B: 6}, // out
+			{Fn: ScalarFn{Op: Sigmoid}, A: 0},    // 7  f
+			{Fn: ScalarFn{Op: Mul}, A: 7, B: 3},  // 8  f·cs
+			{Fn: ScalarFn{Op: Sigmoid}, A: 1},    // 9  i
+			{Fn: ScalarFn{Op: Tanh}, A: 2},       // 10 cand
+			{Fn: ScalarFn{Op: Mul}, A: 9, B: 10}, // 11 i·cand
+			{Fn: ScalarFn{Op: Add}, A: 8, B: 11}, // 12 cs'
+			{Fn: ScalarFn{Op: Sub}, A: 12, B: 4}, // 13
+			{Fn: ScalarFn{Op: Mul}, A: 13, B: 5}, // 14
+			{Fn: ScalarFn{Op: Div}, A: 14, B: 6}, // out
 		},
 	}
 }
@@ -87,14 +147,14 @@ func cellUnfused(t *testing.T, p *Pool, g, cs, r, bias, s *Tensor) *Tensor {
 		}
 		return out
 	}
-	un := func(fn func(float32) float32, a *Tensor) *Tensor {
-		return naivePointwise(a.shape, ScalarFn{Un: fn}, a)
+	un := func(op Opcode, a *Tensor) *Tensor {
+		return naivePointwise(a.shape, ScalarFn{Op: op}, a)
 	}
-	bin := func(fn func(x, y float32) float32, a, b *Tensor) *Tensor {
-		return naivePointwise([]int{rows, c}, ScalarFn{Bin: fn}, a, b)
+	bin := func(op Opcode, a, b *Tensor) *Tensor {
+		return naivePointwise([]int{rows, c}, ScalarFn{Op: op}, a, b)
 	}
-	next := bin(add32, bin(mul32, un(sigmoid32, slice(1)), cs), bin(mul32, un(sigmoid32, slice(0)), un(tanh32, slice(3))))
-	return bin(div32, bin(mul32, bin(sub32, next, r), bias), s)
+	next := bin(Add, bin(Mul, un(Sigmoid, slice(1)), cs), bin(Mul, un(Sigmoid, slice(0)), un(Tanh, slice(3))))
+	return bin(Div, bin(Mul, bin(Sub, next, r), bias), s)
 }
 
 // TestProgramMatchesUnfusedOps: the block evaluator gives the naive
@@ -137,10 +197,10 @@ func TestProgramReadsItsDestination(t *testing.T) {
 	for _, shape := range [][2]int{{4, 16}, {3, 600}} {
 		out := RandNormal(rng, 0, 1, shape[0], shape[1])
 		bias := RandNormal(rng, 0, 1, shape[1])
-		want := naivePointwise(out.shape, ScalarFn{Un: tanh32}, naivePointwise(out.shape, ScalarFn{Bin: add32}, out, bias))
+		want := naivePointwise(out.shape, ScalarFn{Op: Tanh}, naivePointwise(out.shape, ScalarFn{Op: Add}, out, bias))
 		prog := Program{
 			Loads: []Load{{In: Dest}, {In: 0}},
-			Code:  []Instr{{Fn: ScalarFn{Bin: add32}, A: 0, B: 1}, {Fn: ScalarFn{Un: tanh32}, A: 2}},
+			Code:  []Instr{{Fn: ScalarFn{Op: Add}, A: 0, B: 1}, {Fn: ScalarFn{Op: Tanh}, A: 2}},
 		}
 		if err := prog.Run(NewPool(1), out, []*Tensor{bias}); err != nil {
 			t.Fatal(err)
@@ -155,7 +215,7 @@ func TestProgramReadsItsDestination(t *testing.T) {
 // the output or its rank, or does not broadcast to it, and a window that
 // does not fit its input are errors, not out-of-range reads.
 func TestProgramRefusesOperandsItCannotMap(t *testing.T) {
-	neg := Program{Loads: []Load{{In: 0}}, Code: []Instr{{Fn: ScalarFn{Un: tanh32}}}}
+	neg := Program{Loads: []Load{{In: 0}}, Code: []Instr{{Fn: ScalarFn{Op: Tanh}}}}
 	for _, c := range []struct {
 		name    string
 		prog    Program
@@ -210,10 +270,10 @@ func TestPointwiseReadsEveryBroadcast(t *testing.T) {
 		b := RandNormal(rng, 0, 1, c.in...)
 		for _, args := range [][2]*Tensor{{a, b}, {b, a}} {
 			got := Full(float32(math.NaN()), c.out...)
-			if err := PointwiseInto(NewPool(1), got, ScalarFn{Bin: sub32}, args[0], args[1]); err != nil {
+			if err := PointwiseInto(NewPool(1), got, ScalarFn{Op: Sub}, args[0], args[1]); err != nil {
 				t.Fatalf("%v against %v: %v", c.in, c.out, err)
 			}
-			want := naivePointwise(c.out, ScalarFn{Bin: sub32}, args[0], args[1])
+			want := naivePointwise(c.out, ScalarFn{Op: Sub}, args[0], args[1])
 			if i, ok := sameBits(got.data, want.data); !ok {
 				t.Fatalf("%v against %v: element %d is %v, naive %v", c.in, c.out, i, got.data[i], want.data[i])
 			}
@@ -240,56 +300,59 @@ func TestProgramAllocatesNothing(t *testing.T) {
 }
 
 // TestPointwiseAllocatesNothing: a width-1 call of the entry point
-// builds its one-instruction program on the stack and runs it inline,
-// for a bias add and for a broadcast along a leading axis.
+// builds its program on the stack and runs it inline, for a relu, a
+// bias add, a broadcast along a leading axis and a four-operand fold.
 func TestPointwiseAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	p := NewPool(1)
-	for _, c := range []struct{ a, b []int }{
-		{[]int{4, 16}, []int{16}},
-		{[]int{2, 3, 7}, []int{1, 3, 7}},
+	for _, c := range []struct {
+		op     Opcode
+		shapes [][]int
+	}{
+		{Relu, [][]int{{4, 16}}},
+		{Add, [][]int{{4, 16}, {16}}},
+		{Add, [][]int{{2, 3, 7}, {1, 3, 7}}},
+		{Add, [][]int{{4, 16}, {4, 16}, {4, 16}, {16}}},
 	} {
-		a, b, out := RandNormal(rng, 0, 1, c.a...), RandNormal(rng, 0, 1, c.b...), New(c.a...)
+		var in []*Tensor
+		for _, s := range c.shapes {
+			in = append(in, RandNormal(rng, 0, 1, s...))
+		}
+		out := New(c.shapes[0]...)
 		if allocs := testing.AllocsPerRun(20, func() {
-			if err := PointwiseInto(p, out, ScalarFn{Bin: add32}, a, b); err != nil {
+			if err := PointwiseInto(p, out, ScalarFn{Op: c.op}, in...); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
-			t.Errorf("%v + %v allocates %v objects per call at width 1, want 0", c.a, c.b, allocs)
+			t.Errorf("opcode %d over %v allocates %v objects per call at width 1, want 0", c.op, c.shapes, allocs)
 		}
 	}
 }
 
-// FuzzPointwise: the entry point over fuzzed output ranks 0–4 and
-// operands that broadcast to the output — a leading axis dropped or held
-// at 1, as a (1,S,d) or (B,1,d) operand is — with NaN, ±Inf and −0
-// poisoned in, gives the naive reference's bits at widths 1 and 2, NaNs
-// of any payload counted equal. An operand shape made not to broadcast,
-// or to broaden the output's rank, is an error and not a panic.
+// FuzzPointwise: the entry point over every opcode, a fuzzed constant
+// for Pow and Huber, binary opcodes folding 2–5 operands, fuzzed output
+// ranks 0–4 and operands that broadcast to the output — a leading axis
+// dropped or held at 1, as a (1,S,d) or (B,1,d) operand is — with NaN,
+// ±Inf and −0 poisoned in, gives the naive reference's bits at widths 1
+// and 2, NaNs of any payload counted equal. ReluGrad routes a gradient
+// alike by a Relu's input and by its output. An operand shape made not to
+// broadcast, or to broaden the output's rank, is an error and not a
+// panic.
 func FuzzPointwise(f *testing.F) {
-	f.Add(uint8(3), uint32(0x4321), uint16(0), uint8(0), []byte{}, int64(1))
-	f.Add(uint8(3), uint32(0x1356), uint16(0x0101), uint8(3), []byte{0, 1, 9, 2}, int64(2))
-	f.Add(uint8(2), uint32(0x2f), uint16(0x0200), uint8(6), []byte{5, 3}, int64(3))
-	f.Add(uint8(0x82), uint32(0x35), uint16(0x0002), uint8(2), []byte{3, 4, 200, 5, 77, 6}, int64(4))
-	f.Add(uint8(4), uint32(0xabcd), uint16(0x1010), uint8(0x13), []byte{}, int64(5))
+	f.Add(uint8(3), uint32(0x4321), uint64(0), uint16(Add), float32(0), []byte{}, int64(1))
+	f.Add(uint8(3), uint32(0x1356), uint64(0x0101), uint16(Mul), float32(0), []byte{0, 1, 9, 2}, int64(2))
+	f.Add(uint8(2), uint32(0x2f), uint64(0x0200), uint16(Maximum), float32(0), []byte{5, 3}, int64(3))
+	f.Add(uint8(0x82), uint32(0x35), uint64(0x0002), uint16(Div), float32(0), []byte{3, 4, 200, 5, 77, 6}, int64(4))
+	f.Add(uint8(4), uint32(0xabcd), uint64(0x1010), uint16(Tanh), float32(0), []byte{}, int64(5))
+	f.Add(uint8(3), uint32(0x333), uint64(0x08000010), uint16(Add)|3<<8, float32(0), []byte{1, 2, 100, 6, 250, 11}, int64(6))
+	f.Add(uint8(2), uint32(0x55), uint64(0), uint16(ReluGrad), float32(0), []byte{0, 4, 64, 5, 128, 6, 192, 7}, int64(7))
+	f.Add(uint8(2), uint32(0x66), uint64(0), uint16(Huber), float32(0.5), []byte{0, 0, 9, 3}, int64(8))
+	f.Add(uint8(1), uint32(0x7), uint64(0), uint16(Pow), float32(2.5), []byte{0, 3, 90, 2}, int64(9))
 	ex := sched.New(1)
 	f.Cleanup(ex.Close)
 	pools := map[int]*Pool{1: NewPool(1), 2: NewParallelPool(2, ex)}
 	poison := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), float32(math.Copysign(0, -1))}
-	maximum := func(x, y float32) float32 {
-		if x > y {
-			return x
-		}
-		return y
-	}
-	minimum := func(x, y float32) float32 {
-		if x < y {
-			return x
-		}
-		return y
-	}
-	fns := []ScalarFn{{Bin: add32}, {Bin: sub32}, {Bin: mul32}, {Bin: div32}, {Bin: maximum}, {Bin: minimum}, {Un: tanh32}}
-	f.Fuzz(func(t *testing.T, rankB uint8, dims uint32, masks uint16, op uint8, poisons []byte, seed int64) {
+	f.Fuzz(func(t *testing.T, rankB uint8, dims uint32, masks uint64, op uint16, c float32, poisons []byte, seed int64) {
 		// The output: rank 0–4, each extent 1–7 or, one time in sixteen, 0.
 		// The high bit widens the last two axes, so the run splits into
 		// row tiles and chunks.
@@ -305,15 +368,17 @@ func FuzzPointwise(f *testing.F) {
 			out[len(out)-1] += 300
 			out[len(out)-2] *= 40
 		}
-		fn := fns[int(op)%len(fns)]
+		// The low byte of op picks the opcode; the high byte, for a
+		// binary one, folds 2–5 operands.
+		fn := ScalarFn{Op: Opcode(op & 0xff % uint16(numOpcodes)), C: c}
+		arity := fn.Arity()
+		if arity == 2 {
+			arity += int(op>>8) % 4
+		}
 		// An operand's mask byte: bits 0–2 drop leading axes, bits 3–5
 		// hold axes at 1, bit 6 prepends an axis of 2 and bit 7 bends one
 		// extent, most often so that it no longer broadcasts.
 		rng := rand.New(rand.NewSource(seed))
-		arity := 2
-		if fn.Un != nil {
-			arity = 1
-		}
 		var in []*Tensor
 		for j := 0; j < arity; j++ {
 			m := int(masks >> (8 * j) & 0xff)
@@ -338,24 +403,39 @@ func FuzzPointwise(f *testing.F) {
 			in = append(in, x)
 		}
 		want, err := in[0].shape, error(nil)
-		if arity == 2 {
-			want, err = BroadcastShapes(in[0].shape, in[1].shape)
+		for _, x := range in[1:] {
+			if err == nil {
+				want, err = BroadcastShapes(want, x.shape)
+			}
 		}
 		for w, p := range pools {
 			got := Full(float32(math.NaN()), out...)
 			gotErr := PointwiseInto(p, got, fn, in...)
 			if err != nil || !SameShape(want, out) {
 				if gotErr == nil {
-					t.Fatalf("operands %v into %v at width %d: no error", shapesOf(in), out, w)
+					t.Fatalf("opcode %d over %v into %v at width %d: no error", fn.Op, shapesOf(in), out, w)
 				}
 				continue
 			}
 			if gotErr != nil {
-				t.Fatalf("operands %v into %v at width %d: %v", shapesOf(in), out, w, gotErr)
+				t.Fatalf("opcode %d over %v into %v at width %d: %v", fn.Op, shapesOf(in), out, w, gotErr)
 			}
 			ref := naivePointwise(out, fn, in...)
 			if i, ok := sameBits(got.data, ref.data); !ok {
-				t.Fatalf("operands %v into %v at width %d: element %d is %v, naive %v", shapesOf(in), out, w, i, got.data[i], ref.data[i])
+				t.Fatalf("opcode %d over %v into %v at width %d: element %d is %v, naive %v", fn.Op, shapesOf(in), out, w, i, got.data[i], ref.data[i])
+			}
+			if fn.Op != ReluGrad || len(in) != 2 {
+				continue
+			}
+			y, byOut := New(in[1].shape...), New(out...)
+			if err := PointwiseInto(p, y, ScalarFn{Op: Relu}, in[1]); err != nil {
+				t.Fatal(err)
+			}
+			if err := PointwiseInto(p, byOut, fn, in[0], y); err != nil {
+				t.Fatal(err)
+			}
+			if i, ok := sameBits(byOut.data, got.data); !ok {
+				t.Fatalf("%v at width %d: ReluGrad by the output is %v at element %d, by the input %v", out, w, byOut.data[i], i, got.data[i])
 			}
 		}
 	})

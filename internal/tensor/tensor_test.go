@@ -137,20 +137,20 @@ func TestBroadcastShapes(t *testing.T) {
 
 // binaryOp is fn over broadcast a and b into a new tensor, through the
 // element-wise entry point.
-func binaryOp(p *Pool, a, b *Tensor, fn func(x, y float32) float32) (*Tensor, error) {
+func binaryOp(p *Pool, a, b *Tensor, op Opcode) (*Tensor, error) {
 	shape, err := BroadcastShapes(a.shape, b.shape)
 	if err != nil {
 		return nil, err
 	}
 	out := New(shape...)
-	return out, PointwiseInto(p, out, ScalarFn{Bin: fn}, a, b)
+	return out, PointwiseInto(p, out, ScalarFn{Op: op}, a, b)
 }
 
 func TestBinaryOpSameShape(t *testing.T) {
 	p := NewPool(1)
 	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float32{10, 20, 30, 40}, 2, 2)
-	out, err := binaryOp(p, a, b, func(x, y float32) float32 { return x + y })
+	out, err := binaryOp(p, a, b, Add)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,14 +166,14 @@ func TestBinaryOpScalar(t *testing.T) {
 	p := NewPool(1)
 	a := FromSlice([]float32{1, 2, 3}, 3)
 	s := Scalar(2)
-	out, err := binaryOp(p, a, s, func(x, y float32) float32 { return x * y })
+	out, err := binaryOp(p, a, s, Mul)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Data()[2] != 6 {
 		t.Fatalf("scalar broadcast wrong: %v", out.Data())
 	}
-	out2, err := binaryOp(p, s, a, func(x, y float32) float32 { return x - y })
+	out2, err := binaryOp(p, s, a, Sub)
 	if err != nil || out2.Data()[0] != 1 {
 		t.Fatalf("scalar-first broadcast wrong: %v %v", out2, err)
 	}
@@ -183,7 +183,7 @@ func TestBinaryOpBiasPattern(t *testing.T) {
 	p := NewPool(1)
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	bias := FromSlice([]float32{10, 20, 30}, 3)
-	out, err := binaryOp(p, a, bias, func(x, y float32) float32 { return x + y })
+	out, err := binaryOp(p, a, bias, Add)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestBinaryOpGeneralBroadcast(t *testing.T) {
 	p := NewPool(1)
 	a := FromSlice([]float32{1, 2}, 2, 1)
 	b := FromSlice([]float32{10, 20, 30}, 1, 3)
-	out, err := binaryOp(p, a, b, func(x, y float32) float32 { return x + y })
+	out, err := binaryOp(p, a, b, Add)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestBinaryOpGeneralBroadcast(t *testing.T) {
 
 func TestBinaryOpShapeError(t *testing.T) {
 	p := NewPool(1)
-	_, err := binaryOp(p, New(2, 3), New(4), func(x, y float32) float32 { return x })
+	_, err := binaryOp(p, New(2, 3), New(4), Add)
 	if err == nil {
 		t.Fatal("expected broadcast error")
 	}
@@ -223,12 +223,7 @@ func TestUnaryOp(t *testing.T) {
 	p := NewPool(1)
 	a := FromSlice([]float32{-1, 2, -3}, 3)
 	out := New(3)
-	err := PointwiseInto(p, out, ScalarFn{Un: func(x float32) float32 {
-		if x < 0 {
-			return 0
-		}
-		return x
-	}}, a)
+	err := PointwiseInto(p, out, ScalarFn{Op: Relu}, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +275,8 @@ func TestBinaryOpCommutativityQuick(t *testing.T) {
 		c := int(c0%4) + 1
 		a := RandNormal(rng, 0, 1, r, c)
 		b := RandNormal(rng, 0, 1, c) // broadcasts over rows
-		x, err1 := binaryOp(p, a, b, func(u, v float32) float32 { return u + v })
-		y, err2 := binaryOp(p, b, a, func(u, v float32) float32 { return u + v })
+		x, err1 := binaryOp(p, a, b, Add)
+		y, err2 := binaryOp(p, b, a, Add)
 		if err1 != nil || err2 != nil {
 			return false
 		}
