@@ -388,8 +388,9 @@
 // gradients — forward and backward only, no variable is touched. The
 // all-reduce then combines the per-chunk gradients of each parameter in
 // fixed ascending-replica, ascending-chunk float32 order — exactly
-// ascending order over the chunk grid — scales by 1/chunks, and every
-// replica applies the identical combined update through the program's
+// ascending order over the chunk grid — and scales by 1/chunks, as one
+// element-wise program (tensor.Program: an Add fold, then a Mul) per
+// parameter; then every replica applies the identical combined update through the program's
 // fed-gradient placeholders, keeping all replica variables bitwise
 // identical forever.
 //
@@ -397,9 +398,10 @@
 // global batch, chunk count and seed, losses and final variables are
 // bit-identical across replica counts {1, 2, 4} and across replica ×
 // intra-op widths — the replica count changes only the partition,
-// never the math. Replicas execute concurrently as clients of the
-// shared worker pool under the usual rules (leases,
-// caller-participates-first, degrade-to-serial on exhaustion), so
+// never the math. Replicas and the all-reduce execute on one
+// tensor.Pool per trainer, a client of the shared worker pool under the
+// usual rules (leases, caller-participates-first, degrade-to-serial on
+// exhaustion), so
 // execution goroutines stay bounded by the pool size; checkpoints (a
 // step header carrying the chunk grid and seed, validated on load,
 // plus the variable checkpoint — optimizer slots included) restore at

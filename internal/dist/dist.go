@@ -29,11 +29,12 @@
 //     in fixed ascending-replica, ascending-chunk float32 order —
 //     replica ranges are contiguous and ascending, so this is exactly
 //     ascending order over the global chunk grid — then scale by
-//     1/chunks (the gradient of the global-batch mean loss). The work
-//     distributes as element ranges (large parameters split across
-//     several, see reduceRangeElems) reducing independently, possibly
-//     on different shared-pool workers; every element's combine order
-//     is fixed regardless of the split or placement.
+//     1/chunks (the gradient of the global-batch mean loss). It is one
+//     element-wise program (tensor.Program) run per parameter: the left
+//     fold of Add over the chunk gradients, then Mul by 1/chunks. The
+//     evaluator's chunk rule splits a large parameter into element
+//     ranges that may run on different workers; every element's combine
+//     order is fixed regardless of the split or placement.
 //  3. Apply: every replica feeds the same combined tensors into its
 //     program's fed-gradient placeholders and fetches the same apply
 //     node, taking one identical optimizer step. Replica variable
@@ -55,13 +56,15 @@
 //
 // # Scheduling
 //
-// Replicas execute concurrently as clients of the shared worker pool
-// (internal/sched): the trainer leases replicas-1 helpers, offers
-// replica tasks non-blockingly, runs replica 0 itself, and absorbs any
-// replica the pool declined — caller-participates-first, so pool
-// exhaustion degrades to serial execution, never deadlock, and total
-// execution goroutines stay bounded by the pool size (replica sessions
-// lease their own intra-op/inter-op helpers under the same rules).
+// A trainer's parallel work runs on one tensor.Pool as wide as its
+// replica count, drawing helpers from a lease on the shared worker pool
+// (internal/sched): the grad and apply phases are one pool region with
+// a replica per chunk, and the all-reduce is the evaluator's own
+// regions. The caller always takes part and helpers are asked for
+// without blocking, so pool exhaustion degrades to serial execution,
+// never deadlock, and total execution goroutines stay bounded by the
+// pool size (replica sessions lease their own intra-op/inter-op helpers
+// under the same rules).
 package dist
 
 import (
@@ -71,8 +74,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -207,15 +208,17 @@ type Trainer struct {
 	opts     Options
 	part     dataset.Partition
 	lease    *sched.Lease
+	pool     *tensor.Pool // Replicas wide, helpers from lease
 	replicas []*replica
 	lanes    int
 
-	comb        []*tensor.Tensor // combined gradients, one per parameter
-	reduceItems []reduceItem     // the all-reduce work list: element ranges
-	step        int
-	losses      [][]float64 // [lane][step]
-	phases      *telemetry.PhaseRing
-	closed      bool
+	comb       []*tensor.Tensor // combined gradients, one per parameter
+	reduceProg tensor.Program   // the all-reduce of one parameter
+	reduceIn   []*tensor.Tensor // its loads: the chunk gradients, then 1/Chunks
+	step       int
+	losses     [][]float64 // [lane][step]
+	phases     *telemetry.PhaseRing
+	closed     bool
 }
 
 // Instantiate builds one Setup instance of a registry workload and
@@ -362,24 +365,23 @@ func NewEngine(kind, name string, opts Options, build func(core.Config) (*Progra
 		rep.chunkLoss = make([]float64, per*t.lanes)
 		rep.chunkGrads = make([][]*tensor.Tensor, per)
 	}
-	// The all-reduce work list: every parameter split into element
-	// ranges of at most reduceRangeElems, so one very large parameter
-	// (vgg's fc weights dominate the others combined) spreads over all
-	// helpers instead of serializing the reduce phase behind a single
-	// worker. Each range combines the same chunks in the same ascending
-	// order as the whole-parameter reduce — elements are independent,
-	// so the split never changes result bits.
-	for p, c := range t.comb {
-		n := len(c.Data())
-		for lo := 0; lo < n; lo += reduceRangeElems {
-			hi := lo + reduceRangeElems
-			if hi > n {
-				hi = n
-			}
-			t.reduceItems = append(t.reduceItems, reduceItem{param: p, lo: lo, hi: hi})
-		}
+	// The all-reduce program: loads 0…C−1 are the chunk gradients in
+	// ascending order and load C the scalar 1/C. Their Add fold (none
+	// at C = 1, where Emit would add g0 to itself) is scaled by Mul.
+	chunks, sum := opts.Chunks, 0
+	slots := make([]int, chunks+1)
+	for c := range slots {
+		slots[c] = c
+		t.reduceProg.Loads = append(t.reduceProg.Loads, tensor.Load{In: c})
 	}
+	if chunks > 1 {
+		t.reduceProg, sum = t.reduceProg.Emit(tensor.ScalarFn{Op: tensor.Add}, slots[:chunks]...)
+	}
+	t.reduceProg, _ = t.reduceProg.Emit(tensor.ScalarFn{Op: tensor.Mul}, sum, chunks)
+	t.reduceIn = make([]*tensor.Tensor, chunks+1)
+	t.reduceIn[chunks] = tensor.Scalar(1 / float32(chunks))
 	t.lease = opts.Pool.LeaseNamed(t.label, opts.Replicas-1)
+	t.pool = tensor.NewParallelPool(opts.Replicas, t.lease)
 	built = true
 	return t, nil
 }
@@ -492,54 +494,15 @@ func (t *Trainer) Close() {
 	}
 }
 
-// runReplicas executes fn for every replica concurrently: replicas
-// beyond the first are offered to the shared pool through the
-// trainer's lease (never blocking), the caller runs replica 0 and then
-// absorbs any replica the pool declined. Helper panics are re-raised
-// on the caller after every replica has joined.
+// runReplicas executes fn for every replica as one region of the
+// trainer's pool, a replica per chunk. A helper's panic is re-raised on
+// the caller after every replica has joined.
 func (t *Trainer) runReplicas(fn func(*replica)) {
-	if len(t.replicas) == 1 {
-		fn(t.replicas[0])
-		return
-	}
-	var (
-		wg       sync.WaitGroup
-		pmu      sync.Mutex
-		pval     any
-		pseen    bool
-		declined []*replica
-	)
-	for _, r := range t.replicas[1:] {
-		r := r
-		wg.Add(1)
-		ok := t.lease.TryRun(func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					pmu.Lock()
-					if !pseen {
-						pseen, pval = true, p
-					}
-					pmu.Unlock()
-				}
-			}()
+	t.pool.For(len(t.replicas), 1, func(lo, hi int) {
+		for _, r := range t.replicas[lo:hi] {
 			fn(r)
-		})
-		if !ok {
-			wg.Done()
-			declined = append(declined, r)
 		}
-	}
-	defer func() {
-		wg.Wait()
-		if pseen {
-			panic(pval)
-		}
-	}()
-	fn(t.replicas[0])
-	for _, r := range declined {
-		fn(r)
-	}
+	})
 }
 
 // gradPhase computes replica r's owned chunks: per chunk, reseed the
@@ -586,72 +549,24 @@ func (t *Trainer) chunkGrad(c, p int) *tensor.Tensor {
 	return r.chunkGrads[c-r.lo][p]
 }
 
-// reduceRangeElems bounds one all-reduce work item: parameters larger
-// than this split into element ranges so a single very large parameter
-// (vgg's fc weights) parallelizes across helpers instead of holding
-// the whole reduce phase on one worker.
-const reduceRangeElems = 1 << 15
-
-// reduceItem is one all-reduce work item: element range [lo, hi) of
-// parameter param.
-type reduceItem struct{ param, lo, hi int }
-
-// reduceRange combines elements [lo, hi) of parameter p across the
-// chunk grid: the per-chunk gradients sum elementwise in ascending
-// chunk order — ascending replica, ascending chunk within the replica,
-// which is the same thing — then scale by 1/Chunks, yielding the
-// gradient of the global-batch mean loss. The order is a constant of
-// the chunk grid and elements are independent, so the result bits
-// never depend on the replica count, on which worker reduces the
-// range, or on how the parameter was split into ranges.
-func (t *Trainer) reduceRange(p, lo, hi int) {
-	out := t.comb[p].Data()[lo:hi]
-	copy(out, t.chunkGrad(0, p).Data()[lo:hi])
-	for c := 1; c < t.part.Chunks; c++ {
-		g := t.chunkGrad(c, p).Data()[lo:hi]
-		for i := range out {
-			out[i] += g[i]
+// reduce runs the all-reduce: per parameter, the combine program over
+// the chunk gradients in ascending chunk order — ascending replica,
+// ascending chunk within the replica, which is the same thing — scaled
+// by 1/Chunks, yielding the gradient of the global-batch mean loss. The
+// order is a constant of the chunk grid and elements are independent,
+// so the result bits never depend on the replica count or on how the
+// evaluator splits a parameter across workers.
+func (t *Trainer) reduce() error {
+	for p, out := range t.comb {
+		for c := 0; c < t.part.Chunks; c++ {
+			t.reduceIn[c] = t.chunkGrad(c, p)
+		}
+		if err := t.reduceProg.Run(t.pool, out, t.reduceIn); err != nil {
+			return fmt.Errorf("%s all-reduce: %w", t.label, err)
 		}
 	}
-	inv := 1 / float32(t.part.Chunks)
-	for i := range out {
-		out[i] *= inv
-	}
-}
-
-// reduce runs the all-reduce: the element-range work items are
-// distributed over the caller plus lease helpers via a work-stealing
-// cursor — safe because each range's combine is self-contained and
-// deterministic, so placement affects only timing.
-func (t *Trainer) reduce() {
-	items := t.reduceItems
-	if len(items) == 0 {
-		return
-	}
-	var cursor atomic.Int64
-	work := func() {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(items) {
-				return
-			}
-			t.reduceRange(items[i].param, items[i].lo, items[i].hi)
-		}
-	}
-	helpers := len(t.replicas) - 1
-	if helpers > len(items)-1 {
-		helpers = len(items) - 1
-	}
-	var wg sync.WaitGroup
-	for h := 0; h < helpers; h++ {
-		wg.Add(1)
-		if !t.lease.TryRun(func() { defer wg.Done(); work() }) {
-			wg.Done()
-			break
-		}
-	}
-	work()
-	wg.Wait()
+	clear(t.reduceIn[:t.part.Chunks]) // hold no chunk gradient past the phase
+	return nil
 }
 
 // applyPhase applies the combined gradients on replica r: one fetch of
@@ -705,7 +620,9 @@ func (t *Trainer) StepLanes() ([]float64, error) {
 	}
 
 	tr := time.Now()
-	t.reduce()
+	if err := t.reduce(); err != nil {
+		return nil, err
+	}
 	ph.Reduce = time.Since(tr)
 	// The fetched gradients are the step's largest transients. Drop
 	// them here rather than when the next step overwrites them: held

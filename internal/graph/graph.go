@@ -219,15 +219,3 @@ func Topo(fetches []*Node) []*Node {
 	}
 	return order
 }
-
-// Consumers builds the reverse adjacency for the subgraph reachable
-// from fetches: for each node, the list of nodes that consume it.
-func Consumers(fetches []*Node) map[*Node][]*Node {
-	out := map[*Node][]*Node{}
-	for _, n := range Topo(fetches) {
-		for _, in := range n.inputs {
-			out[in] = append(out[in], n)
-		}
-	}
-	return out
-}

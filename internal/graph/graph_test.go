@@ -269,20 +269,6 @@ func TestTopoOrder(t *testing.T) {
 	}
 }
 
-func TestConsumers(t *testing.T) {
-	g := New()
-	a := g.Placeholder("a", 1)
-	b := g.MustApply(testSquare{}, a)
-	c := g.MustApply(testAdd{}, b, b)
-	cons := Consumers([]*Node{c})
-	if len(cons[a]) != 1 || cons[a][0] != b {
-		t.Fatal("consumers of a wrong")
-	}
-	if len(cons[b]) != 2 {
-		t.Fatalf("b should have two consumer edges, got %d", len(cons[b]))
-	}
-}
-
 func TestGradientsSimpleChain(t *testing.T) {
 	// loss = sum((x+w)²); dloss/dw = 2(x+w).
 	g := New()

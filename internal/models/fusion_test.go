@@ -15,18 +15,17 @@ import (
 // TestEpilogueFusionFires pins epilogue fusion as part of every
 // workload's compiled plans: at preset small, seed 7, the plans of the
 // loss+TrainOp, loss+gradients and inference-output fetch sets run no
-// more op steps than the bars below — the training bars are the lengths
-// once gradient accumulation (AddN) and ReluGrad fuse and ReluGrad reads
-// the relu's output, the inference bars those of a graph rewrite that
-// fused each GEMM's and convolution's epilogues — and each workload runs
-// a headed step: a fused step traced in its head's class, which is not
-// the element-wise one.
+// more op steps than the bars below — each bar is its plan's length,
+// with gradient accumulation (AddN) and ReluGrad fused in training and
+// each GEMM's and convolution's epilogue fused in both modes — and each
+// workload runs a headed step: a fused step traced in its head's class,
+// which is not the element-wise one.
 func TestEpilogueFusionFires(t *testing.T) {
 	bars := map[string][3]int{
-		"alexnet": {68, 51, 24}, "attention": {189, 172, 60}, "autoenc": {44, 33, 8},
-		"deepq": {34, 25, 8}, "memnet": {150, 142, 58}, "neuraltalk": {94, 81, 31},
-		"residual": {947, 800, 254}, "seq2seq": {1787, 1769, 535}, "speech": {957, 940, 394},
-		"vgg": {134, 95, 46},
+		"alexnet": {68, 51, 17}, "attention": {189, 172, 57}, "autoenc": {44, 33, 6},
+		"deepq": {34, 25, 5}, "memnet": {150, 142, 50}, "neuraltalk": {94, 81, 28},
+		"residual": {947, 800, 218}, "seq2seq": {1787, 1769, 508}, "speech": {957, 940, 294},
+		"vgg": {134, 95, 28},
 	}
 	for _, name := range core.Names() {
 		m, err := core.New(name)

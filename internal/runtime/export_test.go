@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"bytes"
-	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,97 +10,6 @@ import (
 	"repro/internal/ops"
 	"repro/internal/tensor"
 )
-
-// decodeTrace unwraps the Chrome-trace envelope every exporter shares
-// (telemetry's encoder): {"traceEvents": [...]}.
-func decodeTrace(t *testing.T, b []byte) []map[string]interface{} {
-	t.Helper()
-	var doc struct {
-		TraceEvents []map[string]interface{} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	return doc.TraceEvents
-}
-
-func TestWriteChromeTrace(t *testing.T) {
-	g, x, y, _ := buildAffine(t)
-	s := NewSession(g, WithTrace(), WithUnfusedPlans()) // MatMul and Add as two events
-	s.MustRun([]*graph.Node{y}, Feeds{x: tensor.Ones(2, 3)})
-
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, s.Trace()); err != nil {
-		t.Fatal(err)
-	}
-	events := decodeTrace(t, buf.Bytes())
-	var complete, meta int
-	for _, e := range events {
-		switch e["ph"] {
-		case "X":
-			complete++
-			if e["name"] == "" || e["dur"] == nil {
-				t.Fatalf("incomplete event: %v", e)
-			}
-		case "M":
-			meta++
-		}
-	}
-	if complete != 2 {
-		t.Fatalf("expected 2 op events, got %d", complete)
-	}
-	if meta == 0 {
-		t.Fatal("expected thread-name metadata records")
-	}
-}
-
-func TestWriteChromeTraceWall(t *testing.T) {
-	g, x, y, _ := buildAffine(t)
-	s := NewSession(g, WithTrace(), WithInterOpWorkers(2), WithUnfusedPlans())
-	s.MustRun([]*graph.Node{y}, Feeds{x: tensor.Ones(2, 3)})
-
-	var buf bytes.Buffer
-	if err := WriteChromeTraceWall(&buf, s.Trace()); err != nil {
-		t.Fatal(err)
-	}
-	events := decodeTrace(t, buf.Bytes())
-	workers := map[float64]bool{}
-	var complete int
-	for _, e := range events {
-		switch e["ph"] {
-		case "X":
-			complete++
-			if ts := e["ts"].(float64); ts < 0 {
-				t.Fatalf("negative wall-relative timestamp: %v", e)
-			}
-			workers[e["tid"].(float64)] = true
-		case "M":
-			if !strings.HasPrefix(e["args"].(map[string]interface{})["name"].(string), "worker ") {
-				t.Fatalf("wall lanes must be named after workers: %v", e)
-			}
-		}
-	}
-	if complete != 2 {
-		t.Fatalf("expected 2 op events on the wall timeline, got %d", complete)
-	}
-	// Both ops carry a wall start even when one lane served them; the
-	// lane ids must be inter-op worker indices, not the simulated lanes.
-	for tid := range workers {
-		if tid < 0 || tid >= 2 {
-			t.Fatalf("wall lane %v outside inter-op worker range", tid)
-		}
-	}
-}
-
-func TestWriteChromeTraceEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if events := decodeTrace(t, buf.Bytes()); events == nil || len(events) != 0 {
-		t.Fatalf("empty trace should serialize to an empty traceEvents array: %q", buf.String())
-	}
-}
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	build := func(seed float32) *graph.Graph {

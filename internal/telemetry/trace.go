@@ -211,9 +211,8 @@ func TraceDecided(ctx context.Context) bool {
 	return ok
 }
 
-// Chrome trace-event JSON (chrome://tracing, Perfetto): the one
-// encoder behind request span trees (WriteChromeTraces) and the
-// runtime's op timelines (WriteChromeLanes).
+// Chrome trace-event JSON (chrome://tracing, Perfetto): the encoder
+// behind request span trees (WriteChromeTraces).
 
 // chromeEvent is one "complete" (ph=X) trace-event record.
 type chromeEvent struct {
@@ -267,21 +266,6 @@ func (d *chromeDoc) event(pid, tid int, name, cat string, start, dur time.Durati
 
 func (d *chromeDoc) write(w io.Writer) error {
 	return json.NewEncoder(w).Encode(map[string]any{"traceEvents": d.events})
-}
-
-// WriteChromeLanes writes one single-process Chrome-trace document of
-// n complete events. event(i) places event i: the lane (thread id) it
-// sits on, its name and category, its start and duration on whatever
-// clock the caller maps onto the timeline, and optional args.
-// laneName labels a lane the first time an event uses it.
-func WriteChromeLanes(w io.Writer, laneName func(tid int) string, n int,
-	event func(i int) (tid int, name, cat string, start, dur time.Duration, args map[string]string)) error {
-	d := newChromeDoc(laneName)
-	for i := 0; i < n; i++ {
-		tid, name, cat, start, dur, args := event(i)
-		d.event(1, tid, name, cat, start, dur, args)
-	}
-	return d.write(w)
 }
 
 // WriteChromeTraces renders finished traces as one Chrome-trace JSON
